@@ -23,7 +23,7 @@ from .errors import (
     ParseError,
     SingularElement,
 )
-from .exactla import Matrix, Subspace, solve_unique, vec_is_zero
+from .exactla import Matrix, Subspace, solve_unique
 from .scalars import CYCLOTOMIC, PRIME, RATIONAL, FieldDescriptor, make_field
 
 
@@ -117,9 +117,6 @@ class Algebra:
         v = [z] * self.dim
         v[i] = self.field.one()
         return v
-
-    def element(self, coords) -> "Element":
-        return Element(self, coords)
 
     # -- properties --------------------------------------------------------
 
@@ -219,34 +216,36 @@ class Algebra:
             n = int(d["dim"])
             names = list(d["basis"])
             raw_table = d["table"]
-        except (KeyError, TypeError) as exc:
+            if len(names) != n:
+                raise ParseError(f"dim {n} but {len(names)} basis names")
+            if not all(isinstance(name, str) for name in names):
+                raise ParseError("basis names must be strings")
+            if len(raw_table) != n:
+                raise ParseError("table must have dim rows")
+            z = field.zero()
+            table = []
+            for i in range(n):
+                if len(raw_table[i]) != n:
+                    raise ParseError(f"table row {i} must have dim entries")
+                row = []
+                for j in range(n):
+                    vec = [z] * n
+                    seen = set()
+                    for entry in raw_table[i][j]:
+                        if len(entry) != 2 or not isinstance(entry[1], str):
+                            raise ParseError(
+                                f"table entry at ({i},{j}) must be [index, literal]")
+                        k, lit = int(entry[0]), entry[1]
+                        if not 0 <= k < n:
+                            raise ParseError(f"index {k} out of range at ({i},{j})")
+                        if k in seen:
+                            raise ParseError(f"duplicate index {k} at ({i},{j})")
+                        seen.add(k)
+                        vec[k] = field.parse(lit)
+                    row.append(vec)
+                table.append(row)
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed algebra definition: {exc}")
-        if len(names) != n:
-            raise ParseError(f"dim {n} but {len(names)} basis names")
-        if len(raw_table) != n:
-            raise ParseError("table must have dim rows")
-        z = field.zero()
-        table = []
-        for i in range(n):
-            if len(raw_table[i]) != n:
-                raise ParseError(f"table row {i} must have dim entries")
-            row = []
-            for j in range(n):
-                vec = [z] * n
-                seen = set()
-                for entry in raw_table[i][j]:
-                    if len(entry) != 2:
-                        raise ParseError(f"table entry at ({i},{j}) must be [index, literal]")
-                    k, lit = entry
-                    k = int(k)
-                    if not 0 <= k < n:
-                        raise ParseError(f"index {k} out of range at ({i},{j})")
-                    if k in seen:
-                        raise ParseError(f"duplicate index {k} at ({i},{j})")
-                    seen.add(k)
-                    vec[k] = field.parse(lit)
-                row.append(vec)
-            table.append(row)
         return cls(field, names, table)
 
 
@@ -259,77 +258,19 @@ def field_to_definition(f: FieldDescriptor) -> dict:
 
 
 def field_from_definition(d: dict) -> FieldDescriptor:
+    if not isinstance(d, dict):
+        raise ParseError(f"a field definition is an object with a 'kind', got {d!r}")
     kind = d.get("kind")
-    if kind == "rational":
-        return make_field(RATIONAL)
-    if kind == "cyclotomic":
-        return make_field(CYCLOTOMIC, m=int(d["m"]))
-    if kind == "prime":
-        return make_field(PRIME, m=int(d.get("m", 1)), p=int(d["p"]))
+    try:
+        if kind == "rational":
+            return make_field(RATIONAL)
+        if kind == "cyclotomic":
+            return make_field(CYCLOTOMIC, m=int(d["m"]))
+        if kind == "prime":
+            return make_field(PRIME, m=int(d.get("m", 1)), p=int(d["p"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed {kind} field definition: {exc}")
     raise ParseError(f"unknown field kind {kind!r}")
-
-
-class Element:
-    """Coordinate vector bound to its algebra, with operator syntax."""
-
-    __slots__ = ("algebra", "coords")
-
-    def __init__(self, algebra: Algebra, coords):
-        coords = list(coords)
-        if len(coords) != algebra.dim:
-            raise DimensionMismatch(f"{len(coords)} coordinates in dim {algebra.dim}")
-        self.algebra = algebra
-        self.coords = coords
-
-    def _check(self, other):
-        if not isinstance(other, Element):
-            raise FieldMismatch("expected an Element")
-        if other.algebra is not self.algebra and other.algebra.table != self.algebra.table:
-            raise FieldMismatch("elements of different algebras")
-
-    def __add__(self, other):
-        self._check(other)
-        f = self.algebra.field
-        return Element(self.algebra, [f.add(a, b) for a, b in zip(self.coords, other.coords)])
-
-    def __sub__(self, other):
-        self._check(other)
-        f = self.algebra.field
-        return Element(self.algebra, [f.sub(a, b) for a, b in zip(self.coords, other.coords)])
-
-    def __mul__(self, other):
-        self._check(other)
-        return Element(self.algebra, self.algebra.mult(self.coords, other.coords))
-
-    def __neg__(self):
-        f = self.algebra.field
-        return Element(self.algebra, [f.neg(a) for a in self.coords])
-
-    def scale(self, c) -> "Element":
-        f = self.algebra.field
-        return Element(self.algebra, [f.mul(c, a) for a in self.coords])
-
-    def is_zero(self) -> bool:
-        return vec_is_zero(self.algebra.field, self.coords)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Element)
-            and self.algebra.table == other.algebra.table
-            and self.coords == other.coords
-        )
-
-    def __hash__(self):
-        return hash(tuple(self.coords))
-
-    def __repr__(self):
-        f = self.algebra.field
-        z = f.zero()
-        parts = []
-        for c, name in zip(self.coords, self.algebra.names):
-            if c != z:
-                parts.append(f"{f.format(c)}*{name}")
-        return " + ".join(parts) if parts else "0"
 
 
 def tensor_product(a: Algebra, s: Algebra) -> Algebra:

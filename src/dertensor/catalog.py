@@ -1,6 +1,6 @@
 """Built-in example objects used by the CLI, the tests and the docs.
 
-Entries are constructed on demand and memoized per parameter tuple. Names
+Entries are constructed afresh on every call; nothing is memoized. Names
 accept an optional argument list in parentheses, e.g. "group-algebra(3)" or
 "quotient-laurent(1,4)". Setup-producing entries live at the bottom; they
 import lazily to keep module import light.

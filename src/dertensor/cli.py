@@ -4,8 +4,9 @@ Every command prints either a human-readable report or, with --json, a
 machine report with the fixed shape {claim, hypotheses, dimensions,
 assertions, verdict}. Exit codes: 0 for a passing verdict (or a completed
 solver run), 1 for a failing verdict, 2 for unusable input, 3 for a
-violated hypothesis, 4 for an internal invariant failure. All output is
-deterministic: identical inputs give byte-identical reports.
+violated hypothesis, 4 for an internal invariant failure or any other
+unexpected exception. All output is deterministic: identical inputs give
+byte-identical reports.
 """
 
 import argparse
@@ -13,6 +14,7 @@ import json
 import os
 import random
 import sys
+import traceback
 
 from .algebra import Algebra, tensor_product
 from .catalog import (
@@ -99,7 +101,7 @@ def _parse_field_text(text: str):
 
 
 def _field_of(args):
-    return _parse_field_text(args.field) if getattr(args, "field", None) else None
+    return _parse_field_text(args.field) if args.field else None
 
 
 def _looks_like_path(text: str) -> bool:
@@ -112,7 +114,7 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}")
 
 
@@ -126,6 +128,8 @@ def _resolve_algebra(text: str, field) -> Algebra:
 
 def _parse_element(text: str, algebra: Algebra) -> list:
     """A basis name, or comma-separated scalar literals in the basis."""
+    if not isinstance(text, str):
+        raise ParseError(f"an element is a basis name or a literal string, got {text!r}")
     text = text.strip()
     if text in algebra.names:
         return algebra.basis_vector(algebra.names.index(text))
@@ -149,27 +153,33 @@ def _automorphism_from_spec(spec: dict, algebra: Algebra, label: str):
     except (KeyError, TypeError, ValueError):
         raise ParseError(f"{label} needs an integer 'period'")
     f = algebra.field
-    if "diagonal" in spec:
-        entries = [f.parse(str(x)) for x in spec["diagonal"]]
-        if len(entries) != algebra.dim:
-            raise ParseError(f"{label} diagonal must have {algebra.dim} entries")
-        z = f.zero()
-        mat = Matrix(f, [[entries[i] if i == j else z for j in range(algebra.dim)]
-                         for i in range(algebra.dim)], algebra.dim)
-    elif "matrix" in spec:
-        rows = spec["matrix"]
-        mat = Matrix(f, [[f.parse(str(x)) for x in row] for row in rows], algebra.dim)
-    else:
-        raise ParseError(f"{label} needs a 'matrix' or a 'diagonal'")
-    return check_automorphism(algebra, mat, period)
+    n = algebra.dim
+    try:
+        if "diagonal" in spec:
+            entries = [f.parse(str(x)) for x in spec["diagonal"]]
+            if len(entries) != n:
+                raise ParseError(f"{label} diagonal must have {n} entries")
+            z = f.zero()
+            rows = [[entries[i] if i == j else z for j in range(n)] for i in range(n)]
+        elif "matrix" in spec:
+            rows = [[f.parse(str(x)) for x in row] for row in spec["matrix"]]
+            if len(rows) != n or any(len(row) != n for row in rows):
+                raise ParseError(f"{label} matrix must be {n} x {n}")
+        else:
+            raise ParseError(f"{label} needs a 'matrix' or a 'diagonal'")
+    except TypeError:
+        raise ParseError(f"{label} entries must be lists of scalar literals")
+    return check_automorphism(algebra, Matrix(f, rows, n), period)
 
 
 def _setup_from_file(path: str, field_flag, force: bool) -> Setup:
     d = _load_json(path)
+    if not isinstance(d, dict):
+        raise ParseError(f"{path} must hold a JSON object")
     if "field" in d:
         from .algebra import field_from_definition
-        field = field_from_definition(d["field"]) if isinstance(d["field"], dict) \
-            else _parse_field_text(d["field"])
+        field = _parse_field_text(d["field"]) if isinstance(d["field"], str) \
+            else field_from_definition(d["field"])
     else:
         field = field_flag or make_field("rational")
 
@@ -185,7 +195,10 @@ def _setup_from_file(path: str, field_flag, force: bool) -> Setup:
     _guard_product(a.dim, s.dim, force)
     aut1 = _automorphism_from_spec(d.get("aut1", {}), a, "aut1")
     aut2 = _automorphism_from_spec(d.get("aut2", {}), s, "aut2")
-    q = int(d.get("q", 1))
+    try:
+        q = int(d.get("q", 1))
+    except (TypeError, ValueError):
+        raise ParseError("setup file 'q' must be an integer")
     u = _parse_element(d["u"], s) if "u" in d else None
     return Setup(a, s, aut1, aut2, q=q, u=u)
 
@@ -201,7 +214,7 @@ def _predicted_setup_dim(base: str, nargs: tuple) -> int | None:
 def _resolve_setup(text: str, args) -> Setup:
     if text is None:
         raise ParseError("a setup name or file is required")
-    force = bool(getattr(args, "force", False))
+    force = args.force
     field = _field_of(args)
     if _looks_like_path(text):
         st = _setup_from_file(text, field, force)
@@ -212,7 +225,7 @@ def _resolve_setup(text: str, args) -> Setup:
             _guard_product(predicted, 1, force)
         st = catalog_setup(text, field)
         _guard_product(st.a.dim, st.s.dim, force)
-    if getattr(args, "u", None):
+    if args.u:
         vec = _parse_element(args.u, st.s)
         deg = st.grading_s.degree_of(vec)
         if deg is None:
@@ -226,7 +239,7 @@ def _resolve_setup(text: str, args) -> Setup:
 
 
 def _emit(rep: VerificationReport, args, extra_lines=None) -> int:
-    if getattr(args, "json", False):
+    if args.json:
         print(rep.to_json())
     else:
         for line in extra_lines or []:
@@ -253,42 +266,18 @@ def _merge(rep: VerificationReport, sub: VerificationReport, prefix: str):
 # solvers
 
 
-def cmd_derive(args) -> int:
-    a = _resolve_algebra(args.algebra, _field_of(args))
-    es = derivation_space(a)
-    rep = VerificationReport("derivation-algebra")
+def cmd_solve(args) -> int:
+    space_of, claim, label = {
+        "derive": (derivation_space, "derivation-algebra", "D"),
+        "centroid": (centroid, "centroid", "C"),
+        "dcentroid": (differential_centroid, "differential-centroid", "dC"),
+    }[args.command]
+    es = space_of(_resolve_algebra(args.algebra, _field_of(args)))
+    rep = VerificationReport(claim)
     rep.dim("dim", es.dim)
     if args.json:
         return _emit(rep, args)
-    print(f"dim D = {es.dim}")
-    for mtx in es.basis_matrices():
-        print("\n".join(_matrix_lines(mtx)))
-        print()
-    return 0
-
-
-def cmd_centroid(args) -> int:
-    a = _resolve_algebra(args.algebra, _field_of(args))
-    es = centroid(a)
-    rep = VerificationReport("centroid")
-    rep.dim("dim", es.dim)
-    if args.json:
-        return _emit(rep, args)
-    print(f"dim C = {es.dim}")
-    for mtx in es.basis_matrices():
-        print("\n".join(_matrix_lines(mtx)))
-        print()
-    return 0
-
-
-def cmd_dcentroid(args) -> int:
-    a = _resolve_algebra(args.algebra, _field_of(args))
-    es = differential_centroid(a)
-    rep = VerificationReport("differential-centroid")
-    rep.dim("dim", es.dim)
-    if args.json:
-        return _emit(rep, args)
-    print(f"dim dC = {es.dim}")
+    print(f"dim {label} = {es.dim}")
     for mtx in es.basis_matrices():
         print("\n".join(_matrix_lines(mtx)))
         print()
@@ -367,17 +356,25 @@ def _split_sample_assertion(rep, a, s, prefix, samples):
     rep.check(f"{prefix}: {name}" if prefix else name, ok, witness)
 
 
+def _pair_or_sweep(args, f):
+    """The pair named by --algebra and --s, or None for the catalog sweep."""
+    if not (args.algebra or args.s):
+        return None
+    if not (args.algebra and args.s):
+        raise ParseError("give both --algebra and --s, or neither for the catalog sweep")
+    a = _resolve_algebra(args.algebra, f)
+    s = _resolve_algebra(args.s, f)
+    _guard_product(a.dim, s.dim, args.force)
+    return a, s
+
+
 def cmd_verify_thm1(args) -> int:
     f = _field_of(args)
     samples = args.budget if args.budget else 25
-    if args.algebra or args.s:
-        if not (args.algebra and args.s):
-            raise ParseError("give both --algebra and --s, or neither for the catalog sweep")
-        a = _resolve_algebra(args.algebra, f)
-        s = _resolve_algebra(args.s, f)
-        _guard_product(a.dim, s.dim, args.force)
-        rep = verify_block_decomposition(a, s)
-        _split_sample_assertion(rep, a, s, "", samples)
+    pair = _pair_or_sweep(args, f)
+    if pair:
+        rep = verify_block_decomposition(*pair)
+        _split_sample_assertion(rep, *pair, "", samples)
         return _emit(rep, args)
     rep = VerificationReport("theorem-1")
     for aname, sname in DEFAULT_PAIRS:
@@ -392,13 +389,9 @@ def cmd_verify_thm1(args) -> int:
 
 def cmd_verify_lemma21(args) -> int:
     f = _field_of(args)
-    if args.algebra or args.s:
-        if not (args.algebra and args.s):
-            raise ParseError("give both --algebra and --s, or neither for the catalog sweep")
-        a = _resolve_algebra(args.algebra, f)
-        s = _resolve_algebra(args.s, f)
-        _guard_product(a.dim, s.dim, args.force)
-        return _emit(verify_psi_lemma(a, s), args)
+    pair = _pair_or_sweep(args, f)
+    if pair:
+        return _emit(verify_psi_lemma(*pair), args)
     rep = VerificationReport("lemma-2.1")
     for aname, sname in DEFAULT_PAIRS:
         a = catalog_algebra(aname, f)
@@ -588,7 +581,7 @@ def _phi_branch_report(st: Setup) -> VerificationReport:
 
 
 def cmd_phi_eval(args) -> int:
-    navg = args.budget if args.budget else 1
+    navg = args.stretch
     if args.setup is None:
         rep = VerificationReport("inverse-map-reproduction")
         _merge(rep, _phi_scene_one(args.style, args.u, navg), "values")
@@ -693,83 +686,62 @@ def cmd_catalog(args) -> int:
 # dispatch
 
 
-def _add_common(p, *, setup=False, pair=False, algebra=False):
-    p.add_argument("--json", action="store_true", help="emit the machine report")
-    p.add_argument("--field", help="rational, cyclotomic(m) or prime(p,m)")
-    p.add_argument("--force", action="store_true", help="bypass the size guard")
-    p.add_argument("--budget", type=int, help="sampling budget / integer parameter")
-    p.add_argument("--style", choices=[FORWARD, INVERSE], help="laurent grading style")
-    p.add_argument("--u", help="explicit graded unit (element literal)")
-    p.add_argument("--m", type=int, help="restrict the sweep to one period")
-    if setup:
-        p.add_argument("--setup", help="setup file or catalog name")
-    if pair:
-        p.add_argument("--algebra", help="left factor: file or catalog name")
-        p.add_argument("--s", help="right factor: file or catalog name")
-    if algebra:
-        p.add_argument("--algebra", help="algebra file or catalog name")
+# every argument any command takes; a command's row in COMMANDS picks its own
+ARGUMENTS = {
+    "action": dict(choices=["list", "show"]),
+    "name": dict(nargs="?", help="catalog entry"),
+    "--algebra": dict(help="the algebra, or the left factor of a pair: file or catalog name"),
+    "--s": dict(help="right factor: file or catalog name"),
+    "--setup": dict(help="setup file or catalog name"),
+    "--field": dict(help="rational, cyclotomic(m) or prime(p,m)"),
+    "--force": dict(action="store_true", help="bypass the size guard"),
+    "--u": dict(help="explicit graded unit (element literal)"),
+    "--budget": dict(type=int, help="number of samples"),
+    "--style": dict(choices=[FORWARD, INVERSE], help="laurent grading style"),
+    "--m": dict(type=int, help="restrict the sweep to one period"),
+    "--stretch": dict(type=int, default=1, help="averaging stretch n of the inverse map"),
+    "--json": dict(action="store_true", help="emit the machine report"),
+}
+
+ONE = ("--algebra", "--field", "--json")
+PAIR = ("--algebra", "--s", "--field", "--force", "--json")
+SETUP = ("--setup", "--field", "--force", "--u", "--json")
+
+# name, handler, help, and exactly the arguments the handler reads
+COMMANDS = (
+    ("derive", cmd_solve, "derivation algebra of one algebra", ONE),
+    ("centroid", cmd_solve, "centroid of one algebra", ONE),
+    ("dcentroid", cmd_solve, "differential centroid of one algebra", ONE),
+    ("psi-check", cmd_psi_check, "centroid tensor map on a pair", PAIR),
+    ("grade", cmd_grade, "show the grading data of a setup", SETUP),
+    ("fixed", cmd_fixed, "show the fixed-point algebra of a setup", SETUP),
+    ("verify-thm1", cmd_verify_thm1, "block decomposition of D(A tensor S)",
+     PAIR + ("--budget",)),
+    ("verify-lemma21", cmd_verify_lemma21, "centroid tensor isomorphism", PAIR),
+    ("verify-lemma35", cmd_verify_lemma35, "graded block decomposition", SETUP),
+    ("verify-thm2", cmd_verify_thm2, "restriction map bijectivity with inverse", SETUP),
+    ("lemma-identities", cmd_lemma_identities, "averaging and exchange identities",
+     SETUP + ("--budget",)),
+    ("phi-eval", cmd_phi_eval, "evaluate the inverse-map formula",
+     SETUP + ("--style", "--m", "--stretch")),
+    ("bm-eval", cmd_bm_eval, "evaluate the earlier published formula", SETUP + ("--style",)),
+    ("counterexample-bm", cmd_counterexample_bm, "reproduce the failure of that formula",
+     ("--style", "--u", "--json")),
+    ("catalog", cmd_catalog, "list or show built-in examples",
+     ("action", "name", "--field", "--json")),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
-        prog="dertensor",
+        prog="dertensor", allow_abbrev=False,
         description="exact derivations, centroids, gradings and the restriction isomorphism")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    for name, fn in (("derive", cmd_derive), ("centroid", cmd_centroid),
-                     ("dcentroid", cmd_dcentroid)):
-        p = sub.add_parser(name, help=f"compute the {name} space of one algebra")
-        _add_common(p, algebra=True)
+    for name, fn, about, accepted in COMMANDS:
+        p = sub.add_parser(name, help=about, allow_abbrev=False)
+        for arg in accepted:
+            p.add_argument(arg, **ARGUMENTS[arg])
         p.set_defaults(fn=fn)
-
-    p = sub.add_parser("psi-check", help="centroid tensor map on a pair")
-    _add_common(p, pair=True)
-    p.set_defaults(fn=cmd_psi_check)
-
-    for name, fn in (("grade", cmd_grade), ("fixed", cmd_fixed)):
-        p = sub.add_parser(name, help=f"show the {name} data of a setup")
-        _add_common(p, setup=True)
-        p.set_defaults(fn=fn)
-
-    p = sub.add_parser("verify-thm1", help="block decomposition of D(A tensor S)")
-    _add_common(p, pair=True)
-    p.set_defaults(fn=cmd_verify_thm1)
-
-    p = sub.add_parser("verify-lemma21", help="centroid tensor isomorphism")
-    _add_common(p, pair=True)
-    p.set_defaults(fn=cmd_verify_lemma21)
-
-    p = sub.add_parser("verify-lemma35", help="graded block decomposition")
-    _add_common(p, setup=True)
-    p.set_defaults(fn=cmd_verify_lemma35)
-
-    p = sub.add_parser("verify-thm2", help="restriction map bijectivity with inverse")
-    _add_common(p, setup=True)
-    p.set_defaults(fn=cmd_verify_thm2)
-
-    p = sub.add_parser("lemma-identities", help="averaging and exchange identities")
-    _add_common(p, setup=True)
-    p.set_defaults(fn=cmd_lemma_identities)
-
-    p = sub.add_parser("phi-eval", help="evaluate the inverse-map formula")
-    _add_common(p, setup=True)
-    p.set_defaults(fn=cmd_phi_eval)
-
-    p = sub.add_parser("bm-eval", help="evaluate the earlier published formula")
-    _add_common(p, setup=True)
-    p.set_defaults(fn=cmd_bm_eval)
-
-    p = sub.add_parser("counterexample-bm", help="reproduce the failure of that formula")
-    _add_common(p)
-    p.set_defaults(fn=cmd_counterexample_bm)
-
-    p = sub.add_parser("catalog", help="list or show built-in examples")
-    p.add_argument("action", choices=["list", "show"])
-    p.add_argument("name", nargs="?")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--field", help="rational, cyclotomic(m) or prime(p,m)")
-    p.set_defaults(fn=cmd_catalog)
-
     return ap
 
 
@@ -793,7 +765,16 @@ def run(argv=None) -> int:
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # exit 1 is a failing verdict, so a crash must not reach it
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

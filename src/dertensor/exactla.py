@@ -334,11 +334,6 @@ class Subspace:
     def zero(cls, field, ambient: int) -> "Subspace":
         return cls(field, ambient, [], [])
 
-    @classmethod
-    def full(cls, field, ambient: int) -> "Subspace":
-        eye = Matrix.identity(field, ambient)
-        return cls(field, ambient, eye.rows, range(ambient))
-
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -439,25 +434,6 @@ def kernel_of_rows(field, rows, ncols) -> Subspace:
                 v[pc] = field.neg(x)
         basis.append(v)
     return Subspace.from_vectors(field, ncols, basis)
-
-
-def kernel_basis(matrix: Matrix) -> Subspace:
-    return kernel_of_rows(matrix.field, matrix.rows, matrix.ncols)
-
-
-def is_direct_sum(subspaces, target_dim: int | None = None) -> bool:
-    """True when the sum of the subspaces is direct (and fills target_dim)."""
-    subspaces = list(subspaces)
-    if not subspaces:
-        return target_dim in (None, 0)
-    total = subspaces[0]
-    dims = subspaces[0].dim
-    for s in subspaces[1:]:
-        total = total.sum(s)
-        dims += s.dim
-    if total.dim != dims:
-        return False
-    return target_dim is None or total.dim == target_dim
 
 
 def solve_unique(matrix: Matrix, rhs: list) -> list:

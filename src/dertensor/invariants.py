@@ -16,20 +16,15 @@ from .algebra import Algebra, tensor_product
 from .errors import (
     InternalCheckFailed,
     NotAssociative,
-    NotClosed,
     NotCommutative,
     NotPerfect,
     NotUnital,
 )
-from .exactla import Matrix, Subspace, kernel_of_rows, vec_add, vec_is_zero
+from .exactla import Matrix, Subspace, kernel_of_rows, vec_add
 
 
 class EndoSpace:
-    """A space of linear maps domain -> codomain in flattened coordinates.
-
-    For ordinary endomorphism spaces both dimensions coincide; relative
-    derivation spaces map a subspace into the surrounding algebra.
-    """
+    """A space of linear maps domain -> codomain in flattened coordinates."""
 
     __slots__ = ("algebra", "domain_dim", "codomain_dim", "space", "tag")
 
@@ -146,27 +141,6 @@ def _commute_rows(m: Matrix):
     return rows
 
 
-def _left_action_rows(a: Algebra):
-    """Rows expressing g(xy) = g(x)y on basis pairs, for the centroid."""
-    n = a.dim
-    f = a.field
-    z = f.zero()
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            prod_nz = a._nz[i][j]
-            for t in range(n):
-                row = [z] * (n * n)
-                for k, c in prod_nz:
-                    row[t * n + k] = f.add(row[t * n + k], c)
-                for r in range(n):
-                    c = a.table[r][j][t]
-                    if c != z:
-                        row[r * n + i] = f.sub(row[r * n + i], c)
-                rows.append(row)
-    return rows
-
-
 # -- the spaces ------------------------------------------------------------
 
 
@@ -188,8 +162,10 @@ def centroid(a: Algebra) -> EndoSpace:
     """Maps commuting with all left and right multiplications.
 
     Assembles the commutation conditions against every basis multiplication
-    operator plus the one-sided action conditions; redundancy between the
-    families is accepted and removed by row deduplication.
+    operator. These already contain the one-sided action conditions
+    g(b_i b_j) = g(b_i) b_j: they are the rows of commuting with right
+    multiplication by b_j, taken at column i. Rows shared by the left and
+    right families are removed by row deduplication.
     """
     if "centroid" not in a._cache:
         lefts, rights = a.mult_operators()
@@ -198,7 +174,6 @@ def centroid(a: Algebra) -> EndoSpace:
             rows.extend(_commute_rows(m))
         for m in rights:
             rows.extend(_commute_rows(m))
-        rows.extend(_left_action_rows(a))
         ker = kernel_of_rows(a.field, _dedup(rows), a.dim * a.dim)
         es = EndoSpace(a, a.dim, a.dim, ker, "centroid")
         mats = es.basis_matrices()
@@ -279,41 +254,6 @@ def vanishing_on_left_derivations(a: Algebra, s: Algebra, ts: Algebra | None = N
         ker = kernel_of_rows(f, _dedup(rows), n * n)
         ts._cache[key] = EndoSpace(ts, n, n, ker, "vanishing-on-left")
     return ts._cache[key]
-
-
-def relative_derivation_space(a: Algebra, span: Subspace) -> EndoSpace:
-    """Maps from a closed subspace into the algebra obeying Leibniz on it."""
-    if span.ambient != a.dim:
-        raise NotClosed("span does not live in the algebra")
-    k = span.dim
-    n = a.dim
-    f = a.field
-    z = f.zero()
-    basis = [list(r) for r in span.rows]
-    into = [[a.mult(a.basis_vector(r), basis[t]) for t in range(k)] for r in range(n)]
-    onto = [[a.mult(basis[sdx], a.basis_vector(r)) for r in range(n)] for sdx in range(k)]
-    rows = []
-    for sdx in range(k):
-        for t in range(k):
-            prod = a.mult(basis[sdx], basis[t])
-            if not span.contains(prod):
-                raise NotClosed(f"span basis pair ({sdx},{t}) multiplies outside the span")
-            lam = span.coords(prod)
-            for c in range(n):
-                row = [z] * (n * k)
-                for r, lr in enumerate(lam):
-                    if lr != z:
-                        row[c * k + r] = f.add(row[c * k + r], lr)
-                for r in range(n):
-                    v = into[r][t][c]
-                    if v != z:
-                        row[r * k + sdx] = f.sub(row[r * k + sdx], v)
-                    w = onto[sdx][r][c]
-                    if w != z:
-                        row[r * k + t] = f.sub(row[r * k + t], w)
-                rows.append(row)
-    ker = kernel_of_rows(f, _dedup(rows), n * k)
-    return EndoSpace(a, k, n, ker, "relative-derivations")
 
 
 # -- the canonical map onto the tensor centroid ----------------------------
@@ -410,54 +350,3 @@ def _psi_multiplicative(f, cent_a, gammas, s, cols, ts):
                     if m1.mul(m2).flatten() != expect:
                         return False
     return True
-
-
-def centroid_tensor_algebra(a: Algebra, s: Algebra):
-    """The centroid of the left factor tensored with the right factor.
-
-    Materialized as a genuine structure-constant algebra on the basis
-    (centroid basis element, right factor basis vector), so the generic
-    relative-derivation solver can run on it. Also returns the subspace
-    spanned by (identity tensor right factor), the natural copy of the right
-    factor inside it.
-    """
-    f = a.field
-    cent = centroid(a)
-    gammas = cent.basis_matrices()
-    c = len(gammas)
-    names = [f"g{i}⊗{sn}" for i in range(c) for sn in s.names]
-    z = f.zero()
-    comp_coords = []
-    for g1 in gammas:
-        row = []
-        for g2 in gammas:
-            row.append(cent.coords_of_matrix(g1.mul(g2)))
-        comp_coords.append(row)
-    n = c * s.dim
-    table = [[None] * n for _ in range(n)]
-    for a1 in range(c):
-        for j1 in range(s.dim):
-            r = a1 * s.dim + j1
-            for a2 in range(c):
-                lam = comp_coords[a1][a2]
-                for j2 in range(s.dim):
-                    prod_s = s.mult(s.basis_vector(j1), s.basis_vector(j2))
-                    vec = [z] * n
-                    for aa, la in enumerate(lam):
-                        if la == z:
-                            continue
-                        for jj, cj in enumerate(prod_s):
-                            if cj != z:
-                                vec[aa * s.dim + jj] = f.add(vec[aa * s.dim + jj], f.mul(la, cj))
-                    table[r][a2 * s.dim + j2] = vec
-    cas = Algebra(f, names, table)
-    ident = Matrix.identity(f, a.dim)
-    iota = cent.coords_of_matrix(ident)
-    vecs = []
-    for j in range(s.dim):
-        v = [z] * n
-        for aa, la in enumerate(iota):
-            v[aa * s.dim + j] = la
-        vecs.append(v)
-    inner_s = Subspace.from_vectors(f, n, vecs)
-    return cas, inner_s

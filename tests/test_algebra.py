@@ -5,7 +5,6 @@ import pytest
 
 from dertensor.algebra import (
     Algebra,
-    Element,
     invert_element,
     subalgebra_on,
     tensor_product,
@@ -177,17 +176,6 @@ def test_definition_validation_errors():
     bad3["basis"] = ["a", "a", "b"]
     with pytest.raises(ParseError):
         Algebra.from_definition(bad3)
-
-
-def test_element_operator_syntax():
-    a = sl2()
-    e, h, f = (Element(a, a.basis_vector(i)) for i in range(3))
-    assert e * f == h
-    assert (h * e).coords == [F(2), F(0), F(0)]
-    assert (e + f - e) == f
-    assert (-h).scale(F(-1)) == h
-    assert repr(e * e) == "0"
-    assert "e" in repr(e)
 
 
 def test_associativity_flag_on_associative_and_not():

@@ -1,8 +1,16 @@
 """End-to-end runs of the command-line surface, in process."""
 
+import argparse
+import copy
 import json
+import os
+import subprocess
+import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dertensor.cli as cli
 from dertensor.catalog import catalog_algebra
@@ -346,3 +354,223 @@ def test_help_and_no_command_exit_codes(capsys):
     capsys.readouterr()
     assert cli.run([]) == 2
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# one command table: each command accepts exactly the flags it reads
+
+ONE = {"--algebra", "--field", "--json"}
+PAIR = {"--algebra", "--s", "--field", "--force", "--json"}
+SETUP = {"--setup", "--field", "--force", "--u", "--json"}
+ACCEPTED = {
+    "derive": ONE,
+    "centroid": ONE,
+    "dcentroid": ONE,
+    "psi-check": PAIR,
+    "verify-lemma21": PAIR,
+    "verify-thm1": PAIR | {"--budget"},
+    "grade": SETUP,
+    "fixed": SETUP,
+    "verify-lemma35": SETUP,
+    "verify-thm2": SETUP,
+    "lemma-identities": SETUP | {"--budget"},
+    "bm-eval": SETUP | {"--style"},
+    "phi-eval": SETUP | {"--style", "--m", "--stretch"},
+    "counterexample-bm": {"--style", "--u", "--json"},
+}
+
+
+def test_each_command_accepts_only_the_flags_it_reads():
+    ap = cli.build_parser()
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    got = {
+        name: {opt for act in p._actions for opt in act.option_strings
+               if opt not in ("-h", "--help")}
+        for name, p in sub.choices.items() if name != "catalog"
+    }
+    assert got == ACCEPTED
+    assert sum(len(flags) for flags in got.values()) == 68
+
+
+def test_flags_a_command_does_not_read_exit_2(capsys):
+    every = set().union(*ACCEPTED.values())
+    for name, accepted in ACCEPTED.items():
+        for flag in sorted(every - accepted):
+            value = [] if flag in ("--json", "--force") else ["1"]
+            assert cli.run([name, flag, *value]) == 2, (name, flag)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["derive", "--algebra", "sl2", "--style", "inverse"],
+    ["counterexample-bm", "--field", "prime(5,4)"],
+    ["verify-thm2", "--setup", "sl2-twisted-flagship", "--budget", "1"],
+    ["phi-eval", "--budget", "2"],
+    ["derive", "--alg", "sl2"],
+    ["derive", "--algebra", "sl2", "--js"],
+])
+def test_unread_or_abbreviated_flag_exits_2(capsys, argv):
+    code, out, err = run_cap(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
+def test_phi_eval_stretch_does_not_change_the_report(capsys):
+    code1, out1, _ = run_cap(capsys, ["phi-eval", "--json"])
+    code2, out2, _ = run_cap(capsys, ["phi-eval", "--stretch", "2", "--json"])
+    assert code1 == code2 == 0
+    assert out1 == out2
+
+
+def test_exit_4_names_an_unexpected_exception(capsys, monkeypatch):
+    def boom(setup):
+        raise ZeroDivisionError("forced for the exit-code contract")
+    monkeypatch.setattr(cli, "verify_pi_isomorphism", boom)
+    code, _, err = run_cap(capsys, ["verify-thm2", "--setup", "sl2-twisted-flagship"])
+    assert code == 4
+    assert "ZeroDivisionError" in err
+
+
+def test_module_entry_point_runs_the_command():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "dertensor.cli", "verify-lemma21",
+         "--algebra", "zero-product(2)", "--s", "dual-numbers"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 3
+    assert "[perfect]" in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# malformed input files exit 2 (unusable input) or 3 (violated hypothesis)
+
+DELETE = object()
+
+GOOD_SETUP = {
+    "field": "rational",
+    "a": "sl2",
+    "s": "group-algebra(2)",
+    "aut1": {"diagonal": ["-1", "1", "-1"], "period": 2},
+    "aut2": {"matrix": [["1", "0"], ["0", "-1"]], "period": 2},
+    "q": 1,
+}
+GOOD_ALGEBRA = catalog_algebra("dual-numbers").to_definition()
+
+
+def _not_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+NON_STRINGS = st.one_of(
+    st.none(), st.integers(), st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+NON_INTS = st.one_of(
+    st.none(), st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    st.text(max_size=4).filter(_not_int))
+BAD_LITERALS = st.sampled_from(["x", "", "1/0", "--1", "1.5.2", "(1)"])
+# an automorphism matrix that is not 3 x 3 or not made of scalar literals
+BAD_DIAGONALS = st.one_of(
+    st.none(), st.integers(),
+    st.lists(st.integers(), max_size=5).filter(lambda xs: len(xs) != 3),
+    st.lists(BAD_LITERALS, min_size=3, max_size=3))
+BAD_MATRICES = st.one_of(
+    st.none(), st.integers(),
+    st.lists(st.lists(st.integers(), max_size=3), max_size=3).filter(
+        lambda rows: len(rows) != 2 or any(len(r) != 2 for r in rows)),
+    st.lists(st.lists(BAD_LITERALS, min_size=2, max_size=2), min_size=2, max_size=2))
+
+
+def _slot(path, values):
+    return st.tuples(st.just(path), values)
+
+
+SETUP_DAMAGE = st.one_of(
+    _slot(("field",), st.one_of(NON_STRINGS, st.sampled_from(
+        ["rational(1)", "cyclotomic", "prime(4)", "prime(1)", "cyclotomic(0)", "x("]))),
+    _slot(("a",), st.one_of(NON_STRINGS, st.sampled_from(
+        ["no-such-algebra", "group-algebra(x)", "sl2(1)"]))),
+    _slot(("s",), st.one_of(NON_STRINGS, st.sampled_from(["dual-numbers(2)", ""]))),
+    _slot(("aut1",), NON_INTS),
+    _slot(("aut2",), NON_INTS),
+    _slot(("aut1", "period"), NON_INTS),
+    _slot(("aut2", "period"), NON_INTS),
+    _slot(("aut1", "diagonal"), BAD_DIAGONALS),
+    _slot(("aut2", "matrix"), BAD_MATRICES),
+    _slot(("q",), NON_INTS),
+    _slot(("u",), st.one_of(NON_STRINGS, st.sampled_from(["x", "1,x", "1,2,3", ""]))),
+    st.tuples(st.sampled_from([("a",), ("s",), ("aut1",), ("aut2",), ("aut1", "period"),
+                               ("aut2", "matrix")]), st.just(DELETE)),
+)
+
+# out-of-range indices, non-integer indices, bad literals and bad entry shapes
+BAD_ENTRIES = st.one_of(
+    st.tuples(st.integers().filter(lambda k: k not in (0, 1)), st.just("1")).map(list),
+    st.tuples(st.text(max_size=3).filter(_not_int), st.just("1")).map(list),
+    st.tuples(st.just(0), st.one_of(BAD_LITERALS, NON_STRINGS)).map(list),
+    st.lists(st.integers(), max_size=3).filter(lambda e: len(e) != 2),
+)
+ALGEBRA_DAMAGE = st.one_of(
+    _slot(("field",), st.one_of(NON_STRINGS, st.just("rational"), st.sampled_from(
+        [{"kind": "x"}, {"kind": "cyclotomic"}, {"kind": "prime", "p": "x"},
+         {"kind": "prime", "p": 4}, {"kind": "cyclotomic", "m": 0}]))),
+    _slot(("dim",), st.one_of(NON_INTS, st.integers().filter(lambda n: n != 2))),
+    _slot(("basis",), st.one_of(
+        st.none(), st.integers(), st.just(["a", "a"]), st.just([1, 2]),
+        st.lists(st.text(max_size=2), max_size=4).filter(lambda xs: len(xs) != 2))),
+    _slot(("table",), st.one_of(
+        st.none(), st.integers(), st.lists(st.just([]), max_size=4).filter(
+            lambda rows: len(rows) != 2))),
+    st.tuples(st.tuples(st.just("table"), st.sampled_from([0, 1])), st.one_of(
+        st.none(), st.integers(), st.lists(st.just([]), max_size=4).filter(
+            lambda row: len(row) != 2))),
+    st.tuples(st.tuples(st.just("table"), st.sampled_from([0, 1]), st.sampled_from([0, 1])),
+              st.one_of(st.none(), st.integers(), st.lists(BAD_ENTRIES, min_size=1,
+                                                            max_size=2))),
+    st.tuples(st.sampled_from([("field",), ("dim",), ("basis",), ("table",)]),
+              st.just(DELETE)),
+)
+
+
+def _damaged(doc, path, value):
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return doc
+
+
+def _run_on_file(argv, flag, doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        return cli.run(argv + [flag, path])
+
+
+@settings(max_examples=80, deadline=None)
+@given(SETUP_DAMAGE)
+@example((("q",), "x"))
+@example((("u",), 5))
+def test_malformed_setup_file_exits_2_or_3(damage):
+    assert _run_on_file(["verify-thm2"], "--setup", _damaged(GOOD_SETUP, *damage)) in (2, 3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ALGEBRA_DAMAGE)
+@example((("field",), "rational"))
+@example((("dim",), "x"))
+@example((("table", 1, 1), [["x", "1"]]))
+def test_malformed_algebra_file_exits_2_or_3(damage):
+    assert _run_on_file(["derive"], "--algebra", _damaged(GOOD_ALGEBRA, *damage)) in (2, 3)

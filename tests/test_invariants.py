@@ -8,11 +8,9 @@ from dertensor.errors import NotPerfect, NotUnital
 from dertensor.exactla import Matrix, Subspace
 from dertensor.invariants import (
     centroid,
-    centroid_tensor_algebra,
     derivation_space,
     differential_centroid,
     psi_map,
-    relative_derivation_space,
     s_module_derivations,
     vanishing_on_left_derivations,
 )
@@ -152,22 +150,6 @@ def test_module_and_vanishing_subspaces():
     # the two pieces meet trivially and fill the space
     assert mod.space.intersect(van.space).dim == 0
     assert mod.space.sum(van.space) == full.space
-
-
-def test_derivations_of_central_tensor_match_vanishing_part():
-    a, s = sl2(), dual_numbers()
-    ts = tensor_product(a, s)
-    cas, inner_s = centroid_tensor_algebra(a, s)
-    assert cas.dim == 2  # centroid of sl2 is the scalars
-    rel = relative_derivation_space(cas, inner_s)
-    assert rel.dim == vanishing_on_left_derivations(a, s, ts).dim == 1
-
-
-def test_relative_derivations_of_full_space_equal_derivations():
-    s = dual_numbers()
-    full = Subspace.full(QQ, 2)
-    rel = relative_derivation_space(s, full)
-    assert rel.dim == derivation_space(s).dim == 1
 
 
 def test_psi_bijective_on_perfect_pair():
