@@ -15,6 +15,7 @@ import os
 import random
 import sys
 import traceback
+from functools import partial
 
 from .algebra import Algebra, tensor_product
 from .catalog import (
@@ -266,12 +267,7 @@ def _merge(rep: VerificationReport, sub: VerificationReport, prefix: str):
 # solvers
 
 
-def cmd_solve(args) -> int:
-    space_of, claim, label = {
-        "derive": (derivation_space, "derivation-algebra", "D"),
-        "centroid": (centroid, "centroid", "C"),
-        "dcentroid": (differential_centroid, "differential-centroid", "dC"),
-    }[args.command]
+def cmd_solve(space_of, claim: str, label: str, args) -> int:
     es = space_of(_resolve_algebra(args.algebra, _field_of(args)))
     rep = VerificationReport(claim)
     rep.dim("dim", es.dim)
@@ -284,11 +280,16 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def cmd_psi_check(args) -> int:
-    f = _field_of(args)
+def _pair(args, f):
+    """The pair named by --algebra and --s, within the size guard."""
     a = _resolve_algebra(args.algebra, f)
     s = _resolve_algebra(args.s, f)
     _guard_product(a.dim, s.dim, args.force)
+    return a, s
+
+
+def cmd_psi_check(args) -> int:
+    a, s = _pair(args, _field_of(args))
     rep = VerificationReport("psi-map")
     psi = psi_map(a, s)
     rep.dim("domain", psi.domain_dim)
@@ -362,10 +363,7 @@ def _pair_or_sweep(args, f):
         return None
     if not (args.algebra and args.s):
         raise ParseError("give both --algebra and --s, or neither for the catalog sweep")
-    a = _resolve_algebra(args.algebra, f)
-    s = _resolve_algebra(args.s, f)
-    _guard_product(a.dim, s.dim, args.force)
-    return a, s
+    return _pair(args, f)
 
 
 def cmd_verify_thm1(args) -> int:
@@ -490,7 +488,7 @@ def _counterexample_report(style: str | None, u_text: str | None) -> Verificatio
     return rep
 
 
-def _phi_scene_one(style: str | None, u_text: str | None, navg: int) -> VerificationReport:
+def _phi_scene_one(style: str | None, u_text: str | None) -> VerificationReport:
     rep = VerificationReport("inverse-map-values")
     f, a, aut = _scalar_scene(4)
     style = style or FORWARD
@@ -500,7 +498,7 @@ def _phi_scene_one(style: str | None, u_text: str | None, navg: int) -> Verifica
     rep.hyp("graded-unit")
 
     def phi(x):
-        return loop_phi_eval(a, aut, 4, style, u, d, x, navg=navg)
+        return loop_phi_eval(a, aut, 4, style, u, d, x)
 
     for exp, scale in ((2, 2), (5, 5)):
         got = phi(_line(a, exp))
@@ -516,8 +514,7 @@ def _phi_scene_one(style: str | None, u_text: str | None, navg: int) -> Verifica
     return rep
 
 
-def _phi_scene_two(ms, ns, style: str | None, u_text: str | None,
-                   navg: int) -> VerificationReport:
+def _phi_scene_two(ms, ns, style: str | None, u_text: str | None) -> VerificationReport:
     rep = VerificationReport("twisted-normal-form")
     style = style or INVERSE
     rep.hyp("scalar-S")
@@ -531,7 +528,7 @@ def _phi_scene_two(ms, ns, style: str | None, u_text: str | None,
             for j in range(-2 * m, 2 * m + 1):
                 tgt = _line(a, j)
                 table = []
-                for x in phi_argument_list(a, aut, m, style, u, tgt, navg=navg):
+                for x in phi_argument_list(a, aut, m, style, u, tgt):
                     out = LoopElement.zero(a)
                     for exp, vec in x.terms():
                         if exp % m:
@@ -542,7 +539,7 @@ def _phi_scene_two(ms, ns, style: str | None, u_text: str | None,
                                       .scale(f.from_int(k)))
                     table.append((x, out))
                 got = loop_phi_eval(a, aut, m, style, u,
-                                    FixedDerivationSpec.table(table), tgt, navg=navg)
+                                    FixedDerivationSpec.table(table), tgt)
                 want = _line(a, n * m + j, f.mul(f.from_int(j), f.inv_int(m)))
                 if got != want:
                     ok = False
@@ -581,11 +578,10 @@ def _phi_branch_report(st: Setup) -> VerificationReport:
 
 
 def cmd_phi_eval(args) -> int:
-    navg = args.stretch
     if args.setup is None:
         rep = VerificationReport("inverse-map-reproduction")
-        _merge(rep, _phi_scene_one(args.style, args.u, navg), "values")
-        _merge(rep, _phi_scene_two((2, 3, 4), range(-2, 3), args.style, args.u, navg),
+        _merge(rep, _phi_scene_one(args.style, args.u), "values")
+        _merge(rep, _phi_scene_two((2, 3, 4), range(-2, 3), args.style, args.u),
                "normal-form")
         return _emit(rep, args)
     if is_scene_name(args.setup):
@@ -593,14 +589,14 @@ def cmd_phi_eval(args) -> int:
         if base in ("last-exa-i", "exaBM-laurent"):
             if nargs:
                 raise ParseError(f"{base} takes no arguments")
-            return _emit(_phi_scene_one(args.style, args.u, navg), args)
+            return _emit(_phi_scene_one(args.style, args.u), args)
         ms = (args.m,) if args.m else (2, 3, 4)
         ns = range(-2, 3)
         if nargs:
             if len(nargs) != 2:
                 raise ParseError("last-exa-ii takes (m, n)")
             ms, ns = (nargs[0],), (nargs[1],)
-        return _emit(_phi_scene_two(ms, ns, args.style, args.u, navg), args)
+        return _emit(_phi_scene_two(ms, ns, args.style, args.u), args)
     st = _resolve_setup(args.setup, args)
     return _emit(_phi_branch_report(st), args)
 
@@ -686,6 +682,13 @@ def cmd_catalog(args) -> int:
 # dispatch
 
 
+def _sample_count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"a sample count must be at least 1, got {n}")
+    return n
+
+
 # every argument any command takes; a command's row in COMMANDS picks its own
 ARGUMENTS = {
     "action": dict(choices=["list", "show"]),
@@ -696,10 +699,9 @@ ARGUMENTS = {
     "--field": dict(help="rational, cyclotomic(m) or prime(p,m)"),
     "--force": dict(action="store_true", help="bypass the size guard"),
     "--u": dict(help="explicit graded unit (element literal)"),
-    "--budget": dict(type=int, help="number of samples"),
+    "--budget": dict(type=_sample_count, help="number of samples (at least 1)"),
     "--style": dict(choices=[FORWARD, INVERSE], help="laurent grading style"),
     "--m": dict(type=int, help="restrict the sweep to one period"),
-    "--stretch": dict(type=int, default=1, help="averaging stretch n of the inverse map"),
     "--json": dict(action="store_true", help="emit the machine report"),
 }
 
@@ -709,9 +711,12 @@ SETUP = ("--setup", "--field", "--force", "--u", "--json")
 
 # name, handler, help, and exactly the arguments the handler reads
 COMMANDS = (
-    ("derive", cmd_solve, "derivation algebra of one algebra", ONE),
-    ("centroid", cmd_solve, "centroid of one algebra", ONE),
-    ("dcentroid", cmd_solve, "differential centroid of one algebra", ONE),
+    ("derive", partial(cmd_solve, derivation_space, "derivation-algebra", "D"),
+     "derivation algebra of one algebra", ONE),
+    ("centroid", partial(cmd_solve, centroid, "centroid", "C"),
+     "centroid of one algebra", ONE),
+    ("dcentroid", partial(cmd_solve, differential_centroid, "differential-centroid", "dC"),
+     "differential centroid of one algebra", ONE),
     ("psi-check", cmd_psi_check, "centroid tensor map on a pair", PAIR),
     ("grade", cmd_grade, "show the grading data of a setup", SETUP),
     ("fixed", cmd_fixed, "show the fixed-point algebra of a setup", SETUP),
@@ -723,7 +728,7 @@ COMMANDS = (
     ("lemma-identities", cmd_lemma_identities, "averaging and exchange identities",
      SETUP + ("--budget",)),
     ("phi-eval", cmd_phi_eval, "evaluate the inverse-map formula",
-     SETUP + ("--style", "--m", "--stretch")),
+     SETUP + ("--style", "--m")),
     ("bm-eval", cmd_bm_eval, "evaluate the earlier published formula", SETUP + ("--style",)),
     ("counterexample-bm", cmd_counterexample_bm, "reproduce the failure of that formula",
      ("--style", "--u", "--json")),

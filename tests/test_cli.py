@@ -375,7 +375,7 @@ ACCEPTED = {
     "verify-thm2": SETUP,
     "lemma-identities": SETUP | {"--budget"},
     "bm-eval": SETUP | {"--style"},
-    "phi-eval": SETUP | {"--style", "--m", "--stretch"},
+    "phi-eval": SETUP | {"--style", "--m"},
     "counterexample-bm": {"--style", "--u", "--json"},
 }
 
@@ -389,7 +389,7 @@ def test_each_command_accepts_only_the_flags_it_reads():
         for name, p in sub.choices.items() if name != "catalog"
     }
     assert got == ACCEPTED
-    assert sum(len(flags) for flags in got.values()) == 68
+    assert sum(len(flags) for flags in got.values()) == 67
 
 
 def test_flags_a_command_does_not_read_exit_2(capsys):
@@ -416,11 +416,16 @@ def test_unread_or_abbreviated_flag_exits_2(capsys, argv):
     assert "unrecognized arguments" in err
 
 
-def test_phi_eval_stretch_does_not_change_the_report(capsys):
-    code1, out1, _ = run_cap(capsys, ["phi-eval", "--json"])
-    code2, out2, _ = run_cap(capsys, ["phi-eval", "--stretch", "2", "--json"])
-    assert code1 == code2 == 0
-    assert out1 == out2
+@pytest.mark.parametrize("budget", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["verify-thm1", "--algebra", "sl2", "--s", "dual-numbers"],
+    ["lemma-identities", "--setup", "sl2-twisted-flagship"],
+])
+def test_non_positive_budget_exits_2(capsys, argv, budget):
+    code, out, err = run_cap(capsys, argv + ["--budget", budget])
+    assert code == 2
+    assert out == ""
+    assert "at least 1" in err
 
 
 def test_exit_4_names_an_unexpected_exception(capsys, monkeypatch):
