@@ -203,12 +203,21 @@ def catalog_setup(text: str, field: FieldDescriptor | None = None):
     return fn(*args, field) if args else fn(field)
 
 
-def is_scene_name(text: str) -> bool:
+def _base_name(text: str):
     try:
-        base, _ = parse_catalog_name(text)
+        return parse_catalog_name(text)[0]
     except ParseError:
-        return False
-    return base in _SCENE_ENTRIES
+        return None
+
+
+def is_scene_name(text: str) -> bool:
+    return _base_name(text) in _SCENE_ENTRIES
+
+
+def is_catalog_name(text: str) -> bool:
+    """Whether the text names a registered algebra, setup or scene."""
+    base = _base_name(text)
+    return any(base in reg for reg in (_ALGEBRA_ENTRIES, _SETUP_ENTRIES, _SCENE_ENTRIES))
 
 
 def catalog_entries() -> list:

@@ -23,6 +23,7 @@ from .catalog import (
     catalog_entries,
     catalog_setup,
     group_algebra,
+    is_catalog_name,
     is_scene_name,
     parse_catalog_name,
 )
@@ -106,6 +107,9 @@ def _field_of(args):
 
 
 def _looks_like_path(text: str) -> bool:
+    """A file path, unless the text names a catalog entry: a name beats a stray file."""
+    if is_catalog_name(text):
+        return False
     return os.path.sep in text or text.endswith(".json") or os.path.exists(text)
 
 

@@ -363,8 +363,8 @@ def embed_tensor_derivations(a: Algebra, s: Algebra, ts: Algebra | None = None):
         for g2 in gens1 + gens2:
             if not total.contains(g1.commutator(g2).flatten()):
                 raise InternalCheckFailed("embedded images are not commutator-closed")
-    img1 = EndoSpace(ts, ts.dim, ts.dim, space1, tag="derA-tensor-S")
-    img2 = EndoSpace(ts, ts.dim, ts.dim, space2, tag="centA-tensor-derS")
+    img1 = EndoSpace(ts, ts.dim, space1, tag="derA-tensor-S")
+    img2 = EndoSpace(ts, ts.dim, space2, tag="centA-tensor-derS")
     return img1, img2
 
 

@@ -1,10 +1,11 @@
-"""Dense exact linear algebra: matrices, canonical RREF, kernels, subspaces.
+"""Exact linear algebra: matrices, a sparse canonical RREF, kernels, subspaces.
 
-Everything is deterministic. RREF uses leftmost-pivot elimination, and since
-the reduced row echelon form of a row space is unique, the three internal
-backends (fraction-free integer elimination for rationals, mod-p, generic
-field ops) cannot disagree. A Subspace is stored as the RREF of any spanning
-set, so subspace equality is literal basis equality.
+Everything is deterministic. Systems are eliminated as sparse rows with
+leftmost pivots and back-substituted to the reduced row echelon form. Since
+the RREF of a row space is unique, the three eliminators (fraction-free
+integer elimination for rationals, mod-p, generic field ops) cannot
+disagree. A Subspace is stored as the RREF of any spanning set, so subspace
+equality is literal basis equality.
 
 Matrices are lists of lists of raw field values (see scalars). They are
 treated as immutable after construction; nothing here mutates a caller's
@@ -17,7 +18,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DimensionMismatch, FieldMismatch, NotInDomain, SingularElement
-from .scalars import CYCLOTOMIC, PRIME, RATIONAL, FieldDescriptor
+from .scalars import PRIME, RATIONAL, FieldDescriptor
 
 
 class Matrix:
@@ -92,6 +93,10 @@ class Matrix:
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionMismatch(f"{self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}")
 
+    def _nonzeros(self) -> list[list]:
+        z = self.field.zero()
+        return [[(k, x) for k, x in enumerate(row) if x != z] for row in self.rows]
+
     def mul(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
             raise FieldMismatch(f"{self.field} vs {other.field}")
@@ -99,16 +104,14 @@ class Matrix:
             raise DimensionMismatch(f"{self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}")
         f = self.field
         z = f.zero()
-        bt = list(zip(*other.rows)) if other.nrows else []
+        add, mul = f.add, f.mul
+        bnz = other._nonzeros()
         out = []
-        for row in self.rows:
-            orow = []
-            for col in bt:
-                acc = z
-                for a, b in zip(row, col):
-                    if a != z and b != z:
-                        acc = f.add(acc, f.mul(a, b))
-                orow.append(acc)
+        for arow in self._nonzeros():
+            orow = [z] * other.ncols
+            for k, a in arow:
+                for j, b in bnz[k]:
+                    orow[j] = add(orow[j], mul(a, b))
             out.append(orow)
         return Matrix(f, out, other.ncols)
 
@@ -117,11 +120,13 @@ class Matrix:
             raise DimensionMismatch(f"vector length {len(vec)} vs {self.ncols} columns")
         f = self.field
         z = f.zero()
+        vnz = [(k, b) for k, b in enumerate(vec) if b != z]
         out = []
         for row in self.rows:
             acc = z
-            for a, b in zip(row, vec):
-                if a != z and b != z:
+            for k, b in vnz:
+                a = row[k]
+                if a != z:
                     acc = f.add(acc, f.mul(a, b))
             out.append(acc)
         return out
@@ -181,129 +186,187 @@ def vec_is_zero(field, u) -> bool:
     return all(a == z for a in u)
 
 
-# -- canonical reduced row echelon form ------------------------------------
+# -- sparse rows and the canonical reduced row echelon form ----------------
+#
+# A sparse row is a tuple of (column, raw value) pairs, sorted by column, with
+# every value nonzero. Each field kind supplies two operations on such rows:
+# `normal`, which picks the canonical multiple of a row (primitive integer
+# row with a positive leading entry over Q, monic otherwise), and `cancel`,
+# which clears one column of a working row against a pivot row. The
+# eliminator dedups normalised rows, so duplicated and rescaled rows are
+# dropped before any elimination.
 
 
-def _int_rows(rows):
-    # Fraction rows -> primitive integer rows (common denominator cleared).
-    out = []
+def sparse_rows(field, vectors) -> list[tuple]:
+    """Dense vectors as sparse rows: the (column, value) pairs of nonzero entries."""
+    z = field.zero()
+    return [tuple((j, x) for j, x in enumerate(v) if x != z) for v in vectors]
+
+
+def _dense(field, ncols, row) -> tuple:
+    out = [field.zero()] * ncols
+    for j, x in row:
+        out[j] = x
+    return tuple(out)
+
+
+def _eliminate(rows, normal, cancel):
+    """Canonical RREF of sparse rows: (rows, pivot columns), rows in normal form.
+
+    A leftmost-pivot forward pass brings each new row to a leading column no
+    pivot row owns, then a back-substitution from the right clears every
+    other pivot column. cancel(d, prow, x) removes the entry x that the dict
+    row d has at the leading column of prow, using prow.
+    """
+    seen = set()
+    piv = {}  # leading column -> pivot row
     for row in rows:
-        den = 1
-        for x in row:
-            if x.denominator != 1:
-                den = lcm(den, x.denominator)
-        if den == 1:
-            out.append([x.numerator for x in row])
-        else:
-            out.append([x.numerator * (den // x.denominator) for x in row])
-    return out
-
-
-def _gcd_normalize(row):
-    g = 0
-    for x in row:
-        if x:
-            g = gcd(g, x)
-            if g == 1:
-                return row
-    if g > 1:
-        return [x // g for x in row]
-    return row
-
-
-def _rref_rational(rows, ncols):
-    piv = {}  # pivot col -> integer row
-    for row in _int_rows(rows):
-        for c, prow in piv.items():
-            f = row[c]
-            if f:
-                a = prow[c]
-                g = gcd(a, f)
-                aa, ff = a // g, f // g
-                row = [aa * x - ff * y for x, y in zip(row, prow)]
-        lead = next((j for j, x in enumerate(row) if x), None)
-        if lead is None:
+        if not row:
             continue
-        row = _gcd_normalize(row)
-        # keep existing pivot rows reduced at the new column
-        for c, prow in piv.items():
-            f = prow[lead]
-            if f:
-                a = row[lead]
-                g = gcd(a, f)
-                aa, ff = a // g, f // g
-                piv[c] = _gcd_normalize([aa * x - ff * y for x, y in zip(prow, row)])
+        row = normal(row)
+        if row in seen:
+            continue
+        seen.add(row)
+        lead = row[0][0]
+        if lead in piv:
+            d = dict(row)
+            while lead in piv:
+                cancel(d, piv[lead], d[lead])
+                if not d:
+                    break
+                lead = min(d)
+            if not d:
+                continue
+            row = normal(tuple(sorted(d.items())))
         piv[lead] = row
     pivots = sorted(piv)
+    red = {}
+    for c in reversed(pivots):
+        row = piv[c]
+        hits = [j for j, _ in row[1:] if j in red]
+        if hits:
+            d = dict(row)
+            for j in hits:
+                cancel(d, red[j], d[j])
+            row = normal(tuple(sorted(d.items())))
+        red[c] = row
+    return [red[c] for c in pivots], pivots
+
+
+def _primitive(row):
+    # integer pairs divided by their content, leading entry made positive
+    g = gcd(*(x for _, x in row))
+    if row[0][1] < 0:
+        g = -g
+    if g == 1:
+        return row
+    return tuple((j, x // g) for j, x in row)
+
+
+def _cancel_int(d, prow, x):
+    # d <- a d - x prow over Z, a the leading entry of prow, both divided by gcd(a, x)
+    a = prow[0][1]
+    if a != 1:
+        g = gcd(a, x)
+        a, x = a // g, x // g
+        if a != 1:
+            for j in d:
+                d[j] *= a
+    for j, y in prow:
+        v = d.get(j, 0) - x * y
+        if v:
+            d[j] = v
+        else:
+            del d[j]
+
+
+def _integer_row(row):
+    # Fraction pairs times the lcm of their denominators
+    den = lcm(*(x.denominator for _, x in row))
+    if den == 1:
+        return tuple((j, x.numerator) for j, x in row)
+    return tuple((j, x.numerator * (den // x.denominator)) for j, x in row)
+
+
+def _eliminate_rational(rows):
+    """Fraction-free elimination over Z; the RREF over Q."""
+    red, pivots = _eliminate(map(_integer_row, rows), _primitive, _cancel_int)
     out = []
-    for c in pivots:
-        prow = piv[c]
-        a = prow[c]
-        out.append([Fraction(x, a) for x in prow])
+    for row in red:
+        a = row[0][1]
+        out.append(tuple((j, Fraction(x, a)) for j, x in row))
     return out, pivots
 
 
-def _rref_prime(rows, ncols, p):
-    piv = {}
-    for row in rows:
-        row = list(row)
-        for c, prow in piv.items():
-            f = row[c]
-            if f:
-                row = [(x - f * y) % p for x, y in zip(row, prow)]
-        lead = next((j for j, x in enumerate(row) if x), None)
-        if lead is None:
-            continue
-        inv = pow(row[lead], -1, p)
-        row = [x * inv % p for x in row]
-        for c, prow in piv.items():
-            f = prow[lead]
-            if f:
-                piv[c] = [(x - f * y) % p for x, y in zip(prow, row)]
-        piv[lead] = row
-    pivots = sorted(piv)
-    return [piv[c] for c in pivots], pivots
+def _eliminate_prime(rows, p):
+    """Elimination with monic rows over F_p."""
+
+    def normal(row):
+        a = row[0][1]
+        if a == 1:
+            return row
+        inv = pow(a, -1, p)
+        return tuple((j, x * inv % p) for j, x in row)
+
+    def cancel(d, prow, x):
+        for j, y in prow:
+            v = (d.get(j, 0) - x * y) % p
+            if v:
+                d[j] = v
+            else:
+                del d[j]
+
+    return _eliminate(rows, normal, cancel)
 
 
-def _rref_generic(field, rows, ncols):
-    z = field.zero()
-    piv = {}
-    for row in rows:
-        row = list(row)
-        for c, prow in piv.items():
-            f = row[c]
-            if f != z:
-                row = [field.sub(x, field.mul(f, y)) for x, y in zip(row, prow)]
-        lead = next((j for j, x in enumerate(row) if x != z), None)
-        if lead is None:
-            continue
-        inv = field.inv(row[lead])
-        row = [field.mul(inv, x) for x in row]
-        for c, prow in piv.items():
-            f = prow[lead]
-            if f != z:
-                piv[c] = [field.sub(x, field.mul(f, y)) for x, y in zip(prow, row)]
-        piv[lead] = row
-    pivots = sorted(piv)
-    return [piv[c] for c in pivots], pivots
+def _eliminate_generic(field, rows):
+    """Elimination with monic rows through the field's own arithmetic."""
+    z, one = field.zero(), field.one()
+    sub, mul = field.sub, field.mul
+
+    def normal(row):
+        a = row[0][1]
+        if a == one:
+            return row
+        inv = field.inv(a)
+        return tuple((j, mul(inv, x)) for j, x in row)
+
+    def cancel(d, prow, x):
+        for j, y in prow:
+            v = sub(d.get(j, z), mul(x, y))
+            if v != z:
+                d[j] = v
+            else:
+                del d[j]
+
+    return _eliminate(rows, normal, cancel)
 
 
 def rref_rows(field, rows, ncols):
-    """RREF of a list of raw-valued rows; returns (rows, pivot columns).
+    """Canonical RREF of a list of sparse rows; returns (rows, pivot columns).
 
-    Zero rows are dropped; returned rows are sorted by pivot column with
-    pivot entries equal to one. This is the unique RREF of the row space.
+    The returned rows are sparse, sorted by pivot column, with pivot entries
+    equal to one; zero, duplicated and rescaled rows leave no trace. This is
+    the unique RREF of the row space. A cyclotomic system whose entries all
+    lie in Q is solved over Q and embedded: the RREF over Q is also the RREF
+    over the extension.
     """
     if field.kind == RATIONAL:
-        return _rref_rational(rows, ncols)
+        return _eliminate_rational(rows)
     if field.kind == PRIME:
-        return _rref_prime(rows, ncols, field.p)
-    return _rref_generic(field, rows, ncols)
+        return _eliminate_prime(rows, field.p)
+    rows = list(rows)
+    if all(not any(x[1:]) for row in rows for _, x in row):
+        red, pivots = _eliminate_rational([tuple((j, x[0]) for j, x in row) for row in rows])
+        emb = field.from_fraction
+        return [tuple((j, emb(x)) for j, x in row) for row in red], pivots
+    return _eliminate_generic(field, rows)
 
 
 def rref(matrix: Matrix):
-    rows, pivots = rref_rows(matrix.field, matrix.rows, matrix.ncols)
-    return Matrix(matrix.field, rows, matrix.ncols), tuple(pivots)
+    f, nc = matrix.field, matrix.ncols
+    rows, pivots = rref_rows(f, sparse_rows(f, matrix.rows), nc)
+    return Matrix(f, [_dense(f, nc, r) for r in rows], nc), tuple(pivots)
 
 
 def rank(matrix: Matrix) -> int:
@@ -311,14 +374,18 @@ def rank(matrix: Matrix) -> int:
 
 
 class Subspace:
-    """A subspace of field^ambient, held as the canonical RREF basis."""
+    """A subspace of field^ambient, held as the canonical RREF basis.
 
-    __slots__ = ("field", "ambient", "rows", "pivots")
+    Built from the sparse RREF rows (see rref_rows); `rows` holds them dense.
+    """
 
-    def __init__(self, field, ambient, rows, pivots):
+    __slots__ = ("field", "ambient", "rows", "pivots", "_sparse")
+
+    def __init__(self, field, ambient, sparse, pivots):
         self.field = field
         self.ambient = ambient
-        self.rows = tuple(tuple(r) for r in rows)
+        self._sparse = tuple(sparse)
+        self.rows = tuple(_dense(field, ambient, r) for r in self._sparse)
         self.pivots = tuple(pivots)
 
     @classmethod
@@ -327,8 +394,13 @@ class Subspace:
         for v in vectors:
             if len(v) != ambient:
                 raise DimensionMismatch(f"vector length {len(v)} in ambient {ambient}")
-        rows, pivots = rref_rows(field, vectors, ambient)
-        return cls(field, ambient, rows, pivots)
+        return cls.from_rows(field, ambient, sparse_rows(field, vectors))
+
+    @classmethod
+    def from_rows(cls, field, ambient: int, rows) -> "Subspace":
+        """The span of sparse rows (see rref_rows)."""
+        red, pivots = rref_rows(field, rows, ambient)
+        return cls(field, ambient, red, pivots)
 
     @classmethod
     def zero(cls, field, ambient: int) -> "Subspace":
@@ -346,11 +418,11 @@ class Subspace:
             isinstance(other, Subspace)
             and self.field == other.field
             and self.ambient == other.ambient
-            and self.rows == other.rows
+            and self._sparse == other._sparse
         )
 
     def __hash__(self):
-        return hash((self.field, self.ambient, self.rows))
+        return hash((self.field, self.ambient, self._sparse))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient})"
@@ -368,10 +440,11 @@ class Subspace:
         f = self.field
         z = f.zero()
         vec = list(vec)
-        for prow, c in zip(self.rows, self.pivots):
+        for prow, c in zip(self._sparse, self.pivots):
             x = vec[c]
             if x != z:
-                vec = [f.sub(a, f.mul(x, b)) for a, b in zip(vec, prow)]
+                for j, b in prow:
+                    vec[j] = f.sub(vec[j], f.mul(x, b))
         return vec
 
     def contains(self, vec: list) -> bool:
@@ -393,14 +466,15 @@ class Subspace:
         f = self.field
         z = f.zero()
         out = [z] * self.ambient
-        for c, row in zip(coeffs, self.rows):
+        for c, row in zip(coeffs, self._sparse):
             if c != z:
-                out = [f.add(a, f.mul(c, b)) for a, b in zip(out, row)]
+                for j, b in row:
+                    out[j] = f.add(out[j], f.mul(c, b))
         return out
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._compat(other)
-        return Subspace.from_vectors(self.field, self.ambient, list(self.rows) + list(other.rows))
+        return Subspace.from_rows(self.field, self.ambient, self._sparse + other._sparse)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Kernel of the stacked-basis system, mapped back into the ambient."""
@@ -413,53 +487,45 @@ class Subspace:
         for i in range(self.ambient):
             row = [self.rows[a][i] for a in range(k)] + [f.neg(other.rows[b][i]) for b in range(l)]
             cols.append(row)
-        ker = kernel_of_rows(f, cols, k + l)
+        ker = kernel_of_rows(f, sparse_rows(f, cols), k + l)
         vecs = [self.linear_combination(list(kv[:k])) for kv in ker.rows]
         return Subspace.from_vectors(f, self.ambient, vecs)
 
 
 def kernel_of_rows(field, rows, ncols) -> Subspace:
-    """Right kernel {x : M x = 0} of the system whose rows are given."""
+    """Right kernel {x : M x = 0} of the system whose sparse rows are given."""
     red, pivots = rref_rows(field, rows, ncols)
     pivset = set(pivots)
-    free = [j for j in range(ncols) if j not in pivset]
-    z, o = field.zero(), field.one()
-    basis = []
-    for fcol in free:
-        v = [z] * ncols
-        v[fcol] = o
-        for prow, pc in zip(red, pivots):
-            x = prow[fcol]
-            if x != z:
-                v[pc] = field.neg(x)
-        basis.append(v)
-    return Subspace.from_vectors(field, ncols, basis)
+    one = field.one()
+    basis = {j: [] for j in range(ncols) if j not in pivset}
+    for prow, pc in zip(red, pivots):
+        for j, x in prow[1:]:
+            basis[j].append((pc, field.neg(x)))
+    return Subspace.from_rows(field, ncols, [tuple(v) + ((j, one),) for j, v in basis.items()])
 
 
 def solve_unique(matrix: Matrix, rhs: list) -> list:
     """The unique solution of M x = rhs; SingularElement if none or many."""
     if len(rhs) != matrix.nrows:
         raise DimensionMismatch(f"rhs length {len(rhs)} vs {matrix.nrows} rows")
-    aug = [row + [b] for row, b in zip(matrix.rows, rhs)]
-    red, pivots = rref_rows(matrix.field, aug, matrix.ncols + 1)
-    if matrix.ncols in pivots:
+    n = matrix.ncols
+    aug = sparse_rows(matrix.field, [row + [b] for row, b in zip(matrix.rows, rhs)])
+    red, pivots = rref_rows(matrix.field, aug, n + 1)
+    if n in pivots:
         raise SingularElement("inconsistent linear system")
-    if len(pivots) < matrix.ncols:
+    if len(pivots) < n:
         raise SingularElement("underdetermined linear system")
-    z = matrix.field.zero()
-    x = [z] * matrix.ncols
-    for prow, pc in zip(red, pivots):
-        x[pc] = prow[matrix.ncols]
-    return x
+    return [dict(prow).get(n, matrix.field.zero()) for prow in red]
 
 
 def invert_matrix(matrix: Matrix) -> Matrix:
     if matrix.nrows != matrix.ncols:
         raise DimensionMismatch("only square matrices invert")
     n = matrix.nrows
-    eye = Matrix.identity(matrix.field, n)
-    aug = [row + erow for row, erow in zip(matrix.rows, eye.rows)]
-    red, pivots = rref_rows(matrix.field, aug, 2 * n)
+    f = matrix.field
+    eye = Matrix.identity(f, n)
+    aug = sparse_rows(f, [row + erow for row, erow in zip(matrix.rows, eye.rows)])
+    red, pivots = rref_rows(f, aug, 2 * n)
     if list(pivots) != list(range(n)):
         raise SingularElement("matrix is singular")
-    return Matrix(matrix.field, [row[n:] for row in red], n)
+    return Matrix(f, [list(_dense(f, 2 * n, row)[n:]) for row in red], n)

@@ -25,7 +25,7 @@ from .errors import (
     SingularElement,
     WrongPeriod,
 )
-from .exactla import Matrix, Subspace, invert_matrix, kernel_of_rows, rank, vec_is_zero
+from .exactla import Matrix, Subspace, invert_matrix, kernel_of_rows, rank, sparse_rows, vec_is_zero
 from .invariants import EndoSpace
 
 
@@ -161,7 +161,7 @@ def grading_from_automorphism(aut: Automorphism) -> Grading:
             [f.sub(aut.matrix.rows[r][c], w if r == c else f.zero()) for c in range(n)]
             for r in range(n)
         ]
-        comps.append(kernel_of_rows(f, rows, n))
+        comps.append(kernel_of_rows(f, sparse_rows(f, rows), n))
     if sum(c.dim for c in comps) != n:
         raise InternalCheckFailed("eigenspaces do not fill the algebra")
     g = Grading(aut.period, n, comps)
@@ -194,7 +194,7 @@ def induced_endo_grading(aut: Automorphism, endo: EndoSpace) -> Grading:
     space.
     """
     f = aut.algebra.field
-    if endo.domain_dim != endo.codomain_dim or endo.domain_dim != aut.algebra.dim:
+    if endo.n != aut.algebra.dim:
         raise DimensionMismatch("endomorphism space does not match the automorphism carrier")
     k = endo.dim
     sig = aut.matrix
@@ -214,7 +214,7 @@ def induced_endo_grading(aut: Automorphism, endo: EndoSpace) -> Grading:
         rows = [
             [f.sub(restr[r][c], w if r == c else f.zero()) for c in range(k)] for r in range(k)
         ]
-        small = kernel_of_rows(f, rows, k)
+        small = kernel_of_rows(f, sparse_rows(f, rows), k)
         lifted = [endo.space.linear_combination(list(v)) for v in small.rows]
         comps.append(Subspace.from_vectors(f, endo.space.ambient, lifted))
     if sum(c.dim for c in comps) != k:

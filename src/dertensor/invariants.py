@@ -24,14 +24,13 @@ from .exactla import Matrix, Subspace, kernel_of_rows, vec_add
 
 
 class EndoSpace:
-    """A space of linear maps domain -> codomain in flattened coordinates."""
+    """A space of endomorphisms of an n-dimensional space, flattened row-major."""
 
-    __slots__ = ("algebra", "domain_dim", "codomain_dim", "space", "tag")
+    __slots__ = ("algebra", "n", "space", "tag")
 
-    def __init__(self, algebra: Algebra, domain_dim: int, codomain_dim: int, space: Subspace, tag: str):
+    def __init__(self, algebra: Algebra, n: int, space: Subspace, tag: str):
         self.algebra = algebra
-        self.domain_dim = domain_dim
-        self.codomain_dim = codomain_dim
+        self.n = n
         self.space = space
         self.tag = tag
 
@@ -42,7 +41,7 @@ class EndoSpace:
     def basis_matrices(self) -> list[Matrix]:
         f = self.algebra.field
         return [
-            Matrix.unflatten(f, list(row), self.codomain_dim, self.domain_dim)
+            Matrix.unflatten(f, list(row), self.n, self.n)
             for row in self.space.rows
         ]
 
@@ -59,40 +58,34 @@ class EndoSpace:
 # -- row assembly ----------------------------------------------------------
 
 
-def _dedup(rows):
-    seen = set()
-    out = []
-    for row in rows:
-        t = tuple(row)
-        if t in seen or not any(t):
-            continue
-        seen.add(t)
-        out.append(row)
-    return out
+def _sparse(f, acc) -> tuple:
+    # column -> value accumulator as a sparse row (see exactla.rref_rows)
+    z = f.zero()
+    return tuple(sorted((col, x) for col, x in acc.items() if x != z))
 
 
 def _leibniz_rows(a: Algebra):
-    """Rows of the Leibniz system d(xy) = d(x)y + x d(y) on all basis pairs."""
+    """Sparse rows of the Leibniz system d(xy) = d(x)y + x d(y) on all basis pairs.
+
+    The pair (i, j) gives one row per output coordinate t:
+    sum_k c_ij^k d_tk - sum_r c_rj^t d_ri - sum_r c_ir^t d_rj = 0.
+    """
     n = a.dim
     f = a.field
-    z = f.zero()
+    nz = a._nz
     rows = []
     for i in range(n):
         for j in range(n):
-            prod_nz = a._nz[i][j]
-            for t in range(n):
-                row = [z] * (n * n)
-                for k, c in prod_nz:
-                    row[t * n + k] = f.add(row[t * n + k], c)
-                for r in range(n):
-                    c = a.table[r][j][t]
-                    if c != z:
-                        row[r * n + i] = f.sub(row[r * n + i], c)
-                    c2 = a.table[i][r][t]
-                    if c2 != z:
-                        row[r * n + j] = f.sub(row[r * n + j], c2)
-                rows.append(row)
-    return _dedup(rows)
+            acc = [{t * n + k: c for k, c in nz[i][j]} for t in range(n)]
+            for r in range(n):
+                for cols, col in ((nz[r][j], r * n + i), (nz[i][r], r * n + j)):
+                    for t, c in cols:
+                        row = acc[t]
+                        row[col] = f.sub(row[col], c) if col in row else f.neg(c)
+            for row in acc:
+                if row:
+                    rows.append(_sparse(f, row))
+    return rows
 
 
 def leibniz_witness(a: Algebra, m: Matrix):
@@ -118,26 +111,21 @@ def satisfies_leibniz(a: Algebra, m: Matrix) -> bool:
 
 
 def _commute_rows(m: Matrix):
-    """Rows expressing X M = M X for an unknown endomorphism X."""
+    """Sparse rows expressing X M = M X for an unknown endomorphism X."""
     n = m.nrows
     f = m.field
     z = f.zero()
+    by_row = [[(k, w) for k, w in enumerate(r) if w != z] for r in m.rows]
+    by_col = [[(k, m.rows[k][c]) for k in range(n) if m.rows[k][c] != z] for c in range(n)]
     rows = []
     for t in range(n):
         for c in range(n):
-            row = [z] * (n * n)
-            nonzero = False
-            for k in range(n):
-                v = m.rows[k][c]
-                if v != z:
-                    row[t * n + k] = f.add(row[t * n + k], v)
-                    nonzero = True
-                w = m.rows[t][k]
-                if w != z:
-                    row[k * n + c] = f.sub(row[k * n + c], w)
-                    nonzero = True
-            if nonzero:
-                rows.append(row)
+            acc = {t * n + k: v for k, v in by_col[c]}
+            for k, w in by_row[t]:
+                col = k * n + c
+                acc[col] = f.sub(acc[col], w) if col in acc else f.neg(w)
+            if acc:
+                rows.append(_sparse(f, acc))
     return rows
 
 
@@ -148,7 +136,7 @@ def derivation_space(a: Algebra) -> EndoSpace:
     """All derivations of the algebra; verified closed under commutator."""
     if "derivations" not in a._cache:
         ker = kernel_of_rows(a.field, _leibniz_rows(a), a.dim * a.dim)
-        es = EndoSpace(a, a.dim, a.dim, ker, "derivations")
+        es = EndoSpace(a, a.dim, ker, "derivations")
         mats = es.basis_matrices()
         for i in range(len(mats)):
             for j in range(i + 1, len(mats)):
@@ -165,7 +153,8 @@ def centroid(a: Algebra) -> EndoSpace:
     operator. These already contain the one-sided action conditions
     g(b_i b_j) = g(b_i) b_j: they are the rows of commuting with right
     multiplication by b_j, taken at column i. Rows shared by the left and
-    right families are removed by row deduplication.
+    right families, or equal up to a scalar, are dropped by the eliminator
+    (exactla.rref_rows), which deduplicates rows after normalising them.
     """
     if "centroid" not in a._cache:
         lefts, rights = a.mult_operators()
@@ -174,8 +163,8 @@ def centroid(a: Algebra) -> EndoSpace:
             rows.extend(_commute_rows(m))
         for m in rights:
             rows.extend(_commute_rows(m))
-        ker = kernel_of_rows(a.field, _dedup(rows), a.dim * a.dim)
-        es = EndoSpace(a, a.dim, a.dim, ker, "centroid")
+        ker = kernel_of_rows(a.field, rows, a.dim * a.dim)
+        es = EndoSpace(a, a.dim, ker, "centroid")
         mats = es.basis_matrices()
         for i in range(len(mats)):
             for j in range(len(mats)):
@@ -194,11 +183,11 @@ def differential_centroid(a: Algebra) -> EndoSpace:
         for d in ders.basis_matrices():
             rows.extend(_commute_rows(d))
         if rows:
-            comm = kernel_of_rows(a.field, _dedup(rows), a.dim * a.dim)
+            comm = kernel_of_rows(a.field, rows, a.dim * a.dim)
             space = cent.space.intersect(comm)
         else:
             space = cent.space
-        a._cache["differential_centroid"] = EndoSpace(a, a.dim, a.dim, space, "differential-centroid")
+        a._cache["differential_centroid"] = EndoSpace(a, a.dim, space, "differential-centroid")
     return a._cache["differential_centroid"]
 
 
@@ -220,8 +209,8 @@ def s_module_derivations(a: Algebra, s: Algebra, ts: Algebra | None = None) -> E
         rows = _leibniz_rows(ts)
         for j in range(s.dim):
             rows.extend(_commute_rows(right_factor_action(a, s, j)))
-        ker = kernel_of_rows(ts.field, _dedup(rows), ts.dim * ts.dim)
-        ts._cache[key] = EndoSpace(ts, ts.dim, ts.dim, ker, "module-derivations")
+        ker = kernel_of_rows(ts.field, rows, ts.dim * ts.dim)
+        ts._cache[key] = EndoSpace(ts, ts.dim, ker, "module-derivations")
     return ts._cache[key]
 
 
@@ -237,22 +226,13 @@ def vanishing_on_left_derivations(a: Algebra, s: Algebra, ts: Algebra | None = N
         z = f.zero()
         n = ts.dim
         rows = _leibniz_rows(ts)
+        unit_nz = [(jj, c) for jj, c in enumerate(unit) if c != z]
         for i in range(a.dim):
-            # coordinates of a_i tensor 1
-            vec = [z] * n
-            for jj, c in enumerate(unit):
-                vec[i * s.dim + jj] = c
+            # d(a_i tensor 1) = 0, one row per output coordinate t
             for t in range(n):
-                row = [z] * (n * n)
-                ok = False
-                for idx, c in enumerate(vec):
-                    if c != z:
-                        row[t * n + idx] = c
-                        ok = True
-                if ok:
-                    rows.append(row)
-        ker = kernel_of_rows(f, _dedup(rows), n * n)
-        ts._cache[key] = EndoSpace(ts, n, n, ker, "vanishing-on-left")
+                rows.append(tuple((t * n + i * s.dim + jj, c) for jj, c in unit_nz))
+        ker = kernel_of_rows(f, rows, n * n)
+        ts._cache[key] = EndoSpace(ts, n, ker, "vanishing-on-left")
     return ts._cache[key]
 
 

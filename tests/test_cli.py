@@ -308,6 +308,33 @@ def test_setup_file_missing_part(tmp_path, capsys):
     assert "'s'" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["derive", "--algebra", "sl2", "--json"],
+    ["centroid", "--algebra", "group-algebra(3)", "--json"],
+    ["grade", "--setup", "sl2-twisted-flagship", "--json"],
+])
+def test_catalog_name_beats_a_stray_file(tmp_path, monkeypatch, capsys, argv):
+    want = run_cap(capsys, argv)
+    assert want[0] == 0
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / argv[3]).write_text("not json")
+    assert run_cap(capsys, argv) == want
+
+
+def test_bare_file_name_outside_the_catalog_is_a_path(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pair").write_text(json.dumps({
+        "a": "sl2",
+        "s": "group-algebra(2)",
+        "aut1": {"diagonal": ["-1", "1", "-1"], "period": 2},
+        "aut2": {"matrix": [["1", "0"], ["0", "-1"]], "period": 2},
+        "q": 1,
+    }))
+    code, out, _ = run_cap(capsys, ["verify-thm2", "--setup", "pair", "--json"])
+    assert code == 0
+    assert json.loads(out)["verdict"] == "pass"
+
+
 def test_u_flag_overrides_unit(capsys):
     code, out, _ = run_cap(
         capsys, ["verify-thm2", "--setup", "sl2-twisted-flagship", "--u", "z3", "--json"])

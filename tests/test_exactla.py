@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dertensor import exactla
 from dertensor.errors import DimensionMismatch, NotInDomain, SingularElement
 from dertensor.exactla import (
     Matrix,
@@ -13,7 +15,9 @@ from dertensor.exactla import (
     kernel_of_rows,
     rank,
     rref,
+    rref_rows,
     solve_unique,
+    sparse_rows,
 )
 from dertensor.scalars import make_field
 
@@ -22,6 +26,8 @@ from naive_la import naive_nullspace, naive_rank, naive_rref
 QQ = make_field("rational")
 Z4 = make_field("cyclotomic", m=4)
 F5 = make_field("prime", m=4, p=5)
+Z3 = make_field("cyclotomic", m=3)
+F31 = make_field("prime", m=3, p=31)
 
 
 def qmat(rows):
@@ -63,7 +69,7 @@ def test_rank_nullity_random_all_fields():
             nr, nc = rng.randint(1, 5), rng.randint(1, 5)
             rows = [[fld.from_int(rng.randint(-6, 6)) for _ in range(nc)] for _ in range(nr)]
             m = Matrix(fld, rows, nc)
-            assert rank(m) + kernel_of_rows(fld, rows, nc).dim == nc
+            assert rank(m) + kernel_of_rows(fld, sparse_rows(fld, rows), nc).dim == nc
 
 
 def test_kernel_vectors_annihilate():
@@ -72,7 +78,7 @@ def test_kernel_vectors_annihilate():
         for _ in range(30):
             rows = [[fld.from_int(rng.randint(-4, 4)) for _ in range(6)] for _ in range(4)]
             m = Matrix(fld, rows, 6)
-            ker = kernel_of_rows(fld, rows, 6)
+            ker = kernel_of_rows(fld, sparse_rows(fld, rows), 6)
             for v in ker.rows:
                 out = m.matvec(list(v))
                 assert all(fld.is_zero(x) for x in out)
@@ -83,7 +89,7 @@ def test_kernel_dimension_matches_naive_oracle():
     for _ in range(60):
         nr, nc = rng.randint(1, 5), rng.randint(2, 6)
         rows = [[Fraction(rng.randint(-6, 6)) for _ in range(nc)] for _ in range(nr)]
-        ker = kernel_of_rows(QQ, rows, nc)
+        ker = kernel_of_rows(QQ, sparse_rows(QQ, rows), nc)
         assert ker.dim == len(naive_nullspace(rows, nc))
         assert rank(Matrix(QQ, rows, nc)) == naive_rank(rows)
 
@@ -190,3 +196,100 @@ def test_rref_row_space_invariant(int_rows):
         assert sub.contains(r)
     back = Subspace.from_vectors(QQ, 4, [list(x) for x in sub.rows])
     assert back == sub
+
+
+# -- differential tests of the sparse eliminators ---------------------------
+
+
+@st.composite
+def int_systems(draw, max_cols=7, max_rows=8):
+    """(ncols, dense integer rows) with about two nonzeros per row."""
+    nc = draw(st.integers(1, max_cols))
+    entry = st.tuples(st.integers(0, nc - 1), st.integers(-6, 6))
+    rows = []
+    for pairs in draw(st.lists(st.lists(entry, max_size=3), max_size=max_rows)):
+        row = [0] * nc
+        for j, x in pairs:
+            row[j] += x
+        rows.append(row)
+    return nc, rows
+
+
+def lift(fld, rows):
+    return [[fld.from_int(x) for x in row] for row in rows]
+
+
+def dense_rows(red, nc):
+    return [[dict(r).get(j, 0) for j in range(nc)] for r in red]
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_systems())
+@example((3, [[0, 2, 4], [0, 1, 2], [0, 0, 0], [5, 0, -1]]))
+def test_sparse_rref_and_kernel_match_naive_oracle(system):
+    nc, ints = system
+    rows = lift(QQ, ints)
+    red, pivots = rref_rows(QQ, sparse_rows(QQ, rows), nc)
+    orows, opivots = naive_rref(rows)
+    assert pivots == opivots
+    assert dense_rows(red, nc) == orows
+    ker = kernel_of_rows(QQ, sparse_rows(QQ, rows), nc)
+    assert [list(r) for r in ker.rows] == naive_rref(naive_nullspace(rows, nc))[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(int_systems(), st.randoms(use_true_random=False))
+def test_redundant_rows_leave_the_subspace_unchanged(system, rnd):
+    nc, ints = system
+    for fld in (QQ, F31, Z3):
+        rows = lift(fld, ints)
+        scalars = [fld.from_int(c) for c in (-1, 2, -3, 5)]
+        if fld is Z3:
+            scalars.append(fld.add(fld.one(), fld.omega()))
+        padded = list(rows) + [[fld.zero()] * nc]
+        for row in rows:
+            padded.append(list(row))
+            c = rnd.choice(scalars)
+            padded.append([fld.mul(c, x) for x in row])
+        rnd.shuffle(padded)
+        assert Subspace.from_vectors(fld, nc, padded) == Subspace.from_vectors(fld, nc, rows)
+        assert (kernel_of_rows(fld, sparse_rows(fld, padded), nc)
+                == kernel_of_rows(fld, sparse_rows(fld, rows), nc))
+
+
+@settings(max_examples=80, deadline=None)
+@given(int_systems(), st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 3)), min_size=8, max_size=8))
+def test_cyclotomic_descent_and_generic_path_agree(system, units):
+    nc, ints = system
+    q = Subspace.from_vectors(QQ, nc, lift(QQ, ints))
+    with mock.patch.object(exactla, "_eliminate_generic", wraps=exactla._eliminate_generic) as gen:
+        rational = Subspace.from_vectors(Z3, nc, lift(Z3, ints))
+        assert not gen.called
+    assert rational.pivots == q.pivots
+    assert rational.rows == tuple(tuple(Z3.from_fraction(x) for x in r) for r in q.rows)
+    # rows times units a + b zeta (b != 0): entries leave Q, the row space stays
+    scaled = [[Z3.mul((Fraction(a), Fraction(b)), x) for x in row]
+              for row, (a, b) in zip(lift(Z3, ints), units)]
+    with mock.patch.object(exactla, "_eliminate_generic", wraps=exactla._eliminate_generic) as gen:
+        generic = Subspace.from_vectors(Z3, nc, scaled)
+        assert gen.called == any(any(row) for row in ints)
+    assert generic == rational
+
+
+@settings(max_examples=100, deadline=None)
+@given(int_systems())
+@example((2, [[1, 2], [3, 37]]))
+def test_rank_mod_p_never_exceeds_rank_over_q(system):
+    nc, ints = system
+    rank_q = len(rref_rows(QQ, sparse_rows(QQ, lift(QQ, ints)), nc)[1])
+    rank_p = len(rref_rows(F31, sparse_rows(F31, lift(F31, ints)), nc)[1])
+    assert rank_p <= rank_q
+
+
+@pytest.mark.parametrize("fld", [QQ, F31, Z3])
+def test_kernel_of_empty_system_is_whole_space(fld):
+    for nc in (0, 1, 4):
+        for rows in ([], [(), ()]):
+            ker = kernel_of_rows(fld, rows, nc)
+            assert ker.pivots == tuple(range(nc))
+            assert [list(r) for r in ker.rows] == Matrix.identity(fld, nc).rows

@@ -190,3 +190,23 @@ def test_cached_spaces_are_reused_and_stable():
     a.clear_cache()
     d2 = derivation_space(a)
     assert d2 is not d1 and d2.space == d1.space
+
+
+def test_tensor_of_dimension_24_over_f31():
+    """sl2 (x) k[z]/(z^8 - 1): n = 24, 576 unknowns, D = D(sl2) (x) S and C = S."""
+    f = make_field("prime", m=3, p=31)
+    ts = tensor_product(sl2(f), group_algebra(8, f))
+    assert derivation_space(ts).dim == 24
+    assert centroid(ts).dim == 8
+
+
+def test_rational_system_over_cyclotomic_field_gives_the_rational_basis():
+    z3 = make_field("cyclotomic", m=3)
+
+    def spaces(f):
+        ts = tensor_product(sl2(f), group_algebra(3, f))
+        return derivation_space(ts).space, centroid(ts).space
+
+    for sq, sz in zip(spaces(QQ), spaces(z3)):
+        assert sz.pivots == sq.pivots
+        assert sz.rows == tuple(tuple(z3.from_fraction(x) for x in r) for r in sq.rows)
