@@ -44,9 +44,9 @@ class Algebra:
         self.dim = n
         self.names = list(names)
         self.table = [[list(table[i][j]) for j in range(n)] for i in range(n)]
-        z = field.zero()
+        nz = field.nonzero
         self._nz = [
-            [[(k, c) for k, c in enumerate(self.table[i][j]) if c != z] for j in range(n)]
+            [[(k, c) for k, c in enumerate(self.table[i][j]) if nz(c)] for j in range(n)]
             for i in range(n)
         ]
         self._cache = {}
@@ -65,18 +65,18 @@ class Algebra:
     def mult(self, x: list, y: list) -> list:
         """Coordinate vector of the product of two coordinate vectors."""
         f = self.field
-        z = f.zero()
-        out = [z] * self.dim
+        nz = f.nonzero
+        out = [f.zero()] * self.dim
+        ynz = [(j, yj) for j, yj in enumerate(y) if nz(yj)]
         for i, xi in enumerate(x):
-            if xi == z:
+            if not nz(xi):
                 continue
             nzi = self._nz[i]
-            for j, yj in enumerate(y):
-                if yj == z:
-                    continue
-                c = f.mul(xi, yj)
-                for k, t in nzi[j]:
-                    out[k] = f.add(out[k], f.mul(c, t))
+            for j, yj in ynz:
+                if nzi[j]:
+                    c = f.mul(xi, yj)
+                    for k, t in nzi[j]:
+                        out[k] = f.add(out[k], f.mul(c, t))
         return out
 
     def left_mult_matrix(self, x: list) -> Matrix:
@@ -84,7 +84,7 @@ class Algebra:
         z = f.zero()
         rows = [[z] * self.dim for _ in range(self.dim)]
         for i, xi in enumerate(x):
-            if xi == z:
+            if not f.nonzero(xi):
                 continue
             for c in range(self.dim):
                 for k, t in self._nz[i][c]:
@@ -96,7 +96,7 @@ class Algebra:
         z = f.zero()
         rows = [[z] * self.dim for _ in range(self.dim)]
         for j, xj in enumerate(x):
-            if xj == z:
+            if not f.nonzero(xj):
                 continue
             for c in range(self.dim):
                 for k, t in self._nz[c][j]:
@@ -195,12 +195,11 @@ class Algebra:
 
     def to_definition(self) -> dict:
         f = self.field
-        z = f.zero()
         table = []
         for i in range(self.dim):
             row = []
             for j in range(self.dim):
-                row.append([[k, f.format(c)] for k, c in enumerate(self.table[i][j]) if c != z])
+                row.append([[k, f.format(c)] for k, c in self._nz[i][j]])
             table.append(row)
         return {
             "field": field_to_definition(f),
@@ -303,7 +302,7 @@ def tensor_vector(a: Algebra, s: Algebra, x: list, y: list) -> list:
     z = f.zero()
     out = []
     for xi in x:
-        if xi == z:
+        if not f.nonzero(xi):
             out.extend([z] * s.dim)
         else:
             out.extend(f.mul(xi, yj) for yj in y)

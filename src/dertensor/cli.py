@@ -341,15 +341,13 @@ def cmd_fixed(args) -> int:
 def _split_sample_assertion(rep, a, s, prefix, samples):
     ts = tensor_product(a, s)
     der = derivation_space(ts)
-    basis = der.basis_matrices()
     rng = random.Random(SPLIT_SEED)
     f = a.field
     ok = True
     witness = None
     for idx in range(samples):
-        delta = Matrix.zeros(f, ts.dim, ts.dim)
-        for b in basis:
-            delta = delta.add(b.scale(f.from_int(rng.randint(-3, 3))))
+        coeffs = [f.from_int(rng.randint(-3, 3)) for _ in range(der.dim)]
+        delta = Matrix.unflatten(f, der.space.linear_combination(coeffs), ts.dim, ts.dim)
         # split_derivation validates membership of both parts and the
         # trivial intersection internally
         d_part, rem = split_derivation(delta, a, s, ts)

@@ -300,7 +300,8 @@ def split_derivation(delta: Matrix, a: Algebra, s: Algebra, ts: Algebra | None =
 
     The S-linear part is determined by d(a_i tensor s_j) = delta(a_i tensor 1)
     s_j; the remainder vanishes on A tensor 1. Both parts are verified to lie
-    in their defining spaces and the sum of those spaces is checked direct.
+    in their defining spaces. The sum of those spaces is checked direct once
+    per tensor algebra: both spaces depend on it alone.
     """
     ts = ts or tensor_product(a, s)
     require_scalar_hypotheses(s)
@@ -327,8 +328,10 @@ def split_derivation(delta: Matrix, a: Algebra, s: Algebra, ts: Algebra | None =
         raise InternalCheckFailed("S-linear part escaped its defining space")
     if not vanish.contains_matrix(rem):
         raise InternalCheckFailed("remainder does not vanish on the left factor")
-    if slin.space.intersect(vanish.space).dim != 0:
-        raise InternalCheckFailed("the two summand spaces overlap")
+    if "split_direct" not in ts._cache:
+        if slin.space.intersect(vanish.space).dim != 0:
+            raise InternalCheckFailed("the two summand spaces overlap")
+        ts._cache["split_direct"] = True
     return d, rem
 
 

@@ -63,8 +63,8 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols} over {self.field})"
 
     def is_zero(self) -> bool:
-        z = self.field.zero()
-        return all(x == z for row in self.rows for x in row)
+        nz = self.field.nonzero
+        return not any(nz(x) for row in self.rows for x in row)
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, [list(col) for col in zip(*self.rows)] if self.nrows else [], self.nrows)
@@ -94,8 +94,8 @@ class Matrix:
             raise DimensionMismatch(f"{self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}")
 
     def _nonzeros(self) -> list[list]:
-        z = self.field.zero()
-        return [[(k, x) for k, x in enumerate(row) if x != z] for row in self.rows]
+        nz = self.field.nonzero
+        return [[(k, x) for k, x in enumerate(row) if nz(x)] for row in self.rows]
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
@@ -119,14 +119,14 @@ class Matrix:
         if len(vec) != self.ncols:
             raise DimensionMismatch(f"vector length {len(vec)} vs {self.ncols} columns")
         f = self.field
-        z = f.zero()
-        vnz = [(k, b) for k, b in enumerate(vec) if b != z]
+        z, nz = f.zero(), f.nonzero
+        vnz = [(k, b) for k, b in enumerate(vec) if nz(b)]
         out = []
         for row in self.rows:
             acc = z
             for k, b in vnz:
                 a = row[k]
-                if a != z:
+                if nz(a):
                     acc = f.add(acc, f.mul(a, b))
             out.append(acc)
         return out
@@ -145,7 +145,7 @@ class Matrix:
             for r2 in other.rows:
                 row = []
                 for a in r1:
-                    if a == z:
+                    if not f.nonzero(a):
                         row.extend([z] * other.ncols)
                     else:
                         row.extend(f.mul(a, b) for b in r2)
@@ -182,8 +182,7 @@ def vec_scale(field, c, u):
 
 
 def vec_is_zero(field, u) -> bool:
-    z = field.zero()
-    return all(a == z for a in u)
+    return not any(map(field.nonzero, u))
 
 
 # -- sparse rows and the canonical reduced row echelon form ----------------
@@ -199,8 +198,8 @@ def vec_is_zero(field, u) -> bool:
 
 def sparse_rows(field, vectors) -> list[tuple]:
     """Dense vectors as sparse rows: the (column, value) pairs of nonzero entries."""
-    z = field.zero()
-    return [tuple((j, x) for j, x in enumerate(v) if x != z) for v in vectors]
+    nz = field.nonzero
+    return [tuple((j, x) for j, x in enumerate(v) if nz(x)) for v in vectors]
 
 
 def _dense(field, ncols, row) -> tuple:
@@ -321,7 +320,7 @@ def _eliminate_prime(rows, p):
 
 def _eliminate_generic(field, rows):
     """Elimination with monic rows through the field's own arithmetic."""
-    z, one = field.zero(), field.one()
+    z, one, nz = field.zero(), field.one(), field.nonzero
     sub, mul = field.sub, field.mul
 
     def normal(row):
@@ -334,7 +333,7 @@ def _eliminate_generic(field, rows):
     def cancel(d, prow, x):
         for j, y in prow:
             v = sub(d.get(j, z), mul(x, y))
-            if v != z:
+            if nz(v):
                 d[j] = v
             else:
                 del d[j]
@@ -438,11 +437,11 @@ class Subspace:
         if len(vec) != self.ambient:
             raise DimensionMismatch(f"vector length {len(vec)} in ambient {self.ambient}")
         f = self.field
-        z = f.zero()
+        nz = f.nonzero
         vec = list(vec)
         for prow, c in zip(self._sparse, self.pivots):
             x = vec[c]
-            if x != z:
+            if nz(x):
                 for j, b in prow:
                     vec[j] = f.sub(vec[j], f.mul(x, b))
         return vec
@@ -464,10 +463,9 @@ class Subspace:
         if len(coeffs) != self.dim:
             raise DimensionMismatch(f"{len(coeffs)} coefficients for dim {self.dim}")
         f = self.field
-        z = f.zero()
-        out = [z] * self.ambient
+        out = [f.zero()] * self.ambient
         for c, row in zip(coeffs, self._sparse):
-            if c != z:
+            if f.nonzero(c):
                 for j, b in row:
                     out[j] = f.add(out[j], f.mul(c, b))
         return out

@@ -35,13 +35,20 @@ def eps(i: int, m: int) -> int:
 
 
 class Automorphism:
-    __slots__ = ("algebra", "matrix", "period", "_inv")
+    """A validated automorphism of declared period; immutable by convention.
+
+    Data derived from it alone is memoised on the instance: the inverse
+    matrix here, and other modules' derived data in _cache.
+    """
+
+    __slots__ = ("algebra", "matrix", "period", "_inv", "_cache")
 
     def __init__(self, algebra: Algebra, matrix: Matrix, period: int):
         self.algebra = algebra
         self.matrix = matrix
         self.period = period
         self._inv = None
+        self._cache = {}
 
     def inverse_matrix(self) -> Matrix:
         if self._inv is None:

@@ -20,7 +20,7 @@ from .errors import (
     NotPerfect,
     NotUnital,
 )
-from .exactla import Matrix, Subspace, kernel_of_rows, vec_add
+from .exactla import Matrix, Subspace, kernel_of_rows, sparse_rows
 
 
 class EndoSpace:
@@ -60,8 +60,8 @@ class EndoSpace:
 
 def _sparse(f, acc) -> tuple:
     # column -> value accumulator as a sparse row (see exactla.rref_rows)
-    z = f.zero()
-    return tuple(sorted((col, x) for col, x in acc.items() if x != z))
+    nz = f.nonzero
+    return tuple(sorted((col, x) for col, x in acc.items() if nz(x)))
 
 
 def _leibniz_rows(a: Algebra):
@@ -92,15 +92,28 @@ def leibniz_witness(a: Algebra, m: Matrix):
     """First basis pair where m breaks the derivation law, or None.
 
     Returns (i, j, got, want) with got = m(b_i b_j) and
-    want = m(b_i) b_j + b_i m(b_j).
+    want = m(b_i) b_j + b_i m(b_j). Both sides are summed over the nonzero
+    structure constants and the nonzero entries of m only.
     """
     n = a.dim
-    cols = [m.column(j) for j in range(n)]
-    basis = [a.basis_vector(i) for i in range(n)]
+    f = a.field
+    z, nz, add, mul = f.zero(), f.nonzero, f.add, f.mul
+    table = a._nz
+    # cols[k]: the nonzero entries (r, m_rk) of m(b_k)
+    cols = [[(r, row[k]) for r, row in enumerate(m.rows) if nz(row[k])] for k in range(n)]
     for i in range(n):
         for j in range(n):
-            got = m.matvec(a.table[i][j])
-            want = vec_add(a.field, a.mult(cols[i], basis[j]), a.mult(basis[i], cols[j]))
+            got = [z] * n
+            for k, c in table[i][j]:
+                for r, x in cols[k]:
+                    got[r] = add(got[r], mul(x, c))
+            want = [z] * n
+            for r, x in cols[i]:
+                for k, c in table[r][j]:
+                    want[k] = add(want[k], mul(x, c))
+            for r, x in cols[j]:
+                for k, c in table[i][r]:
+                    want[k] = add(want[k], mul(x, c))
             if got != want:
                 return (i, j, got, want)
     return None
@@ -114,9 +127,9 @@ def _commute_rows(m: Matrix):
     """Sparse rows expressing X M = M X for an unknown endomorphism X."""
     n = m.nrows
     f = m.field
-    z = f.zero()
-    by_row = [[(k, w) for k, w in enumerate(r) if w != z] for r in m.rows]
-    by_col = [[(k, m.rows[k][c]) for k in range(n) if m.rows[k][c] != z] for c in range(n)]
+    nz = f.nonzero
+    by_row = [[(k, w) for k, w in enumerate(r) if nz(w)] for r in m.rows]
+    by_col = [[(k, m.rows[k][c]) for k in range(n) if nz(m.rows[k][c])] for c in range(n)]
     rows = []
     for t in range(n):
         for c in range(n):
@@ -223,10 +236,9 @@ def vanishing_on_left_derivations(a: Algebra, s: Algebra, ts: Algebra | None = N
         if unit is None:
             raise NotUnital("right factor has no unit, so 'a tensor 1' is undefined")
         f = ts.field
-        z = f.zero()
         n = ts.dim
         rows = _leibniz_rows(ts)
-        unit_nz = [(jj, c) for jj, c in enumerate(unit) if c != z]
+        unit_nz = [(jj, c) for jj, c in enumerate(unit) if f.nonzero(c)]
         for i in range(a.dim):
             # d(a_i tensor 1) = 0, one row per output coordinate t
             for t in range(n):
@@ -305,28 +317,26 @@ def psi_map(a: Algebra, s: Algebra, ts: Algebra | None = None) -> PsiReport:
 
 
 def _psi_multiplicative(f, cent_a, gammas, s, cols, ts):
-    # psi((g1 x s1)(g2 x s2)) == psi(g1 x s1) psi(g2 x s2) on basis pairs
+    # psi((g1 x s1)(g2 x s2)) == psi(g1 x s1) psi(g2 x s2) on basis pairs.
+    # centroid() has checked that it is closed under composition, so every
+    # lam below exists and the loop order cannot change the verdict.
     n2 = ts.dim * ts.dim
-    cdim = len(gammas)
-    for a1 in range(cdim):
-        for j1 in range(s.dim):
-            m1 = Matrix.unflatten(f, cols[a1 * s.dim + j1], ts.dim, ts.dim)
-            for a2 in range(cdim):
-                comp = gammas[a1].mul(gammas[a2])
-                lam = cent_a.coords_of_matrix(comp)
-                for j2 in range(s.dim):
-                    m2 = Matrix.unflatten(f, cols[a2 * s.dim + j2], ts.dim, ts.dim)
-                    prod_s = s.mult(s.basis_vector(j1), s.basis_vector(j2))
+    ns = s.dim
+    mats = [Matrix.unflatten(f, col, ts.dim, ts.dim) for col in cols]
+    sparse_cols = sparse_rows(f, cols)
+    for a1 in range(len(gammas)):
+        for a2 in range(len(gammas)):
+            lam = cent_a.coords_of_matrix(gammas[a1].mul(gammas[a2]))
+            for j1 in range(ns):
+                for j2 in range(ns):
                     expect = [f.zero()] * n2
                     for aa, la in enumerate(lam):
-                        if la == f.zero():
+                        if not f.nonzero(la):
                             continue
-                        for jj, cj in enumerate(prod_s):
-                            if cj == f.zero():
-                                continue
+                        for jj, cj in s._nz[j1][j2]:
                             coeff = f.mul(la, cj)
-                            col = cols[aa * s.dim + jj]
-                            expect = [f.add(x, f.mul(coeff, y)) for x, y in zip(expect, col)]
-                    if m1.mul(m2).flatten() != expect:
+                            for t, y in sparse_cols[aa * ns + jj]:
+                                expect[t] = f.add(expect[t], f.mul(coeff, y))
+                    if mats[a1 * ns + j1].mul(mats[a2 * ns + j2]).flatten() != expect:
                         return False
     return True

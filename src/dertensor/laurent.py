@@ -54,7 +54,7 @@ class LaurentElement:
 
     def __init__(self, field, support: dict):
         self.field = field
-        self.support = {e: c for e, c in support.items() if not field.is_zero(c)}
+        self.support = {e: c for e, c in support.items() if field.nonzero(c)}
 
     @classmethod
     def zero(cls, field) -> "LaurentElement":
@@ -180,7 +180,7 @@ class LoopElement:
         self.algebra = algebra
         self.support = {
             e: tuple(v) for e, v in support.items()
-            if any(not f.is_zero(c) for c in v)
+            if any(map(f.nonzero, v))
         }
 
     @classmethod
@@ -293,7 +293,7 @@ class LoopElement:
         parts = []
         for e, v in self.terms():
             avec = " + ".join(
-                f"{f.format(c)}*{names[i]}" for i, c in enumerate(v) if not f.is_zero(c))
+                f"{f.format(c)}*{names[i]}" for i, c in enumerate(v) if f.nonzero(c))
             zp = "1" if e == 0 else ("z" if e == 1 else f"z^{e}")
             parts.append(f"({avec}) (x) {zp}")
         return " + ".join(parts)
@@ -377,19 +377,27 @@ def _unit_monomial(u: LaurentElement, m: int, style: str):
     return ue, uc
 
 
-def _left_grading(a: Algebra, aut1, m: int) -> Grading:
+def _left_grading(aut1) -> Grading:
     """Grading of the left factor; a trivial twist never asks for a root.
 
     When the automorphism is the identity the whole factor sits in degree
-    zero regardless of m, so the eigenspace route (which would demand a
-    primitive m-th root of unity in the field) is skipped.
+    zero regardless of its period, so the eigenspace route (which would
+    demand a primitive root of unity in the field) is skipped. The grading
+    is a pure function of the automorphism, which is immutable, so it is
+    built once, self-checks included, and kept on the automorphism; the
+    grading in turn keeps its projections.
     """
-    f = a.field
-    if aut1.matrix == Matrix.identity(f, a.dim):
-        full = Subspace.from_vectors(f, a.dim, Matrix.identity(f, a.dim).rows)
-        empty = Subspace.from_vectors(f, a.dim, [])
-        return Grading(m, a.dim, [full] + [empty] * (m - 1))
-    return grading_from_automorphism(aut1)
+    if "left_grading" not in aut1._cache:
+        a, m = aut1.algebra, aut1.period
+        f = a.field
+        if aut1.matrix == Matrix.identity(f, a.dim):
+            full = Subspace.from_vectors(f, a.dim, Matrix.identity(f, a.dim).rows)
+            empty = Subspace.from_vectors(f, a.dim, [])
+            g = Grading(m, a.dim, [full] + [empty] * (m - 1))
+        else:
+            g = grading_from_automorphism(aut1)
+        aut1._cache["left_grading"] = g
+    return aut1._cache["left_grading"]
 
 
 def _homogeneous_pieces(grading_a: Grading, target: LoopElement):
@@ -403,7 +411,7 @@ def _homogeneous_pieces(grading_a: Grading, target: LoopElement):
     for exp, vec in target.terms():
         for ia, pmat in enumerate(projs):
             part = pmat.matvec(list(vec))
-            if any(not f.is_zero(c) for c in part):
+            if any(map(f.nonzero, part)):
                 yield part, ia, exp
 
 
@@ -457,7 +465,7 @@ def loop_phi_eval(a: Algebra, aut1, m: int, style: str, u: LaurentElement,
     upair = _require_loop_setup(a, aut1, m, u, style)
     if target.algebra is not a:
         raise FieldMismatch("target lives over a different carrier")
-    grading_a = _left_grading(a, aut1, m)
+    grading_a = _left_grading(aut1)
     dev = d_spec.evaluator(a, m)
     return _phi_core(a, grading_a, m, style, upair, dev, target, navg)
 
@@ -470,7 +478,7 @@ def phi_argument_list(a: Algebra, aut1, m: int, style: str, u: LaurentElement,
     scalar coefficient form before running the evaluation proper.
     """
     upair = _require_loop_setup(a, aut1, m, u, style)
-    grading_a = _left_grading(a, aut1, m)
+    grading_a = _left_grading(aut1)
     seen: dict = {}
 
     def recorder(x: LoopElement) -> LoopElement:
@@ -494,7 +502,7 @@ def loop_bm_eval(a: Algebra, aut1, m: int, style: str, u: LaurentElement,
         raise FieldMismatch("target lives over a different carrier")
     f = a.field
     ue, uc = upair
-    grading_a = _left_grading(a, aut1, m)
+    grading_a = _left_grading(aut1)
     dev = d_spec.evaluator(a, m)
 
     def upow(x: LoopElement, t: int) -> LoopElement:

@@ -1,8 +1,8 @@
 """Exact scalar arithmetic over the three supported coefficient fields.
 
 A field is described by a FieldDescriptor of kind 'rational', 'cyclotomic',
-or 'prime'. Raw values are plain Python data chosen so that equal elements
-compare equal with ==:
+or 'prime'. Raw values are immutable plain Python data chosen so that equal
+elements compare equal with ==:
 
   rational    fractions.Fraction (always lowest terms, positive denominator)
   cyclotomic  tuple of Fraction, length phi(m), coefficients of 1, z, ...,
@@ -13,6 +13,12 @@ compare equal with ==:
 The descriptor owns all arithmetic on raw values; the Scalar class is a thin
 immutable wrapper giving operator syntax at API boundaries. Hot loops work on
 raw values directly.
+
+Since raw values are immutable, the field constants zero() and one() are
+built once per descriptor and shared: every call returns the same object,
+and no arithmetic mutates it. The one zero test is nonzero(x): plain
+truthiness over Q and F_p, any() over the coefficient tuple of Q(zeta_m).
+Comparing against zero() with == gives the same answer, only slower.
 
 No floats anywhere. Python ints are arbitrary precision, which covers the
 "big integers mandatory" requirement for free.
@@ -141,7 +147,7 @@ class FieldDescriptor:
     hash by (kind, m, p), so structurally equal fields are interchangeable.
     """
 
-    __slots__ = ("kind", "m", "p", "modulus", "deg", "_omega")
+    __slots__ = ("kind", "m", "p", "modulus", "deg", "nonzero", "_zero", "_one", "_omega")
 
     def __init__(self, kind: str, m: int, p: int | None):
         self.kind = kind
@@ -153,6 +159,10 @@ class FieldDescriptor:
         else:
             self.modulus = None
             self.deg = 1
+        # the zero test: a raw value is zero exactly when nonzero(value) is False
+        self.nonzero = any if kind == CYCLOTOMIC else bool
+        self._zero = self.from_int(0)
+        self._one = self.from_int(1)
         self._omega = None
 
     # -- identity ----------------------------------------------------------
@@ -180,14 +190,10 @@ class FieldDescriptor:
     # -- constants ---------------------------------------------------------
 
     def zero(self):
-        if self.kind == RATIONAL:
-            return Fraction(0)
-        if self.kind == CYCLOTOMIC:
-            return (Fraction(0),) * self.deg
-        return 0
+        return self._zero
 
     def one(self):
-        return self.from_int(1)
+        return self._one
 
     def from_int(self, n: int):
         if self.kind == RATIONAL:
@@ -262,7 +268,7 @@ class FieldDescriptor:
         return r
 
     def is_zero(self, a) -> bool:
-        return a == self.zero()
+        return not self.nonzero(a)
 
     def inv_int(self, n: int):
         """Inverse of the image of the integer n; DivisionByZero in char p | n."""

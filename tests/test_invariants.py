@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dertensor.algebra import tensor_product
+from dertensor.algebra import Algebra, tensor_product
 from dertensor.catalog import dual_numbers, group_algebra, sl2, sl2_graded_variant, zero_product
 from dertensor.errors import NotPerfect, NotUnital
 from dertensor.exactla import Matrix, Subspace
@@ -10,12 +12,14 @@ from dertensor.invariants import (
     centroid,
     derivation_space,
     differential_centroid,
+    leibniz_witness,
     psi_map,
     s_module_derivations,
     vanishing_on_left_derivations,
 )
 from dertensor.scalars import make_field
 
+from dense_leibniz import dense_leibniz_witness
 from naive_la import naive_nullspace
 
 QQ = make_field("rational")
@@ -210,3 +214,32 @@ def test_rational_system_over_cyclotomic_field_gives_the_rational_basis():
     for sq, sz in zip(spaces(QQ), spaces(z3)):
         assert sz.pivots == sq.pivots
         assert sz.rows == tuple(tuple(z3.from_fraction(x) for x in r) for r in sq.rows)
+
+
+# -- the sparse Leibniz witness against the dense loop ----------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_leibniz_witness_matches_dense_reference(data):
+    f = data.draw(st.sampled_from([QQ, make_field("prime", m=3, p=31)]))
+    n = data.draw(st.integers(1, 4))
+    consts = st.sampled_from([0, 0, 0, 1, -1, 2])
+    table = [[[f.from_int(data.draw(consts)) for _ in range(n)] for _ in range(n)]
+             for _ in range(n)]
+    a = Algebra(f, [f"b{i}" for i in range(n)], table)
+    kind = data.draw(st.sampled_from(["derivation", "perturbed", "random"]))
+    small = st.integers(-3, 3)
+    if kind == "random":
+        m = Matrix(f, [[f.from_int(data.draw(small)) for _ in range(n)] for _ in range(n)], n)
+    else:
+        der = derivation_space(a)
+        coeffs = [f.from_int(data.draw(small)) for _ in range(der.dim)]
+        m = Matrix.unflatten(f, der.space.linear_combination(coeffs), n, n)
+        if kind == "perturbed":
+            r, c = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+            m.rows[r][c] = f.add(m.rows[r][c], f.from_int(data.draw(st.sampled_from([1, -2, 5]))))
+    want = dense_leibniz_witness(a, m)
+    assert leibniz_witness(a, m) == want
+    if kind == "derivation":
+        assert want is None

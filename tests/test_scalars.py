@@ -208,3 +208,53 @@ def test_field_descriptor_identity():
     assert make_field("cyclotomic", m=4) == Z4
     assert Z4 != F5
     assert F5.char == 5 and QQ.char == 0
+
+
+# -- the zero test and the shared constants ---------------------------------
+
+Z3 = make_field("cyclotomic", m=3)
+Z5 = make_field("cyclotomic", m=5)
+F31 = make_field("prime", m=3, p=31)
+small_rationals = st.sampled_from([Fraction(0)] * 4 + [Fraction(1), Fraction(-2), Fraction(3, 4)])
+
+
+@st.composite
+def raw_values(draw):
+    """(field, raw value), with zero coefficients drawn often."""
+    f = draw(st.sampled_from([QQ, F31, Z3, Z5]))
+    if f is F31:
+        return f, draw(st.sampled_from([0, 0, 1, 30, 17]))
+    if f is QQ:
+        return f, draw(small_rationals)
+    return f, tuple(draw(st.lists(small_rationals, min_size=f.deg, max_size=f.deg)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(fx=raw_values())
+def test_nonzero_is_the_zero_test(fx):
+    f, x = fx
+    assert f.nonzero(x) == (x != f.zero())
+    assert f.is_zero(x) == (x == f.zero())
+
+
+def test_nonzero_sees_later_cyclotomic_coefficients():
+    # zeta has first coefficient 0; the zero tuple is a nonempty tuple
+    for f in (Z3, Z5):
+        assert f.nonzero(f.omega())
+        assert f.omega()[0] == 0
+        assert not f.nonzero(f.zero())
+        assert f.nonzero(f.from_int(-1))
+    assert Z5.nonzero((Fraction(0), Fraction(0), Fraction(0), Fraction(1, 2)))
+
+
+def test_constants_are_shared_and_never_mutated():
+    for f in (QQ, F31, Z3, Z5, Z4, F5):
+        z, o = f.zero(), f.one()
+        assert f.zero() is z and f.one() is o
+        frozen = (f.format(z), f.format(o))
+        x = f.omega()
+        for r in (f.add(z, x), f.sub(z, x), f.mul(o, x), f.neg(z), f.neg(o), f.pow(o, 3),
+                  f.pow(x, 0), f.inv(o), f.div(z, o), f.add(z, z), f.mul(z, o)):
+            assert (f.format(f.zero()), f.format(f.one())) == frozen, r
+        assert f.zero() is z and f.one() is o
+        assert f.is_zero(z) and not f.is_zero(o)
