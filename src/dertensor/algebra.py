@@ -54,13 +54,7 @@ class Algebra:
     def __repr__(self):
         return f"Algebra(dim {self.dim} over {self.field})"
 
-    def clear_cache(self):
-        self._cache.clear()
-
     # -- products ----------------------------------------------------------
-
-    def basis_product(self, i: int, j: int) -> list:
-        return list(self.table[i][j])
 
     def mult(self, x: list, y: list) -> list:
         """Coordinate vector of the product of two coordinate vectors."""

@@ -8,8 +8,6 @@ import lazily to keep module import light.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import Algebra
 from .errors import ParseError
 from .scalars import FieldDescriptor, make_field

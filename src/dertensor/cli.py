@@ -462,17 +462,17 @@ def _fmt_loop(x: LoopElement) -> str:
     return " + ".join(parts)
 
 
-def _counterexample_report(style: str | None, u_text: str | None) -> VerificationReport:
+def _counterexample_report() -> VerificationReport:
+    """The paper's example: period 4, forward style, u = z; its pinned values hold only there."""
     rep = VerificationReport("published-formula-counterexample")
     f, a, aut = _scalar_scene(4)
-    style = style or FORWARD
-    u = parse_laurent(u_text, f) if u_text else LaurentElement.monomial(f, 1)
-    d = FixedDerivationSpec.inner(LaurentElement.monomial(f, 1))
+    z = LaurentElement.monomial(f, 1)
+    d = FixedDerivationSpec.inner(z)
     rep.hyp("scalar-S")
     rep.hyp("graded-unit")
 
     def bm(x):
-        return loop_bm_eval(a, aut, 4, style, u, d, x)
+        return loop_bm_eval(a, aut, 4, FORWARD, z, d, x)
 
     expected = {5: _line(a, 5, f.from_int(4)), 3: LoopElement.zero(a), 2: LoopElement.zero(a)}
     for exp in (5, 3, 2):
@@ -606,7 +606,9 @@ def cmd_phi_eval(args) -> int:
 def cmd_bm_eval(args) -> int:
     if args.setup is None or (is_scene_name(args.setup)
                               and parse_catalog_name(args.setup)[0] != "last-exa-ii"):
-        return _emit(_counterexample_report(args.style, args.u), args)
+        if args.u:
+            raise ParseError("--u needs a finite --setup; the published formula scene fixes u = z")
+        return _emit(_counterexample_report(), args)
     if is_scene_name(args.setup):
         raise ParseError("the published formula scene is the period-4 scalar one")
     st = _resolve_setup(args.setup, args)
@@ -630,7 +632,7 @@ def cmd_bm_eval(args) -> int:
 
 
 def cmd_counterexample_bm(args) -> int:
-    return _emit(_counterexample_report(args.style, args.u), args)
+    return _emit(_counterexample_report(), args)
 
 
 # ---------------------------------------------------------------------------
@@ -731,9 +733,9 @@ COMMANDS = (
      SETUP + ("--budget",)),
     ("phi-eval", cmd_phi_eval, "evaluate the inverse-map formula",
      SETUP + ("--style", "--m")),
-    ("bm-eval", cmd_bm_eval, "evaluate the earlier published formula", SETUP + ("--style",)),
+    ("bm-eval", cmd_bm_eval, "evaluate the earlier published formula", SETUP),
     ("counterexample-bm", cmd_counterexample_bm, "reproduce the failure of that formula",
-     ("--style", "--u", "--json")),
+     ("--json",)),
     ("catalog", cmd_catalog, "list or show built-in examples",
      ("action", "name", "--field", "--json")),
 )

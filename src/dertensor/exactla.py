@@ -66,9 +66,6 @@ class Matrix:
         nz = self.field.nonzero
         return not any(nz(x) for row in self.rows for x in row)
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, [list(col) for col in zip(*self.rows)] if self.nrows else [], self.nrows)
-
     def add(self, other: "Matrix") -> "Matrix":
         self._compat(other)
         f = self.field
@@ -409,9 +406,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    def basis_matrix(self) -> Matrix:
-        return Matrix(self.field, [list(r) for r in self.rows], self.ambient)
-
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
@@ -448,10 +442,6 @@ class Subspace:
 
     def contains(self, vec: list) -> bool:
         return vec_is_zero(self.field, self.reduce(vec))
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        self._compat(other)
-        return all(self.contains(list(r)) for r in other.rows)
 
     def coords(self, vec: list) -> list:
         """Coefficients of vec in the RREF basis; NotInDomain if outside."""

@@ -5,8 +5,10 @@ formula can be compared as a matrix. The examples that separate the two
 extension formulas need k[z^{+-1}] itself: no power of z collapses, so a
 failed Leibniz identity cannot hide behind a quotient relation. This
 module represents Laurent polynomials and loop elements a (x) z^n as
-finite sparse maps, evaluates both extension formulas term by term, and
-reduces results onto the finite quotient for cross-checking.
+finite sparse maps, evaluates both extension formulas term by term (the
+formulas are written once, in decomposition, against a carrier that this
+module supplies for loop elements), and reduces results onto the finite
+quotient for cross-checking.
 
 Derivations of the Laurent algebra appear only in the form p(z) d/dz;
 every derivation of k[z^{+-1}] has this shape, and nothing here ever
@@ -17,6 +19,7 @@ exactly the elements an evaluation will request.
 """
 
 from .algebra import Algebra
+from .decomposition import _phi, _residue_shift
 from .errors import (
     FieldMismatch,
     HypothesisNotMet,
@@ -63,10 +66,6 @@ class LaurentElement:
     @classmethod
     def monomial(cls, field, exp: int, coeff=None) -> "LaurentElement":
         return cls(field, {exp: field.one() if coeff is None else coeff})
-
-    @classmethod
-    def one(cls, field) -> "LaurentElement":
-        return cls.monomial(field, 0)
 
     def _check(self, other: "LaurentElement"):
         if self.field != other.field:
@@ -193,14 +192,6 @@ class LoopElement:
             raise FieldMismatch("coefficient vector does not match the carrier")
         return cls(algebra, {exp: tuple(a_vec)})
 
-    @classmethod
-    def from_pair(cls, algebra: Algebra, a_vec, p: LaurentElement) -> "LoopElement":
-        """The element a (x) p(z)."""
-        if algebra.field != p.field:
-            raise FieldMismatch("laurent part over a different field")
-        f = algebra.field
-        return cls(algebra, {e: [f.mul(c, x) for x in a_vec] for e, c in p.support.items()})
-
     def _check(self, other: "LoopElement"):
         if self.algebra is not other.algebra:
             raise FieldMismatch("loop elements over different carriers")
@@ -257,10 +248,6 @@ class LoopElement:
                 else:
                     out[e] = prod
         return LoopElement(a, out)
-
-    def coefficient_map(self, fn) -> "LoopElement":
-        """Apply a linear map to every coefficient vector (identity on z)."""
-        return LoopElement(self.algebra, {e: fn(list(v)) for e, v in self.support.items()})
 
     def s_derivative(self, p: LaurentElement) -> "LoopElement":
         """Apply identity (x) p(z) d/dz."""
@@ -400,45 +387,47 @@ def _left_grading(aut1) -> Grading:
     return aut1._cache["left_grading"]
 
 
-def _homogeneous_pieces(grading_a: Grading, target: LoopElement):
+def _homogeneous_pieces(grading_a: Grading, target: LoopElement, m: int, style: str) -> list:
     """Split every loop term along the left-factor grading.
 
-    Yields (a_vec, ia, exp) with a_vec homogeneous of degree ia.
+    Returns (a_vec, ia, exp, es) with a_vec homogeneous of degree ia and es
+    the total residue of a_vec (x) z^exp.
     """
-    a = target.algebra
-    f = a.field
+    f = target.algebra.field
     projs = grading_a.projections(f)
+    pieces = []
     for exp, vec in target.terms():
         for ia, pmat in enumerate(projs):
             part = pmat.matvec(list(vec))
             if any(map(f.nonzero, part)):
-                yield part, ia, exp
+                pieces.append((part, ia, exp, eps(ia + graded_component(exp, m, style), m)))
+    return pieces
 
 
-def _phi_core(a: Algebra, grading_a: Grading, m: int, style: str,
-              upair, dev, target: LoopElement, navg: int) -> LoopElement:
-    f = a.field
-    ue, uc = upair
-    mn = m * navg
-    mn_inv = f.inv_int(mn)
+class _Loop:
+    """The Laurent carrier of the shared formulas: loop elements.
 
-    def upow(x: LoopElement, t: int) -> LoopElement:
-        return x.shift(t * ue, f.pow(uc, t))
+    The unit is U = uc z^ue, and a scalar-slot factor b is the power z^b.
+    """
 
-    out = LoopElement.zero(a)
-    for avec, ia, exp in _homogeneous_pieces(grading_a, target):
-        es = eps(ia + graded_component(exp, m, style), m)
-        piece = LoopElement.term(a, avec, exp)
-        img = upow(dev(upow(piece, -es)), es)
-        if es:
-            base = LoopElement.term(a, avec, 0)
-            x1 = upow(base, mn - ia)
-            x0 = upow(base, -ia)
-            inner = upow(dev(x1), -mn).sub(dev(x0))
-            corr = upow(inner, ia).shift(exp)
-            img = img.add(corr.scale(f.mul(f.from_int(es), mn_inv)))
-        out = out.add(img)
-    return out
+    def __init__(self, a: Algebra, m: int, upair):
+        self.a, self.m, self.field = a, m, a.field
+        self.ue, self.uc = upair
+
+    def pure(self, avec, t: int, b=None) -> LoopElement:
+        return self.act(LoopElement.term(self.a, avec, 0), t, b)
+
+    def act(self, x: LoopElement, t: int, b=None) -> LoopElement:
+        return x.shift(t * self.ue + (b or 0), self.field.pow(self.uc, t))
+
+    def comb(self, terms) -> LoopElement:
+        f = self.field
+        out = {}
+        for c, x in terms:
+            for e, v in x.support.items():
+                w = [f.mul(c, y) for y in v]
+                out[e] = [f.add(p, q) for p, q in zip(out[e], w)] if e in out else w
+        return LoopElement(self.a, out)
 
 
 def _require_loop_setup(a: Algebra, aut1, m: int, u: LaurentElement, style: str):
@@ -450,7 +439,7 @@ def _require_loop_setup(a: Algebra, aut1, m: int, u: LaurentElement, style: str)
             f"declared periods differ: {aut1.period} vs {m}", "automorphism-periods")
     if a.field != u.field:
         raise FieldMismatch("unit monomial over a different field")
-    return _unit_monomial(u, m, style)
+    return _Loop(a, m, _unit_monomial(u, m, style))
 
 
 def loop_phi_eval(a: Algebra, aut1, m: int, style: str, u: LaurentElement,
@@ -462,12 +451,12 @@ def loop_phi_eval(a: Algebra, aut1, m: int, style: str, u: LaurentElement,
     bracket is sampled at; any choice with m*navg invertible in the field
     gives the same answer when d really is a fixed-point derivation.
     """
-    upair = _require_loop_setup(a, aut1, m, u, style)
+    c = _require_loop_setup(a, aut1, m, u, style)
     if target.algebra is not a:
         raise FieldMismatch("target lives over a different carrier")
-    grading_a = _left_grading(aut1)
-    dev = d_spec.evaluator(a, m)
-    return _phi_core(a, grading_a, m, style, upair, dev, target, navg)
+    pieces = _homogeneous_pieces(_left_grading(aut1), target, m, style)
+    images = _phi(c, d_spec.evaluator(a, m), pieces, m * navg)
+    return c.comb((a.field.one(), x) for x in images)
 
 
 def phi_argument_list(a: Algebra, aut1, m: int, style: str, u: LaurentElement,
@@ -477,15 +466,14 @@ def phi_argument_list(a: Algebra, aut1, m: int, style: str, u: LaurentElement,
     Lets a caller assemble a value table for a derivation that has no
     scalar coefficient form before running the evaluation proper.
     """
-    upair = _require_loop_setup(a, aut1, m, u, style)
-    grading_a = _left_grading(aut1)
+    c = _require_loop_setup(a, aut1, m, u, style)
     seen: dict = {}
 
     def recorder(x: LoopElement) -> LoopElement:
         seen.setdefault(x.canonical_key(), x)
         return LoopElement.zero(a)
 
-    _phi_core(a, grading_a, m, style, upair, recorder, target, navg)
+    _phi(c, recorder, _homogeneous_pieces(_left_grading(aut1), target, m, style), m * navg)
     return list(seen.values())
 
 
@@ -493,27 +481,17 @@ def loop_bm_eval(a: Algebra, aut1, m: int, style: str, u: LaurentElement,
                  d_spec: FixedDerivationSpec, target: LoopElement) -> LoopElement:
     """Evaluate the earlier published extension formula on a loop element.
 
-    On a piece of total residue s the image is u^s d(u^{-s} x); no
-    derivation property is claimed, and on the Laurent carrier the failure
-    is visible exactly.
+    On a piece of total residue s the image is u^s d(u^{-s} x), the residue
+    shift by the degree-one unit; no derivation property is claimed, and on
+    the Laurent carrier the failure is visible exactly.
     """
-    upair = _require_loop_setup(a, aut1, m, u, style)
+    c = _require_loop_setup(a, aut1, m, u, style)
     if target.algebra is not a:
         raise FieldMismatch("target lives over a different carrier")
-    f = a.field
-    ue, uc = upair
-    grading_a = _left_grading(aut1)
     dev = d_spec.evaluator(a, m)
-
-    def upow(x: LoopElement, t: int) -> LoopElement:
-        return x.shift(t * ue, f.pow(uc, t))
-
-    out = LoopElement.zero(a)
-    for avec, ia, exp in _homogeneous_pieces(grading_a, target):
-        r = eps(ia + graded_component(exp, m, style), m)
-        piece = LoopElement.term(a, avec, exp)
-        out = out.add(upow(dev(upow(piece, -r)), r))
-    return out
+    pieces = _homogeneous_pieces(_left_grading(aut1), target, m, style)
+    return c.comb((a.field.one(), _residue_shift(c, dev, avec, exp, es, 1))
+                  for avec, _, exp, es in pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -549,14 +527,6 @@ class LoopQuotient:
                     if lhs != rhs:
                         raise InternalCheckFailed("exponent reduction is not multiplicative")
 
-    def apply_laurent(self, p: LaurentElement) -> list:
-        f = self.s.field
-        out = [f.zero()] * self.period
-        for e, c in p.support.items():
-            j = e % self.period
-            out[j] = f.add(out[j], c)
-        return out
-
     def apply(self, x: LoopElement) -> list:
         """Coordinates of the image in the finite tensor algebra."""
         f = self.a.field
@@ -568,10 +538,6 @@ class LoopQuotient:
                 idx = r * t + j
                 out[idx] = f.add(out[idx], c)
         return out
-
-
-def quotient_to_finite(a: Algebra, period: int) -> LoopQuotient:
-    return LoopQuotient(a, period)
 
 
 # ---------------------------------------------------------------------------
@@ -647,33 +613,4 @@ def parse_laurent(text: str, field) -> LaurentElement:
         if sign < 0:
             coeff = field.neg(coeff)
         out = out.add(LaurentElement.monomial(field, exp, coeff))
-    return out
-
-
-def parse_loop(text: str, algebra: Algebra) -> LoopElement:
-    """Parse a sum of name*(laurent) terms over the carrier's basis names.
-
-    A bare basis name means name (x) 1.
-    """
-    f = algebra.field
-    index = {n: i for i, n in enumerate(algebra.names)}
-    out = LoopElement.zero(algebra)
-    if not text.strip():
-        raise ParseError("empty loop literal")
-    for sign, chunk in _split_top_level(text):
-        name, star, rest = chunk.partition("*")
-        name = name.strip()
-        if name not in index:
-            raise ParseError(f"unknown basis name {name!r}")
-        if star:
-            rest = rest.strip()
-            if not (rest.startswith("(") and rest.endswith(")")):
-                raise ParseError(f"laurent part of {chunk!r} must be parenthesised")
-            lau = parse_laurent(rest[1:-1], f)
-        else:
-            lau = LaurentElement.one(f)
-        if sign < 0:
-            lau = lau.neg()
-        vec = algebra.basis_vector(index[name])
-        out = out.add(LoopElement.from_pair(algebra, vec, lau))
     return out

@@ -10,9 +10,8 @@ elements compare equal with ==:
               modulo the m-th cyclotomic polynomial
   prime       int in [0, p)
 
-The descriptor owns all arithmetic on raw values; the Scalar class is a thin
-immutable wrapper giving operator syntax at API boundaries. Hot loops work on
-raw values directly.
+The descriptor owns all arithmetic on raw values; every caller works on raw
+values directly.
 
 Since raw values are immutable, the field constants zero() and one() are
 built once per descriptor and shared: every call returns the same object,
@@ -26,14 +25,12 @@ No floats anywhere. Python ints are arbitrary precision, which covers the
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 
 from .errors import (
     CharDividesM,
     DivisionByZero,
-    FieldMismatch,
     NoPrimitiveRoot,
     NotPrime,
     ParseError,
@@ -252,9 +249,6 @@ class FieldDescriptor:
             return pow(a, -1, self.p)
         return self._cyc_inv(a)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def pow(self, a, n: int):
         if n < 0:
             return self.pow(self.inv(a), -n)
@@ -450,94 +444,3 @@ def make_field(kind: str, m: int = 1, p: int | None = None) -> FieldDescriptor:
             fld.omega()  # fail early if the search cannot succeed
         _FIELD_CACHE[key] = fld
     return _FIELD_CACHE[key]
-
-
-class Scalar:
-    """Immutable field element; wraps a raw value with operator syntax."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: FieldDescriptor, value):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Scalar is immutable")
-
-    def _raw(self, other):
-        if isinstance(other, Scalar):
-            if other.field != self.field:
-                raise FieldMismatch(f"{self.field} vs {other.field}")
-            return other.value
-        if isinstance(other, int):
-            return self.field.from_int(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        r = self._raw(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field.add(self.value, r))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        r = self._raw(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field.sub(self.value, r))
-
-    def __rsub__(self, other):
-        r = self._raw(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field.sub(r, self.value))
-
-    def __mul__(self, other):
-        r = self._raw(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field.mul(self.value, r))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        r = self._raw(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field.div(self.value, r))
-
-    def __rtruediv__(self, other):
-        r = self._raw(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field.div(r, self.value))
-
-    def __neg__(self):
-        return Scalar(self.field, self.field.neg(self.value))
-
-    def __pow__(self, n: int):
-        return Scalar(self.field, self.field.pow(self.value, n))
-
-    def __eq__(self, other):
-        if isinstance(other, Scalar):
-            return self.field == other.field and self.value == other.value
-        if isinstance(other, int):
-            return self.value == self.field.from_int(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.value))
-
-    def __bool__(self):
-        return not self.field.is_zero(self.value)
-
-    def __repr__(self):
-        return self.field.format(self.value)
-
-    def inverse(self) -> "Scalar":
-        return Scalar(self.field, self.field.inv(self.value))
-
-
-def parse_scalar(text: str, field: FieldDescriptor) -> Scalar:
-    return Scalar(field, field.parse(text))

@@ -208,6 +208,15 @@ def test_bm_eval_finite_agrees_with_inverse_map(capsys):
     assert w and "True" in w[0]
 
 
+@pytest.mark.parametrize("setup", [[], ["--setup", "last-exa-i"]])
+def test_bm_eval_scene_refuses_a_unit(capsys, setup):
+    """The published-formula scene is the paper's example, with u = z fixed."""
+    code, out, err = run_cap(capsys, ["bm-eval", *setup, "--u", "z"])
+    assert code == 2
+    assert out == ""
+    assert "--u needs a finite --setup" in err
+
+
 def test_counterexample_bm_values(capsys):
     code, out, _ = run_cap(capsys, ["counterexample-bm"])
     assert code == 0
@@ -401,9 +410,9 @@ ACCEPTED = {
     "verify-lemma35": SETUP,
     "verify-thm2": SETUP,
     "lemma-identities": SETUP | {"--budget"},
-    "bm-eval": SETUP | {"--style"},
+    "bm-eval": SETUP,
     "phi-eval": SETUP | {"--style", "--m"},
-    "counterexample-bm": {"--style", "--u", "--json"},
+    "counterexample-bm": {"--json"},
 }
 
 
@@ -416,7 +425,7 @@ def test_each_command_accepts_only_the_flags_it_reads():
         for name, p in sub.choices.items() if name != "catalog"
     }
     assert got == ACCEPTED
-    assert sum(len(flags) for flags in got.values()) == 67
+    assert sum(len(flags) for flags in got.values()) == 64
 
 
 def test_flags_a_command_does_not_read_exit_2(capsys):
@@ -431,6 +440,7 @@ def test_flags_a_command_does_not_read_exit_2(capsys):
 @pytest.mark.parametrize("argv", [
     ["derive", "--algebra", "sl2", "--style", "inverse"],
     ["counterexample-bm", "--field", "prime(5,4)"],
+    ["counterexample-bm", "--u", "z^5"],
     ["verify-thm2", "--setup", "sl2-twisted-flagship", "--budget", "1"],
     ["phi-eval", "--budget", "2"],
     ["derive", "--alg", "sl2"],

@@ -354,6 +354,41 @@ def test_surjectivity_identities_budget(flagship):
     assert rep.verdict == "pass"
 
 
+def wrap_verdict(st, budget=None):
+    """(wrap-case-exercised, verdict) of the identity checks on a generic derivation."""
+    f = st.a.field
+    d = Matrix.zeros(f, st.fixed_algebra.dim, st.fixed_algebra.dim)
+    for i, b in enumerate(st.der_fixed.basis_matrices()):
+        d = d.add(b.scale(f.from_int(i + 1)))
+    rep = check_surjectivity_identities(d, st, sample_budget=budget)
+    return {e["name"]: e["pass"] for e in rep.assertions}["wrap-case-exercised"], rep.verdict
+
+
+def test_wrap_case_passes_when_a_sampled_product_wraps(flagship):
+    # sl2 under its sign involution occupies degree 1 twice: 1 + 1 >= 2
+    assert wrap_verdict(flagship) == (True, "pass")
+
+
+@pytest.mark.parametrize("budget", [1, 4])
+def test_wrap_case_fails_when_the_sample_misses_a_possible_wrap(flagship, budget):
+    assert wrap_verdict(flagship, budget) == (False, "fail")
+
+
+@pytest.mark.parametrize("field", [None, make_field("prime", m=4, p=5)], ids=["Qz3", "F5"])
+def test_wrap_case_passes_when_no_product_can_wrap(field):
+    # the identity twist puts every left degree at 0
+    st = quotient_laurent_setup(1, 3) if field is None else quotient_laurent_setup(1, 4, field)
+    assert {ia for _, ia in st.grading_a.graded_basis()} == {0}
+    assert wrap_verdict(st) == (True, "pass")
+
+
+def test_wrap_case_passes_with_period_one():
+    a, s = sl2(), dual_numbers()
+    st = Setup(a, s, check_automorphism(a, Matrix.identity(a.field, 3), 1),
+               check_automorphism(s, Matrix.identity(s.field, 2), 1))
+    assert wrap_verdict(st) == (True, "pass")
+
+
 # -- degenerate and char-p setups -------------------------------------------
 
 

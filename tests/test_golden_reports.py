@@ -1,0 +1,121 @@
+"""Every pinned command still prints the same report with the same exit code.
+
+The golden file holds, per command line, the exit code and the sha256 of its
+stdout, recorded in process. A refactor that must leave every report
+byte-identical is checked by this test; a change that alters a report on
+purpose re-records only that command:
+
+    PYTHONPATH=src python tests/test_golden_reports.py --record "counterexample-bm --json"
+
+With no command named, --record rewrites every entry.
+"""
+
+import hashlib
+import io
+import json
+import os
+import shlex
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+
+import dertensor.cli as cli
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_reports.json")
+
+# the catalog sweep pairs, as the benchmark runs them one at a time
+PAIRS = [(a, s) for a in ("sl2", "sl2-graded-variant")
+         for s in ("dual-numbers", "group-algebra(2)", "group-algebra(3)", "group-algebra(4)")]
+
+SOLVERS = (("derive", "sl2"), ("centroid", "group-algebra(3)"), ("dcentroid", "dual-numbers"))
+FIELDS = ([], ["--field", "prime(5)"], ["--field", "cyclotomic(3)"])
+
+COMMANDS = (
+    [["verify-thm1", "--budget", "25", "--json", "--algebra", a, "--s", s] for a, s in PAIRS]
+    + [["verify-lemma21", "--json", "--algebra", a, "--s", s] for a, s in PAIRS]
+    + [["verify-lemma21", "--algebra", "zero-product(2)", "--s", "dual-numbers"]]
+    + [
+        ["verify-thm2", "--setup", "sl2-twisted-flagship", "--json"],
+        ["verify-thm2", "--setup", "quotient-laurent(1,3)", "--json"],
+        ["verify-lemma35", "--setup", "sl2-twisted-flagship", "--json"],
+        ["lemma-identities", "--setup", "sl2-twisted-flagship", "--json"],
+        ["phi-eval", "--setup", "sl2-twisted-flagship", "--json"],
+        ["phi-eval", "--setup", "quotient-laurent(1,4)", "--field", "prime(5,4)", "--json"],
+        ["bm-eval", "--setup", "sl2-twisted-flagship", "--json"],
+        ["phi-eval", "--json"],
+        ["phi-eval", "--setup", "last-exa-ii", "--m", "24", "--json"],
+        ["phi-eval", "--setup", "last-exa-ii", "--m", "32", "--json"],
+        ["counterexample-bm", "--json"],
+    ]
+    + [[cmd, "--algebra", alg] + fld + js for cmd, alg in SOLVERS for fld in FIELDS
+       for js in ([], ["--json"])]
+    + [
+        ["verify-thm2", "--setup", "quotient-laurent(1,4)", "--field", "prime(5,4)", "--json"],
+        ["bm-eval", "--setup", "quotient-laurent(1,3)", "--json"],
+        ["phi-eval", "--setup", "last-exa-ii", "--m", "12"],
+        ["bm-eval", "--json"],
+        ["bm-eval", "--setup", "last-exa-i"],
+        ["counterexample-bm"],
+        ["lemma-identities", "--setup", "sl2-twisted-flagship", "--budget", "1", "--json"],
+        ["lemma-identities", "--setup", "sl2-twisted-flagship", "--budget", "4", "--json"],
+        # the identity twist: no product of left degrees can wrap
+        ["lemma-identities", "--setup", "quotient-laurent(1,3)", "--json"],
+        ["lemma-identities", "--setup", "quotient-laurent(1,4)", "--field", "prime(5,4)",
+         "--json"],
+        # the published-formula scene pins values of the paper's example only
+        ["counterexample-bm", "--u", "z^5", "--json"],
+        ["counterexample-bm", "--style", "inverse", "--u", "z^-1", "--json"],
+        ["bm-eval", "--u", "z"],
+    ]
+)
+
+
+def run_report(argv):
+    """(exit code, stdout) of one in-process CLI run; stderr is dropped."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = cli.run(list(argv))
+    return code, out.getvalue()
+
+
+def record_of(argv):
+    code, out = run_report(argv)
+    return {"argv": list(argv), "rc": code,
+            "sha256": hashlib.sha256(out.encode()).hexdigest()}
+
+
+def load_golden():
+    with open(GOLDEN) as fh:
+        return json.load(fh)
+
+
+def test_golden_file_covers_every_command():
+    assert [e["argv"] for e in load_golden()] == COMMANDS
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=shlex.join)
+def test_report_matches_golden(argv):
+    want = next(e for e in load_golden() if e["argv"] == argv)
+    assert record_of(argv) == want
+
+
+def record(only=()):
+    """Rewrite the golden file; with `only`, just those command lines."""
+    old = {}
+    if only and os.path.exists(GOLDEN):
+        old = {shlex.join(e["argv"]): e for e in load_golden()}
+    entries = []
+    for argv in COMMANDS:
+        key = shlex.join(argv)
+        entries.append(old[key] if only and key not in only and key in old
+                       else record_of(argv))
+    with open(GOLDEN, "w") as fh:
+        json.dump(entries, fh, indent=1)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] != ["--record"]:
+        raise SystemExit(__doc__)
+    record({shlex.join(shlex.split(c)) for c in sys.argv[2:]})

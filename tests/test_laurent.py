@@ -10,7 +10,7 @@ degree-zero part pointwise.
 import pytest
 
 from dertensor.catalog import group_algebra, sl2, sl2_sign_automorphism, sl2_twisted_flagship
-from dertensor.decomposition import extend_phi
+from dertensor.decomposition import bm_formula_extend, extend_phi
 from dertensor.errors import (
     FieldMismatch,
     HypothesisNotMet,
@@ -26,13 +26,12 @@ from dertensor.laurent import (
     LaurentDerivation,
     LaurentElement,
     LoopElement,
+    LoopQuotient,
     graded_component,
     loop_bm_eval,
     loop_phi_eval,
     parse_laurent,
-    parse_loop,
     phi_argument_list,
-    quotient_to_finite,
 )
 from dertensor.scalars import make_field
 
@@ -320,14 +319,14 @@ def test_period_mismatch_rejected(scalar_line):
 
 def test_quotient_reduces_exponents():
     a = group_algebra(1, Q)
-    qmap = quotient_to_finite(a, 4)
-    got = qmap.apply_laurent(zmon(5))
+    qmap = LoopQuotient(a, 4)
+    got = qmap.apply(unit_line(a, 5))
     assert got == [Q.zero(), Q.one(), Q.zero(), Q.zero()]
 
 
 def test_quotient_is_multiplicative_on_samples():
     a = sl2(Q)
-    qmap = quotient_to_finite(a, 4)
+    qmap = LoopQuotient(a, 4)
     x = LoopElement.term(a, a.basis_vector(0), 3)
     y = LoopElement.term(a, a.basis_vector(2), 6)
     assert qmap.apply(x.mul(y)) == qmap.ts.mult(qmap.apply(x), qmap.apply(y))
@@ -335,32 +334,38 @@ def test_quotient_is_multiplicative_on_samples():
 
 def test_quotient_carrier_matches_flagship_setup():
     setup = sl2_twisted_flagship()
-    qmap = quotient_to_finite(sl2(Q), 4)
+    qmap = LoopQuotient(sl2(Q), 4)
+    line = LoopQuotient(group_algebra(1, Q), 4)
     assert qmap.ts.table == setup.ts.table
     assert qmap.ts.names == setup.ts.names
     # grading style carries through: the loop class of z^n is the residue
     # the finite grading assigns to its reduction
     for n in range(-4, 8):
-        vec = qmap.apply_laurent(zmon(n))
+        vec = line.apply(unit_line(line.a, n))
         assert setup.grading_s.degree_of(vec) == graded_component(n, 2, FORWARD)
 
 
-def test_windowed_square_with_inner_carrier_derivation():
-    """Loop evaluation then reduction equals the finite extension.
+@pytest.fixture(scope="module")
+def ad_h_on_flagship():
+    """Bracketing with h (x) 1 on both carriers of the flagship (unit z, q = 1).
 
-    The derivation is bracketing with h (x) 1: it fixes the degree-zero
-    part, and it descends along exponent reduction, unlike a coefficient
-    derivation p(z) d/dz whose value on z^T - 1 is not zero.
+    It fixes the degree-zero part, and it descends along exponent reduction,
+    unlike a coefficient derivation p(z) d/dz whose value on z^T - 1 is not
+    zero. Yields the finite setup, its fixed-point matrix and, per loop
+    target, the table derivation over every argument an evaluation asks for.
     """
     f = Q
     a = sl2(f)
     setup = sl2_twisted_flagship()
-    qmap = quotient_to_finite(a, 4)
     aut = sl2_sign_automorphism(a)
     h = a.basis_vector(1)
 
     def ad_h(x):
-        return x.coefficient_map(lambda v: a.mult(h, v))
+        return LoopElement(a, {e: a.mult(h, list(v)) for e, v in x.support.items()})
+
+    def loop_spec(tgt):
+        args = phi_argument_list(a, aut, 2, FORWARD, zmon(1), tgt)
+        return FixedDerivationSpec.table([(x, ad_h(x)) for x in args])
 
     # finite side: the same bracketing in fixed-point coordinates
     kdim = setup.fixed_algebra.dim
@@ -371,15 +376,28 @@ def test_windowed_square_with_inner_carrier_derivation():
                                                   for j in range(kdim)]))
         cols.append(setup.fixed_coords(img))
     dmat = Matrix(f, [[cols[j][i] for j in range(kdim)] for i in range(kdim)], kdim)
-    big = extend_phi(dmat, setup)
+    return a, aut, setup, dmat, loop_spec
 
+
+def assert_carriers_agree(ad_h_on_flagship, finite, loop):
+    """Loop evaluation then reduction equals the finite formula on b (x) z^e, |e| <= 3."""
+    a, aut, setup, dmat, loop_spec = ad_h_on_flagship
+    assert setup.unit_data.q == 1
+    qmap = LoopQuotient(a, 4)
+    big = finite(dmat, setup)
     for bidx in range(3):
         for exp in range(-3, 4):
             tgt = LoopElement.term(a, a.basis_vector(bidx), exp)
-            args = phi_argument_list(a, aut, 2, FORWARD, zmon(1), tgt)
-            d = FixedDerivationSpec.table([(x, ad_h(x)) for x in args])
-            loop_img = loop_phi_eval(a, aut, 2, FORWARD, zmon(1), d, tgt)
+            loop_img = loop(a, aut, 2, FORWARD, zmon(1), loop_spec(tgt), tgt)
             assert qmap.apply(loop_img) == big.matvec(qmap.apply(tgt))
+
+
+def test_windowed_square_with_inner_carrier_derivation(ad_h_on_flagship):
+    assert_carriers_agree(ad_h_on_flagship, extend_phi, loop_phi_eval)
+
+
+def test_published_formula_agrees_across_carriers(ad_h_on_flagship):
+    assert_carriers_agree(ad_h_on_flagship, bm_formula_extend, loop_bm_eval)
 
 
 # -- literals ---------------------------------------------------------------
@@ -405,17 +423,3 @@ def test_parse_laurent_rejects_garbage():
         parse_laurent("z^x", Q)
     with pytest.raises(ParseError):
         parse_laurent("(z", Q)
-
-
-def test_parse_loop_terms():
-    a = sl2(Q)
-    x = parse_loop("e*(z^2 - z^-2) + h - f*(2*z)", a)
-    want = (LoopElement.from_pair(a, a.basis_vector(0), zmon(2).sub(zmon(-2)))
-            .add(LoopElement.term(a, a.basis_vector(1), 0))
-            .sub(LoopElement.term(a, a.basis_vector(2), 1).scale(Q.from_int(2))))
-    assert x == want
-
-
-def test_parse_loop_rejects_unknown_name():
-    with pytest.raises(ParseError):
-        parse_loop("g*(z)", sl2(Q))
