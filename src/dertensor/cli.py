@@ -338,8 +338,7 @@ def cmd_fixed(args) -> int:
 # claim verifiers
 
 
-def _split_sample_assertion(rep, a, s, prefix, samples):
-    ts = tensor_product(a, s)
+def _split_sample_assertion(rep, a, s, ts, prefix, samples):
     der = derivation_space(ts)
     rng = random.Random(SPLIT_SEED)
     f = a.field
@@ -373,17 +372,18 @@ def cmd_verify_thm1(args) -> int:
     samples = args.budget if args.budget else 25
     pair = _pair_or_sweep(args, f)
     if pair:
-        rep = verify_block_decomposition(*pair)
-        _split_sample_assertion(rep, *pair, "", samples)
+        ts = tensor_product(*pair)
+        rep = verify_block_decomposition(*pair, ts)
+        _split_sample_assertion(rep, *pair, ts, "", samples)
         return _emit(rep, args)
     rep = VerificationReport("theorem-1")
     for aname, sname in DEFAULT_PAIRS:
         a = catalog_algebra(aname, f)
         s = catalog_algebra(sname, f)
         prefix = f"{aname} x {sname}"
-        sub = verify_block_decomposition(a, s)
-        _merge(rep, sub, prefix)
-        _split_sample_assertion(rep, a, s, prefix, samples)
+        ts = tensor_product(a, s)
+        _merge(rep, verify_block_decomposition(a, s, ts), prefix)
+        _split_sample_assertion(rep, a, s, ts, prefix, samples)
     return _emit(rep, args)
 
 

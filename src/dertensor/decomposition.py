@@ -380,7 +380,7 @@ def verify_psi_lemma(a: Algebra, s: Algebra) -> VerificationReport:
     return rep
 
 
-def verify_block_decomposition(a: Algebra, s: Algebra) -> VerificationReport:
+def verify_block_decomposition(a: Algebra, s: Algebra, ts: Algebra | None = None) -> VerificationReport:
     """D(A tensor S) = D(A) tensor S (+) C(A) tensor D(S), both sides computed."""
     rep = VerificationReport("theorem-1")
     if not a.is_perfect():
@@ -388,7 +388,7 @@ def verify_block_decomposition(a: Algebra, s: Algebra) -> VerificationReport:
     rep.hyp("perfect-A")
     require_scalar_hypotheses(s)
     rep.hyp("scalar-S")
-    ts = tensor_product(a, s)
+    ts = ts if ts is not None else tensor_product(a, s)
     psi = psi_map(a, s, ts)
     if not psi.bijective:
         raise PsiNotIso("centroid tensor map is not bijective")

@@ -277,11 +277,17 @@ def _cancel_int(d, prow, x):
 
 
 def _integer_row(row):
-    # Fraction pairs times the lcm of their denominators
+    # rational pairs times the lcm of their denominators; int rows pass as they are
+    if all(x.__class__ is int for _, x in row):
+        return row
     den = lcm(*(x.denominator for _, x in row))
-    if den == 1:
-        return tuple((j, x.numerator) for j, x in row)
     return tuple((j, x.numerator * (den // x.denominator)) for j, x in row)
+
+
+def _quotient(x, a):
+    # x / a for ints, a > 0, as a canonical raw rational (see scalars)
+    q, r = divmod(x, a)
+    return Fraction(x, a) if r else q
 
 
 def _eliminate_rational(rows):
@@ -290,7 +296,7 @@ def _eliminate_rational(rows):
     out = []
     for row in red:
         a = row[0][1]
-        out.append(tuple((j, Fraction(x, a)) for j, x in row))
+        out.append(row if a == 1 else tuple((j, _quotient(x, a)) for j, x in row))
     return out, pivots
 
 

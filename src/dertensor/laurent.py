@@ -5,10 +5,9 @@ formula can be compared as a matrix. The examples that separate the two
 extension formulas need k[z^{+-1}] itself: no power of z collapses, so a
 failed Leibniz identity cannot hide behind a quotient relation. This
 module represents Laurent polynomials and loop elements a (x) z^n as
-finite sparse maps, evaluates both extension formulas term by term (the
+finite sparse maps and evaluates both extension formulas term by term (the
 formulas are written once, in decomposition, against a carrier that this
-module supplies for loop elements), and reduces results onto the finite
-quotient for cross-checking.
+module supplies for loop elements).
 
 Derivations of the Laurent algebra appear only in the form p(z) d/dz;
 every derivation of k[z^{+-1}] has this shape, and nothing here ever
@@ -74,9 +73,6 @@ class LaurentElement:
     def terms(self):
         return sorted(self.support.items())
 
-    def is_zero(self) -> bool:
-        return not self.support
-
     def add(self, other: "LaurentElement") -> "LaurentElement":
         self._check(other)
         f = self.field
@@ -84,17 +80,6 @@ class LaurentElement:
         for e, c in other.support.items():
             out[e] = f.add(out.get(e, f.zero()), c)
         return LaurentElement(f, out)
-
-    def neg(self) -> "LaurentElement":
-        f = self.field
-        return LaurentElement(f, {e: f.neg(c) for e, c in self.support.items()})
-
-    def sub(self, other: "LaurentElement") -> "LaurentElement":
-        return self.add(other.neg())
-
-    def scale(self, c) -> "LaurentElement":
-        f = self.field
-        return LaurentElement(f, {e: f.mul(c, v) for e, v in self.support.items()})
 
     def mul(self, other: "LaurentElement") -> "LaurentElement":
         self._check(other)
@@ -492,52 +477,6 @@ def loop_bm_eval(a: Algebra, aut1, m: int, style: str, u: LaurentElement,
     pieces = _homogeneous_pieces(_left_grading(aut1), target, m, style)
     return c.comb((a.field.one(), _residue_shift(c, dev, avec, exp, es, 1))
                   for avec, _, exp, es in pieces)
-
-
-# ---------------------------------------------------------------------------
-# reduction onto the finite quotient
-
-
-class LoopQuotient:
-    """Exponent reduction A (x) k[z^{+-1}] -> A (x) k[z]/(z^T - 1).
-
-    The map sends a (x) z^n to a (x) z^(n mod T); it is an algebra
-    homomorphism, spot-checked on monomial samples at construction, and
-    carries a degree-m grading through whenever m divides T.
-    """
-
-    __slots__ = ("a", "period", "s", "ts")
-
-    def __init__(self, a: Algebra, period: int):
-        if period < 1:
-            raise ParseError(f"quotient order must be positive, got {period}")
-        from .algebra import tensor_product
-        from .catalog import group_algebra
-        self.a = a
-        self.period = period
-        self.s = group_algebra(period, a.field)
-        self.ts = tensor_product(a, self.s)
-        for i, j in ((1, period - 1), (2, period + 3), (-1, 2)):
-            for bi in range(min(a.dim, 2)):
-                for bj in range(min(a.dim, 2)):
-                    x = LoopElement.term(a, a.basis_vector(bi), i)
-                    y = LoopElement.term(a, a.basis_vector(bj), j)
-                    lhs = self.apply(x.mul(y))
-                    rhs = self.ts.mult(self.apply(x), self.apply(y))
-                    if lhs != rhs:
-                        raise InternalCheckFailed("exponent reduction is not multiplicative")
-
-    def apply(self, x: LoopElement) -> list:
-        """Coordinates of the image in the finite tensor algebra."""
-        f = self.a.field
-        t = self.period
-        out = [f.zero()] * (self.a.dim * t)
-        for e, v in x.support.items():
-            j = e % t
-            for r, c in enumerate(v):
-                idx = r * t + j
-                out[idx] = f.add(out[idx], c)
-        return out
 
 
 # ---------------------------------------------------------------------------

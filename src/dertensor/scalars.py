@@ -4,11 +4,19 @@ A field is described by a FieldDescriptor of kind 'rational', 'cyclotomic',
 or 'prime'. Raw values are immutable plain Python data chosen so that equal
 elements compare equal with ==:
 
-  rational    fractions.Fraction (always lowest terms, positive denominator)
-  cyclotomic  tuple of Fraction, length phi(m), coefficients of 1, z, ...,
-              z^{phi(m)-1} where z is a primitive m-th root of unity; reduced
-              modulo the m-th cyclotomic polynomial
+  rational    int when the value is integral, else fractions.Fraction (lowest
+              terms, positive denominator, denominator > 1)
+  cyclotomic  tuple of length phi(m) of such rationals, the coefficients of
+              1, z, ..., z^{phi(m)-1} where z is a primitive m-th root of
+              unity; reduced modulo the m-th cyclotomic polynomial
   prime       int in [0, p)
+
+Over Q and Q(zeta_m) nearly every value the engine meets is integral, and int
+arithmetic is many times cheaper than Fraction arithmetic. Every constructor
+and every arithmetic result is brought to this form, so a value has exactly
+one representation. An int and the equal Fraction agree in ==, hash and str,
+so a stray integral Fraction handed in by a caller is still an equal input.
+Every division goes through Fraction: int / int would give a float.
 
 The descriptor owns all arithmetic on raw values; every caller works on raw
 values directly.
@@ -125,7 +133,14 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 _RAT_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 
-def _parse_rational(text: str) -> Fraction:
+def _canon(q):
+    """The canonical raw rational: an int when q is integral, else the Fraction q."""
+    if q.__class__ is int:
+        return q
+    return q.numerator if q.denominator == 1 else q
+
+
+def _parse_rational(text: str):
     s = text.strip()
     mt = _RAT_RE.match(s)
     if not mt:
@@ -134,7 +149,7 @@ def _parse_rational(text: str) -> Fraction:
     den = int(mt.group(2)) if mt.group(2) else 1
     if den == 0:
         raise ParseError("zero denominator", text)
-    return Fraction(num, den)
+    return _canon(Fraction(num, den))
 
 
 class FieldDescriptor:
@@ -194,16 +209,17 @@ class FieldDescriptor:
 
     def from_int(self, n: int):
         if self.kind == RATIONAL:
-            return Fraction(n)
+            return n
         if self.kind == CYCLOTOMIC:
-            return (Fraction(n),) + (Fraction(0),) * (self.deg - 1)
+            return (n,) + (0,) * (self.deg - 1)
         return n % self.p
 
-    def from_fraction(self, q: Fraction):
+    def from_fraction(self, q):
+        """The image of a rational q (an int or a Fraction)."""
         if self.kind == RATIONAL:
-            return q
+            return _canon(q)
         if self.kind == CYCLOTOMIC:
-            return (q,) + (Fraction(0),) * (self.deg - 1)
+            return (_canon(q),) + (0,) * (self.deg - 1)
         # denominator inverted mod p; fails if p divides it
         den = q.denominator % self.p
         if den == 0:
@@ -212,39 +228,45 @@ class FieldDescriptor:
 
     # -- arithmetic on raw values -----------------------------------------
 
+    # Over Q an int result is already canonical; only a Fraction result can
+    # be integral and need _canon.
+
     def add(self, a, b):
         if self.kind == CYCLOTOMIC:
-            return tuple(x + y for x, y in zip(a, b))
+            return tuple([_canon(x + y) for x, y in zip(a, b)])
         if self.kind == PRIME:
             return (a + b) % self.p
-        return a + b
+        r = a + b
+        return r if r.__class__ is int else _canon(r)
 
     def sub(self, a, b):
         if self.kind == CYCLOTOMIC:
-            return tuple(x - y for x, y in zip(a, b))
+            return tuple([_canon(x - y) for x, y in zip(a, b)])
         if self.kind == PRIME:
             return (a - b) % self.p
-        return a - b
+        r = a - b
+        return r if r.__class__ is int else _canon(r)
 
     def neg(self, a):
         if self.kind == CYCLOTOMIC:
-            return tuple(-x for x in a)
+            return tuple([_canon(-x) for x in a])
         if self.kind == PRIME:
             return -a % self.p
-        return -a
+        return _canon(-a)
 
     def mul(self, a, b):
         if self.kind == CYCLOTOMIC:
             return self._cyc_mul(a, b)
         if self.kind == PRIME:
             return a * b % self.p
-        return a * b
+        r = a * b
+        return r if r.__class__ is int else _canon(r)
 
     def inv(self, a):
         if self.is_zero(a):
             raise DivisionByZero("inverse of zero")
         if self.kind == RATIONAL:
-            return 1 / a
+            return _canon(Fraction(1, a))
         if self.kind == PRIME:
             return pow(a, -1, self.p)
         return self._cyc_inv(a)
@@ -270,7 +292,8 @@ class FieldDescriptor:
 
     # -- cyclotomic internals ---------------------------------------------
 
-    def _cyc_reduce(self, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
+    def _cyc_reduce(self, coeffs: list) -> tuple:
+        # canonical tuple of coeffs reduced modulo the monic cyclotomic modulus
         d = self.deg
         mod = self.modulus
         for i in range(len(coeffs) - 1, d - 1, -1):
@@ -278,12 +301,12 @@ class FieldDescriptor:
             if c:
                 for j in range(d):
                     coeffs[i - d + j] -= c * mod[j]
-                coeffs[i] = Fraction(0)
-        return tuple(coeffs[:d]) if len(coeffs) >= d else tuple(coeffs) + (Fraction(0),) * (d - len(coeffs))
+        coeffs = [_canon(c) for c in coeffs[:d]]
+        return tuple(coeffs) + (0,) * (d - len(coeffs))
 
     def _cyc_mul(self, a, b):
         d = self.deg
-        out = [Fraction(0)] * (2 * d - 1)
+        out = [0] * (2 * d - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
@@ -293,15 +316,15 @@ class FieldDescriptor:
 
     def _cyc_inv(self, a):
         # extended Euclid in Q[x] against the cyclotomic modulus
-        r0 = [Fraction(c) for c in self.modulus]
+        r0 = list(self.modulus)
         r1 = list(a)
         while r1 and not r1[-1]:
             r1.pop()
-        s0, s1 = [], [Fraction(1)]
+        s0, s1 = [], [1]
         while True:
             if len(r1) == 1:
                 c = r1[0]
-                return self._cyc_reduce([x / c for x in s1])
+                return self._cyc_reduce([Fraction(x, c) for x in s1])
             q, rem = _poly_divmod_frac(r0, r1)
             r0, r1 = r1, rem
             s_new = _poly_sub(s0, _poly_mul(q, s1))
@@ -319,7 +342,7 @@ class FieldDescriptor:
             return self.one()
         if self.kind == RATIONAL:
             if order == 2:
-                return Fraction(-1)
+                return -1
             raise NoPrimitiveRoot(f"rationals contain no primitive root of order {order}")
         if self.m % order != 0:
             raise NoPrimitiveRoot(f"field has roots of order dividing {self.m}, not {order}")
@@ -329,13 +352,13 @@ class FieldDescriptor:
         """The distinguished primitive m-th root of unity."""
         if self._omega is None:
             if self.kind == RATIONAL:
-                self._omega = Fraction(1) if self.m == 1 else Fraction(-1)
+                self._omega = 1 if self.m == 1 else -1
             elif self.kind == CYCLOTOMIC:
                 if self.deg == 1:
                     # m in {1, 2}: the root is rational
-                    self._omega = (Fraction(1) if self.m == 1 else Fraction(-1),)
+                    self._omega = (1 if self.m == 1 else -1,)
                 else:
-                    self._omega = (Fraction(0), Fraction(1)) + (Fraction(0),) * (self.deg - 2)
+                    self._omega = (0, 1) + (0,) * (self.deg - 2)
             else:
                 self._omega = self._find_prime_root()
         return self._omega
@@ -369,7 +392,7 @@ class FieldDescriptor:
         if len(parts) > self.deg:
             raise ParseError(f"at most {self.deg} coefficients allowed", text)
         coeffs = [_parse_rational(t) for t in parts]
-        coeffs += [Fraction(0)] * (self.deg - len(coeffs))
+        coeffs += [0] * (self.deg - len(coeffs))
         return tuple(coeffs)
 
     def format(self, a) -> str:
@@ -383,10 +406,14 @@ class FieldDescriptor:
         return "[" + ",".join(str(c) for c in coeffs) + "]"
 
 
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+# Polynomials over Q for the cyclotomic inverse: ascending lists of int or
+# Fraction coefficients, canonicalised only by _cyc_reduce at the end.
+
+
+def _poly_mul(a: list, b: list) -> list:
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
@@ -394,20 +421,20 @@ def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return out
 
 
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+def _poly_sub(a: list, b: list) -> list:
     n = max(len(a), len(b))
     out = []
     for i in range(n):
-        x = a[i] if i < len(a) else Fraction(0)
-        y = b[i] if i < len(b) else Fraction(0)
+        x = a[i] if i < len(a) else 0
+        y = b[i] if i < len(b) else 0
         out.append(x - y)
     return out
 
 
-def _poly_divmod_frac(num: list[Fraction], den: list[Fraction]):
+def _poly_divmod_frac(num: list, den: list):
     num = list(num)
-    q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
-    inv_lead = 1 / den[-1]
+    q = [0] * max(1, len(num) - len(den) + 1)
+    inv_lead = Fraction(1, den[-1])
     for i in range(len(num) - 1, len(den) - 2, -1):
         c = num[i] * inv_lead
         q[i - len(den) + 1] = c

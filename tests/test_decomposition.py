@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from dertensor.algebra import tensor_product, tensor_vector
+from dertensor.algebra import Algebra, tensor_product, tensor_vector
 from dertensor.catalog import (
     diagonal_matrix,
     dual_numbers,
@@ -161,6 +161,31 @@ def test_block_decomposition_catalog(a_ctor, tag, expected):
     assert rep.verdict == "pass"
     assert rep.dimensions["D(A tensor S)"] == expected
     assert rep.dimensions["expected-total"] == expected
+
+
+def truncated_polynomials(k, f):
+    """k[x]/(x^k): basis 1, x, ..., x^(k-1); x^i x^j = x^(i+j), zero from x^k on."""
+    z, o = f.zero(), f.one()
+    names = ["1", "x"] + [f"x{i}" for i in range(2, k)]
+    table = [[[o if i + j == t else z for t in range(k)] for j in range(k)] for i in range(k)]
+    return Algebra(f, names, table)
+
+
+# dim D(S) of k[x]/(x^k): d(x) may be any multiple of x in characteristic 0
+# (k - 1), and anything at all when the characteristic divides k, since then
+# d(x^k) = k x^(k-1) d(x) vanishes (k)
+@pytest.mark.parametrize("field,k,dim_ds", [
+    (make_field("rational"), 3, 2),
+    (make_field("rational"), 4, 3),
+    (make_field("prime", p=3), 3, 3),
+    (make_field("prime", p=5), 5, 5),
+], ids=["Q-k3", "Q-k4", "F3-k3", "F5-k5"])
+def test_block_decomposition_with_derivations_on_the_right(field, k, dim_ds):
+    rep = verify_block_decomposition(sl2(field), truncated_polynomials(k, field))
+    assert rep.verdict == "pass"
+    dims = rep.dimensions
+    assert (dims["D(A)"], dims["C(A)"], dims["S"], dims["D(S)"]) == (3, 1, k, dim_ds)
+    assert dims["D(A tensor S)"] == dims["D(A)"] * dims["S"] + dims["C(A)"] * dims["D(S)"]
 
 
 def test_embed_images_have_expected_dims():

@@ -223,9 +223,16 @@ def dense_rows(red, nc):
     return [[dict(r).get(j, 0) for j in range(nc)] for r in red]
 
 
+def integer_first(values):
+    """Each rational is an int when integral and a Fraction otherwise (see scalars)."""
+    return all(type(x) is (int if Fraction(x).denominator == 1 else Fraction) for x in values)
+
+
 @settings(max_examples=150, deadline=None)
 @given(int_systems())
 @example((3, [[0, 2, 4], [0, 1, 2], [0, 0, 0], [5, 0, -1]]))
+@example((3, [[3, 6, 1], [0, 0, 2]]))
+@example((3, [[3, 6, 1]]))
 def test_sparse_rref_and_kernel_match_naive_oracle(system):
     nc, ints = system
     rows = lift(QQ, ints)
@@ -233,8 +240,10 @@ def test_sparse_rref_and_kernel_match_naive_oracle(system):
     orows, opivots = naive_rref(rows)
     assert pivots == opivots
     assert dense_rows(red, nc) == orows
+    assert integer_first(x for row in red for _, x in row)
     ker = kernel_of_rows(QQ, sparse_rows(QQ, rows), nc)
     assert [list(r) for r in ker.rows] == naive_rref(naive_nullspace(rows, nc))[0]
+    assert integer_first(x for row in ker.rows for x in row)
 
 
 @settings(max_examples=80, deadline=None)

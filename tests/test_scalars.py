@@ -237,3 +237,138 @@ def test_constants_are_shared_and_never_mutated():
             assert (f.format(f.zero()), f.format(f.one())) == frozen, r
         assert f.zero() is z and f.one() is o
         assert f.is_zero(z) and not f.is_zero(o)
+
+
+# -- integer-first raw rationals ---------------------------------------------
+#
+# Over Q, and in each coefficient over Q(zeta_m), a raw value is an int when
+# it is integral and a Fraction otherwise. The oracle below does the same
+# arithmetic in Fraction only; the two must agree in value and in format.
+
+
+def canonical(f, v):
+    """Every rational in v is an int when integral, else a Fraction; never a float."""
+    coeffs = v if f.kind == "cyclotomic" else (v,)
+    return all(type(c) is int if Fraction(c).denominator == 1 else type(c) is Fraction
+               for c in coeffs)
+
+
+def ref_mul(f, a, b):
+    if f.kind == "rational":
+        return Fraction(a) * Fraction(b)
+    d, mod = f.deg, cyclotomic_polynomial(f.m)
+    out = [Fraction(0)] * (2 * d - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += Fraction(x) * Fraction(y)
+    for i in range(2 * d - 2, d - 1, -1):
+        for j in range(d):
+            out[i - d + j] -= out[i] * mod[j]
+    return tuple(out[:d])
+
+
+def ref_inv(f, a):
+    if f.kind == "rational":
+        return 1 / Fraction(a)
+    # solve a * x = 1 by Gauss-Jordan on the matrix of multiplication by a
+    d = f.deg
+    cols = [ref_mul(f, a, tuple(Fraction(int(i == j)) for j in range(d))) for i in range(d)]
+    aug = [[cols[j][i] for j in range(d)] + [Fraction(int(i == 0))] for i in range(d)]
+    for c in range(d):
+        p = next(r for r in range(c, d) if aug[r][c])
+        aug[c], aug[p] = aug[p], aug[c]
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for r in range(d):
+            if r != c:
+                aug[r] = [x - aug[r][c] * y for x, y in zip(aug[r], aug[c])]
+    return tuple(row[d] for row in aug)
+
+
+def ref_format(f, v):
+    if f.kind == "rational":
+        return str(v)
+    coeffs = list(v)
+    while len(coeffs) > 1 and not coeffs[-1]:
+        coeffs.pop()
+    return "[" + ",".join(str(c) for c in coeffs) + "]"
+
+
+# integral values drawn often, as in the engine's systems
+rational_inputs = st.one_of(st.integers(-9, 9).map(Fraction),
+                            st.fractions(Fraction(-9), Fraction(9), max_denominator=6))
+
+
+@st.composite
+def field_operands(draw):
+    """(field, a, b, Fraction-only a, Fraction-only b); inputs canonical or not."""
+    f = draw(st.sampled_from([QQ, Z3, Z5]))
+    n = 1 if f is QQ else f.deg
+    qa = [draw(rational_inputs) for _ in range(n)]
+    qb = [draw(rational_inputs) for _ in range(n)]
+    raw = draw(st.booleans())  # hand in the Fractions themselves, integral ones too
+
+    def value(qs):
+        vs = qs if raw else [QQ.from_fraction(q) for q in qs]
+        return vs[0] if f is QQ else tuple(vs)
+
+    def ref(qs):
+        return qs[0] if f is QQ else tuple(qs)
+
+    return f, value(qa), value(qb), ref(qa), ref(qb)
+
+
+def assert_matches(f, got, want):
+    assert got == want
+    assert canonical(f, got), got
+    assert f.format(got) == ref_format(f, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=field_operands(), n=st.integers(-3, 4))
+def test_arithmetic_is_integer_first_and_agrees_with_fraction(ops, n):
+    f, a, b, ra, rb = ops
+    if f is QQ:
+        ref = {"add": ra + rb, "sub": ra - rb, "neg": -ra}
+    else:
+        ref = {"add": tuple(x + y for x, y in zip(ra, rb)),
+               "sub": tuple(x - y for x, y in zip(ra, rb)),
+               "neg": tuple(-x for x in ra)}
+    assert_matches(f, f.add(a, b), ref["add"])
+    assert_matches(f, f.sub(a, b), ref["sub"])
+    assert_matches(f, f.neg(a), ref["neg"])
+    assert_matches(f, f.mul(a, b), ref_mul(f, ra, rb))
+    if f.is_zero(a):
+        with pytest.raises(DivisionByZero):
+            f.inv(a)
+        return
+    assert_matches(f, f.inv(a), ref_inv(f, ra))
+    base = ra if n >= 0 else ref_inv(f, ra)
+    want = Fraction(1) if f is QQ else (Fraction(1),) + (Fraction(0),) * (f.deg - 1)
+    for _ in range(abs(n)):
+        want = ref_mul(f, want, base)
+    assert_matches(f, f.pow(a, n), want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=rational_inputs, k=st.integers(1, 4), plus=st.booleans())
+def test_embedding_and_parsing_are_integer_first(q, k, plus):
+    # a literal need not be in lowest terms
+    num, den = q.numerator * k, q.denominator * k
+    lit = ("+" if plus and num >= 0 else "") + (f"{num}/{den}" if den != 1 else f"{num}")
+    for f in (QQ, Z3, Z5):
+        def embedded(x):
+            return Fraction(x) if f is QQ else (Fraction(x),) + (Fraction(0),) * (f.deg - 1)
+
+        assert_matches(f, f.from_fraction(q), embedded(q))
+        if q.denominator == 1:
+            assert_matches(f, f.from_fraction(q.numerator), embedded(q))
+        assert_matches(f, f.parse(lit if f is QQ else f"[{lit},0]"), embedded(q))
+        assert_matches(f, f.from_int(num), embedded(num))
+
+
+def test_constants_are_integer_first():
+    for f in (QQ, Z3, Z4, Z5, make_field("cyclotomic", m=2)):
+        roots = [f.root_of_unity(k) for k in range(1, f.m + 1) if f.m % k == 0]
+        for v in [f.zero(), f.one(), f.omega()] + roots:
+            assert canonical(f, v), (f, v)
+    assert canonical(QQ, QQ.root_of_unity(2))

@@ -1,12 +1,14 @@
 """Work-counter regressions: repeated self-check work must stay removed.
 
 These tests count calls; they time nothing. Each pins one saving: a left
-grading is built once per automorphism, and the split of a tensor
-derivation checks its two summand spaces direct once per tensor algebra,
-not once per sample.
+grading is built once per automorphism, the split of a tensor derivation
+checks its two summand spaces direct once per tensor algebra, not once per
+sample, and verify-thm1 builds each tensor algebra A (x) S once.
 """
 
-from dertensor import cli
+import pytest
+
+from dertensor import algebra, cli, decomposition, invariants
 from dertensor.catalog import diagonal_matrix, sl2
 from dertensor.exactla import Matrix, Subspace
 from dertensor.gradings import Grading, check_automorphism
@@ -49,6 +51,31 @@ def _overlap_checks(monkeypatch, capsys, budget):
 
 def test_split_overlap_check_does_not_grow_with_the_budget(monkeypatch, capsys):
     assert _overlap_checks(monkeypatch, capsys, 5) == _overlap_checks(monkeypatch, capsys, 25)
+
+
+@pytest.mark.parametrize("pair", [["--algebra", "sl2", "--s", "group-algebra(3)"], []],
+                         ids=["pair", "sweep"])
+def test_verify_thm1_builds_each_tensor_algebra_once(monkeypatch, capsys, pair):
+    built, assembled = [], []
+    tensor_product, leibniz_rows = algebra.tensor_product, invariants._leibniz_rows
+
+    def counted_product(a, s):
+        ts = tensor_product(a, s)
+        built.append(ts)
+        return ts
+
+    def counted_rows(a):
+        assembled.append(a)
+        return leibniz_rows(a)
+
+    for mod in (algebra, cli, decomposition, invariants):
+        monkeypatch.setattr(mod, "tensor_product", counted_product)
+    monkeypatch.setattr(invariants, "_leibniz_rows", counted_rows)
+    assert cli.run(["verify-thm1", "--budget", "3", "--json"] + pair) == 0
+    capsys.readouterr()
+    assert len(built) == (1 if pair else len(cli.DEFAULT_PAIRS))
+    # D(A (x) S), the S-module derivations and those vanishing on A (x) 1
+    assert [sum(x is ts for x in assembled) for ts in built] == [3] * len(built)
 
 
 def test_left_gradings_are_never_shared_between_automorphisms():
