@@ -188,6 +188,13 @@ def test_block_decomposition_with_derivations_on_the_right(field, k, dim_ds):
     assert dims["D(A tensor S)"] == dims["D(A)"] * dims["S"] + dims["C(A)"] * dims["D(S)"]
 
 
+def test_block_decomposition_refuses_sl2_in_characteristic_two():
+    # [e, f] = h, but [h, e] = 2e and [h, f] = -2f vanish: sl2 is not perfect
+    f = make_field("prime", p=2)
+    with pytest.raises(NotPerfect):
+        verify_block_decomposition(sl2(f), truncated_polynomials(2, f))
+
+
 def test_embed_images_have_expected_dims():
     a, s = sl2(), dual_numbers()
     img1, img2 = embed_tensor_derivations(a, s)
