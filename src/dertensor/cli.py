@@ -63,7 +63,7 @@ from .laurent import (
 )
 from .scalars import make_field
 
-SIZE_GUARD = 40
+SIZE_GUARD = 90
 SPLIT_SEED = 20260822
 
 # the pairs swept by the no-argument block-decomposition commands

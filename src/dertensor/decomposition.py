@@ -331,8 +331,8 @@ def embed_tensor_derivations(a: Algebra, s: Algebra, ts: Algebra | None = None):
 
     Every generator is checked against the derivation law directly. Closure
     of the span under commutators is not checked here: the span lies in
-    D(A tensor S), which derivation_space checks closed, and the theorem-1
-    report checks that the span is all of it.
+    D(A tensor S), the certified kernel of all derivations, which is closed,
+    and the theorem-1 report checks that the span is all of it.
     """
     ts = ts or tensor_product(a, s)
     if not a.is_perfect():

@@ -14,11 +14,12 @@ matrix.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import DimensionMismatch, FieldMismatch, NotInDomain, SingularElement
-from .scalars import PRIME, RATIONAL, FieldDescriptor
+from .errors import DimensionMismatch, FieldMismatch, InternalCheckFailed, NotInDomain, SingularElement
+from .scalars import CYCLOTOMIC, PRIME, RATIONAL, FieldDescriptor, make_field
 
 
 class Matrix:
@@ -159,9 +160,6 @@ class Matrix:
             raise DimensionMismatch(f"{len(flat)} entries for {nrows}x{ncols}")
         return cls(field, [list(flat[i * ncols : (i + 1) * ncols]) for i in range(nrows)], ncols)
 
-    def commutator(self, other: "Matrix") -> "Matrix":
-        return self.mul(other).sub(other.mul(self))
-
 
 # -- vectors (plain lists of raw values) -----------------------------------
 
@@ -207,22 +205,24 @@ def _dense(field, ncols, row) -> tuple:
 
 
 def _eliminate(rows, normal, cancel):
-    """Canonical RREF of sparse rows: (rows, pivot columns), rows in normal form.
+    """Canonical RREF of sparse rows: (rows, pivot columns, sources).
 
     A leftmost-pivot forward pass brings each new row to a leading column no
     pivot row owns, then a back-substitution from the right clears every
     other pivot column. cancel(d, prow, x) removes the entry x that the dict
-    row d has at the leading column of prow, using prow.
+    row d has at the leading column of prow, using prow. Rows come out in
+    normal form; sources[i] indexes the input row that became pivot row i.
     """
     seen = set()
     piv = {}  # leading column -> pivot row
-    for row in rows:
-        if not row:
+    src = {}  # leading column -> index of the input row it came from
+    for i, row in enumerate(rows):
+        if not row or row in seen:
             continue
-        row = normal(row)
-        if row in seen:
+        row, raw = normal(row), row
+        if row in seen:  # tested before raw joins seen, as raw may be normal already
             continue
-        seen.add(row)
+        seen.update((raw, row))
         lead = row[0][0]
         if lead in piv:
             d = dict(row)
@@ -235,6 +235,7 @@ def _eliminate(rows, normal, cancel):
                 continue
             row = normal(tuple(sorted(d.items())))
         piv[lead] = row
+        src[lead] = i
     pivots = sorted(piv)
     red = {}
     for c in reversed(pivots):
@@ -246,7 +247,7 @@ def _eliminate(rows, normal, cancel):
                 cancel(d, red[j], d[j])
             row = normal(tuple(sorted(d.items())))
         red[c] = row
-    return [red[c] for c in pivots], pivots
+    return [red[c] for c in pivots], pivots, [src[c] for c in pivots]
 
 
 def _primitive(row):
@@ -292,12 +293,12 @@ def _quotient(x, a):
 
 def _eliminate_rational(rows):
     """Fraction-free elimination over Z; the RREF over Q."""
-    red, pivots = _eliminate(map(_integer_row, rows), _primitive, _cancel_int)
+    red, pivots, sources = _eliminate(map(_integer_row, rows), _primitive, _cancel_int)
     out = []
     for row in red:
         a = row[0][1]
         out.append(row if a == 1 else tuple((j, _quotient(x, a)) for j, x in row))
-    return out, pivots
+    return out, pivots, sources
 
 
 def _eliminate_prime(rows, p):
@@ -344,6 +345,23 @@ def _eliminate_generic(field, rows):
     return _eliminate(rows, normal, cancel)
 
 
+def _rational_rows(field, rows):
+    """The rows if every entry lies in Q, as rational rows; else None."""
+    if field.kind == RATIONAL:
+        return rows
+    if field.kind == CYCLOTOMIC and all(not any(x[1:]) for row in rows for _, x in row):
+        return [tuple((j, x[0]) for j, x in row) for row in rows]
+
+
+class _Echelon(tuple):
+    """The pair (rows, pivots), with .sources: the input row behind each pivot row."""
+
+    def __new__(cls, rows, pivots, sources):
+        self = tuple.__new__(cls, (rows, pivots))
+        self.sources = sources
+        return self
+
+
 def rref_rows(field, rows, ncols):
     """Canonical RREF of a list of sparse rows; returns (rows, pivot columns).
 
@@ -351,18 +369,18 @@ def rref_rows(field, rows, ncols):
     equal to one; zero, duplicated and rescaled rows leave no trace. This is
     the unique RREF of the row space. A cyclotomic system whose entries all
     lie in Q is solved over Q and embedded: the RREF over Q is also the RREF
-    over the extension.
+    over the extension. The pair also carries `sources` (see _Echelon).
     """
     if field.kind == RATIONAL:
-        return _eliminate_rational(rows)
+        return _Echelon(*_eliminate_rational(rows))
     if field.kind == PRIME:
-        return _eliminate_prime(rows, field.p)
+        return _Echelon(*_eliminate_prime(rows, field.p))
     rows = list(rows)
-    if all(not any(x[1:]) for row in rows for _, x in row):
-        red, pivots = _eliminate_rational([tuple((j, x[0]) for j, x in row) for row in rows])
-        emb = field.from_fraction
-        return [tuple((j, emb(x)) for j, x in row) for row in red], pivots
-    return _eliminate_generic(field, rows)
+    rat = _rational_rows(field, rows)
+    if rat is None:
+        return _Echelon(*_eliminate_generic(field, rows))
+    red, pivots, sources = _eliminate_rational(rat)
+    return _Echelon([tuple((j, field.from_fraction(x)) for j, x in row) for row in red], pivots, sources)
 
 
 def rref(matrix: Matrix):
@@ -403,10 +421,6 @@ class Subspace:
         """The span of sparse rows (see rref_rows)."""
         red, pivots = rref_rows(field, rows, ambient)
         return cls(field, ambient, red, pivots)
-
-    @classmethod
-    def zero(cls, field, ambient: int) -> "Subspace":
-        return cls(field, ambient, [], [])
 
     @property
     def dim(self) -> int:
@@ -471,31 +485,94 @@ class Subspace:
         return Subspace.from_rows(self.field, self.ambient, self._sparse + other._sparse)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Kernel of the stacked-basis system, mapped back into the ambient."""
+        """The x in self that other's reduction (see reduce) leaves zero."""
         self._compat(other)
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.field, self.ambient)
-        f = self.field
-        k, l = self.dim, other.dim
-        cols = []
-        for i in range(self.ambient):
-            row = [self.rows[a][i] for a in range(k)] + [f.neg(other.rows[b][i]) for b in range(l)]
-            cols.append(row)
-        ker = kernel_of_rows(f, sparse_rows(f, cols), k + l)
-        vecs = [self.linear_combination(list(kv[:k])) for kv in ker.rows]
-        return Subspace.from_vectors(f, self.ambient, vecs)
+        f, at, piv = self.field, _by_column(other._sparse), set(other.pivots)
+        rows = [[(c, f.one())] + [(other.pivots[k], f.neg(b)) for k, b in at.get(c, ())]
+                for c in range(self.ambient) if c not in piv]
+        return self.cut(rows, "intersection")
+
+    def cut(self, rows, tag: str) -> "Subspace":
+        """{x in self : r x = 0 for each sparse row r}, solved on this space's
+        coordinates (a row on the pivot columns alone reads them directly).
+        The lift of an RREF basis through this RREF basis is in RREF too."""
+        f, at = self.field, _by_column(self._sparse)
+        small = kernel_of_rows(f, [_combine(f, row, at) for row in rows], self.dim, tag)
+        lifted = [_combine(f, v, dict(enumerate(self._sparse))) for v in small._sparse]
+        return Subspace(f, self.ambient, lifted, [self.pivots[k] for k in small.pivots])
 
 
-def kernel_of_rows(field, rows, ncols) -> Subspace:
-    """Right kernel {x : M x = 0} of the system whose sparse rows are given."""
-    red, pivots = rref_rows(field, rows, ncols)
-    pivset = set(pivots)
-    one = field.one()
-    basis = {j: [] for j in range(ncols) if j not in pivset}
-    for prow, pc in zip(red, pivots):
-        for j, x in prow[1:]:
-            basis[j].append((pc, field.neg(x)))
-    return Subspace.from_rows(field, ncols, [tuple(v) + ((j, one),) for j, v in basis.items()])
+def _by_column(rows) -> dict:
+    """Column c -> the (k, entry) pairs of every sparse row k nonzero at c."""
+    at = {}
+    for k, row in enumerate(rows):
+        for c, x in row:
+            at.setdefault(c, []).append((k, x))
+    return at
+
+
+def _combine(field, pairs, at) -> tuple:
+    """The sparse sum of x * at[i] over the pairs (i, x); at maps i to sparse pairs."""
+    add, mul = field.add, field.mul
+    acc = {}
+    for i, x in pairs:
+        for k, b in at.get(i, ()):
+            acc[k] = add(acc[k], mul(x, b)) if k in acc else mul(x, b)
+    return tuple(sorted((k, v) for k, v in acc.items() if field.nonzero(v)))
+
+
+def kernel_of_rows(field, rows, ncols, tag="kernel") -> Subspace:
+    """Right kernel {x : M x = 0} of the system whose sparse rows are given,
+    certified (see _certify). A rational system over Q(zeta_m) is solved and
+    certified over Q, then embedded (see rref_rows)."""
+    rows = list(rows)
+    rat = _rational_rows(field, rows) if field.kind == CYCLOTOMIC else None
+    if rat is not None:
+        ker, emb = kernel_of_rows(_QQ, rat, ncols, tag), field.from_fraction
+        return Subspace(field, ncols, [tuple((j, emb(x)) for j, x in r) for r in ker._sparse], ker.pivots)
+    red, pivots = ech = rref_rows(field, rows, ncols)
+    # free column j: 1 at j, minus the RREF entry at column j on each pivot column
+    at, pivset, one = _by_column(red), set(pivots), field.one()
+    ker = Subspace.from_rows(field, ncols, [
+        tuple((pivots[k], field.neg(x)) for k, x in at.get(j, ())) + ((j, one),)
+        for j in range(ncols) if j not in pivset])
+    _certify(field, rows, ker, ncols - len(pivots), ech.sources, tag)
+    return ker
+
+
+_QQ = make_field("rational")
+_PRIMES = (2147483647, 2147483629, 2147483587)  # the three largest primes below 2^31
+
+
+def _certify(field, rows, ker, nullity, sources, tag):
+    """InternalCheckFailed, naming tag and a witness, unless ker = {x : M x = 0}.
+
+    Residual: each RREF basis vector of ker annihilates each input row. Over
+    Q, completeness: the input rows behind the r pivots of M's RREF (sources)
+    have rank r mod one of three primes, so rank M >= r and dim {x : M x = 0}
+    <= nullity = ncols - r. Last, dim ker = nullity."""
+    p = field.p if field.kind == PRIME else 0
+    # raw values over Q and F_p are ints and Fractions, whose own arithmetic is exact and cheaper
+    add, mul, nz = ((field.add, field.mul, field.nonzero) if field.kind == CYCLOTOMIC
+                    else (operator.add, operator.mul, (lambda v: v % p) if p else bool))
+    get = _by_column(ker._sparse).get
+    for i, row in enumerate(rows):
+        acc = {}
+        for c, x in row:
+            for k, b in get(c, ()):
+                acc[k] = add(acc[k], mul(x, b)) if k in acc else mul(x, b)
+        if acc and any(map(nz, acc.values())):
+            k = min(k for k, v in acc.items() if nz(v))
+            raise InternalCheckFailed(f"kernel {tag!r}: basis vector {k} leaves residual "
+                                      f"{nz(acc[k]) if p else acc[k]} on input row {i}")
+    ints = [_integer_row(rows[i]) for i in sources] if field.kind == RATIONAL else ()
+    ranks = (len(_eliminate_prime([tuple((j, x % q) for j, x in r if x % q) for r in ints], q)[1])
+             for q in _PRIMES)
+    if ints and all(r < len(ints) for r in ranks):  # stops at the first prime of full rank
+        raise InternalCheckFailed(f"kernel {tag!r}: the {len(ints)} input rows behind the pivots "
+                                  f"are dependent mod each of {_PRIMES}")
+    if ker.dim != nullity or len({row[0][0] for row in ker._sparse}) != nullity:
+        raise InternalCheckFailed(f"kernel {tag!r}: {ker.dim} basis vectors for nullity {nullity}")
 
 
 def solve_unique(matrix: Matrix, rhs: list) -> list:

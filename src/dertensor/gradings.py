@@ -11,8 +11,8 @@ Residue arithmetic goes through eps(), which picks the representative in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iter_product
+from types import SimpleNamespace
 
 from .algebra import Algebra, invert_element, subalgebra_on
 from .errors import (
@@ -89,7 +89,7 @@ def check_automorphism(algebra: Algebra, matrix: Matrix, period: int) -> Automor
 class Grading:
     """A direct-sum decomposition indexed by residues mod m."""
 
-    __slots__ = ("m", "ambient", "components", "_projections")
+    __slots__ = ("m", "ambient", "components", "_projections", "_parts")
 
     def __init__(self, m: int, ambient: int, components: list[Subspace]):
         if len(components) != m:
@@ -98,6 +98,7 @@ class Grading:
         self.ambient = ambient
         self.components = list(components)
         self._projections = None
+        self._parts = None
 
     @property
     def component_dims(self) -> tuple[int, ...]:
@@ -124,32 +125,28 @@ class Grading:
         return None
 
     def projections(self, field) -> list[Matrix]:
-        """Projection matrices onto each component (cached)."""
+        """Projection matrices onto each component (cached): component i's basis
+        columns times their rows of Q^-1, Q holding every basis as columns."""
         if self._projections is None:
             if sum(c.dim for c in self.components) != self.ambient:
                 raise InternalCheckFailed("projections need components spanning the ambient space")
-            cols = []
-            owner = []
-            for i, comp in enumerate(self.components):
-                for row in comp.rows:
-                    cols.append(list(row))
-                    owner.append(i)
-            q = Matrix(field, [[cols[j][r] for j in range(len(cols))] for r in range(self.ambient)], len(cols))
-            qinv = invert_matrix(q)
-            z = field.zero()
-            projs = []
-            for i in range(self.m):
-                sel = Matrix(
-                    field,
-                    [
-                        [field.one() if (r == c and owner[r] == i) else z for c in range(len(cols))]
-                        for r in range(len(cols))
-                    ],
-                    len(cols),
-                )
-                projs.append(q.mul(sel).mul(qinv))
+            n = self.ambient
+            q = [list(r) for r in zip(*(v for c in self.components for v in c.rows))]
+            qinv = invert_matrix(Matrix(field, q, n))
+            projs, start = [], 0
+            for comp in self.components:
+                cols = Matrix(field, [list(r) for r in zip(*comp.rows)] if comp.dim else [[]] * n, comp.dim)
+                projs.append(cols.mul(Matrix(field, qinv.rows[start:start + comp.dim], n)))
+                start += comp.dim
             self._projections = projs
         return self._projections
+
+    def basis_parts(self, field) -> list[dict]:
+        """Per residue, i -> column i of its projection as a sparse row, where nonzero (cached)."""
+        if self._parts is None:
+            self._parts = [{i: c for i, c in enumerate(sparse_rows(field, zip(*p.rows))) if c}
+                           for p in self.projections(field)]
+        return self._parts
 
     def __repr__(self):
         return f"Grading(mod {self.m}, dims {self.component_dims})"
@@ -168,7 +165,7 @@ def grading_from_automorphism(aut: Automorphism) -> Grading:
             [f.sub(aut.matrix.rows[r][c], w if r == c else f.zero()) for c in range(n)]
             for r in range(n)
         ]
-        comps.append(kernel_of_rows(f, sparse_rows(f, rows), n))
+        comps.append(kernel_of_rows(f, sparse_rows(f, rows), n, f"eigenspace-{i}"))
     if sum(c.dim for c in comps) != n:
         raise InternalCheckFailed("eigenspaces do not fill the algebra")
     g = Grading(aut.period, n, comps)
@@ -215,15 +212,16 @@ def induced_endo_grading(aut: Automorphism, endo: EndoSpace) -> Grading:
     # restriction matrix, column convention
     restr = [[coords[c][r] for c in range(k)] for r in range(k)]
     omega = f.root_of_unity(aut.period)
+    piv = endo.space.pivots
     comps = []
     for i in range(aut.period):
         w = f.pow(omega, i)
         rows = [
             [f.sub(restr[r][c], w if r == c else f.zero()) for c in range(k)] for r in range(k)
         ]
-        small = kernel_of_rows(f, sparse_rows(f, rows), k)
-        lifted = [endo.space.linear_combination(list(v)) for v in small.rows]
-        comps.append(Subspace.from_vectors(f, endo.space.ambient, lifted))
+        # a row on the coordinates is the same row on the pivot columns
+        rows = [tuple((piv[c], x) for c, x in row) for row in sparse_rows(f, rows)]
+        comps.append(endo.space.cut(rows, f"{endo.tag}-degree-{i}"))
     if sum(c.dim for c in comps) != k:
         raise InternalCheckFailed("endomorphism eigenspaces do not fill the space")
     return Grading(aut.period, endo.space.ambient, comps)
@@ -244,20 +242,12 @@ def fixed_point_algebra(algebra: Algebra, grading: Grading, names: list[str] | N
     return subalgebra_on(algebra, grading.components[0], names)
 
 
-@dataclass
-class GradedUnitData:
+class GradedUnitData(SimpleNamespace):
     """An invertible homogeneous element and its degree-one normalization.
 
-    u sits in the component of residue q (q invertible mod m); u_prime is
-    u^{eps(q1)} for the residue inverse q1 of q, so u_prime sits in the
-    degree-one component. All inverses are stored alongside.
-    """
-
-    q: int
-    u: list
-    u_inv: list
-    u_prime: list
-    u_prime_inv: list
+    Keyword fields q, u, u_inv, u_prime, u_prime_inv: u sits in the component
+    of residue q (q invertible mod m); u_prime = u^{eps(q1)} for the residue
+    inverse q1 of q sits in the degree-one component."""
 
 
 def find_graded_unit(

@@ -26,7 +26,7 @@ from .errors import (
     NotInDomain,
     ParseError,
 )
-from .exactla import Matrix, Subspace
+from .exactla import Matrix, Subspace, _combine, _dense, sparse_rows
 from .gradings import Grading, eps, grading_from_automorphism
 
 FORWARD = "forward"
@@ -379,13 +379,16 @@ def _homogeneous_pieces(grading_a: Grading, target: LoopElement, m: int, style: 
     the total residue of a_vec (x) z^exp.
     """
     f = target.algebra.field
-    projs = grading_a.projections(f)
+    parts = grading_a.basis_parts(f)
     pieces = []
     for exp, vec in target.terms():
-        for ia, pmat in enumerate(projs):
-            part = pmat.matvec(list(vec))
-            if any(map(f.nonzero, part)):
-                pieces.append((part, ia, exp, eps(ia + graded_component(exp, m, style), m)))
+        coords = sparse_rows(f, [vec])[0]
+        for ia, cols in enumerate(parts):
+            # the sum of c_i times the degree-ia part of e_i, over the nonzero c_i only
+            part = _combine(f, coords, cols)
+            if part:
+                pieces.append((list(_dense(f, len(vec), part)), ia, exp,
+                               eps(ia + graded_component(exp, m, style), m)))
     return pieces
 
 

@@ -273,8 +273,9 @@ def test_size_guard_blocks_and_force_overrides(capsys, monkeypatch):
     assert code == 0
 
 
-def test_size_guard_predicts_catalog_setup_dims(capsys):
+def test_size_guard_predicts_catalog_setup_dims(monkeypatch, capsys):
     # rejected before any construction work happens
+    monkeypatch.setattr(cli, "SIZE_GUARD", 40)
     code, _, err = run_cap(capsys, ["verify-thm2", "--setup", "quotient-laurent(4,4)"])
     assert code == 2
     assert "48" in err

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dertensor import exactla
-from dertensor.errors import DimensionMismatch, NotInDomain, SingularElement
+from dertensor.errors import DimensionMismatch, InternalCheckFailed, NotInDomain, SingularElement
 from dertensor.exactla import (
     Matrix,
     Subspace,
@@ -302,3 +302,92 @@ def test_kernel_of_empty_system_is_whole_space(fld):
             ker = kernel_of_rows(fld, rows, nc)
             assert ker.pivots == tuple(range(nc))
             assert [list(r) for r in ker.rows] == Matrix.identity(fld, nc).rows
+
+
+# -- the kernel certificate -------------------------------------------------
+#
+# The mutants below replace an eliminator from the test; kernel_of_rows must
+# refuse their output with InternalCheckFailed naming the tag and a witness.
+
+
+def test_sources_name_the_first_input_row_behind_each_pivot():
+    # (0, 2) normalises to (0, 1); the later raw (0, 1) is then a known row
+    rows = [(), ((0, 2),), ((0, 1),), ((0, 4), (1, 2)), ((1, 1),)]
+    ech = rref_rows(QQ, rows, 2)
+    assert list(ech) == [[((0, 1),), ((1, 1),)], [0, 1]]
+    assert ech.sources == [1, 3]
+
+
+@pytest.mark.parametrize("fld", [QQ, F31, Z3], ids=["Q", "F31", "Q(zeta3)"])
+def test_certificate_catches_an_eliminator_that_drops_a_row(monkeypatch, fld):
+    real = exactla._eliminate
+
+    def drop_second(rows, normal, cancel):
+        rows = list(rows)
+        return real(rows[:1] + rows[2:], normal, cancel)
+
+    monkeypatch.setattr(exactla, "_eliminate", drop_second)
+    rows = sparse_rows(fld, lift(fld, [[1, 0, 0], [0, 1, 0]]))
+    # without row 1, e_1 passes for a kernel vector and leaves 1 on row 1
+    with pytest.raises(InternalCheckFailed,
+                       match=r"kernel 'probe': basis vector 0 leaves residual 1 on input row 1"):
+        kernel_of_rows(fld, rows, 3, "probe")
+
+
+@pytest.mark.parametrize("fld", [QQ, Z3], ids=["Q", "Q(zeta3)"])
+def test_certificate_catches_an_eliminator_that_invents_a_pivot(monkeypatch, fld):
+    real = exactla._eliminate_rational
+
+    def invent(rows):
+        red, pivots, sources = real(rows)
+        # column 2 appears in no row; claim it as a pivot owed to row 0
+        return red + [((2, 1),)], pivots + [2], sources + [0]
+
+    monkeypatch.setattr(exactla, "_eliminate_rational", invent)
+    rows = sparse_rows(fld, lift(fld, [[1, 1, 0]]))
+    # the residual passes (b_1 = e_1 - e_0 is a true kernel vector), the rank does not
+    with pytest.raises(InternalCheckFailed,
+                       match=r"kernel 'probe': the 2 input rows behind the pivots are dependent mod each of"):
+        kernel_of_rows(fld, rows, 3, "probe")
+
+
+def _primes_tried(monkeypatch):
+    tried = []
+    real = exactla._eliminate_prime
+
+    def spy(rows, p):
+        tried.append(p)
+        return real(rows, p)
+
+    monkeypatch.setattr(exactla, "_eliminate_prime", spy)
+    return tried
+
+
+def test_certificate_survives_a_rank_drop_mod_the_first_prime(monkeypatch):
+    p1, p2, _ = exactla._PRIMES
+    assert p1 == 2**31 - 1
+    rows = [((0, 1), (1, 1)), ((0, 1), (1, 2**31))]  # det 2^31 - 1
+    tried = _primes_tried(monkeypatch)
+    assert kernel_of_rows(QQ, rows, 2).dim == 0
+    assert tried == [p1, p2]
+
+
+def test_certificate_gives_up_after_three_primes(monkeypatch):
+    p1, p2, p3 = exactla._PRIMES
+    rows = [((0, 1), (1, 1)), ((0, 1), (1, 1 + p1 * p2 * p3))]
+    tried = _primes_tried(monkeypatch)
+    with pytest.raises(InternalCheckFailed, match=r"the 2 input rows behind the pivots are dependent mod each of"):
+        kernel_of_rows(QQ, rows, 2, "probe")
+    assert tried == [p1, p2, p3]
+
+
+@settings(max_examples=80, deadline=None)
+@given(int_systems(), int_systems())
+def test_cut_equals_the_intersection_with_the_full_kernel(space, system):
+    _, vecs = space
+    nc, ints = system
+    vecs = [(row * nc)[:nc] for row in vecs]  # padded or cut to the ambient nc
+    for fld in (QQ, F31, Z3):
+        v = Subspace.from_vectors(fld, nc, lift(fld, vecs))
+        rows = sparse_rows(fld, lift(fld, ints))
+        assert v.cut(rows, "probe") == v.intersect(kernel_of_rows(fld, rows, nc))

@@ -20,7 +20,7 @@ from dertensor.invariants import (
 from dertensor.scalars import make_field
 
 from dense_leibniz import dense_leibniz_witness
-from naive_la import naive_nullspace
+from naive_la import naive_nullspace, naive_rref
 
 QQ = make_field("rational")
 
@@ -243,3 +243,34 @@ def test_leibniz_witness_matches_dense_reference(data):
     assert leibniz_witness(a, m) == want
     if kind == "derivation":
         assert want is None
+
+
+# -- derivations and centroid against the naive solver -----------------------
+
+
+def oracle_kernel(alg, defect, p=None):
+    """RREF basis of a condition's kernel: the naive solver on the probed system."""
+    n = alg.dim
+    f = alg.field
+    cols = []
+    for r in range(n):
+        for c in range(n):
+            rows = [[f.zero()] * n for _ in range(n)]
+            rows[r][c] = f.one()
+            cols.append(defect(Matrix(f, rows, n)))
+    system = [[col[i] for col in cols] for i in range(len(cols[0]))]
+    return naive_rref(naive_nullspace(system, n * n, p), p)[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_derivations_and_centroid_match_the_naive_oracle_on_random_algebras(data):
+    p = data.draw(st.sampled_from([None, 31]))
+    f = QQ if p is None else make_field("prime", m=3, p=31)
+    n = data.draw(st.integers(1, 4))
+    consts = st.sampled_from([0, 0, 0, 1, -1, 2])
+    table = [[[f.from_int(data.draw(consts)) for _ in range(n)] for _ in range(n)]
+             for _ in range(n)]
+    a = Algebra(f, [f"b{i}" for i in range(n)], table)
+    assert [list(r) for r in derivation_space(a).space.rows] == oracle_kernel(a, leibniz_defect(a), p)
+    assert [list(r) for r in centroid(a).space.rows] == oracle_kernel(a, centroid_defect(a), p)

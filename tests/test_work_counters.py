@@ -3,7 +3,8 @@
 These tests count calls; they time nothing. Each pins one saving: a left
 grading is built once per automorphism, the split of a tensor derivation
 checks its two summand spaces direct once per tensor algebra, not once per
-sample, and verify-thm1 builds each tensor algebra A (x) S once.
+sample, and verify-thm1 builds each tensor algebra A (x) S once and
+assembles its Leibniz system once.
 """
 
 import pytest
@@ -57,25 +58,27 @@ def test_split_overlap_check_does_not_grow_with_the_budget(monkeypatch, capsys):
                          ids=["pair", "sweep"])
 def test_verify_thm1_builds_each_tensor_algebra_once(monkeypatch, capsys, pair):
     built, assembled = [], []
-    tensor_product, leibniz_rows = algebra.tensor_product, invariants._leibniz_rows
+    tensor_product, product_rows = algebra.tensor_product, invariants._product_rows
 
     def counted_product(a, s):
         ts = tensor_product(a, s)
         built.append(ts)
         return ts
 
-    def counted_rows(a):
-        assembled.append(a)
-        return leibniz_rows(a)
+    def counted_rows(a, split):
+        if not split:  # a Leibniz system; split rows are the centroid's
+            assembled.append(a)
+        return product_rows(a, split)
 
     for mod in (algebra, cli, decomposition, invariants):
         monkeypatch.setattr(mod, "tensor_product", counted_product)
-    monkeypatch.setattr(invariants, "_leibniz_rows", counted_rows)
+    monkeypatch.setattr(invariants, "_product_rows", counted_rows)
     assert cli.run(["verify-thm1", "--budget", "3", "--json"] + pair) == 0
     capsys.readouterr()
     assert len(built) == (1 if pair else len(cli.DEFAULT_PAIRS))
-    # D(A (x) S), the S-module derivations and those vanishing on A (x) 1
-    assert [sum(x is ts for x in assembled) for ts in built] == [3] * len(built)
+    # D(A (x) S) only: the S-module derivations and those vanishing on
+    # A (x) 1 are cut inside it
+    assert [sum(x is ts for x in assembled) for ts in built] == [1] * len(built)
 
 
 def test_left_gradings_are_never_shared_between_automorphisms():
