@@ -97,14 +97,12 @@ class Algebra:
                     rows[k][c] = f.add(rows[k][c], f.mul(xj, t))
         return Matrix(f, rows, self.dim)
 
-    def mult_operators(self):
-        """Left and right multiplications by every basis vector (cached)."""
-        if "mult_operators" not in self._cache:
-            eye = Matrix.identity(self.field, self.dim)
-            lefts = [self.left_mult_matrix(eye.column(i)) for i in range(self.dim)]
-            rights = [self.right_mult_matrix(eye.column(i)) for i in range(self.dim)]
-            self._cache["mult_operators"] = (lefts, rights)
-        return self._cache["mult_operators"]
+    def left_mult_operators(self) -> list:
+        """Left multiplications by every basis vector (cached)."""
+        if "left_mult_operators" not in self._cache:
+            self._cache["left_mult_operators"] = [
+                self.left_mult_matrix(self.basis_vector(i)) for i in range(self.dim)]
+        return self._cache["left_mult_operators"]
 
     def basis_vector(self, i: int) -> list:
         z = self.field.zero()

@@ -53,13 +53,12 @@ from .invariants import centroid, derivation_space, differential_centroid, psi_m
 from .laurent import (
     FORWARD,
     INVERSE,
-    FixedDerivationSpec,
     LaurentElement,
     LoopElement,
+    coefficient_derivation,
     loop_bm_eval,
     loop_phi_eval,
     parse_laurent,
-    phi_argument_list,
 )
 from .scalars import make_field
 
@@ -467,7 +466,7 @@ def _counterexample_report() -> VerificationReport:
     rep = VerificationReport("published-formula-counterexample")
     f, a, aut = _scalar_scene(4)
     z = LaurentElement.monomial(f, 1)
-    d = FixedDerivationSpec.inner(z)
+    d = coefficient_derivation(z, 4)
     rep.hyp("scalar-S")
     rep.hyp("graded-unit")
 
@@ -495,7 +494,7 @@ def _phi_scene_one(style: str | None, u_text: str | None) -> VerificationReport:
     f, a, aut = _scalar_scene(4)
     style = style or FORWARD
     u = parse_laurent(u_text, f) if u_text else LaurentElement.monomial(f, 1)
-    d = FixedDerivationSpec.inner(LaurentElement.monomial(f, 1))
+    d = coefficient_derivation(LaurentElement.monomial(f, 1), 4)
     rep.hyp("scalar-S")
     rep.hyp("graded-unit")
 
@@ -516,6 +515,22 @@ def _phi_scene_one(style: str | None, u_text: str | None) -> VerificationReport:
     return rep
 
 
+def _t_derivation(a, m: int, n: int):
+    """t^(n+1) d/dt with t = z^m, on the degree-zero part of the scalar line."""
+    f = a.field
+
+    def d(x: LoopElement) -> LoopElement:
+        out = {}
+        for exp, vec in x.support.items():
+            if exp % m:
+                raise InternalCheckFailed("derivation argument escaped the degree-zero part")
+            k = exp // m
+            out[m * (n + k)] = [f.mul(f.from_int(k), c) for c in vec]
+        return LoopElement(a, out)
+
+    return d
+
+
 def _phi_scene_two(ms, ns, style: str | None, u_text: str | None) -> VerificationReport:
     rep = VerificationReport("twisted-normal-form")
     style = style or INVERSE
@@ -525,23 +540,11 @@ def _phi_scene_two(ms, ns, style: str | None, u_text: str | None) -> Verificatio
         f, a, aut = _scalar_scene(m)
         u = parse_laurent(u_text, f) if u_text else LaurentElement.monomial(f, -1)
         for n in ns:
+            d = _t_derivation(a, m, n)
             ok = True
             witness = None
             for j in range(-2 * m, 2 * m + 1):
-                tgt = _line(a, j)
-                table = []
-                for x in phi_argument_list(a, aut, m, style, u, tgt):
-                    out = LoopElement.zero(a)
-                    for exp, vec in x.terms():
-                        if exp % m:
-                            raise InternalCheckFailed(
-                                "derivation argument escaped the degree-zero part")
-                        k = exp // m
-                        out = out.add(LoopElement.term(a, list(vec), m * (n + k))
-                                      .scale(f.from_int(k)))
-                    table.append((x, out))
-                got = loop_phi_eval(a, aut, m, style, u,
-                                    FixedDerivationSpec.table(table), tgt)
+                got = loop_phi_eval(a, aut, m, style, u, d, _line(a, j))
                 want = _line(a, n * m + j, f.mul(f.from_int(j), f.inv_int(m)))
                 if got != want:
                     ok = False
@@ -579,28 +582,36 @@ def _phi_branch_report(st: Setup) -> VerificationReport:
     return rep
 
 
+def _no_period(args, what: str):
+    if args.m is not None:
+        raise ParseError(f"--m applies only to the scene sweep (no --setup, or last-exa-ii), "
+                         f"not to {what}")
+
+
 def cmd_phi_eval(args) -> int:
+    ms = (args.m,) if args.m is not None else (2, 3, 4)
     if args.setup is None:
         rep = VerificationReport("inverse-map-reproduction")
         _merge(rep, _phi_scene_one(args.style, args.u), "values")
-        _merge(rep, _phi_scene_two((2, 3, 4), range(-2, 3), args.style, args.u),
-               "normal-form")
+        _merge(rep, _phi_scene_two(ms, range(-2, 3), args.style, args.u), "normal-form")
         return _emit(rep, args)
     if is_scene_name(args.setup):
         base, nargs = parse_catalog_name(args.setup)
         if base in ("last-exa-i", "exaBM-laurent"):
             if nargs:
                 raise ParseError(f"{base} takes no arguments")
+            _no_period(args, base)
             return _emit(_phi_scene_one(args.style, args.u), args)
-        ms = (args.m,) if args.m else (2, 3, 4)
-        ns = range(-2, 3)
-        if nargs:
-            if len(nargs) != 2:
-                raise ParseError("last-exa-ii takes (m, n)")
-            ms, ns = (nargs[0],), (nargs[1],)
-        return _emit(_phi_scene_two(ms, ns, args.style, args.u), args)
-    st = _resolve_setup(args.setup, args)
-    return _emit(_phi_branch_report(st), args)
+        if not nargs:
+            return _emit(_phi_scene_two(ms, range(-2, 3), args.style, args.u), args)
+        if len(nargs) != 2:
+            raise ParseError("last-exa-ii takes (m, n)")
+        _no_period(args, "last-exa-ii(m, n)")
+        if nargs[0] < 1:
+            raise ParseError(f"a scene period must be at least 1, got {nargs[0]}")
+        return _emit(_phi_scene_two((nargs[0],), (nargs[1],), args.style, args.u), args)
+    _no_period(args, "a finite setup")
+    return _emit(_phi_branch_report(_resolve_setup(args.setup, args)), args)
 
 
 def cmd_bm_eval(args) -> int:
@@ -686,10 +697,10 @@ def cmd_catalog(args) -> int:
 # dispatch
 
 
-def _sample_count(text: str) -> int:
+def _at_least_one(text: str) -> int:
     n = int(text)
     if n < 1:
-        raise argparse.ArgumentTypeError(f"a sample count must be at least 1, got {n}")
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
     return n
 
 
@@ -703,9 +714,9 @@ ARGUMENTS = {
     "--field": dict(help="rational, cyclotomic(m) or prime(p,m)"),
     "--force": dict(action="store_true", help="bypass the size guard"),
     "--u": dict(help="explicit graded unit (element literal)"),
-    "--budget": dict(type=_sample_count, help="number of samples (at least 1)"),
+    "--budget": dict(type=_at_least_one, help="number of samples (at least 1)"),
     "--style": dict(choices=[FORWARD, INVERSE], help="laurent grading style"),
-    "--m": dict(type=int, help="restrict the sweep to one period"),
+    "--m": dict(type=_at_least_one, help="restrict the scene sweep to one period (at least 1)"),
     "--json": dict(action="store_true", help="emit the machine report"),
 }
 

@@ -242,12 +242,15 @@ class Setup:
     def d_eval(self, d_matrix: Matrix):
         """Evaluator for a derivation given in fixed-algebra coordinates.
 
-        The returned closure takes an ambient tensor vector that must lie in
-        the fixed subalgebra and returns the ambient image.
+        The matrix must be a derivation of the fixed algebra. The returned
+        closure takes an ambient tensor vector that must lie in the fixed
+        subalgebra and returns the ambient image.
         """
         k = self.fixed_algebra.dim
         if d_matrix.nrows != k or d_matrix.ncols != k:
             raise DimensionMismatch(f"expected a {k}x{k} matrix on the fixed algebra")
+        if not self.der_fixed.contains_matrix(d_matrix):
+            raise NotInDomain("not a derivation of the fixed-point algebra")
 
         def ev(x: list) -> list:
             try:
@@ -277,10 +280,6 @@ class Setup:
             return invert_matrix(v)
         return self._get("pairs_inv", build)
 
-    def require_derivation_of_fixed(self, d_matrix: Matrix):
-        if not self.der_fixed.contains_matrix(d_matrix):
-            raise NotInDomain("not a derivation of the fixed-point algebra")
-
 
 # ---------------------------------------------------------------------------
 # block decomposition (ungraded layer)
@@ -300,7 +299,7 @@ def split_derivation(delta: Matrix, a: Algebra, s: Algebra, ts: Algebra | None =
     if not der.contains_matrix(delta):
         raise NotInDomain("input is not a derivation of the tensor algebra")
     one = s.unit()
-    lefts = s.mult_operators()[0]
+    lefts = s.left_mult_operators()
     cols = []
     ns = s.dim
     for i in range(a.dim):
@@ -341,7 +340,7 @@ def embed_tensor_derivations(a: Algebra, s: Algebra, ts: Algebra | None = None):
     f = a.field
     n2 = ts.dim * ts.dim
     gens1 = []
-    lefts = s.mult_operators()[0]
+    lefts = s.left_mult_operators()
     for d in derivation_space(a).basis_matrices():
         for j in range(s.dim):
             gens1.append(d.kron(lefts[j]))
@@ -557,7 +556,6 @@ def extend_phi(d_matrix: Matrix, setup: Setup, branch: str = "char0", n: int = 1
     """
     if branch not in ("char0", "charp"):
         raise ValueError(f"unknown branch {branch!r}")
-    setup.require_derivation_of_fixed(d_matrix)
     ev = setup.d_eval(d_matrix)
     f = setup.a.field
     p = f.char
@@ -592,7 +590,6 @@ def bm_formula_extend(d_matrix: Matrix, setup: Setup) -> Matrix:
     s = q r mod m. No derivation property is claimed; this exists to
     reproduce its failure.
     """
-    setup.require_derivation_of_fixed(d_matrix)
     ev = setup.d_eval(d_matrix)
     c = _Coords(setup, "u")
     q = setup.unit_data.q
@@ -617,7 +614,6 @@ def check_surjectivity_identities(d_matrix: Matrix, setup: Setup,
     rep = VerificationReport("surjectivity-identities")
     for name in ("perfect-A", "scalar-S", "automorphism-periods", "graded-unit"):
         rep.hyp(name)
-    setup.require_derivation_of_fixed(d_matrix)
     ev = setup.d_eval(d_matrix)
     c = _Coords(setup)
     f = setup.a.field

@@ -63,10 +63,6 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field})"
 
-    def is_zero(self) -> bool:
-        nz = self.field.nonzero
-        return not any(nz(x) for row in self.rows for x in row)
-
     def add(self, other: "Matrix") -> "Matrix":
         self._compat(other)
         f = self.field
@@ -80,10 +76,6 @@ class Matrix:
     def scale(self, c) -> "Matrix":
         f = self.field
         return Matrix(f, [[f.mul(c, x) for x in row] for row in self.rows], self.ncols)
-
-    def neg(self) -> "Matrix":
-        f = self.field
-        return Matrix(f, [[f.neg(x) for x in row] for row in self.rows], self.ncols)
 
     def _compat(self, other):
         if self.field != other.field:

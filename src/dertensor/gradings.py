@@ -55,9 +55,6 @@ class Automorphism:
             self._inv = invert_matrix(self.matrix)
         return self._inv
 
-    def apply(self, vec: list) -> list:
-        return self.matrix.matvec(vec)
-
     def __repr__(self):
         return f"Automorphism(period {self.period} of dim-{self.algebra.dim} algebra)"
 

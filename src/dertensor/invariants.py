@@ -251,7 +251,7 @@ def psi_map(a: Algebra, s: Algebra, ts: Algebra | None = None) -> PsiReport:
     cent_a = centroid(a)
     cent_ts = centroid(ts)
     gammas = cent_a.basis_matrices()
-    lefts = [s.left_mult_matrix(s.basis_vector(j)) for j in range(s.dim)]
+    lefts = s.left_mult_operators()
     cols = []
     for g in gammas:
         for lj in lefts:

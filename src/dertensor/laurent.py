@@ -9,12 +9,13 @@ finite sparse maps and evaluates both extension formulas term by term (the
 formulas are written once, in decomposition, against a carrier that this
 module supplies for loop elements).
 
-Derivations of the Laurent algebra appear only in the form p(z) d/dz;
-every derivation of k[z^{+-1}] has this shape, and nothing here ever
-materialises a basis of an infinite-dimensional operator space. A
-fixed-point derivation is supplied either through such a coefficient
-(acting as identity (x) p(z) d/dz) or as a finite table of values on
-exactly the elements an evaluation will request.
+Nothing here ever materialises a basis of an infinite-dimensional operator
+space. A fixed-point derivation, a derivation of the degree-zero loop
+subalgebra, is a callable from loop elements to loop elements, the same
+contract the finite carrier uses. coefficient_derivation builds the one of
+scalar type, identity (x) p(z) d/dz, and checks that it fixes degree zero;
+any other derivation, such as bracketing with an element of the left
+factor, is passed as a plain function.
 """
 
 from .algebra import Algebra
@@ -22,7 +23,6 @@ from .decomposition import _phi, _residue_shift
 from .errors import (
     FieldMismatch,
     HypothesisNotMet,
-    InternalCheckFailed,
     NotInDomain,
     ParseError,
 )
@@ -81,25 +81,6 @@ class LaurentElement:
             out[e] = f.add(out.get(e, f.zero()), c)
         return LaurentElement(f, out)
 
-    def mul(self, other: "LaurentElement") -> "LaurentElement":
-        self._check(other)
-        f = self.field
-        out: dict = {}
-        for e1, c1 in self.support.items():
-            for e2, c2 in other.support.items():
-                e = e1 + e2
-                out[e] = f.add(out.get(e, f.zero()), f.mul(c1, c2))
-        return LaurentElement(f, out)
-
-    def shift(self, k: int) -> "LaurentElement":
-        """Multiply by the monomial z^k."""
-        return LaurentElement(self.field, {e + k: c for e, c in self.support.items()})
-
-    def derivative(self) -> "LaurentElement":
-        f = self.field
-        return LaurentElement(
-            f, {e - 1: f.mul(f.from_int(e), c) for e, c in self.support.items()})
-
     def __eq__(self, other):
         return (
             isinstance(other, LaurentElement)
@@ -123,30 +104,6 @@ class LaurentElement:
                 zp = "z" if e == 1 else f"z^{e}"
                 parts.append(zp if lit == "1" else f"{lit}*{zp}")
         return " + ".join(parts)
-
-
-class LaurentDerivation:
-    """The derivation p(z) d/dz, determined by its coefficient p."""
-
-    __slots__ = ("coefficient",)
-
-    _SAMPLE_PAIRS = ((2, 3), (-1, 4), (0, 5), (-2, -3))
-
-    def __init__(self, coefficient: LaurentElement):
-        self.coefficient = coefficient
-        f = coefficient.field
-        for i, j in self._SAMPLE_PAIRS:
-            prod = self.apply(LaurentElement.monomial(f, i + j))
-            split = self.apply(LaurentElement.monomial(f, i)).shift(j).add(
-                self.apply(LaurentElement.monomial(f, j)).shift(i))
-            if prod != split:
-                raise InternalCheckFailed("coefficient action violates the product rule")
-
-    def apply(self, x: LaurentElement) -> LaurentElement:
-        return x.derivative().mul(self.coefficient)
-
-    def __repr__(self):
-        return f"({self.coefficient!r})*d/dz"
 
 
 class LoopElement:
@@ -186,9 +143,6 @@ class LoopElement:
 
     def is_zero(self) -> bool:
         return not self.support
-
-    def canonical_key(self):
-        return tuple(self.terms())
 
     def add(self, other: "LoopElement") -> "LoopElement":
         self._check(other)
@@ -255,7 +209,7 @@ class LoopElement:
         )
 
     def __hash__(self):
-        return hash(self.canonical_key())
+        return hash(tuple(self.terms()))
 
     def __repr__(self):
         if not self.support:
@@ -272,66 +226,20 @@ class LoopElement:
 
 
 # ---------------------------------------------------------------------------
-# fixed-point derivations, supplied finitely
+# fixed-point derivations of scalar type
 
 
-class FixedDerivationSpec:
-    """A derivation of the degree-zero loop subalgebra, given finitely.
+def coefficient_derivation(p: LaurentElement, m: int):
+    """identity (x) p(z) d/dz on loop elements, as a fixed-point derivation.
 
-    Two forms: 'inner' wraps a coefficient p(z), acting as identity on the
-    left factor and p(z) d/dz on the scalars; 'table' lists the values on
-    exactly the elements an evaluation will request. The table form covers
-    derivations, such as inner derivations of the left factor, that are
-    not of scalar type.
+    It must keep the degree-zero subalgebra invariant, which pins every
+    exponent of p to 1 mod m in either grading style.
     """
-
-    __slots__ = ("kind", "coefficient", "entries")
-
-    def __init__(self, kind: str, coefficient=None, entries=None):
-        self.kind = kind
-        self.coefficient = coefficient
-        self.entries = entries
-
-    @classmethod
-    def inner(cls, p) -> "FixedDerivationSpec":
-        if isinstance(p, LaurentDerivation):
-            p = p.coefficient
-        return cls("inner", coefficient=p)
-
-    @classmethod
-    def table(cls, pairs) -> "FixedDerivationSpec":
-        return cls("table", entries={x.canonical_key(): y for x, y in pairs})
-
-    def evaluator(self, algebra: Algebra, m: int):
-        """Closure evaluating the derivation on loop elements.
-
-        Inner coefficients must keep the degree-zero subalgebra invariant,
-        which pins every exponent of p to 1 mod m in either grading style.
-        """
-        if self.kind == "inner":
-            p = self.coefficient
-            bad = [e for e in p.support if eps(e - 1, m) != 0]
-            if bad:
-                raise NotInDomain(
-                    f"coefficient exponents {sorted(bad)} move the derivation off degree zero")
-
-            def ev(x: LoopElement) -> LoopElement:
-                return x.s_derivative(p)
-
-            return ev
-
-        if self.kind == "table":
-            entries = self.entries
-
-            def ev(x: LoopElement) -> LoopElement:
-                key = x.canonical_key()
-                if key not in entries:
-                    raise NotInDomain(f"value table has no entry for {x!r}")
-                return entries[key]
-
-            return ev
-
-        raise ParseError(f"unknown derivation form {self.kind!r}")
+    bad = [e for e in p.support if eps(e - 1, m) != 0]
+    if bad:
+        raise NotInDomain(
+            f"coefficient exponents {sorted(bad)} move the derivation off degree zero")
+    return lambda x: x.s_derivative(p)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +326,9 @@ class _Loop:
         return LoopElement(self.a, out)
 
 
-def _require_loop_setup(a: Algebra, aut1, m: int, u: LaurentElement, style: str):
+def _loop_prologue(a: Algebra, aut1, m: int, style: str, u: LaurentElement,
+                   target: LoopElement):
+    """Check the hypotheses of both formulas; the carrier and the target's pieces."""
     if aut1.algebra is not a:
         raise HypothesisNotMet("left-factor automorphism acts on a different algebra",
                                "automorphism-carrier")
@@ -427,58 +337,32 @@ def _require_loop_setup(a: Algebra, aut1, m: int, u: LaurentElement, style: str)
             f"declared periods differ: {aut1.period} vs {m}", "automorphism-periods")
     if a.field != u.field:
         raise FieldMismatch("unit monomial over a different field")
-    return _Loop(a, m, _unit_monomial(u, m, style))
+    c = _Loop(a, m, _unit_monomial(u, m, style))
+    if target.algebra is not a:
+        raise FieldMismatch("target lives over a different carrier")
+    return c, _homogeneous_pieces(_left_grading(aut1), target, m, style)
 
 
 def loop_phi_eval(a: Algebra, aut1, m: int, style: str, u: LaurentElement,
-                  d_spec: FixedDerivationSpec, target: LoopElement,
-                  navg: int = 1) -> LoopElement:
+                  d, target: LoopElement) -> LoopElement:
     """Evaluate the inverse-map formula on a loop element, term by term.
 
-    The averaging stretch navg picks which power u^{m*navg} the correction
-    bracket is sampled at; any choice with m*navg invertible in the field
-    gives the same answer when d really is a fixed-point derivation.
+    d is a fixed-point derivation: a callable on degree-zero loop elements.
     """
-    c = _require_loop_setup(a, aut1, m, u, style)
-    if target.algebra is not a:
-        raise FieldMismatch("target lives over a different carrier")
-    pieces = _homogeneous_pieces(_left_grading(aut1), target, m, style)
-    images = _phi(c, d_spec.evaluator(a, m), pieces, m * navg)
-    return c.comb((a.field.one(), x) for x in images)
-
-
-def phi_argument_list(a: Algebra, aut1, m: int, style: str, u: LaurentElement,
-                      target: LoopElement, navg: int = 1) -> list:
-    """The degree-zero elements a phi evaluation will feed to the derivation.
-
-    Lets a caller assemble a value table for a derivation that has no
-    scalar coefficient form before running the evaluation proper.
-    """
-    c = _require_loop_setup(a, aut1, m, u, style)
-    seen: dict = {}
-
-    def recorder(x: LoopElement) -> LoopElement:
-        seen.setdefault(x.canonical_key(), x)
-        return LoopElement.zero(a)
-
-    _phi(c, recorder, _homogeneous_pieces(_left_grading(aut1), target, m, style), m * navg)
-    return list(seen.values())
+    c, pieces = _loop_prologue(a, aut1, m, style, u, target)
+    return c.comb((a.field.one(), x) for x in _phi(c, d, pieces, m))
 
 
 def loop_bm_eval(a: Algebra, aut1, m: int, style: str, u: LaurentElement,
-                 d_spec: FixedDerivationSpec, target: LoopElement) -> LoopElement:
+                 d, target: LoopElement) -> LoopElement:
     """Evaluate the earlier published extension formula on a loop element.
 
     On a piece of total residue s the image is u^s d(u^{-s} x), the residue
     shift by the degree-one unit; no derivation property is claimed, and on
     the Laurent carrier the failure is visible exactly.
     """
-    c = _require_loop_setup(a, aut1, m, u, style)
-    if target.algebra is not a:
-        raise FieldMismatch("target lives over a different carrier")
-    dev = d_spec.evaluator(a, m)
-    pieces = _homogeneous_pieces(_left_grading(aut1), target, m, style)
-    return c.comb((a.field.one(), _residue_shift(c, dev, avec, exp, es, 1))
+    c, pieces = _loop_prologue(a, aut1, m, style, u, target)
+    return c.comb((a.field.one(), _residue_shift(c, d, avec, exp, es, 1))
                   for avec, _, exp, es in pieces)
 
 

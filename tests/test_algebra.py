@@ -85,10 +85,10 @@ def test_left_mult_matrix_composition_convention():
 
 def test_mult_operators_cached_and_correct():
     a = sl2()
-    lefts, rights = a.mult_operators()
+    lefts = a.left_mult_operators()
     assert lefts[1].column(0) == [F(2), F(0), F(0)]  # L_h e = 2e
-    assert rights[1].column(0) == [F(-2), F(0), F(0)]  # R_h e = eh = -2e
-    assert a.mult_operators() is a.mult_operators()
+    assert a.right_mult_matrix(a.basis_vector(1)).column(0) == [F(-2), F(0), F(0)]  # eh = -2e
+    assert a.left_mult_operators() is a.left_mult_operators()
 
 
 def test_tensor_product_hand_expanded_dual_dual():

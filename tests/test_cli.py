@@ -178,6 +178,31 @@ def test_phi_eval_scene_bad_arity(capsys):
     assert "takes (m, n)" in err
 
 
+@pytest.mark.parametrize("argv, code, needle", [
+    (["--m", "3"], 0, "normal-form: normal-form-m3-n2: pass"),
+    (["--setup", "last-exa-ii", "--m", "3"], 0, "normal-form-m3-n2: pass"),
+    (["--m", "0"], 2, "at least 1"),
+    (["--m", "-3"], 2, "at least 1"),
+    (["--setup", "last-exa-ii", "--m", "0"], 2, "at least 1"),
+    (["--setup", "last-exa-ii(0,1)"], 2, "at least 1"),
+    (["--setup", "last-exa-ii(3,1)", "--m", "3"], 2, "not to last-exa-ii(m, n)"),
+    (["--setup", "last-exa-i", "--m", "4"], 2, "not to last-exa-i"),
+    (["--setup", "exaBM-laurent", "--m", "4"], 2, "not to exaBM-laurent"),
+    (["--setup", "sl2-twisted-flagship", "--m", "2"], 2, "not to a finite setup"),
+], ids=["sweep", "last-exa-ii", "zero", "negative", "last-exa-ii-zero", "scene-period-zero",
+        "last-exa-ii-mn", "last-exa-i", "exaBM-laurent", "finite-setup"])
+def test_phi_eval_period_flag(capsys, argv, code, needle):
+    got, out, err = run_cap(capsys, ["phi-eval"] + argv)
+    assert got == code
+    if code == 0:
+        assert needle in out
+        # one period only
+        assert "-m2-" not in out and "-m4-" not in out
+    else:
+        assert out == ""
+        assert needle in err
+
+
 def test_phi_eval_finite_charp_agreement(capsys):
     code, out, _ = run_cap(
         capsys,

@@ -13,7 +13,7 @@ degree-zero part pointwise.
 import pytest
 
 from dertensor.catalog import group_algebra, sl2, sl2_sign_automorphism, sl2_twisted_flagship
-from dertensor.decomposition import bm_formula_extend, extend_phi
+from dertensor.decomposition import _phi, bm_formula_extend, extend_phi
 from dertensor.errors import (
     FieldMismatch,
     HypothesisNotMet,
@@ -25,15 +25,14 @@ from dertensor.gradings import check_automorphism
 from dertensor.laurent import (
     FORWARD,
     INVERSE,
-    FixedDerivationSpec,
-    LaurentDerivation,
     LaurentElement,
     LoopElement,
+    _loop_prologue,
+    coefficient_derivation,
     graded_component,
     loop_bm_eval,
     loop_phi_eval,
     parse_laurent,
-    phi_argument_list,
 )
 from dertensor.scalars import make_field
 from loop_quotient import LoopQuotient, laurent_sub
@@ -63,13 +62,14 @@ def unit_line(a, exp):
 # -- sparse arithmetic ------------------------------------------------------
 
 
-def test_monomials_multiply_by_adding_exponents():
-    assert zmon(2).mul(zmon(3)) == zmon(5)
+def test_monomials_multiply_by_adding_exponents(scalar_line):
+    assert unit_line(scalar_line, 2).mul(unit_line(scalar_line, 3)) == unit_line(scalar_line, 5)
 
 
-def test_inverse_monomial_is_ordinary_element():
-    x = zmon(1).add(zmon(-1))
-    assert x.mul(zmon(1)) == zmon(2).add(zmon(0))
+def test_inverse_monomial_is_ordinary_element(scalar_line):
+    x = unit_line(scalar_line, 1).add(unit_line(scalar_line, -1))
+    want = unit_line(scalar_line, 2).add(unit_line(scalar_line, 0))
+    assert x.mul(unit_line(scalar_line, 1)) == want
 
 
 def test_cancellation_empties_the_support():
@@ -83,18 +83,20 @@ def test_field_mismatch_rejected():
         zmon(1).add(LaurentElement.monomial(other, 1))
 
 
-def test_derivative_and_shift():
+def test_derivative_and_shift(scalar_line):
     # d/dz on z^-2 and the constant term
-    x = zmon(-2).add(zmon(0))
-    assert x.derivative() == zmon(-3, Q.from_int(-2))
-    assert x.shift(2) == zmon(0).add(zmon(2))
+    x = unit_line(scalar_line, -2).add(unit_line(scalar_line, 0))
+    assert x.s_derivative(zmon(0)) == unit_line(scalar_line, -3).scale(Q.from_int(-2))
+    assert x.shift(2) == unit_line(scalar_line, 0).add(unit_line(scalar_line, 2))
 
 
-def test_coefficient_derivation_action():
-    d = LaurentDerivation(zmon(3).add(zmon(1)))
-    got = d.apply(zmon(2))
-    assert got == zmon(4, Q.from_int(2)).add(zmon(2, Q.from_int(2)))
-    assert d.apply(zmon(0)) == LaurentElement.zero(Q)
+def test_coefficient_derivation_action(scalar_line):
+    # exponents 3 and 1 are both 1 mod 2, so (z^3 + z) d/dz fixes degree zero
+    d = coefficient_derivation(zmon(3).add(zmon(1)), 2)
+    two = Q.from_int(2)
+    got = d(unit_line(scalar_line, 2))
+    assert got == unit_line(scalar_line, 4).scale(two).add(unit_line(scalar_line, 2).scale(two))
+    assert d(unit_line(scalar_line, 0)).is_zero()
 
 
 def test_graded_component_styles():
@@ -120,7 +122,7 @@ def test_loop_product_uses_carrier_bracket():
 def test_loop_normalization_drops_zero_vectors(scalar_line):
     x = unit_line(scalar_line, 3)
     assert x.sub(x).is_zero()
-    assert x.sub(x).canonical_key() == ()
+    assert x.sub(x).terms() == []
 
 
 def test_loop_carrier_mismatch(scalar_line):
@@ -135,7 +137,7 @@ def test_loop_carrier_mismatch(scalar_line):
 def bm_scene(scalar_line):
     """Scalar carrier, trivial twist of declared period 4, unit z, forward."""
     aut = identity_twist(scalar_line, 4)
-    d = FixedDerivationSpec.inner(zmon(1))  # identity (x) z d/dz, restricted
+    d = coefficient_derivation(zmon(1), 4)  # identity (x) z d/dz, restricted
     return scalar_line, aut, d
 
 
@@ -168,7 +170,7 @@ def test_published_formula_failure_survives_prime_field():
     f5 = make_field("prime", m=4, p=5)
     a = group_algebra(1, f5)
     aut = check_automorphism(a, Matrix.identity(f5, 1), 4)
-    d = FixedDerivationSpec.inner(LaurentElement.monomial(f5, 1))
+    d = coefficient_derivation(LaurentElement.monomial(f5, 1), 4)
     u = LaurentElement.monomial(f5, 1)
     x2 = LoopElement.term(a, [f5.one()], 2)
     x3 = LoopElement.term(a, [f5.one()], 3)
@@ -181,9 +183,16 @@ def test_published_formula_failure_survives_prime_field():
 # -- the inverse-map formula on the same scene ------------------------------
 
 
-def frozen_phi(bm_scene, exp, navg=1):
+def frozen_phi(bm_scene, exp):
     a, aut, d = bm_scene
-    return loop_phi_eval(a, aut, 4, FORWARD, zmon(1), d, unit_line(a, exp), navg=navg)
+    return loop_phi_eval(a, aut, 4, FORWARD, zmon(1), d, unit_line(a, exp))
+
+
+def stretched_phi(bm_scene, exp, navg):
+    """The inverse map with the correction bracket sampled at u^(4 navg)."""
+    a, aut, d = bm_scene
+    c, pieces = _loop_prologue(a, aut, 4, FORWARD, zmon(1), unit_line(a, exp))
+    return c.comb((Q.one(), x) for x in _phi(c, d, pieces, 4 * navg))
 
 
 def test_inverse_map_value_on_z2(bm_scene):
@@ -221,8 +230,9 @@ def test_inverse_map_restricts_to_input_on_degree_zero(bm_scene):
 def test_inverse_map_ignores_averaging_stretch(bm_scene):
     for exp in (2, 3, 5, -1):
         base = frozen_phi(bm_scene, exp)
+        assert stretched_phi(bm_scene, exp, 1) == base
         for navg in (2, 3, -1):
-            assert frozen_phi(bm_scene, exp, navg=navg) == base
+            assert stretched_phi(bm_scene, exp, navg) == base
 
 
 # -- the twisted-loop normal form -------------------------------------------
@@ -234,17 +244,16 @@ def scaled_monomial_image(a, j, m, n):
     return LoopElement.term(a, [c], n * m + j)
 
 
-def tabulated_t_derivation(a, m, n, args):
-    """d = t^{n+1} d/dt on the degree-zero part, t = z^m, given as a table."""
-    table = []
-    for x in args:
+def t_derivation(a, m, n):
+    """d = t^{n+1} d/dt on the degree-zero part, t = z^m."""
+    def d(x):
         out = LoopElement.zero(a)
         for exp, vec in x.terms():
             assert exp % m == 0
             k = exp // m
             out = out.add(LoopElement.term(a, list(vec), m * (n + k)).scale(Q.from_int(k)))
-        table.append((x, out))
-    return FixedDerivationSpec.table(table)
+        return out
+    return d
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -255,11 +264,9 @@ def test_twisted_normal_form_sweep(scalar_line, m):
     aut = identity_twist(a, m)
     u = zmon(-1)
     for n in range(-2, 3):
+        d = t_derivation(a, m, n)
         for j in range(-2 * m, 2 * m + 1):
-            tgt = unit_line(a, j)
-            args = phi_argument_list(a, aut, m, INVERSE, u, tgt)
-            d = tabulated_t_derivation(a, m, n, args)
-            got = loop_phi_eval(a, aut, m, INVERSE, u, d, tgt)
+            got = loop_phi_eval(a, aut, m, INVERSE, u, d, unit_line(a, j))
             assert got == scaled_monomial_image(a, j, m, n)
 
 
@@ -269,7 +276,7 @@ def test_twisted_normal_form_inner_route(scalar_line):
     m, n = 3, 1
     aut = identity_twist(a, m)
     p = LaurentElement.monomial(Q, n * m + 1, Q.inv_int(m))
-    d = FixedDerivationSpec.inner(p)
+    d = coefficient_derivation(p, m)
     for j in (-2, 1, 4, 7):
         got = loop_phi_eval(a, aut, m, INVERSE, zmon(-1), d, unit_line(a, j))
         assert got == scaled_monomial_image(a, j, m, n)
@@ -278,23 +285,15 @@ def test_twisted_normal_form_inner_route(scalar_line):
 # -- domain and hypothesis errors -------------------------------------------
 
 
-def test_inner_coefficient_must_fix_degree_zero(scalar_line):
-    aut = identity_twist(scalar_line, 4)
-    d = FixedDerivationSpec.inner(zmon(2))
+def test_inner_coefficient_must_fix_degree_zero():
+    # z^2 d/dz sends degree zero to degree one; refused when it is built
     with pytest.raises(NotInDomain):
-        loop_phi_eval(scalar_line, aut, 4, FORWARD, zmon(1), d, unit_line(scalar_line, 1))
-
-
-def test_table_missing_entry_is_rejected(scalar_line):
-    aut = identity_twist(scalar_line, 4)
-    d = FixedDerivationSpec.table([])
-    with pytest.raises(NotInDomain):
-        loop_phi_eval(scalar_line, aut, 4, FORWARD, zmon(1), d, unit_line(scalar_line, 2))
+        coefficient_derivation(zmon(2), 4)
 
 
 def test_unit_must_be_single_monomial(scalar_line):
     aut = identity_twist(scalar_line, 4)
-    d = FixedDerivationSpec.inner(zmon(1))
+    d = coefficient_derivation(zmon(1), 4)
     with pytest.raises(HypothesisNotMet):
         loop_phi_eval(scalar_line, aut, 4, FORWARD, zmon(1).add(zmon(5)), d,
                       unit_line(scalar_line, 1))
@@ -302,7 +301,7 @@ def test_unit_must_be_single_monomial(scalar_line):
 
 def test_unit_class_must_be_one_for_the_style(scalar_line):
     aut = identity_twist(scalar_line, 4)
-    d = FixedDerivationSpec.inner(zmon(1))
+    d = coefficient_derivation(zmon(1), 4)
     with pytest.raises(HypothesisNotMet):
         loop_phi_eval(scalar_line, aut, 4, FORWARD, zmon(2), d, unit_line(scalar_line, 1))
     with pytest.raises(HypothesisNotMet):
@@ -311,7 +310,7 @@ def test_unit_class_must_be_one_for_the_style(scalar_line):
 
 def test_period_mismatch_rejected(scalar_line):
     aut = identity_twist(scalar_line, 2)
-    d = FixedDerivationSpec.inner(zmon(1))
+    d = coefficient_derivation(zmon(1), 4)
     with pytest.raises(HypothesisNotMet):
         loop_phi_eval(scalar_line, aut, 4, FORWARD, zmon(1), d, unit_line(scalar_line, 1))
 
@@ -353,8 +352,8 @@ def ad_h_on_flagship():
 
     It fixes the degree-zero part, and it descends along exponent reduction,
     unlike a coefficient derivation p(z) d/dz whose value on z^T - 1 is not
-    zero. Yields the finite setup, its fixed-point matrix and, per loop
-    target, the table derivation over every argument an evaluation asks for.
+    zero. Yields the finite setup, its fixed-point matrix and ad_h itself,
+    the derivation on the loop carrier.
     """
     f = Q
     a = sl2(f)
@@ -365,10 +364,6 @@ def ad_h_on_flagship():
     def ad_h(x):
         return LoopElement(a, {e: a.mult(h, list(v)) for e, v in x.support.items()})
 
-    def loop_spec(tgt):
-        args = phi_argument_list(a, aut, 2, FORWARD, zmon(1), tgt)
-        return FixedDerivationSpec.table([(x, ad_h(x)) for x in args])
-
     # finite side: the same bracketing in fixed-point coordinates
     kdim = setup.fixed_algebra.dim
     h1 = setup.tensor_elem(h, setup.s.unit())
@@ -378,19 +373,19 @@ def ad_h_on_flagship():
                                                   for j in range(kdim)]))
         cols.append(setup.fixed_coords(img))
     dmat = Matrix(f, [[cols[j][i] for j in range(kdim)] for i in range(kdim)], kdim)
-    return a, aut, setup, dmat, loop_spec
+    return a, aut, setup, dmat, ad_h
 
 
 def assert_carriers_agree(ad_h_on_flagship, finite, loop):
     """Loop evaluation then reduction equals the finite formula on b (x) z^e, |e| <= 3."""
-    a, aut, setup, dmat, loop_spec = ad_h_on_flagship
+    a, aut, setup, dmat, ad_h = ad_h_on_flagship
     assert setup.unit_data.q == 1
     qmap = LoopQuotient(a, 4)
     big = finite(dmat, setup)
     for bidx in range(3):
         for exp in range(-3, 4):
             tgt = LoopElement.term(a, a.basis_vector(bidx), exp)
-            loop_img = loop(a, aut, 2, FORWARD, zmon(1), loop_spec(tgt), tgt)
+            loop_img = loop(a, aut, 2, FORWARD, zmon(1), ad_h, tgt)
             assert qmap.apply(loop_img) == big.matvec(qmap.apply(tgt))
 
 

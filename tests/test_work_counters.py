@@ -1,7 +1,8 @@
 """Work-counter regressions: repeated self-check work must stay removed.
 
 These tests count calls; they time nothing. Each pins one saving: a left
-grading is built once per automorphism, the split of a tensor derivation
+grading is built once per automorphism, the inverse-map formula runs once
+per Laurent target, the split of a tensor derivation
 checks its two summand spaces direct once per tensor algebra, not once per
 sample, and verify-thm1 builds each tensor algebra A (x) S once and
 assembles its Leibniz system once.
@@ -9,7 +10,7 @@ assembles its Leibniz system once.
 
 import pytest
 
-from dertensor import algebra, cli, decomposition, invariants
+from dertensor import algebra, cli, decomposition, invariants, laurent
 from dertensor.catalog import diagonal_matrix, sl2
 from dertensor.exactla import Matrix, Subspace
 from dertensor.gradings import Grading, check_automorphism
@@ -31,6 +32,21 @@ def test_last_exa_ii_builds_each_left_grading_once(monkeypatch, capsys):
     capsys.readouterr()
     # one period, so one automorphism and one grading
     assert len(builds) == 1
+
+
+def test_last_exa_ii_runs_phi_once_per_target(monkeypatch, capsys):
+    passes = []
+    phi = laurent._phi
+
+    def counted(*args):
+        passes.append(args)
+        return phi(*args)
+
+    monkeypatch.setattr(laurent, "_phi", counted)
+    assert cli.run(["phi-eval", "--setup", "last-exa-ii", "--m", "12", "--json"]) == 0
+    capsys.readouterr()
+    # five values of n, and targets z^j with |j| <= 2m
+    assert len(passes) == 5 * (4 * 12 + 1) == 245
 
 
 def _overlap_checks(monkeypatch, capsys, budget):
