@@ -53,7 +53,6 @@ from .invariants import centroid, derivation_space, differential_centroid, psi_m
 from .laurent import (
     FORWARD,
     INVERSE,
-    LaurentElement,
     LoopElement,
     coefficient_derivation,
     loop_bm_eval,
@@ -465,7 +464,7 @@ def _counterexample_report() -> VerificationReport:
     """The paper's example: period 4, forward style, u = z; its pinned values hold only there."""
     rep = VerificationReport("published-formula-counterexample")
     f, a, aut = _scalar_scene(4)
-    z = LaurentElement.monomial(f, 1)
+    z = _line(a, 1)
     d = coefficient_derivation(z, 4)
     rep.hyp("scalar-S")
     rep.hyp("graded-unit")
@@ -493,8 +492,8 @@ def _phi_scene_one(style: str | None, u_text: str | None) -> VerificationReport:
     rep = VerificationReport("inverse-map-values")
     f, a, aut = _scalar_scene(4)
     style = style or FORWARD
-    u = parse_laurent(u_text, f) if u_text else LaurentElement.monomial(f, 1)
-    d = coefficient_derivation(LaurentElement.monomial(f, 1), 4)
+    u = parse_laurent(u_text, a) if u_text else _line(a, 1)
+    d = coefficient_derivation(_line(a, 1), 4)
     rep.hyp("scalar-S")
     rep.hyp("graded-unit")
 
@@ -538,7 +537,7 @@ def _phi_scene_two(ms, ns, style: str | None, u_text: str | None) -> Verificatio
     rep.hyp("graded-unit")
     for m in ms:
         f, a, aut = _scalar_scene(m)
-        u = parse_laurent(u_text, f) if u_text else LaurentElement.monomial(f, -1)
+        u = parse_laurent(u_text, a) if u_text else _line(a, -1)
         for n in ns:
             d = _t_derivation(a, m, n)
             ok = True
@@ -611,6 +610,8 @@ def cmd_phi_eval(args) -> int:
             raise ParseError(f"a scene period must be at least 1, got {nargs[0]}")
         return _emit(_phi_scene_two((nargs[0],), (nargs[1],), args.style, args.u), args)
     _no_period(args, "a finite setup")
+    if args.style is not None:
+        raise ParseError("--style applies only to the Laurent scenes, not to a finite setup")
     return _emit(_phi_branch_report(_resolve_setup(args.setup, args)), args)
 
 

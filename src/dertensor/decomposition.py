@@ -136,7 +136,8 @@ class Setup:
         if not a.is_perfect():
             raise NotPerfect("left factor is not perfect")
         require_scalar_hypotheses(s)
-        # (iii) held by the Automorphism type; gradings need roots of unity
+        # (iii) held by the Automorphism type; a grading other than the
+        # identity's needs a root of unity
         self.grading_a = grading_from_automorphism(aut1)
         self.grading_s = grading_from_automorphism(aut2)
         self.ts = tensor_product(a, s)

@@ -38,7 +38,7 @@ class Automorphism:
     """A validated automorphism of declared period; immutable by convention.
 
     Data derived from it alone is memoised on the instance: the inverse
-    matrix here, and other modules' derived data in _cache.
+    matrix, and its grading in _cache.
     """
 
     __slots__ = ("algebra", "matrix", "period", "_inv", "_cache")
@@ -150,28 +150,41 @@ class Grading:
 
 
 def grading_from_automorphism(aut: Automorphism) -> Grading:
-    """Eigenspace grading: component i is the kernel of (sigma - omega^i id)."""
+    """Eigenspace grading: component i is the kernel of (sigma - omega^i id).
+
+    The identity puts everything in degree zero whatever its period, as the
+    eigenspace route would, without asking the field for a root of unity.
+    Built once, self-checks included, and kept on the automorphism.
+    """
+    if "grading" in aut._cache:
+        return aut._cache["grading"]
     a = aut.algebra
     f = a.field
     n = a.dim
-    omega = f.root_of_unity(aut.period)
-    comps = []
-    for i in range(aut.period):
-        w = f.pow(omega, i)
-        rows = [
-            [f.sub(aut.matrix.rows[r][c], w if r == c else f.zero()) for c in range(n)]
-            for r in range(n)
-        ]
-        comps.append(kernel_of_rows(f, sparse_rows(f, rows), n, f"eigenspace-{i}"))
-    if sum(c.dim for c in comps) != n:
-        raise InternalCheckFailed("eigenspaces do not fill the algebra")
-    g = Grading(aut.period, n, comps)
-    # reconstruction: sum of omega^i times projection_i must be sigma itself
-    acc = Matrix.zeros(f, n, n)
-    for i, p in enumerate(g.projections(f)):
-        acc = acc.add(p.scale(f.pow(omega, i)))
-    if acc != aut.matrix:
-        raise InternalCheckFailed("grading does not reconstruct the automorphism")
+    eye = Matrix.identity(f, n)
+    if aut.matrix == eye:
+        comps = [Subspace.from_vectors(f, n, eye.rows)]
+        g = Grading(aut.period, n, comps + [Subspace.from_vectors(f, n, [])] * (aut.period - 1))
+    else:
+        omega = f.root_of_unity(aut.period)
+        comps = []
+        for i in range(aut.period):
+            w = f.pow(omega, i)
+            rows = [
+                [f.sub(aut.matrix.rows[r][c], w if r == c else f.zero()) for c in range(n)]
+                for r in range(n)
+            ]
+            comps.append(kernel_of_rows(f, sparse_rows(f, rows), n, f"eigenspace-{i}"))
+        if sum(c.dim for c in comps) != n:
+            raise InternalCheckFailed("eigenspaces do not fill the algebra")
+        g = Grading(aut.period, n, comps)
+        # reconstruction: sum of omega^i times projection_i must be sigma itself
+        acc = Matrix.zeros(f, n, n)
+        for i, p in enumerate(g.projections(f)):
+            acc = acc.add(p.scale(f.pow(omega, i)))
+        if acc != aut.matrix:
+            raise InternalCheckFailed("grading does not reconstruct the automorphism")
+    aut._cache["grading"] = g
     return g
 
 

@@ -217,8 +217,8 @@ def vanishing_on_left_derivations(a: Algebra, s: Algebra, ts: Algebra | None = N
 
 
 class PsiReport(SimpleNamespace):
-    """Fields matrix, domain_dim, target_dim, injective, image_in_centroid,
-    surjective and multiplicative, given by keyword."""
+    """Fields domain_dim, target_dim, injective, image_in_centroid, surjective
+    and multiplicative, given by keyword."""
 
     @property
     def bijective(self) -> bool:
@@ -263,9 +263,7 @@ def psi_map(a: Algebra, s: Algebra, ts: Algebra | None = None) -> PsiReport:
     in_cent = all(cent_ts.space.contains(c) for c in cols)
     surjective = in_cent and image.dim == cent_ts.dim
     multiplicative = _psi_multiplicative(f, cent_a, gammas, s, cols, ts)
-    mat = Matrix(f, [[col[i] for col in cols] for i in range(n2)], dom) if dom else Matrix(f, [], 0)
     return PsiReport(
-        matrix=mat,
         domain_dim=dom,
         target_dim=cent_ts.dim,
         injective=injective,

@@ -1,13 +1,14 @@
-"""Sparse exact model of the Laurent scalar algebra and its loop algebra.
+"""Sparse exact model of the loop algebra A (x) k[z^{+-1}].
 
 The finite verifiers work inside k[z]/(z^T - 1), where every extension
 formula can be compared as a matrix. The examples that separate the two
 extension formulas need k[z^{+-1}] itself: no power of z collapses, so a
 failed Leibniz identity cannot hide behind a quotient relation. This
-module represents Laurent polynomials and loop elements a (x) z^n as
-finite sparse maps and evaluates both extension formulas term by term (the
-formulas are written once, in decomposition, against a carrier that this
-module supplies for loop elements).
+module represents loop elements a (x) z^n as finite sparse maps and
+evaluates both extension formulas term by term (the formulas are written
+once, in decomposition, against a carrier that this module supplies for
+loop elements). A Laurent polynomial, such as the graded unit, is a loop
+element of the one-dimensional algebra k<1>.
 
 Nothing here ever materialises a basis of an infinite-dimensional operator
 space. A fixed-point derivation, a derivation of the degree-zero loop
@@ -26,7 +27,7 @@ from .errors import (
     NotInDomain,
     ParseError,
 )
-from .exactla import Matrix, Subspace, _combine, _dense, sparse_rows
+from .exactla import _combine, _dense, sparse_rows
 from .gradings import Grading, eps, grading_from_automorphism
 
 FORWARD = "forward"
@@ -44,66 +45,6 @@ def graded_component(n: int, m: int, style: str) -> int:
     if style == INVERSE:
         return eps(-n, m)
     raise ParseError(f"unknown grading style {style!r}")
-
-
-class LaurentElement:
-    """Exact Laurent polynomial: finite map from integer exponents to scalars.
-
-    Zero coefficients are never stored, so support comparison is equality.
-    """
-
-    __slots__ = ("field", "support")
-
-    def __init__(self, field, support: dict):
-        self.field = field
-        self.support = {e: c for e, c in support.items() if field.nonzero(c)}
-
-    @classmethod
-    def zero(cls, field) -> "LaurentElement":
-        return cls(field, {})
-
-    @classmethod
-    def monomial(cls, field, exp: int, coeff=None) -> "LaurentElement":
-        return cls(field, {exp: field.one() if coeff is None else coeff})
-
-    def _check(self, other: "LaurentElement"):
-        if self.field != other.field:
-            raise FieldMismatch("laurent elements over different fields")
-
-    def terms(self):
-        return sorted(self.support.items())
-
-    def add(self, other: "LaurentElement") -> "LaurentElement":
-        self._check(other)
-        f = self.field
-        out = dict(self.support)
-        for e, c in other.support.items():
-            out[e] = f.add(out.get(e, f.zero()), c)
-        return LaurentElement(f, out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LaurentElement)
-            and self.field == other.field
-            and self.support == other.support
-        )
-
-    def __hash__(self):
-        return hash((self.field, tuple(self.terms())))
-
-    def __repr__(self):
-        if not self.support:
-            return "0"
-        f = self.field
-        parts = []
-        for e, c in self.terms():
-            lit = f.format(c)
-            if e == 0:
-                parts.append(lit)
-            else:
-                zp = "z" if e == 1 else f"z^{e}"
-                parts.append(zp if lit == "1" else f"{lit}*{zp}")
-        return " + ".join(parts)
 
 
 class LoopElement:
@@ -188,15 +129,15 @@ class LoopElement:
                     out[e] = prod
         return LoopElement(a, out)
 
-    def s_derivative(self, p: LaurentElement) -> "LoopElement":
-        """Apply identity (x) p(z) d/dz."""
-        if self.algebra.field != p.field:
+    def s_derivative(self, p: "LoopElement") -> "LoopElement":
+        """Apply identity (x) p(z) d/dz, the Laurent polynomial p a loop element of k<1>."""
+        if self.algebra.field != p.algebra.field:
             raise FieldMismatch("derivation coefficient over a different field")
         f = self.algebra.field
         out = LoopElement.zero(self.algebra)
         for e, v in self.support.items():
             n = f.from_int(e)
-            for pe, pc in p.support.items():
+            for pe, (pc,) in p.support.items():
                 out = out.add(LoopElement(
                     self.algebra, {e - 1 + pe: [f.mul(f.mul(n, pc), c) for c in v]}))
         return out
@@ -229,13 +170,20 @@ class LoopElement:
 # fixed-point derivations of scalar type
 
 
-def coefficient_derivation(p: LaurentElement, m: int):
+def _scalar_support(p: LoopElement, what: str) -> dict:
+    """Exponent -> coefficient of a Laurent polynomial: a loop element of k<1>."""
+    if p.algebra.dim != 1:
+        raise FieldMismatch(f"{what} lies over a dim-{p.algebra.dim} algebra, not k<1>")
+    return {e: c for e, (c,) in p.support.items()}
+
+
+def coefficient_derivation(p: LoopElement, m: int):
     """identity (x) p(z) d/dz on loop elements, as a fixed-point derivation.
 
     It must keep the degree-zero subalgebra invariant, which pins every
-    exponent of p to 1 mod m in either grading style.
+    exponent of p (a loop element of k<1>) to 1 mod m in either style.
     """
-    bad = [e for e in p.support if eps(e - 1, m) != 0]
+    bad = [e for e in _scalar_support(p, "the coefficient") if eps(e - 1, m) != 0]
     if bad:
         raise NotInDomain(
             f"coefficient exponents {sorted(bad)} move the derivation off degree zero")
@@ -246,38 +194,16 @@ def coefficient_derivation(p: LaurentElement, m: int):
 # the two extension formulas in the loop model
 
 
-def _unit_monomial(u: LaurentElement, m: int, style: str):
+def _unit_monomial(u: LoopElement, m: int, style: str):
     """Validate the degree-one unit and return (exponent, coefficient)."""
-    if len(u.support) != 1:
+    support = _scalar_support(u, "the graded unit")
+    if len(support) != 1:
         raise HypothesisNotMet("the graded unit must be a single monomial", "graded-unit")
-    (ue, uc), = u.support.items()
+    (ue, uc), = support.items()
     if graded_component(ue, m, style) != eps(1, m):
         raise HypothesisNotMet(
             f"unit monomial z^{ue} does not lie in the degree-one component", "graded-unit")
     return ue, uc
-
-
-def _left_grading(aut1) -> Grading:
-    """Grading of the left factor; a trivial twist never asks for a root.
-
-    When the automorphism is the identity the whole factor sits in degree
-    zero regardless of its period, so the eigenspace route (which would
-    demand a primitive root of unity in the field) is skipped. The grading
-    is a pure function of the automorphism, which is immutable, so it is
-    built once, self-checks included, and kept on the automorphism; the
-    grading in turn keeps its projections.
-    """
-    if "left_grading" not in aut1._cache:
-        a, m = aut1.algebra, aut1.period
-        f = a.field
-        if aut1.matrix == Matrix.identity(f, a.dim):
-            full = Subspace.from_vectors(f, a.dim, Matrix.identity(f, a.dim).rows)
-            empty = Subspace.from_vectors(f, a.dim, [])
-            g = Grading(m, a.dim, [full] + [empty] * (m - 1))
-        else:
-            g = grading_from_automorphism(aut1)
-        aut1._cache["left_grading"] = g
-    return aut1._cache["left_grading"]
 
 
 def _homogeneous_pieces(grading_a: Grading, target: LoopElement, m: int, style: str) -> list:
@@ -326,7 +252,7 @@ class _Loop:
         return LoopElement(self.a, out)
 
 
-def _loop_prologue(a: Algebra, aut1, m: int, style: str, u: LaurentElement,
+def _loop_prologue(a: Algebra, aut1, m: int, style: str, u: LoopElement,
                    target: LoopElement):
     """Check the hypotheses of both formulas; the carrier and the target's pieces."""
     if aut1.algebra is not a:
@@ -335,15 +261,15 @@ def _loop_prologue(a: Algebra, aut1, m: int, style: str, u: LaurentElement,
     if aut1.period != m:
         raise HypothesisNotMet(
             f"declared periods differ: {aut1.period} vs {m}", "automorphism-periods")
-    if a.field != u.field:
+    if a.field != u.algebra.field:
         raise FieldMismatch("unit monomial over a different field")
     c = _Loop(a, m, _unit_monomial(u, m, style))
     if target.algebra is not a:
         raise FieldMismatch("target lives over a different carrier")
-    return c, _homogeneous_pieces(_left_grading(aut1), target, m, style)
+    return c, _homogeneous_pieces(grading_from_automorphism(aut1), target, m, style)
 
 
-def loop_phi_eval(a: Algebra, aut1, m: int, style: str, u: LaurentElement,
+def loop_phi_eval(a: Algebra, aut1, m: int, style: str, u: LoopElement,
                   d, target: LoopElement) -> LoopElement:
     """Evaluate the inverse-map formula on a loop element, term by term.
 
@@ -353,7 +279,7 @@ def loop_phi_eval(a: Algebra, aut1, m: int, style: str, u: LaurentElement,
     return c.comb((a.field.one(), x) for x in _phi(c, d, pieces, m))
 
 
-def loop_bm_eval(a: Algebra, aut1, m: int, style: str, u: LaurentElement,
+def loop_bm_eval(a: Algebra, aut1, m: int, style: str, u: LoopElement,
                  d, target: LoopElement) -> LoopElement:
     """Evaluate the earlier published extension formula on a loop element.
 
@@ -403,9 +329,10 @@ def _split_top_level(text: str):
     return chunks
 
 
-def parse_laurent(text: str, field) -> LaurentElement:
-    """Parse a sum of c*z^n terms; bare scalars and bare powers allowed."""
-    out = LaurentElement.zero(field)
+def parse_laurent(text: str, line: Algebra) -> LoopElement:
+    """Parse a sum of c*z^n terms (bare scalars and powers allowed) over k<1>, the line."""
+    field = line.field
+    out = LoopElement.zero(line)
     if not text.strip():
         raise ParseError("empty laurent literal")
     for sign, chunk in _split_top_level(text):
@@ -438,5 +365,5 @@ def parse_laurent(text: str, field) -> LaurentElement:
             exp = 0
         if sign < 0:
             coeff = field.neg(coeff)
-        out = out.add(LaurentElement.monomial(field, exp, coeff))
+        out = out.add(LoopElement.term(line, [coeff], exp))
     return out

@@ -7,7 +7,7 @@ a (x) z^(n mod T). The engine itself never reduces.
 
 from dertensor.algebra import tensor_product
 from dertensor.catalog import group_algebra
-from dertensor.laurent import LaurentElement, LoopElement
+from dertensor.laurent import LoopElement
 
 
 class LoopQuotient:
@@ -37,8 +37,3 @@ class LoopQuotient:
                 out[idx] = f.add(out[idx], c)
         return out
 
-
-def laurent_sub(x: LaurentElement, y: LaurentElement) -> LaurentElement:
-    """x - y for Laurent polynomials."""
-    f = y.field
-    return x.add(LaurentElement(f, {e: f.neg(c) for e, c in y.support.items()}))

@@ -203,6 +203,21 @@ def test_phi_eval_period_flag(capsys, argv, code, needle):
         assert needle in err
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["--setup", "quotient-laurent(1,4)", "--field", "prime(5,4)", "--style", "inverse"], 2),
+    (["--setup", "last-exa-i", "--style", "inverse", "--u", "z^-1"], 0),
+    (["--style", "forward", "--u", "z"], 0),
+], ids=["finite-setup", "last-exa-i", "sweep"])
+def test_phi_eval_style_flag(capsys, argv, code):
+    got, out, err = run_cap(capsys, ["phi-eval"] + argv + ["--json"])
+    assert got == code
+    if code:
+        assert out == ""
+        assert "--style applies only to the Laurent scenes" in err
+    else:
+        assert json.loads(out)["verdict"] == "pass"
+
+
 def test_phi_eval_finite_charp_agreement(capsys):
     code, out, _ = run_cap(
         capsys,
@@ -333,6 +348,18 @@ def test_setup_file_bad_automorphism_is_hypothesis_error(tmp_path, capsys):
     p.write_text(json.dumps(spec))
     code, _, err = run_cap(capsys, ["verify-thm2", "--setup", str(p)])
     assert code == 3
+
+
+def test_setup_file_identity_twists_need_no_root(tmp_path, capsys):
+    # Q has no primitive cube root; the identity grading has an empty
+    # degree-one component, so the graded unit is what fails
+    eye = {"diagonal": ["1", "1", "1"], "period": 3}
+    spec = {"a": "sl2", "s": "group-algebra(3)", "aut1": eye, "aut2": eye}
+    p = tmp_path / "identity.json"
+    p.write_text(json.dumps(spec))
+    code, _, err = run_cap(capsys, ["verify-thm2", "--setup", str(p)])
+    assert code == 3
+    assert "[graded-unit]" in err
 
 
 def test_setup_file_missing_part(tmp_path, capsys):

@@ -39,7 +39,7 @@ from dertensor.errors import (
     NoUnitFound,
 )
 from dertensor.exactla import Matrix, vec_add, vec_is_zero, vec_scale
-from dertensor.gradings import check_automorphism
+from dertensor.gradings import check_automorphism, grading_from_automorphism
 from dertensor.invariants import derivation_space, leibniz_witness, satisfies_leibniz
 from dertensor.scalars import make_field
 
@@ -47,6 +47,12 @@ from dertensor.scalars import make_field
 @pytest.fixture(scope="module")
 def flagship():
     return sl2_twisted_flagship()
+
+
+def test_setup_shares_the_grading_of_each_automorphism(flagship):
+    assert flagship.grading_a is grading_from_automorphism(flagship.aut1)
+    assert flagship.grading_s is grading_from_automorphism(flagship.aut2)
+    assert flagship.grading_ts is grading_from_automorphism(flagship.aut)
 
 
 def random_derivation(ts, rng):

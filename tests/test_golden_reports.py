@@ -67,6 +67,18 @@ COMMANDS = (
         ["counterexample-bm", "--u", "z^5", "--json"],
         ["counterexample-bm", "--style", "inverse", "--u", "z^-1", "--json"],
         ["bm-eval", "--u", "z"],
+        # Laurent literals for the graded unit of the scenes
+        ["phi-eval", "--setup", "last-exa-i", "--u", "z^5", "--json"],
+        ["phi-eval", "--setup", "last-exa-i", "--u", "(1/2)*z^-3", "--json"],
+        ["phi-eval", "--setup", "last-exa-i", "--u", "z^2", "--json"],
+        ["phi-eval", "--setup", "last-exa-i", "--u", "z + z^5", "--json"],
+        ["phi-eval", "--setup", "last-exa-i", "--u", "z^x", "--json"],
+        ["phi-eval", "--setup", "last-exa-ii(3,1)", "--u=-z^-4", "--json"],
+        ["phi-eval", "--setup", "last-exa-ii", "--m", "3", "--style", "forward", "--u", "z",
+         "--json"],
+        # --style names a Laurent grading; a finite setup has none
+        ["phi-eval", "--setup", "quotient-laurent(1,4)", "--field", "prime(5,4)", "--style",
+         "inverse", "--json"],
     ]
 )
 

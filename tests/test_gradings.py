@@ -12,7 +12,7 @@ from dertensor.errors import (
     NotUnitResidue,
     WrongPeriod,
 )
-from dertensor.exactla import Matrix, Subspace
+from dertensor.exactla import Matrix, Subspace, kernel_of_rows, sparse_rows
 from dertensor.gradings import (
     check_automorphism,
     eps,
@@ -104,6 +104,29 @@ def test_declared_period_is_not_minimized():
     aut = check_automorphism(a, Matrix.identity(f5, 3), 4)
     g = grading_from_automorphism(aut)
     assert g.component_dims == (3, 0, 0, 0)
+
+
+def test_identity_grading_asks_for_no_root():
+    # Q has no primitive cube root, yet the identity of period 3 grades sl2
+    q = make_field("rational")
+    eye = Matrix.identity(q, 3)
+    aut = check_automorphism(sl2(q), eye, 3)
+    g = grading_from_automorphism(aut)
+    assert g.component_dims == (3, 0, 0)
+    assert g.components[0] == Subspace.from_vectors(q, 3, eye.rows)
+    assert grading_from_automorphism(aut) is g
+
+
+@pytest.mark.parametrize("field", [make_field("cyclotomic", m=3), make_field("prime", m=3, p=7)],
+                         ids=["cyclotomic(3)", "prime(7,3)"])
+def test_identity_grading_matches_the_eigenspace_route(field):
+    eye = Matrix.identity(field, 3)
+    g = grading_from_automorphism(check_automorphism(sl2(field), eye, 3))
+    omega = field.root_of_unity(3)
+    for i, comp in enumerate(g.components):
+        # component i is the kernel of (1 - omega^i) id
+        rows = eye.add(eye.scale(field.neg(field.pow(omega, i)))).rows
+        assert comp == kernel_of_rows(field, sparse_rows(field, rows), 3)
 
 
 def monomial_grading_z4():

@@ -1,24 +1,23 @@
 """Work-counter regressions: repeated self-check work must stay removed.
 
-These tests count calls; they time nothing. Each pins one saving: a left
-grading is built once per automorphism, the inverse-map formula runs once
-per Laurent target, the split of a tensor derivation
-checks its two summand spaces direct once per tensor algebra, not once per
-sample, and verify-thm1 builds each tensor algebra A (x) S once and
-assembles its Leibniz system once.
+These tests count calls; they time nothing. Each pins one saving: a
+grading is built once per automorphism and the Laurent carrier reads that
+one, the inverse-map formula runs once per Laurent target, the split of a
+tensor derivation checks its two summand spaces direct once per tensor
+algebra, not once per sample, and verify-thm1 builds each tensor algebra
+A (x) S once and assembles its Leibniz system once.
 """
 
 import pytest
 
 from dertensor import algebra, cli, decomposition, invariants, laurent
-from dertensor.catalog import diagonal_matrix, sl2
+from dertensor.catalog import diagonal_matrix, group_algebra, sl2
 from dertensor.exactla import Matrix, Subspace
-from dertensor.gradings import Grading, check_automorphism
-from dertensor.laurent import _left_grading
+from dertensor.gradings import Grading, check_automorphism, grading_from_automorphism
 from dertensor.scalars import make_field
 
 
-def test_last_exa_ii_builds_each_left_grading_once(monkeypatch, capsys):
+def test_last_exa_ii_builds_each_grading_once(monkeypatch, capsys):
     builds = []
     projections = Grading.projections
 
@@ -32,6 +31,31 @@ def test_last_exa_ii_builds_each_left_grading_once(monkeypatch, capsys):
     capsys.readouterr()
     # one period, so one automorphism and one grading
     assert len(builds) == 1
+
+
+def test_loop_phi_eval_reads_the_grading_of_its_automorphism(monkeypatch):
+    # the identity of period 3 on sl2 over Q, which has no primitive cube root
+    q = make_field("rational")
+    a = sl2(q)
+    aut = check_automorphism(a, Matrix.identity(q, 3), 3)
+    grading_from_automorphism(aut)
+    builds = []
+    init = Grading.__init__
+
+    def counted(self, *args):
+        builds.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(Grading, "__init__", counted)
+    h = a.basis_vector(1)
+
+    def ad_h(x):
+        return laurent.LoopElement(a, {e: a.mult(h, list(v)) for e, v in x.support.items()})
+
+    u = laurent.LoopElement.term(group_algebra(1, q), [q.one()], 1)
+    x = laurent.LoopElement.term(a, a.basis_vector(0), 1)
+    assert laurent.loop_phi_eval(a, aut, 3, laurent.FORWARD, u, ad_h, x) == ad_h(x)
+    assert builds == []
 
 
 def test_last_exa_ii_runs_phi_once_per_target(monkeypatch, capsys):
@@ -97,7 +121,7 @@ def test_verify_thm1_builds_each_tensor_algebra_once(monkeypatch, capsys, pair):
     assert [sum(x is ts for x in assembled) for ts in built] == [1] * len(built)
 
 
-def test_left_gradings_are_never_shared_between_automorphisms():
+def test_gradings_are_never_shared_between_automorphisms():
     f = make_field("cyclotomic", m=4)
     a = sl2(f)
     om = f.root_of_unity(4)
@@ -107,8 +131,8 @@ def test_left_gradings_are_never_shared_between_automorphisms():
     seen = []
     for mat, period in ((eye, 2), (eye, 4), (sign, 2), (sign, 4), (quarter, 4), (sign, 2)):
         aut = check_automorphism(a, mat, period)
-        g = _left_grading(aut)
-        assert _left_grading(aut) is g
+        g = grading_from_automorphism(aut)
+        assert grading_from_automorphism(aut) is g
         assert g.m == period
         # the projections rebuild this automorphism, not an earlier one
         w = f.root_of_unity(period)
