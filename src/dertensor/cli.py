@@ -581,6 +581,13 @@ def _phi_branch_report(st: Setup) -> VerificationReport:
     return rep
 
 
+def _scene_flags(args):
+    """The Laurent scenes are fixed over Q and tiny: refuse the flags they would ignore."""
+    if args.field or args.force:
+        flag = "--field" if args.field else "--force"
+        raise ParseError(f"{flag} applies only to a finite --setup, not to the Laurent scenes")
+
+
 def _no_period(args, what: str):
     if args.m is not None:
         raise ParseError(f"--m applies only to the scene sweep (no --setup, or last-exa-ii), "
@@ -589,6 +596,8 @@ def _no_period(args, what: str):
 
 def cmd_phi_eval(args) -> int:
     ms = (args.m,) if args.m is not None else (2, 3, 4)
+    if args.setup is None or is_scene_name(args.setup):
+        _scene_flags(args)
     if args.setup is None:
         rep = VerificationReport("inverse-map-reproduction")
         _merge(rep, _phi_scene_one(args.style, args.u), "values")
@@ -620,6 +629,7 @@ def cmd_bm_eval(args) -> int:
                               and parse_catalog_name(args.setup)[0] != "last-exa-ii"):
         if args.u:
             raise ParseError("--u needs a finite --setup; the published formula scene fixes u = z")
+        _scene_flags(args)
         return _emit(_counterexample_report(), args)
     if is_scene_name(args.setup):
         raise ParseError("the published formula scene is the period-4 scalar one")
@@ -753,12 +763,17 @@ COMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of the named one alone; usage lists them all."""
     ap = argparse.ArgumentParser(
         prog="dertensor", allow_abbrev=False,
         description="exact derivations, centroids, gradings and the restriction isomorphism")
-    sub = ap.add_subparsers(dest="command", required=True)
+    every = "{" + ",".join(name for name, *_ in COMMANDS) + "}"
+    sub = ap.add_subparsers(dest="command", required=True,
+                            metavar=None if command is None else every)
     for name, fn, about, accepted in COMMANDS:
+        if command not in (None, name):
+            continue
         p = sub.add_parser(name, help=about, allow_abbrev=False)
         for arg in accepted:
             p.add_argument(arg, **ARGUMENTS[arg])
@@ -767,8 +782,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and any(argv[0] == name for name, *_ in COMMANDS) else None
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

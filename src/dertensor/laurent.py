@@ -104,15 +104,12 @@ class LoopElement:
     def sub(self, other: "LoopElement") -> "LoopElement":
         return self.add(other.neg())
 
-    def scale(self, c) -> "LoopElement":
-        f = self.algebra.field
-        return LoopElement(
-            self.algebra, {e: [f.mul(c, x) for x in v] for e, v in self.support.items()})
-
     def shift(self, k: int, coeff=None) -> "LoopElement":
         """Multiply by the scalar monomial coeff * z^k."""
-        out = LoopElement(self.algebra, {e + k: v for e, v in self.support.items()})
-        return out if coeff is None else out.scale(coeff)
+        mul = self.algebra.field.mul
+        return LoopElement(self.algebra, {
+            e + k: v if coeff is None else [mul(coeff, x) for x in v]
+            for e, v in self.support.items()})
 
     def mul(self, other: "LoopElement") -> "LoopElement":
         self._check(other)
@@ -213,11 +210,11 @@ def _homogeneous_pieces(grading_a: Grading, target: LoopElement, m: int, style: 
     the total residue of a_vec (x) z^exp.
     """
     f = target.algebra.field
-    parts = grading_a.basis_parts(f)
+    parts = [(ia, cols) for ia, cols in enumerate(grading_a.basis_parts(f)) if cols]
     pieces = []
     for exp, vec in target.terms():
         coords = sparse_rows(f, [vec])[0]
-        for ia, cols in enumerate(parts):
+        for ia, cols in parts:
             # the sum of c_i times the degree-ia part of e_i, over the nonzero c_i only
             part = _combine(f, coords, cols)
             if part:
@@ -230,17 +227,21 @@ class _Loop:
     """The Laurent carrier of the shared formulas: loop elements.
 
     The unit is U = uc z^ue, and a scalar-slot factor b is the power z^b.
+    Each coefficient uc^t is computed once, as Setup.unit_power caches U^t.
     """
 
     def __init__(self, a: Algebra, m: int, upair):
         self.a, self.m, self.field = a, m, a.field
         self.ue, self.uc = upair
+        self._upow = {}
 
     def pure(self, avec, t: int, b=None) -> LoopElement:
         return self.act(LoopElement.term(self.a, avec, 0), t, b)
 
     def act(self, x: LoopElement, t: int, b=None) -> LoopElement:
-        return x.shift(t * self.ue + (b or 0), self.field.pow(self.uc, t))
+        if t not in self._upow:
+            self._upow[t] = self.field.pow(self.uc, t)
+        return x.shift(t * self.ue + (b or 0), self._upow[t])
 
     def comb(self, terms) -> LoopElement:
         f = self.field

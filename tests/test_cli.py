@@ -218,6 +218,21 @@ def test_phi_eval_style_flag(capsys, argv, code):
         assert json.loads(out)["verdict"] == "pass"
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["phi-eval", "--field", "prime(5,4)"], "--field"),
+    (["phi-eval", "--setup", "last-exa-i", "--field", "rational"], "--field"),
+    (["phi-eval", "--setup", "last-exa-ii", "--m", "3", "--field", "prime(5,4)"], "--field"),
+    (["phi-eval", "--setup", "last-exa-ii(3,1)", "--force"], "--force"),
+    (["bm-eval", "--field", "prime(5,4)"], "--field"),
+    (["bm-eval", "--setup", "exaBM-laurent", "--force"], "--force"),
+], ids=["phi-sweep", "last-exa-i", "last-exa-ii", "last-exa-ii-mn", "bm-scene", "bm-named"])
+def test_laurent_scenes_refuse_field_and_force(capsys, argv, flag):
+    code, out, err = run_cap(capsys, argv + ["--json"])
+    assert code == 2
+    assert out == ""
+    assert f"error: {flag} applies only to a finite --setup" in err
+
+
 def test_phi_eval_finite_charp_agreement(capsys):
     code, out, _ = run_cap(
         capsys,
@@ -443,6 +458,20 @@ def test_help_and_no_command_exit_codes(capsys):
     capsys.readouterr()
     assert cli.run([]) == 2
     capsys.readouterr()
+
+
+def test_unknown_flag_usage_lists_every_command(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run_cap(capsys, ["phi-eval", "--bogus"])
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "usage: dertensor [-h]\n"
+        "                 {derive,centroid,dcentroid,psi-check,grade,fixed,verify-thm1,"
+        "verify-lemma21,verify-lemma35,verify-thm2,lemma-identities,phi-eval,bm-eval,"
+        "counterexample-bm,catalog}\n"
+        "                 ...\n"
+        "dertensor: error: unrecognized arguments: --bogus\n")
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import os
 import shlex
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
 
@@ -79,6 +80,17 @@ COMMANDS = (
         # --style names a Laurent grading; a finite setup has none
         ["phi-eval", "--setup", "quotient-laurent(1,4)", "--field", "prime(5,4)", "--style",
          "inverse", "--json"],
+        # help text, built from the command table
+        ["--help"],
+        ["phi-eval", "--help"],
+        ["verify-thm1", "--help"],
+        # the Laurent scenes are fixed over Q and tiny: --field and --force are refused
+        ["phi-eval", "--field", "prime(5,4)", "--json"],
+        ["phi-eval", "--setup", "last-exa-i", "--field", "prime(5,4)", "--json"],
+        ["phi-eval", "--setup", "last-exa-ii", "--m", "3", "--field", "prime(5,4)", "--json"],
+        ["phi-eval", "--force", "--json"],
+        ["bm-eval", "--field", "prime(5,4)", "--json"],
+        ["bm-eval", "--force", "--json"],
     ]
 )
 
@@ -86,7 +98,9 @@ COMMANDS = (
 def run_report(argv):
     """(exit code, stdout) of one in-process CLI run; stderr is dropped."""
     out = io.StringIO()
-    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+    # help text wraps at the terminal width; pin it
+    with redirect_stdout(out), redirect_stderr(io.StringIO()), \
+            mock.patch.dict(os.environ, {"COLUMNS": "80"}):
         code = cli.run(list(argv))
     return code, out.getvalue()
 

@@ -86,7 +86,7 @@ def test_field_mismatch_rejected():
 def test_derivative_and_shift(scalar_line):
     # d/dz on z^-2 and the constant term
     x = unit_line(scalar_line, -2).add(unit_line(scalar_line, 0))
-    assert x.s_derivative(zmon(0)) == unit_line(scalar_line, -3).scale(Q.from_int(-2))
+    assert x.s_derivative(zmon(0)) == unit_line(scalar_line, -3).shift(0, Q.from_int(-2))
     assert x.shift(2) == unit_line(scalar_line, 0).add(unit_line(scalar_line, 2))
 
 
@@ -95,7 +95,8 @@ def test_coefficient_derivation_action(scalar_line):
     d = coefficient_derivation(zmon(3).add(zmon(1)), 2)
     two = Q.from_int(2)
     got = d(unit_line(scalar_line, 2))
-    assert got == unit_line(scalar_line, 4).scale(two).add(unit_line(scalar_line, 2).scale(two))
+    assert got == unit_line(scalar_line, 4).shift(0, two).add(
+        unit_line(scalar_line, 2).shift(0, two))
     assert d(unit_line(scalar_line, 0)).is_zero()
 
 
@@ -148,7 +149,7 @@ def frozen_bm(bm_scene, exp):
 
 def test_published_formula_value_on_z5(bm_scene):
     a = bm_scene[0]
-    assert frozen_bm(bm_scene, 5) == unit_line(a, 5).scale(Q.from_int(4))
+    assert frozen_bm(bm_scene, 5) == unit_line(a, 5).shift(0, Q.from_int(4))
 
 
 def test_published_formula_kills_z3_and_z2(bm_scene):
@@ -162,7 +163,7 @@ def test_published_formula_breaks_product_rule(bm_scene):
     whole = frozen_bm(bm_scene, 5)
     split = frozen_bm(bm_scene, 2).mul(x3).add(x2.mul(frozen_bm(bm_scene, 3)))
     assert split.is_zero()
-    assert whole.sub(split) == unit_line(a, 5).scale(Q.from_int(4))
+    assert whole.sub(split) == unit_line(a, 5).shift(0, Q.from_int(4))
 
 
 def test_published_formula_failure_survives_prime_field():
@@ -197,19 +198,19 @@ def stretched_phi(bm_scene, exp, navg):
 
 def test_inverse_map_value_on_z2(bm_scene):
     a = bm_scene[0]
-    assert frozen_phi(bm_scene, 2) == unit_line(a, 2).scale(Q.from_int(2))
+    assert frozen_phi(bm_scene, 2) == unit_line(a, 2).shift(0, Q.from_int(2))
 
 
 def test_inverse_map_value_on_z5(bm_scene):
     a = bm_scene[0]
-    assert frozen_phi(bm_scene, 5) == unit_line(a, 5).scale(Q.from_int(5))
+    assert frozen_phi(bm_scene, 5) == unit_line(a, 5).shift(0, Q.from_int(5))
 
 
 def test_inverse_map_value_on_z3(bm_scene):
     # forced by the product rule from the two frozen values: the image of
     # z^2 z^3 must equal z^2 * 3 z^3 + 2 z^2 * z^3
     a = bm_scene[0]
-    assert frozen_phi(bm_scene, 3) == unit_line(a, 3).scale(Q.from_int(3))
+    assert frozen_phi(bm_scene, 3) == unit_line(a, 3).shift(0, Q.from_int(3))
 
 
 def test_inverse_map_satisfies_product_rule(bm_scene):
@@ -223,7 +224,7 @@ def test_inverse_map_satisfies_product_rule(bm_scene):
 def test_inverse_map_restricts_to_input_on_degree_zero(bm_scene):
     a = bm_scene[0]
     for exp in (-4, 0, 4, 8):
-        want = unit_line(a, exp).scale(Q.from_int(exp))
+        want = unit_line(a, exp).shift(0, Q.from_int(exp))
         assert frozen_phi(bm_scene, exp) == want
 
 
@@ -251,7 +252,7 @@ def t_derivation(a, m, n):
         for exp, vec in x.terms():
             assert exp % m == 0
             k = exp // m
-            out = out.add(LoopElement.term(a, list(vec), m * (n + k)).scale(Q.from_int(k)))
+            out = out.add(LoopElement.term(a, list(vec), m * (n + k)).shift(0, Q.from_int(k)))
         return out
     return d
 

@@ -2,16 +2,22 @@
 
 These tests count calls; they time nothing. Each pins one saving: a
 grading is built once per automorphism and the Laurent carrier reads that
-one, the inverse-map formula runs once per Laurent target, the split of a
-tensor derivation checks its two summand spaces direct once per tensor
-algebra, not once per sample, and verify-thm1 builds each tensor algebra
-A (x) S once and assembles its Leibniz system once.
+one, the inverse-map formula runs once per Laurent target and splits each
+target only along occupied degrees, the identity checker evaluates d and
+each averaging bracket once per distinct argument, the split of a tensor
+derivation checks its two summand spaces direct once per tensor algebra,
+not once per sample, verify-thm1 builds each tensor algebra A (x) S once
+and assembles its Leibniz system once, and a command builds its own
+subparser only.
 """
+
+import argparse
 
 import pytest
 
 from dertensor import algebra, cli, decomposition, invariants, laurent
-from dertensor.catalog import diagonal_matrix, group_algebra, sl2
+from dertensor.catalog import catalog_setup, diagonal_matrix, group_algebra, sl2
+from dertensor.errors import NotInDomain
 from dertensor.exactla import Matrix, Subspace
 from dertensor.gradings import Grading, check_automorphism, grading_from_automorphism
 from dertensor.scalars import make_field
@@ -143,3 +149,90 @@ def test_gradings_are_never_shared_between_automorphisms():
         assert all(g is not h for h in seen)
         seen.append(g)
         del aut  # a later automorphism may reuse this one's id()
+
+
+def test_identity_checker_computes_each_building_block_once(monkeypatch, capsys):
+    inside, coords, brackets = [], [], []
+    check = cli.check_surjectivity_identities
+    fixed_coords, bracket = decomposition.Setup.fixed_coords, decomposition._bracket
+
+    def checked(*args, **kwargs):
+        inside.append(True)
+        try:
+            return check(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counted_coords(self, x):
+        if inside:
+            coords.append(tuple(x))
+        return fixed_coords(self, x)
+
+    def counted_bracket(c, ev, avec, t, big_m, b=None):
+        brackets.append((tuple(avec), t, big_m, b if b is None else tuple(b)))
+        return bracket(c, ev, avec, t, big_m, b)
+
+    monkeypatch.setattr(cli, "check_surjectivity_identities", checked)
+    monkeypatch.setattr(decomposition.Setup, "fixed_coords", counted_coords)
+    monkeypatch.setattr(decomposition, "_bracket", counted_bracket)
+    argv = ["lemma-identities", "--setup", "sl2-twisted-flagship", "--json"]
+    assert cli.run(argv) == 0
+    capsys.readouterr()
+    # one d evaluation per distinct argument, one bracket per distinct (a, t, M, b)
+    assert len(coords) == len(set(coords)) == 17
+    assert len(brackets) == len(set(brackets)) == 41
+
+
+def test_d_eval_memo_never_caches_a_refusal_or_a_mutation(monkeypatch):
+    st = catalog_setup("sl2-twisted-flagship")
+    ev = st.d_eval(st.der_fixed.basis_matrices()[0])
+    calls = []
+    fixed_coords = decomposition.Setup.fixed_coords
+
+    def counted(self, x):
+        calls.append(tuple(x))
+        return fixed_coords(self, x)
+
+    monkeypatch.setattr(decomposition.Setup, "fixed_coords", counted)
+    x = st.fixed_embedding.column(0)
+    want = ev(x)
+    got = ev(x)
+    got[:] = [st.a.field.one()] * len(got)
+    assert ev(x) == want
+    assert calls == [tuple(x)]
+    outside = next(v for v in Matrix.identity(st.a.field, st.ts.dim).rows
+                   if not st.fixed_space.contains(v))
+    for _ in range(2):
+        with pytest.raises(NotInDomain):
+            ev(outside)
+    assert calls == [tuple(x), tuple(outside), tuple(outside)]
+
+
+def test_loop_pieces_visit_only_occupied_degrees(monkeypatch, capsys):
+    combines = []
+    combine = laurent._combine
+
+    def counted(*args):
+        combines.append(args)
+        return combine(*args)
+
+    monkeypatch.setattr(laurent, "_combine", counted)
+    assert cli.run(["phi-eval", "--setup", "last-exa-ii", "--m", "32", "--json"]) == 0
+    capsys.readouterr()
+    # 5 values of n times 4m + 1 monomial targets, each a single term of
+    # degree zero on k<1>: 645 phi calls, not 32 degree parts each
+    assert len(combines) <= 5 * (4 * 32 + 1) == 645
+
+
+def test_a_command_builds_only_its_own_subparser(monkeypatch, capsys):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    assert cli.run(["counterexample-bm", "--json"]) == 0
+    capsys.readouterr()
+    assert built == ["counterexample-bm"]
