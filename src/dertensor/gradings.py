@@ -28,6 +28,8 @@ from .errors import (
 from .exactla import Matrix, Subspace, invert_matrix, kernel_of_rows, rank, sparse_rows, vec_is_zero
 from .invariants import EndoSpace
 
+COMBO_BUDGET = 64  # small integer combinations tried by find_graded_unit
+
 
 def eps(i: int, m: int) -> int:
     """The canonical representative of i mod m, in [0, m)."""
@@ -265,13 +267,12 @@ def find_graded_unit(
     grading: Grading,
     q: int = 1,
     u: list | None = None,
-    combo_budget: int = 64,
 ) -> GradedUnitData:
     """Find (or validate) an invertible element of the degree-q component.
 
     Tries the component's basis vectors first, then a deterministic
     enumeration of small integer combinations (coefficients -2..2, at most
-    combo_budget candidates). NoUnitFound if the search fails; NotUnitResidue
+    COMBO_BUDGET candidates). NoUnitFound if the search fails; NotUnitResidue
     when q is not invertible mod m, since then no degree-one normalization
     exists.
     """
@@ -293,7 +294,7 @@ def find_graded_unit(
     candidates = [list(r) for r in comp.rows]
     tried = 0
     for coeffs in iter_product(range(-2, 3), repeat=comp.dim):
-        if tried >= combo_budget:
+        if tried >= COMBO_BUDGET:
             break
         if sum(1 for c in coeffs if c) < 2:
             continue  # zero and single-vector combos are the basis candidates

@@ -16,7 +16,9 @@ subalgebra, is a callable from loop elements to loop elements, the same
 contract the finite carrier uses. coefficient_derivation builds the one of
 scalar type, identity (x) p(z) d/dz, and checks that it fixes degree zero;
 any other derivation, such as bracketing with an element of the left
-factor, is passed as a plain function.
+factor, is passed as a plain function. Its extensions are callables too:
+loop_phi and loop_bm check the hypotheses, build the carrier and fetch the
+grading once from (aut, u, d), and return a function of the target.
 """
 
 from .algebra import Algebra
@@ -253,9 +255,8 @@ class _Loop:
         return LoopElement(self.a, out)
 
 
-def _loop_prologue(a: Algebra, aut1, m: int, style: str, u: LoopElement,
-                   target: LoopElement):
-    """Check the hypotheses of both formulas; the carrier and the target's pieces."""
+def _loop_map(a: Algebra, aut1, m: int, style: str, u: LoopElement, images):
+    """Check the hypotheses once; the map on targets, images(c, pieces) on carrier c."""
     if aut1.algebra is not a:
         raise HypothesisNotMet("left-factor automorphism acts on a different algebra",
                                "automorphism-carrier")
@@ -265,32 +266,34 @@ def _loop_prologue(a: Algebra, aut1, m: int, style: str, u: LoopElement,
     if a.field != u.algebra.field:
         raise FieldMismatch("unit monomial over a different field")
     c = _Loop(a, m, _unit_monomial(u, m, style))
-    if target.algebra is not a:
-        raise FieldMismatch("target lives over a different carrier")
-    return c, _homogeneous_pieces(grading_from_automorphism(aut1), target, m, style)
+    grading, one = grading_from_automorphism(aut1), a.field.one()
+
+    def apply(target: LoopElement) -> LoopElement:
+        if target.algebra is not a:
+            raise FieldMismatch("target lives over a different carrier")
+        pieces = _homogeneous_pieces(grading, target, m, style)
+        return c.comb((one, x) for x in images(c, pieces))
+
+    return apply
 
 
-def loop_phi_eval(a: Algebra, aut1, m: int, style: str, u: LoopElement,
-                  d, target: LoopElement) -> LoopElement:
-    """Evaluate the inverse-map formula on a loop element, term by term.
+def loop_phi(a: Algebra, aut1, m: int, style: str, u: LoopElement, d):
+    """The inverse-map formula phi(d), as a callable on loop elements.
 
     d is a fixed-point derivation: a callable on degree-zero loop elements.
     """
-    c, pieces = _loop_prologue(a, aut1, m, style, u, target)
-    return c.comb((a.field.one(), x) for x in _phi(c, d, pieces, m))
+    return _loop_map(a, aut1, m, style, u, lambda c, pieces: _phi(c, d, pieces, m))
 
 
-def loop_bm_eval(a: Algebra, aut1, m: int, style: str, u: LoopElement,
-                 d, target: LoopElement) -> LoopElement:
-    """Evaluate the earlier published extension formula on a loop element.
+def loop_bm(a: Algebra, aut1, m: int, style: str, u: LoopElement, d):
+    """The earlier published extension formula, as a callable on loop elements.
 
     On a piece of total residue s the image is u^s d(u^{-s} x), the residue
     shift by the degree-one unit; no derivation property is claimed, and on
     the Laurent carrier the failure is visible exactly.
     """
-    c, pieces = _loop_prologue(a, aut1, m, style, u, target)
-    return c.comb((a.field.one(), _residue_shift(c, d, avec, exp, es, 1))
-                  for avec, _, exp, es in pieces)
+    return _loop_map(a, aut1, m, style, u, lambda c, pieces: (
+        _residue_shift(c, d, avec, exp, es, 1) for avec, _, exp, es in pieces))
 
 
 # ---------------------------------------------------------------------------

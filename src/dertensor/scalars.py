@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 from .errors import (
     CharDividesM,
@@ -364,16 +365,21 @@ class FieldDescriptor:
         return self._omega
 
     def _find_prime_root(self) -> int:
+        """The least element of order m (m divides p - 1): scanned if dense, else from one."""
         m, p = self.m, self.p
-        if m == 1:
-            return 1
         qs = _prime_factors(m)
-        for g in range(2, p):
-            if pow(g, m, p) != 1:
-                continue
-            if all(pow(g, m // q, p) != 1 for q in qs):
-                return g
-        raise NoPrimitiveRoot(f"no element of order {m} in F_{p}")
+        totient = m
+        for q in qs:
+            totient -= totient // q
+
+        def of_order_m(x):
+            return pow(x, m, p) == 1 and all(pow(x, m // q, p) != 1 for q in qs)
+
+        if totient * totient > p:  # about p / totient steps
+            return next(g for g in range(1, p) if of_order_m(g))
+        # every element of order m is a power w^k, gcd(k, m) = 1, of any one w
+        w = next(w for w in (pow(g, (p - 1) // m, p) for g in range(1, p)) if of_order_m(w))
+        return min(pow(w, k, p) for k in range(1, m + 1) if gcd(k, m) == 1)
 
     # -- literals ----------------------------------------------------------
 

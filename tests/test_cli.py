@@ -13,9 +13,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dertensor.cli as cli
+from dertensor import decomposition
 from dertensor.catalog import catalog_algebra
 from dertensor.errors import InternalCheckFailed
-from dertensor.invariants import differential_centroid
+from dertensor.exactla import Subspace
+from dertensor.invariants import EndoSpace, differential_centroid
 
 
 def run_cap(capsys, argv):
@@ -307,6 +309,42 @@ def test_exit_4_on_internal_failure(capsys, monkeypatch):
     code, _, err = run_cap(capsys, ["verify-thm2", "--setup", "sl2-twisted-flagship"])
     assert code == 4
     assert "internal check failed" in err
+
+
+def test_verify_thm2_exits_4_when_a_restriction_leaves_the_derivations(capsys, monkeypatch):
+    # a wrong kernel for D(fixed): drop one basis vector. The restrictions of
+    # the degree-zero basis span all of D(fixed), so one of them falls outside,
+    # and that is an engine fault, not a failed claim
+    full = decomposition.Setup.der_fixed.fget
+
+    def proper(setup):
+        der = full(setup)
+        rows = [list(r) for r in der.space.rows[:-1]]
+        sub = Subspace.from_vectors(der.algebra.field, der.n * der.n, rows)
+        return EndoSpace(der.algebra, der.n, sub, tag="proper")
+
+    monkeypatch.setattr(decomposition.Setup, "der_fixed", property(proper))
+    code, out, err = run_cap(capsys, ["verify-thm2", "--setup", "sl2-twisted-flagship"])
+    assert code == 4
+    assert out == ""
+    assert "restriction is not a derivation of the fixed algebra" in err
+
+
+@pytest.mark.parametrize("command", ["verify-thm2", "phi-eval"])
+def test_empty_restriction_passes(tmp_path, capsys, command):
+    # A = 0 is perfect, so every space of Theorem 2 is zero-dimensional
+    spec = {
+        "field": "rational",
+        "a": "zero-product(0)",
+        "s": "group-algebra(2)",
+        "aut1": {"diagonal": [], "period": 2},
+        "aut2": {"diagonal": ["1", "-1"], "period": 2},
+    }
+    p = tmp_path / "empty.json"
+    p.write_text(json.dumps(spec))
+    code, out, _ = run_cap(capsys, [command, "--setup", str(p), "--json"])
+    assert code == 0
+    assert json.loads(out)["verdict"] == "pass"
 
 
 def test_exit_1_on_failing_verdict(capsys):

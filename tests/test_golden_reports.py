@@ -91,6 +91,13 @@ COMMANDS = (
         ["phi-eval", "--force", "--json"],
         ["bm-eval", "--field", "prime(5,4)", "--json"],
         ["bm-eval", "--force", "--json"],
+        # phi with a user-chosen unit on a finite setup; a unit of degree q = 2 is the
+        # one case where the published formula's unit differs from u'
+        ["verify-thm2", "--setup", "sl2-twisted-flagship", "--u", "z3", "--json"],
+        ["phi-eval", "--setup", "sl2-twisted-flagship", "--u", "z3", "--json"],
+        ["bm-eval", "--setup", "quotient-laurent(2,3)", "--u", "z2", "--json"],
+        ["verify-thm2", "--setup", "quotient-laurent(2,3)", "--u", "z2", "--json"],
+        ["lemma-identities", "--setup", "quotient-laurent(2,3)", "--u", "z2", "--json"],
     ]
 )
 

@@ -26,11 +26,11 @@ from dertensor.laurent import (
     FORWARD,
     INVERSE,
     LoopElement,
-    _loop_prologue,
+    _loop_map,
     coefficient_derivation,
     graded_component,
-    loop_bm_eval,
-    loop_phi_eval,
+    loop_bm,
+    loop_phi,
     parse_laurent,
 )
 from dertensor.scalars import make_field
@@ -144,7 +144,7 @@ def bm_scene(scalar_line):
 
 def frozen_bm(bm_scene, exp):
     a, aut, d = bm_scene
-    return loop_bm_eval(a, aut, 4, FORWARD, zmon(1), d, unit_line(a, exp))
+    return loop_bm(a, aut, 4, FORWARD, zmon(1), d)(unit_line(a, exp))
 
 
 def test_published_formula_value_on_z5(bm_scene):
@@ -175,9 +175,9 @@ def test_published_formula_failure_survives_prime_field():
     u = LoopElement.term(a, [f5.one()], 1)
     x2 = LoopElement.term(a, [f5.one()], 2)
     x3 = LoopElement.term(a, [f5.one()], 3)
-    whole = loop_bm_eval(a, aut, 4, FORWARD, u, d, x2.mul(x3))
-    split = loop_bm_eval(a, aut, 4, FORWARD, u, d, x2).mul(x3).add(
-        x2.mul(loop_bm_eval(a, aut, 4, FORWARD, u, d, x3)))
+    bm = loop_bm(a, aut, 4, FORWARD, u, d)
+    whole = bm(x2.mul(x3))
+    split = bm(x2).mul(x3).add(x2.mul(bm(x3)))
     assert whole != split
 
 
@@ -186,14 +186,14 @@ def test_published_formula_failure_survives_prime_field():
 
 def frozen_phi(bm_scene, exp):
     a, aut, d = bm_scene
-    return loop_phi_eval(a, aut, 4, FORWARD, zmon(1), d, unit_line(a, exp))
+    return loop_phi(a, aut, 4, FORWARD, zmon(1), d)(unit_line(a, exp))
 
 
 def stretched_phi(bm_scene, exp, navg):
     """The inverse map with the correction bracket sampled at u^(4 navg)."""
     a, aut, d = bm_scene
-    c, pieces = _loop_prologue(a, aut, 4, FORWARD, zmon(1), unit_line(a, exp))
-    return c.comb((Q.one(), x) for x in _phi(c, d, pieces, 4 * navg))
+    phi = _loop_map(a, aut, 4, FORWARD, zmon(1), lambda c, pieces: _phi(c, d, pieces, 4 * navg))
+    return phi(unit_line(a, exp))
 
 
 def test_inverse_map_value_on_z2(bm_scene):
@@ -265,9 +265,9 @@ def test_twisted_normal_form_sweep(scalar_line, m):
     aut = identity_twist(a, m)
     u = zmon(-1)
     for n in range(-2, 3):
-        d = t_derivation(a, m, n)
+        phi = loop_phi(a, aut, m, INVERSE, u, t_derivation(a, m, n))
         for j in range(-2 * m, 2 * m + 1):
-            got = loop_phi_eval(a, aut, m, INVERSE, u, d, unit_line(a, j))
+            got = phi(unit_line(a, j))
             assert got == scaled_monomial_image(a, j, m, n)
 
 
@@ -278,8 +278,9 @@ def test_twisted_normal_form_inner_route(scalar_line):
     aut = identity_twist(a, m)
     p = zmon(n * m + 1, Q.inv_int(m))
     d = coefficient_derivation(p, m)
+    phi = loop_phi(a, aut, m, INVERSE, zmon(-1), d)
     for j in (-2, 1, 4, 7):
-        got = loop_phi_eval(a, aut, m, INVERSE, zmon(-1), d, unit_line(a, j))
+        got = phi(unit_line(a, j))
         assert got == scaled_monomial_image(a, j, m, n)
 
 
@@ -296,24 +297,24 @@ def test_unit_must_be_single_monomial(scalar_line):
     aut = identity_twist(scalar_line, 4)
     d = coefficient_derivation(zmon(1), 4)
     with pytest.raises(HypothesisNotMet):
-        loop_phi_eval(scalar_line, aut, 4, FORWARD, zmon(1).add(zmon(5)), d,
-                      unit_line(scalar_line, 1))
+        loop_phi(scalar_line, aut, 4, FORWARD, zmon(1).add(zmon(5)), d)(
+            unit_line(scalar_line, 1))
 
 
 def test_unit_class_must_be_one_for_the_style(scalar_line):
     aut = identity_twist(scalar_line, 4)
     d = coefficient_derivation(zmon(1), 4)
     with pytest.raises(HypothesisNotMet):
-        loop_phi_eval(scalar_line, aut, 4, FORWARD, zmon(2), d, unit_line(scalar_line, 1))
+        loop_phi(scalar_line, aut, 4, FORWARD, zmon(2), d)(unit_line(scalar_line, 1))
     with pytest.raises(HypothesisNotMet):
-        loop_phi_eval(scalar_line, aut, 4, INVERSE, zmon(1), d, unit_line(scalar_line, 1))
+        loop_phi(scalar_line, aut, 4, INVERSE, zmon(1), d)(unit_line(scalar_line, 1))
 
 
 def test_period_mismatch_rejected(scalar_line):
     aut = identity_twist(scalar_line, 2)
     d = coefficient_derivation(zmon(1), 4)
     with pytest.raises(HypothesisNotMet):
-        loop_phi_eval(scalar_line, aut, 4, FORWARD, zmon(1), d, unit_line(scalar_line, 1))
+        loop_phi(scalar_line, aut, 4, FORWARD, zmon(1), d)(unit_line(scalar_line, 1))
 
 
 def test_coefficient_and_unit_must_lie_over_k1(scalar_line):
@@ -325,7 +326,7 @@ def test_coefficient_and_unit_must_lie_over_k1(scalar_line):
     aut = identity_twist(scalar_line, 4)
     d = coefficient_derivation(zmon(1), 4)
     with pytest.raises(FieldMismatch):
-        loop_phi_eval(scalar_line, aut, 4, FORWARD, over_sl2, d, unit_line(scalar_line, 1))
+        loop_phi(scalar_line, aut, 4, FORWARD, over_sl2, d)(unit_line(scalar_line, 1))
 
 
 # -- quotient bridge --------------------------------------------------------
@@ -395,19 +396,20 @@ def assert_carriers_agree(ad_h_on_flagship, finite, loop):
     assert setup.unit_data.q == 1
     qmap = LoopQuotient(a, 4)
     big = finite(dmat, setup)
+    ext = loop(a, aut, 2, FORWARD, zmon(1), ad_h)
     for bidx in range(3):
         for exp in range(-3, 4):
             tgt = LoopElement.term(a, a.basis_vector(bidx), exp)
-            loop_img = loop(a, aut, 2, FORWARD, zmon(1), ad_h, tgt)
+            loop_img = ext(tgt)
             assert qmap.apply(loop_img) == big.matvec(qmap.apply(tgt))
 
 
 def test_windowed_square_with_inner_carrier_derivation(ad_h_on_flagship):
-    assert_carriers_agree(ad_h_on_flagship, extend_phi, loop_phi_eval)
+    assert_carriers_agree(ad_h_on_flagship, extend_phi, loop_phi)
 
 
 def test_published_formula_agrees_across_carriers(ad_h_on_flagship):
-    assert_carriers_agree(ad_h_on_flagship, bm_formula_extend, loop_bm_eval)
+    assert_carriers_agree(ad_h_on_flagship, bm_formula_extend, loop_bm)
 
 
 # -- literals ---------------------------------------------------------------

@@ -52,6 +52,30 @@ def test_prime_root_matches_exhaustive_search():
     assert F5.omega() == 2  # deterministic: smallest qualifying element
 
 
+def old_prime_root_scan(m, p):
+    """The exhaustive scan for the least element of order m, linear in p: the reference."""
+    if m == 1:
+        return 1
+    qs = sympy.primefactors(m)
+    for g in range(2, p):
+        if pow(g, m, p) == 1 and all(pow(g, m // q, p) != 1 for q in qs):
+            return g
+
+
+def test_prime_root_is_the_least_of_its_order_for_every_small_field():
+    for p in sympy.primerange(2, 300):
+        for m in sympy.divisors(p - 1):
+            assert make_field("prime", m=m, p=p).omega() == old_prime_root_scan(m, p), (p, m)
+
+
+def test_prime_root_of_a_large_field_is_quick_for_few_and_for_many_roots():
+    p = 2147483647
+    w = make_field("prime", m=3, p=p).omega()
+    assert w != 1 and pow(w, 3, p) == 1
+    # order p - 1: half a billion primitive roots, the least of them found by the scan
+    assert make_field("prime", m=p - 1, p=p).omega() == old_prime_root_scan(p - 1, p) == 7
+
+
 def test_cyclotomic_inverse_frozen_example():
     # (1 + z)^{-1} = (1 - z)/2 in Q(z_4); cross-check by multiplying back
     one_plus = (Fraction(1), Fraction(1))

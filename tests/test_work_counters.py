@@ -1,10 +1,13 @@
 """Work-counter regressions: repeated self-check work must stay removed.
 
 These tests count calls; they time nothing. Each pins one saving: a
-grading is built once per automorphism and the Laurent carrier reads that
-one, the inverse-map formula runs once per Laurent target and splits each
-target only along occupied degrees, the identity checker evaluates d and
-each averaging bracket once per distinct argument, the split of a tensor
+grading is built once per automorphism and the Laurent carrier reads
+that one, the inverse-map formula runs once per Laurent target and
+splits each target only along occupied degrees, a Laurent extension
+builds its carrier once, verify-thm2 runs phi and pi once per basis
+element and phi-eval never solves D(A (x) S), the identity checker
+evaluates d and each averaging bracket once per distinct argument and
+builds each tensor vector ahead of its samples, the split of a tensor
 derivation checks its two summand spaces direct once per tensor algebra,
 not once per sample, verify-thm1 builds each tensor algebra A (x) S once
 and assembles its Leibniz system once, and a command builds its own
@@ -39,7 +42,7 @@ def test_last_exa_ii_builds_each_grading_once(monkeypatch, capsys):
     assert len(builds) == 1
 
 
-def test_loop_phi_eval_reads_the_grading_of_its_automorphism(monkeypatch):
+def test_loop_phi_reads_the_grading_of_its_automorphism(monkeypatch):
     # the identity of period 3 on sl2 over Q, which has no primitive cube root
     q = make_field("rational")
     a = sl2(q)
@@ -60,7 +63,7 @@ def test_loop_phi_eval_reads_the_grading_of_its_automorphism(monkeypatch):
 
     u = laurent.LoopElement.term(group_algebra(1, q), [q.one()], 1)
     x = laurent.LoopElement.term(a, a.basis_vector(0), 1)
-    assert laurent.loop_phi_eval(a, aut, 3, laurent.FORWARD, u, ad_h, x) == ad_h(x)
+    assert laurent.loop_phi(a, aut, 3, laurent.FORWARD, u, ad_h)(x) == ad_h(x)
     assert builds == []
 
 
@@ -77,6 +80,61 @@ def test_last_exa_ii_runs_phi_once_per_target(monkeypatch, capsys):
     capsys.readouterr()
     # five values of n, and targets z^j with |j| <= 2m
     assert len(passes) == 5 * (4 * 12 + 1) == 245
+
+
+def test_last_exa_ii_builds_one_carrier_per_extension(monkeypatch, capsys):
+    carriers = []
+    init = laurent._Loop.__init__
+
+    def counted(self, *args):
+        carriers.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(laurent._Loop, "__init__", counted)
+    assert cli.run(["phi-eval", "--setup", "last-exa-ii", "--m", "32", "--json"]) == 0
+    capsys.readouterr()
+    # one per value of n, not one per each of its 4m + 1 targets
+    assert len(carriers) == 5
+
+
+def test_verify_thm2_runs_phi_and_pi_once_per_basis_element(monkeypatch, capsys):
+    calls = []
+    for name in ("extend_phi", "restrict_pi"):
+        def counted(*args, _fn=getattr(decomposition, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(decomposition, name, counted)
+    assert cli.run(["verify-thm2", "--setup", "sl2-twisted-flagship", "--json"]) == 0
+    capsys.readouterr()
+    # dim D(fixed) = 6 extensions, and 6 degree-zero basis derivations restricted
+    assert sorted(calls) == ["extend_phi"] * 6 + ["restrict_pi"] * 6
+
+
+@pytest.mark.parametrize("setup", [["sl2-twisted-flagship"],
+                                   ["quotient-laurent(1,4)", "--field", "prime(5,4)"]],
+                         ids=["flagship", "prime-field"])
+def test_phi_eval_never_solves_the_tensor_derivations(monkeypatch, capsys, setup):
+    built, assembled = [], []
+    tensor_product, product_rows = decomposition.tensor_product, invariants._product_rows
+
+    def counted_product(a, s):
+        ts = tensor_product(a, s)
+        built.append(ts)
+        return ts
+
+    def counted_rows(a, split):
+        if not split:  # a Leibniz system; split rows are the centroid's
+            assembled.append(a)
+        return product_rows(a, split)
+
+    monkeypatch.setattr(decomposition, "tensor_product", counted_product)
+    monkeypatch.setattr(invariants, "_product_rows", counted_rows)
+    assert cli.run(["phi-eval", "--setup"] + setup + ["--json"]) == 0
+    capsys.readouterr()
+    # extend_phi certifies pi(phi(d)) = d itself, so no restriction is re-solved
+    assert len(built) == 1
+    assert not any(a is built[0] for a in assembled)
 
 
 def _overlap_checks(monkeypatch, capsys, budget):
@@ -152,9 +210,10 @@ def test_gradings_are_never_shared_between_automorphisms():
 
 
 def test_identity_checker_computes_each_building_block_once(monkeypatch, capsys):
-    inside, coords, brackets = [], [], []
+    inside, coords, brackets, tensors = [], [], [], []
     check = cli.check_surjectivity_identities
     fixed_coords, bracket = decomposition.Setup.fixed_coords, decomposition._bracket
+    tensor_elem = decomposition.Setup.tensor_elem
 
     def checked(*args, **kwargs):
         inside.append(True)
@@ -168,6 +227,11 @@ def test_identity_checker_computes_each_building_block_once(monkeypatch, capsys)
             coords.append(tuple(x))
         return fixed_coords(self, x)
 
+    def counted_tensor(self, a_vec, s_vec):
+        if inside:
+            tensors.append(True)
+        return tensor_elem(self, a_vec, s_vec)
+
     def counted_bracket(c, ev, avec, t, big_m, b=None):
         brackets.append((tuple(avec), t, big_m, b if b is None else tuple(b)))
         return bracket(c, ev, avec, t, big_m, b)
@@ -175,12 +239,16 @@ def test_identity_checker_computes_each_building_block_once(monkeypatch, capsys)
     monkeypatch.setattr(cli, "check_surjectivity_identities", checked)
     monkeypatch.setattr(decomposition.Setup, "fixed_coords", counted_coords)
     monkeypatch.setattr(decomposition, "_bracket", counted_bracket)
+    monkeypatch.setattr(decomposition.Setup, "tensor_elem", counted_tensor)
     argv = ["lemma-identities", "--setup", "sl2-twisted-flagship", "--json"]
     assert cli.run(argv) == 0
     capsys.readouterr()
     # one d evaluation per distinct argument, one bracket per distinct (a, t, M, b)
     assert len(coords) == len(set(coords)) == 17
     assert len(brackets) == len(set(brackets)) == 41
+    # the exchange identities take a (x) b from the pair basis, a (x) 1 and
+    # a (x) u^-i once per a and lift; only d's arguments are built per sample
+    assert len(tensors) <= 511
 
 
 def test_d_eval_memo_never_caches_a_refusal_or_a_mutation(monkeypatch):
