@@ -98,29 +98,32 @@ def sl2_sign_automorphism(a: Algebra):
     return check_automorphism(a, diagonal_matrix(a.field, [-1, 1, -1]), 2)
 
 
-def sl2_twisted_flagship(field: FieldDescriptor | None = None):
+def sl2_twisted_flagship(field: FieldDescriptor | None = None, parts: bool = False):
     """sl2 with its sign involution against k[z]/(z^4 - 1) with z -> -z.
 
     The running 6-dimensional fixed-point example: both sides of the
-    restriction isomorphism have dimension 6.
+    restriction isomorphism have dimension 6. With parts, the pieces
+    (a, s, aut1, aut2) of the Setup instead.
     """
     from .decomposition import Setup
     from .gradings import check_automorphism
     f = field or _q()
     a = sl2(f)
     s = group_algebra(4, f)
-    aut1 = sl2_sign_automorphism(a)
     aut2 = check_automorphism(s, diagonal_matrix(f, [1, -1, 1, -1]), 2)
-    return Setup(a, s, aut1, aut2, q=1)
+    pieces = a, s, sl2_sign_automorphism(a), aut2
+    return pieces if parts else Setup(*pieces)
 
 
-def quotient_laurent_setup(n_blocks: int, m: int, field: FieldDescriptor | None = None):
+def quotient_laurent_setup(n_blocks: int, m: int, field: FieldDescriptor | None = None,
+                           parts: bool = False):
     """sl2 untwisted against k[z]/(z^{Nm} - 1) with z -> omega z.
 
     A finite quotient of the loop-algebra picture: the grading of S cycles
     through the residues, the degree-one unit is z itself. The field must
     contain a primitive m-th root of unity; the default picks the rationals
-    for m <= 2 and the m-th cyclotomic field otherwise.
+    for m <= 2 and the m-th cyclotomic field otherwise. With parts, the
+    pieces (a, s, aut1, aut2) of the Setup instead.
     """
     from .decomposition import Setup
     from .gradings import check_automorphism
@@ -135,7 +138,7 @@ def quotient_laurent_setup(n_blocks: int, m: int, field: FieldDescriptor | None 
     om = field.root_of_unity(m)
     aut1 = check_automorphism(a, Matrix.identity(field, 3), m)
     aut2 = check_automorphism(s, diagonal_matrix(field, [field.pow(om, k) for k in range(size)]), m)
-    return Setup(a, s, aut1, aut2, q=1)
+    return (a, s, aut1, aut2) if parts else Setup(a, s, aut1, aut2)
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +195,14 @@ def catalog_algebra(text: str, field: FieldDescriptor | None = None) -> Algebra:
     return fn(*args, field) if args else fn(field)
 
 
-def catalog_setup(text: str, field: FieldDescriptor | None = None):
+def catalog_setup(text: str, field: FieldDescriptor | None = None, parts: bool = False):
+    """The named Setup, or its pieces (a, s, aut1, aut2) with parts."""
     base, args = parse_catalog_name(text)
     if base not in _SETUP_ENTRIES:
         raise ParseError(f"unknown setup {base!r}; see catalog list")
     arity, fn, _ = _SETUP_ENTRIES[base]
     _check_arity(base, args, arity)
-    return fn(*args, field) if args else fn(field)
+    return fn(*args, field, parts=parts)
 
 
 def _base_name(text: str):

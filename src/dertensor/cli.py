@@ -47,8 +47,9 @@ from .errors import (
     ParseError,
 )
 from .exactla import Matrix
-from .gradings import check_automorphism, grading_is_multiplicative
-from .invariants import centroid, derivation_space, differential_centroid, leibniz_witness, psi_map
+from .gradings import check_automorphism, grading_from_automorphism, grading_is_multiplicative
+from .invariants import (centroid, derivation_space, differential_centroid, leibniz_witness, psi_map,
+                         psi_multiplicative)
 from .laurent import (
     FORWARD,
     INVERSE,
@@ -61,6 +62,7 @@ from .laurent import (
 from .scalars import make_field
 
 SIZE_GUARD = 90
+FORCE_HINT = "rerun with --force to proceed"
 SPLIT_SEED = 20260822
 
 # the pairs swept by the no-argument block-decomposition commands
@@ -142,11 +144,10 @@ def _parse_element(text: str, algebra: Algebra) -> list:
     return [algebra.field.parse(t) for t in parts]
 
 
-def _guard_product(dim_a: int, dim_s: int, force: bool):
+def _guard_product(dim_a: int, dim_s: int, force: bool, hint: str = FORCE_HINT):
     if dim_a * dim_s > SIZE_GUARD and not force:
         raise ParseError(
-            f"tensor dimension {dim_a * dim_s} exceeds the size guard of {SIZE_GUARD}; "
-            "rerun with --force to proceed")
+            f"tensor dimension {dim_a * dim_s} exceeds the size guard of {SIZE_GUARD}; {hint}")
 
 
 def _automorphism_from_spec(spec: dict, algebra: Algebra, label: str):
@@ -174,7 +175,8 @@ def _automorphism_from_spec(spec: dict, algebra: Algebra, label: str):
     return check_automorphism(algebra, Matrix(f, rows, n), period)
 
 
-def _setup_from_file(path: str, field_flag, force: bool) -> Setup:
+def _setup_from_file(path: str, field_flag, force: bool) -> tuple:
+    """The pieces (a, s, aut1, aut2, q, u) of a setup file; u is None when it names none."""
     d = _load_json(path)
     if not isinstance(d, dict):
         raise ParseError(f"{path} must hold a JSON object")
@@ -201,39 +203,37 @@ def _setup_from_file(path: str, field_flag, force: bool) -> Setup:
         q = int(d.get("q", 1))
     except (TypeError, ValueError):
         raise ParseError("setup file 'q' must be an integer")
-    u = _parse_element(d["u"], s) if "u" in d else None
-    return Setup(a, s, aut1, aut2, q=q, u=u)
+    return a, s, aut1, aut2, q, _parse_element(d["u"], s) if "u" in d else None
 
 
-def _predicted_setup_dim(base: str, nargs: tuple) -> int | None:
+def _guard_catalog_setup(text: str, force: bool, hint: str = FORCE_HINT):
+    """Refuse a catalog setup whose tensor dimension, read off its name, exceeds the guard."""
+    base, nargs = parse_catalog_name(text)
     if base == "sl2-twisted-flagship":
-        return 3 * 4
-    if base == "quotient-laurent" and len(nargs) == 2:
-        return 3 * nargs[0] * nargs[1]
-    return None
+        _guard_product(3, 4, force, hint)
+    elif base == "quotient-laurent" and len(nargs) == 2:
+        _guard_product(3, nargs[0] * nargs[1], force, hint)
 
 
 def _resolve_setup(text: str, args) -> Setup:
+    """The Setup a name or file gives, built once; --u replaces its graded unit."""
     if text is None:
         raise ParseError("a setup name or file is required")
     force = args.force
     field = _field_of(args)
     if _looks_like_path(text):
-        st = _setup_from_file(text, field, force)
+        a, s, aut1, aut2, q, u = _setup_from_file(text, field, force)
     else:
-        base, nargs = parse_catalog_name(text)
-        predicted = _predicted_setup_dim(base, nargs)
-        if predicted is not None:
-            _guard_product(predicted, 1, force)
-        st = catalog_setup(text, field)
-        _guard_product(st.a.dim, st.s.dim, force)
+        _guard_catalog_setup(text, force)
+        a, s, aut1, aut2 = catalog_setup(text, field, parts=True)
+        _guard_product(a.dim, s.dim, force)
+        q, u = 1, None
     if args.u:
-        vec = _parse_element(args.u, st.s)
-        deg = st.grading_s.degree_of(vec)
-        if deg is None:
+        u = _parse_element(args.u, s)
+        q = grading_from_automorphism(aut2).degree_of(u)
+        if q is None:
             raise ParseError("--u must be a nonzero homogeneous element of S")
-        st = Setup(st.a, st.s, st.aut1, st.aut2, q=deg, u=vec)
-    return st
+    return Setup(a, s, aut1, aut2, q=q, u=u)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +298,7 @@ def cmd_psi_check(args) -> int:
     rep.check("injective", psi.injective)
     rep.check("image-in-centroid", psi.image_in_centroid)
     rep.check("surjective", psi.surjective)
-    rep.check("multiplicative", psi.multiplicative)
+    rep.check("multiplicative", psi_multiplicative(a, s))
     return _emit(rep, args)
 
 
@@ -677,6 +677,7 @@ def cmd_catalog(args) -> int:
         info = {"name": args.name, "kind": kind, "dim": a.dim, "basis": list(a.names)}
         info.update(a.properties())
     elif kind == "setup":
+        _guard_catalog_setup(args.name, False, "catalog show builds no setup above it")
         st = catalog_setup(args.name, f)
         info = {
             "name": args.name,

@@ -43,6 +43,7 @@ from .invariants import (
     derivation_space,
     leibniz_witness,
     psi_map,
+    psi_multiplicative,
     require_scalar_hypotheses,
     s_module_derivations,
     satisfies_leibniz,
@@ -145,10 +146,8 @@ class Setup:
         # (iv) graded unit, normalized into degree one
         self.unit_data = find_graded_unit(s, self.grading_s, q=q, u=u)
         # (v) psi isomorphism
-        psi = psi_map(a, s, self.ts)
-        if not psi.bijective:
+        if not psi_map(a, s, self.ts).bijective:
             raise PsiNotIso("centroid tensor map is not bijective")
-        self.psi_report = psi
         self.fixed_space = self.grading_ts.components[0]
         self.fixed_algebra, self.fixed_embedding = fixed_point_algebra(self.ts, self.grading_ts)
         self._upow = {}
@@ -380,7 +379,7 @@ def verify_psi_lemma(a: Algebra, s: Algebra) -> VerificationReport:
     rep.check("injective", psi.injective)
     rep.check("image-in-centroid", psi.image_in_centroid)
     rep.check("surjective", psi.surjective)
-    rep.check("multiplicative", psi.multiplicative)
+    rep.check("multiplicative", psi_multiplicative(a, s))
     rep.check("dimension-product", cts.dim == ca.dim * s.dim)
     return rep
 

@@ -7,6 +7,10 @@ valid period-4 automorphism whose grading is concentrated in degree zero.
 
 Residue arithmetic goes through eps(), which picks the representative in
 [0, m). Endomorphism spaces inherit a grading through conjugation.
+One routine, _eigenspace_grading, cuts both: the algebra by sigma, an
+endomorphism space by conjugation. Its three checks (see there) imply
+sigma = sum_i omega^i P_i. A tensor automorphism of two validated factors
+is not re-validated.
 """
 
 from __future__ import annotations
@@ -20,12 +24,13 @@ from .errors import (
     InternalCheckFailed,
     NoUnitFound,
     NotAutomorphism,
+    NotInDomain,
     NotInvariant,
     NotUnitResidue,
     SingularElement,
     WrongPeriod,
 )
-from .exactla import Matrix, Subspace, invert_matrix, kernel_of_rows, rank, sparse_rows, vec_is_zero
+from .exactla import Matrix, Subspace, invert_matrix, rank, sparse_rows, vec_is_zero
 from .invariants import EndoSpace
 
 COMBO_BUDGET = 64  # small integer combinations tried by find_graded_unit
@@ -91,8 +96,6 @@ class Grading:
     __slots__ = ("m", "ambient", "components", "_projections", "_parts")
 
     def __init__(self, m: int, ambient: int, components: list[Subspace]):
-        if len(components) != m:
-            raise DimensionMismatch(f"{len(components)} components for modulus {m}")
         self.m = m
         self.ambient = ambient
         self.components = list(components)
@@ -127,8 +130,6 @@ class Grading:
         """Projection matrices onto each component (cached): component i's basis
         columns times their rows of Q^-1, Q holding every basis as columns."""
         if self._projections is None:
-            if sum(c.dim for c in self.components) != self.ambient:
-                raise InternalCheckFailed("projections need components spanning the ambient space")
             n = self.ambient
             q = [list(r) for r in zip(*(v for c in self.components for v in c.rows))]
             qinv = invert_matrix(Matrix(field, q, n))
@@ -151,43 +152,44 @@ class Grading:
         return f"Grading(mod {self.m}, dims {self.component_dims})"
 
 
-def grading_from_automorphism(aut: Automorphism) -> Grading:
-    """Eigenspace grading: component i is the kernel of (sigma - omega^i id).
+def _eigenspace_grading(space: Subspace, op: Matrix, m: int, tag: str) -> Grading:
+    """Component i = {x in space : op x = omega^i x}, op acting on the space's
+    coordinates (column convention), cut with Subspace.cut.
 
-    The identity puts everything in degree zero whatever its period, as the
-    eigenspace route would, without asking the field for a root of unity.
-    Built once, self-checks included, and kept on the automorphism.
+    Checks: each cut is a certified kernel, so op is omega^i on component i;
+    omega^0 ... omega^(m-1) are distinct, so the components are independent;
+    they fill the space. The identity puts everything in degree zero, and
+    asks the field for no root of unity.
     """
-    if "grading" in aut._cache:
-        return aut._cache["grading"]
-    a = aut.algebra
-    f = a.field
-    n = a.dim
-    eye = Matrix.identity(f, n)
-    if aut.matrix == eye:
-        comps = [Subspace.from_vectors(f, n, eye.rows)]
-        g = Grading(aut.period, n, comps + [Subspace.from_vectors(f, n, [])] * (aut.period - 1))
-    else:
-        omega = f.root_of_unity(aut.period)
-        comps = []
-        for i in range(aut.period):
-            w = f.pow(omega, i)
-            rows = [
-                [f.sub(aut.matrix.rows[r][c], w if r == c else f.zero()) for c in range(n)]
-                for r in range(n)
-            ]
-            comps.append(kernel_of_rows(f, sparse_rows(f, rows), n, f"eigenspace-{i}"))
-        if sum(c.dim for c in comps) != n:
-            raise InternalCheckFailed("eigenspaces do not fill the algebra")
-        g = Grading(aut.period, n, comps)
-        # reconstruction: sum of omega^i times projection_i must be sigma itself
-        acc = Matrix.zeros(f, n, n)
-        for i, p in enumerate(g.projections(f)):
-            acc = acc.add(p.scale(f.pow(omega, i)))
-        if acc != aut.matrix:
-            raise InternalCheckFailed("grading does not reconstruct the automorphism")
-    aut._cache["grading"] = g
-    return g
+    f, k = space.field, space.dim
+    if op == Matrix.identity(f, k):
+        return Grading(m, space.ambient, [space] + [Subspace(f, space.ambient, (), ())] * (m - 1))
+    omega = f.root_of_unity(m)
+    powers, seen = [f.pow(omega, i) for i in range(m)], {}
+    for i, w in enumerate(powers):
+        if seen.setdefault(w, i) != i:
+            raise InternalCheckFailed(f"grading {tag!r}: omega^{seen[w]} = omega^{i} = {f.format(w)} "
+                                      f"for a root of order {m}")
+    piv, comps = space.pivots, []
+    for i, w in enumerate(powers):
+        rows = [[f.sub(x, w) if r == c else x for c, x in enumerate(row)] for r, row in enumerate(op.rows)]
+        # a row on the coordinates is the same row on the pivot columns
+        rows = [tuple((piv[c], x) for c, x in row) for row in sparse_rows(f, rows)]
+        comps.append(space.cut(rows, f"{tag}-degree-{i}"))
+    if sum(c.dim for c in comps) != k:
+        raise InternalCheckFailed(f"grading {tag!r}: components of dims {[c.dim for c in comps]} "
+                                  f"do not fill the dim-{k} space")
+    return Grading(m, space.ambient, comps)
+
+
+def grading_from_automorphism(aut: Automorphism) -> Grading:
+    """Eigenspace grading of the algebra: component i is the kernel of
+    (sigma - omega^i id). Built once and kept on the automorphism."""
+    if "grading" not in aut._cache:
+        f, n = aut.algebra.field, aut.algebra.dim
+        whole = Subspace(f, n, [((i, f.one()),) for i in range(n)], range(n))
+        aut._cache["grading"] = _eigenspace_grading(whole, aut.matrix, aut.period, "algebra")
+    return aut._cache["grading"]
 
 
 def grading_is_multiplicative(a: Algebra, g: Grading) -> bool:
@@ -209,44 +211,29 @@ def induced_endo_grading(aut: Automorphism, endo: EndoSpace) -> Grading:
     the maps shifting degrees by i. NotInvariant if conjugation leaves the
     space.
     """
-    f = aut.algebra.field
     if endo.n != aut.algebra.dim:
         raise DimensionMismatch("endomorphism space does not match the automorphism carrier")
-    k = endo.dim
-    sig = aut.matrix
-    siginv = aut.inverse_matrix()
+    sig, siginv = aut.matrix, aut.inverse_matrix()
     coords = []
     for t in endo.basis_matrices():
-        conj = sig.mul(t).mul(siginv)
-        if not endo.contains_matrix(conj):
+        try:
+            coords.append(endo.coords_of_matrix(sig.mul(t).mul(siginv)))
+        except NotInDomain:
             raise NotInvariant("conjugation does not preserve the endomorphism space")
-        coords.append(endo.coords_of_matrix(conj))
-    # restriction matrix, column convention
-    restr = [[coords[c][r] for c in range(k)] for r in range(k)]
-    omega = f.root_of_unity(aut.period)
-    piv = endo.space.pivots
-    comps = []
-    for i in range(aut.period):
-        w = f.pow(omega, i)
-        rows = [
-            [f.sub(restr[r][c], w if r == c else f.zero()) for c in range(k)] for r in range(k)
-        ]
-        # a row on the coordinates is the same row on the pivot columns
-        rows = [tuple((piv[c], x) for c, x in row) for row in sparse_rows(f, rows)]
-        comps.append(endo.space.cut(rows, f"{endo.tag}-degree-{i}"))
-    if sum(c.dim for c in comps) != k:
-        raise InternalCheckFailed("endomorphism eigenspaces do not fill the space")
-    return Grading(aut.period, endo.space.ambient, comps)
+    # conjugation on the coordinates, column convention
+    conj = Matrix(aut.algebra.field, zip(*coords), endo.dim)
+    return _eigenspace_grading(endo.space, conj, aut.period, endo.tag)
 
 
 def tensor_automorphism(aut_a: Automorphism, aut_s: Automorphism, ts: Algebra) -> Automorphism:
-    """Kronecker product automorphism on the tensor algebra."""
+    """Kronecker product automorphism on ts, the tensor algebra of the two
+    factors. Multiplicative and of the shared period because each factor is
+    (check_automorphism), so only the periods are compared."""
     if aut_a.period != aut_s.period:
         raise WrongPeriod(
             f"declared periods differ: {aut_a.period} vs {aut_s.period}"
         )
-    mat = aut_a.matrix.kron(aut_s.matrix)
-    return check_automorphism(ts, mat, aut_a.period)
+    return Automorphism(ts, aut_a.matrix.kron(aut_s.matrix), aut_a.period)
 
 
 def fixed_point_algebra(algebra: Algebra, grading: Grading, names: list[str] | None = None):
@@ -290,7 +277,7 @@ def find_graded_unit(
             u_inv = invert_element(s, u)
         except SingularElement:
             raise NoUnitFound("given element is not invertible")
-        return _finish_unit(s, grading, q, q1, u, u_inv)
+        return _finish_unit(s, q, q1, u, u_inv)
     candidates = [list(r) for r in comp.rows]
     tried = 0
     for coeffs in iter_product(range(-2, 3), repeat=comp.dim):
@@ -308,17 +295,15 @@ def find_graded_unit(
             u_inv = invert_element(s, cand)
         except SingularElement:
             continue
-        return _finish_unit(s, grading, q, q1, cand, u_inv)
+        return _finish_unit(s, q, q1, cand, u_inv)
     raise NoUnitFound(f"no invertible element found in the degree-{q} component")
 
 
-def _finish_unit(s: Algebra, grading: Grading, q: int, q1: int, u: list, u_inv: list):
-    e = eps(q1, grading.m)
+def _finish_unit(s: Algebra, q: int, q1: int, u: list, u_inv: list):
+    # u has degree q and the grading is multiplicative, so u_prime has degree q q1 = 1
     u_prime = s.unit()
     u_prime_inv = s.unit()
-    for _ in range(e):
+    for _ in range(q1):
         u_prime = s.mult(u_prime, u)
         u_prime_inv = s.mult(u_prime_inv, u_inv)
-    if grading.m > 1 and not grading.component(1).contains(u_prime):
-        raise InternalCheckFailed("normalized unit escaped the degree-one component")
     return GradedUnitData(q=q, u=u, u_inv=u_inv, u_prime=u_prime, u_prime_inv=u_prime_inv)

@@ -217,8 +217,8 @@ def vanishing_on_left_derivations(a: Algebra, s: Algebra, ts: Algebra | None = N
 
 
 class PsiReport(SimpleNamespace):
-    """Fields domain_dim, target_dim, injective, image_in_centroid, surjective
-    and multiplicative, given by keyword."""
+    """Fields domain_dim, target_dim, injective, image_in_centroid and
+    surjective, given by keyword."""
 
     @property
     def bijective(self) -> bool:
@@ -235,6 +235,12 @@ def require_scalar_hypotheses(s: Algebra):
         raise NotAssociative("right factor must be associative")
 
 
+def _psi_images(a: Algebra, s: Algebra) -> list:
+    """psi(gamma_i tensor b_j) = gamma_i kron L_{b_j}, flattened, in the order (i, j)."""
+    lefts = s.left_mult_operators()
+    return [g.kron(lj).flatten() for g in centroid(a).basis_matrices() for lj in lefts]
+
+
 def psi_map(a: Algebra, s: Algebra, ts: Algebra | None = None) -> PsiReport:
     """The map (centroid element, right factor element) -> tensor centroid.
 
@@ -247,54 +253,52 @@ def psi_map(a: Algebra, s: Algebra, ts: Algebra | None = None) -> PsiReport:
         raise NotPerfect("left factor must be perfect for the centroid map")
     require_scalar_hypotheses(s)
     ts = ts if ts is not None else tensor_product(a, s)
-    f = a.field
-    cent_a = centroid(a)
     cent_ts = centroid(ts)
-    gammas = cent_a.basis_matrices()
-    lefts = s.left_mult_operators()
-    cols = []
-    for g in gammas:
-        for lj in lefts:
-            cols.append(g.kron(lj).flatten())
-    n2 = ts.dim * ts.dim
-    dom = len(cols)
-    image = Subspace.from_vectors(f, n2, cols)
-    injective = image.dim == dom
+    cols = _psi_images(a, s)
+    image = Subspace.from_vectors(a.field, ts.dim * ts.dim, cols)
     in_cent = all(cent_ts.space.contains(c) for c in cols)
-    surjective = in_cent and image.dim == cent_ts.dim
-    multiplicative = _psi_multiplicative(f, cent_a, gammas, s, cols, ts)
     return PsiReport(
-        domain_dim=dom,
+        domain_dim=len(cols),
         target_dim=cent_ts.dim,
-        injective=injective,
+        injective=image.dim == len(cols),
         image_in_centroid=in_cent,
-        surjective=surjective,
-        multiplicative=multiplicative,
+        surjective=in_cent and image.dim == cent_ts.dim,
     )
 
 
-def _psi_multiplicative(f, cent_a, gammas, s, cols, ts):
-    # psi((g1 x s1)(g2 x s2)) == psi(g1 x s1) psi(g2 x s2) on basis pairs.
-    # The centroid is closed under composition and its kernel is certified
-    # complete (centroid()), so every lam below exists and the loop order
-    # cannot change the verdict.
-    n2 = ts.dim * ts.dim
-    ns = s.dim
-    mats = [Matrix.unflatten(f, col, ts.dim, ts.dim) for col in cols]
-    sparse_cols = sparse_rows(f, cols)
-    for a1 in range(len(gammas)):
-        for a2 in range(len(gammas)):
-            lam = cent_a.coords_of_matrix(gammas[a1].mul(gammas[a2]))
+def psi_multiplicative(a: Algebra, s: Algebra) -> bool:
+    """Whether psi((g1 x s1)(g2 x s2)) = psi(g1 x s1) psi(g2 x s2) on basis pairs.
+
+    Both sides come from psi's sparse image columns: the composite of two of
+    them, less their combination along the centroid coordinates of g1 g2 and
+    the structure constants of s1 s2. The centroid is closed under
+    composition and its kernel is certified complete (centroid()), so every
+    coordinate vector below exists.
+    """
+    f, ns, n = a.field, s.dim, a.dim * s.dim
+    z, nz, add, sub, mul = f.zero(), f.nonzero, f.add, f.sub, f.mul
+    cent_a = centroid(a)
+    gammas = cent_a.basis_matrices()
+    cols = sparse_rows(f, _psi_images(a, s))
+    rows_of = [{} for _ in cols]  # image i, row k -> its (column, entry) pairs
+    for rows, col in zip(rows_of, cols):
+        for t, y in col:
+            rows.setdefault(t // n, []).append((t % n, y))
+    for a1, g1 in enumerate(gammas):
+        for a2, g2 in enumerate(gammas):
+            lam = [(aa, la) for aa, la in enumerate(cent_a.coords_of_matrix(g1.mul(g2))) if nz(la)]
             for j1 in range(ns):
                 for j2 in range(ns):
-                    expect = [f.zero()] * n2
-                    for aa, la in enumerate(lam):
-                        if not f.nonzero(la):
-                            continue
+                    diff = {}
+                    for t, x in cols[a1 * ns + j1]:
+                        r, k = divmod(t, n)
+                        for c, y in rows_of[a2 * ns + j2].get(k, ()):
+                            diff[r * n + c] = add(diff.get(r * n + c, z), mul(x, y))
+                    for aa, la in lam:
                         for jj, cj in s._nz[j1][j2]:
-                            coeff = f.mul(la, cj)
-                            for t, y in sparse_cols[aa * ns + jj]:
-                                expect[t] = f.add(expect[t], f.mul(coeff, y))
-                    if mats[a1 * ns + j1].mul(mats[a2 * ns + j2]).flatten() != expect:
+                            coeff = mul(la, cj)
+                            for t, y in cols[aa * ns + jj]:
+                                diff[t] = sub(diff.get(t, z), mul(coeff, y))
+                    if any(map(nz, diff.values())):
                         return False
     return True

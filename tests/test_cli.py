@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dertensor.cli as cli
-from dertensor import decomposition
+from dertensor import catalog, decomposition
 from dertensor.catalog import catalog_algebra
 from dertensor.errors import InternalCheckFailed
 from dertensor.exactla import Subspace
@@ -484,6 +484,19 @@ def test_catalog_show_setup(capsys):
     code, out, _ = run_cap(capsys, ["catalog", "show", "sl2-twisted-flagship"])
     assert code == 0
     assert "fixed dim: 6" in out
+
+
+@pytest.mark.parametrize("name,guard", [("quotient-laurent(31,3)", cli.SIZE_GUARD),
+                                        ("sl2-twisted-flagship", 10)])
+def test_catalog_show_refuses_a_setup_above_the_size_guard(capsys, monkeypatch, name, guard):
+    def built(*args):
+        raise AssertionError("a refused setup was built")
+
+    monkeypatch.setattr(cli, "SIZE_GUARD", guard)
+    monkeypatch.setattr(catalog, "sl2", built)
+    code, out, err = run_cap(capsys, ["catalog", "show", name])
+    assert (code, out) == (2, "")
+    assert f"size guard of {guard}" in err
 
 
 def test_catalog_show_unknown(capsys):

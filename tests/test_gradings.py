@@ -2,10 +2,12 @@
 
 import pytest
 
+from dertensor import exactla
 from dertensor.algebra import tensor_product
 from dertensor.catalog import dual_numbers, group_algebra, sl2
 from dertensor.errors import (
     DimensionMismatch,
+    InternalCheckFailed,
     NoUnitFound,
     NotAutomorphism,
     NotInvariant,
@@ -24,7 +26,7 @@ from dertensor.gradings import (
     tensor_automorphism,
 )
 from dertensor.invariants import EndoSpace, derivation_space
-from dertensor.scalars import make_field
+from dertensor.scalars import FieldDescriptor, make_field
 
 
 def diag(field, entries):
@@ -258,3 +260,39 @@ def test_automorphism_rejections():
         check_automorphism(a, Matrix.identity(f, 2), 2)
     with pytest.raises(WrongPeriod):
         check_automorphism(a, Matrix.identity(f, 3), 0)
+
+
+def test_repeated_powers_of_omega_are_caught(monkeypatch):
+    # with omega = 1, z -> -z on k[Z2] has components span(1) and span(1):
+    # they fill the dimension but overlap, so only the distinctness check fails
+    s = group_algebra(2)
+    aut = check_automorphism(s, diag(s.field, [1, -1]), 2)
+    monkeypatch.setattr(FieldDescriptor, "root_of_unity", lambda self, order: self.one())
+    with pytest.raises(InternalCheckFailed, match=r"'algebra'.*omega\^0 = omega\^1"):
+        grading_from_automorphism(aut)
+
+
+@pytest.mark.parametrize("build", [grading_from_automorphism,
+                                   lambda aut: induced_endo_grading(aut, derivation_space(aut.algebra))],
+                         ids=["algebra", "derivations"])
+def test_a_kernel_missing_a_vector_is_caught(monkeypatch, build):
+    _, aut = sign_aut_sl2()
+    kernel = exactla.kernel_of_rows
+
+    def mutant(field, rows, ncols, tag="kernel"):
+        ker = kernel(field, rows, ncols, tag)
+        return exactla.Subspace(field, ncols, ker._sparse[1:], ker.pivots[1:])
+
+    monkeypatch.setattr(exactla, "kernel_of_rows", mutant)
+    with pytest.raises(InternalCheckFailed, match="do not fill"):
+        build(aut)
+
+
+def test_identity_grades_derivations_without_a_root():
+    # Q has no primitive cube root; conjugation by the identity fixes every map
+    q = make_field("rational")
+    a = sl2(q)
+    der = derivation_space(a)
+    g = induced_endo_grading(check_automorphism(a, Matrix.identity(q, 3), 3), der)
+    assert g.component_dims == (3, 0, 0)
+    assert g.components[0] == der.space

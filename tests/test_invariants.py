@@ -8,12 +8,14 @@ from dertensor.algebra import Algebra, tensor_product
 from dertensor.catalog import dual_numbers, group_algebra, sl2, sl2_graded_variant, zero_product
 from dertensor.errors import NotPerfect, NotUnital
 from dertensor.exactla import Matrix, Subspace
+from dertensor import invariants
 from dertensor.invariants import (
     centroid,
     derivation_space,
     differential_centroid,
     leibniz_witness,
     psi_map,
+    psi_multiplicative,
     s_module_derivations,
     vanishing_on_left_derivations,
 )
@@ -162,8 +164,25 @@ def test_psi_bijective_on_perfect_pair():
     assert rep.domain_dim == 2
     assert rep.target_dim == 2
     assert rep.injective and rep.image_in_centroid and rep.surjective
-    assert rep.multiplicative
+    assert psi_multiplicative(a, s)
     assert rep.bijective
+
+
+@pytest.mark.parametrize("field", [QQ, make_field("cyclotomic", m=3)], ids=["Q", "Q(zeta3)"])
+@pytest.mark.parametrize("j", range(3))
+def test_psi_multiplicativity_catches_a_dropped_term(monkeypatch, field, j):
+    a, s = sl2(field), group_algebra(3, field)
+    assert psi_multiplicative(a, s)
+    images = invariants._psi_images
+
+    def mutant(a, s):
+        cols = images(a, s)
+        t = next(t for t, x in enumerate(cols[j]) if field.nonzero(x))
+        cols[j][t] = field.zero()  # psi(id (x) z^j) loses one entry
+        return cols
+
+    monkeypatch.setattr(invariants, "_psi_images", mutant)
+    assert not psi_multiplicative(a, s)
 
 
 def test_psi_bijective_flagship_sized_pair():

@@ -11,14 +11,17 @@ builds each tensor vector ahead of its samples, the split of a tensor
 derivation checks its two summand spaces direct once per tensor algebra,
 not once per sample, verify-thm1 builds each tensor algebra A (x) S once
 and assembles its Leibniz system once, and a command builds its own
-subparser only.
+subparser only. Checks that a cheaper one implies stay removed: the tensor
+automorphism is not re-validated, no grading of a finite setup builds its
+projections, and only verify-lemma21 and psi-check test psi for
+multiplicativity. A --u unit builds its Setup once.
 """
 
 import argparse
 
 import pytest
 
-from dertensor import algebra, cli, decomposition, invariants, laurent
+from dertensor import algebra, cli, decomposition, gradings, invariants, laurent
 from dertensor.catalog import catalog_setup, diagonal_matrix, group_algebra, sl2
 from dertensor.errors import NotInDomain
 from dertensor.exactla import Matrix, Subspace
@@ -304,3 +307,58 @@ def test_a_command_builds_only_its_own_subparser(monkeypatch, capsys):
     assert cli.run(["counterexample-bm", "--json"]) == 0
     capsys.readouterr()
     assert built == ["counterexample-bm"]
+
+
+def _self_check_counts(monkeypatch, capsys, argv):
+    """Calls of check_automorphism and psi_multiplicative, and Grading
+    projection builds, during one command."""
+    counts = {"check_automorphism": 0, "psi_multiplicative": 0, "projections": 0}
+    for mods, name in (((gradings, cli), "check_automorphism"),
+                       ((invariants, decomposition, cli), "psi_multiplicative")):
+        def counted(*args, _fn=getattr(mods[0], name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+
+        for mod in mods:
+            monkeypatch.setattr(mod, name, counted)
+    projections = Grading.projections
+
+    def counted_projections(self, field):
+        counts["projections"] += self._projections is None
+        return projections(self, field)
+
+    monkeypatch.setattr(Grading, "projections", counted_projections)
+    assert cli.run(argv) == 0
+    capsys.readouterr()
+    return counts
+
+
+@pytest.mark.parametrize("argv,want", [
+    # the two factor automorphisms only: sigma1 (x) sigma2 is not re-validated,
+    # and no finite grading rebuilds sigma from its projections
+    (["verify-thm2", "--setup", "sl2-twisted-flagship", "--json"],
+     {"check_automorphism": 2, "psi_multiplicative": 0, "projections": 0}),
+    # no report of the sweep reads psi's multiplicativity
+    (["verify-thm1", "--budget", "25", "--json"],
+     {"check_automorphism": 0, "psi_multiplicative": 0, "projections": 0}),
+    (["verify-lemma21", "--algebra", "sl2", "--s", "group-algebra(3)", "--json"],
+     {"check_automorphism": 0, "psi_multiplicative": 1, "projections": 0}),
+], ids=["verify-thm2", "verify-thm1", "verify-lemma21"])
+def test_implied_self_checks_are_not_run(monkeypatch, capsys, argv, want):
+    assert _self_check_counts(monkeypatch, capsys, argv) == want
+
+
+def test_a_given_unit_builds_the_setup_once(monkeypatch, capsys):
+    built = []
+    init = decomposition.Setup.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(decomposition.Setup, "__init__", counted)
+    argv = ["verify-thm2", "--setup", "sl2-twisted-flagship", "--u", "z3", "--json"]
+    assert cli.run(argv) == 0
+    capsys.readouterr()
+    # z3 = z^3 has degree 1 under z -> -z; the default unit's Setup is never built
+    assert [(kw["q"], kw["u"]) for kw in built] == [(1, group_algebra(4).basis_vector(3))]
