@@ -26,6 +26,7 @@ from .catalog import (
     is_catalog_name,
     is_scene_name,
     parse_catalog_name,
+    setup_dims,
 )
 from .decomposition import (
     Setup,
@@ -207,12 +208,8 @@ def _setup_from_file(path: str, field_flag, force: bool) -> tuple:
 
 
 def _guard_catalog_setup(text: str, force: bool, hint: str = FORCE_HINT):
-    """Refuse a catalog setup whose tensor dimension, read off its name, exceeds the guard."""
-    base, nargs = parse_catalog_name(text)
-    if base == "sl2-twisted-flagship":
-        _guard_product(3, 4, force, hint)
-    elif base == "quotient-laurent" and len(nargs) == 2:
-        _guard_product(3, nargs[0] * nargs[1], force, hint)
+    """Refuse a catalog setup whose declared tensor dimension exceeds the guard."""
+    _guard_product(*setup_dims(text), force, hint)
 
 
 def _resolve_setup(text: str, args) -> Setup:

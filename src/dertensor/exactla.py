@@ -196,19 +196,20 @@ def _dense(field, ncols, row) -> tuple:
     return tuple(out)
 
 
-def _eliminate(rows, normal, cancel):
-    """Canonical RREF of sparse rows: (rows, pivot columns, sources).
+def _eliminate(rows, normal, cancel, forward=None):
+    """Canonical RREF of sparse rows: (rows, pivot columns, sources, forward).
 
     A leftmost-pivot forward pass brings each new row to a leading column no
     pivot row owns, then a back-substitution from the right clears every
     other pivot column. cancel(d, prow, x) removes the entry x that the dict
     row d has at the leading column of prow, using prow. Rows come out in
     normal form; sources[i] indexes the input row that became pivot row i.
+    forward is the state the forward pass stops in: handed back with more
+    rows, it goes on and numbers them on from the rows it has read.
     """
-    seen = set()
-    piv = {}  # leading column -> pivot row
-    src = {}  # leading column -> index of the input row it came from
-    for i, row in enumerate(rows):
+    seen, piv, src, count = forward or (set(), {}, {}, 0)  # piv: leading column -> pivot row
+    for i, row in enumerate(rows, count):
+        count = i + 1
         if not row or row in seen:
             continue
         row, raw = normal(row), row
@@ -239,7 +240,7 @@ def _eliminate(rows, normal, cancel):
                 cancel(d, red[j], d[j])
             row = normal(tuple(sorted(d.items())))
         red[c] = row
-    return [red[c] for c in pivots], pivots, [src[c] for c in pivots]
+    return [red[c] for c in pivots], pivots, [src[c] for c in pivots], (seen, piv, src, count)
 
 
 def _primitive(row):
@@ -283,17 +284,17 @@ def _quotient(x, a):
     return Fraction(x, a) if r else q
 
 
-def _eliminate_rational(rows):
+def _eliminate_rational(rows, forward=None):
     """Fraction-free elimination over Z; the RREF over Q."""
-    red, pivots, sources = _eliminate(map(_integer_row, rows), _primitive, _cancel_int)
+    red, pivots, sources, forward = _eliminate(map(_integer_row, rows), _primitive, _cancel_int, forward)
     out = []
     for row in red:
         a = row[0][1]
         out.append(row if a == 1 else tuple((j, _quotient(x, a)) for j, x in row))
-    return out, pivots, sources
+    return out, pivots, sources, forward
 
 
-def _eliminate_prime(rows, p):
+def _eliminate_prime(rows, p, forward=None):
     """Elimination with monic rows over F_p."""
 
     def normal(row):
@@ -311,10 +312,10 @@ def _eliminate_prime(rows, p):
             else:
                 del d[j]
 
-    return _eliminate(rows, normal, cancel)
+    return _eliminate(rows, normal, cancel, forward)
 
 
-def _eliminate_generic(field, rows):
+def _eliminate_generic(field, rows, forward=None):
     """Elimination with monic rows through the field's own arithmetic."""
     z, one, nz = field.zero(), field.one(), field.nonzero
     sub, mul = field.sub, field.mul
@@ -334,7 +335,7 @@ def _eliminate_generic(field, rows):
             else:
                 del d[j]
 
-    return _eliminate(rows, normal, cancel)
+    return _eliminate(rows, normal, cancel, forward)
 
 
 def _rational_rows(field, rows):
@@ -346,12 +347,24 @@ def _rational_rows(field, rows):
 
 
 class _Echelon(tuple):
-    """The pair (rows, pivots), with .sources: the input row behind each pivot row."""
+    """The pair (rows, pivots) of rref_rows, with .sources, the input row
+    behind each pivot row. over is the field Q(zeta_m) that a solve over Q
+    is embedded in."""
 
-    def __new__(cls, rows, pivots, sources):
-        self = tuple.__new__(cls, (rows, pivots))
-        self.sources = sources
+    def __new__(cls, solve, rows, over=None, forward=None):
+        red, pivots, sources, forward = solve(rows, forward)
+        if over:
+            red = [tuple((j, over.from_fraction(x)) for j, x in row) for row in red]
+        self = tuple.__new__(cls, (red, pivots))
+        self.sources, self._resume = sources, (solve, over, forward)
         return self
+
+    def extend(self, rows) -> "_Echelon":
+        """The form of the input rows and then rows; it takes over this form's forward pass."""
+        solve, over, forward = self._resume
+        if over and (rows := _rational_rows(over, rows)) is None:
+            raise InternalCheckFailed("rows outside Q joined an echelon form solved over Q")
+        return _Echelon(solve, rows, over, forward)
 
 
 def rref_rows(field, rows, ncols):
@@ -361,18 +374,18 @@ def rref_rows(field, rows, ncols):
     equal to one; zero, duplicated and rescaled rows leave no trace. This is
     the unique RREF of the row space. A cyclotomic system whose entries all
     lie in Q is solved over Q and embedded: the RREF over Q is also the RREF
-    over the extension. The pair also carries `sources` (see _Echelon).
+    over the extension. The pair also carries `sources` and `extend` (see
+    _Echelon).
     """
     if field.kind == RATIONAL:
-        return _Echelon(*_eliminate_rational(rows))
+        return _Echelon(_eliminate_rational, rows)
     if field.kind == PRIME:
-        return _Echelon(*_eliminate_prime(rows, field.p))
+        return _Echelon(lambda rows, forward: _eliminate_prime(rows, field.p, forward), rows)
     rows = list(rows)
     rat = _rational_rows(field, rows)
     if rat is None:
-        return _Echelon(*_eliminate_generic(field, rows))
-    red, pivots, sources = _eliminate_rational(rat)
-    return _Echelon([tuple((j, field.from_fraction(x)) for j, x in row) for row in red], pivots, sources)
+        return _Echelon(lambda rows, forward: _eliminate_generic(field, rows, forward), rows)
+    return _Echelon(_eliminate_rational, rat, field)
 
 
 def rref(matrix: Matrix):
@@ -417,6 +430,11 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.rows)
+
+    def embedded(self, field) -> "Subspace":
+        """This space over Q, embedded in the field Q(zeta_m)."""
+        emb = field.from_fraction
+        return Subspace(field, self.ambient, [tuple((j, emb(x)) for j, x in r) for r in self._sparse], self.pivots)
 
     def __eq__(self, other):
         return (
@@ -513,22 +531,33 @@ def _combine(field, pairs, at) -> tuple:
     return tuple(sorted((k, v) for k, v in acc.items() if field.nonzero(v)))
 
 
-def kernel_of_rows(field, rows, ncols, tag="kernel") -> Subspace:
+def kernel_of_rows(field, rows, ncols, tag="kernel", more=None) -> Subspace:
     """Right kernel {x : M x = 0} of the system whose sparse rows are given,
-    certified (see _certify). A rational system over Q(zeta_m) is solved and
-    certified over Q, then embedded (see rref_rows)."""
+    certified (see _certify). A rational system over Q(zeta_m) is solved
+    over Q and embedded (see rref_rows); without more, also certified there.
+
+    With more, M grows by the rows more(ker) returns until there are none,
+    the elimination going on from the same echelon form (_Echelon.extend).
+    more replaces _certify's residual pass: it checks ker on the whole system
+    M is drawn from and returns the rows there that ker leaves nonzero."""
     rows = list(rows)
-    rat = _rational_rows(field, rows) if field.kind == CYCLOTOMIC else None
+    rat = _rational_rows(field, rows) if field.kind == CYCLOTOMIC and not more else None
     if rat is not None:
-        ker, emb = kernel_of_rows(_QQ, rat, ncols, tag), field.from_fraction
-        return Subspace(field, ncols, [tuple((j, emb(x)) for j, x in r) for r in ker._sparse], ker.pivots)
-    red, pivots = ech = rref_rows(field, rows, ncols)
-    # free column j: 1 at j, minus the RREF entry at column j on each pivot column
-    at, pivset, one = _by_column(red), set(pivots), field.one()
-    ker = Subspace.from_rows(field, ncols, [
-        tuple((pivots[k], field.neg(x)) for k, x in at.get(j, ())) + ((j, one),)
-        for j in range(ncols) if j not in pivset])
-    _certify(field, rows, ker, ncols - len(pivots), ech.sources, tag)
+        return kernel_of_rows(_QQ, rat, ncols, tag).embedded(field)
+    ech = rref_rows(field, rows, ncols)
+    while True:
+        # free column j: 1 at j, minus the RREF entry at column j on each pivot column
+        (red, pivots), one = ech, field.one()
+        at, pivset = _by_column(red), set(pivots)
+        ker = Subspace.from_rows(field, ncols, [
+            tuple((pivots[k], field.neg(x)) for k, x in at.get(j, ())) + ((j, one),)
+            for j in range(ncols) if j not in pivset])
+        new = more(ker) if more else None
+        if not new:
+            break
+        rows += new
+        ech = ech.extend(new)
+    _certify(field, () if more else rows, ker, ncols - len(pivots), [rows[i] for i in ech.sources], tag)
     return ker
 
 
@@ -536,13 +565,14 @@ _QQ = make_field("rational")
 _PRIMES = (2147483647, 2147483629, 2147483587)  # the three largest primes below 2^31
 
 
-def _certify(field, rows, ker, nullity, sources, tag):
+def _certify(field, rows, ker, nullity, pivot_rows, tag):
     """InternalCheckFailed, naming tag and a witness, unless ker = {x : M x = 0}.
 
-    Residual: each RREF basis vector of ker annihilates each input row. Over
-    Q, completeness: the input rows behind the r pivots of M's RREF (sources)
-    have rank r mod one of three primes, so rank M >= r and dim {x : M x = 0}
-    <= nullity = ncols - r. Last, dim ker = nullity."""
+    Residual: each RREF basis vector of ker annihilates each of rows (M's,
+    or none where kernel_of_rows' more checks it). For rational rows,
+    completeness: pivot_rows, the input rows behind the r pivots of M's RREF,
+    have rank r mod one of three primes, so rank M >= r and
+    dim {x : M x = 0} <= nullity = ncols - r. Last, dim ker = nullity."""
     p = field.p if field.kind == PRIME else 0
     # raw values over Q and F_p are ints and Fractions, whose own arithmetic is exact and cheaper
     add, mul, nz = ((field.add, field.mul, field.nonzero) if field.kind == CYCLOTOMIC
@@ -557,7 +587,7 @@ def _certify(field, rows, ker, nullity, sources, tag):
             k = min(k for k, v in acc.items() if nz(v))
             raise InternalCheckFailed(f"kernel {tag!r}: basis vector {k} leaves residual "
                                       f"{nz(acc[k]) if p else acc[k]} on input row {i}")
-    ints = [_integer_row(rows[i]) for i in sources] if field.kind == RATIONAL else ()
+    ints = [_integer_row(r) for r in _rational_rows(field, pivot_rows) or ()]
     ranks = (len(_eliminate_prime([tuple((j, x % q) for j, x in r if x % q) for r in ints], q)[1])
              for q in _PRIMES)
     if ints and all(r < len(ints) for r in ranks):  # stops at the first prime of full rank

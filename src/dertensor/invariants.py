@@ -10,16 +10,23 @@ so the caches are safe.
 
 from __future__ import annotations
 
+import operator
+from fractions import Fraction
+from math import lcm
 from types import SimpleNamespace
 
 from .algebra import Algebra, tensor_product
 from .errors import (
+    InternalCheckFailed,
     NotAssociative,
     NotCommutative,
     NotPerfect,
     NotUnital,
 )
-from .exactla import Matrix, Subspace, kernel_of_rows, sparse_rows
+from .exactla import Matrix, Subspace, kernel_of_rows, sparse_rows, vec_add
+from .scalars import CYCLOTOMIC, PRIME, RATIONAL, make_field
+
+_QQ = make_field("rational")
 
 
 class EndoSpace:
@@ -63,63 +70,87 @@ def _sparse(f, acc) -> tuple:
     return tuple(sorted((col, x) for col, x in acc.items() if nz(x)))
 
 
-def _product_rows(a: Algebra, split: bool):
-    """Sparse rows of the Leibniz system d(xy) = d(x)y + x d(y) on all basis pairs.
+def _law_field(a: Algebra):
+    """The field and sparse structure constants that a's laws are solved and
+    checked in: Q when a lies over Q(zeta_m) with every constant in Q (the
+    kernel is then embedded once), else a's own."""
+    nz = a._nz
+    if a.field.kind != CYCLOTOMIC or any(x for row in nz for cell in row for _, c in cell for x in c[1:]):
+        return a.field, nz
+    return _QQ, [[[(k, c[0]) for k, c in cell] for cell in row] for row in nz]
 
-    The pair (i, j) gives one row per output coordinate t:
-    sum_k c_ij^k d_tk - sum_r c_rj^t d_ri - sum_r c_ir^t d_rj = 0.
-    With split, the two one-sided terms give separate rows instead:
-    d(b_i b_j) = d(b_i) b_j and d(b_i b_j) = b_i d(b_j).
-    """
-    n, f, nz = a.dim, a.field, a._nz
+
+def _law_terms(n: int, f, nz, maps, split: bool, pairs):
+    """Yield (i, j, sides) per basis pair, sides[s][k n + t] being coordinate t
+    of map k's residual m(b_i b_j) - m(b_i) b_j - b_i m(b_j) of the derivation
+    law, or with split of the centroid's m(b_i b_j) - m(b_i) b_j (s = 0) and
+    m(b_i b_j) - b_i m(b_j) (s = 1). maps are sparse flattened endomorphisms,
+    summed at once over nonzero entries and constants, in raw arithmetic over
+    Q and F_p (not reduced mod p). The laws' rows are the residuals of the
+    elementary maps (_pair_rows). f and nz give the field and the sparse
+    structure constants (see _law_field)."""
+    add, sub, mul, zero = ((f.add, f.sub, f.mul, f.zero()) if f.kind == CYCLOTOMIC else
+                           (operator.add, operator.sub, operator.mul, 0))
+    by_right = [[nz[r][j] for r in range(n)] for j in range(n)]  # by_right[j][r]: b_r b_j
+    col = [[] for _ in range(n)]  # col[c]: (k n, r, x) for each map k with entry x at (r, c)
+    for k, m in enumerate(maps):
+        for rc, x in m:
+            col[rc % n].append((k * n, rc // n, x))
+    for i, j in pairs:
+        got = {}
+        for c, y in nz[i][j]:
+            for kn, r, x in col[c]:
+                got[kn + r] = add(got.get(kn + r, zero), mul(x, y))
+        sides = (got, dict(got)) if split else (got, got)
+        for acc, c, prods in ((sides[0], i, by_right[j]), (sides[1], j, nz[i])):
+            for kn, r, x in col[c]:
+                for t, y in prods[r]:
+                    acc[kn + t] = sub(acc.get(kn + t, zero), mul(x, y))
+        yield i, j, sides[: 1 + split]
+
+
+def _pair_rows(a: Algebra, split: bool, pairs):
+    """Sparse rows of the Leibniz system (split: the centroid's) on the given
+    basis pairs, one per pair, law and output coordinate (see _law_terms)."""
+    n, (f, nz) = a.dim, _law_field(a)
+    p = f.p if f.kind == PRIME else 0
     rows = []
-    for i in range(n):
-        for j in range(n):
-            lhs = [{t * n + k: c for k, c in nz[i][j]} for t in range(n)]
-            sides = (lhs, [dict(row) for row in lhs]) if split else (lhs, lhs)
-            terms = ([(nz[r][j], r * n + i) for r in range(n)], [(nz[i][r], r * n + j) for r in range(n)])
-            for acc, term in zip(sides, terms):
-                for cols, col in term:
-                    for t, c in cols:
-                        row = acc[t]
-                        row[col] = f.sub(row[col], c) if col in row else f.neg(c)
-            rows.extend(_sparse(f, row) for acc in sides[: 1 + split] for row in acc if row)
+    for _, _, sides in _law_terms(n, f, nz, [((rc, f.one()),) for rc in range(n * n)], split, pairs):
+        for acc in sides:
+            by_t = {}
+            for key, v in acc.items():
+                by_t.setdefault(key % n, {})[key // n] = v % p if p else v
+            rows.extend(_sparse(f, by_t[t]) for t in sorted(by_t))
     return rows
 
 
+def _law_residual(n: int, f, nz, maps, split: bool, pairs):
+    """Yield (i, j, k, t, v) for each basis pair where a map breaks its law
+    (_law_terms): v != 0 at coordinate t of map k's residual. Over Q each map
+    is scaled to integers first."""
+    p = f.p if f.kind == PRIME else 0
+    nonzero = f.nonzero if f.kind == CYCLOTOMIC else (lambda v: v % p) if p else bool
+    scales = [lcm(*(x.denominator for _, x in m)) if f.kind == RATIONAL else 1 for m in maps]
+    maps = [[(rc, x if s == 1 else x.numerator * (s // x.denominator)) for rc, x in m]
+            for m, s in zip(maps, scales)]
+    for i, j, sides in _law_terms(n, f, nz, maps, split, pairs):
+        for acc in sides:
+            if any(map(nonzero, acc.values())):
+                key = min(key for key, v in acc.items() if nonzero(v))
+                v = acc[key] % p if p else acc[key]
+                yield i, j, key // n, key % n, v if scales[key // n] == 1 else Fraction(v, scales[key // n])
+                break
+
+
 def leibniz_witness(a: Algebra, m: Matrix):
-    """First basis pair where m breaks the derivation law, or None.
-
-    Returns (i, j, got, want) with got = m(b_i b_j) and
-    want = m(b_i) b_j + b_i m(b_j). Both sides are summed over the nonzero
-    structure constants and the nonzero entries of m only.
-    """
-    n = a.dim
-    f = a.field
-    z, nz, add, mul = f.zero(), f.nonzero, f.add, f.mul
-    table = a._nz
-    # cols[k]: the nonzero entries (r, m_rk) of m(b_k)
-    cols = [[(r, row[k]) for r, row in enumerate(m.rows) if nz(row[k])] for k in range(n)]
-    for i in range(n):
-        for j in range(n):
-            got = [z] * n
-            for k, c in table[i][j]:
-                for r, x in cols[k]:
-                    got[r] = add(got[r], mul(x, c))
-            want = [z] * n
-            for r, x in cols[i]:
-                for k, c in table[r][j]:
-                    want[k] = add(want[k], mul(x, c))
-            for r, x in cols[j]:
-                for k, c in table[i][r]:
-                    want[k] = add(want[k], mul(x, c))
-            if got != want:
-                return (i, j, got, want)
+    """The first basis pair (i, j) in row-major order where m breaks the
+    derivation law, as (i, j, m(b_i b_j), m(b_i) b_j + b_i m(b_j)), or None."""
+    n, f = a.dim, a.field
+    pairs = ((i, j) for i in range(n) for j in range(n))
+    for i, j, *_ in _law_residual(n, f, a._nz, sparse_rows(f, [m.flatten()]), False, pairs):
+        want = vec_add(f, a.mult(m.column(i), a.basis_vector(j)), a.mult(a.basis_vector(i), m.column(j)))
+        return (i, j, m.matvec(a.table[i][j]), want)
     return None
-
-
-def satisfies_leibniz(a: Algebra, m: Matrix) -> bool:
-    return leibniz_witness(a, m) is None
 
 
 def _commute_rows(m: Matrix):
@@ -141,16 +172,66 @@ def _commute_rows(m: Matrix):
 # -- the spaces ------------------------------------------------------------
 
 
-def derivation_space(a: Algebra) -> EndoSpace:
-    """All derivations: the certified kernel of the Leibniz system.
+def _generators(a: Algebra) -> set:
+    """Basis indices whose products reach every basis vector: each step
+    takes the first one that grows the reach most. Over Q(zeta_m) both
+    factors of a constant outside Q join, so that every pair whose rows it
+    enters is in the first round, which then decides for the whole system
+    whether it is solved over Q (exactla.rref_rows, _Echelon.extend)."""
+    n, nz = a.dim, a._nz
 
-    Closed under commutator, as the commutator of two derivations is one, and
-    the kernel is certified to hold them all (exactla.kernel_of_rows).
-    """
-    if "derivations" not in a._cache:
-        ker = kernel_of_rows(a.field, _product_rows(a, False), a.dim * a.dim, "derivations")
-        a._cache["derivations"] = EndoSpace(a, a.dim, ker, "derivations")
-    return a._cache["derivations"]
+    def grow(reach, g):  # reach and g, closed under the supports of products
+        reach, todo = set(reach), [g]
+        while todo:
+            u = todo.pop()
+            if u not in reach:
+                reach.add(u)
+                todo.extend(k for v in reach for k, _ in nz[u][v] + nz[v][u] if k not in reach)
+        return reach
+
+    gens, reach = set(), set()
+    while len(reach) < n:
+        g, reach = max(((g, grow(reach, g)) for g in range(n) if g not in reach), key=lambda gr: len(gr[1]))
+        gens.add(g)
+    if a.field.kind == CYCLOTOMIC:
+        gens.update(g for i in range(n) for j in range(n) if any(x for _, c in nz[i][j] for x in c[1:])
+                    for g in (i, j))
+    return gens
+
+
+def _leibniz_kernel(a: Algebra, split: bool, tag: str) -> EndoSpace:
+    """The certified kernel K of the Leibniz system (split: the centroid's),
+    cached under tag, solved on the pairs (x, g) and (g, x) for g in
+    _generators(a) first; for a Lie or associative algebra they imply the
+    rest. K lies in their kernel K_sub by the rank certificate
+    (exactla.kernel_of_rows), and K_sub in K once _law_residual passes every
+    basis vector on every pair. Else the failing pairs' rows join and the
+    elimination goes on; a failing pair whose rows are in already raises."""
+    if tag not in a._cache:
+        n, (f, nz), gens = a.dim, _law_field(a), _generators(a)
+        every = [(i, j) for i in range(n) for j in range(n)]
+        used = {pair for pair in every if pair[0] in gens or pair[1] in gens}
+
+        def more(ker):
+            fresh = []
+            for i, j, k, t, v in _law_residual(n, f, nz, ker._sparse, split, every):
+                if (i, j) in used:
+                    raise InternalCheckFailed(f"kernel {tag!r}: basis vector {k} leaves residual "
+                                              f"{f.format(v)} at coordinate {t} on pair ({i}, {j})")
+                fresh.append((i, j))
+            used.update(fresh)
+            return _pair_rows(a, split, fresh) if fresh else []
+
+        rows = _pair_rows(a, split, sorted(used))
+        ker = kernel_of_rows(f, rows, n * n, tag, more)
+        a._cache[tag] = EndoSpace(a, n, ker if f is a.field else ker.embedded(a.field), tag)
+    return a._cache[tag]
+
+
+def derivation_space(a: Algebra) -> EndoSpace:
+    """All derivations: the certified kernel of the Leibniz system (see
+    _leibniz_kernel); closed under commutator, as it holds them all."""
+    return _leibniz_kernel(a, False, "derivations")
 
 
 def centroid(a: Algebra) -> EndoSpace:
@@ -160,13 +241,9 @@ def centroid(a: Algebra) -> EndoSpace:
     with right multiplication by b_j at column i, and g(b_i b_j) = b_i g(b_j)
     with left multiplication by b_i at column j. The eliminator drops rows
     shared by both, or equal up to a scalar (exactla.rref_rows). Closed under
-    composition, as the composite of two centroid elements is one, and the
-    kernel is certified to hold them all (exactla.kernel_of_rows).
+    composition, as the certified kernel holds them all (_leibniz_kernel).
     """
-    if "centroid" not in a._cache:
-        ker = kernel_of_rows(a.field, _product_rows(a, True), a.dim * a.dim, "centroid")
-        a._cache["centroid"] = EndoSpace(a, a.dim, ker, "centroid")
-    return a._cache["centroid"]
+    return _leibniz_kernel(a, True, "centroid")
 
 
 def differential_centroid(a: Algebra) -> EndoSpace:

@@ -2,15 +2,70 @@
 
 Textbook two-pass Gaussian elimination with explicit row swaps, structured
 nothing like the production eliminator. Over Q by default, with Fractions;
-over F_p when p is given, with ints reduced mod p. Small inputs only.
+over F_p when p is given, with ints reduced mod p; over Q(w), w a primitive
+cube root of unity, when p is Zeta3. Small inputs only.
 """
 
 from fractions import Fraction
 
 
+class Zeta3:
+    """a + b w with rational a, b, where w^2 = -1 - w; its own arithmetic,
+    apart from the production scalars. Zeta3(*raw) reads a raw value of
+    the production field Q(zeta_3), and .raw gives it back."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a=0, b=0):
+        self.a = a if a.__class__ is Fraction else Fraction(a)
+        self.b = b if b.__class__ is Fraction else Fraction(b)
+
+    @staticmethod
+    def _of(x):
+        if isinstance(x, Zeta3):
+            return x
+        return Zeta3(*x) if isinstance(x, tuple) else Zeta3(x)
+
+    def __add__(self, other):
+        o = Zeta3._of(other)
+        return Zeta3(self.a + o.a, self.b + o.b)
+
+    def __sub__(self, other):
+        o = Zeta3._of(other)
+        return Zeta3(self.a - o.a, self.b - o.b) if o else self
+
+    def __neg__(self):
+        return Zeta3(-self.a, -self.b)
+
+    def __mul__(self, other):
+        o = Zeta3._of(other)
+        if not (self and o):
+            return Zeta3()
+        # (a + b w)(c + d w) = ac + (ad + bc) w + bd (-1 - w)
+        return Zeta3(self.a * o.a - self.b * o.b, self.a * o.b + self.b * o.a - self.b * o.b)
+
+    def __rtruediv__(self, other):
+        # 1 / (a + b w) = (a - b - b w) / (a^2 - ab + b^2), the conjugate over the norm
+        norm = self.a * self.a - self.a * self.b + self.b * self.b
+        return Zeta3._of(other) * Zeta3((self.a - self.b) / norm, -self.b / norm)
+
+    def __eq__(self, other):
+        o = Zeta3._of(other)
+        return self.a == o.a and self.b == o.b
+
+    def __bool__(self):
+        return bool(self.a or self.b)
+
+    @property
+    def raw(self):
+        return (self.a, self.b)
+
+
 def _ops(p):
     if p is None:
         return Fraction, lambda x: 1 / x
+    if p is Zeta3:
+        return Zeta3._of, lambda x: 1 / x
     return (lambda x: int(x) % p), (lambda x: pow(x, -1, p))
 
 

@@ -374,6 +374,18 @@ def test_size_guard_predicts_catalog_setup_dims(monkeypatch, capsys):
     assert "48" in err
 
 
+def test_every_setup_entry_declares_the_dimensions_it_builds():
+    # small arguments per arity; the guard reads these declarations before building
+    small = {0: [()], 2: [(1, 2), (2, 1), (1, 3)]}
+    for base, (arity, *_) in catalog._SETUP_ENTRIES.items():
+        for args in small[arity]:
+            name = f"{base}({','.join(map(str, args))})" if args else base
+            st = catalog.catalog_setup(name)
+            dim_a, dim_s = catalog.setup_dims(name)
+            assert (dim_a, dim_s) == (st.a.dim, st.s.dim)
+            assert dim_a * dim_s == st.ts.dim
+
+
 def test_setup_file_roundtrip(tmp_path, capsys):
     spec = {
         "field": "rational",

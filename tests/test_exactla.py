@@ -319,12 +319,28 @@ def test_sources_name_the_first_input_row_behind_each_pivot():
 
 
 @pytest.mark.parametrize("fld", [QQ, F31, Z3], ids=["Q", "F31", "Q(zeta3)"])
+def test_an_extended_echelon_form_is_the_form_of_all_its_rows(fld):
+    first = sparse_rows(fld, lift(fld, [[1, 1, 0, 0], [0, 1, 1, 0]]))
+    # the first added row is the difference of the two before it
+    more = sparse_rows(fld, lift(fld, [[1, 0, -1, 0], [0, 0, 1, 1]]))
+    ech = rref_rows(fld, first, 4).extend(more)
+    assert list(ech) == list(rref_rows(fld, first + more, 4))
+    assert ech.sources == [0, 1, 3]
+
+
+def test_an_echelon_form_solved_over_q_takes_no_irrational_rows():
+    ech = rref_rows(Z3, sparse_rows(Z3, lift(Z3, [[1, 1]])), 2)
+    with pytest.raises(InternalCheckFailed, match="rows outside Q"):
+        ech.extend([((1, Z3.root_of_unity(3)),)])
+
+
+@pytest.mark.parametrize("fld", [QQ, F31, Z3], ids=["Q", "F31", "Q(zeta3)"])
 def test_certificate_catches_an_eliminator_that_drops_a_row(monkeypatch, fld):
     real = exactla._eliminate
 
-    def drop_second(rows, normal, cancel):
+    def drop_second(rows, normal, cancel, forward=None):
         rows = list(rows)
-        return real(rows[:1] + rows[2:], normal, cancel)
+        return real(rows[:1] + rows[2:], normal, cancel, forward)
 
     monkeypatch.setattr(exactla, "_eliminate", drop_second)
     rows = sparse_rows(fld, lift(fld, [[1, 0, 0], [0, 1, 0]]))
@@ -338,10 +354,10 @@ def test_certificate_catches_an_eliminator_that_drops_a_row(monkeypatch, fld):
 def test_certificate_catches_an_eliminator_that_invents_a_pivot(monkeypatch, fld):
     real = exactla._eliminate_rational
 
-    def invent(rows):
-        red, pivots, sources = real(rows)
+    def invent(rows, forward=None):
+        red, pivots, sources, forward = real(rows, forward)
         # column 2 appears in no row; claim it as a pivot owed to row 0
-        return red + [((2, 1),)], pivots + [2], sources + [0]
+        return red + [((2, 1),)], pivots + [2], sources + [0], forward
 
     monkeypatch.setattr(exactla, "_eliminate_rational", invent)
     rows = sparse_rows(fld, lift(fld, [[1, 1, 0]]))
@@ -355,9 +371,9 @@ def _primes_tried(monkeypatch):
     tried = []
     real = exactla._eliminate_prime
 
-    def spy(rows, p):
+    def spy(rows, p, forward=None):
         tried.append(p)
-        return real(rows, p)
+        return real(rows, p, forward)
 
     monkeypatch.setattr(exactla, "_eliminate_prime", spy)
     return tried

@@ -98,6 +98,10 @@ COMMANDS = (
         ["bm-eval", "--setup", "quotient-laurent(2,3)", "--u", "z2", "--json"],
         ["verify-thm2", "--setup", "quotient-laurent(2,3)", "--u", "z2", "--json"],
         ["lemma-identities", "--setup", "quotient-laurent(2,3)", "--u", "z2", "--json"],
+        # n = 24: large enough that a few generator pairs differ much from all pairs
+        ["verify-thm1", "--budget", "25", "--json", "--algebra", "sl2", "--s", "group-algebra(8)"],
+        ["verify-lemma21", "--json", "--algebra", "sl2", "--s", "group-algebra(8)", "--field",
+         "prime(31,3)"],
     ]
 )
 

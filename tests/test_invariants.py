@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import count
 
 import pytest
 from hypothesis import given, settings
@@ -6,9 +7,9 @@ from hypothesis import strategies as st
 
 from dertensor.algebra import Algebra, tensor_product
 from dertensor.catalog import dual_numbers, group_algebra, sl2, sl2_graded_variant, zero_product
-from dertensor.errors import NotPerfect, NotUnital
+from dertensor.errors import InternalCheckFailed, NotPerfect, NotUnital
 from dertensor.exactla import Matrix, Subspace
-from dertensor import invariants
+from dertensor import exactla, invariants
 from dertensor.invariants import (
     centroid,
     derivation_space,
@@ -22,7 +23,7 @@ from dertensor.invariants import (
 from dertensor.scalars import make_field
 
 from dense_leibniz import dense_leibniz_witness
-from naive_la import naive_nullspace, naive_rref
+from naive_la import Zeta3, naive_nullspace, naive_rref
 
 QQ = make_field("rational")
 
@@ -277,19 +278,131 @@ def oracle_kernel(alg, defect, p=None):
             rows = [[f.zero()] * n for _ in range(n)]
             rows[r][c] = f.one()
             cols.append(defect(Matrix(f, rows, n)))
-    system = [[col[i] for col in cols] for i in range(len(cols[0]))]
+    # zero and repeated rows dropped: the same row space, less naive work
+    system = [list(r) for r in dict.fromkeys(zip(*cols)) if any(map(f.nonzero, r))]
     return naive_rref(naive_nullspace(system, n * n, p), p)[0]
+
+
+def matches_oracle(a, split, p=None):
+    """Whether D(a), or with split C(a), is the oracle's RREF basis."""
+    space = (centroid if split else derivation_space)(a).space
+    want = oracle_kernel(a, (centroid_defect if split else leibniz_defect)(a), p)
+    if p is Zeta3:
+        want = [[x.raw for x in row] for row in want]
+    return [list(r) for r in space.rows] == want
+
+
+Z3 = make_field("cyclotomic", m=3)
+ORACLE_FIELDS = {None: QQ, 31: make_field("prime", m=3, p=31), Zeta3: Z3}
 
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_derivations_and_centroid_match_the_naive_oracle_on_random_algebras(data):
-    p = data.draw(st.sampled_from([None, 31]))
-    f = QQ if p is None else make_field("prime", m=3, p=31)
-    n = data.draw(st.integers(1, 4))
-    consts = st.sampled_from([0, 0, 0, 1, -1, 2])
-    table = [[[f.from_int(data.draw(consts)) for _ in range(n)] for _ in range(n)]
-             for _ in range(n)]
+    p = data.draw(st.sampled_from([None, 31, Zeta3]))
+    f = ORACLE_FIELDS[p]
+    # n = 5 over Q(zeta_3) costs the naive oracle seconds per algebra
+    n = data.draw(st.integers(1, 4 if p is Zeta3 else 5))
+    # over Q(zeta_3) some constants lie outside Q, so the system is not solved over Q
+    consts = st.sampled_from([0, 0, 0, 1, -1, 2] + ([Z3.root_of_unity(3)] if p is Zeta3 else []))
+    table = [[[f.from_int(c) if isinstance(c, int) else c for c in (data.draw(consts) for _ in range(n))]
+              for _ in range(n)] for _ in range(n)]
     a = Algebra(f, [f"b{i}" for i in range(n)], table)
-    assert [list(r) for r in derivation_space(a).space.rows] == oracle_kernel(a, leibniz_defect(a), p)
-    assert [list(r) for r in centroid(a).space.rows] == oracle_kernel(a, centroid_defect(a), p)
+    assert matches_oracle(a, False, p)
+    assert matches_oracle(a, True, p)
+
+
+# b0 b0 = b2, b1 b0 = b1 - b2, b1 b1 = -b0: neither a Lie nor an associative
+# algebra, and the law on its generator pairs does not imply it on (b0, b0)
+SHORT_PAIRS = [[[0, 0, 1], [0, 0, 0], [0, 0, 0]],
+               [[0, 1, -1], [-1, 0, 0], [0, 0, 0]],
+               [[0, 0, 0], [0, 0, 0], [0, 0, 0]]]
+
+
+def short_pairs_algebra():
+    return Algebra(QQ, ["b0", "b1", "b2"], [[[QQ.from_int(c) for c in v] for v in row] for row in SHORT_PAIRS])
+
+
+def rounds_of(monkeypatch):
+    """The pairs each call of the row source assembles, in order."""
+    rounds = []
+    pair_rows = invariants._pair_rows
+
+    def counted(a, split, pairs):
+        rounds.append(list(pairs))
+        return pair_rows(a, split, pairs)
+
+    monkeypatch.setattr(invariants, "_pair_rows", counted)
+    return rounds
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["derivations", "centroid"])
+def test_generator_pairs_that_fall_short_take_a_second_round(monkeypatch, split):
+    rounds = rounds_of(monkeypatch)
+    assert matches_oracle(short_pairs_algebra(), split)
+    assert len(rounds) >= 2
+    assert rounds[1] == [(0, 0)]
+
+
+# each mutant below passes a wrong kernel that matches_oracle then tells apart
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["derivations", "centroid"])
+def test_a_residual_that_skips_one_pair_is_caught(monkeypatch, split):
+    real = invariants._law_residual
+
+    def mutant(n, f, nz, maps, split, pairs):
+        return (w for w in real(n, f, nz, maps, split, pairs) if w[:2] != (0, 0))
+
+    monkeypatch.setattr(invariants, "_law_residual", mutant)
+    assert not matches_oracle(short_pairs_algebra(), split)
+
+
+@pytest.mark.parametrize("split,k", [(False, 0), (True, 1)], ids=["derivations", "centroid"])
+def test_a_residual_that_skips_one_basis_vector_is_caught(monkeypatch, split, k):
+    real = invariants._law_residual
+
+    def mutant(n, f, nz, maps, split, pairs):
+        maps = list(maps)
+        maps[k] = ()  # basis vector k is never checked
+        return real(n, f, nz, maps, split, pairs)
+
+    monkeypatch.setattr(invariants, "_law_residual", mutant)
+    assert not matches_oracle(short_pairs_algebra(), split)
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["derivations", "centroid"])
+def test_a_pair_that_fails_with_its_rows_in_names_its_witness(monkeypatch, split):
+    real = invariants._pair_rows
+
+    def lossy(a, split, pairs):  # every row led by coordinate 0 goes missing
+        return [row for row in real(a, split, pairs) if row and row[0][0] != 0]
+
+    monkeypatch.setattr(invariants, "_pair_rows", lossy)
+    tag = "centroid" if split else "derivations"
+    with pytest.raises(InternalCheckFailed, match=rf"kernel '{tag}': basis vector \d+ leaves residual "
+                                                  rf"-?\d+ at coordinate \d+ on pair \(\d+, \d+\)"):
+        (centroid if split else derivation_space)(tensor_product(sl2(), group_algebra(3)))
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["derivations", "centroid"])
+def test_an_eliminator_that_invents_a_pivot_in_the_subset_is_caught(monkeypatch, split):
+    real, calls = exactla._eliminate_rational, []
+
+    def invent(rows, forward=None):
+        rows = list(rows)
+        red, pivots, sources, forward = real(rows, forward)
+        calls.append(len(rows))
+        if len(calls) > 1:
+            return red, pivots, sources, forward
+        # the generator pairs' echelon form claims a free column, owed to a dependent row
+        c = next(c for c in count() if c not in pivots)
+        dependent = next(i for i in range(len(rows)) if i not in sources)
+        at = sum(q < c for q in pivots)
+        return (red[:at] + [((c, 1),)] + red[at:], pivots[:at] + [c] + pivots[at:],
+                sources[:at] + [dependent] + sources[at:], forward)
+
+    monkeypatch.setattr(exactla, "_eliminate_rational", invent)
+    tag = "centroid" if split else "derivations"
+    with pytest.raises(InternalCheckFailed, match=f"kernel '{tag}': the .* input rows behind the pivots are dependent"):
+        (centroid if split else derivation_space)(tensor_product(sl2(), group_algebra(3)))

@@ -10,8 +10,9 @@ evaluates d and each averaging bracket once per distinct argument and
 builds each tensor vector ahead of its samples, the split of a tensor
 derivation checks its two summand spaces direct once per tensor algebra,
 not once per sample, verify-thm1 builds each tensor algebra A (x) S once
-and assembles its Leibniz system once, and a command builds its own
-subparser only. Checks that a cheaper one implies stay removed: the tensor
+and assembles its Leibniz system once, D and C of a tensor algebra
+assemble rows from a few generator pairs, in one round, and a command
+builds its own subparser only. Checks that a cheaper one implies stay removed: the tensor
 automorphism is not re-validated, no grading of a finite setup builds its
 projections, and only verify-lemma21 and psi-check test psi for
 multiplicativity. A --u unit builds its Setup once.
@@ -119,25 +120,43 @@ def test_verify_thm2_runs_phi_and_pi_once_per_basis_element(monkeypatch, capsys)
                          ids=["flagship", "prime-field"])
 def test_phi_eval_never_solves_the_tensor_derivations(monkeypatch, capsys, setup):
     built, assembled = [], []
-    tensor_product, product_rows = decomposition.tensor_product, invariants._product_rows
+    tensor_product, pair_rows = decomposition.tensor_product, invariants._pair_rows
 
     def counted_product(a, s):
         ts = tensor_product(a, s)
         built.append(ts)
         return ts
 
-    def counted_rows(a, split):
+    def counted_rows(a, split, pairs):
         if not split:  # a Leibniz system; split rows are the centroid's
             assembled.append(a)
-        return product_rows(a, split)
+        return pair_rows(a, split, pairs)
 
     monkeypatch.setattr(decomposition, "tensor_product", counted_product)
-    monkeypatch.setattr(invariants, "_product_rows", counted_rows)
+    monkeypatch.setattr(invariants, "_pair_rows", counted_rows)
     assert cli.run(["phi-eval", "--setup"] + setup + ["--json"]) == 0
     capsys.readouterr()
     # extend_phi certifies pi(phi(d)) = d itself, so no restriction is re-solved
     assert len(built) == 1
     assert not any(a is built[0] for a in assembled)
+
+
+def test_leibniz_and_centroid_rows_come_from_a_quarter_of_the_pairs(monkeypatch):
+    f = make_field("prime", m=3, p=31)
+    ts = algebra.tensor_product(sl2(f), group_algebra(8, f))
+    calls = []
+    pair_rows = invariants._pair_rows
+
+    def counted(a, split, pairs):
+        calls.append((split, len(pairs)))
+        return pair_rows(a, split, pairs)
+
+    monkeypatch.setattr(invariants, "_pair_rows", counted)
+    invariants.derivation_space(ts)
+    invariants.centroid(ts)
+    # one round each, on the pairs (x, g) and (g, x) for a few generators g of the 24
+    assert [split for split, _ in calls] == [False, True]
+    assert all(count <= 24 * 24 // 4 for _, count in calls)
 
 
 def _overlap_checks(monkeypatch, capsys, budget):
@@ -165,21 +184,21 @@ def test_split_overlap_check_does_not_grow_with_the_budget(monkeypatch, capsys):
                          ids=["pair", "sweep"])
 def test_verify_thm1_builds_each_tensor_algebra_once(monkeypatch, capsys, pair):
     built, assembled = [], []
-    tensor_product, product_rows = algebra.tensor_product, invariants._product_rows
+    tensor_product, pair_rows = algebra.tensor_product, invariants._pair_rows
 
     def counted_product(a, s):
         ts = tensor_product(a, s)
         built.append(ts)
         return ts
 
-    def counted_rows(a, split):
+    def counted_rows(a, split, pairs):
         if not split:  # a Leibniz system; split rows are the centroid's
             assembled.append(a)
-        return product_rows(a, split)
+        return pair_rows(a, split, pairs)
 
     for mod in (algebra, cli, decomposition, invariants):
         monkeypatch.setattr(mod, "tensor_product", counted_product)
-    monkeypatch.setattr(invariants, "_product_rows", counted_rows)
+    monkeypatch.setattr(invariants, "_pair_rows", counted_rows)
     assert cli.run(["verify-thm1", "--budget", "3", "--json"] + pair) == 0
     capsys.readouterr()
     assert len(built) == (1 if pair else len(cli.DEFAULT_PAIRS))
