@@ -74,27 +74,20 @@ class Algebra:
         return out
 
     def left_mult_matrix(self, x: list) -> Matrix:
-        f = self.field
-        z = f.zero()
-        rows = [[z] * self.dim for _ in range(self.dim)]
-        for i, xi in enumerate(x):
-            if not f.nonzero(xi):
-                continue
-            for c in range(self.dim):
-                for k, t in self._nz[i][c]:
-                    rows[k][c] = f.add(rows[k][c], f.mul(xi, t))
-        return Matrix(f, rows, self.dim)
+        return self._mult_matrix(x, lambda i, c: self._nz[i][c])
 
     def right_mult_matrix(self, x: list) -> Matrix:
+        return self._mult_matrix(x, lambda j, c: self._nz[c][j])
+
+    def _mult_matrix(self, x: list, products) -> Matrix:
+        # column c: x_i times the sparse product products(i, c), summed over i
         f = self.field
-        z = f.zero()
-        rows = [[z] * self.dim for _ in range(self.dim)]
-        for j, xj in enumerate(x):
-            if not f.nonzero(xj):
-                continue
-            for c in range(self.dim):
-                for k, t in self._nz[c][j]:
-                    rows[k][c] = f.add(rows[k][c], f.mul(xj, t))
+        rows = [[f.zero()] * self.dim for _ in range(self.dim)]
+        for i, xi in enumerate(x):
+            if f.nonzero(xi):
+                for c in range(self.dim):
+                    for k, t in products(i, c):
+                        rows[k][c] = f.add(rows[k][c], f.mul(xi, t))
         return Matrix(f, rows, self.dim)
 
     def left_mult_operators(self) -> list:
@@ -139,10 +132,9 @@ class Algebra:
                 rows.append([self.table[j][i][k] for i in range(self.dim)])
                 rhs.append(o if j == k else z)
         try:
-            u = solve_unique(Matrix(f, rows, self.dim), rhs)
+            return solve_unique(Matrix(f, rows, self.dim), rhs)
         except SingularElement:
             return None
-        return u
 
     def is_unital(self) -> bool:
         return self.unit() is not None
@@ -158,21 +150,10 @@ class Algebra:
 
     def is_associative(self) -> bool:
         if "associative" not in self._cache:
-            ok = True
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    ij = self.table[i][j]
-                    for k in range(self.dim):
-                        left = self.mult(ij, self.basis_vector(k))
-                        right = self.mult(self.basis_vector(i), self.table[j][k])
-                        if left != right:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            self._cache["associative"] = ok
+            n, e = self.dim, self.basis_vector
+            self._cache["associative"] = all(
+                self.mult(self.table[i][j], e(k)) == self.mult(e(i), self.table[j][k])
+                for i in range(n) for j in range(n) for k in range(n))
         return self._cache["associative"]
 
     def properties(self) -> dict:

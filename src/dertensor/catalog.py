@@ -153,14 +153,12 @@ _ALGEBRA_ENTRIES = {
     "zero-product": (1, zero_product, "all products zero, takes (n); not perfect"),
 }
 
-# each setup entry ends with its (dim A, dim S) as a function of its arguments
+# setup entries: (arity, builder, (dim A, dim S) as a function of the arguments, about)
 _SETUP_ENTRIES = {
-    "sl2-twisted-flagship": (0, sl2_twisted_flagship,
-                             "sl2 with its sign involution over k[z]/(z^4 - 1), period 2",
-                             lambda: (3, 4)),
-    "quotient-laurent": (2, quotient_laurent_setup,
-                         "untwisted sl2 over k[z]/(z^{Nm} - 1) with z -> omega z, takes (N, m)",
-                         lambda n_blocks, m: (3, n_blocks * m)),
+    "sl2-twisted-flagship": (0, sl2_twisted_flagship, lambda: (3, 4),
+                             "sl2 with its sign involution over k[z]/(z^4 - 1), period 2"),
+    "quotient-laurent": (2, quotient_laurent_setup, lambda n_blocks, m: (3, n_blocks * m),
+                         "untwisted sl2 over k[z]/(z^{Nm} - 1) with z -> omega z, takes (N, m)"),
 }
 
 # evaluation scenes on the genuine Laurent carrier; built by the CLI layer
@@ -198,24 +196,15 @@ def catalog_algebra(text: str, field: FieldDescriptor | None = None) -> Algebra:
     return fn(*args, field) if args else fn(field)
 
 
-def _setup_entry(text: str):
+def catalog_setup(text: str, field: FieldDescriptor | None = None, parts: bool = False, dims: bool = False):
+    """The named Setup, or its pieces (a, s, aut1, aut2) with parts, or with
+    dims the (dim A, dim S) that its entry declares, building nothing."""
     base, args = parse_catalog_name(text)
     if base not in _SETUP_ENTRIES:
         raise ParseError(f"unknown setup {base!r}; see catalog list")
-    _check_arity(base, args, _SETUP_ENTRIES[base][0])
-    return _SETUP_ENTRIES[base], args
-
-
-def catalog_setup(text: str, field: FieldDescriptor | None = None, parts: bool = False):
-    """The named Setup, or its pieces (a, s, aut1, aut2) with parts."""
-    (_, fn, _, _), args = _setup_entry(text)
-    return fn(*args, field, parts=parts)
-
-
-def setup_dims(text: str) -> tuple:
-    """(dim A, dim S) that the named setup's entry declares; builds nothing."""
-    (_, _, _, dims), args = _setup_entry(text)
-    return dims(*args)
+    arity, fn, dim, _ = _SETUP_ENTRIES[base]
+    _check_arity(base, args, arity)
+    return dim(*args) if dims else fn(*args, field, parts=parts)
 
 
 def _base_name(text: str):
@@ -240,7 +229,7 @@ def catalog_entries() -> list:
     out = []
     for name, (arity, _, desc) in _ALGEBRA_ENTRIES.items():
         out.append({"name": name, "kind": "algebra", "args": arity, "about": desc})
-    for name, (arity, _, desc, _) in _SETUP_ENTRIES.items():
+    for name, (arity, _, _, desc) in _SETUP_ENTRIES.items():
         out.append({"name": name, "kind": "setup", "args": arity, "about": desc})
     for name, (arity, desc) in _SCENE_ENTRIES.items():
         out.append({"name": name, "kind": "scene", "args": arity, "about": desc})

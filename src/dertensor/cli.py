@@ -26,7 +26,6 @@ from .catalog import (
     is_catalog_name,
     is_scene_name,
     parse_catalog_name,
-    setup_dims,
 )
 from .decomposition import (
     Setup,
@@ -209,7 +208,7 @@ def _setup_from_file(path: str, field_flag, force: bool) -> tuple:
 
 def _guard_catalog_setup(text: str, force: bool, hint: str = FORCE_HINT):
     """Refuse a catalog setup whose declared tensor dimension exceeds the guard."""
-    _guard_product(*setup_dims(text), force, hint)
+    _guard_product(*catalog_setup(text, dims=True), force, hint)
 
 
 def _resolve_setup(text: str, args) -> Setup:

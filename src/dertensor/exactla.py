@@ -346,25 +346,24 @@ def _rational_rows(field, rows):
         return [tuple((j, x[0]) for j, x in row) for row in rows]
 
 
+def _eliminate_embedded(field, rows, forward=None):
+    """Rows over Q(zeta_m) with every entry in Q, solved over Q and embedded."""
+    if (rat := _rational_rows(field, rows)) is None:
+        raise InternalCheckFailed("rows outside Q joined an echelon form solved over Q")
+    red, pivots, sources, forward = _eliminate_rational(rat, forward)
+    return [tuple((j, field.from_fraction(x)) for j, x in row) for row in red], pivots, sources, forward
+
+
 class _Echelon(tuple):
     """The pair (rows, pivots) of rref_rows, with .sources, the input row
-    behind each pivot row. over is the field Q(zeta_m) that a solve over Q
-    is embedded in."""
+    behind each pivot row, and .extend(rows), the form of the input rows and
+    then rows, which goes on from this form's forward pass."""
 
-    def __new__(cls, solve, rows, over=None, forward=None):
+    def __new__(cls, solve, rows, forward=None):
         red, pivots, sources, forward = solve(rows, forward)
-        if over:
-            red = [tuple((j, over.from_fraction(x)) for j, x in row) for row in red]
         self = tuple.__new__(cls, (red, pivots))
-        self.sources, self._resume = sources, (solve, over, forward)
+        self.sources, self.extend = sources, lambda more: _Echelon(solve, more, forward)
         return self
-
-    def extend(self, rows) -> "_Echelon":
-        """The form of the input rows and then rows; it takes over this form's forward pass."""
-        solve, over, forward = self._resume
-        if over and (rows := _rational_rows(over, rows)) is None:
-            raise InternalCheckFailed("rows outside Q joined an echelon form solved over Q")
-        return _Echelon(solve, rows, over, forward)
 
 
 def rref_rows(field, rows, ncols):
@@ -382,10 +381,8 @@ def rref_rows(field, rows, ncols):
     if field.kind == PRIME:
         return _Echelon(lambda rows, forward: _eliminate_prime(rows, field.p, forward), rows)
     rows = list(rows)
-    rat = _rational_rows(field, rows)
-    if rat is None:
-        return _Echelon(lambda rows, forward: _eliminate_generic(field, rows, forward), rows)
-    return _Echelon(_eliminate_rational, rat, field)
+    solve = _eliminate_generic if _rational_rows(field, rows) is None else _eliminate_embedded
+    return _Echelon(lambda rows, forward: solve(field, rows, forward), rows)
 
 
 def rref(matrix: Matrix):
@@ -430,11 +427,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    def embedded(self, field) -> "Subspace":
-        """This space over Q, embedded in the field Q(zeta_m)."""
-        emb = field.from_fraction
-        return Subspace(field, self.ambient, [tuple((j, emb(x)) for j, x in r) for r in self._sparse], self.pivots)
 
     def __eq__(self, other):
         return (
@@ -543,17 +535,16 @@ def kernel_of_rows(field, rows, ncols, tag="kernel", more=None) -> Subspace:
     rows = list(rows)
     rat = _rational_rows(field, rows) if field.kind == CYCLOTOMIC and not more else None
     if rat is not None:
-        return kernel_of_rows(_QQ, rat, ncols, tag).embedded(field)
-    ech = rref_rows(field, rows, ncols)
+        ker, emb = kernel_of_rows(_QQ, rat, ncols, tag), field.from_fraction
+        return Subspace(field, ncols, [tuple((j, emb(x)) for j, x in r) for r in ker._sparse], ker.pivots)
+    ech, one = rref_rows(field, rows, ncols), field.one()
     while True:
         # free column j: 1 at j, minus the RREF entry at column j on each pivot column
-        (red, pivots), one = ech, field.one()
-        at, pivset = _by_column(red), set(pivots)
+        pivots, at, pivset = ech[1], _by_column(ech[0]), set(ech[1])
         ker = Subspace.from_rows(field, ncols, [
             tuple((pivots[k], field.neg(x)) for k, x in at.get(j, ())) + ((j, one),)
             for j in range(ncols) if j not in pivset])
-        new = more(ker) if more else None
-        if not new:
+        if not (new := more and more(ker)):
             break
         rows += new
         ech = ech.extend(new)

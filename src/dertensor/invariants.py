@@ -24,9 +24,7 @@ from .errors import (
     NotUnital,
 )
 from .exactla import Matrix, Subspace, kernel_of_rows, sparse_rows, vec_add
-from .scalars import CYCLOTOMIC, PRIME, RATIONAL, make_field
-
-_QQ = make_field("rational")
+from .scalars import CYCLOTOMIC, PRIME, RATIONAL
 
 
 class EndoSpace:
@@ -70,25 +68,14 @@ def _sparse(f, acc) -> tuple:
     return tuple(sorted((col, x) for col, x in acc.items() if nz(x)))
 
 
-def _law_field(a: Algebra):
-    """The field and sparse structure constants that a's laws are solved and
-    checked in: Q when a lies over Q(zeta_m) with every constant in Q (the
-    kernel is then embedded once), else a's own."""
-    nz = a._nz
-    if a.field.kind != CYCLOTOMIC or any(x for row in nz for cell in row for _, c in cell for x in c[1:]):
-        return a.field, nz
-    return _QQ, [[[(k, c[0]) for k, c in cell] for cell in row] for row in nz]
-
-
-def _law_terms(n: int, f, nz, maps, split: bool, pairs):
+def _law_terms(a: Algebra, maps, split: bool, pairs):
     """Yield (i, j, sides) per basis pair, sides[s][k n + t] being coordinate t
     of map k's residual m(b_i b_j) - m(b_i) b_j - b_i m(b_j) of the derivation
     law, or with split of the centroid's m(b_i b_j) - m(b_i) b_j (s = 0) and
-    m(b_i b_j) - b_i m(b_j) (s = 1). maps are sparse flattened endomorphisms,
-    summed at once over nonzero entries and constants, in raw arithmetic over
-    Q and F_p (not reduced mod p). The laws' rows are the residuals of the
-    elementary maps (_pair_rows). f and nz give the field and the sparse
-    structure constants (see _law_field)."""
+    m(b_i b_j) - b_i m(b_j) (s = 1). maps are sparse flattened endomorphisms;
+    arithmetic is raw over Q and F_p (not reduced mod p). The laws' rows are
+    the residuals of the elementary maps (_pair_rows)."""
+    n, f, nz = a.dim, a.field, a._nz
     add, sub, mul, zero = ((f.add, f.sub, f.mul, f.zero()) if f.kind == CYCLOTOMIC else
                            (operator.add, operator.sub, operator.mul, 0))
     by_right = [[nz[r][j] for r in range(n)] for j in range(n)]  # by_right[j][r]: b_r b_j
@@ -112,10 +99,10 @@ def _law_terms(n: int, f, nz, maps, split: bool, pairs):
 def _pair_rows(a: Algebra, split: bool, pairs):
     """Sparse rows of the Leibniz system (split: the centroid's) on the given
     basis pairs, one per pair, law and output coordinate (see _law_terms)."""
-    n, (f, nz) = a.dim, _law_field(a)
+    n, f = a.dim, a.field
     p = f.p if f.kind == PRIME else 0
     rows = []
-    for _, _, sides in _law_terms(n, f, nz, [((rc, f.one()),) for rc in range(n * n)], split, pairs):
+    for _, _, sides in _law_terms(a, [((rc, f.one()),) for rc in range(n * n)], split, pairs):
         for acc in sides:
             by_t = {}
             for key, v in acc.items():
@@ -124,16 +111,17 @@ def _pair_rows(a: Algebra, split: bool, pairs):
     return rows
 
 
-def _law_residual(n: int, f, nz, maps, split: bool, pairs):
+def _law_residual(a: Algebra, maps, split: bool, pairs):
     """Yield (i, j, k, t, v) for each basis pair where a map breaks its law
     (_law_terms): v != 0 at coordinate t of map k's residual. Over Q each map
     is scaled to integers first."""
+    n, f = a.dim, a.field
     p = f.p if f.kind == PRIME else 0
     nonzero = f.nonzero if f.kind == CYCLOTOMIC else (lambda v: v % p) if p else bool
     scales = [lcm(*(x.denominator for _, x in m)) if f.kind == RATIONAL else 1 for m in maps]
     maps = [[(rc, x if s == 1 else x.numerator * (s // x.denominator)) for rc, x in m]
             for m, s in zip(maps, scales)]
-    for i, j, sides in _law_terms(n, f, nz, maps, split, pairs):
+    for i, j, sides in _law_terms(a, maps, split, pairs):
         for acc in sides:
             if any(map(nonzero, acc.values())):
                 key = min(key for key, v in acc.items() if nonzero(v))
@@ -145,10 +133,9 @@ def _law_residual(n: int, f, nz, maps, split: bool, pairs):
 def leibniz_witness(a: Algebra, m: Matrix):
     """The first basis pair (i, j) in row-major order where m breaks the
     derivation law, as (i, j, m(b_i b_j), m(b_i) b_j + b_i m(b_j)), or None."""
-    n, f = a.dim, a.field
-    pairs = ((i, j) for i in range(n) for j in range(n))
-    for i, j, *_ in _law_residual(n, f, a._nz, sparse_rows(f, [m.flatten()]), False, pairs):
-        want = vec_add(f, a.mult(m.column(i), a.basis_vector(j)), a.mult(a.basis_vector(i), m.column(j)))
+    pairs = ((i, j) for i in range(a.dim) for j in range(a.dim))
+    for i, j, *_ in _law_residual(a, sparse_rows(a.field, [m.flatten()]), False, pairs):
+        want = vec_add(a.field, a.mult(m.column(i), a.basis_vector(j)), a.mult(a.basis_vector(i), m.column(j)))
         return (i, j, m.matvec(a.table[i][j]), want)
     return None
 
@@ -173,11 +160,10 @@ def _commute_rows(m: Matrix):
 
 
 def _generators(a: Algebra) -> set:
-    """Basis indices whose products reach every basis vector: each step
-    takes the first one that grows the reach most. Over Q(zeta_m) both
-    factors of a constant outside Q join, so that every pair whose rows it
-    enters is in the first round, which then decides for the whole system
-    whether it is solved over Q (exactla.rref_rows, _Echelon.extend)."""
+    """Basis indices whose products reach every basis vector, each step taking
+    the first that grows the reach most. Over Q(zeta_m) both factors of each
+    constant outside Q join, so the first round holds every row outside Q and
+    fixes whether the system is solved over Q (exactla._eliminate_embedded)."""
     n, nz = a.dim, a._nz
 
     def grow(reach, g):  # reach and g, closed under the supports of products
@@ -201,30 +187,28 @@ def _generators(a: Algebra) -> set:
 
 def _leibniz_kernel(a: Algebra, split: bool, tag: str) -> EndoSpace:
     """The certified kernel K of the Leibniz system (split: the centroid's),
-    cached under tag, solved on the pairs (x, g) and (g, x) for g in
-    _generators(a) first; for a Lie or associative algebra they imply the
-    rest. K lies in their kernel K_sub by the rank certificate
-    (exactla.kernel_of_rows), and K_sub in K once _law_residual passes every
-    basis vector on every pair. Else the failing pairs' rows join and the
-    elimination goes on; a failing pair whose rows are in already raises."""
+    cached under tag, solved first on the pairs (x, g) and (g, x) for g in
+    _generators(a), which usually suffice. K lies in their kernel K_sub by the
+    rank certificate (exactla.kernel_of_rows), and K_sub in K once every basis
+    vector passes _law_residual on every pair. Else the failing pairs' rows
+    join and the elimination goes on; a failing pair already in raises."""
     if tag not in a._cache:
-        n, (f, nz), gens = a.dim, _law_field(a), _generators(a)
+        n, gens = a.dim, _generators(a)
         every = [(i, j) for i in range(n) for j in range(n)]
         used = {pair for pair in every if pair[0] in gens or pair[1] in gens}
 
         def more(ker):
             fresh = []
-            for i, j, k, t, v in _law_residual(n, f, nz, ker._sparse, split, every):
+            for i, j, k, t, v in _law_residual(a, ker._sparse, split, every):
                 if (i, j) in used:
                     raise InternalCheckFailed(f"kernel {tag!r}: basis vector {k} leaves residual "
-                                              f"{f.format(v)} at coordinate {t} on pair ({i}, {j})")
+                                              f"{a.field.format(v)} at coordinate {t} on pair ({i}, {j})")
                 fresh.append((i, j))
             used.update(fresh)
             return _pair_rows(a, split, fresh) if fresh else []
 
-        rows = _pair_rows(a, split, sorted(used))
-        ker = kernel_of_rows(f, rows, n * n, tag, more)
-        a._cache[tag] = EndoSpace(a, n, ker if f is a.field else ker.embedded(a.field), tag)
+        ker = kernel_of_rows(a.field, _pair_rows(a, split, sorted(used)), n * n, tag, more)
+        a._cache[tag] = EndoSpace(a, n, ker, tag)
     return a._cache[tag]
 
 

@@ -381,7 +381,7 @@ def test_every_setup_entry_declares_the_dimensions_it_builds():
         for args in small[arity]:
             name = f"{base}({','.join(map(str, args))})" if args else base
             st = catalog.catalog_setup(name)
-            dim_a, dim_s = catalog.setup_dims(name)
+            dim_a, dim_s = catalog.catalog_setup(name, dims=True)
             assert (dim_a, dim_s) == (st.a.dim, st.s.dim)
             assert dim_a * dim_s == st.ts.dim
 
