@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DimensionMismatch, FieldMismatch, InternalCheckFailed, NotInDomain, SingularElement
-from .scalars import CYCLOTOMIC, PRIME, RATIONAL, FieldDescriptor, make_field
+from .scalars import CYCLOTOMIC, PRIME, RATIONAL, FieldDescriptor
 
 
 class Matrix:
@@ -135,10 +135,7 @@ class Matrix:
             for r2 in other.rows:
                 row = []
                 for a in r1:
-                    if not f.nonzero(a):
-                        row.extend([z] * other.ncols)
-                    else:
-                        row.extend(f.mul(a, b) for b in r2)
+                    row += [f.mul(a, b) for b in r2] if f.nonzero(a) else [z] * other.ncols
                 out.append(row)
         return Matrix(f, out, self.ncols * other.ncols)
 
@@ -196,20 +193,17 @@ def _dense(field, ncols, row) -> tuple:
     return tuple(out)
 
 
-def _eliminate(rows, normal, cancel, forward=None):
-    """Canonical RREF of sparse rows: (rows, pivot columns, sources, forward).
+def _eliminate(rows, normal, cancel):
+    """Canonical RREF of sparse rows: (rows, pivot columns, sources).
 
     A leftmost-pivot forward pass brings each new row to a leading column no
     pivot row owns, then a back-substitution from the right clears every
     other pivot column. cancel(d, prow, x) removes the entry x that the dict
     row d has at the leading column of prow, using prow. Rows come out in
     normal form; sources[i] indexes the input row that became pivot row i.
-    forward is the state the forward pass stops in: handed back with more
-    rows, it goes on and numbers them on from the rows it has read.
     """
-    seen, piv, src, count = forward or (set(), {}, {}, 0)  # piv: leading column -> pivot row
-    for i, row in enumerate(rows, count):
-        count = i + 1
+    seen, piv, src = set(), {}, {}  # piv: leading column -> pivot row
+    for i, row in enumerate(rows):
         if not row or row in seen:
             continue
         row, raw = normal(row), row
@@ -240,7 +234,7 @@ def _eliminate(rows, normal, cancel, forward=None):
                 cancel(d, red[j], d[j])
             row = normal(tuple(sorted(d.items())))
         red[c] = row
-    return [red[c] for c in pivots], pivots, [src[c] for c in pivots], (seen, piv, src, count)
+    return [red[c] for c in pivots], pivots, [src[c] for c in pivots]
 
 
 def _primitive(row):
@@ -284,17 +278,17 @@ def _quotient(x, a):
     return Fraction(x, a) if r else q
 
 
-def _eliminate_rational(rows, forward=None):
+def _eliminate_rational(rows):
     """Fraction-free elimination over Z; the RREF over Q."""
-    red, pivots, sources, forward = _eliminate(map(_integer_row, rows), _primitive, _cancel_int, forward)
+    red, pivots, sources = _eliminate(map(_integer_row, rows), _primitive, _cancel_int)
     out = []
     for row in red:
         a = row[0][1]
         out.append(row if a == 1 else tuple((j, _quotient(x, a)) for j, x in row))
-    return out, pivots, sources, forward
+    return out, pivots, sources
 
 
-def _eliminate_prime(rows, p, forward=None):
+def _eliminate_prime(rows, p):
     """Elimination with monic rows over F_p."""
 
     def normal(row):
@@ -312,10 +306,10 @@ def _eliminate_prime(rows, p, forward=None):
             else:
                 del d[j]
 
-    return _eliminate(rows, normal, cancel, forward)
+    return _eliminate(rows, normal, cancel)
 
 
-def _eliminate_generic(field, rows, forward=None):
+def _eliminate_generic(field, rows):
     """Elimination with monic rows through the field's own arithmetic."""
     z, one, nz = field.zero(), field.one(), field.nonzero
     sub, mul = field.sub, field.mul
@@ -335,7 +329,7 @@ def _eliminate_generic(field, rows, forward=None):
             else:
                 del d[j]
 
-    return _eliminate(rows, normal, cancel, forward)
+    return _eliminate(rows, normal, cancel)
 
 
 def _rational_rows(field, rows):
@@ -346,48 +340,30 @@ def _rational_rows(field, rows):
         return [tuple((j, x[0]) for j, x in row) for row in rows]
 
 
-def _eliminate_embedded(field, rows, forward=None):
-    """Rows over Q(zeta_m) with every entry in Q, solved over Q and embedded."""
-    if (rat := _rational_rows(field, rows)) is None:
-        raise InternalCheckFailed("rows outside Q joined an echelon form solved over Q")
-    red, pivots, sources, forward = _eliminate_rational(rat, forward)
-    return [tuple((j, field.from_fraction(x)) for j, x in row) for row in red], pivots, sources, forward
-
-
-class _Echelon(tuple):
-    """The pair (rows, pivots) of rref_rows, with .sources, the input row
-    behind each pivot row, and .extend(rows), the form of the input rows and
-    then rows, which goes on from this form's forward pass."""
-
-    def __new__(cls, solve, rows, forward=None):
-        red, pivots, sources, forward = solve(rows, forward)
-        self = tuple.__new__(cls, (red, pivots))
-        self.sources, self.extend = sources, lambda more: _Echelon(solve, more, forward)
-        return self
-
-
 def rref_rows(field, rows, ncols):
-    """Canonical RREF of a list of sparse rows; returns (rows, pivot columns).
+    """Canonical RREF of a list of sparse rows: (rows, pivot columns, sources).
 
     The returned rows are sparse, sorted by pivot column, with pivot entries
     equal to one; zero, duplicated and rescaled rows leave no trace. This is
-    the unique RREF of the row space. A cyclotomic system whose entries all
-    lie in Q is solved over Q and embedded: the RREF over Q is also the RREF
-    over the extension. The pair also carries `sources` and `extend` (see
-    _Echelon).
+    the unique RREF of the row space. sources[i] indexes the first input row
+    behind pivot row i. A cyclotomic system whose entries all lie in Q is
+    solved over Q and embedded, as the RREF over Q is also the RREF over the
+    extension; this is the one descent to Q.
     """
     if field.kind == RATIONAL:
-        return _Echelon(_eliminate_rational, rows)
+        return _eliminate_rational(rows)
     if field.kind == PRIME:
-        return _Echelon(lambda rows, forward: _eliminate_prime(rows, field.p, forward), rows)
+        return _eliminate_prime(rows, field.p)
     rows = list(rows)
-    solve = _eliminate_generic if _rational_rows(field, rows) is None else _eliminate_embedded
-    return _Echelon(lambda rows, forward: solve(field, rows, forward), rows)
+    if (rat := _rational_rows(field, rows)) is None:
+        return _eliminate_generic(field, rows)
+    red, pivots, sources = _eliminate_rational(rat)
+    return [tuple((j, field.from_fraction(x)) for j, x in row) for row in red], pivots, sources
 
 
 def rref(matrix: Matrix):
     f, nc = matrix.field, matrix.ncols
-    rows, pivots = rref_rows(f, sparse_rows(f, matrix.rows), nc)
+    rows, pivots, _ = rref_rows(f, sparse_rows(f, matrix.rows), nc)
     return Matrix(f, [_dense(f, nc, r) for r in rows], nc), tuple(pivots)
 
 
@@ -421,7 +397,7 @@ class Subspace:
     @classmethod
     def from_rows(cls, field, ambient: int, rows) -> "Subspace":
         """The span of sparse rows (see rref_rows)."""
-        red, pivots = rref_rows(field, rows, ambient)
+        red, pivots, _ = rref_rows(field, rows, ambient)
         return cls(field, ambient, red, pivots)
 
     @property
@@ -525,34 +501,28 @@ def _combine(field, pairs, at) -> tuple:
 
 def kernel_of_rows(field, rows, ncols, tag="kernel", more=None) -> Subspace:
     """Right kernel {x : M x = 0} of the system whose sparse rows are given,
-    certified (see _certify). A rational system over Q(zeta_m) is solved
-    over Q and embedded (see rref_rows); without more, also certified there.
+    certified (see _certify).
 
-    With more, M grows by the rows more(ker) returns until there are none,
-    the elimination going on from the same echelon form (_Echelon.extend).
-    more replaces _certify's residual pass: it checks ker on the whole system
-    M is drawn from and returns the rows there that ker leaves nonzero."""
-    rows = list(rows)
-    rat = _rational_rows(field, rows) if field.kind == CYCLOTOMIC and not more else None
-    if rat is not None:
-        ker, emb = kernel_of_rows(_QQ, rat, ncols, tag), field.from_fraction
-        return Subspace(field, ncols, [tuple((j, emb(x)) for j, x in r) for r in ker._sparse], ker.pivots)
-    ech, one = rref_rows(field, rows, ncols), field.one()
+    With more, M grows by the rows more(ker) returns until there are none;
+    each round solves all of M's rows so far afresh (rref_rows), so it alone
+    decides whether they are solved over Q. more replaces _certify's
+    residual pass: it checks ker on the whole system M is drawn from and
+    returns the rows there that ker leaves nonzero."""
+    rows, one = list(rows), field.one()
     while True:
+        red, pivots, sources = rref_rows(field, rows, ncols)
         # free column j: 1 at j, minus the RREF entry at column j on each pivot column
-        pivots, at, pivset = ech[1], _by_column(ech[0]), set(ech[1])
+        at, pivset = _by_column(red), set(pivots)
         ker = Subspace.from_rows(field, ncols, [
             tuple((pivots[k], field.neg(x)) for k, x in at.get(j, ())) + ((j, one),)
             for j in range(ncols) if j not in pivset])
         if not (new := more and more(ker)):
             break
         rows += new
-        ech = ech.extend(new)
-    _certify(field, () if more else rows, ker, ncols - len(pivots), [rows[i] for i in ech.sources], tag)
+    _certify(field, () if more else rows, ker, ncols - len(pivots), [rows[i] for i in sources], tag)
     return ker
 
 
-_QQ = make_field("rational")
 _PRIMES = (2147483647, 2147483629, 2147483587)  # the three largest primes below 2^31
 
 
@@ -577,7 +547,7 @@ def _certify(field, rows, ker, nullity, pivot_rows, tag):
         if acc and any(map(nz, acc.values())):
             k = min(k for k, v in acc.items() if nz(v))
             raise InternalCheckFailed(f"kernel {tag!r}: basis vector {k} leaves residual "
-                                      f"{nz(acc[k]) if p else acc[k]} on input row {i}")
+                                      f"{field.format(acc[k] % p if p else acc[k])} on input row {i}")
     ints = [_integer_row(r) for r in _rational_rows(field, pivot_rows) or ()]
     ranks = (len(_eliminate_prime([tuple((j, x % q) for j, x in r if x % q) for r in ints], q)[1])
              for q in _PRIMES)
@@ -594,7 +564,7 @@ def solve_unique(matrix: Matrix, rhs: list) -> list:
         raise DimensionMismatch(f"rhs length {len(rhs)} vs {matrix.nrows} rows")
     n = matrix.ncols
     aug = sparse_rows(matrix.field, [row + [b] for row, b in zip(matrix.rows, rhs)])
-    red, pivots = rref_rows(matrix.field, aug, n + 1)
+    red, pivots, _ = rref_rows(matrix.field, aug, n + 1)
     if n in pivots:
         raise SingularElement("inconsistent linear system")
     if len(pivots) < n:
@@ -609,7 +579,7 @@ def invert_matrix(matrix: Matrix) -> Matrix:
     f = matrix.field
     eye = Matrix.identity(f, n)
     aug = sparse_rows(f, [row + erow for row, erow in zip(matrix.rows, eye.rows)])
-    red, pivots = rref_rows(f, aug, 2 * n)
+    red, pivots, _ = rref_rows(f, aug, 2 * n)
     if list(pivots) != list(range(n)):
         raise SingularElement("matrix is singular")
     return Matrix(f, [list(_dense(f, 2 * n, row)[n:]) for row in red], n)

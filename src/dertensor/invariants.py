@@ -161,9 +161,7 @@ def _commute_rows(m: Matrix):
 
 def _generators(a: Algebra) -> set:
     """Basis indices whose products reach every basis vector, each step taking
-    the first that grows the reach most. Over Q(zeta_m) both factors of each
-    constant outside Q join, so the first round holds every row outside Q and
-    fixes whether the system is solved over Q (exactla._eliminate_embedded)."""
+    the first that grows the reach most."""
     n, nz = a.dim, a._nz
 
     def grow(reach, g):  # reach and g, closed under the supports of products
@@ -179,9 +177,6 @@ def _generators(a: Algebra) -> set:
     while len(reach) < n:
         g, reach = max(((g, grow(reach, g)) for g in range(n) if g not in reach), key=lambda gr: len(gr[1]))
         gens.add(g)
-    if a.field.kind == CYCLOTOMIC:
-        gens.update(g for i in range(n) for j in range(n) if any(x for _, c in nz[i][j] for x in c[1:])
-                    for g in (i, j))
     return gens
 
 
@@ -191,7 +186,8 @@ def _leibniz_kernel(a: Algebra, split: bool, tag: str) -> EndoSpace:
     _generators(a), which usually suffice. K lies in their kernel K_sub by the
     rank certificate (exactla.kernel_of_rows), and K_sub in K once every basis
     vector passes _law_residual on every pair. Else the failing pairs' rows
-    join and the elimination goes on; a failing pair already in raises."""
+    join and all rows so far are solved again, over Q or the field as they
+    decide (exactla.rref_rows); a failing pair already in raises."""
     if tag not in a._cache:
         n, gens = a.dim, _generators(a)
         every = [(i, j) for i in range(n) for j in range(n)]

@@ -21,7 +21,7 @@ from dertensor.exactla import (
 )
 from dertensor.scalars import make_field
 
-from naive_la import naive_nullspace, naive_rank, naive_rref
+from naive_la import Zeta3, naive_nullspace, naive_rank, naive_rref
 
 QQ = make_field("rational")
 Z4 = make_field("cyclotomic", m=4)
@@ -236,7 +236,7 @@ def integer_first(values):
 def test_sparse_rref_and_kernel_match_naive_oracle(system):
     nc, ints = system
     rows = lift(QQ, ints)
-    red, pivots = rref_rows(QQ, sparse_rows(QQ, rows), nc)
+    red, pivots, _ = rref_rows(QQ, sparse_rows(QQ, rows), nc)
     orows, opivots = naive_rref(rows)
     assert pivots == opivots
     assert dense_rows(red, nc) == orows
@@ -310,43 +310,48 @@ def test_kernel_of_empty_system_is_whole_space(fld):
 # refuse their output with InternalCheckFailed naming the tag and a witness.
 
 
-def test_sources_name_the_first_input_row_behind_each_pivot():
-    # (0, 2) normalises to (0, 1); the later raw (0, 1) is then a known row
-    rows = [(), ((0, 2),), ((0, 1),), ((0, 4), (1, 2)), ((1, 1),)]
-    ech = rref_rows(QQ, rows, 2)
-    assert list(ech) == [[((0, 1),), ((1, 1),)], [0, 1]]
-    assert ech.sources == [1, 3]
-
-
 @pytest.mark.parametrize("fld", [QQ, F31, Z3], ids=["Q", "F31", "Q(zeta3)"])
-def test_an_extended_echelon_form_is_the_form_of_all_its_rows(fld):
-    first = sparse_rows(fld, lift(fld, [[1, 1, 0, 0], [0, 1, 1, 0]]))
-    # the first added row is the difference of the two before it
-    more = sparse_rows(fld, lift(fld, [[1, 0, -1, 0], [0, 0, 1, 1]]))
-    ech = rref_rows(fld, first, 4).extend(more)
-    assert list(ech) == list(rref_rows(fld, first + more, 4))
-    assert ech.sources == [0, 1, 3]
+def test_sources_name_the_first_input_row_behind_each_pivot(fld):
+    # (0, 2) normalises to (0, 1); the later raw (0, 1) is then a known row.
+    # Over Q(zeta_3) the rows are rational, so rref_rows solves them over Q
+    rows = sparse_rows(fld, lift(fld, [[0, 0], [2, 0], [1, 0], [4, 2], [0, 1]]))
+    red, pivots, sources = rref_rows(fld, rows, 2)
+    assert (red, pivots) == ([((0, fld.one()),), ((1, fld.one()),)], [0, 1])
+    assert sources == [1, 3]
 
 
-def test_an_echelon_form_solved_over_q_takes_no_irrational_rows():
-    ech = rref_rows(Z3, sparse_rows(Z3, lift(Z3, [[1, 1]])), 2)
-    with pytest.raises(InternalCheckFailed, match="rows outside Q"):
-        ech.extend([((1, Z3.root_of_unity(3)),)])
+def test_a_later_round_outside_q_solves_every_row_in_the_field():
+    # round 1 is rational, so it is solved over Q; the row that more adds
+    # leaves Q, and round 2 solves all three rows in Q(zeta_3)
+    first = sparse_rows(Z3, lift(Z3, [[1, 1, 0, 0], [0, 1, 1, 0]]))
+    late = [((2, Z3.one()), (3, Z3.root_of_unity(3)))]
+    rounds = []
+
+    def more(ker):
+        rounds.append(ker)
+        return late if len(rounds) == 1 else []
+
+    with mock.patch.object(exactla, "_eliminate_generic", wraps=exactla._eliminate_generic) as gen:
+        ker = kernel_of_rows(Z3, first, 4, "probe", more)
+    assert rounds[0].dim == 2 and len(rounds) == 2
+    assert [len(call.args[1]) for call in gen.call_args_list] == [3, 1]  # round 2, then its kernel basis
+    dense = [exactla._dense(Z3, 4, r) for r in first + late]
+    assert [[Zeta3(*x) for x in row] for row in ker.rows] == naive_rref(naive_nullspace(dense, 4, Zeta3), Zeta3)[0]
 
 
-@pytest.mark.parametrize("fld", [QQ, F31, Z3], ids=["Q", "F31", "Q(zeta3)"])
-def test_certificate_catches_an_eliminator_that_drops_a_row(monkeypatch, fld):
+@pytest.mark.parametrize("fld,one", [(QQ, "1"), (F31, "1"), (Z3, r"\[1\]")], ids=["Q", "F31", "Q(zeta3)"])
+def test_certificate_catches_an_eliminator_that_drops_a_row(monkeypatch, fld, one):
     real = exactla._eliminate
 
-    def drop_second(rows, normal, cancel, forward=None):
+    def drop_second(rows, normal, cancel):
         rows = list(rows)
-        return real(rows[:1] + rows[2:], normal, cancel, forward)
+        return real(rows[:1] + rows[2:], normal, cancel)
 
     monkeypatch.setattr(exactla, "_eliminate", drop_second)
     rows = sparse_rows(fld, lift(fld, [[1, 0, 0], [0, 1, 0]]))
     # without row 1, e_1 passes for a kernel vector and leaves 1 on row 1
     with pytest.raises(InternalCheckFailed,
-                       match=r"kernel 'probe': basis vector 0 leaves residual 1 on input row 1"):
+                       match=rf"kernel 'probe': basis vector 0 leaves residual {one} on input row 1"):
         kernel_of_rows(fld, rows, 3, "probe")
 
 
@@ -354,10 +359,10 @@ def test_certificate_catches_an_eliminator_that_drops_a_row(monkeypatch, fld):
 def test_certificate_catches_an_eliminator_that_invents_a_pivot(monkeypatch, fld):
     real = exactla._eliminate_rational
 
-    def invent(rows, forward=None):
-        red, pivots, sources, forward = real(rows, forward)
+    def invent(rows):
+        red, pivots, sources = real(rows)
         # column 2 appears in no row; claim it as a pivot owed to row 0
-        return red + [((2, 1),)], pivots + [2], sources + [0], forward
+        return red + [((2, 1),)], pivots + [2], sources + [0]
 
     monkeypatch.setattr(exactla, "_eliminate_rational", invent)
     rows = sparse_rows(fld, lift(fld, [[1, 1, 0]]))
@@ -371,9 +376,9 @@ def _primes_tried(monkeypatch):
     tried = []
     real = exactla._eliminate_prime
 
-    def spy(rows, p, forward=None):
+    def spy(rows, p):
         tried.append(p)
-        return real(rows, p, forward)
+        return real(rows, p)
 
     monkeypatch.setattr(exactla, "_eliminate_prime", spy)
     return tried

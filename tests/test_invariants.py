@@ -319,29 +319,43 @@ SHORT_PAIRS = [[[0, 0, 1], [0, 0, 0], [0, 0, 0]],
                [[0, 0, 0], [0, 0, 0], [0, 0, 0]]]
 
 
-def short_pairs_algebra():
-    return Algebra(QQ, ["b0", "b1", "b2"], [[[QQ.from_int(c) for c in v] for v in row] for row in SHORT_PAIRS])
+def short_pairs_algebra(f=QQ):
+    """The SHORT_PAIRS algebra; over Q(zeta_3), b0 b0 = zeta b2 instead, one
+    constant outside Q, on the pair (b0, b0), which is no generator pair."""
+    table = [[[f.from_int(c) for c in v] for v in row] for row in SHORT_PAIRS]
+    if f.kind == "cyclotomic":
+        table[0][0][2] = f.root_of_unity(3)
+    return Algebra(f, ["b0", "b1", "b2"], table)
 
 
 def rounds_of(monkeypatch):
-    """The pairs each call of the row source assembles, in order."""
+    """The (pairs, rows) of each call of the row source, in order."""
     rounds = []
     pair_rows = invariants._pair_rows
 
     def counted(a, split, pairs):
-        rounds.append(list(pairs))
-        return pair_rows(a, split, pairs)
+        rows = pair_rows(a, split, pairs)
+        rounds.append((list(pairs), rows))
+        return rows
 
     monkeypatch.setattr(invariants, "_pair_rows", counted)
     return rounds
 
 
-@pytest.mark.parametrize("split", [False, True], ids=["derivations", "centroid"])
-def test_generator_pairs_that_fall_short_take_a_second_round(monkeypatch, split):
+def outside_q(rows):
+    return any(any(x[1:]) for row in rows for _, x in row)
+
+
+@pytest.mark.parametrize("split,p", [(False, None), (True, None), (False, Zeta3), (True, Zeta3)],
+                         ids=["derivations", "centroid", "derivations-Q(zeta3)", "centroid-Q(zeta3)"])
+def test_generator_pairs_that_fall_short_take_a_second_round(monkeypatch, split, p):
     rounds = rounds_of(monkeypatch)
-    assert matches_oracle(short_pairs_algebra(), split)
-    assert len(rounds) >= 2
-    assert rounds[1] == [(0, 0)]
+    assert matches_oracle(short_pairs_algebra(ORACLE_FIELDS[p]), split, p)
+    assert [pairs for pairs, _ in rounds[1:]] == [[(0, 0)]]
+    if p is Zeta3:
+        # zeta enters the generator pair (b1, b0) through m(b1) b0, so each
+        # round holds rows outside Q and is solved in the field
+        assert [outside_q(rows) for _, rows in rounds] == [True, True]
 
 
 # each mutant below passes a wrong kernel that matches_oracle then tells apart
@@ -389,18 +403,18 @@ def test_a_pair_that_fails_with_its_rows_in_names_its_witness(monkeypatch, split
 def test_an_eliminator_that_invents_a_pivot_in_the_subset_is_caught(monkeypatch, split):
     real, calls = exactla._eliminate_rational, []
 
-    def invent(rows, forward=None):
+    def invent(rows):
         rows = list(rows)
-        red, pivots, sources, forward = real(rows, forward)
+        red, pivots, sources = real(rows)
         calls.append(len(rows))
         if len(calls) > 1:
-            return red, pivots, sources, forward
+            return red, pivots, sources
         # the generator pairs' echelon form claims a free column, owed to a dependent row
         c = next(c for c in count() if c not in pivots)
         dependent = next(i for i in range(len(rows)) if i not in sources)
         at = sum(q < c for q in pivots)
         return (red[:at] + [((c, 1),)] + red[at:], pivots[:at] + [c] + pivots[at:],
-                sources[:at] + [dependent] + sources[at:], forward)
+                sources[:at] + [dependent] + sources[at:])
 
     monkeypatch.setattr(exactla, "_eliminate_rational", invent)
     tag = "centroid" if split else "derivations"

@@ -11,7 +11,9 @@ builds each tensor vector ahead of its samples, the split of a tensor
 derivation checks its two summand spaces direct once per tensor algebra,
 not once per sample, verify-thm1 builds each tensor algebra A (x) S once
 and assembles its Leibniz system once, D and C of a tensor algebra
-assemble rows from a few generator pairs, in one round, and a command
+assemble rows from a few generator pairs, in one round, each round of a
+kernel reaches exactla.rref_rows by its module name with every row so far
+(the benchmark counts systems by wrapping it there), and a command
 builds its own subparser only. Checks that a cheaper one implies stay removed: the tensor
 automorphism is not re-validated, no grading of a finite setup builds its
 projections, and only verify-lemma21 and psi-check test psi for
@@ -22,12 +24,14 @@ import argparse
 
 import pytest
 
-from dertensor import algebra, cli, decomposition, gradings, invariants, laurent
+from dertensor import algebra, cli, decomposition, exactla, gradings, invariants, laurent
 from dertensor.catalog import catalog_setup, diagonal_matrix, group_algebra, sl2
 from dertensor.errors import NotInDomain
 from dertensor.exactla import Matrix, Subspace
 from dertensor.gradings import Grading, check_automorphism, grading_from_automorphism
 from dertensor.scalars import make_field
+
+from test_invariants import short_pairs_algebra
 
 
 def test_last_exa_ii_builds_each_grading_once(monkeypatch, capsys):
@@ -157,6 +161,41 @@ def test_leibniz_and_centroid_rows_come_from_a_quarter_of_the_pairs(monkeypatch)
     # one round each, on the pairs (x, g) and (g, x) for a few generators g of the 24
     assert [split for split, _ in calls] == [False, True]
     assert all(count <= 24 * 24 // 4 for _, count in calls)
+
+
+def _systems_solved(monkeypatch, split, a):
+    """The row lists of D(a) (split: C(a)) that reach exactla.rref_rows,
+    wrapped by module attribute as the benchmark's counters wrap it, and the
+    rows of each round the row source assembles."""
+    calls, rounds = [], []
+    rref_rows, pair_rows = exactla.rref_rows, invariants._pair_rows
+
+    def counted(field, rows, ncols):
+        rows = list(rows)
+        calls.append(rows)
+        return rref_rows(field, rows, ncols)
+
+    def assembled(a, split, pairs):
+        rounds.append(pair_rows(a, split, pairs))
+        return rounds[-1]
+
+    monkeypatch.setattr(exactla, "rref_rows", counted)
+    monkeypatch.setattr(invariants, "_pair_rows", assembled)
+    (invariants.centroid if split else invariants.derivation_space)(a)
+    systems = [rows for rows in calls if rows[:len(rounds[0])] == rounds[0]]
+    # the other calls bring each round's kernel basis to RREF (Subspace.from_rows)
+    assert len(calls) == 2 * len(systems)
+    return systems, rounds
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["derivations", "centroid"])
+def test_each_round_reaches_the_counted_eliminator_with_every_row(monkeypatch, split):
+    systems, rounds = _systems_solved(monkeypatch, split, algebra.tensor_product(sl2(), group_algebra(3)))
+    assert systems == rounds and len(rounds) == 1
+    monkeypatch.undo()
+    systems, rounds = _systems_solved(monkeypatch, split, short_pairs_algebra())
+    assert len(rounds) == 2
+    assert systems == [rounds[0], rounds[0] + rounds[1]]
 
 
 def _overlap_checks(monkeypatch, capsys, budget):
