@@ -23,7 +23,7 @@ from .errors import (
     ParseError,
     SingularElement,
 )
-from .exactla import Matrix, Subspace, solve_unique
+from .exactla import Matrix, Subspace, _dense, solve_unique
 from .scalars import CYCLOTOMIC, PRIME, RATIONAL, FieldDescriptor, make_field
 
 
@@ -73,22 +73,20 @@ class Algebra:
                         out[k] = f.add(out[k], f.mul(c, t))
         return out
 
-    def left_mult_matrix(self, x: list) -> Matrix:
-        return self._mult_matrix(x, lambda i, c: self._nz[i][c])
-
-    def right_mult_matrix(self, x: list) -> Matrix:
-        return self._mult_matrix(x, lambda j, c: self._nz[c][j])
-
-    def _mult_matrix(self, x: list, products) -> Matrix:
-        # column c: x_i times the sparse product products(i, c), summed over i
-        f = self.field
-        rows = [[f.zero()] * self.dim for _ in range(self.dim)]
+    def mult_map(self, x: list, right: bool = False) -> tuple:
+        """Left multiplication by x (right: right multiplication) as a sparse
+        flattened map, row-major as Matrix.flatten: column c is x b_c (b_c x)."""
+        f, n, acc = self.field, self.dim, {}
         for i, xi in enumerate(x):
             if f.nonzero(xi):
-                for c in range(self.dim):
-                    for k, t in products(i, c):
-                        rows[k][c] = f.add(rows[k][c], f.mul(xi, t))
-        return Matrix(f, rows, self.dim)
+                for c in range(n):
+                    for k, t in self._nz[c][i] if right else self._nz[i][c]:
+                        acc[k * n + c] = f.add(acc.get(k * n + c, f.zero()), f.mul(xi, t))
+        return tuple(sorted((rc, v) for rc, v in acc.items() if f.nonzero(v)))
+
+    def left_mult_matrix(self, x: list) -> Matrix:
+        n = self.dim
+        return Matrix.unflatten(self.field, _dense(self.field, n * n, self.mult_map(x)), n, n)
 
     def left_mult_operators(self) -> list:
         """Left multiplications by every basis vector (cached)."""

@@ -26,7 +26,7 @@ from .errors import (
     NotPerfect,
     PsiNotIso,
 )
-from .exactla import Matrix, Subspace, invert_matrix, rank, vec_add, vec_scale, vec_sub
+from .exactla import Matrix, Subspace, invert_matrix, rank, sparse_kron, vec_add, vec_scale, vec_sub
 from .gradings import (
     Automorphism,
     Grading,
@@ -341,24 +341,16 @@ def embed_tensor_derivations(a: Algebra, s: Algebra, ts: Algebra | None = None):
     if not a.is_perfect():
         raise NotPerfect("left factor is not perfect")
     require_scalar_hypotheses(s)
-    f = a.field
-    n2 = ts.dim * ts.dim
-    gens1 = []
-    lefts = s.left_mult_operators()
-    for d in derivation_space(a).basis_matrices():
-        for j in range(s.dim):
-            gens1.append(d.kron(lefts[j]))
-    gens2 = []
-    for g in centroid(a).basis_matrices():
-        for dp in derivation_space(s).basis_matrices():
-            gens2.append(g.kron(dp))
-    der = derivation_space(ts)
-    images = []
-    for tag, gens in (("derA-tensor-S", gens1), ("centA-tensor-derS", gens2)):
+    f, der, images = a.field, derivation_space(ts).space, []
+    lefts = [s.mult_map(s.basis_vector(j)) for j in range(s.dim)]
+    for tag, xs, ys in (("derA-tensor-S", derivation_space(a), lefts),
+                        ("centA-tensor-derS", centroid(a), derivation_space(s).space._sparse)):
+        gens = [sparse_kron(f, x, a.dim, y, s.dim) for x in xs.space._sparse for y in ys]
         for idx, gen in enumerate(gens):
-            if not der.contains_matrix(gen):
-                raise InternalCheckFailed(f"embedded generator {idx} of {tag} is not a derivation")
-        images.append(EndoSpace(ts, ts.dim, Subspace.from_vectors(f, n2, [g.flatten() for g in gens]), tag))
+            if not der.contains_row(gen):
+                raise InternalCheckFailed(f"embedded generator {idx} of {tag}, the tensor of factor basis "
+                                          f"maps {divmod(idx, len(ys))}, is not a derivation")
+        images.append(EndoSpace(ts, ts.dim, Subspace.from_rows(f, ts.dim * ts.dim, gens), tag))
     return tuple(images)
 
 
@@ -429,24 +421,15 @@ def verify_graded_decomposition(setup: Setup) -> VerificationReport:
     ga_d = setup.der_a_grading
     ga_c = setup.cent_a_grading
     gs_d = setup.der_s_grading
-    n2 = setup.ts.dim * setup.ts.dim
-    total = 0
+    n2, na, total = setup.ts.dim * setup.ts.dim, setup.a.dim, 0
     for j in range(m):
-        part1 = []
-        part2 = []
-        na, nsd = setup.a.dim, s.dim
+        part1, part2 = [], []
         for k in range(m):
-            for row in ga_d.components[k].rows:
-                d = Matrix.unflatten(f, list(row), na, na)
-                for srow in setup.grading_s.component(j - k).rows:
-                    part1.append(d.kron(s.left_mult_matrix(list(srow))).flatten())
-            for row in ga_c.components[k].rows:
-                g = Matrix.unflatten(f, list(row), na, na)
-                for drow in gs_d.component(j - k).rows:
-                    dp = Matrix.unflatten(f, list(drow), nsd, nsd)
-                    part2.append(g.kron(dp).flatten())
-        sp1 = Subspace.from_vectors(f, n2, part1)
-        sp2 = Subspace.from_vectors(f, n2, part2)
+            lefts = [s.mult_map(y) for y in setup.grading_s.component(j - k).rows]
+            for part, xs, ys in ((part1, ga_d, lefts), (part2, ga_c, gs_d.component(j - k)._sparse)):
+                part += [sparse_kron(f, x, na, y, s.dim) for x in xs.components[k]._sparse for y in ys]
+        sp1 = Subspace.from_rows(f, n2, part1)
+        sp2 = Subspace.from_rows(f, n2, part2)
         rep.dim(f"degree-{j}", gd.components[j].dim)
         rep.check(f"degree-{j}-matches", sp1.sum(sp2) == gd.components[j])
         rep.check(f"degree-{j}-direct", sp1.intersect(sp2).dim == 0)

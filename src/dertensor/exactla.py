@@ -124,21 +124,6 @@ class Matrix:
     def column(self, j: int) -> list:
         return [row[j] for row in self.rows]
 
-    def kron(self, other: "Matrix") -> "Matrix":
-        """Kronecker product; row (i1,i2) -> i1*other.nrows + i2, same for columns."""
-        if self.field != other.field:
-            raise FieldMismatch(f"{self.field} vs {other.field}")
-        f = self.field
-        z = f.zero()
-        out = []
-        for r1 in self.rows:
-            for r2 in other.rows:
-                row = []
-                for a in r1:
-                    row += [f.mul(a, b) for b in r2] if f.nonzero(a) else [z] * other.ncols
-                out.append(row)
-        return Matrix(f, out, self.ncols * other.ncols)
-
     def flatten(self) -> list:
         """Row-major flattening, the convention for endomorphism coordinates."""
         return [x for row in self.rows for x in row]
@@ -184,6 +169,18 @@ def sparse_rows(field, vectors) -> list[tuple]:
     """Dense vectors as sparse rows: the (column, value) pairs of nonzero entries."""
     nz = field.nonzero
     return [tuple((j, x) for j, x in enumerate(v) if nz(x)) for v in vectors]
+
+
+def sparse_kron(field, x, nx, y, ny) -> tuple:
+    """The Kronecker product of the sparse flattened maps x (nx by nx) and y
+    (ny by ny), flattened row-major as Matrix.flatten: row (i1, i2) is
+    i1 ny + i2, and so is column (i1, i2). The one place that index is built."""
+    n, xr, yr = nx * ny, {}, {}
+    for m, by_row, k in ((x, xr, nx), (y, yr, ny)):
+        for rc, v in m:
+            by_row.setdefault(rc // k, []).append((rc % k, v))
+    return tuple(((i1 * ny + i2) * n + j1 * ny + j2, field.mul(a, b)) for i1, r1 in xr.items()
+                 for i2, r2 in yr.items() for j1, a in r1 for j2, b in r2)
 
 
 def _dense(field, ncols, row) -> tuple:
@@ -440,6 +437,10 @@ class Subspace:
 
     def contains(self, vec: list) -> bool:
         return vec_is_zero(self.field, self.reduce(vec))
+
+    def contains_row(self, row) -> bool:
+        """Whether a sparse row is the sum of its pivot entries times their basis rows."""
+        return _combine(self.field, row, dict(zip(self.pivots, self._sparse))) == tuple(row)
 
     def coords(self, vec: list) -> list:
         """Coefficients of vec in the RREF basis; NotInDomain if outside."""

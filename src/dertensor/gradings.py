@@ -30,7 +30,7 @@ from .errors import (
     SingularElement,
     WrongPeriod,
 )
-from .exactla import Matrix, Subspace, invert_matrix, rank, sparse_rows, vec_is_zero
+from .exactla import Matrix, Subspace, _dense, invert_matrix, rank, sparse_kron, sparse_rows, vec_is_zero
 from .invariants import EndoSpace
 
 COMBO_BUDGET = 64  # small integer combinations tried by find_graded_unit
@@ -233,7 +233,10 @@ def tensor_automorphism(aut_a: Automorphism, aut_s: Automorphism, ts: Algebra) -
         raise WrongPeriod(
             f"declared periods differ: {aut_a.period} vs {aut_s.period}"
         )
-    return Automorphism(ts, aut_a.matrix.kron(aut_s.matrix), aut_a.period)
+    f, n = ts.field, ts.dim
+    x, y = sparse_rows(f, [aut_a.matrix.flatten(), aut_s.matrix.flatten()])
+    kron = sparse_kron(f, x, aut_a.matrix.nrows, y, aut_s.matrix.nrows)
+    return Automorphism(ts, Matrix.unflatten(f, _dense(f, n * n, kron), n, n), aut_a.period)
 
 
 def fixed_point_algebra(algebra: Algebra, grading: Grading, names: list[str] | None = None):

@@ -23,7 +23,7 @@ from .errors import (
     NotPerfect,
     NotUnital,
 )
-from .exactla import Matrix, Subspace, kernel_of_rows, sparse_rows, vec_add
+from .exactla import Matrix, Subspace, kernel_of_rows, sparse_kron, sparse_rows, vec_add
 from .scalars import CYCLOTOMIC, PRIME, RATIONAL
 
 
@@ -140,10 +140,12 @@ def leibniz_witness(a: Algebra, m: Matrix):
     return None
 
 
-def _commute_rows(m: Matrix):
-    """Sparse rows expressing X M = M X for an unknown endomorphism X."""
-    n, f = m.nrows, m.field
-    by_row, by_col = m._nonzeros(), Matrix(f, [list(c) for c in zip(*m.rows)], n)._nonzeros()
+def _commute_rows(f, m, n: int):
+    """Sparse rows expressing X M = M X for an unknown endomorphism X; m is M, sparse flattened."""
+    by_row, by_col = [[] for _ in range(n)], [[] for _ in range(n)]
+    for rc, w in m:
+        by_row[rc // n].append((rc % n, w))
+        by_col[rc % n].append((rc // n, w))
     rows = []
     for t in range(n):
         for c in range(n):
@@ -229,7 +231,7 @@ def centroid(a: Algebra) -> EndoSpace:
 def differential_centroid(a: Algebra) -> EndoSpace:
     """Centroid elements commuting with every derivation, cut inside C(A)."""
     if "differential_centroid" not in a._cache:
-        rows = [row for d in derivation_space(a).basis_matrices() for row in _commute_rows(d)]
+        rows = [row for d in derivation_space(a).space._sparse for row in _commute_rows(a.field, d, a.dim)]
         space = centroid(a).space.cut(rows, "differential-centroid")
         a._cache["differential_centroid"] = EndoSpace(a, a.dim, space, "differential-centroid")
     return a._cache["differential_centroid"]
@@ -244,9 +246,10 @@ def s_module_derivations(a: Algebra, s: Algebra, ts: Algebra | None = None) -> E
     ts = ts if ts is not None else tensor_product(a, s)
     key = "s_module_derivations"
     if key not in ts._cache:
-        eye = Matrix.identity(a.field, a.dim)
-        rows = [row for j in range(s.dim)
-                for row in _commute_rows(eye.kron(s.right_mult_matrix(s.basis_vector(j))))]
+        f, na = a.field, a.dim
+        eye = tuple((i * na + i, f.one()) for i in range(na))
+        rows = [row for j in range(s.dim) for row in _commute_rows(
+            f, sparse_kron(f, eye, na, s.mult_map(s.basis_vector(j), right=True), s.dim), ts.dim)]
         space = derivation_space(ts).space.cut(rows, "module-derivations")
         ts._cache[key] = EndoSpace(ts, ts.dim, space, "module-derivations")
     return ts._cache[key]
@@ -293,9 +296,9 @@ def require_scalar_hypotheses(s: Algebra):
 
 
 def _psi_images(a: Algebra, s: Algebra) -> list:
-    """psi(gamma_i tensor b_j) = gamma_i kron L_{b_j}, flattened, in the order (i, j)."""
-    lefts = s.left_mult_operators()
-    return [g.kron(lj).flatten() for g in centroid(a).basis_matrices() for lj in lefts]
+    """psi(gamma_i tensor b_j) = gamma_i kron L_{b_j}, sparse and flattened, in the order (i, j)."""
+    lefts = [s.mult_map(s.basis_vector(j)) for j in range(s.dim)]
+    return [sparse_kron(a.field, g, a.dim, lj, s.dim) for g in centroid(a).space._sparse for lj in lefts]
 
 
 def psi_map(a: Algebra, s: Algebra, ts: Algebra | None = None) -> PsiReport:
@@ -312,8 +315,8 @@ def psi_map(a: Algebra, s: Algebra, ts: Algebra | None = None) -> PsiReport:
     ts = ts if ts is not None else tensor_product(a, s)
     cent_ts = centroid(ts)
     cols = _psi_images(a, s)
-    image = Subspace.from_vectors(a.field, ts.dim * ts.dim, cols)
-    in_cent = all(cent_ts.space.contains(c) for c in cols)
+    image = Subspace.from_rows(a.field, ts.dim * ts.dim, cols)
+    in_cent = all(map(cent_ts.space.contains_row, cols))
     return PsiReport(
         domain_dim=len(cols),
         target_dim=cent_ts.dim,
@@ -329,28 +332,32 @@ def psi_multiplicative(a: Algebra, s: Algebra) -> bool:
     Both sides come from psi's sparse image columns: the composite of two of
     them, less their combination along the centroid coordinates of g1 g2 and
     the structure constants of s1 s2. The centroid is closed under
-    composition and its kernel is certified complete (centroid()), so every
-    coordinate vector below exists.
+    composition and its kernel is certified complete (centroid()), so g1 g2
+    must lie in it, and its coordinates are its entries at the pivots.
     """
-    f, ns, n = a.field, s.dim, a.dim * s.dim
+    f, ns, na = a.field, s.dim, a.dim
     z, nz, add, sub, mul = f.zero(), f.nonzero, f.add, f.sub, f.mul
-    cent_a = centroid(a)
-    gammas = cent_a.basis_matrices()
-    cols = sparse_rows(f, _psi_images(a, s))
-    rows_of = [{} for _ in cols]  # image i, row k -> its (column, entry) pairs
-    for rows, col in zip(rows_of, cols):
-        for t, y in col:
-            rows.setdefault(t // n, []).append((t % n, y))
-    for a1, g1 in enumerate(gammas):
-        for a2, g2 in enumerate(gammas):
-            lam = [(aa, la) for aa, la in enumerate(cent_a.coords_of_matrix(g1.mul(g2))) if nz(la)]
+    cent_a, cols = centroid(a).space, _psi_images(a, s)
+
+    def compose(x, y, n):  # the composite x y of sparse flattened n by n maps, as a dict
+        rows_y, out = {}, {}
+        for t, v in y:
+            rows_y.setdefault(t // n, []).append((t % n, v))
+        for t, u in x:
+            r, k = divmod(t, n)
+            for c, v in rows_y.get(k, ()):
+                out[r * n + c] = add(out.get(r * n + c, z), mul(u, v))
+        return out
+
+    for a1, g1 in enumerate(cent_a._sparse):
+        for a2, g2 in enumerate(cent_a._sparse):
+            g12 = _sparse(f, compose(g1, g2, na))
+            if not cent_a.contains_row(g12):
+                raise InternalCheckFailed(f"centroid: composite of basis maps {a1} and {a2} lies outside it")
+            lam = [(aa, x) for aa, x in enumerate(map(dict(g12).get, cent_a.pivots)) if x is not None]
             for j1 in range(ns):
                 for j2 in range(ns):
-                    diff = {}
-                    for t, x in cols[a1 * ns + j1]:
-                        r, k = divmod(t, n)
-                        for c, y in rows_of[a2 * ns + j2].get(k, ()):
-                            diff[r * n + c] = add(diff.get(r * n + c, z), mul(x, y))
+                    diff = compose(cols[a1 * ns + j1], cols[a2 * ns + j2], na * ns)
                     for aa, la in lam:
                         for jj, cj in s._nz[j1][j2]:
                             coeff = mul(la, cj)

@@ -113,3 +113,17 @@ def naive_nullspace(rows, ncols, p=None):
             v[pc] = num(-row[fc])
         out.append(v)
     return out
+
+
+def naive_kron(x, y, p=None):
+    """Kronecker product of square matrices: entry x[i1][j1] y[i2][j2] at
+    row i1 len(y) + i2 and column j1 len(y) + j2."""
+    num, _ = _ops(p)
+    ny = len(y)
+    out = [[num(0)] * (len(x) * ny) for _ in range(len(x) * ny)]
+    for i1, xrow in enumerate(x):
+        for j1, a in enumerate(xrow):
+            for i2, yrow in enumerate(y):
+                for j2, b in enumerate(yrow):
+                    out[i1 * ny + i2][j1 * ny + j2] = num(num(a) * num(b))
+    return out

@@ -4,6 +4,7 @@ import argparse
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -16,7 +17,7 @@ import dertensor.cli as cli
 from dertensor import catalog, decomposition
 from dertensor.catalog import catalog_algebra
 from dertensor.errors import InternalCheckFailed
-from dertensor.exactla import Subspace
+from dertensor.exactla import Matrix, Subspace
 from dertensor.invariants import EndoSpace, differential_centroid
 
 
@@ -328,6 +329,26 @@ def test_verify_thm2_exits_4_when_a_restriction_leaves_the_derivations(capsys, m
     assert code == 4
     assert out == ""
     assert "restriction is not a derivation of the fixed algebra" in err
+
+
+def test_verify_thm1_exits_4_naming_the_generator_that_is_no_derivation(capsys, monkeypatch):
+    # a wrong D(A): the identity joins it. No id (x) L_y is a derivation of
+    # A (x) S, so embedding D(A) (x) S fails, an engine fault named by its tag,
+    # its generator index and the factor basis pair (i, j) of d_i (x) L_{b_j}
+    real = decomposition.derivation_space
+
+    def with_identity(alg):
+        der = real(alg)
+        if alg.dim != 3:  # sl2, not S or A (x) S
+            return der
+        eye = Subspace.from_vectors(alg.field, 9, [Matrix.identity(alg.field, 3).flatten()])
+        return EndoSpace(alg, 3, der.space.sum(eye), der.tag)
+
+    monkeypatch.setattr(decomposition, "derivation_space", with_identity)
+    code, out, err = run_cap(capsys, ["verify-thm1", "--algebra", "sl2", "--s", "group-algebra(2)"])
+    assert code == 4
+    assert out == ""
+    assert re.search(r"embedded generator \d+ of derA-tensor-S, the tensor of factor basis maps \(\d+, \d+\)", err)
 
 
 @pytest.mark.parametrize("command", ["verify-thm2", "phi-eval"])

@@ -38,7 +38,8 @@ from dertensor.errors import (
     NotPerfect,
     NoUnitFound,
 )
-from dertensor.exactla import Matrix, vec_add, vec_is_zero, vec_scale
+from dertensor import exactla
+from dertensor.exactla import Matrix, sparse_kron, sparse_rows, vec_add, vec_is_zero, vec_scale
 from dertensor.gradings import check_automorphism, grading_from_automorphism
 from dertensor.invariants import derivation_space, leibniz_witness
 from dertensor.scalars import make_field
@@ -220,15 +221,20 @@ def test_embed_refuses_imperfect():
 def test_split_pure_tensor_derivations():
     a, s = sl2(), dual_numbers()
     ts = tensor_product(a, s)
+    f, n = a.field, ts.dim
+
+    def tensor_map(x, y):  # x (x) y for sparse flattened maps on A and S, unflattened once
+        return Matrix.unflatten(f, exactla._dense(f, n * n, sparse_kron(f, x, a.dim, y, s.dim)), n, n)
+
     # d0 tensor L_1: remainder must vanish
-    d0 = derivation_space(a).basis_matrices()[0]
-    delta = d0.kron(s.left_mult_matrix(s.unit()))
+    d0 = derivation_space(a).space._sparse[0]
+    delta = tensor_map(d0, s.mult_map(s.unit()))
     d, rem = split_derivation(delta, a, s, ts)
     assert rem == Matrix.zeros(a.field, ts.dim, ts.dim)
     assert d == delta
     # gamma tensor d' with d'(1) = 0: the S-linear part dies
-    dp = derivation_space(s).basis_matrices()[0]
-    delta2 = Matrix.identity(a.field, a.dim).kron(dp)
+    dp = derivation_space(s).space._sparse[0]
+    delta2 = tensor_map(sparse_rows(f, [Matrix.identity(f, a.dim).flatten()])[0], dp)
     d2, rem2 = split_derivation(delta2, a, s, ts)
     assert d2 == Matrix.zeros(a.field, ts.dim, ts.dim)
     assert rem2 == delta2

@@ -17,11 +17,12 @@ from dertensor.exactla import (
     rref,
     rref_rows,
     solve_unique,
+    sparse_kron,
     sparse_rows,
 )
 from dertensor.scalars import make_field
 
-from naive_la import Zeta3, naive_nullspace, naive_rank, naive_rref
+from naive_la import Zeta3, naive_kron, naive_nullspace, naive_rank, naive_rref
 
 QQ = make_field("rational")
 Z4 = make_field("cyclotomic", m=4)
@@ -152,10 +153,34 @@ def test_matrix_ops_shape_checks():
 def test_kron_convention():
     a = qmat([[1, 2], [3, 4]])
     b = qmat([[0, 1], [1, 0]])
-    k = a.kron(b)
+    x, y = sparse_rows(QQ, [a.flatten(), b.flatten()])
+    k = Matrix.unflatten(QQ, exactla._dense(QQ, 16, sparse_kron(QQ, x, 2, y, 2)), 4, 4)
     # entry at row (i1,i2)=(0,1), col (j1,j2)=(1,0): a[0][1]*b[1][0] = 2
     assert k.rows[1][2] == Fraction(2)
     assert k.nrows == 4 and k.ncols == 4
+
+
+@pytest.mark.parametrize("nx,ny", [(1, 4), (3, 2), (2, 3)])
+@pytest.mark.parametrize("fld,p", [(QQ, None), (F31, 31), (Z3, Zeta3)], ids=["Q", "F31", "Q(zeta3)"])
+def test_sparse_kron_matches_a_dense_kronecker_product(fld, p, nx, ny):
+    rng = random.Random(10 * nx + ny)
+    zeta = Z3.root_of_unity(3)
+
+    def entry():  # zero half the time; a small fraction, plus a multiple of zeta over Q(zeta3)
+        if rng.random() < 0.5:
+            return fld.zero()
+        x = fld.from_fraction(Fraction(rng.randint(-9, 9), rng.randint(1, 3)))
+        return fld.add(x, fld.mul(fld.from_int(rng.randint(-3, 3)), zeta)) if fld is Z3 else x
+
+    for _ in range(20):
+        x = [[entry() for _ in range(nx)] for _ in range(nx)]
+        y = [[entry() for _ in range(ny)] for _ in range(ny)]
+        sx, sy = sparse_rows(fld, [[v for row in m for v in row] for m in (x, y)])
+        k = sparse_kron(fld, sx, nx, sy, ny)
+        assert [t for t, _ in k] == sorted({t for t, _ in k}) and all(fld.nonzero(v) for _, v in k)
+        got = exactla._dense(fld, (nx * ny) ** 2, k)
+        want = [v for row in naive_kron(x, y, p) for v in row]
+        assert [Zeta3(*v) if p is Zeta3 else v for v in got] == want
 
 
 def test_flatten_round_trip():

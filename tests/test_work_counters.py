@@ -14,7 +14,9 @@ and assembles its Leibniz system once, D and C of a tensor algebra
 assemble rows from a few generator pairs, in one round, each round of a
 kernel reaches exactla.rref_rows by its module name with every row so far
 (the benchmark counts systems by wrapping it there), and a command
-builds its own subparser only. Checks that a cheaper one implies stay removed: the tensor
+builds its own subparser only, and the tensor maps of psi, of the embedded
+D(A) (x) S and C(A) (x) D(S) and of the module derivations are built
+sparse, with no dense matrix flattened or unflattened. Checks that a cheaper one implies stay removed: the tensor
 automorphism is not re-validated, no grading of a finite setup builds its
 projections, and only verify-lemma21 and psi-check test psi for
 multiplicativity. A --u unit builds its Setup once.
@@ -420,3 +422,30 @@ def test_a_given_unit_builds_the_setup_once(monkeypatch, capsys):
     capsys.readouterr()
     # z3 = z^3 has degree 1 under z -> -z; the default unit's Setup is never built
     assert [(kw["q"], kw["u"]) for kw in built] == [(1, group_algebra(4).basis_vector(3))]
+
+
+def test_tensor_maps_take_no_dense_round_trip(monkeypatch):
+    # psi's images, the embedded D(A) (x) S and C(A) (x) D(S), the maps
+    # id (x) R_{b_j} and the commutation rows of D(A) are all built on
+    # sparse flattened basis rows (exactla.sparse_kron), never dense matrices
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Matrix, "flatten", counted("flatten", Matrix.flatten))
+    monkeypatch.setattr(Matrix, "unflatten", classmethod(counted("unflatten", Matrix.unflatten.__func__)))
+    monkeypatch.setattr(invariants.EndoSpace, "basis_matrices",
+                        counted("basis_matrices", invariants.EndoSpace.basis_matrices))
+    a, s = sl2(), group_algebra(3)
+    ts = algebra.tensor_product(a, s)
+    assert invariants.psi_map(a, s, ts).bijective
+    assert [e.dim for e in decomposition.embed_tensor_derivations(a, s, ts)] == [9, 0]
+    assert invariants.s_module_derivations(a, s, ts).dim == 9
+    assert invariants.differential_centroid(a).dim == 1
+    assert calls == []
+    Matrix.identity(a.field, 2).flatten()  # the counter sees a call
+    assert calls == ["flatten"]
