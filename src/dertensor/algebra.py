@@ -73,14 +73,15 @@ class Algebra:
                         out[k] = f.add(out[k], f.mul(c, t))
         return out
 
-    def mult_map(self, x: list, right: bool = False) -> tuple:
-        """Left multiplication by x (right: right multiplication) as a sparse
-        flattened map, row-major as Matrix.flatten: column c is x b_c (b_c x)."""
-        f, n, acc = self.field, self.dim, {}
+    def mult_map(self, x: list) -> tuple:
+        """Left multiplication by x as a sparse flattened map, row-major as
+        Matrix.flatten: column c is x b_c."""
+        f, n = self.field, self.dim
+        acc = {}
         for i, xi in enumerate(x):
             if f.nonzero(xi):
                 for c in range(n):
-                    for k, t in self._nz[c][i] if right else self._nz[i][c]:
+                    for k, t in self._nz[i][c]:
                         acc[k * n + c] = f.add(acc.get(k * n + c, f.zero()), f.mul(xi, t))
         return tuple(sorted((rc, v) for rc, v in acc.items() if f.nonzero(v)))
 
@@ -89,10 +90,10 @@ class Algebra:
         return Matrix.unflatten(self.field, _dense(self.field, n * n, self.mult_map(x)), n, n)
 
     def left_mult_operators(self) -> list:
-        """Left multiplications by every basis vector (cached)."""
+        """Left multiplications by every basis vector as sparse flattened maps (cached)."""
         if "left_mult_operators" not in self._cache:
             self._cache["left_mult_operators"] = [
-                self.left_mult_matrix(self.basis_vector(i)) for i in range(self.dim)]
+                self.mult_map(self.basis_vector(i)) for i in range(self.dim)]
         return self._cache["left_mult_operators"]
 
     def basis_vector(self, i: int) -> list:

@@ -107,6 +107,15 @@ def _matrix_from_columns(field, cols: list[list], nrows: int) -> Matrix:
     return Matrix(field, [[col[r] for col in cols] for r in range(nrows)], len(cols))
 
 
+def _id_tensor(field, lmap, ns: int, x: list) -> list:
+    """(id tensor L) x, block by block, for L a sparse flattened ns by ns map."""
+    out = [field.zero()] * len(x)
+    for rc, v in lmap:
+        for blk in range(0, len(x), ns):
+            out[blk + rc // ns] = field.add(out[blk + rc // ns], field.mul(v, x[blk + rc % ns]))
+    return out
+
+
 class Setup:
     """A validated instance of the fixed-point decomposition hypotheses.
 
@@ -216,15 +225,9 @@ class Setup:
     def act(self, x: list, s_coords) -> list:
         """Right module action: multiply the S slot by a fixed element."""
         key = tuple(s_coords)
-        lm = self._lmat.get(key)
-        if lm is None:
-            lm = self.s.left_mult_matrix(list(s_coords))
-            self._lmat[key] = lm
-        ns = self.s.dim
-        out = []
-        for blk in range(self.a.dim):
-            out.extend(lm.matvec(x[blk * ns:(blk + 1) * ns]))
-        return out
+        if key not in self._lmat:
+            self._lmat[key] = self.s.mult_map(list(s_coords))
+        return _id_tensor(self.a.field, self._lmat[key], self.s.dim, x)
 
     def tensor_elem(self, a_vec: list, s_vec: list) -> list:
         return tensor_vector(self.a, self.s, a_vec, s_vec)
@@ -303,17 +306,10 @@ def split_derivation(delta: Matrix, a: Algebra, s: Algebra, ts: Algebra | None =
     if not der.contains_matrix(delta):
         raise NotInDomain("input is not a derivation of the tensor algebra")
     one = s.unit()
-    lefts = s.left_mult_operators()
     cols = []
-    ns = s.dim
     for i in range(a.dim):
         img = delta.matvec(tensor_vector(a, s, a.basis_vector(i), one))
-        for j in range(s.dim):
-            lm = lefts[j]
-            col = []
-            for blk in range(a.dim):
-                col.extend(lm.matvec(img[blk * ns:(blk + 1) * ns]))
-            cols.append(col)
+        cols += [_id_tensor(a.field, lj, s.dim, img) for lj in s.left_mult_operators()]
     d = _matrix_from_columns(a.field, cols, ts.dim)
     rem = delta.sub(d)
     slin = s_module_derivations(a, s, ts)
@@ -341,16 +337,15 @@ def embed_tensor_derivations(a: Algebra, s: Algebra, ts: Algebra | None = None):
     if not a.is_perfect():
         raise NotPerfect("left factor is not perfect")
     require_scalar_hypotheses(s)
-    f, der, images = a.field, derivation_space(ts).space, []
-    lefts = [s.mult_map(s.basis_vector(j)) for j in range(s.dim)]
-    for tag, xs, ys in (("derA-tensor-S", derivation_space(a), lefts),
+    images = []
+    for tag, xs, ys in (("derA-tensor-S", derivation_space(a), s.left_mult_operators()),
                         ("centA-tensor-derS", centroid(a), derivation_space(s).space._sparse)):
-        gens = [sparse_kron(f, x, a.dim, y, s.dim) for x in xs.space._sparse for y in ys]
+        gens = [sparse_kron(a.field, x, a.dim, y, s.dim) for x in xs.space._sparse for y in ys]
         for idx, gen in enumerate(gens):
-            if not der.contains_row(gen):
+            if not derivation_space(ts).space.contains_row(gen):
                 raise InternalCheckFailed(f"embedded generator {idx} of {tag}, the tensor of factor basis "
                                           f"maps {divmod(idx, len(ys))}, is not a derivation")
-        images.append(EndoSpace(ts, ts.dim, Subspace.from_rows(f, ts.dim * ts.dim, gens), tag))
+        images.append(EndoSpace(ts, ts.dim, Subspace.from_rows(a.field, ts.dim * ts.dim, gens), tag))
     return tuple(images)
 
 
@@ -421,9 +416,12 @@ def verify_graded_decomposition(setup: Setup) -> VerificationReport:
     ga_d = setup.der_a_grading
     ga_c = setup.cent_a_grading
     gs_d = setup.der_s_grading
-    n2, na, total = setup.ts.dim * setup.ts.dim, setup.a.dim, 0
+    n2 = setup.ts.dim * setup.ts.dim
+    na = setup.a.dim
+    total = 0
     for j in range(m):
-        part1, part2 = [], []
+        part1 = []
+        part2 = []
         for k in range(m):
             lefts = [s.mult_map(y) for y in setup.grading_s.component(j - k).rows]
             for part, xs, ys in ((part1, ga_d, lefts), (part2, ga_c, gs_d.component(j - k)._sparse)):

@@ -83,10 +83,6 @@ class Matrix:
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionMismatch(f"{self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}")
 
-    def _nonzeros(self) -> list[list]:
-        nz = self.field.nonzero
-        return [[(k, x) for k, x in enumerate(row) if nz(x)] for row in self.rows]
-
     def mul(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
             raise FieldMismatch(f"{self.field} vs {other.field}")
@@ -95,9 +91,9 @@ class Matrix:
         f = self.field
         z = f.zero()
         add, mul = f.add, f.mul
-        bnz = other._nonzeros()
+        bnz = sparse_rows(f, other.rows)
         out = []
-        for arow in self._nonzeros():
+        for arow in sparse_rows(f, self.rows):
             orow = [z] * other.ncols
             for k, a in arow:
                 for j, b in bnz[k]:
@@ -171,14 +167,20 @@ def sparse_rows(field, vectors) -> list[tuple]:
     return [tuple((j, x) for j, x in enumerate(v) if nz(x)) for v in vectors]
 
 
+def map_rows(m, n: int) -> dict:
+    """Row r -> the (column, entry) pairs of row r of the sparse flattened map m with n columns."""
+    rows = {}
+    for rc, v in m:
+        rows.setdefault(rc // n, []).append((rc % n, v))
+    return rows
+
+
 def sparse_kron(field, x, nx, y, ny) -> tuple:
     """The Kronecker product of the sparse flattened maps x (nx by nx) and y
     (ny by ny), flattened row-major as Matrix.flatten: row (i1, i2) is
     i1 ny + i2, and so is column (i1, i2). The one place that index is built."""
-    n, xr, yr = nx * ny, {}, {}
-    for m, by_row, k in ((x, xr, nx), (y, yr, ny)):
-        for rc, v in m:
-            by_row.setdefault(rc // k, []).append((rc % k, v))
+    n = nx * ny
+    xr, yr = map_rows(x, nx), map_rows(y, ny)
     return tuple(((i1 * ny + i2) * n + j1 * ny + j2, field.mul(a, b)) for i1, r1 in xr.items()
                  for i2, r2 in yr.items() for j1, a in r1 for j2, b in r2)
 
@@ -439,7 +441,8 @@ class Subspace:
         return vec_is_zero(self.field, self.reduce(vec))
 
     def contains_row(self, row) -> bool:
-        """Whether a sparse row is the sum of its pivot entries times their basis rows."""
+        """Whether a sparse row, sorted by column with no zero value (as _sparse
+        and sparse_kron give), is the sum of its pivot entries times their basis rows."""
         return _combine(self.field, row, dict(zip(self.pivots, self._sparse))) == tuple(row)
 
     def coords(self, vec: list) -> list:

@@ -23,7 +23,7 @@ from .errors import (
     NotPerfect,
     NotUnital,
 )
-from .exactla import Matrix, Subspace, kernel_of_rows, sparse_kron, sparse_rows, vec_add
+from .exactla import Matrix, Subspace, kernel_of_rows, map_rows, sparse_kron, sparse_rows, vec_add
 from .scalars import CYCLOTOMIC, PRIME, RATIONAL
 
 
@@ -142,15 +142,13 @@ def leibniz_witness(a: Algebra, m: Matrix):
 
 def _commute_rows(f, m, n: int):
     """Sparse rows expressing X M = M X for an unknown endomorphism X; m is M, sparse flattened."""
-    by_row, by_col = [[] for _ in range(n)], [[] for _ in range(n)]
-    for rc, w in m:
-        by_row[rc // n].append((rc % n, w))
-        by_col[rc % n].append((rc // n, w))
+    by_row = map_rows(m, n)
+    by_col = map_rows([((rc % n) * n + rc // n, w) for rc, w in m], n)  # the rows of M transposed
     rows = []
     for t in range(n):
         for c in range(n):
-            acc = {t * n + k: v for k, v in by_col[c]}
-            for k, w in by_row[t]:
+            acc = {t * n + k: v for k, v in by_col.get(c, ())}
+            for k, w in by_row.get(t, ()):
                 col = k * n + c
                 acc[col] = f.sub(acc[col], w) if col in acc else f.neg(w)
             if acc:
@@ -240,16 +238,17 @@ def differential_centroid(a: Algebra) -> EndoSpace:
 def s_module_derivations(a: Algebra, s: Algebra, ts: Algebra | None = None) -> EndoSpace:
     """Derivations of the tensor product that are maps of right-factor modules.
 
-    Cut inside D(A tensor S) by commutation with every operator
-    id tensor (right multiplication by a basis vector of the right factor).
+    Cut inside D(A tensor S) by commutation with every operator id tensor
+    R_{b_j}, which is id tensor L_{b_j}: the right factor must be commutative.
     """
+    require_scalar_hypotheses(s)
     ts = ts if ts is not None else tensor_product(a, s)
     key = "s_module_derivations"
     if key not in ts._cache:
         f, na = a.field, a.dim
         eye = tuple((i * na + i, f.one()) for i in range(na))
-        rows = [row for j in range(s.dim) for row in _commute_rows(
-            f, sparse_kron(f, eye, na, s.mult_map(s.basis_vector(j), right=True), s.dim), ts.dim)]
+        rows = [row for lj in s.left_mult_operators()
+                for row in _commute_rows(f, sparse_kron(f, eye, na, lj, s.dim), ts.dim)]
         space = derivation_space(ts).space.cut(rows, "module-derivations")
         ts._cache[key] = EndoSpace(ts, ts.dim, space, "module-derivations")
     return ts._cache[key]
@@ -297,7 +296,7 @@ def require_scalar_hypotheses(s: Algebra):
 
 def _psi_images(a: Algebra, s: Algebra) -> list:
     """psi(gamma_i tensor b_j) = gamma_i kron L_{b_j}, sparse and flattened, in the order (i, j)."""
-    lefts = [s.mult_map(s.basis_vector(j)) for j in range(s.dim)]
+    lefts = s.left_mult_operators()
     return [sparse_kron(a.field, g, a.dim, lj, s.dim) for g in centroid(a).space._sparse for lj in lefts]
 
 
@@ -337,27 +336,27 @@ def psi_multiplicative(a: Algebra, s: Algebra) -> bool:
     """
     f, ns, na = a.field, s.dim, a.dim
     z, nz, add, sub, mul = f.zero(), f.nonzero, f.add, f.sub, f.mul
-    cent_a, cols = centroid(a).space, _psi_images(a, s)
+    cent_a = centroid(a).space
+    cols = _psi_images(a, s)
+    rows_of = [map_rows(col, na * ns) for col in cols]
 
-    def compose(x, y, n):  # the composite x y of sparse flattened n by n maps, as a dict
-        rows_y, out = {}, {}
-        for t, v in y:
-            rows_y.setdefault(t // n, []).append((t % n, v))
+    def compose(x, y_rows, n):  # the composite x y of n by n maps as a dict; y given by map_rows
+        out = {}
         for t, u in x:
             r, k = divmod(t, n)
-            for c, v in rows_y.get(k, ()):
+            for c, v in y_rows.get(k, ()):
                 out[r * n + c] = add(out.get(r * n + c, z), mul(u, v))
         return out
 
     for a1, g1 in enumerate(cent_a._sparse):
         for a2, g2 in enumerate(cent_a._sparse):
-            g12 = _sparse(f, compose(g1, g2, na))
+            g12 = _sparse(f, compose(g1, map_rows(g2, na), na))
             if not cent_a.contains_row(g12):
                 raise InternalCheckFailed(f"centroid: composite of basis maps {a1} and {a2} lies outside it")
             lam = [(aa, x) for aa, x in enumerate(map(dict(g12).get, cent_a.pivots)) if x is not None]
             for j1 in range(ns):
                 for j2 in range(ns):
-                    diff = compose(cols[a1 * ns + j1], cols[a2 * ns + j2], na * ns)
+                    diff = compose(cols[a1 * ns + j1], rows_of[a2 * ns + j2], na * ns)
                     for aa, la in lam:
                         for jj, cj in s._nz[j1][j2]:
                             coeff = mul(la, cj)

@@ -128,6 +128,15 @@ def test_subspace_coords_and_membership():
         u.coords([Fraction(0), Fraction(0), Fraction(1)])
 
 
+def test_sparse_row_membership():
+    # pivots 0 and 1; rows sorted by column with no zero value
+    u = Subspace.from_vectors(QQ, 3, [[Fraction(1), Fraction(0), Fraction(1)], [Fraction(0), Fraction(1), Fraction(2)]])
+    assert u.contains_row(((0, Fraction(2)), (1, Fraction(3)), (2, Fraction(8))))
+    assert u.contains_row(())
+    assert not u.contains_row(((0, Fraction(2)), (1, Fraction(3)), (2, Fraction(7))))
+    assert not u.contains_row(((2, Fraction(1)),))  # nonzero off the pivots only
+
+
 def test_solve_unique_and_inverse():
     m = qmat([[2, 1], [1, 1]])
     x = solve_unique(m, [Fraction(3), Fraction(2)])
