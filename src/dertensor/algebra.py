@@ -23,7 +23,7 @@ from .errors import (
     ParseError,
     SingularElement,
 )
-from .exactla import Matrix, Subspace, _dense, solve_unique
+from .exactla import Matrix, Subspace, _dense, canonical_row, combine_rows, solve_unique
 from .scalars import CYCLOTOMIC, PRIME, RATIONAL, FieldDescriptor, make_field
 
 
@@ -83,7 +83,7 @@ class Algebra:
                 for c in range(n):
                     for k, t in self._nz[i][c]:
                         acc[k * n + c] = f.add(acc.get(k * n + c, f.zero()), f.mul(xi, t))
-        return tuple(sorted((rc, v) for rc, v in acc.items() if f.nonzero(v)))
+        return canonical_row(f, acc)
 
     def left_mult_matrix(self, x: list) -> Matrix:
         n = self.dim
@@ -148,10 +148,13 @@ class Algebra:
         return self._cache["commutative"]
 
     def is_associative(self) -> bool:
+        """(b_i b_j) b_k = b_i (b_j b_k) on every basis triple, on the sparse table."""
         if "associative" not in self._cache:
-            n, e = self.dim, self.basis_vector
+            f, n, nz = self.field, self.dim, self._nz
+            by_right = [[nz[r][k] for r in range(n)] for k in range(n)]  # by_right[k][r]: b_r b_k
             self._cache["associative"] = all(
-                self.mult(self.table[i][j], e(k)) == self.mult(e(i), self.table[j][k])
+                combine_rows(f, ((c, by_right[k][r]) for r, c in nz[i][j]))
+                == combine_rows(f, ((c, nz[i][r]) for r, c in nz[j][k]))
                 for i in range(n) for j in range(n) for k in range(n))
         return self._cache["associative"]
 

@@ -46,7 +46,7 @@ from .errors import (
     NotPerfect,
     ParseError,
 )
-from .exactla import Matrix
+from .exactla import Matrix, combine_rows
 from .gradings import check_automorphism, grading_from_automorphism, grading_is_multiplicative
 from .invariants import (centroid, derivation_space, differential_centroid, leibniz_witness, psi_map,
                          psi_multiplicative)
@@ -246,9 +246,8 @@ def _emit(rep: VerificationReport, args, extra_lines=None) -> int:
     return 0 if rep.verdict == "pass" else 1
 
 
-def _matrix_lines(mtx: Matrix) -> list:
-    f = mtx.field
-    return ["  [" + "  ".join(f.format(c) for c in row) + "]" for row in mtx.rows]
+def _matrix_lines(f, flat, n: int) -> list:
+    return ["  [" + "  ".join(f.format(c) for c in flat[r * n:(r + 1) * n]) + "]" for r in range(n)]
 
 
 def _merge(rep: VerificationReport, sub: VerificationReport, prefix: str):
@@ -271,8 +270,8 @@ def cmd_solve(space_of, claim: str, label: str, args) -> int:
     if args.json:
         return _emit(rep, args)
     print(f"dim {label} = {es.dim}")
-    for mtx in es.basis_matrices():
-        print("\n".join(_matrix_lines(mtx)))
+    for row in es.space.rows:
+        print("\n".join(_matrix_lines(es.algebra.field, row, es.n)))
         print()
     return 0
 
@@ -339,11 +338,11 @@ def _split_sample_assertion(rep, a, s, ts, prefix, samples):
     witness = None
     for idx in range(samples):
         coeffs = [f.from_int(rng.randint(-3, 3)) for _ in range(der.dim)]
-        delta = Matrix.unflatten(f, der.space.linear_combination(coeffs), ts.dim, ts.dim)
+        delta = combine_rows(f, zip(coeffs, der.space._sparse))
         # split_derivation validates membership of both parts and the
         # trivial intersection internally
         d_part, rem = split_derivation(delta, a, s, ts)
-        if d_part.add(rem) != delta:
+        if combine_rows(f, ((f.one(), d_part), (f.one(), rem))) != delta:
             ok = False
             witness = f"sample {idx} does not reassemble"
             break
@@ -413,14 +412,12 @@ def cmd_verify_thm2(args) -> int:
 def cmd_lemma_identities(args) -> int:
     st = _resolve_setup(args.setup, args)
     f = st.a.field
-    basis = st.der_fixed.basis_matrices()
+    basis = st.der_fixed.space._sparse
     if not basis:
         raise HypothesisNotMet("the fixed algebra has no derivations to test",
                                hypothesis="nonzero-derivation-space")
     # a generic integer combination exercises every formula at once
-    dm = Matrix.zeros(f, st.fixed_algebra.dim, st.fixed_algebra.dim)
-    for i, b in enumerate(basis):
-        dm = dm.add(b.scale(f.from_int(i + 1)))
+    dm = combine_rows(f, ((f.from_int(i + 1), b) for i, b in enumerate(basis)))
     rep = check_surjectivity_identities(dm, st, sample_budget=args.budget)
     return _emit(rep, args)
 
@@ -550,7 +547,7 @@ def _phi_branch_report(st: Setup) -> VerificationReport:
     for name in ("perfect-A", "scalar-S", "automorphism-periods", "graded-unit", "psi-iso"):
         rep.hyp(name)
     f = st.a.field
-    basis = st.der_fixed.basis_matrices()
+    basis = st.der_fixed.space._sparse
     rep.dim("fixed-algebra-derivations", len(basis))
     rep.dim("tensor-dim", st.ts.dim)
     char = f.char
@@ -628,7 +625,7 @@ def cmd_bm_eval(args) -> int:
     rep = VerificationReport("published-formula-on-finite-carrier")
     for name in ("perfect-A", "scalar-S", "automorphism-periods", "graded-unit"):
         rep.hyp(name)
-    basis = st.der_fixed.basis_matrices()
+    basis = st.der_fixed.space._sparse
     rep.dim("fixed-algebra-derivations", len(basis))
     derivation_flags = []
     matches_phi = []

@@ -26,7 +26,8 @@ from .errors import (
     NotPerfect,
     PsiNotIso,
 )
-from .exactla import Matrix, Subspace, invert_matrix, rank, sparse_kron, vec_add, vec_scale, vec_sub
+from .exactla import (Matrix, Subspace, apply_map, combine_rows, compose_maps, first_difference, invert_matrix,
+                      sparse_kron, sparse_rows, vec_add, vec_scale, vec_sub)
 from .gradings import (
     Automorphism,
     Grading,
@@ -103,17 +104,9 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _matrix_from_columns(field, cols: list[list], nrows: int) -> Matrix:
-    return Matrix(field, [[col[r] for col in cols] for r in range(nrows)], len(cols))
-
-
-def _id_tensor(field, lmap, ns: int, x: list) -> list:
-    """(id tensor L) x, block by block, for L a sparse flattened ns by ns map."""
-    out = [field.zero()] * len(x)
-    for rc, v in lmap:
-        for blk in range(0, len(x), ns):
-            out[blk + rc // ns] = field.add(out[blk + rc // ns], field.mul(v, x[blk + rc % ns]))
-    return out
+def _map_of_columns(field, cols: list[list]) -> tuple:
+    """The sparse flattened square map whose column p is the dense vector cols[p]."""
+    return sparse_rows(field, [[x for row in zip(*cols) for x in row]])[0]
 
 
 class Setup:
@@ -227,7 +220,7 @@ class Setup:
         key = tuple(s_coords)
         if key not in self._lmat:
             self._lmat[key] = self.s.mult_map(list(s_coords))
-        return _id_tensor(self.a.field, self._lmat[key], self.s.dim, x)
+        return apply_map(self.a.field, self._lmat[key], self.s.dim, x)
 
     def tensor_elem(self, a_vec: list, s_vec: list) -> list:
         return tensor_vector(self.a, self.s, a_vec, s_vec)
@@ -240,19 +233,20 @@ class Setup:
     def fixed_lift(self, coords: list) -> list:
         return self.fixed_space.linear_combination(coords)
 
-    def d_eval(self, d_matrix: Matrix):
+    def d_eval(self, d):
         """Evaluator for a derivation given in fixed-algebra coordinates.
 
-        The matrix must be a derivation of the fixed algebra. The returned
-        closure takes an ambient tensor vector that must lie in the fixed
-        subalgebra and returns the ambient image as a new list. It is
-        memoised per distinct argument; an argument outside the fixed
-        subalgebra raises NotInDomain on every call.
+        d must be a derivation of the fixed algebra, as a sparse flattened map
+        (sorted, zero-free: Subspace._sparse). The returned closure takes an
+        ambient tensor vector that must lie in the fixed subalgebra and
+        returns the ambient image as a new list. It is memoised per distinct
+        argument; an argument outside the fixed subalgebra raises NotInDomain
+        on every call.
         """
         k = self.fixed_algebra.dim
-        if d_matrix.nrows != k or d_matrix.ncols != k:
-            raise DimensionMismatch(f"expected a {k}x{k} matrix on the fixed algebra")
-        if not self.der_fixed.contains_matrix(d_matrix):
+        if d and d[-1][0] >= k * k:
+            raise DimensionMismatch(f"expected a map on the dim-{k} fixed algebra")
+        if not self.der_fixed.space.contains_row(d):
             raise NotInDomain("not a derivation of the fixed-point algebra")
         images = {}
 
@@ -263,7 +257,7 @@ class Setup:
                     c = self.fixed_coords(x)
                 except NotInDomain:
                     raise NotInDomain("evaluation argument is not in the fixed subalgebra")
-                images[key] = tuple(self.fixed_lift(d_matrix.matvec(c)))
+                images[key] = tuple(self.fixed_lift(apply_map(self.a.field, d, k, c)))
             return list(images[key])
 
         return ev
@@ -280,11 +274,11 @@ class Setup:
         return self._get("pairs", build)
 
     @property
-    def pair_basis_inverse(self) -> Matrix:
-        """Inverse of the matrix whose columns are the graded pair vectors."""
+    def pair_basis_inverse(self) -> tuple:
+        """Inverse of the matrix whose columns are the graded pair vectors, sparse flattened."""
         def build():
-            cols = [p[4] for p in self.graded_pair_basis]
-            return invert_matrix(_matrix_from_columns(self.a.field, cols, self.ts.dim))
+            f, cols = self.a.field, [p[4] for p in self.graded_pair_basis]
+            return sparse_rows(f, [invert_matrix(Matrix(f, list(zip(*cols)), self.ts.dim)).flatten()])[0]
         return self._get("pairs_inv", build)
 
 
@@ -292,32 +286,31 @@ class Setup:
 # block decomposition (ungraded layer)
 
 
-def split_derivation(delta: Matrix, a: Algebra, s: Algebra, ts: Algebra | None = None):
+def split_derivation(delta, a: Algebra, s: Algebra, ts: Algebra | None = None):
     """Split a tensor-algebra derivation into its S-linear part and the rest.
 
-    The S-linear part is determined by d(a_i tensor s_j) = delta(a_i tensor 1)
-    s_j; the remainder vanishes on A tensor 1. Both parts are verified to lie
-    in their defining spaces. The sum of those spaces is checked direct once
-    per tensor algebra: both spaces depend on it alone.
+    The S-linear part is d(a_i tensor s_j) = delta(a_i tensor 1) s_j; the
+    remainder vanishes on A tensor 1 (all sparse flattened: see Setup.d_eval).
+    Both parts are verified to lie in their defining spaces, whose sum is
+    checked direct once per tensor algebra: both depend on it alone.
     """
     ts = ts or tensor_product(a, s)
     require_scalar_hypotheses(s)
-    der = derivation_space(ts)
-    if not der.contains_matrix(delta):
+    f, n, one = a.field, ts.dim, s.unit()
+    if not derivation_space(ts).space.contains_row(delta):
         raise NotInDomain("input is not a derivation of the tensor algebra")
-    one = s.unit()
     cols = []
     for i in range(a.dim):
-        img = delta.matvec(tensor_vector(a, s, a.basis_vector(i), one))
-        cols += [_id_tensor(a.field, lj, s.dim, img) for lj in s.left_mult_operators()]
-    d = _matrix_from_columns(a.field, cols, ts.dim)
-    rem = delta.sub(d)
+        img = apply_map(f, delta, n, tensor_vector(a, s, a.basis_vector(i), one))
+        cols += [apply_map(f, lj, s.dim, img) for lj in s.left_mult_operators()]
+    d = _map_of_columns(f, cols)
+    rem = combine_rows(f, ((f.one(), delta), (f.neg(f.one()), d)))
     slin = s_module_derivations(a, s, ts)
     vanish = vanishing_on_left_derivations(a, s, ts)
-    if not slin.contains_matrix(d):
-        raise InternalCheckFailed("S-linear part escaped its defining space")
-    if not vanish.contains_matrix(rem):
-        raise InternalCheckFailed("remainder does not vanish on the left factor")
+    if (c := slin.space.first_outside(d)) is not None:
+        raise InternalCheckFailed(f"S-linear part escaped its defining space at entry {divmod(c, n)}")
+    if (c := vanish.space.first_outside(rem)) is not None:
+        raise InternalCheckFailed(f"remainder does not vanish on the left factor at entry {divmod(c, n)}")
     if "split_direct" not in ts._cache:
         if slin.space.intersect(vanish.space).dim != 0:
             raise InternalCheckFailed("the two summand spaces overlap")
@@ -437,27 +430,28 @@ def verify_graded_decomposition(setup: Setup) -> VerificationReport:
     return rep
 
 
-def _restrict(big_d: Matrix, setup: Setup) -> Matrix:
+def _restrict(big_d, setup: Setup) -> tuple:
     """big_d on the fixed-point algebra, in its coordinates; the image must stay inside it."""
-    k = setup.fixed_algebra.dim
-    try:
-        cols = [setup.fixed_coords(big_d.matvec(setup.fixed_embedding.column(t))) for t in range(k)]
-    except NotInDomain:
-        raise InternalCheckFailed("degree-zero derivation moved the fixed subalgebra")
-    return _matrix_from_columns(setup.a.field, cols, k)
+    f, n, cols = setup.a.field, setup.ts.dim, []
+    for t in range(setup.fixed_algebra.dim):
+        try:
+            cols.append(setup.fixed_coords(apply_map(f, big_d, n, setup.fixed_embedding.column(t))))
+        except NotInDomain:
+            raise InternalCheckFailed(f"degree-zero derivation moved the fixed subalgebra at basis vector {t}")
+    return _map_of_columns(f, cols)
 
 
-def restrict_pi(big_d: Matrix, setup: Setup) -> Matrix:
-    """Restrict a degree-zero tensor derivation to the fixed-point algebra.
+def restrict_pi(big_d, setup: Setup) -> tuple:
+    """Restrict a degree-zero tensor derivation to the fixed-point algebra (sparse maps).
 
     The degree-zero component is cut inside D(A tensor S): one membership
     test refuses a non-derivation and a wrong degree alike (NotInDomain). A
     restriction that is no derivation of the fixed algebra is an engine fault.
     """
-    if not setup.der_ts_grading.components[0].contains(big_d.flatten()):
+    if not setup.der_ts_grading.components[0].contains_row(big_d):
         raise NotInDomain("not a degree-zero derivation of the tensor algebra")
     r = _restrict(big_d, setup)
-    if not setup.der_fixed.contains_matrix(r):
+    if not setup.der_fixed.space.contains_row(r):
         raise InternalCheckFailed("restriction is not a derivation of the fixed algebra")
     return r
 
@@ -535,20 +529,21 @@ def _pair_pieces(setup: Setup) -> list:
             for avec, ia, bvec, ib, _ in setup.graded_pair_basis]
 
 
-def extend_phi(d_matrix: Matrix, setup: Setup, branch: str = "char0", n: int = 1) -> Matrix:
+def extend_phi(d, setup: Setup, branch: str = "char0", n: int = 1) -> tuple:
     """The explicit inverse of the restriction map, fully verified.
 
     Defined on the graded pair basis a_i tensor b and transported to the
-    standard basis. The char0 branch implements the corrected extension
-    formula (with its general integer parameter n); the charp branch, over
-    prime fields, is the residue shift by the degree-p unit u^p, since
-    u^(pr) = (u^p)^r. The result is checked to be a derivation, to have
-    degree zero, and to restrict back to the input.
+    standard basis, on sparse flattened maps (see Setup.d_eval). The char0
+    branch implements the corrected extension formula (with its general
+    integer parameter n); the charp branch, over prime fields, is the residue
+    shift by the degree-p unit u^p, since u^(pr) = (u^p)^r. The result is
+    checked to be a derivation, to commute with sigma (degree zero), and to
+    restrict back to the input.
     """
     if branch not in ("char0", "charp"):
         raise ValueError(f"unknown branch {branch!r}")
-    ev = setup.d_eval(d_matrix)
-    f = setup.a.field
+    ev = setup.d_eval(d)
+    f, nts, k = setup.a.field, setup.ts.dim, setup.fixed_algebra.dim
     p = f.char
     if branch == "charp":
         if f.kind != PRIME or p == 0:
@@ -559,37 +554,39 @@ def extend_phi(d_matrix: Matrix, setup: Setup, branch: str = "char0", n: int = 1
         if n == 0 or (p and (n % p == 0)):
             raise HypothesisNotMet(f"n = {n} is not invertible here", "invertible-n")
         cols = _phi(_Coords(setup), ev, _pair_pieces(setup), setup.m * n)
-    big = _matrix_from_columns(f, cols, setup.ts.dim).mul(setup.pair_basis_inverse)
+    big = compose_maps(f, _map_of_columns(f, cols), setup.pair_basis_inverse, nts)
     wit = leibniz_witness(setup.ts, big)
     if wit is not None:
         raise InternalCheckFailed(f"extension violates the derivation law on pair {wit[:2]}")
-    if big.mul(setup.aut.matrix) != setup.aut.matrix.mul(big):
-        raise InternalCheckFailed("extension is not of degree zero")
-    if _restrict(big, setup) != d_matrix:
-        raise InternalCheckFailed("extension does not restrict to the input")
+    sig = setup.aut.maps()[0]
+    if (c := first_difference(compose_maps(f, sig, big, nts), compose_maps(f, big, sig, nts))) is not None:
+        raise InternalCheckFailed(f"extension is not of degree zero at entry {divmod(c, nts)}")
+    if (c := first_difference(_restrict(big, setup), d)) is not None:
+        raise InternalCheckFailed(f"extension does not restrict to the input at entry {divmod(c, k)}")
     return big
 
 
-def bm_formula_extend(d_matrix: Matrix, setup: Setup) -> Matrix:
+def bm_formula_extend(d, setup: Setup) -> tuple:
     """The earlier published extension formula, returned unverified.
 
     The residue shift by the original degree-q unit: on a_i tensor b with
     total residue s, the image is u^r d(a_i tensor u^{-r} b) where
     s = q r mod m. No derivation property is claimed; this exists to
-    reproduce its failure.
+    reproduce its failure. Maps are sparse flattened (see Setup.d_eval).
     """
-    ev = setup.d_eval(d_matrix)
+    ev = setup.d_eval(d)
     c = _Coords(setup, "u")
     q = setup.unit_data.q
     cols = [_residue_shift(c, ev, avec, b, es, q) for avec, _, b, es in _pair_pieces(setup)]
-    return _matrix_from_columns(setup.a.field, cols, setup.ts.dim).mul(setup.pair_basis_inverse)
+    f = setup.a.field
+    return compose_maps(f, _map_of_columns(f, cols), setup.pair_basis_inverse, setup.ts.dim)
 
 
 # ---------------------------------------------------------------------------
 # the surjectivity-proof identities
 
 
-def check_surjectivity_identities(d_matrix: Matrix, setup: Setup,
+def check_surjectivity_identities(d, setup: Setup,
                                   sample_budget: int | None = None) -> VerificationReport:
     """Exact spot checks of the averaging and exchange identities.
 
@@ -597,13 +594,13 @@ def check_surjectivity_identities(d_matrix: Matrix, setup: Setup,
     its residue and n in -2..2; identities quantified over all integers are
     sampled, which still exercises every case split (including the residue
     wrap, whenever two occupied left degrees can reach m). sample_budget caps
-    the number of tuples per identity family. The families share d, memoised
-    per argument, and each bracket at M = m, computed once per (a, t, b).
+    the number of tuples per identity family. The families share d (sparse,
+    see Setup.d_eval), memoised per argument, and each bracket at M = m.
     """
     rep = VerificationReport("surjectivity-identities")
     for name in ("perfect-A", "scalar-S", "automorphism-periods", "graded-unit"):
         rep.hyp(name)
-    ev = setup.d_eval(d_matrix)
+    ev = setup.d_eval(d)
     c = _Coords(setup)
     f = setup.a.field
     m = setup.m
@@ -744,19 +741,16 @@ def verify_pi_isomorphism(setup: Setup) -> VerificationReport:
     rep.dim("degree-zero-derivations", n0)
     rep.dim("fixed-algebra-derivations", k0)
 
-    nts = setup.ts.dim
-    basis_big = [Matrix.unflatten(f, list(r), nts, nts) for r in zero_comp.rows]
-    coords = Matrix(f, [setup.der_fixed.coords_of_matrix(restrict_pi(bm, setup))
-                        for bm in basis_big], k0)
+    coords = [setup.der_fixed.space.row_coords(restrict_pi(big, setup)) for big in zero_comp._sparse]
     rep.check("restriction-lands-in-derivations", True)
-    rk = rank(coords)
+    rk = Subspace.from_vectors(f, k0, coords).dim
     rep.dim("restriction-rank", rk)
     rep.check("injective", rk == n0)
     rep.check("surjective", rk == k0)
 
-    exts = Matrix(f, [extend_phi(dm, setup).flatten() for dm in setup.der_fixed.basis_matrices()],
-                  nts * nts)
-    rep.check("phi-after-pi-is-identity", coords.mul(exts) == Matrix(f, zero_comp.rows, nts * nts))
+    exts = [extend_phi(d, setup) for d in setup.der_fixed.space._sparse]
+    rep.check("phi-after-pi-is-identity",
+              all(combine_rows(f, zip(cs, exts)) == big for cs, big in zip(coords, zero_comp._sparse)))
     rep.check("pi-after-phi-is-identity", True)
 
     expected = 0

@@ -40,11 +40,6 @@ class Matrix:
             self.ncols = ncols or 0
 
     @classmethod
-    def zeros(cls, field, nrows, ncols):
-        z = field.zero()
-        return cls(field, [[z] * ncols for _ in range(nrows)], ncols)
-
-    @classmethod
     def identity(cls, field, n):
         z, o = field.zero(), field.one()
         return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)], n)
@@ -62,26 +57,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field})"
-
-    def add(self, other: "Matrix") -> "Matrix":
-        self._compat(other)
-        f = self.field
-        return Matrix(f, [[f.add(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)], self.ncols)
-
-    def sub(self, other: "Matrix") -> "Matrix":
-        self._compat(other)
-        f = self.field
-        return Matrix(f, [[f.sub(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)], self.ncols)
-
-    def scale(self, c) -> "Matrix":
-        f = self.field
-        return Matrix(f, [[f.mul(c, x) for x in row] for row in self.rows], self.ncols)
-
-    def _compat(self, other):
-        if self.field != other.field:
-            raise FieldMismatch(f"{self.field} vs {other.field}")
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DimensionMismatch(f"{self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}")
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
@@ -183,6 +158,47 @@ def sparse_kron(field, x, nx, y, ny) -> tuple:
     xr, yr = map_rows(x, nx), map_rows(y, ny)
     return tuple(((i1 * ny + i2) * n + j1 * ny + j2, field.mul(a, b)) for i1, r1 in xr.items()
                  for i2, r2 in yr.items() for j1, a in r1 for j2, b in r2)
+
+
+def apply_map(field, m, n: int, x) -> list:
+    """(id tensor M) x block by block, for M the sparse flattened n by n map m:
+    M x when len(x) = n. Zero entries of the dense vector x are skipped."""
+    add, mul, nz = field.add, field.mul, field.nonzero
+    out = [field.zero()] * len(x)
+    for base in range(0, len(x), n):
+        for rc, v in m:
+            if nz(xk := x[base + rc % n]):
+                out[base + rc // n] = add(out[base + rc // n], mul(v, xk))
+    return out
+
+
+def compose_maps(field, x, y, n: int) -> tuple:
+    """The composite x y (y applied first) of sparse flattened n by n maps:
+    row r of x y sums x[r, k] times row k of y over the entries (r, k) of x."""
+    yr = map_rows(y, n)
+    return combine_rows(field, ((u, [(t - t % n + c, v) for c, v in yr.get(t % n, ())]) for t, u in x))
+
+
+def combine_rows(field, terms) -> tuple:
+    """The sparse row sum of c * row over the pairs (c, row) of sparse rows."""
+    add, mul = field.add, field.mul
+    acc = {}
+    for c, row in terms:
+        for k, b in row:
+            acc[k] = add(acc[k], mul(c, b)) if k in acc else mul(c, b)
+    return canonical_row(field, acc)
+
+
+def canonical_row(field, acc) -> tuple:
+    """A column -> value dict as a sparse row: sorted by column, zero-free."""
+    nz = field.nonzero
+    return tuple(sorted((c, x) for c, x in acc.items() if nz(x)))
+
+
+def first_difference(x, y):
+    """The least column where the sparse rows x and y differ, or None."""
+    dx, dy = dict(x), dict(y)
+    return min((c for c in dx.keys() | dy.keys() if dx.get(c) != dy.get(c)), default=None)
 
 
 def _dense(field, ncols, row) -> tuple:
@@ -373,17 +389,20 @@ def rank(matrix: Matrix) -> int:
 class Subspace:
     """A subspace of field^ambient, held as the canonical RREF basis.
 
-    Built from the sparse RREF rows (see rref_rows); `rows` holds them dense.
+    Held as the sparse RREF rows (see rref_rows); `rows` builds them dense.
     """
 
-    __slots__ = ("field", "ambient", "rows", "pivots", "_sparse")
+    __slots__ = ("field", "ambient", "pivots", "_sparse")
 
     def __init__(self, field, ambient, sparse, pivots):
         self.field = field
         self.ambient = ambient
         self._sparse = tuple(sparse)
-        self.rows = tuple(_dense(field, ambient, r) for r in self._sparse)
         self.pivots = tuple(pivots)
+
+    @property
+    def rows(self) -> tuple:
+        return tuple(_dense(self.field, self.ambient, r) for r in self._sparse)
 
     @classmethod
     def from_vectors(cls, field, ambient: int, vectors) -> "Subspace":
@@ -401,7 +420,7 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._sparse)
 
     def __eq__(self, other):
         return (
@@ -440,10 +459,17 @@ class Subspace:
     def contains(self, vec: list) -> bool:
         return vec_is_zero(self.field, self.reduce(vec))
 
+    def first_outside(self, row):
+        """None if the sparse row (sorted and zero-free, as _sparse and sparse_kron
+        give it; any other row is outside) lies in the space, else the least
+        column where it differs from its pivot entries times their basis rows."""
+        at = dict(zip(self.pivots, self._sparse))
+        along = combine_rows(self.field, ((x, at[c]) for c, x in row if c in at))
+        return None if along == tuple(row) else first_difference(row, along)
+
     def contains_row(self, row) -> bool:
-        """Whether a sparse row, sorted by column with no zero value (as _sparse
-        and sparse_kron give), is the sum of its pivot entries times their basis rows."""
-        return _combine(self.field, row, dict(zip(self.pivots, self._sparse))) == tuple(row)
+        """Whether a sparse row, as first_outside takes it, lies in the space."""
+        return self.first_outside(row) is None
 
     def coords(self, vec: list) -> list:
         """Coefficients of vec in the RREF basis; NotInDomain if outside."""
@@ -451,16 +477,18 @@ class Subspace:
             raise NotInDomain("vector not in subspace")
         return [vec[c] for c in self.pivots]
 
+    def row_coords(self, row) -> list:
+        """Coefficients in the RREF basis of a sparse row (as first_outside
+        takes it), which are its entries at the pivots; NotInDomain if outside."""
+        if (c := self.first_outside(row)) is not None:
+            raise NotInDomain(f"row leaves the subspace at column {c}")
+        at = dict(row)
+        return [at.get(c, self.field.zero()) for c in self.pivots]
+
     def linear_combination(self, coeffs: list) -> list:
         if len(coeffs) != self.dim:
             raise DimensionMismatch(f"{len(coeffs)} coefficients for dim {self.dim}")
-        f = self.field
-        out = [f.zero()] * self.ambient
-        for c, row in zip(coeffs, self._sparse):
-            if f.nonzero(c):
-                for j, b in row:
-                    out[j] = f.add(out[j], f.mul(c, b))
-        return out
+        return list(_dense(self.field, self.ambient, combine_rows(self.field, zip(coeffs, self._sparse))))
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._compat(other)
@@ -479,8 +507,9 @@ class Subspace:
         coordinates (a row on the pivot columns alone reads them directly).
         The lift of an RREF basis through this RREF basis is in RREF too."""
         f, at = self.field, _by_column(self._sparse)
-        small = kernel_of_rows(f, [_combine(f, row, at) for row in rows], self.dim, tag)
-        lifted = [_combine(f, v, dict(enumerate(self._sparse))) for v in small._sparse]
+        coords = [combine_rows(f, ((x, at[c]) for c, x in row if c in at)) for row in rows]
+        small = kernel_of_rows(f, coords, self.dim, tag)
+        lifted = [combine_rows(f, ((x, self._sparse[k]) for k, x in v)) for v in small._sparse]
         return Subspace(f, self.ambient, lifted, [self.pivots[k] for k in small.pivots])
 
 
@@ -491,16 +520,6 @@ def _by_column(rows) -> dict:
         for c, x in row:
             at.setdefault(c, []).append((k, x))
     return at
-
-
-def _combine(field, pairs, at) -> tuple:
-    """The sparse sum of x * at[i] over the pairs (i, x); at maps i to sparse pairs."""
-    add, mul = field.add, field.mul
-    acc = {}
-    for i, x in pairs:
-        for k, b in at.get(i, ()):
-            acc[k] = add(acc[k], mul(x, b)) if k in acc else mul(x, b)
-    return tuple(sorted((k, v) for k, v in acc.items() if field.nonzero(v)))
 
 
 def kernel_of_rows(field, rows, ncols, tag="kernel", more=None) -> Subspace:

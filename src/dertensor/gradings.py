@@ -30,7 +30,8 @@ from .errors import (
     SingularElement,
     WrongPeriod,
 )
-from .exactla import Matrix, Subspace, _dense, invert_matrix, rank, sparse_kron, sparse_rows, vec_is_zero
+from .exactla import (Matrix, Subspace, _dense, compose_maps, invert_matrix, rank, sparse_kron, sparse_rows,
+                      vec_is_zero)
 from .invariants import EndoSpace
 
 COMBO_BUDGET = 64  # small integer combinations tried by find_graded_unit
@@ -44,23 +45,24 @@ def eps(i: int, m: int) -> int:
 class Automorphism:
     """A validated automorphism of declared period; immutable by convention.
 
-    Data derived from it alone is memoised on the instance: the inverse
-    matrix, and its grading in _cache.
+    Data derived from it alone is memoised in _cache: its grading and its
+    sparse maps.
     """
 
-    __slots__ = ("algebra", "matrix", "period", "_inv", "_cache")
+    __slots__ = ("algebra", "matrix", "period", "_cache")
 
     def __init__(self, algebra: Algebra, matrix: Matrix, period: int):
         self.algebra = algebra
         self.matrix = matrix
         self.period = period
-        self._inv = None
         self._cache = {}
 
-    def inverse_matrix(self) -> Matrix:
-        if self._inv is None:
-            self._inv = invert_matrix(self.matrix)
-        return self._inv
+    def maps(self) -> tuple:
+        """sigma and sigma^-1 as sparse flattened maps."""
+        if "maps" not in self._cache:
+            dense = (self.matrix.flatten(), invert_matrix(self.matrix).flatten())
+            self._cache["maps"] = tuple(sparse_rows(self.algebra.field, dense))
+        return self._cache["maps"]
 
     def __repr__(self):
         return f"Automorphism(period {self.period} of dim-{self.algebra.dim} algebra)"
@@ -194,11 +196,12 @@ def grading_from_automorphism(aut: Automorphism) -> Grading:
 
 def grading_is_multiplicative(a: Algebra, g: Grading) -> bool:
     """Products of components land in the component of the residue sum."""
-    for i, ci in enumerate(g.components):
-        for j, cj in enumerate(g.components):
+    rows = [c.rows for c in g.components]
+    for i, ci in enumerate(rows):
+        for j, cj in enumerate(rows):
             target = g.component(i + j)
-            for u in ci.rows:
-                for v in cj.rows:
+            for u in ci:
+                for v in cj:
                     if not target.contains(a.mult(list(u), list(v))):
                         return False
     return True
@@ -213,15 +216,15 @@ def induced_endo_grading(aut: Automorphism, endo: EndoSpace) -> Grading:
     """
     if endo.n != aut.algebra.dim:
         raise DimensionMismatch("endomorphism space does not match the automorphism carrier")
-    sig, siginv = aut.matrix, aut.inverse_matrix()
+    f, n, (sig, siginv) = aut.algebra.field, endo.n, aut.maps()
     coords = []
-    for t in endo.basis_matrices():
+    for t in endo.space._sparse:
         try:
-            coords.append(endo.coords_of_matrix(sig.mul(t).mul(siginv)))
+            coords.append(endo.space.row_coords(compose_maps(f, compose_maps(f, sig, t, n), siginv, n)))
         except NotInDomain:
             raise NotInvariant("conjugation does not preserve the endomorphism space")
     # conjugation on the coordinates, column convention
-    conj = Matrix(aut.algebra.field, zip(*coords), endo.dim)
+    conj = Matrix(f, zip(*coords), endo.dim)
     return _eigenspace_grading(endo.space, conj, aut.period, endo.tag)
 
 
@@ -233,10 +236,13 @@ def tensor_automorphism(aut_a: Automorphism, aut_s: Automorphism, ts: Algebra) -
         raise WrongPeriod(
             f"declared periods differ: {aut_a.period} vs {aut_s.period}"
         )
-    f, n = ts.field, ts.dim
-    x, y = sparse_rows(f, [aut_a.matrix.flatten(), aut_s.matrix.flatten()])
-    kron = sparse_kron(f, x, aut_a.matrix.nrows, y, aut_s.matrix.nrows)
-    return Automorphism(ts, Matrix.unflatten(f, _dense(f, n * n, kron), n, n), aut_a.period)
+    f, n, na, ns = ts.field, ts.dim, aut_a.algebra.dim, aut_s.algebra.dim
+    (x, xinv), (y, yinv) = aut_a.maps(), aut_s.maps()
+    sig = sparse_kron(f, x, na, y, ns)
+    # the dense matrix feeds the eigenspace grading (grading_from_automorphism)
+    aut = Automorphism(ts, Matrix.unflatten(f, _dense(f, n * n, sig), n, n), aut_a.period)
+    aut._cache["maps"] = (sig, sparse_kron(f, xinv, na, yinv, ns))
+    return aut
 
 
 def fixed_point_algebra(algebra: Algebra, grading: Grading, names: list[str] | None = None):

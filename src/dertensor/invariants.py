@@ -23,7 +23,8 @@ from .errors import (
     NotPerfect,
     NotUnital,
 )
-from .exactla import Matrix, Subspace, kernel_of_rows, map_rows, sparse_kron, sparse_rows, vec_add
+from .exactla import (Subspace, apply_map, canonical_row, compose_maps, combine_rows, kernel_of_rows, map_rows,
+                      sparse_kron, vec_add)
 from .scalars import CYCLOTOMIC, PRIME, RATIONAL
 
 
@@ -42,30 +43,11 @@ class EndoSpace:
     def dim(self) -> int:
         return self.space.dim
 
-    def basis_matrices(self) -> list[Matrix]:
-        f = self.algebra.field
-        return [
-            Matrix.unflatten(f, list(row), self.n, self.n)
-            for row in self.space.rows
-        ]
-
-    def contains_matrix(self, m: Matrix) -> bool:
-        return self.space.contains(m.flatten())
-
-    def coords_of_matrix(self, m: Matrix) -> list:
-        return self.space.coords(m.flatten())
-
     def __repr__(self):
         return f"EndoSpace({self.tag}, dim {self.dim})"
 
 
 # -- row assembly ----------------------------------------------------------
-
-
-def _sparse(f, acc) -> tuple:
-    # column -> value accumulator as a sparse row (see exactla.rref_rows)
-    nz = f.nonzero
-    return tuple(sorted((col, x) for col, x in acc.items() if nz(x)))
 
 
 def _law_terms(a: Algebra, maps, split: bool, pairs):
@@ -107,7 +89,7 @@ def _pair_rows(a: Algebra, split: bool, pairs):
             by_t = {}
             for key, v in acc.items():
                 by_t.setdefault(key % n, {})[key // n] = v % p if p else v
-            rows.extend(_sparse(f, by_t[t]) for t in sorted(by_t))
+            rows.extend(canonical_row(f, by_t[t]) for t in sorted(by_t))
     return rows
 
 
@@ -130,13 +112,13 @@ def _law_residual(a: Algebra, maps, split: bool, pairs):
                 break
 
 
-def leibniz_witness(a: Algebra, m: Matrix):
-    """The first basis pair (i, j) in row-major order where m breaks the
-    derivation law, as (i, j, m(b_i b_j), m(b_i) b_j + b_i m(b_j)), or None."""
-    pairs = ((i, j) for i in range(a.dim) for j in range(a.dim))
-    for i, j, *_ in _law_residual(a, sparse_rows(a.field, [m.flatten()]), False, pairs):
-        want = vec_add(a.field, a.mult(m.column(i), a.basis_vector(j)), a.mult(a.basis_vector(i), m.column(j)))
-        return (i, j, m.matvec(a.table[i][j]), want)
+def leibniz_witness(a: Algebra, m):
+    """The first basis pair (i, j) in row-major order where the sparse map m
+    breaks the derivation law, as (i, j, m(b_i b_j), m(b_i) b_j + b_i m(b_j)), or None."""
+    f, n, e = a.field, a.dim, a.basis_vector
+    for i, j, *_ in _law_residual(a, [m], False, ((i, j) for i in range(n) for j in range(n))):
+        want = vec_add(f, a.mult(apply_map(f, m, n, e(i)), e(j)), a.mult(e(i), apply_map(f, m, n, e(j))))
+        return (i, j, apply_map(f, m, n, a.table[i][j]), want)
     return None
 
 
@@ -152,7 +134,7 @@ def _commute_rows(f, m, n: int):
                 col = k * n + c
                 acc[col] = f.sub(acc[col], w) if col in acc else f.neg(w)
             if acc:
-                rows.append(_sparse(f, acc))
+                rows.append(canonical_row(f, acc))
     return rows
 
 
@@ -329,39 +311,24 @@ def psi_multiplicative(a: Algebra, s: Algebra) -> bool:
     """Whether psi((g1 x s1)(g2 x s2)) = psi(g1 x s1) psi(g2 x s2) on basis pairs.
 
     Both sides come from psi's sparse image columns: the composite of two of
-    them, less their combination along the centroid coordinates of g1 g2 and
-    the structure constants of s1 s2. The centroid is closed under
+    them, against their combination along the centroid coordinates of g1 g2
+    and the structure constants of s1 s2. The centroid is closed under
     composition and its kernel is certified complete (centroid()), so g1 g2
     must lie in it, and its coordinates are its entries at the pivots.
     """
     f, ns, na = a.field, s.dim, a.dim
-    z, nz, add, sub, mul = f.zero(), f.nonzero, f.add, f.sub, f.mul
     cent_a = centroid(a).space
     cols = _psi_images(a, s)
-    rows_of = [map_rows(col, na * ns) for col in cols]
-
-    def compose(x, y_rows, n):  # the composite x y of n by n maps as a dict; y given by map_rows
-        out = {}
-        for t, u in x:
-            r, k = divmod(t, n)
-            for c, v in y_rows.get(k, ()):
-                out[r * n + c] = add(out.get(r * n + c, z), mul(u, v))
-        return out
-
     for a1, g1 in enumerate(cent_a._sparse):
         for a2, g2 in enumerate(cent_a._sparse):
-            g12 = _sparse(f, compose(g1, map_rows(g2, na), na))
+            g12 = compose_maps(f, g1, g2, na)
             if not cent_a.contains_row(g12):
                 raise InternalCheckFailed(f"centroid: composite of basis maps {a1} and {a2} lies outside it")
             lam = [(aa, x) for aa, x in enumerate(map(dict(g12).get, cent_a.pivots)) if x is not None]
             for j1 in range(ns):
                 for j2 in range(ns):
-                    diff = compose(cols[a1 * ns + j1], rows_of[a2 * ns + j2], na * ns)
-                    for aa, la in lam:
-                        for jj, cj in s._nz[j1][j2]:
-                            coeff = mul(la, cj)
-                            for t, y in cols[aa * ns + jj]:
-                                diff[t] = sub(diff.get(t, z), mul(coeff, y))
-                    if any(map(nz, diff.values())):
+                    want = combine_rows(f, ((f.mul(la, cj), cols[aa * ns + jj])
+                                            for aa, la in lam for jj, cj in s._nz[j1][j2]))
+                    if compose_maps(f, cols[a1 * ns + j1], cols[a2 * ns + j2], na * ns) != want:
                         return False
     return True

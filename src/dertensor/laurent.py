@@ -29,7 +29,7 @@ from .errors import (
     NotInDomain,
     ParseError,
 )
-from .exactla import _combine, _dense, sparse_rows
+from .exactla import _dense, combine_rows, sparse_rows
 from .gradings import Grading, eps, grading_from_automorphism
 
 FORWARD = "forward"
@@ -218,7 +218,7 @@ def _homogeneous_pieces(grading_a: Grading, target: LoopElement, m: int, style: 
         coords = sparse_rows(f, [vec])[0]
         for ia, cols in parts:
             # the sum of c_i times the degree-ia part of e_i, over the nonzero c_i only
-            part = _combine(f, coords, cols)
+            part = combine_rows(f, ((c, cols[i]) for i, c in coords if i in cols))
             if part:
                 pieces.append((list(_dense(f, len(vec), part)), ia, exp,
                                eps(ia + graded_component(exp, m, style), m)))

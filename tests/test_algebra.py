@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dertensor.algebra import (
     Algebra,
@@ -183,3 +185,33 @@ def test_associativity_flag_on_associative_and_not():
     assert not sl2().is_associative()
     assert zero_product(3).is_associative()
     assert zero_product(3).is_commutative()
+
+
+# -- associativity on the sparse table against the dense loop -----------------
+
+
+def dense_is_associative(a):
+    """The loop Algebra.is_associative used to run: n^3 products of dense basis vectors."""
+    n, e = a.dim, a.basis_vector
+    return all(a.mult(a.table[i][j], e(k)) == a.mult(e(i), a.table[j][k])
+               for i in range(n) for j in range(n) for k in range(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_is_associative_matches_the_dense_loop(data):
+    f = data.draw(st.sampled_from([QQ, make_field("prime", m=3, p=31)]))
+    n = data.draw(st.integers(1, 4))
+    small = st.sampled_from([1, -1, 2])
+    if data.draw(st.booleans()):
+        # k[Z_n], associative, or with one structure constant moved, which mostly is not
+        table = group_algebra(n, f).table
+        if data.draw(st.booleans()):
+            i, j, k = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+            table[i][j][k] = f.add(table[i][j][k], f.from_int(data.draw(small)))
+    else:
+        consts = st.sampled_from([0, 0, 0, 1, -1, 2])
+        table = [[[f.from_int(data.draw(consts)) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    a = Algebra(f, [f"b{i}" for i in range(n)], table)
+    assert a.is_associative() == dense_is_associative(a)
+

@@ -38,10 +38,10 @@ from dertensor.errors import (
     NotPerfect,
     NoUnitFound,
 )
-from dertensor import exactla
-from dertensor.exactla import Matrix, sparse_kron, sparse_rows, vec_add, vec_is_zero, vec_scale
+from dertensor import cli, decomposition, exactla
+from dertensor.exactla import Matrix, Subspace, apply_map, combine_rows, sparse_kron, sparse_rows, vec_is_zero
 from dertensor.gradings import check_automorphism, grading_from_automorphism
-from dertensor.invariants import derivation_space, leibniz_witness
+from dertensor.invariants import EndoSpace, derivation_space, leibniz_witness
 from dertensor.scalars import make_field
 
 
@@ -56,14 +56,15 @@ def test_setup_shares_the_grading_of_each_automorphism(flagship):
     assert flagship.grading_ts is grading_from_automorphism(flagship.aut)
 
 
+def sparse(m):
+    """A dense Matrix as a sparse flattened map, sorted and zero-free."""
+    return sparse_rows(m.field, [m.flatten()])[0]
+
+
 def random_derivation(ts, rng):
     der = derivation_space(ts)
     f = ts.field
-    basis = der.basis_matrices()
-    out = Matrix.zeros(f, ts.dim, ts.dim)
-    for b in basis:
-        out = out.add(b.scale(f.from_int(rng.randint(-3, 3))))
-    return out
+    return combine_rows(f, [(f.from_int(rng.randint(-3, 3)), b) for b in der.space._sparse])
 
 
 # -- Setup validation -------------------------------------------------------
@@ -223,20 +224,20 @@ def test_split_pure_tensor_derivations():
     ts = tensor_product(a, s)
     f, n = a.field, ts.dim
 
-    def tensor_map(x, y):  # x (x) y for sparse flattened maps on A and S, unflattened once
-        return Matrix.unflatten(f, exactla._dense(f, n * n, sparse_kron(f, x, a.dim, y, s.dim)), n, n)
+    def tensor_map(x, y):  # x (x) y for sparse flattened maps on A and S
+        return sparse_kron(f, x, a.dim, y, s.dim)
 
     # d0 tensor L_1: remainder must vanish
     d0 = derivation_space(a).space._sparse[0]
     delta = tensor_map(d0, s.mult_map(s.unit()))
     d, rem = split_derivation(delta, a, s, ts)
-    assert rem == Matrix.zeros(a.field, ts.dim, ts.dim)
+    assert rem == ()
     assert d == delta
     # gamma tensor d' with d'(1) = 0: the S-linear part dies
     dp = derivation_space(s).space._sparse[0]
     delta2 = tensor_map(sparse_rows(f, [Matrix.identity(f, a.dim).flatten()])[0], dp)
     d2, rem2 = split_derivation(delta2, a, s, ts)
-    assert d2 == Matrix.zeros(a.field, ts.dim, ts.dim)
+    assert d2 == ()
     assert rem2 == delta2
 
 
@@ -248,9 +249,9 @@ def test_split_random_derivations_reassemble():
         for _ in range(25):
             delta = random_derivation(ts, rng)
             d, rem = split_derivation(delta, a, s, ts)
-            assert d.add(rem) == delta
+            assert combine_rows(ts.field, [(ts.field.one(), d), (ts.field.one(), rem)]) == delta
             for i in range(a.dim):
-                img = rem.matvec(tensor_vector(a, s, a.basis_vector(i), one))
+                img = apply_map(ts.field, rem, ts.dim, tensor_vector(a, s, a.basis_vector(i), one))
                 assert vec_is_zero(ts.field, img)
 
 
@@ -266,7 +267,7 @@ def test_split_components_recover_expected_dims():
 def test_split_rejects_non_derivation():
     a, s = sl2(), dual_numbers()
     ts = tensor_product(a, s)
-    bad = Matrix.identity(ts.field, ts.dim)
+    bad = sparse(Matrix.identity(ts.field, ts.dim))
     with pytest.raises(NotInDomain):
         split_derivation(bad, a, s, ts)
 
@@ -304,10 +305,10 @@ def test_restrict_ad_h_is_diagonal(flagship):
     ts = st.ts
     f = ts.field
     h1 = tensor_vector(st.a, st.s, [f.zero(), f.one(), f.zero()], st.s.unit())
-    adh = ts.left_mult_matrix(h1)
+    adh = ts.mult_map(h1)
     r = restrict_pi(adh, st)
     # fixed basis in pivot order: e x z, e x z3, h x 1, h x z2, f x z, f x z3
-    expect = diagonal_matrix(f, [2, 2, 0, 0, -2, -2])
+    expect = sparse(diagonal_matrix(f, [2, 2, 0, 0, -2, -2]))
     assert r == expect
 
 
@@ -315,38 +316,41 @@ def test_restrict_pi_rejects_wrong_degree_and_non_derivations(flagship):
     st = flagship
     f = st.ts.field
     e1 = tensor_vector(st.a, st.s, [f.one(), f.zero(), f.zero()], st.s.unit())
-    ade = st.ts.left_mult_matrix(e1)  # degree 1, a derivation
+    ade = st.ts.mult_map(e1)  # degree 1, a derivation
     with pytest.raises(NotInDomain):
         restrict_pi(ade, st)
     with pytest.raises(NotInDomain):
-        restrict_pi(Matrix.identity(f, st.ts.dim), st)
+        restrict_pi(sparse(Matrix.identity(f, st.ts.dim)), st)
 
 
 def test_phi_round_trips_on_ad_h(flagship):
     st = flagship
     f = st.ts.field
     h1 = tensor_vector(st.a, st.s, [f.zero(), f.one(), f.zero()], st.s.unit())
-    adh = st.ts.left_mult_matrix(h1)
+    adh = st.ts.mult_map(h1)
     assert extend_phi(restrict_pi(adh, st), st) == adh
 
 
 def test_phi_and_pi_are_linear(flagship):
     st = flagship
     f = st.a.field
-    basis = st.der_fixed.basis_matrices()
+    basis = st.der_fixed.space._sparse
     d1, d2 = basis[0], basis[1]
     c = f.from_int(3)
-    combo = d1.add(d2.scale(c))
-    assert extend_phi(combo, st) == extend_phi(d1, st).add(extend_phi(d2, st).scale(c))
-    big = [Matrix.unflatten(f, list(r), st.ts.dim, st.ts.dim)
-           for r in st.der_ts_grading.components[0].rows]
-    bcombo = big[0].add(big[1].scale(c))
-    assert restrict_pi(bcombo, st) == restrict_pi(big[0], st).add(restrict_pi(big[1], st).scale(c))
+
+    def plus_c_times(x, y):
+        return combine_rows(f, [(f.one(), x), (c, y)])
+
+    combo = plus_c_times(d1, d2)
+    assert extend_phi(combo, st) == plus_c_times(extend_phi(d1, st), extend_phi(d2, st))
+    big = st.der_ts_grading.components[0]._sparse
+    bcombo = plus_c_times(big[0], big[1])
+    assert restrict_pi(bcombo, st) == plus_c_times(restrict_pi(big[0], st), restrict_pi(big[1], st))
 
 
 def test_phi_is_n_independent_over_rationals(flagship):
     st = flagship
-    d = st.der_fixed.basis_matrices()[2]
+    d = st.der_fixed.space._sparse[2]
     ref = extend_phi(d, st, n=1)
     for n in (-2, -1, 2):
         assert extend_phi(d, st, n=n) == ref
@@ -356,16 +360,16 @@ def test_phi_is_n_independent_over_rationals(flagship):
 
 def test_phi_charp_needs_prime_field(flagship):
     with pytest.raises(HypothesisNotMet):
-        extend_phi(flagship.der_fixed.basis_matrices()[0], flagship, branch="charp")
+        extend_phi(flagship.der_fixed.space._sparse[0], flagship, branch="charp")
 
 
 def test_phi_rejects_non_derivation_input(flagship):
     st = flagship
-    bad = Matrix.identity(st.a.field, st.fixed_algebra.dim)
+    bad = sparse(Matrix.identity(st.a.field, st.fixed_algebra.dim))
     with pytest.raises(NotInDomain):
         extend_phi(bad, st)
     with pytest.raises(ValueError):
-        extend_phi(st.der_fixed.basis_matrices()[0], st, branch="weird")
+        extend_phi(st.der_fixed.space._sparse[0], st, branch="weird")
 
 
 def test_bm_formula_matches_phi_when_s_has_no_derivations(flagship):
@@ -373,7 +377,7 @@ def test_bm_formula_matches_phi_when_s_has_no_derivations(flagship):
     # and the earlier published formula happens to agree with phi. The
     # genuine divergence needs the Laurent model.
     st = flagship
-    for d in st.der_fixed.basis_matrices():
+    for d in st.der_fixed.space._sparse:
         bm = bm_formula_extend(d, st)
         assert bm == extend_phi(d, st)
         assert leibniz_witness(st.ts, bm) is None
@@ -382,7 +386,7 @@ def test_bm_formula_matches_phi_when_s_has_no_derivations(flagship):
 def test_surjectivity_identities_flagship(flagship):
     st = flagship
     for idx in (0, 3):
-        rep = check_surjectivity_identities(st.der_fixed.basis_matrices()[idx], st)
+        rep = check_surjectivity_identities(st.der_fixed.space._sparse[idx], st)
         assert rep.verdict == "pass"
         assert rep.dimensions["samples-formula-1"] == 45
         assert rep.dimensions["samples-formula-4"] == 9
@@ -393,7 +397,7 @@ def test_surjectivity_identities_flagship(flagship):
 
 def test_surjectivity_identities_budget(flagship):
     st = flagship
-    rep = check_surjectivity_identities(st.der_fixed.basis_matrices()[0], st, sample_budget=5)
+    rep = check_surjectivity_identities(st.der_fixed.space._sparse[0], st, sample_budget=5)
     assert rep.dimensions["samples-exchange-I"] == 5
     assert rep.verdict == "pass"
 
@@ -401,9 +405,7 @@ def test_surjectivity_identities_budget(flagship):
 def wrap_verdict(st, budget=None):
     """(wrap-case-exercised, verdict) of the identity checks on a generic derivation."""
     f = st.a.field
-    d = Matrix.zeros(f, st.fixed_algebra.dim, st.fixed_algebra.dim)
-    for i, b in enumerate(st.der_fixed.basis_matrices()):
-        d = d.add(b.scale(f.from_int(i + 1)))
+    d = combine_rows(f, [(f.from_int(i + 1), b) for i, b in enumerate(st.der_fixed.space._sparse)])
     rep = check_surjectivity_identities(d, st, sample_budget=budget)
     return {e["name"]: e["pass"] for e in rep.assertions}["wrap-case-exercised"], rep.verdict
 
@@ -447,20 +449,20 @@ def test_trivial_periods_reduce_to_block_theorem():
     assert rep.dimensions["degree-zero-derivations"] == 7
     assert rep.dimensions["fixed-algebra-derivations"] == 7
     # the extension is the identity map here
-    d = st.der_fixed.basis_matrices()[0]
+    d = st.der_fixed.space._sparse[0]
     assert extend_phi(d, st) == d
 
 
 def test_quotient_laurent_charp_agrees_with_char0():
     f5 = make_field("prime", m=4, p=5)
     st = quotient_laurent_setup(1, 4, f5)
-    for d in st.der_fixed.basis_matrices():
+    for d in st.der_fixed.space._sparse:
         ref = extend_phi(d, st, branch="char0", n=1)
         assert extend_phi(d, st, branch="charp") == ref
         for n in (2, 3):
             assert extend_phi(d, st, branch="char0", n=n) == ref
     with pytest.raises(HypothesisNotMet):
-        extend_phi(st.der_fixed.basis_matrices()[0], st, branch="char0", n=5)
+        extend_phi(st.der_fixed.space._sparse[0], st, branch="char0", n=5)
 
 
 def test_quotient_laurent_pi_isomorphism_cyclotomic():
@@ -491,3 +493,88 @@ def test_verification_report_shape():
     assert d["hypotheses"] == [{"name": "h1", "pass": True}]
     assert d["assertions"][1] == {"name": "a2", "pass": False, "witness": "w"}
     assert "FAIL" in rep.to_text()
+
+
+# -- self-check witnesses: each mutant exits 4 through the CLI, naming an index
+
+
+def _split_samples(a, s, count=25):
+    """The tensor algebra and the splits of the derivations that verify-thm1
+    samples for the pair, in order (cli._split_sample_assertion)."""
+    ts = tensor_product(a, s)
+    f, der = ts.field, derivation_space(ts)
+    rng = random.Random(cli.SPLIT_SEED)
+    splits = []
+    for _ in range(count):
+        coeffs = [f.from_int(rng.randint(-3, 3)) for _ in range(der.dim)]
+        splits.append(split_derivation(combine_rows(f, zip(coeffs, der.space._sparse)), a, s, ts))
+    return ts, splits
+
+
+def _internal_failure(capsys, argv):
+    assert cli.run(argv + ["--json"]) == 4
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("space,part,message", [
+    ("s_module_derivations", 0, "S-linear part escaped its defining space"),
+    ("vanishing_on_left_derivations", 1, "remainder does not vanish on the left factor"),
+], ids=["s-linear", "remainder"])
+def test_a_split_part_outside_its_space_names_its_first_entry(monkeypatch, capsys, space, part, message):
+    ts, splits = _split_samples(sl2(), dual_numbers())
+    # the mutant space is zero: the first nonzero part leaves it at its first entry
+    first = next(parts[part] for parts in splits if parts[part])
+    monkeypatch.setattr(decomposition, space, lambda a, s, ts: EndoSpace(
+        ts, ts.dim, Subspace(ts.field, ts.dim * ts.dim, (), ()), "mutant"))
+    err = _internal_failure(capsys, ["verify-thm1", "--algebra", "sl2", "--s", "dual-numbers"])
+    assert f"{message} at entry {divmod(first[0][0], ts.dim)}" in err
+
+
+def test_a_restriction_leaving_the_fixed_algebra_names_the_basis_vector(monkeypatch, capsys):
+    fixed_point_algebra = decomposition.fixed_point_algebra
+
+    def mutant(algebra, grading, names=None):
+        # fixed basis vector 3 of the embedding becomes one of degree 1
+        sub, emb = fixed_point_algebra(algebra, grading, names)
+        moved = grading.components[1].rows[0]
+        return sub, Matrix(emb.field, [row[:3] + [moved[r]] + row[4:] for r, row in enumerate(emb.rows)],
+                           emb.ncols)
+
+    monkeypatch.setattr(decomposition, "fixed_point_algebra", mutant)
+    err = _internal_failure(capsys, ["verify-thm2", "--setup", "sl2-twisted-flagship"])
+    assert "degree-zero derivation moved the fixed subalgebra at basis vector 3" in err
+
+
+def test_an_extension_of_nonzero_degree_names_the_first_entry(monkeypatch, capsys, flagship):
+    st = flagship
+    f, n = st.a.field, st.ts.dim
+    tensor_automorphism = decomposition.tensor_automorphism
+
+    def mutant(aut_a, aut_s, ts):
+        # sigma + E_04 in the degree check only: phi(d) commutes with sigma, so the
+        # two sides differ where E_04 phi(d) and phi(d) E_04 do
+        aut = tensor_automorphism(aut_a, aut_s, ts)
+        sig, siginv = aut.maps()
+        aut._cache["maps"] = (combine_rows(f, [(f.one(), sig), (f.one(), ((4, f.one()),))]), siginv)
+        return aut
+
+    big = Matrix.unflatten(f, list(exactla._dense(f, n * n, extend_phi(st.der_fixed.space._sparse[0], st))), n, n)
+    e04 = Matrix(f, [[f.one() if (r, c) == (0, 4) else f.zero() for c in range(n)] for r in range(n)], n)
+    want = next((r, c) for r in range(n) for c in range(n)
+                if e04.mul(big).rows[r][c] != big.mul(e04).rows[r][c])
+    monkeypatch.setattr(decomposition, "tensor_automorphism", mutant)
+    err = _internal_failure(capsys, ["phi-eval", "--setup", "sl2-twisted-flagship"])
+    assert f"extension is not of degree zero at entry {want}" in err
+
+
+def test_an_extension_restricting_elsewhere_names_the_first_entry(monkeypatch, capsys):
+    restrict = decomposition._restrict
+
+    def mutant(big_d, setup):
+        # the restriction gains 1 at entry (0, 0)
+        f = setup.a.field
+        return combine_rows(f, [(f.one(), restrict(big_d, setup)), (f.one(), ((0, f.one()),))])
+
+    monkeypatch.setattr(decomposition, "_restrict", mutant)
+    err = _internal_failure(capsys, ["phi-eval", "--setup", "sl2-twisted-flagship"])
+    assert "extension does not restrict to the input at entry (0, 0)" in err

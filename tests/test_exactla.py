@@ -11,6 +11,9 @@ from dertensor.errors import DimensionMismatch, InternalCheckFailed, NotInDomain
 from dertensor.exactla import (
     Matrix,
     Subspace,
+    apply_map,
+    compose_maps,
+    first_difference,
     invert_matrix,
     kernel_of_rows,
     rank,
@@ -135,6 +138,44 @@ def test_sparse_row_membership():
     assert u.contains_row(())
     assert not u.contains_row(((0, Fraction(2)), (1, Fraction(3)), (2, Fraction(7))))
     assert not u.contains_row(((2, Fraction(1)),))  # nonzero off the pivots only
+    # the first column off the space, and coordinates, which are the pivot entries
+    assert u.first_outside(((0, Fraction(2)), (1, Fraction(3)), (2, Fraction(7)))) == 2
+    assert u.first_outside(((2, Fraction(1)),)) == 2
+    assert u.row_coords(((0, Fraction(2)), (1, Fraction(3)), (2, Fraction(8)))) == [Fraction(2), Fraction(3)]
+    assert u.row_coords(((1, Fraction(1)), (2, Fraction(2)))) == [Fraction(0), Fraction(1)]
+    with pytest.raises(NotInDomain):
+        u.row_coords(((2, Fraction(1)),))
+    # a member written with an explicit zero is not in canonical form, and is refused
+    assert not u.contains_row(((0, Fraction(1)), (1, Fraction(0)), (2, Fraction(1))))
+
+
+def test_first_difference_of_sparse_rows():
+    assert first_difference(((0, 1), (2, 3)), ((0, 1), (2, 3))) is None
+    assert first_difference(((0, 1), (2, 3)), ((0, 1), (1, 5), (2, 3))) == 1
+    assert first_difference(((0, 1), (2, 3)), ((0, 1), (2, 4))) == 2
+    assert first_difference((), ((4, 1),)) == 4
+
+
+@pytest.mark.parametrize("fld", [QQ, F31, Z3], ids=["Q", "F31", "Q(zeta3)"])
+def test_apply_and_compose_maps_match_dense_products(fld):
+    rng = random.Random(17)
+    zeta = Z3.root_of_unity(3)
+
+    def entry():  # zero half the time; a small integer, plus a multiple of zeta over Q(zeta3)
+        if rng.random() < 0.5:
+            return fld.zero()
+        x = fld.from_int(rng.randint(-5, 5))
+        return fld.add(x, fld.mul(fld.from_int(rng.randint(-3, 3)), zeta)) if fld is Z3 else x
+
+    for n, blocks in ((1, 3), (2, 2), (3, 1), (3, 2), (4, 3)):
+        for _ in range(5):
+            x, y = (Matrix(fld, [[entry() for _ in range(n)] for _ in range(n)], n) for _ in range(2))
+            sx, sy = sparse_rows(fld, [x.flatten(), y.flatten()])
+            v = [entry() for _ in range(n * blocks)]
+            # (id tensor x) v is x applied to each block of n coordinates
+            assert apply_map(fld, sx, n, v) == [w for b in range(blocks) for w in x.matvec(v[b * n:(b + 1) * n])]
+            # x y applies y first
+            assert compose_maps(fld, sx, sy, n) == sparse_rows(fld, [x.mul(y).flatten()])[0]
 
 
 def test_solve_unique_and_inverse():

@@ -20,7 +20,7 @@ from dertensor.errors import (
     NotInDomain,
     ParseError,
 )
-from dertensor.exactla import Matrix
+from dertensor.exactla import Matrix, apply_map, sparse_rows
 from dertensor.gradings import check_automorphism
 from dertensor.laurent import (
     FORWARD,
@@ -366,8 +366,8 @@ def ad_h_on_flagship():
 
     It fixes the degree-zero part, and it descends along exponent reduction,
     unlike a coefficient derivation p(z) d/dz whose value on z^T - 1 is not
-    zero. Yields the finite setup, its fixed-point matrix and ad_h itself,
-    the derivation on the loop carrier.
+    zero. Yields the finite setup, its fixed-point map (sparse flattened)
+    and ad_h itself, the derivation on the loop carrier.
     """
     f = Q
     a = sl2(f)
@@ -387,7 +387,7 @@ def ad_h_on_flagship():
                                                   for j in range(kdim)]))
         cols.append(setup.fixed_coords(img))
     dmat = Matrix(f, [[cols[j][i] for j in range(kdim)] for i in range(kdim)], kdim)
-    return a, aut, setup, dmat, ad_h
+    return a, aut, setup, sparse_rows(f, [dmat.flatten()])[0], ad_h
 
 
 def assert_carriers_agree(ad_h_on_flagship, finite, loop):
@@ -401,7 +401,7 @@ def assert_carriers_agree(ad_h_on_flagship, finite, loop):
         for exp in range(-3, 4):
             tgt = LoopElement.term(a, a.basis_vector(bidx), exp)
             loop_img = ext(tgt)
-            assert qmap.apply(loop_img) == big.matvec(qmap.apply(tgt))
+            assert qmap.apply(loop_img) == apply_map(Q, big, setup.ts.dim, qmap.apply(tgt))
 
 
 def test_windowed_square_with_inner_carrier_derivation(ad_h_on_flagship):

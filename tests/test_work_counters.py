@@ -16,20 +16,24 @@ kernel reaches exactla.rref_rows by its module name with every row so far
 (the benchmark counts systems by wrapping it there), and a command
 builds its own subparser only, and the tensor maps of psi, of the embedded
 D(A) (x) S and C(A) (x) D(S) and of the module derivations are built
-sparse, with no dense matrix flattened or unflattened. Checks that a cheaper one implies stay removed: the tensor
+sparse, with no dense matrix flattened or unflattened, and a derivation
+stays one sparse row from the solver to the report of verify-thm2, bm-eval
+and verify-thm1. Checks that a cheaper one implies stay removed: the tensor
 automorphism is not re-validated, no grading of a finite setup builds its
 projections, and only verify-lemma21 and psi-check test psi for
 multiplicativity. A --u unit builds its Setup once.
 """
 
 import argparse
+import collections
+import sys
 
 import pytest
 
 from dertensor import algebra, cli, decomposition, exactla, gradings, invariants, laurent
 from dertensor.catalog import catalog_setup, diagonal_matrix, group_algebra, sl2
 from dertensor.errors import NotInDomain
-from dertensor.exactla import Matrix, Subspace
+from dertensor.exactla import Matrix, Subspace, vec_add, vec_scale
 from dertensor.gradings import Grading, check_automorphism, grading_from_automorphism
 from dertensor.scalars import make_field
 
@@ -263,10 +267,10 @@ def test_gradings_are_never_shared_between_automorphisms():
         assert g.m == period
         # the projections rebuild this automorphism, not an earlier one
         w = f.root_of_unity(period)
-        acc = Matrix.zeros(f, 3, 3)
+        acc = [f.zero()] * 9
         for i, p in enumerate(g.projections(f)):
-            acc = acc.add(p.scale(f.pow(w, i)))
-        assert acc == mat
+            acc = vec_add(f, acc, vec_scale(f, f.pow(w, i), p.flatten()))
+        assert acc == mat.flatten()
         assert all(g is not h for h in seen)
         seen.append(g)
         del aut  # a later automorphism may reuse this one's id()
@@ -316,7 +320,7 @@ def test_identity_checker_computes_each_building_block_once(monkeypatch, capsys)
 
 def test_d_eval_memo_never_caches_a_refusal_or_a_mutation(monkeypatch):
     st = catalog_setup("sl2-twisted-flagship")
-    ev = st.d_eval(st.der_fixed.basis_matrices()[0])
+    ev = st.d_eval(st.der_fixed.space._sparse[0])
     calls = []
     fixed_coords = decomposition.Setup.fixed_coords
 
@@ -341,13 +345,13 @@ def test_d_eval_memo_never_caches_a_refusal_or_a_mutation(monkeypatch):
 
 def test_loop_pieces_visit_only_occupied_degrees(monkeypatch, capsys):
     combines = []
-    combine = laurent._combine
+    combine = laurent.combine_rows
 
     def counted(*args):
         combines.append(args)
         return combine(*args)
 
-    monkeypatch.setattr(laurent, "_combine", counted)
+    monkeypatch.setattr(laurent, "combine_rows", counted)
     assert cli.run(["phi-eval", "--setup", "last-exa-ii", "--m", "32", "--json"]) == 0
     capsys.readouterr()
     # 5 values of n times 4m + 1 monomial targets, each a single term of
@@ -424,28 +428,69 @@ def test_a_given_unit_builds_the_setup_once(monkeypatch, capsys):
     assert [(kw["q"], kw["u"]) for kw in built] == [(1, group_algebra(4).basis_vector(3))]
 
 
+def _dense_forms(monkeypatch, least=0):
+    """A counter of Matrix.flatten and Matrix.unflatten calls and Subspace.rows
+    reads, keyed by (name, calling function), on spaces of ambient dimension
+    at least `least`; a matrix's ambient is its flattened length."""
+    calls = collections.Counter()
+    flatten, unflatten, rows = Matrix.flatten, Matrix.unflatten.__func__, Subspace.rows.fget
+
+    def note(name, size):
+        if size >= least:
+            calls[name, sys._getframe(2).f_code.co_name] += 1
+
+    def counted_flatten(self):
+        note("flatten", self.nrows * self.ncols)
+        return flatten(self)
+
+    def counted_unflatten(cls, field, flat, nrows, ncols):
+        note("unflatten", len(flat))
+        return unflatten(cls, field, flat, nrows, ncols)
+
+    def counted_rows(self):
+        note("rows", self.ambient)
+        return rows(self)
+
+    monkeypatch.setattr(Matrix, "flatten", counted_flatten)
+    monkeypatch.setattr(Matrix, "unflatten", classmethod(counted_unflatten))
+    monkeypatch.setattr(Subspace, "rows", property(counted_rows))
+    return calls
+
+
 def test_tensor_maps_take_no_dense_round_trip(monkeypatch):
     # psi's images, the embedded D(A) (x) S and C(A) (x) D(S), the maps
     # id (x) R_{b_j} and the commutation rows of D(A) are all built on
     # sparse flattened basis rows (exactla.sparse_kron), never dense matrices
-    calls = []
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(Matrix, "flatten", counted("flatten", Matrix.flatten))
-    monkeypatch.setattr(Matrix, "unflatten", classmethod(counted("unflatten", Matrix.unflatten.__func__)))
-    monkeypatch.setattr(invariants.EndoSpace, "basis_matrices",
-                        counted("basis_matrices", invariants.EndoSpace.basis_matrices))
+    calls = _dense_forms(monkeypatch)
     a, s = sl2(), group_algebra(3)
     ts = algebra.tensor_product(a, s)
     assert invariants.psi_map(a, s, ts).bijective
     assert [e.dim for e in decomposition.embed_tensor_derivations(a, s, ts)] == [9, 0]
     assert invariants.s_module_derivations(a, s, ts).dim == 9
     assert invariants.differential_centroid(a).dim == 1
-    assert calls == []
+    assert calls == {}
     Matrix.identity(a.field, 2).flatten()  # the counter sees a call
-    assert calls == ["flatten"]
+    assert calls == {("flatten", "test_tensor_maps_take_no_dense_round_trip"): 1}
+
+
+@pytest.mark.parametrize("argv,want", [
+    # a derivation stays one sparse flattened row from the solver to the
+    # report; the dense forms left are the automorphism's: sigma and
+    # sigma^-1 of the 4-dimensional right factor made sparse once
+    # (Automorphism.maps), the tensor automorphism's matrix for its
+    # eigenspace grading, the left multiplication that solve_unique inverts
+    # while finding the graded unit, and the inverse of the pair basis
+    # (Setup.pair_basis_inverse) made sparse once per Setup
+    (["verify-thm2", "--setup", "sl2-twisted-flagship", "--json"],
+     {("flatten", "maps"): 2, ("unflatten", "tensor_automorphism"): 1,
+      ("unflatten", "left_mult_matrix"): 1, ("flatten", "build"): 1}),
+    (["bm-eval", "--setup", "sl2-twisted-flagship", "--json"],
+     {("flatten", "maps"): 2, ("unflatten", "tensor_automorphism"): 1,
+      ("unflatten", "left_mult_matrix"): 1, ("flatten", "build"): 1}),
+    (["verify-thm1", "--algebra", "sl2", "--s", "group-algebra(3)", "--json"], {}),
+], ids=["verify-thm2", "bm-eval", "verify-thm1"])
+def test_derivations_stay_sparse_from_solver_to_report(monkeypatch, capsys, argv, want):
+    calls = _dense_forms(monkeypatch, 16)
+    assert cli.run(argv) == 0
+    capsys.readouterr()
+    assert calls == want
