@@ -6,8 +6,9 @@ like associativity are checked on demand and cached. Caches live on the
 instance and algebras are immutable by convention, so a cached flag can never
 drift from recomputation (tests clear caches and recompute to enforce this).
 
-Matrices of operators use the column convention: the image of basis vector j
-is column j. Composition of operators is then plain matrix product.
+Operators use the column convention: the image of basis vector j is column
+j. They are sparse flattened maps (see exactla), so composition is
+exactla.compose_maps.
 
 Tensor products order the basis pairs (i, j) as i * dim(S) + j. Every module
 in the package relies on that single convention.
@@ -23,7 +24,7 @@ from .errors import (
     ParseError,
     SingularElement,
 )
-from .exactla import Matrix, Subspace, _dense, canonical_row, combine_rows, solve_unique
+from .exactla import Subspace, canonical_row, combine_rows, map_rows, solve_unique
 from .scalars import CYCLOTOMIC, PRIME, RATIONAL, FieldDescriptor, make_field
 
 
@@ -74,8 +75,8 @@ class Algebra:
         return out
 
     def mult_map(self, x: list) -> tuple:
-        """Left multiplication by x as a sparse flattened map, row-major as
-        Matrix.flatten: column c is x b_c."""
+        """Left multiplication by x as a sparse flattened map (see exactla):
+        column c is x b_c."""
         f, n = self.field, self.dim
         acc = {}
         for i, xi in enumerate(x):
@@ -84,10 +85,6 @@ class Algebra:
                     for k, t in self._nz[i][c]:
                         acc[k * n + c] = f.add(acc.get(k * n + c, f.zero()), f.mul(xi, t))
         return canonical_row(f, acc)
-
-    def left_mult_matrix(self, x: list) -> Matrix:
-        n = self.dim
-        return Matrix.unflatten(self.field, _dense(self.field, n * n, self.mult_map(x)), n, n)
 
     def left_mult_operators(self) -> list:
         """Left multiplications by every basis vector as sparse flattened maps (cached)."""
@@ -120,18 +117,18 @@ class Algebra:
         return self._cache["unit"]
 
     def _find_unit(self):
-        # solve L_u = id and R_u = id as a linear system in u
-        f = self.field
-        z, o = f.zero(), f.one()
-        rows, rhs = [], []
-        for j in range(self.dim):
-            for k in range(self.dim):
-                rows.append([self.table[i][j][k] for i in range(self.dim)])
-                rhs.append(o if j == k else z)
-                rows.append([self.table[j][i][k] for i in range(self.dim)])
-                rhs.append(o if j == k else z)
+        # solve L_u = id and R_u = id in u: entry (k, j) of L_u = sum_i u_i L_{b_i},
+        # and of R_u, row k of L_{b_j} applied to u
+        n, ops = self.dim, self.left_mult_operators()
+        left, one = {}, ((n, self.field.one()),)
+        for i, op in enumerate(ops):
+            for rc, t in op:
+                left.setdefault(divmod(rc, n), []).append((i, t))
+        right = {(k, j): row for j, op in enumerate(ops) for k, row in map_rows(op, n).items()}
+        rows = [tuple(side.get((k, j), ())) + (one if k == j else ())
+                for side in (left, right) for k in range(n) for j in range(n)]
         try:
-            return solve_unique(Matrix(f, rows, self.dim), rhs)
+            return _solve_vector(self.field, rows, n)
         except SingularElement:
             return None
 
@@ -284,11 +281,11 @@ def tensor_vector(a: Algebra, s: Algebra, x: list, y: list) -> list:
     return out
 
 
-def subalgebra_on(a: Algebra, span: Subspace, names: list[str] | None = None):
+def subalgebra_on(a: Algebra, span: Subspace, names: list[str] | None = None) -> Algebra:
     """Restrict the product to a subspace that must be closed under it.
 
-    Returns (subalgebra, embedding) where the embedding matrix has the chosen
-    basis vectors as columns. Raises NotClosed with a witness pair otherwise.
+    The subalgebra's basis is the span's RREF basis. Raises NotClosed with a
+    witness pair otherwise.
     """
     if span.ambient != a.dim:
         raise DimensionMismatch(f"subspace of dim-{span.ambient} space inside dim-{a.dim} algebra")
@@ -305,9 +302,12 @@ def subalgebra_on(a: Algebra, span: Subspace, names: list[str] | None = None):
         table.append(row)
     if names is None:
         names = [f"u{t}" for t in range(k)]
-    sub = Algebra(a.field, names, table)
-    embedding = Matrix(a.field, [[basis[t][r] for t in range(k)] for r in range(a.dim)], k)
-    return sub, embedding
+    return Algebra(a.field, names, table)
+
+
+def _solve_vector(field, rows, n: int) -> list:
+    """The unique x with A x = b, given the sparse rows of [A | b], as a dense vector."""
+    return [row[0][1] if row else field.zero() for row in solve_unique(field, rows, n)]
 
 
 def invert_element(a: Algebra, x: list) -> list:
@@ -315,7 +315,9 @@ def invert_element(a: Algebra, x: list) -> list:
     unit = a.unit()
     if unit is None:
         raise NotUnital()
-    inv = solve_unique(a.left_mult_matrix(x), unit)
+    f, n, lx = a.field, a.dim, map_rows(a.mult_map(x), a.dim)
+    inv = _solve_vector(f, [tuple(lx.get(k, ())) + (((n, u),) if f.nonzero(u) else ())
+                            for k, u in enumerate(unit)], n)
     if a.mult(inv, x) != unit:
         raise SingularElement("left inverse is not two-sided")
     return inv

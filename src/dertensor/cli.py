@@ -318,8 +318,7 @@ def cmd_fixed(args) -> int:
     rep.dim("fixed", st.fixed_algebra.dim)
     lines = []
     f = st.a.field
-    for t in range(st.fixed_algebra.dim):
-        vec = st.fixed_embedding.column(t)
+    for t, vec in enumerate(st.fixed_space.rows):
         txt = " + ".join(
             f"{f.format(c)}*{st.ts.names[i]}" for i, c in enumerate(vec) if not f.is_zero(c))
         lines.append(f"basis {t}: {txt}")
@@ -510,7 +509,8 @@ def _t_derivation(a, m: int, n: int):
         out = {}
         for exp, vec in x.support.items():
             if exp % m:
-                raise InternalCheckFailed("derivation argument escaped the degree-zero part")
+                raise InternalCheckFailed(f"derivation argument escaped the degree-zero part: "
+                                          f"exponent {exp} is not a multiple of m = {m}")
             k = exp // m
             out[m * (n + k)] = [f.mul(f.from_int(k), c) for c in vec]
         return LoopElement(a, out)

@@ -26,8 +26,8 @@ from .errors import (
     NotPerfect,
     PsiNotIso,
 )
-from .exactla import (Matrix, Subspace, apply_map, combine_rows, compose_maps, first_difference, invert_matrix,
-                      sparse_kron, sparse_rows, vec_add, vec_scale, vec_sub)
+from .exactla import (Subspace, apply_map, combine_rows, compose_maps, first_difference, invert_map,
+                      map_of_columns, sparse_kron, vec_add, vec_scale, vec_sub)
 from .gradings import (
     Automorphism,
     Grading,
@@ -104,11 +104,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _map_of_columns(field, cols: list[list]) -> tuple:
-    """The sparse flattened square map whose column p is the dense vector cols[p]."""
-    return sparse_rows(field, [[x for row in zip(*cols) for x in row]])[0]
-
-
 class Setup:
     """A validated instance of the fixed-point decomposition hypotheses.
 
@@ -150,7 +145,7 @@ class Setup:
         if not psi_map(a, s, self.ts).bijective:
             raise PsiNotIso("centroid tensor map is not bijective")
         self.fixed_space = self.grading_ts.components[0]
-        self.fixed_algebra, self.fixed_embedding = fixed_point_algebra(self.ts, self.grading_ts)
+        self.fixed_algebra = fixed_point_algebra(self.ts, self.grading_ts)
         self._upow = {}
         self._lmat = {}
         self._lazy = {}
@@ -277,8 +272,8 @@ class Setup:
     def pair_basis_inverse(self) -> tuple:
         """Inverse of the matrix whose columns are the graded pair vectors, sparse flattened."""
         def build():
-            f, cols = self.a.field, [p[4] for p in self.graded_pair_basis]
-            return sparse_rows(f, [invert_matrix(Matrix(f, list(zip(*cols)), self.ts.dim)).flatten()])[0]
+            f = self.a.field
+            return invert_map(f, map_of_columns(f, [p[4] for p in self.graded_pair_basis]), self.ts.dim)
         return self._get("pairs_inv", build)
 
 
@@ -303,7 +298,7 @@ def split_derivation(delta, a: Algebra, s: Algebra, ts: Algebra | None = None):
     for i in range(a.dim):
         img = apply_map(f, delta, n, tensor_vector(a, s, a.basis_vector(i), one))
         cols += [apply_map(f, lj, s.dim, img) for lj in s.left_mult_operators()]
-    d = _map_of_columns(f, cols)
+    d = map_of_columns(f, cols)
     rem = combine_rows(f, ((f.one(), delta), (f.neg(f.one()), d)))
     slin = s_module_derivations(a, s, ts)
     vanish = vanishing_on_left_derivations(a, s, ts)
@@ -312,8 +307,9 @@ def split_derivation(delta, a: Algebra, s: Algebra, ts: Algebra | None = None):
     if (c := vanish.space.first_outside(rem)) is not None:
         raise InternalCheckFailed(f"remainder does not vanish on the left factor at entry {divmod(c, n)}")
     if "split_direct" not in ts._cache:
-        if slin.space.intersect(vanish.space).dim != 0:
-            raise InternalCheckFailed("the two summand spaces overlap")
+        if (inter := slin.space.intersect(vanish.space)).dim != 0:
+            raise InternalCheckFailed(f"the two summand spaces overlap, first at entry "
+                                      f"{divmod(inter._sparse[0][0][0], n)}")
         ts._cache["split_direct"] = True
     return d, rem
 
@@ -433,12 +429,12 @@ def verify_graded_decomposition(setup: Setup) -> VerificationReport:
 def _restrict(big_d, setup: Setup) -> tuple:
     """big_d on the fixed-point algebra, in its coordinates; the image must stay inside it."""
     f, n, cols = setup.a.field, setup.ts.dim, []
-    for t in range(setup.fixed_algebra.dim):
+    for t, x in enumerate(setup.fixed_space.rows):
         try:
-            cols.append(setup.fixed_coords(apply_map(f, big_d, n, setup.fixed_embedding.column(t))))
+            cols.append(setup.fixed_coords(apply_map(f, big_d, n, x)))
         except NotInDomain:
             raise InternalCheckFailed(f"degree-zero derivation moved the fixed subalgebra at basis vector {t}")
-    return _map_of_columns(f, cols)
+    return map_of_columns(f, cols)
 
 
 def restrict_pi(big_d, setup: Setup) -> tuple:
@@ -451,8 +447,9 @@ def restrict_pi(big_d, setup: Setup) -> tuple:
     if not setup.der_ts_grading.components[0].contains_row(big_d):
         raise NotInDomain("not a degree-zero derivation of the tensor algebra")
     r = _restrict(big_d, setup)
-    if not setup.der_fixed.space.contains_row(r):
-        raise InternalCheckFailed("restriction is not a derivation of the fixed algebra")
+    if (c := setup.der_fixed.space.first_outside(r)) is not None:
+        raise InternalCheckFailed(f"restriction is not a derivation of the fixed algebra at entry "
+                                  f"{divmod(c, setup.fixed_algebra.dim)}")
     return r
 
 
@@ -554,11 +551,11 @@ def extend_phi(d, setup: Setup, branch: str = "char0", n: int = 1) -> tuple:
         if n == 0 or (p and (n % p == 0)):
             raise HypothesisNotMet(f"n = {n} is not invertible here", "invertible-n")
         cols = _phi(_Coords(setup), ev, _pair_pieces(setup), setup.m * n)
-    big = compose_maps(f, _map_of_columns(f, cols), setup.pair_basis_inverse, nts)
+    big = compose_maps(f, map_of_columns(f, cols), setup.pair_basis_inverse, nts)
     wit = leibniz_witness(setup.ts, big)
     if wit is not None:
         raise InternalCheckFailed(f"extension violates the derivation law on pair {wit[:2]}")
-    sig = setup.aut.maps()[0]
+    sig = setup.aut.maps[0]
     if (c := first_difference(compose_maps(f, sig, big, nts), compose_maps(f, big, sig, nts))) is not None:
         raise InternalCheckFailed(f"extension is not of degree zero at entry {divmod(c, nts)}")
     if (c := first_difference(_restrict(big, setup), d)) is not None:
@@ -579,7 +576,7 @@ def bm_formula_extend(d, setup: Setup) -> tuple:
     q = setup.unit_data.q
     cols = [_residue_shift(c, ev, avec, b, es, q) for avec, _, b, es in _pair_pieces(setup)]
     f = setup.a.field
-    return compose_maps(f, _map_of_columns(f, cols), setup.pair_basis_inverse, setup.ts.dim)
+    return compose_maps(f, map_of_columns(f, cols), setup.pair_basis_inverse, setup.ts.dim)
 
 
 # ---------------------------------------------------------------------------

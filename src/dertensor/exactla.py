@@ -1,4 +1,4 @@
-"""Exact linear algebra: matrices, a sparse canonical RREF, kernels, subspaces.
+"""Exact linear algebra: a sparse canonical RREF, kernels, subspaces, sparse maps.
 
 Everything is deterministic. Systems are eliminated as sparse rows with
 leftmost pivots and back-substituted to the reduced row echelon form. Since
@@ -7,9 +7,10 @@ integer elimination for rationals, mod-p, generic field ops) cannot
 disagree. A Subspace is stored as the RREF of any spanning set, so subspace
 equality is literal basis equality.
 
-Matrices are lists of lists of raw field values (see scalars). They are
-treated as immutable after construction; nothing here mutates a caller's
-matrix.
+A linear map of field^n is one sparse row, flattened row-major: entry (r, c)
+sits at column r n + c. A Matrix, lists of lists of raw field values (see
+scalars), is only the dense form in which an automorphism is written; it is
+treated as immutable after construction.
 """
 
 from __future__ import annotations
@@ -76,35 +77,6 @@ class Matrix:
             out.append(orow)
         return Matrix(f, out, other.ncols)
 
-    def matvec(self, vec: list) -> list:
-        if len(vec) != self.ncols:
-            raise DimensionMismatch(f"vector length {len(vec)} vs {self.ncols} columns")
-        f = self.field
-        z, nz = f.zero(), f.nonzero
-        vnz = [(k, b) for k, b in enumerate(vec) if nz(b)]
-        out = []
-        for row in self.rows:
-            acc = z
-            for k, b in vnz:
-                a = row[k]
-                if nz(a):
-                    acc = f.add(acc, f.mul(a, b))
-            out.append(acc)
-        return out
-
-    def column(self, j: int) -> list:
-        return [row[j] for row in self.rows]
-
-    def flatten(self) -> list:
-        """Row-major flattening, the convention for endomorphism coordinates."""
-        return [x for row in self.rows for x in row]
-
-    @classmethod
-    def unflatten(cls, field, flat: list, nrows: int, ncols: int) -> "Matrix":
-        if len(flat) != nrows * ncols:
-            raise DimensionMismatch(f"{len(flat)} entries for {nrows}x{ncols}")
-        return cls(field, [list(flat[i * ncols : (i + 1) * ncols]) for i in range(nrows)], ncols)
-
 
 # -- vectors (plain lists of raw values) -----------------------------------
 
@@ -150,9 +122,14 @@ def map_rows(m, n: int) -> dict:
     return rows
 
 
+def map_of_columns(field, cols) -> tuple:
+    """The sparse flattened square map whose column p is the dense vector cols[p]."""
+    return sparse_rows(field, [[x for row in zip(*cols) for x in row]])[0]
+
+
 def sparse_kron(field, x, nx, y, ny) -> tuple:
     """The Kronecker product of the sparse flattened maps x (nx by nx) and y
-    (ny by ny), flattened row-major as Matrix.flatten: row (i1, i2) is
+    (ny by ny), flattened row-major (entry (r, c) at r n + c): row (i1, i2) is
     i1 ny + i2, and so is column (i1, i2). The one place that index is built."""
     n = nx * ny
     xr, yr = map_rows(x, nx), map_rows(y, ny)
@@ -376,16 +353,6 @@ def rref_rows(field, rows, ncols):
     return [tuple((j, field.from_fraction(x)) for j, x in row) for row in red], pivots, sources
 
 
-def rref(matrix: Matrix):
-    f, nc = matrix.field, matrix.ncols
-    rows, pivots, _ = rref_rows(f, sparse_rows(f, matrix.rows), nc)
-    return Matrix(f, [_dense(f, nc, r) for r in rows], nc), tuple(pivots)
-
-
-def rank(matrix: Matrix) -> int:
-    return len(rref(matrix)[1])
-
-
 class Subspace:
     """A subspace of field^ambient, held as the canonical RREF basis.
 
@@ -581,28 +548,20 @@ def _certify(field, rows, ker, nullity, pivot_rows, tag):
         raise InternalCheckFailed(f"kernel {tag!r}: {ker.dim} basis vectors for nullity {nullity}")
 
 
-def solve_unique(matrix: Matrix, rhs: list) -> list:
-    """The unique solution of M x = rhs; SingularElement if none or many."""
-    if len(rhs) != matrix.nrows:
-        raise DimensionMismatch(f"rhs length {len(rhs)} vs {matrix.nrows} rows")
-    n = matrix.ncols
-    aug = sparse_rows(matrix.field, [row + [b] for row, b in zip(matrix.rows, rhs)])
-    red, pivots, _ = rref_rows(matrix.field, aug, n + 1)
-    if n in pivots:
+def solve_unique(field, rows, n: int, k: int = 1) -> list:
+    """The sparse rows of the unique X with A X = B, given the sparse rows of
+    [A | B] (A with n columns, B with k); SingularElement if none or many."""
+    red, pivots, _ = rref_rows(field, rows, n + k)
+    if pivots and pivots[-1] >= n:
         raise SingularElement("inconsistent linear system")
     if len(pivots) < n:
         raise SingularElement("underdetermined linear system")
-    return [dict(prow).get(n, matrix.field.zero()) for prow in red]
+    # pivot row i is 1 at column i, and every other column of A is a pivot
+    return [tuple((j - n, x) for j, x in row[1:]) for row in red]
 
 
-def invert_matrix(matrix: Matrix) -> Matrix:
-    if matrix.nrows != matrix.ncols:
-        raise DimensionMismatch("only square matrices invert")
-    n = matrix.nrows
-    f = matrix.field
-    eye = Matrix.identity(f, n)
-    aug = sparse_rows(f, [row + erow for row, erow in zip(matrix.rows, eye.rows)])
-    red, pivots, _ = rref_rows(f, aug, 2 * n)
-    if list(pivots) != list(range(n)):
-        raise SingularElement("matrix is singular")
-    return Matrix(f, [list(_dense(f, 2 * n, row)[n:]) for row in red], n)
+def invert_map(field, m, n: int) -> tuple:
+    """The inverse of the sparse flattened n by n map m: solve_unique against the identity."""
+    rows, one = map_rows(m, n), field.one()
+    x = solve_unique(field, [tuple(rows.get(r, ())) + ((n + r, one),) for r in range(n)], n, n)
+    return tuple((r * n + c, v) for r, row in enumerate(x) for c, v in row)

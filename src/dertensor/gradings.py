@@ -30,8 +30,8 @@ from .errors import (
     SingularElement,
     WrongPeriod,
 )
-from .exactla import (Matrix, Subspace, _dense, compose_maps, invert_matrix, rank, sparse_kron, sparse_rows,
-                      vec_is_zero)
+from .exactla import (Matrix, Subspace, apply_map, combine_rows, compose_maps, invert_map, map_of_columns,
+                      map_rows, sparse_kron, vec_is_zero)
 from .invariants import EndoSpace
 
 COMBO_BUDGET = 64  # small integer combinations tried by find_graded_unit
@@ -45,63 +45,57 @@ def eps(i: int, m: int) -> int:
 class Automorphism:
     """A validated automorphism of declared period; immutable by convention.
 
-    Data derived from it alone is memoised in _cache: its grading and its
-    sparse maps.
+    maps holds sigma and sigma^-1 as sparse flattened maps (see exactla).
+    Its grading, derived from it alone, is memoised in _cache.
     """
 
-    __slots__ = ("algebra", "matrix", "period", "_cache")
+    __slots__ = ("algebra", "maps", "period", "_cache")
 
-    def __init__(self, algebra: Algebra, matrix: Matrix, period: int):
+    def __init__(self, algebra: Algebra, maps: tuple, period: int):
         self.algebra = algebra
-        self.matrix = matrix
+        self.maps = maps
         self.period = period
         self._cache = {}
-
-    def maps(self) -> tuple:
-        """sigma and sigma^-1 as sparse flattened maps."""
-        if "maps" not in self._cache:
-            dense = (self.matrix.flatten(), invert_matrix(self.matrix).flatten())
-            self._cache["maps"] = tuple(sparse_rows(self.algebra.field, dense))
-        return self._cache["maps"]
 
     def __repr__(self):
         return f"Automorphism(period {self.period} of dim-{self.algebra.dim} algebra)"
 
 
 def check_automorphism(algebra: Algebra, matrix: Matrix, period: int) -> Automorphism:
-    """Validate multiplicativity and the declared period; wrap on success."""
-    n = algebra.dim
+    """Validate invertibility (by computing sigma^-1), multiplicativity and
+    the declared period; wrap on success. The one reader of a dense Matrix."""
+    f, n = algebra.field, algebra.dim
     if matrix.nrows != n or matrix.ncols != n:
         raise DimensionMismatch(f"{matrix.nrows}x{matrix.ncols} matrix on dim-{n} algebra")
     if period < 1:
         raise WrongPeriod(f"period must be positive, got {period}")
-    if rank(matrix) != n:
+    sig = tuple((r * n + c, x) for r, row in enumerate(matrix.rows) for c, x in enumerate(row) if f.nonzero(x))
+    try:
+        siginv = invert_map(f, sig, n)
+    except SingularElement:
         raise NotAutomorphism("matrix is singular")
+    cols = [apply_map(f, sig, n, algebra.basis_vector(i)) for i in range(n)]
     for i in range(n):
-        ci = matrix.column(i)
         for j in range(n):
-            lhs = matrix.matvec(algebra.table[i][j])
-            rhs = algebra.mult(ci, matrix.column(j))
-            if lhs != rhs:
+            if apply_map(f, sig, n, algebra.table[i][j]) != algebra.mult(cols[i], cols[j]):
                 raise NotAutomorphism(f"not multiplicative on basis pair ({i},{j})")
-    power = Matrix.identity(algebra.field, n)
+    power = eye = tuple((i * n + i, f.one()) for i in range(n))
     for _ in range(period):
-        power = power.mul(matrix)
-    if power != Matrix.identity(algebra.field, n):
+        power = compose_maps(f, power, sig, n)
+    if power != eye:
         raise WrongPeriod(f"matrix to the power {period} is not the identity")
-    return Automorphism(algebra, matrix, period)
+    return Automorphism(algebra, (sig, siginv), period)
 
 
 class Grading:
     """A direct-sum decomposition indexed by residues mod m."""
 
-    __slots__ = ("m", "ambient", "components", "_projections", "_parts")
+    __slots__ = ("m", "ambient", "components", "_parts")
 
     def __init__(self, m: int, ambient: int, components: list[Subspace]):
         self.m = m
         self.ambient = ambient
         self.components = list(components)
-        self._projections = None
         self._parts = None
 
     @property
@@ -128,35 +122,30 @@ class Grading:
                 return i
         return None
 
-    def projections(self, field) -> list[Matrix]:
-        """Projection matrices onto each component (cached): component i's basis
-        columns times their rows of Q^-1, Q holding every basis as columns."""
-        if self._projections is None:
-            n = self.ambient
-            q = [list(r) for r in zip(*(v for c in self.components for v in c.rows))]
-            qinv = invert_matrix(Matrix(field, q, n))
-            projs, start = [], 0
-            for comp in self.components:
-                cols = Matrix(field, [list(r) for r in zip(*comp.rows)] if comp.dim else [[]] * n, comp.dim)
-                projs.append(cols.mul(Matrix(field, qinv.rows[start:start + comp.dim], n)))
-                start += comp.dim
-            self._projections = projs
-        return self._projections
-
     def basis_parts(self, field) -> list[dict]:
-        """Per residue, i -> column i of its projection as a sparse row, where nonzero (cached)."""
+        """Per residue d, i -> the degree-d part of basis vector e_i as a sparse
+        row, where nonzero (cached). Row i of the inverse of the stacked
+        component bases holds e_i's coefficients on the basis vectors."""
         if self._parts is None:
-            self._parts = [{i: c for i, c in enumerate(sparse_rows(field, zip(*p.rows))) if c}
-                           for p in self.projections(field)]
+            n, basis = self.ambient, [row for c in self.components for row in c._sparse]
+            stacked = tuple((t * n + c, x) for t, row in enumerate(basis) for c, x in row)
+            coeffs = map_rows(invert_map(field, stacked, n), n)
+            self._parts, start = [], 0
+            for comp in self.components:
+                block = range(start, start + comp.dim)
+                parts = {i: combine_rows(field, ((x, basis[t]) for t, x in row if t in block))
+                         for i, row in coeffs.items()}
+                self._parts.append({i: p for i, p in parts.items() if p})
+                start += comp.dim
         return self._parts
 
     def __repr__(self):
         return f"Grading(mod {self.m}, dims {self.component_dims})"
 
 
-def _eigenspace_grading(space: Subspace, op: Matrix, m: int, tag: str) -> Grading:
-    """Component i = {x in space : op x = omega^i x}, op acting on the space's
-    coordinates (column convention), cut with Subspace.cut.
+def _eigenspace_grading(space: Subspace, op, m: int, tag: str) -> Grading:
+    """Component i = {x in space : op x = omega^i x}, op the sparse flattened
+    map of the space's coordinates (see exactla), cut with Subspace.cut.
 
     Checks: each cut is a certified kernel, so op is omega^i on component i;
     omega^0 ... omega^(m-1) are distinct, so the components are independent;
@@ -164,7 +153,7 @@ def _eigenspace_grading(space: Subspace, op: Matrix, m: int, tag: str) -> Gradin
     asks the field for no root of unity.
     """
     f, k = space.field, space.dim
-    if op == Matrix.identity(f, k):
+    if op == tuple((i * k + i, f.one()) for i in range(k)):
         return Grading(m, space.ambient, [space] + [Subspace(f, space.ambient, (), ())] * (m - 1))
     omega = f.root_of_unity(m)
     powers, seen = [f.pow(omega, i) for i in range(m)], {}
@@ -172,12 +161,11 @@ def _eigenspace_grading(space: Subspace, op: Matrix, m: int, tag: str) -> Gradin
         if seen.setdefault(w, i) != i:
             raise InternalCheckFailed(f"grading {tag!r}: omega^{seen[w]} = omega^{i} = {f.format(w)} "
                                       f"for a root of order {m}")
-    piv, comps = space.pivots, []
+    piv, rows, one, comps = space.pivots, map_rows(op, k), f.one(), []
     for i, w in enumerate(powers):
-        rows = [[f.sub(x, w) if r == c else x for c, x in enumerate(row)] for r, row in enumerate(op.rows)]
-        # a row on the coordinates is the same row on the pivot columns
-        rows = [tuple((piv[c], x) for c, x in row) for row in sparse_rows(f, rows)]
-        comps.append(space.cut(rows, f"{tag}-degree-{i}"))
+        # row r of op - w id; a row on the coordinates is the same row on the pivot columns
+        shifted = (combine_rows(f, ((one, rows.get(r, ())), (f.neg(w), ((r, one),)))) for r in range(k))
+        comps.append(space.cut([tuple((piv[c], x) for c, x in row) for row in shifted], f"{tag}-degree-{i}"))
     if sum(c.dim for c in comps) != k:
         raise InternalCheckFailed(f"grading {tag!r}: components of dims {[c.dim for c in comps]} "
                                   f"do not fill the dim-{k} space")
@@ -190,7 +178,7 @@ def grading_from_automorphism(aut: Automorphism) -> Grading:
     if "grading" not in aut._cache:
         f, n = aut.algebra.field, aut.algebra.dim
         whole = Subspace(f, n, [((i, f.one()),) for i in range(n)], range(n))
-        aut._cache["grading"] = _eigenspace_grading(whole, aut.matrix, aut.period, "algebra")
+        aut._cache["grading"] = _eigenspace_grading(whole, aut.maps[0], aut.period, "algebra")
     return aut._cache["grading"]
 
 
@@ -216,7 +204,7 @@ def induced_endo_grading(aut: Automorphism, endo: EndoSpace) -> Grading:
     """
     if endo.n != aut.algebra.dim:
         raise DimensionMismatch("endomorphism space does not match the automorphism carrier")
-    f, n, (sig, siginv) = aut.algebra.field, endo.n, aut.maps()
+    f, n, (sig, siginv) = aut.algebra.field, endo.n, aut.maps
     coords = []
     for t in endo.space._sparse:
         try:
@@ -224,8 +212,7 @@ def induced_endo_grading(aut: Automorphism, endo: EndoSpace) -> Grading:
         except NotInDomain:
             raise NotInvariant("conjugation does not preserve the endomorphism space")
     # conjugation on the coordinates, column convention
-    conj = Matrix(f, zip(*coords), endo.dim)
-    return _eigenspace_grading(endo.space, conj, aut.period, endo.tag)
+    return _eigenspace_grading(endo.space, map_of_columns(f, coords), aut.period, endo.tag)
 
 
 def tensor_automorphism(aut_a: Automorphism, aut_s: Automorphism, ts: Algebra) -> Automorphism:
@@ -236,17 +223,13 @@ def tensor_automorphism(aut_a: Automorphism, aut_s: Automorphism, ts: Algebra) -
         raise WrongPeriod(
             f"declared periods differ: {aut_a.period} vs {aut_s.period}"
         )
-    f, n, na, ns = ts.field, ts.dim, aut_a.algebra.dim, aut_s.algebra.dim
-    (x, xinv), (y, yinv) = aut_a.maps(), aut_s.maps()
-    sig = sparse_kron(f, x, na, y, ns)
-    # the dense matrix feeds the eigenspace grading (grading_from_automorphism)
-    aut = Automorphism(ts, Matrix.unflatten(f, _dense(f, n * n, sig), n, n), aut_a.period)
-    aut._cache["maps"] = (sig, sparse_kron(f, xinv, na, yinv, ns))
-    return aut
+    f, na, ns = ts.field, aut_a.algebra.dim, aut_s.algebra.dim
+    (x, xinv), (y, yinv) = aut_a.maps, aut_s.maps
+    return Automorphism(ts, (sparse_kron(f, x, na, y, ns), sparse_kron(f, xinv, na, yinv, ns)), aut_a.period)
 
 
 def fixed_point_algebra(algebra: Algebra, grading: Grading, names: list[str] | None = None):
-    """The degree-zero component with its inherited product and embedding."""
+    """The degree-zero component with its inherited product, on its RREF basis."""
     return subalgebra_on(algebra, grading.components[0], names)
 
 

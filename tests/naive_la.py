@@ -127,3 +127,36 @@ def naive_kron(x, y, p=None):
                 for j2, b in enumerate(yrow):
                     out[i1 * ny + i2][j1 * ny + j2] = num(num(a) * num(b))
     return out
+
+
+# -- dense forms of a production Matrix, for tests that compare against them
+
+
+def flatten(m):
+    """Row-major flattening of a Matrix: entry (r, c) at r ncols + c."""
+    return [x for row in m.rows for x in row]
+
+
+def unflatten(field, flat, nrows, ncols):
+    """The Matrix whose row-major flattening is flat."""
+    from dertensor.exactla import Matrix
+
+    assert len(flat) == nrows * ncols
+    return Matrix(field, [list(flat[i * ncols:(i + 1) * ncols]) for i in range(nrows)], ncols)
+
+
+def column(m, j):
+    return [row[j] for row in m.rows]
+
+
+def matvec(m, vec):
+    """M vec, entry by entry in m's field."""
+    f = m.field
+    assert len(vec) == m.ncols
+    out = []
+    for row in m.rows:
+        acc = f.zero()
+        for a, b in zip(row, vec):
+            acc = f.add(acc, f.mul(a, b))
+        out.append(acc)
+    return out

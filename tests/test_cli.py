@@ -20,6 +20,8 @@ from dertensor.errors import InternalCheckFailed
 from dertensor.exactla import Matrix, Subspace
 from dertensor.invariants import EndoSpace, differential_centroid
 
+from naive_la import flatten
+
 
 def run_cap(capsys, argv):
     code = cli.run(argv)
@@ -341,7 +343,7 @@ def test_verify_thm1_exits_4_naming_the_generator_that_is_no_derivation(capsys, 
         der = real(alg)
         if alg.dim != 3:  # sl2, not S or A (x) S
             return der
-        eye = Subspace.from_vectors(alg.field, 9, [Matrix.identity(alg.field, 3).flatten()])
+        eye = Subspace.from_vectors(alg.field, 9, [flatten(Matrix.identity(alg.field, 3))])
         return EndoSpace(alg, 3, der.space.sum(eye), der.tag)
 
     monkeypatch.setattr(decomposition, "derivation_space", with_identity)
@@ -782,3 +784,13 @@ def test_malformed_setup_file_exits_2_or_3(damage):
 @example((("table", 1, 1), [["x", "1"]]))
 def test_malformed_algebra_file_exits_2_or_3(damage):
     assert _run_on_file(["derive"], "--algebra", _damaged(GOOD_ALGEBRA, *damage)) in (2, 3)
+
+
+def test_a_loop_argument_outside_degree_zero_names_its_exponent(monkeypatch, capsys):
+    # a mutant phi that hands t^(n+1) d/dt its target: z^-6 is in degree
+    # zero for m = 3, and z^-5, the next target, is not
+    monkeypatch.setattr(cli, "loop_phi", lambda a, aut, m, style, u, d: d)
+    code, out, err = run_cap(capsys, ["phi-eval", "--setup", "last-exa-ii(3, 1)", "--json"])
+    assert code == 4
+    assert out == ""
+    assert "degree-zero part: exponent -5 is not a multiple of m = 3" in err

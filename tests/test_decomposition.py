@@ -41,8 +41,10 @@ from dertensor.errors import (
 from dertensor import cli, decomposition, exactla
 from dertensor.exactla import Matrix, Subspace, apply_map, combine_rows, sparse_kron, sparse_rows, vec_is_zero
 from dertensor.gradings import check_automorphism, grading_from_automorphism
-from dertensor.invariants import EndoSpace, derivation_space, leibniz_witness
+from dertensor.invariants import EndoSpace, derivation_space, leibniz_witness, s_module_derivations
 from dertensor.scalars import make_field
+
+from naive_la import flatten, unflatten
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +60,7 @@ def test_setup_shares_the_grading_of_each_automorphism(flagship):
 
 def sparse(m):
     """A dense Matrix as a sparse flattened map, sorted and zero-free."""
-    return sparse_rows(m.field, [m.flatten()])[0]
+    return sparse_rows(m.field, [flatten(m)])[0]
 
 
 def random_derivation(ts, rng):
@@ -235,7 +237,7 @@ def test_split_pure_tensor_derivations():
     assert d == delta
     # gamma tensor d' with d'(1) = 0: the S-linear part dies
     dp = derivation_space(s).space._sparse[0]
-    delta2 = tensor_map(sparse_rows(f, [Matrix.identity(f, a.dim).flatten()])[0], dp)
+    delta2 = tensor_map(sparse(Matrix.identity(f, a.dim)), dp)
     d2, rem2 = split_derivation(delta2, a, s, ts)
     assert d2 == ()
     assert rem2 == delta2
@@ -531,16 +533,23 @@ def test_a_split_part_outside_its_space_names_its_first_entry(monkeypatch, capsy
 
 
 def test_a_restriction_leaving_the_fixed_algebra_names_the_basis_vector(monkeypatch, capsys):
-    fixed_point_algebra = decomposition.fixed_point_algebra
+    init = decomposition.Setup.__init__
 
-    def mutant(algebra, grading, names=None):
-        # fixed basis vector 3 of the embedding becomes one of degree 1
-        sub, emb = fixed_point_algebra(algebra, grading, names)
-        moved = grading.components[1].rows[0]
-        return sub, Matrix(emb.field, [row[:3] + [moved[r]] + row[4:] for r, row in enumerate(emb.rows)],
-                           emb.ncols)
+    def mutant(self, *args, **kwargs):
+        # fixed basis vector 3, as the restriction reads it, becomes one of degree 1
+        init(self, *args, **kwargs)
+        space, moved = self.fixed_space, self.grading_ts.components[1].rows[0]
 
-    monkeypatch.setattr(decomposition, "fixed_point_algebra", mutant)
+        class Moved(Subspace):
+            __slots__ = ()
+
+            @property
+            def rows(self):
+                return space.rows[:3] + (moved,) + space.rows[4:]
+
+        self.fixed_space = Moved(space.field, space.ambient, space._sparse, space.pivots)
+
+    monkeypatch.setattr(decomposition.Setup, "__init__", mutant)
     err = _internal_failure(capsys, ["verify-thm2", "--setup", "sl2-twisted-flagship"])
     assert "degree-zero derivation moved the fixed subalgebra at basis vector 3" in err
 
@@ -554,11 +563,12 @@ def test_an_extension_of_nonzero_degree_names_the_first_entry(monkeypatch, capsy
         # sigma + E_04 in the degree check only: phi(d) commutes with sigma, so the
         # two sides differ where E_04 phi(d) and phi(d) E_04 do
         aut = tensor_automorphism(aut_a, aut_s, ts)
-        sig, siginv = aut.maps()
-        aut._cache["maps"] = (combine_rows(f, [(f.one(), sig), (f.one(), ((4, f.one()),))]), siginv)
+        grading_from_automorphism(aut)  # kept on aut, from the true sigma
+        sig, siginv = aut.maps
+        aut.maps = (combine_rows(f, [(f.one(), sig), (f.one(), ((4, f.one()),))]), siginv)
         return aut
 
-    big = Matrix.unflatten(f, list(exactla._dense(f, n * n, extend_phi(st.der_fixed.space._sparse[0], st))), n, n)
+    big = unflatten(f, list(exactla._dense(f, n * n, extend_phi(st.der_fixed.space._sparse[0], st))), n, n)
     e04 = Matrix(f, [[f.one() if (r, c) == (0, 4) else f.zero() for c in range(n)] for r in range(n)], n)
     want = next((r, c) for r in range(n) for c in range(n)
                 if e04.mul(big).rows[r][c] != big.mul(e04).rows[r][c])
@@ -578,3 +588,30 @@ def test_an_extension_restricting_elsewhere_names_the_first_entry(monkeypatch, c
     monkeypatch.setattr(decomposition, "_restrict", mutant)
     err = _internal_failure(capsys, ["phi-eval", "--setup", "sl2-twisted-flagship"])
     assert "extension does not restrict to the input at entry (0, 0)" in err
+
+
+def test_overlapping_summand_spaces_name_the_first_entry(monkeypatch, capsys):
+    # a wrong space of derivations vanishing on A (x) 1: all of D(A (x) S),
+    # which holds the S-linear ones, so the overlap is all of those
+    a, s = sl2(), dual_numbers()
+    ts = tensor_product(a, s)
+    lead = s_module_derivations(a, s, ts).space._sparse[0][0][0]
+    monkeypatch.setattr(decomposition, "vanishing_on_left_derivations", lambda a, s, ts: derivation_space(ts))
+    err = _internal_failure(capsys, ["verify-thm1", "--algebra", "sl2", "--s", "dual-numbers"])
+    assert f"the two summand spaces overlap, first at entry {divmod(lead, ts.dim)}" in err
+
+
+def test_a_restriction_that_is_no_derivation_names_the_first_entry(monkeypatch, capsys, flagship):
+    restrict = decomposition._restrict
+
+    def mutant(big_d, setup):
+        # the restriction gains 1 at entry (0, 0)
+        f = setup.a.field
+        return combine_rows(f, [(f.one(), restrict(big_d, setup)), (f.one(), ((0, f.one()),))])
+
+    st = flagship
+    first = st.der_fixed.space.first_outside(mutant(st.der_ts_grading.components[0]._sparse[0], st))
+    monkeypatch.setattr(decomposition, "_restrict", mutant)
+    err = _internal_failure(capsys, ["verify-thm2", "--setup", "sl2-twisted-flagship"])
+    want = divmod(first, st.fixed_algebra.dim)
+    assert f"restriction is not a derivation of the fixed algebra at entry {want}" in err

@@ -14,10 +14,9 @@ from dertensor.exactla import (
     apply_map,
     compose_maps,
     first_difference,
-    invert_matrix,
+    invert_map,
     kernel_of_rows,
-    rank,
-    rref,
+    map_of_columns,
     rref_rows,
     solve_unique,
     sparse_kron,
@@ -25,7 +24,7 @@ from dertensor.exactla import (
 )
 from dertensor.scalars import make_field
 
-from naive_la import Zeta3, naive_kron, naive_nullspace, naive_rank, naive_rref
+from naive_la import Zeta3, flatten, matvec, naive_kron, naive_nullspace, naive_rank, naive_rref, unflatten
 
 QQ = make_field("rational")
 Z4 = make_field("cyclotomic", m=4)
@@ -36,6 +35,21 @@ F31 = make_field("prime", m=3, p=31)
 
 def qmat(rows):
     return Matrix(QQ, [[Fraction(x) for x in r] for r in rows])
+
+
+def rref(m):
+    """The RREF of a dense Matrix through rref_rows: (RREF Matrix, pivots)."""
+    f, nc = m.field, m.ncols
+    rows, pivots, _ = rref_rows(f, sparse_rows(f, m.rows), nc)
+    return Matrix(f, [exactla._dense(f, nc, r) for r in rows], nc), tuple(pivots)
+
+
+def rank(m):
+    return len(rref(m)[1])
+
+
+def sparse(m):
+    return sparse_rows(m.field, [flatten(m)])[0]
 
 
 def test_rref_hand_example():
@@ -84,7 +98,7 @@ def test_kernel_vectors_annihilate():
             m = Matrix(fld, rows, 6)
             ker = kernel_of_rows(fld, sparse_rows(fld, rows), 6)
             for v in ker.rows:
-                out = m.matvec(list(v))
+                out = matvec(m, list(v))
                 assert all(fld.is_zero(x) for x in out)
 
 
@@ -170,25 +184,96 @@ def test_apply_and_compose_maps_match_dense_products(fld):
     for n, blocks in ((1, 3), (2, 2), (3, 1), (3, 2), (4, 3)):
         for _ in range(5):
             x, y = (Matrix(fld, [[entry() for _ in range(n)] for _ in range(n)], n) for _ in range(2))
-            sx, sy = sparse_rows(fld, [x.flatten(), y.flatten()])
+            sx, sy = sparse(x), sparse(y)
             v = [entry() for _ in range(n * blocks)]
             # (id tensor x) v is x applied to each block of n coordinates
-            assert apply_map(fld, sx, n, v) == [w for b in range(blocks) for w in x.matvec(v[b * n:(b + 1) * n])]
+            assert apply_map(fld, sx, n, v) == [w for b in range(blocks) for w in matvec(x, v[b * n:(b + 1) * n])]
             # x y applies y first
-            assert compose_maps(fld, sx, sy, n) == sparse_rows(fld, [x.mul(y).flatten()])[0]
+            assert compose_maps(fld, sx, sy, n) == sparse(x.mul(y))
 
 
 def test_solve_unique_and_inverse():
-    m = qmat([[2, 1], [1, 1]])
-    x = solve_unique(m, [Fraction(3), Fraction(2)])
-    assert x == [Fraction(1), Fraction(1)]
-    inv = invert_matrix(m)
-    assert m.mul(inv) == Matrix.identity(QQ, 2)
-    assert inv.mul(m) == Matrix.identity(QQ, 2)
+    m = sparse(qmat([[2, 1], [1, 1]]))
+    x = solve_unique(QQ, [((0, 2), (1, 1), (2, 3)), ((0, 1), (1, 1), (2, 2))], 2)
+    assert x == [((0, Fraction(1)),), ((0, Fraction(1)),)]
+    inv = invert_map(QQ, m, 2)
+    assert compose_maps(QQ, m, inv, 2) == sparse(Matrix.identity(QQ, 2))
+    assert compose_maps(QQ, inv, m, 2) == sparse(Matrix.identity(QQ, 2))
+    with pytest.raises(SingularElement, match="^inconsistent linear system$"):
+        solve_unique(QQ, [((0, 1), (1, 1), (2, 1)), ((0, 2), (1, 2))], 2)
+    with pytest.raises(SingularElement, match="^underdetermined linear system$"):
+        solve_unique(QQ, [((0, 1), (1, 1), (2, 1))], 2)
     with pytest.raises(SingularElement):
-        solve_unique(qmat([[1, 1], [2, 2]]), [Fraction(1), Fraction(0)])
-    with pytest.raises(SingularElement):
-        invert_matrix(qmat([[1, 1], [2, 2]]))
+        invert_map(QQ, sparse(qmat([[1, 1], [2, 2]])), 2)
+
+
+FIELDS = pytest.mark.parametrize("fld,p", [(QQ, None), (F31, 31), (Z3, Zeta3)], ids=["Q", "F31", "Q(zeta3)"])
+
+
+def small_entries(fld, data, nrows, ncols):
+    """A dense block of small integers, plus small multiples of zeta over Q(zeta3)."""
+    ints, zeta = st.integers(-2, 2), Z3.root_of_unity(3)
+
+    def entry():
+        x = fld.from_int(data.draw(ints))
+        return fld.add(x, fld.mul(fld.from_int(data.draw(ints)), zeta)) if fld is Z3 else x
+
+    return [[entry() for _ in range(ncols)] for _ in range(nrows)]
+
+
+def sum_of(fld, xs):
+    acc = fld.zero()
+    for x in xs:
+        acc = fld.add(acc, x)
+    return acc
+
+
+@FIELDS
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_invert_map_inverts_exactly_the_maps_of_full_rank(fld, p, data):
+    n = data.draw(st.integers(1, 4))
+    dense = small_entries(fld, data, n, n)
+    m = sparse(Matrix(fld, dense, n))
+    if naive_rank(dense, p) == n:
+        inv = invert_map(fld, m, n)
+        eye = sparse(Matrix.identity(fld, n))
+        assert compose_maps(fld, m, inv, n) == eye == compose_maps(fld, inv, m, n)
+    else:
+        with pytest.raises(SingularElement):
+            invert_map(fld, m, n)
+
+
+@FIELDS
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_solve_unique_recovers_a_planted_solution(fld, p, data):
+    n, k = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
+    a = small_entries(fld, data, n + data.draw(st.integers(0, 2)), n)  # overdetermined
+    x = small_entries(fld, data, n, k)
+
+    def times(m, y):
+        return [[sum_of(fld, [fld.mul(r[t], y[t][j]) for t in range(len(y))]) for j in range(k)] for r in m]
+
+    b = times(a, x)
+    moved = data.draw(st.booleans())
+    if moved:  # one entry of B moved by 1: the system may become inconsistent
+        i, j = data.draw(st.integers(0, len(a) - 1)), data.draw(st.integers(0, k - 1))
+        b[i][j] = fld.add(b[i][j], fld.one())
+    aug = [ra + rb for ra, rb in zip(a, b)]
+    rows = sparse_rows(fld, aug)
+    if naive_rank(aug, p) > naive_rank(a, p):
+        with pytest.raises(SingularElement, match="^inconsistent linear system$"):
+            solve_unique(fld, rows, n, k)
+    elif naive_rank(a, p) < n:
+        with pytest.raises(SingularElement, match="^underdetermined linear system$"):
+            solve_unique(fld, rows, n, k)
+    else:
+        got = [list(exactla._dense(fld, k, r)) for r in solve_unique(fld, rows, n, k)]
+        assert times(a, got) == b
+        if not moved:
+            assert got == x
+
 
 
 def test_matrix_ops_shape_checks():
@@ -196,15 +281,13 @@ def test_matrix_ops_shape_checks():
         qmat([[1, 2], [3]])
     with pytest.raises(DimensionMismatch):
         qmat([[1, 2]]).mul(qmat([[1, 2]]))
-    with pytest.raises(DimensionMismatch):
-        qmat([[1, 2]]).matvec([Fraction(1)])
 
 
 def test_kron_convention():
     a = qmat([[1, 2], [3, 4]])
     b = qmat([[0, 1], [1, 0]])
-    x, y = sparse_rows(QQ, [a.flatten(), b.flatten()])
-    k = Matrix.unflatten(QQ, exactla._dense(QQ, 16, sparse_kron(QQ, x, 2, y, 2)), 4, 4)
+    x, y = sparse(a), sparse(b)
+    k = unflatten(QQ, exactla._dense(QQ, 16, sparse_kron(QQ, x, 2, y, 2)), 4, 4)
     # entry at row (i1,i2)=(0,1), col (j1,j2)=(1,0): a[0][1]*b[1][0] = 2
     assert k.rows[1][2] == Fraction(2)
     assert k.nrows == 4 and k.ncols == 4
@@ -235,7 +318,10 @@ def test_sparse_kron_matches_a_dense_kronecker_product(fld, p, nx, ny):
 
 def test_flatten_round_trip():
     a = qmat([[1, 2, 3], [4, 5, 6]])
-    assert Matrix.unflatten(QQ, a.flatten(), 2, 3) == a
+    assert unflatten(QQ, flatten(a), 2, 3) == a
+    # the sparse flattening of a square map, from its columns, is the same convention
+    b = qmat([[1, 0, 3], [0, 5, 6], [7, 0, 0]])
+    assert map_of_columns(QQ, [[row[j] for row in b.rows] for j in range(3)]) == sparse(b)
 
 
 def test_rref_cyclotomic_small():

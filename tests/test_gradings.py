@@ -40,6 +40,14 @@ def zeros(field, n):
     return diag(field, [0] * n)
 
 
+def projections(g, field):
+    """The projection onto each component of g as a Matrix: column i is the
+    part of basis vector i in that component (Grading.basis_parts)."""
+    n = g.ambient
+    cols = [[exactla._dense(field, n, parts.get(i, ())) for i in range(n)] for parts in g.basis_parts(field)]
+    return [Matrix(field, [[c[r] for c in cs] for r in range(n)], n) for cs in cols]
+
+
 def sign_aut_sl2():
     a = sl2()
     return a, check_automorphism(a, diag(a.field, [-1, 1, -1]), 2)
@@ -96,7 +104,7 @@ def test_group_algebra_sign_grading():
 def test_projections_resolve_identity():
     a, aut = sign_aut_sl2()
     f = a.field
-    projs = g = grading_from_automorphism(aut).projections(f)
+    projs = projections(grading_from_automorphism(aut), f)
     total = Matrix(f, [vec_add(f, r0, r1) for r0, r1 in zip(projs[0].rows, projs[1].rows)], 3)
     assert total == Matrix.identity(f, 3)
     for p in projs:
@@ -210,8 +218,8 @@ def test_induced_derivation_grading_on_sl2():
     g = induced_endo_grading(aut, der)
     assert g.component_dims == (1, 2)
     # degree-0 part is spanned by ad h
-    adh = a.left_mult_matrix([a.field.zero(), a.field.one(), a.field.zero()])
-    assert g.components[0].contains(adh.flatten())
+    adh = a.mult_map([a.field.zero(), a.field.one(), a.field.zero()])
+    assert g.components[0].contains_row(adh)
 
 
 def test_induced_grading_rejects_non_invariant_space():
@@ -232,10 +240,11 @@ def test_tensor_automorphism_and_fixed_algebra():
     aut = tensor_automorphism(aut_a, aut_s, ts)
     g = grading_from_automorphism(aut)
     assert g.component_dims == (6, 6)
-    fixed, emb = fixed_point_algebra(ts, g)
+    fixed = fixed_point_algebra(ts, g)
     assert fixed.dim == 6
-    for j in range(fixed.dim):
-        assert g.degree_of(emb.column(j)) == 0
+    # the fixed algebra's basis is the RREF basis of the degree-zero component
+    for row in g.components[0].rows:
+        assert g.degree_of(list(row)) == 0
     assert grading_is_multiplicative(ts, g)
 
 
@@ -248,22 +257,36 @@ def test_tensor_automorphism_period_mismatch():
         tensor_automorphism(aut_a, aut_s, ts)
 
 
-def test_automorphism_rejections():
-    a = sl2()
-    f = a.field
-    with pytest.raises(NotAutomorphism):
+@pytest.mark.parametrize("f", [make_field("rational"), make_field("prime", m=3, p=31),
+                               make_field("cyclotomic", m=3)], ids=["Q", "F31", "Q(zeta3)"])
+def test_automorphism_rejections(f):
+    a = sl2(f)
+    with pytest.raises(NotAutomorphism, match="^matrix is singular$"):
         check_automorphism(a, zeros(f, 3), 2)
+    # rank 2: the inverse must be computed, not assumed
+    with pytest.raises(NotAutomorphism, match="^matrix is singular$"):
+        check_automorphism(a, diag(f, [1, 0, 1]), 2)
     # swap e and h: invertible but not multiplicative
     o, z = f.one(), f.zero()
     swap = Matrix(f, [[z, o, z], [o, z, z], [z, z, o]], 3)
-    with pytest.raises(NotAutomorphism):
+    with pytest.raises(NotAutomorphism, match=r"^not multiplicative on basis pair \(0,1\)$"):
         check_automorphism(a, swap, 2)
-    with pytest.raises(WrongPeriod):
+    # 1 -> 2 on k[Z2] fails first on 1 * 1, the pair (0, 0)
+    with pytest.raises(NotAutomorphism, match=r"^not multiplicative on basis pair \(0,0\)$"):
+        check_automorphism(group_algebra(2, f), diag(f, [2, 1]), 2)
+    with pytest.raises(WrongPeriod, match="^matrix to the power 3 is not the identity$"):
         check_automorphism(a, diag(f, [-1, 1, -1]), 3)
     with pytest.raises(DimensionMismatch):
         check_automorphism(a, Matrix.identity(f, 2), 2)
-    with pytest.raises(WrongPeriod):
+    with pytest.raises(WrongPeriod, match="^period must be positive, got 0$"):
         check_automorphism(a, Matrix.identity(f, 3), 0)
+    if f.kind != "rational":
+        # e -> omega e, f -> omega^-1 f has period 3, not the declared 2
+        om = f.root_of_unity(3)
+        third = diag(f, [om, f.one(), f.inv(om)])
+        assert check_automorphism(a, third, 3).period == 3
+        with pytest.raises(WrongPeriod, match="^matrix to the power 2 is not the identity$"):
+            check_automorphism(a, third, 2)
 
 
 def test_repeated_powers_of_omega_are_caught(monkeypatch):

@@ -20,7 +20,7 @@ from dertensor.errors import (
     NotInDomain,
     ParseError,
 )
-from dertensor.exactla import Matrix, apply_map, sparse_rows
+from dertensor.exactla import Matrix, apply_map, map_of_columns
 from dertensor.gradings import check_automorphism
 from dertensor.laurent import (
     FORWARD,
@@ -386,8 +386,7 @@ def ad_h_on_flagship():
         img = setup.ts.mult(h1, setup.fixed_lift([f.one() if j == i else f.zero()
                                                   for j in range(kdim)]))
         cols.append(setup.fixed_coords(img))
-    dmat = Matrix(f, [[cols[j][i] for j in range(kdim)] for i in range(kdim)], kdim)
-    return a, aut, setup, sparse_rows(f, [dmat.flatten()])[0], ad_h
+    return a, aut, setup, map_of_columns(f, cols), ad_h
 
 
 def assert_carriers_agree(ad_h_on_flagship, finite, loop):

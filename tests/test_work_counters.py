@@ -16,12 +16,14 @@ kernel reaches exactla.rref_rows by its module name with every row so far
 (the benchmark counts systems by wrapping it there), and a command
 builds its own subparser only, and the tensor maps of psi, of the embedded
 D(A) (x) S and C(A) (x) D(S) and of the module derivations are built
-sparse, with no dense matrix flattened or unflattened, and a derivation
-stays one sparse row from the solver to the report of verify-thm2, bm-eval
-and verify-thm1. Checks that a cheaper one implies stay removed: the tensor
-automorphism is not re-validated, no grading of a finite setup builds its
-projections, and only verify-lemma21 and psi-check test psi for
-multiplicativity. A --u unit builds its Setup once.
+sparse, with no dense matrix built, and a derivation stays one sparse row
+from the solver to the report of verify-thm2, bm-eval and verify-thm1,
+where the only matrices are the automorphisms as written; phi-eval on the
+Laurent carrier multiplies no matrices. Checks that a cheaper one implies
+stay removed: the tensor automorphism is not re-validated, no grading of a
+finite setup builds its projections (Grading.basis_parts), and only
+verify-lemma21 and psi-check test psi for multiplicativity. A --u unit
+builds its Setup once.
 """
 
 import argparse
@@ -37,19 +39,21 @@ from dertensor.exactla import Matrix, Subspace, vec_add, vec_scale
 from dertensor.gradings import Grading, check_automorphism, grading_from_automorphism
 from dertensor.scalars import make_field
 
+from naive_la import flatten
+from test_gradings import projections
 from test_invariants import short_pairs_algebra
 
 
 def test_last_exa_ii_builds_each_grading_once(monkeypatch, capsys):
     builds = []
-    projections = Grading.projections
+    basis_parts = Grading.basis_parts
 
     def counted(self, field):
-        if self._projections is None:
+        if self._parts is None:
             builds.append(self)
-        return projections(self, field)
+        return basis_parts(self, field)
 
-    monkeypatch.setattr(Grading, "projections", counted)
+    monkeypatch.setattr(Grading, "basis_parts", counted)
     assert cli.run(["phi-eval", "--setup", "last-exa-ii", "--m", "24", "--json"]) == 0
     capsys.readouterr()
     # one period, so one automorphism and one grading
@@ -268,9 +272,9 @@ def test_gradings_are_never_shared_between_automorphisms():
         # the projections rebuild this automorphism, not an earlier one
         w = f.root_of_unity(period)
         acc = [f.zero()] * 9
-        for i, p in enumerate(g.projections(f)):
-            acc = vec_add(f, acc, vec_scale(f, f.pow(w, i), p.flatten()))
-        assert acc == mat.flatten()
+        for i, p in enumerate(projections(g, f)):
+            acc = vec_add(f, acc, vec_scale(f, f.pow(w, i), flatten(p)))
+        assert acc == flatten(mat)
         assert all(g is not h for h in seen)
         seen.append(g)
         del aut  # a later automorphism may reuse this one's id()
@@ -329,7 +333,7 @@ def test_d_eval_memo_never_caches_a_refusal_or_a_mutation(monkeypatch):
         return fixed_coords(self, x)
 
     monkeypatch.setattr(decomposition.Setup, "fixed_coords", counted)
-    x = st.fixed_embedding.column(0)
+    x = list(st.fixed_space.rows[0])
     want = ev(x)
     got = ev(x)
     got[:] = [st.a.field.one()] * len(got)
@@ -374,9 +378,9 @@ def test_a_command_builds_only_its_own_subparser(monkeypatch, capsys):
 
 
 def _self_check_counts(monkeypatch, capsys, argv):
-    """Calls of check_automorphism and psi_multiplicative, and Grading
-    projection builds, during one command."""
-    counts = {"check_automorphism": 0, "psi_multiplicative": 0, "projections": 0}
+    """Calls of check_automorphism and psi_multiplicative, and builds of
+    Grading.basis_parts, the projections onto the components, during one command."""
+    counts = {"check_automorphism": 0, "psi_multiplicative": 0, "basis_parts": 0}
     for mods, name in (((gradings, cli), "check_automorphism"),
                        ((invariants, decomposition, cli), "psi_multiplicative")):
         def counted(*args, _fn=getattr(mods[0], name), _name=name):
@@ -385,13 +389,13 @@ def _self_check_counts(monkeypatch, capsys, argv):
 
         for mod in mods:
             monkeypatch.setattr(mod, name, counted)
-    projections = Grading.projections
+    basis_parts = Grading.basis_parts
 
-    def counted_projections(self, field):
-        counts["projections"] += self._projections is None
-        return projections(self, field)
+    def counted_parts(self, field):
+        counts["basis_parts"] += self._parts is None
+        return basis_parts(self, field)
 
-    monkeypatch.setattr(Grading, "projections", counted_projections)
+    monkeypatch.setattr(Grading, "basis_parts", counted_parts)
     assert cli.run(argv) == 0
     capsys.readouterr()
     return counts
@@ -401,12 +405,12 @@ def _self_check_counts(monkeypatch, capsys, argv):
     # the two factor automorphisms only: sigma1 (x) sigma2 is not re-validated,
     # and no finite grading rebuilds sigma from its projections
     (["verify-thm2", "--setup", "sl2-twisted-flagship", "--json"],
-     {"check_automorphism": 2, "psi_multiplicative": 0, "projections": 0}),
+     {"check_automorphism": 2, "psi_multiplicative": 0, "basis_parts": 0}),
     # no report of the sweep reads psi's multiplicativity
     (["verify-thm1", "--budget", "25", "--json"],
-     {"check_automorphism": 0, "psi_multiplicative": 0, "projections": 0}),
+     {"check_automorphism": 0, "psi_multiplicative": 0, "basis_parts": 0}),
     (["verify-lemma21", "--algebra", "sl2", "--s", "group-algebra(3)", "--json"],
-     {"check_automorphism": 0, "psi_multiplicative": 1, "projections": 0}),
+     {"check_automorphism": 0, "psi_multiplicative": 1, "basis_parts": 0}),
 ], ids=["verify-thm2", "verify-thm1", "verify-lemma21"])
 def test_implied_self_checks_are_not_run(monkeypatch, capsys, argv, want):
     assert _self_check_counts(monkeypatch, capsys, argv) == want
@@ -429,30 +433,25 @@ def test_a_given_unit_builds_the_setup_once(monkeypatch, capsys):
 
 
 def _dense_forms(monkeypatch, least=0):
-    """A counter of Matrix.flatten and Matrix.unflatten calls and Subspace.rows
-    reads, keyed by (name, calling function), on spaces of ambient dimension
-    at least `least`; a matrix's ambient is its flattened length."""
+    """A counter of Matrix constructions, and of Subspace.rows reads on
+    spaces of ambient dimension at least `least`, keyed by (name, calling
+    function)."""
     calls = collections.Counter()
-    flatten, unflatten, rows = Matrix.flatten, Matrix.unflatten.__func__, Subspace.rows.fget
+    init, rows = Matrix.__init__, Subspace.rows.fget
 
-    def note(name, size):
-        if size >= least:
-            calls[name, sys._getframe(2).f_code.co_name] += 1
+    def note(name):
+        calls[name, sys._getframe(2).f_code.co_name] += 1
 
-    def counted_flatten(self):
-        note("flatten", self.nrows * self.ncols)
-        return flatten(self)
-
-    def counted_unflatten(cls, field, flat, nrows, ncols):
-        note("unflatten", len(flat))
-        return unflatten(cls, field, flat, nrows, ncols)
+    def counted_init(self, *args, **kwargs):
+        note("Matrix")
+        init(self, *args, **kwargs)
 
     def counted_rows(self):
-        note("rows", self.ambient)
+        if self.ambient >= least:
+            note("rows")
         return rows(self)
 
-    monkeypatch.setattr(Matrix, "flatten", counted_flatten)
-    monkeypatch.setattr(Matrix, "unflatten", classmethod(counted_unflatten))
+    monkeypatch.setattr(Matrix, "__init__", counted_init)
     monkeypatch.setattr(Subspace, "rows", property(counted_rows))
     return calls
 
@@ -469,24 +468,20 @@ def test_tensor_maps_take_no_dense_round_trip(monkeypatch):
     assert invariants.s_module_derivations(a, s, ts).dim == 9
     assert invariants.differential_centroid(a).dim == 1
     assert calls == {}
-    Matrix.identity(a.field, 2).flatten()  # the counter sees a call
-    assert calls == {("flatten", "test_tensor_maps_take_no_dense_round_trip"): 1}
+    Matrix(a.field, [[a.field.one()]], 1)  # the counter sees a call
+    assert calls == {("Matrix", "test_tensor_maps_take_no_dense_round_trip"): 1}
 
 
 @pytest.mark.parametrize("argv,want", [
     # a derivation stays one sparse flattened row from the solver to the
-    # report; the dense forms left are the automorphism's: sigma and
-    # sigma^-1 of the 4-dimensional right factor made sparse once
-    # (Automorphism.maps), the tensor automorphism's matrix for its
-    # eigenspace grading, the left multiplication that solve_unique inverts
-    # while finding the graded unit, and the inverse of the pair basis
-    # (Setup.pair_basis_inverse) made sparse once per Setup
+    # report. The only Matrix objects are the two catalog automorphisms
+    # (diagonal_matrix), each read once by check_automorphism: sigma, its
+    # inverse, the gradings and every solve are sparse. No space of ambient
+    # dimension 16 or more, such as D(A (x) S), is read as dense rows
     (["verify-thm2", "--setup", "sl2-twisted-flagship", "--json"],
-     {("flatten", "maps"): 2, ("unflatten", "tensor_automorphism"): 1,
-      ("unflatten", "left_mult_matrix"): 1, ("flatten", "build"): 1}),
+     {("Matrix", "diagonal_matrix"): 2}),
     (["bm-eval", "--setup", "sl2-twisted-flagship", "--json"],
-     {("flatten", "maps"): 2, ("unflatten", "tensor_automorphism"): 1,
-      ("unflatten", "left_mult_matrix"): 1, ("flatten", "build"): 1}),
+     {("Matrix", "diagonal_matrix"): 2}),
     (["verify-thm1", "--algebra", "sl2", "--s", "group-algebra(3)", "--json"], {}),
 ], ids=["verify-thm2", "bm-eval", "verify-thm1"])
 def test_derivations_stay_sparse_from_solver_to_report(monkeypatch, capsys, argv, want):
@@ -494,3 +489,19 @@ def test_derivations_stay_sparse_from_solver_to_report(monkeypatch, capsys, argv
     assert cli.run(argv) == 0
     capsys.readouterr()
     assert calls == want
+
+
+def test_phi_eval_on_the_laurent_carrier_multiplies_no_matrices(monkeypatch, capsys):
+    # the automorphism's powers (check_automorphism) and the grading's
+    # projections (Grading.basis_parts) are sparse maps
+    calls = []
+    mul = Matrix.mul
+
+    def counted(self, other):
+        calls.append(self)
+        return mul(self, other)
+
+    monkeypatch.setattr(Matrix, "mul", counted)
+    assert cli.run(["phi-eval", "--setup", "last-exa-ii", "--m", "32", "--json"]) == 0
+    capsys.readouterr()
+    assert calls == []
