@@ -1,10 +1,12 @@
 """Finite-dimensional algebras given by structure constants.
 
 An Algebra holds a basis and the full products table: table[i][j] is the
-coordinate vector of (basis i) * (basis j). No axioms are assumed; properties
-like associativity are checked on demand and cached. Caches live on the
-instance and algebras are immutable by convention, so a cached flag can never
-drift from recomputation (tests clear caches and recompute to enforce this).
+dense coordinate vector of (basis i) * (basis j), and _nz[i][j] the same
+product as a sparse row (see exactla), the form every element takes here.
+No axioms are assumed; properties like associativity are checked on demand
+and cached. Caches live on the instance and algebras are immutable by
+convention, so a cached flag can never drift from recomputation (tests clear
+caches and recompute to enforce this).
 
 Operators use the column convention: the image of basis vector j is column
 j. They are sparse flattened maps (see exactla), so composition is
@@ -20,6 +22,7 @@ from .errors import (
     DimensionMismatch,
     FieldMismatch,
     NotClosed,
+    NotInDomain,
     NotUnital,
     ParseError,
     SingularElement,
@@ -47,7 +50,7 @@ class Algebra:
         self.table = [[list(table[i][j]) for j in range(n)] for i in range(n)]
         nz = field.nonzero
         self._nz = [
-            [[(k, c) for k, c in enumerate(self.table[i][j]) if nz(c)] for j in range(n)]
+            [tuple((k, c) for k, c in enumerate(self.table[i][j]) if nz(c)) for j in range(n)]
             for i in range(n)
         ]
         self._cache = {}
@@ -57,43 +60,31 @@ class Algebra:
 
     # -- products ----------------------------------------------------------
 
-    def mult(self, x: list, y: list) -> list:
-        """Coordinate vector of the product of two coordinate vectors."""
-        f = self.field
-        nz = f.nonzero
-        out = [f.zero()] * self.dim
-        ynz = [(j, yj) for j, yj in enumerate(y) if nz(yj)]
-        for i, xi in enumerate(x):
-            if not nz(xi):
-                continue
-            nzi = self._nz[i]
-            for j, yj in ynz:
-                if nzi[j]:
-                    c = f.mul(xi, yj)
-                    for k, t in nzi[j]:
-                        out[k] = f.add(out[k], f.mul(c, t))
-        return out
+    def mult(self, x, y) -> tuple:
+        """The product of two sparse rows, as a sparse row."""
+        f, nz = self.field, self._nz
+        return combine_rows(f, ((f.mul(xi, yj), nz[i][j]) for i, xi in x for j, yj in y if nz[i][j]))
 
-    def mult_map(self, x: list) -> tuple:
-        """Left multiplication by x as a sparse flattened map (see exactla):
-        column c is x b_c."""
+    def mult_map(self, x) -> tuple:
+        """Left multiplication by the sparse row x as a sparse flattened map
+        (see exactla): column c is x b_c."""
         f, n = self.field, self.dim
         acc = {}
-        for i, xi in enumerate(x):
-            if f.nonzero(xi):
-                for c in range(n):
-                    for k, t in self._nz[i][c]:
-                        acc[k * n + c] = f.add(acc.get(k * n + c, f.zero()), f.mul(xi, t))
+        for i, xi in x:
+            for c in range(n):
+                for k, t in self._nz[i][c]:
+                    acc[k * n + c] = f.add(acc.get(k * n + c, f.zero()), f.mul(xi, t))
         return canonical_row(f, acc)
 
     def left_mult_operators(self) -> list:
         """Left multiplications by every basis vector as sparse flattened maps (cached)."""
         if "left_mult_operators" not in self._cache:
-            self._cache["left_mult_operators"] = [
-                self.mult_map(self.basis_vector(i)) for i in range(self.dim)]
+            one = self.field.one()
+            self._cache["left_mult_operators"] = [self.mult_map(((i, one),)) for i in range(self.dim)]
         return self._cache["left_mult_operators"]
 
     def basis_vector(self, i: int) -> list:
+        """Basis vector i as a dense coordinate list, the form of table entries."""
         z = self.field.zero()
         v = [z] * self.dim
         v[i] = self.field.one()
@@ -103,15 +94,15 @@ class Algebra:
 
     def product_span(self) -> Subspace:
         if "product_span" not in self._cache:
-            vecs = [self.table[i][j] for i in range(self.dim) for j in range(self.dim)]
-            self._cache["product_span"] = Subspace.from_vectors(self.field, self.dim, vecs)
+            products = [p for row in self._nz for p in row]
+            self._cache["product_span"] = Subspace.from_rows(self.field, self.dim, products)
         return self._cache["product_span"]
 
     def is_perfect(self) -> bool:
         return self.product_span().dim == self.dim
 
     def unit(self):
-        """Coordinates of the two-sided unit, or None."""
+        """The two-sided unit as a sparse row, or None."""
         if "unit" not in self._cache:
             self._cache["unit"] = self._find_unit()
         return self._cache["unit"]
@@ -268,17 +259,10 @@ def tensor_product(a: Algebra, s: Algebra) -> Algebra:
     return Algebra(f, names, table)
 
 
-def tensor_vector(a: Algebra, s: Algebra, x: list, y: list) -> list:
-    """Coordinates of x tensor y in the tensor basis order."""
-    f = a.field
-    z = f.zero()
-    out = []
-    for xi in x:
-        if not f.nonzero(xi):
-            out.extend([z] * s.dim)
-        else:
-            out.extend(f.mul(xi, yj) for yj in y)
-    return out
+def tensor_vector(a: Algebra, s: Algebra, x, y) -> tuple:
+    """The sparse row of x tensor y in the tensor basis order."""
+    mul, ns = a.field.mul, s.dim
+    return tuple((i * ns + j, mul(xi, yj)) for i, xi in x for j, yj in y)
 
 
 def subalgebra_on(a: Algebra, span: Subspace, names: list[str] | None = None) -> Algebra:
@@ -289,35 +273,37 @@ def subalgebra_on(a: Algebra, span: Subspace, names: list[str] | None = None) ->
     """
     if span.ambient != a.dim:
         raise DimensionMismatch(f"subspace of dim-{span.ambient} space inside dim-{a.dim} algebra")
-    k = span.dim
-    basis = [list(r) for r in span.rows]
+    k, basis, z = span.dim, span._sparse, a.field.zero()
     table = []
     for s_idx in range(k):
         row = []
         for t_idx in range(k):
-            p = a.mult(basis[s_idx], basis[t_idx])
-            if not span.contains(p):
+            try:
+                coords = span.coords(a.mult(basis[s_idx], basis[t_idx]))
+            except NotInDomain:
                 raise NotClosed(f"product of basis vectors {s_idx} and {t_idx} leaves the subspace")
-            row.append(span.coords(p))
+            dense = [z] * k  # the constructor takes a dense table
+            for c, x in coords:
+                dense[c] = x
+            row.append(dense)
         table.append(row)
     if names is None:
         names = [f"u{t}" for t in range(k)]
     return Algebra(a.field, names, table)
 
 
-def _solve_vector(field, rows, n: int) -> list:
-    """The unique x with A x = b, given the sparse rows of [A | b], as a dense vector."""
-    return [row[0][1] if row else field.zero() for row in solve_unique(field, rows, n)]
+def _solve_vector(field, rows, n: int) -> tuple:
+    """The unique x with A x = b, given the sparse rows of [A | b], as a sparse row."""
+    return tuple((i, row[0][1]) for i, row in enumerate(solve_unique(field, rows, n)) if row)
 
 
-def invert_element(a: Algebra, x: list) -> list:
-    """Inverse of x in a unital algebra, via the left multiplication system."""
+def invert_element(a: Algebra, x) -> tuple:
+    """Inverse of the sparse row x in a unital algebra, via the left multiplication system."""
     unit = a.unit()
     if unit is None:
         raise NotUnital()
-    f, n, lx = a.field, a.dim, map_rows(a.mult_map(x), a.dim)
-    inv = _solve_vector(f, [tuple(lx.get(k, ())) + (((n, u),) if f.nonzero(u) else ())
-                            for k, u in enumerate(unit)], n)
+    f, n, lx, u = a.field, a.dim, map_rows(a.mult_map(x), a.dim), dict(unit)
+    inv = _solve_vector(f, [tuple(lx.get(k, ())) + (((n, u[k]),) if k in u else ()) for k in range(n)], n)
     if a.mult(inv, x) != unit:
         raise SingularElement("left inverse is not two-sided")
     return inv

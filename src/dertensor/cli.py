@@ -130,18 +130,19 @@ def _resolve_algebra(text: str, field) -> Algebra:
     return catalog_algebra(text, field)
 
 
-def _parse_element(text: str, algebra: Algebra) -> list:
-    """A basis name, or comma-separated scalar literals in the basis."""
+def _parse_element(text: str, algebra: Algebra) -> tuple:
+    """A basis name, or comma-separated scalar literals in the basis, as a sparse row."""
     if not isinstance(text, str):
         raise ParseError(f"an element is a basis name or a literal string, got {text!r}")
     text = text.strip()
+    f = algebra.field
     if text in algebra.names:
-        return algebra.basis_vector(algebra.names.index(text))
+        return ((algebra.names.index(text), f.one()),)
     parts = [t.strip() for t in text.split(",")]
     if len(parts) != algebra.dim:
         raise ParseError(
             f"element literal needs {algebra.dim} coordinates or a basis name, got {text!r}")
-    return [algebra.field.parse(t) for t in parts]
+    return tuple((i, x) for i, x in enumerate(map(f.parse, parts)) if f.nonzero(x))
 
 
 def _guard_product(dim_a: int, dim_s: int, force: bool, hint: str = FORCE_HINT):
@@ -318,9 +319,8 @@ def cmd_fixed(args) -> int:
     rep.dim("fixed", st.fixed_algebra.dim)
     lines = []
     f = st.a.field
-    for t, vec in enumerate(st.fixed_space.rows):
-        txt = " + ".join(
-            f"{f.format(c)}*{st.ts.names[i]}" for i, c in enumerate(vec) if not f.is_zero(c))
+    for t, vec in enumerate(st.fixed_space._sparse):
+        txt = " + ".join(f"{f.format(c)}*{st.ts.names[i]}" for i, c in vec)
         lines.append(f"basis {t}: {txt}")
     return _emit(rep, args, extra_lines=lines)
 
@@ -435,7 +435,7 @@ def _scalar_scene(m: int):
 
 def _line(a, exp: int, coeff=None) -> LoopElement:
     f = a.field
-    return LoopElement.term(a, [f.one() if coeff is None else coeff], exp)
+    return LoopElement.term(a, [(0, f.one() if coeff is None else coeff)], exp)
 
 
 def _fmt_loop(x: LoopElement) -> str:
@@ -444,7 +444,7 @@ def _fmt_loop(x: LoopElement) -> str:
     f = x.algebra.field
     parts = []
     for e, v in x.terms():
-        c = f.format(v[0])
+        c = f.format(v[0][1])
         zp = "1" if e == 0 else ("z" if e == 1 else f"z^{e}")
         body = f"1 (x) {zp}" if zp != "1" else "1 (x) 1"
         parts.append(body if c == "1" else f"{c}*({body})")
@@ -512,7 +512,7 @@ def _t_derivation(a, m: int, n: int):
                 raise InternalCheckFailed(f"derivation argument escaped the degree-zero part: "
                                           f"exponent {exp} is not a multiple of m = {m}")
             k = exp // m
-            out[m * (n + k)] = [f.mul(f.from_int(k), c) for c in vec]
+            out[m * (n + k)] = tuple((i, f.mul(f.from_int(k), c)) for i, c in vec) if k else ()
         return LoopElement(a, out)
 
     return d

@@ -27,7 +27,7 @@ from .errors import (
     PsiNotIso,
 )
 from .exactla import (Subspace, apply_map, combine_rows, compose_maps, first_difference, invert_map,
-                      map_of_columns, sparse_kron, vec_add, vec_scale, vec_sub)
+                      map_of_columns, sparse_kron)
 from .gradings import (
     Automorphism,
     Grading,
@@ -115,7 +115,7 @@ class Setup:
     """
 
     def __init__(self, a: Algebra, s: Algebra, aut1: Automorphism, aut2: Automorphism,
-                 q: int = 1, u: list | None = None):
+                 q: int = 1, u: tuple | None = None):
         if a.field != s.field:
             raise FieldMismatch("factor algebras live over different fields")
         if aut1.algebra is not a or aut2.algebra is not s:
@@ -195,8 +195,8 @@ class Setup:
 
     # -- unit powers and the right S-action ---------------------------------
 
-    def unit_power(self, t: int, unit: str = "u_prime") -> list:
-        """Coordinates of a unit raised to any integer power, cached per unit.
+    def unit_power(self, t: int, unit: str = "u_prime") -> tuple:
+        """A unit raised to any integer power, as a sparse row, cached per unit.
 
         The unit is the degree-one unit u_prime, or the original degree-q
         unit u (for the published formula).
@@ -210,50 +210,40 @@ class Setup:
                                        getattr(self.unit_data, unit + "_inv"))
         return cache[t]
 
-    def act(self, x: list, s_coords) -> list:
-        """Right module action: multiply the S slot by a fixed element."""
-        key = tuple(s_coords)
-        if key not in self._lmat:
-            self._lmat[key] = self.s.mult_map(list(s_coords))
-        return apply_map(self.a.field, self._lmat[key], self.s.dim, x)
+    def act(self, x, y) -> tuple:
+        """Right module action: multiply the S slot of x by the fixed element y (sparse rows)."""
+        if y not in self._lmat:
+            self._lmat[y] = self.s.mult_map(y)
+        return apply_map(self.a.field, self._lmat[y], self.s.dim, x)
 
-    def tensor_elem(self, a_vec: list, s_vec: list) -> list:
+    def tensor_elem(self, a_vec, s_vec) -> tuple:
         return tensor_vector(self.a, self.s, a_vec, s_vec)
-
-    # -- the fixed subalgebra as a coordinate space -------------------------
-
-    def fixed_coords(self, x: list) -> list:
-        return self.fixed_space.coords(x)
-
-    def fixed_lift(self, coords: list) -> list:
-        return self.fixed_space.linear_combination(coords)
 
     def d_eval(self, d):
         """Evaluator for a derivation given in fixed-algebra coordinates.
 
         d must be a derivation of the fixed algebra, as a sparse flattened map
         (sorted, zero-free: Subspace._sparse). The returned closure takes an
-        ambient tensor vector that must lie in the fixed subalgebra and
-        returns the ambient image as a new list. It is memoised per distinct
-        argument; an argument outside the fixed subalgebra raises NotInDomain
-        on every call.
+        ambient tensor element, a sparse row that must lie in the fixed
+        subalgebra, and returns its ambient image as a sparse row. It is
+        memoised per distinct argument; an argument outside the fixed
+        subalgebra raises NotInDomain on every call.
         """
-        k = self.fixed_algebra.dim
+        f, fixed, k = self.a.field, self.fixed_space, self.fixed_algebra.dim
         if d and d[-1][0] >= k * k:
             raise DimensionMismatch(f"expected a map on the dim-{k} fixed algebra")
-        if not self.der_fixed.space.contains_row(d):
+        if not self.der_fixed.space.contains(d):
             raise NotInDomain("not a derivation of the fixed-point algebra")
         images = {}
 
-        def ev(x: list) -> list:
-            key = tuple(x)
-            if key not in images:
+        def ev(x) -> tuple:
+            if x not in images:
                 try:
-                    c = self.fixed_coords(x)
+                    c = fixed.coords(x)
                 except NotInDomain:
                     raise NotInDomain("evaluation argument is not in the fixed subalgebra")
-                images[key] = tuple(self.fixed_lift(apply_map(self.a.field, d, k, c)))
-            return list(images[key])
+                images[x] = combine_rows(f, ((v, fixed._sparse[t]) for t, v in apply_map(f, d, k, c)))
+            return images[x]
 
         return ev
 
@@ -273,7 +263,7 @@ class Setup:
         """Inverse of the matrix whose columns are the graded pair vectors, sparse flattened."""
         def build():
             f = self.a.field
-            return invert_map(f, map_of_columns(f, [p[4] for p in self.graded_pair_basis]), self.ts.dim)
+            return invert_map(f, map_of_columns([p[4] for p in self.graded_pair_basis]), self.ts.dim)
         return self._get("pairs_inv", build)
 
 
@@ -292,20 +282,20 @@ def split_derivation(delta, a: Algebra, s: Algebra, ts: Algebra | None = None):
     ts = ts or tensor_product(a, s)
     require_scalar_hypotheses(s)
     f, n, one = a.field, ts.dim, s.unit()
-    if not derivation_space(ts).space.contains_row(delta):
+    if not derivation_space(ts).space.contains(delta):
         raise NotInDomain("input is not a derivation of the tensor algebra")
     cols = []
     for i in range(a.dim):
-        img = apply_map(f, delta, n, tensor_vector(a, s, a.basis_vector(i), one))
+        img = apply_map(f, delta, n, tensor_vector(a, s, ((i, f.one()),), one))
         cols += [apply_map(f, lj, s.dim, img) for lj in s.left_mult_operators()]
-    d = map_of_columns(f, cols)
+    d = map_of_columns(cols)
     rem = combine_rows(f, ((f.one(), delta), (f.neg(f.one()), d)))
     slin = s_module_derivations(a, s, ts)
     vanish = vanishing_on_left_derivations(a, s, ts)
-    if (c := slin.space.first_outside(d)) is not None:
-        raise InternalCheckFailed(f"S-linear part escaped its defining space at entry {divmod(c, n)}")
-    if (c := vanish.space.first_outside(rem)) is not None:
-        raise InternalCheckFailed(f"remainder does not vanish on the left factor at entry {divmod(c, n)}")
+    if rest := slin.space.reduce(d):
+        raise InternalCheckFailed(f"S-linear part escaped its defining space at entry {divmod(rest[0][0], n)}")
+    if rest := vanish.space.reduce(rem):
+        raise InternalCheckFailed(f"remainder does not vanish on the left factor at entry {divmod(rest[0][0], n)}")
     if "split_direct" not in ts._cache:
         if (inter := slin.space.intersect(vanish.space)).dim != 0:
             raise InternalCheckFailed(f"the two summand spaces overlap, first at entry "
@@ -331,7 +321,7 @@ def embed_tensor_derivations(a: Algebra, s: Algebra, ts: Algebra | None = None):
                         ("centA-tensor-derS", centroid(a), derivation_space(s).space._sparse)):
         gens = [sparse_kron(a.field, x, a.dim, y, s.dim) for x in xs.space._sparse for y in ys]
         for idx, gen in enumerate(gens):
-            if not derivation_space(ts).space.contains_row(gen):
+            if not derivation_space(ts).space.contains(gen):
                 raise InternalCheckFailed(f"embedded generator {idx} of {tag}, the tensor of factor basis "
                                           f"maps {divmod(idx, len(ys))}, is not a derivation")
         images.append(EndoSpace(ts, ts.dim, Subspace.from_rows(a.field, ts.dim * ts.dim, gens), tag))
@@ -412,7 +402,7 @@ def verify_graded_decomposition(setup: Setup) -> VerificationReport:
         part1 = []
         part2 = []
         for k in range(m):
-            lefts = [s.mult_map(y) for y in setup.grading_s.component(j - k).rows]
+            lefts = [s.mult_map(y) for y in setup.grading_s.component(j - k)._sparse]
             for part, xs, ys in ((part1, ga_d, lefts), (part2, ga_c, gs_d.component(j - k)._sparse)):
                 part += [sparse_kron(f, x, na, y, s.dim) for x in xs.components[k]._sparse for y in ys]
         sp1 = Subspace.from_rows(f, n2, part1)
@@ -428,13 +418,13 @@ def verify_graded_decomposition(setup: Setup) -> VerificationReport:
 
 def _restrict(big_d, setup: Setup) -> tuple:
     """big_d on the fixed-point algebra, in its coordinates; the image must stay inside it."""
-    f, n, cols = setup.a.field, setup.ts.dim, []
-    for t, x in enumerate(setup.fixed_space.rows):
+    f, n, fixed, cols = setup.a.field, setup.ts.dim, setup.fixed_space, []
+    for t, x in enumerate(fixed._sparse):
         try:
-            cols.append(setup.fixed_coords(apply_map(f, big_d, n, x)))
+            cols.append(fixed.coords(apply_map(f, big_d, n, x)))
         except NotInDomain:
             raise InternalCheckFailed(f"degree-zero derivation moved the fixed subalgebra at basis vector {t}")
-    return map_of_columns(f, cols)
+    return map_of_columns(cols)
 
 
 def restrict_pi(big_d, setup: Setup) -> tuple:
@@ -444,12 +434,12 @@ def restrict_pi(big_d, setup: Setup) -> tuple:
     test refuses a non-derivation and a wrong degree alike (NotInDomain). A
     restriction that is no derivation of the fixed algebra is an engine fault.
     """
-    if not setup.der_ts_grading.components[0].contains_row(big_d):
+    if not setup.der_ts_grading.components[0].contains(big_d):
         raise NotInDomain("not a degree-zero derivation of the tensor algebra")
     r = _restrict(big_d, setup)
-    if (c := setup.der_fixed.space.first_outside(r)) is not None:
+    if rest := setup.der_fixed.space.reduce(r):
         raise InternalCheckFailed(f"restriction is not a derivation of the fixed algebra at entry "
-                                  f"{divmod(c, setup.fixed_algebra.dim)}")
+                                  f"{divmod(rest[0][0], setup.fixed_algebra.dim)}")
     return r
 
 
@@ -463,31 +453,25 @@ def restrict_pi(big_d, setup: Setup) -> tuple:
 
 
 class _Coords:
-    """The finite carrier: coordinate vectors; U is a cached unit, to the power stride."""
+    """The finite carrier: sparse rows; U is a cached unit, to the power stride."""
 
     def __init__(self, setup: Setup, unit: str = "u_prime", stride: int = 1):
         self.setup, self.field, self.m = setup, setup.a.field, setup.m
         self.power = lambda t: setup.unit_power(stride * t, unit)
 
-    def pure(self, avec, t: int, b=None) -> list:
+    def pure(self, avec, t: int, b=None) -> tuple:
         up = self.power(t)
         return self.setup.tensor_elem(avec, up if b is None else self.setup.s.mult(up, b))
 
-    def act(self, x: list, t: int, b=None) -> list:
+    def act(self, x, t: int, b=None) -> tuple:
         y = self.setup.act(x, self.power(t))
         return y if b is None else self.setup.act(y, b)
 
-    def comb(self, terms) -> list:
-        f = self.field
-        out = [f.zero()] * self.setup.ts.dim
-        for c, x in terms:
-            for i, v in enumerate(x):
-                if f.nonzero(v):
-                    out[i] = f.add(out[i], f.mul(c, v))
-        return out
+    def comb(self, terms) -> tuple:
+        return combine_rows(self.field, terms)
 
 
-def _residue_shift(c, ev, avec, b, es: int, q: int):
+def residue_shift(c, ev, avec, b, es: int, q: int):
     """U^r d(a tensor U^-r b), r = es q^-1 mod m, for the carrier's unit U of degree q."""
     m = c.m
     r = eps(es * pow(q, -1, m), m) if m > 1 else 0
@@ -501,7 +485,7 @@ def _bracket(c, ev, avec, t: int, big_m: int, b=None):
                          (f.neg(f.one()), ev(c.pure(avec, -t, b)))]), t)
 
 
-def _phi(c, ev, pieces, mn: int) -> list:
+def phi_formula(c, ev, pieces, mn: int) -> list:
     """Images of homogeneous pieces (a, ia, b, es) under the inverse map.
 
     es is the total residue of a tensor b. The image is the residue shift
@@ -512,7 +496,7 @@ def _phi(c, ev, pieces, mn: int) -> list:
     mn_inv = f.inv_int(mn)
     out = []
     for avec, ia, b, es in pieces:
-        img = _residue_shift(c, ev, avec, b, es, 1)
+        img = residue_shift(c, ev, avec, b, es, 1)
         if es:
             corr = c.act(_bracket(c, ev, avec, ia, mn), 0, b)
             img = c.comb([(f.one(), img), (f.mul(f.from_int(es), mn_inv), corr)])
@@ -546,12 +530,12 @@ def extend_phi(d, setup: Setup, branch: str = "char0", n: int = 1) -> tuple:
         if f.kind != PRIME or p == 0:
             raise HypothesisNotMet("char-p branch needs a prime field", "prime-char")
         c = _Coords(setup, stride=p)
-        cols = [_residue_shift(c, ev, avec, b, es, p) for avec, _, b, es in _pair_pieces(setup)]
+        cols = [residue_shift(c, ev, avec, b, es, p) for avec, _, b, es in _pair_pieces(setup)]
     else:
         if n == 0 or (p and (n % p == 0)):
             raise HypothesisNotMet(f"n = {n} is not invertible here", "invertible-n")
-        cols = _phi(_Coords(setup), ev, _pair_pieces(setup), setup.m * n)
-    big = compose_maps(f, map_of_columns(f, cols), setup.pair_basis_inverse, nts)
+        cols = phi_formula(_Coords(setup), ev, _pair_pieces(setup), setup.m * n)
+    big = compose_maps(f, map_of_columns(cols), setup.pair_basis_inverse, nts)
     wit = leibniz_witness(setup.ts, big)
     if wit is not None:
         raise InternalCheckFailed(f"extension violates the derivation law on pair {wit[:2]}")
@@ -574,9 +558,9 @@ def bm_formula_extend(d, setup: Setup) -> tuple:
     ev = setup.d_eval(d)
     c = _Coords(setup, "u")
     q = setup.unit_data.q
-    cols = [_residue_shift(c, ev, avec, b, es, q) for avec, _, b, es in _pair_pieces(setup)]
+    cols = [residue_shift(c, ev, avec, b, es, q) for avec, _, b, es in _pair_pieces(setup)]
     f = setup.a.field
-    return compose_maps(f, map_of_columns(f, cols), setup.pair_basis_inverse, setup.ts.dim)
+    return compose_maps(f, map_of_columns(cols), setup.pair_basis_inverse, setup.ts.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +598,7 @@ def check_surjectivity_identities(d, setup: Setup,
     brackets = {}
 
     def br(avec, t, b=None):
-        key = (tuple(avec), t, b if b is None else tuple(b))
+        key = (avec, t, b)
         if key not in brackets:
             brackets[key] = _bracket(c, ev, avec, t, m, b)
         return brackets[key]
@@ -638,20 +622,21 @@ def check_surjectivity_identities(d, setup: Setup,
     # averaging formulas: three ways of writing 2d, (1+n)d, (1-n)d
     tuples1 = [(avec, i, n) for avec, ia in abasis for i in lifts(ia) for n in ns]
 
+    def scaled_sum(*terms):
+        # the sparse row sum of k x over the pairs (integer k, sparse row x)
+        return combine_rows(f, ((f.from_int(k), x) for k, x in terms))
+
     def f1(avec, i, n):
-        lhs = vec_add(f, c.act(du(avec, -i + n * m), -n * m),
-                      c.act(du(avec, -i - n * m), n * m))
-        return lhs == vec_scale(f, f.from_int(2), du(avec, -i))
+        lhs = scaled_sum((1, c.act(du(avec, -i + n * m), -n * m)), (1, c.act(du(avec, -i - n * m), n * m)))
+        return lhs == scaled_sum((2, du(avec, -i)))
 
     def f2(avec, i, n):
-        lhs = vec_add(f, c.act(du(avec, -i + n * m), -n * m),
-                      vec_scale(f, f.from_int(n), c.act(du(avec, -i - m), m)))
-        return lhs == vec_scale(f, f.from_int(1 + n), du(avec, -i))
+        lhs = scaled_sum((1, c.act(du(avec, -i + n * m), -n * m)), (n, c.act(du(avec, -i - m), m)))
+        return lhs == scaled_sum((1 + n, du(avec, -i)))
 
     def f3(avec, i, n):
-        lhs = vec_sub(f, c.act(du(avec, -i + n * m), -n * m),
-                      vec_scale(f, f.from_int(n), c.act(du(avec, -i + m), -m)))
-        return lhs == vec_scale(f, f.from_int(1 - n), du(avec, -i))
+        lhs = scaled_sum((1, c.act(du(avec, -i + n * m), -n * m)), (-n, c.act(du(avec, -i + m), -m)))
+        return lhs == scaled_sum((1 - n, du(avec, -i)))
 
     run("formula-1", tuples1, f1)
     run("formula-2", tuples1, f2)
@@ -738,16 +723,16 @@ def verify_pi_isomorphism(setup: Setup) -> VerificationReport:
     rep.dim("degree-zero-derivations", n0)
     rep.dim("fixed-algebra-derivations", k0)
 
-    coords = [setup.der_fixed.space.row_coords(restrict_pi(big, setup)) for big in zero_comp._sparse]
+    coords = [setup.der_fixed.space.coords(restrict_pi(big, setup)) for big in zero_comp._sparse]
     rep.check("restriction-lands-in-derivations", True)
-    rk = Subspace.from_vectors(f, k0, coords).dim
+    rk = Subspace.from_rows(f, k0, coords).dim
     rep.dim("restriction-rank", rk)
     rep.check("injective", rk == n0)
     rep.check("surjective", rk == k0)
 
     exts = [extend_phi(d, setup) for d in setup.der_fixed.space._sparse]
     rep.check("phi-after-pi-is-identity",
-              all(combine_rows(f, zip(cs, exts)) == big for cs, big in zip(coords, zero_comp._sparse)))
+              all(combine_rows(f, ((x, exts[t]) for t, x in cs)) == big for cs, big in zip(coords, zero_comp._sparse)))
     rep.check("pi-after-phi-is-identity", True)
 
     expected = 0

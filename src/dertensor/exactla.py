@@ -7,10 +7,12 @@ integer elimination for rationals, mod-p, generic field ops) cannot
 disagree. A Subspace is stored as the RREF of any spanning set, so subspace
 equality is literal basis equality.
 
-A linear map of field^n is one sparse row, flattened row-major: entry (r, c)
-sits at column r n + c. A Matrix, lists of lists of raw field values (see
-scalars), is only the dense form in which an automorphism is written; it is
-treated as immutable after construction.
+A vector of field^n is one sparse row: a tuple of (index, raw value) pairs,
+sorted by index, with every value nonzero. A linear map of field^n is one
+sparse row too, flattened row-major: entry (r, c) sits at column r n + c.
+Subspace.reduce is the one membership test. A Matrix, lists of lists of raw
+field values (see scalars), is only the dense form in which an automorphism
+is written; it is treated as immutable after construction.
 """
 
 from __future__ import annotations
@@ -78,25 +80,6 @@ class Matrix:
         return Matrix(f, out, other.ncols)
 
 
-# -- vectors (plain lists of raw values) -----------------------------------
-
-
-def vec_add(field, u, v):
-    return [field.add(a, b) for a, b in zip(u, v)]
-
-
-def vec_sub(field, u, v):
-    return [field.sub(a, b) for a, b in zip(u, v)]
-
-
-def vec_scale(field, c, u):
-    return [field.mul(c, a) for a in u]
-
-
-def vec_is_zero(field, u) -> bool:
-    return not any(map(field.nonzero, u))
-
-
 # -- sparse rows and the canonical reduced row echelon form ----------------
 #
 # A sparse row is a tuple of (column, raw value) pairs, sorted by column, with
@@ -122,9 +105,10 @@ def map_rows(m, n: int) -> dict:
     return rows
 
 
-def map_of_columns(field, cols) -> tuple:
-    """The sparse flattened square map whose column p is the dense vector cols[p]."""
-    return sparse_rows(field, [[x for row in zip(*cols) for x in row]])[0]
+def map_of_columns(cols) -> tuple:
+    """The sparse flattened square map whose column p is the sparse row cols[p]."""
+    n = len(cols)
+    return tuple(sorted((r * n + p, x) for p, col in enumerate(cols) for r, x in col))
 
 
 def sparse_kron(field, x, nx, y, ny) -> tuple:
@@ -137,16 +121,18 @@ def sparse_kron(field, x, nx, y, ny) -> tuple:
                  for i2, r2 in yr.items() for j1, a in r1 for j2, b in r2)
 
 
-def apply_map(field, m, n: int, x) -> list:
-    """(id tensor M) x block by block, for M the sparse flattened n by n map m:
-    M x when len(x) = n. Zero entries of the dense vector x are skipped."""
-    add, mul, nz = field.add, field.mul, field.nonzero
-    out = [field.zero()] * len(x)
-    for base in range(0, len(x), n):
+def apply_map(field, m, n: int, x) -> tuple:
+    """(id tensor M) x block by block, for M the sparse flattened n by n map m
+    and x a sparse row: M x when x lies in field^n. Blocks of n columns
+    where x has no entry are skipped."""
+    add, mul, at = field.add, field.mul, dict(x)
+    acc = {}
+    for base in {j - j % n for j in at}:
         for rc, v in m:
-            if nz(xk := x[base + rc % n]):
-                out[base + rc // n] = add(out[base + rc // n], mul(v, xk))
-    return out
+            if (xk := at.get(base + rc % n)) is not None:
+                r = base + rc // n
+                acc[r] = add(acc[r], mul(v, xk)) if r in acc else mul(v, xk)
+    return canonical_row(field, acc)
 
 
 def compose_maps(field, x, y, n: int) -> tuple:
@@ -409,60 +395,35 @@ class Subspace:
         if self.ambient != other.ambient:
             raise DimensionMismatch(f"ambient {self.ambient} vs {other.ambient}")
 
-    def reduce(self, vec: list) -> list:
-        """Residual of vec after eliminating all pivot coordinates."""
-        if len(vec) != self.ambient:
-            raise DimensionMismatch(f"vector length {len(vec)} in ambient {self.ambient}")
-        f = self.field
-        nz = f.nonzero
-        vec = list(vec)
-        for prow, c in zip(self._sparse, self.pivots):
-            x = vec[c]
-            if nz(x):
-                for j, b in prow:
-                    vec[j] = f.sub(vec[j], f.mul(x, b))
-        return vec
+    def reduce(self, row) -> tuple:
+        """The sparse row minus its pivot entries times their basis rows, as a
+        sparse row: empty exactly when the row lies in the space and is
+        canonical (sorted and zero-free, as _sparse gives it). A
+        non-canonical member reduces to itself, so it is outside."""
+        f, at = self.field, dict(zip(self.pivots, self._sparse))
+        along = combine_rows(f, ((x, at[c]) for c, x in row if c in at))
+        if along == tuple(row):
+            return ()
+        one = f.one()
+        return combine_rows(f, ((one, row), (f.neg(one), along))) or tuple(row)
 
-    def contains(self, vec: list) -> bool:
-        return vec_is_zero(self.field, self.reduce(vec))
+    def contains(self, row) -> bool:
+        return not self.reduce(row)
 
-    def first_outside(self, row):
-        """None if the sparse row (sorted and zero-free, as _sparse and sparse_kron
-        give it; any other row is outside) lies in the space, else the least
-        column where it differs from its pivot entries times their basis rows."""
-        at = dict(zip(self.pivots, self._sparse))
-        along = combine_rows(self.field, ((x, at[c]) for c, x in row if c in at))
-        return None if along == tuple(row) else first_difference(row, along)
-
-    def contains_row(self, row) -> bool:
-        """Whether a sparse row, as first_outside takes it, lies in the space."""
-        return self.first_outside(row) is None
-
-    def coords(self, vec: list) -> list:
-        """Coefficients of vec in the RREF basis; NotInDomain if outside."""
-        if not self.contains(vec):
-            raise NotInDomain("vector not in subspace")
-        return [vec[c] for c in self.pivots]
-
-    def row_coords(self, row) -> list:
-        """Coefficients in the RREF basis of a sparse row (as first_outside
-        takes it), which are its entries at the pivots; NotInDomain if outside."""
-        if (c := self.first_outside(row)) is not None:
-            raise NotInDomain(f"row leaves the subspace at column {c}")
-        at = dict(row)
-        return [at.get(c, self.field.zero()) for c in self.pivots]
-
-    def linear_combination(self, coeffs: list) -> list:
-        if len(coeffs) != self.dim:
-            raise DimensionMismatch(f"{len(coeffs)} coefficients for dim {self.dim}")
-        return list(_dense(self.field, self.ambient, combine_rows(self.field, zip(coeffs, self._sparse))))
+    def coords(self, row) -> tuple:
+        """The coordinates of a sparse row in the RREF basis, which are its
+        entries at the pivots, as a sparse row; NotInDomain if outside."""
+        if rest := self.reduce(row):
+            raise NotInDomain(f"row leaves the subspace at column {rest[0][0]}")
+        at = {c: k for k, c in enumerate(self.pivots)}
+        return tuple((at[c], x) for c, x in row if c in at)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._compat(other)
         return Subspace.from_rows(self.field, self.ambient, self._sparse + other._sparse)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """The x in self that other's reduction (see reduce) leaves zero."""
+        """The x in self that other's reduction (see reduce) leaves empty."""
         self._compat(other)
         f, at, piv = self.field, _by_column(other._sparse), set(other.pivots)
         rows = [[(c, f.one())] + [(other.pivots[k], f.neg(b)) for k, b in at.get(c, ())]
@@ -498,17 +459,27 @@ def kernel_of_rows(field, rows, ncols, tag="kernel", more=None) -> Subspace:
     decides whether they are solved over Q. more replaces _certify's
     residual pass: it checks ker on the whole system M is drawn from and
     returns the rows there that ker leaves nonzero."""
-    rows, one = list(rows), field.one()
+    rows, one, last = list(rows), field.one(), ncols - 1
+
+    def mirror(row):  # column c to last - c, still sorted
+        return tuple([(last - c, x) for c, x in reversed(row)])
+
+    flipped = list(map(mirror, rows))
     while True:
-        red, pivots, sources = rref_rows(field, rows, ncols)
-        # free column j: 1 at j, minus the RREF entry at column j on each pivot column
-        at, pivset = _by_column(red), set(pivots)
-        ker = Subspace.from_rows(field, ncols, [
-            tuple((pivots[k], field.neg(x)) for k, x in at.get(j, ())) + ((j, one),)
-            for j in range(ncols) if j not in pivset])
+        # eliminated mirrored, each RREF row has its pivot right of its other
+        # entries, so the free-column basis below comes out in RREF itself
+        red, mirrored, sources = rref_rows(field, flipped, ncols)
+        at, pivots = _by_column(red), [last - c for c in mirrored]
+        # free column j: 1 at j, minus each RREF row's entry at j (mirrored,
+        # last - j) placed at that row's pivot; rows in reverse, pivots ascend
+        free = sorted(set(range(ncols)).difference(pivots))
+        ker = Subspace(field, ncols, [
+            ((j, one),) + tuple((pivots[k], field.neg(x)) for k, x in reversed(at.get(last - j, ()))) for j in free],
+            free)
         if not (new := more and more(ker)):
             break
         rows += new
+        flipped += map(mirror, new)
     _certify(field, () if more else rows, ker, ncols - len(pivots), [rows[i] for i in sources], tag)
     return ker
 

@@ -31,7 +31,7 @@ from .errors import (
     WrongPeriod,
 )
 from .exactla import (Matrix, Subspace, apply_map, combine_rows, compose_maps, invert_map, map_of_columns,
-                      map_rows, sparse_kron, vec_is_zero)
+                      map_rows, sparse_kron)
 from .invariants import EndoSpace
 
 COMBO_BUDGET = 64  # small integer combinations tried by find_graded_unit
@@ -74,10 +74,10 @@ def check_automorphism(algebra: Algebra, matrix: Matrix, period: int) -> Automor
         siginv = invert_map(f, sig, n)
     except SingularElement:
         raise NotAutomorphism("matrix is singular")
-    cols = [apply_map(f, sig, n, algebra.basis_vector(i)) for i in range(n)]
+    cols = [apply_map(f, sig, n, ((i, f.one()),)) for i in range(n)]
     for i in range(n):
         for j in range(n):
-            if apply_map(f, sig, n, algebra.table[i][j]) != algebra.mult(cols[i], cols[j]):
+            if apply_map(f, sig, n, algebra._nz[i][j]) != algebra.mult(cols[i], cols[j]):
                 raise NotAutomorphism(f"not multiplicative on basis pair ({i},{j})")
     power = eye = tuple((i * n + i, f.one()) for i in range(n))
     for _ in range(period):
@@ -106,20 +106,15 @@ class Grading:
         return self.components[eps(i, self.m)]
 
     def graded_basis(self):
-        """All component basis vectors with their residues, in degree order."""
-        out = []
-        for i, comp in enumerate(self.components):
-            for row in comp.rows:
-                out.append((list(row), i))
-        return out
+        """All component basis vectors (sparse rows) with their residues, in degree order."""
+        return [(row, i) for i, comp in enumerate(self.components) for row in comp._sparse]
 
-    def degree_of(self, vec: list) -> int | None:
-        """Residue of a nonzero homogeneous vector, else None."""
-        for i, comp in enumerate(self.components):
-            if comp.dim and comp.contains(vec):
-                if vec_is_zero(comp.field, vec):
-                    return None
-                return i
+    def degree_of(self, vec) -> int | None:
+        """Residue of a nonzero homogeneous sparse row, else None."""
+        if vec:
+            for i, comp in enumerate(self.components):
+                if comp.dim and comp.contains(vec):
+                    return i
         return None
 
     def basis_parts(self, field) -> list[dict]:
@@ -184,13 +179,13 @@ def grading_from_automorphism(aut: Automorphism) -> Grading:
 
 def grading_is_multiplicative(a: Algebra, g: Grading) -> bool:
     """Products of components land in the component of the residue sum."""
-    rows = [c.rows for c in g.components]
+    rows = [c._sparse for c in g.components]
     for i, ci in enumerate(rows):
         for j, cj in enumerate(rows):
             target = g.component(i + j)
             for u in ci:
                 for v in cj:
-                    if not target.contains(a.mult(list(u), list(v))):
+                    if not target.contains(a.mult(u, v)):
                         return False
     return True
 
@@ -208,11 +203,11 @@ def induced_endo_grading(aut: Automorphism, endo: EndoSpace) -> Grading:
     coords = []
     for t in endo.space._sparse:
         try:
-            coords.append(endo.space.row_coords(compose_maps(f, compose_maps(f, sig, t, n), siginv, n)))
+            coords.append(endo.space.coords(compose_maps(f, compose_maps(f, sig, t, n), siginv, n)))
         except NotInDomain:
             raise NotInvariant("conjugation does not preserve the endomorphism space")
     # conjugation on the coordinates, column convention
-    return _eigenspace_grading(endo.space, map_of_columns(f, coords), aut.period, endo.tag)
+    return _eigenspace_grading(endo.space, map_of_columns(coords), aut.period, endo.tag)
 
 
 def tensor_automorphism(aut_a: Automorphism, aut_s: Automorphism, ts: Algebra) -> Automorphism:
@@ -245,9 +240,9 @@ def find_graded_unit(
     s: Algebra,
     grading: Grading,
     q: int = 1,
-    u: list | None = None,
+    u: tuple | None = None,
 ) -> GradedUnitData:
-    """Find (or validate) an invertible element of the degree-q component.
+    """Find (or validate) an invertible element (a sparse row) of the degree-q component.
 
     Tries the component's basis vectors first, then a deterministic
     enumeration of small integer combinations (coefficients -2..2, at most
@@ -270,18 +265,17 @@ def find_graded_unit(
         except SingularElement:
             raise NoUnitFound("given element is not invertible")
         return _finish_unit(s, q, q1, u, u_inv)
-    candidates = [list(r) for r in comp.rows]
+    candidates = list(comp._sparse)
     tried = 0
     for coeffs in iter_product(range(-2, 3), repeat=comp.dim):
         if tried >= COMBO_BUDGET:
             break
         if sum(1 for c in coeffs if c) < 2:
             continue  # zero and single-vector combos are the basis candidates
-        vec = comp.linear_combination([s.field.from_int(c) for c in coeffs])
-        candidates.append(vec)
+        candidates.append(combine_rows(s.field, zip(map(s.field.from_int, coeffs), comp._sparse)))
         tried += 1
     for cand in candidates:
-        if vec_is_zero(s.field, cand):
+        if not cand:
             continue
         try:
             u_inv = invert_element(s, cand)
@@ -291,7 +285,7 @@ def find_graded_unit(
     raise NoUnitFound(f"no invertible element found in the degree-{q} component")
 
 
-def _finish_unit(s: Algebra, q: int, q1: int, u: list, u_inv: list):
+def _finish_unit(s: Algebra, q: int, q1: int, u: tuple, u_inv: tuple):
     # u has degree q and the grading is multiplicative, so u_prime has degree q q1 = 1
     u_prime = s.unit()
     u_prime_inv = s.unit()

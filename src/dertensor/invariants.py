@@ -20,11 +20,12 @@ from .errors import (
     InternalCheckFailed,
     NotAssociative,
     NotCommutative,
+    NotInDomain,
     NotPerfect,
     NotUnital,
 )
 from .exactla import (Subspace, apply_map, canonical_row, compose_maps, combine_rows, kernel_of_rows, map_rows,
-                      sparse_kron, vec_add)
+                      sparse_kron)
 from .scalars import CYCLOTOMIC, PRIME, RATIONAL
 
 
@@ -114,11 +115,14 @@ def _law_residual(a: Algebra, maps, split: bool, pairs):
 
 def leibniz_witness(a: Algebra, m):
     """The first basis pair (i, j) in row-major order where the sparse map m
-    breaks the derivation law, as (i, j, m(b_i b_j), m(b_i) b_j + b_i m(b_j)), or None."""
-    f, n, e = a.field, a.dim, a.basis_vector
+    breaks the derivation law, as (i, j, m(b_i b_j), m(b_i) b_j + b_i m(b_j))
+    with sparse rows, or None."""
+    f, n, one = a.field, a.dim, a.field.one()
     for i, j, *_ in _law_residual(a, [m], False, ((i, j) for i in range(n) for j in range(n))):
-        want = vec_add(f, a.mult(apply_map(f, m, n, e(i)), e(j)), a.mult(e(i), apply_map(f, m, n, e(j))))
-        return (i, j, apply_map(f, m, n, a.table[i][j]), want)
+        bi, bj = ((i, one),), ((j, one),)
+        mi, mj = apply_map(f, m, n, bi), apply_map(f, m, n, bj)
+        want = combine_rows(f, ((one, a.mult(mi, bj)), (one, a.mult(bi, mj))))
+        return (i, j, apply_map(f, m, n, a._nz[i][j]), want)
     return None
 
 
@@ -244,11 +248,9 @@ def vanishing_on_left_derivations(a: Algebra, s: Algebra, ts: Algebra | None = N
         unit = s.unit()
         if unit is None:
             raise NotUnital("right factor has no unit, so 'a tensor 1' is undefined")
-        f, n = ts.field, ts.dim
-        unit_nz = [(jj, c) for jj, c in enumerate(unit) if f.nonzero(c)]
+        n = ts.dim
         # d(a_i tensor 1) = 0, one row per output coordinate t
-        rows = [tuple((t * n + i * s.dim + jj, c) for jj, c in unit_nz)
-                for i in range(a.dim) for t in range(n)]
+        rows = [tuple((t * n + i * s.dim + jj, c) for jj, c in unit) for i in range(a.dim) for t in range(n)]
         space = derivation_space(ts).space.cut(rows, "vanishing-on-left")
         ts._cache[key] = EndoSpace(ts, n, space, "vanishing-on-left")
     return ts._cache[key]
@@ -297,7 +299,7 @@ def psi_map(a: Algebra, s: Algebra, ts: Algebra | None = None) -> PsiReport:
     cent_ts = centroid(ts)
     cols = _psi_images(a, s)
     image = Subspace.from_rows(a.field, ts.dim * ts.dim, cols)
-    in_cent = all(map(cent_ts.space.contains_row, cols))
+    in_cent = all(map(cent_ts.space.contains, cols))
     return PsiReport(
         domain_dim=len(cols),
         target_dim=cent_ts.dim,
@@ -314,17 +316,17 @@ def psi_multiplicative(a: Algebra, s: Algebra) -> bool:
     them, against their combination along the centroid coordinates of g1 g2
     and the structure constants of s1 s2. The centroid is closed under
     composition and its kernel is certified complete (centroid()), so g1 g2
-    must lie in it, and its coordinates are its entries at the pivots.
+    must lie in it (Subspace.coords).
     """
     f, ns, na = a.field, s.dim, a.dim
     cent_a = centroid(a).space
     cols = _psi_images(a, s)
     for a1, g1 in enumerate(cent_a._sparse):
         for a2, g2 in enumerate(cent_a._sparse):
-            g12 = compose_maps(f, g1, g2, na)
-            if not cent_a.contains_row(g12):
+            try:
+                lam = cent_a.coords(compose_maps(f, g1, g2, na))
+            except NotInDomain:
                 raise InternalCheckFailed(f"centroid: composite of basis maps {a1} and {a2} lies outside it")
-            lam = [(aa, x) for aa, x in enumerate(map(dict(g12).get, cent_a.pivots)) if x is not None]
             for j1 in range(ns):
                 for j2 in range(ns):
                     want = combine_rows(f, ((f.mul(la, cj), cols[aa * ns + jj])

@@ -22,14 +22,14 @@ grading once from (aut, u, d), and return a function of the target.
 """
 
 from .algebra import Algebra
-from .decomposition import _phi, _residue_shift
+from .decomposition import phi_formula, residue_shift
 from .errors import (
     FieldMismatch,
     HypothesisNotMet,
     NotInDomain,
     ParseError,
 )
-from .exactla import _dense, combine_rows, sparse_rows
+from .exactla import combine_rows
 from .gradings import Grading, eps, grading_from_automorphism
 
 FORWARD = "forward"
@@ -52,20 +52,17 @@ def graded_component(n: int, m: int, style: str) -> int:
 class LoopElement:
     """Finite sum of terms a (x) z^n over a fixed finite-dimensional algebra.
 
-    Stored as a map from exponents to coefficient vectors in the canonical
-    basis of the left factor; zero vectors are dropped, so representation
-    is canonical and equality is support equality.
+    Stored as a map from exponents to coefficients, each a sparse row (see
+    exactla) in the canonical basis of the left factor; empty rows are
+    dropped, so representation is canonical and equality is support
+    equality. The constructor takes canonical rows; term accepts zeros.
     """
 
     __slots__ = ("algebra", "support")
 
     def __init__(self, algebra: Algebra, support: dict):
-        f = algebra.field
         self.algebra = algebra
-        self.support = {
-            e: tuple(v) for e, v in support.items()
-            if any(map(f.nonzero, v))
-        }
+        self.support = {e: v for e, v in support.items() if v}
 
     @classmethod
     def zero(cls, algebra: Algebra) -> "LoopElement":
@@ -73,9 +70,11 @@ class LoopElement:
 
     @classmethod
     def term(cls, algebra: Algebra, a_vec, exp: int) -> "LoopElement":
-        if len(a_vec) != algebra.dim:
+        """a_vec (x) z^exp, for a_vec the (index, value) pairs of a coefficient, zeros allowed."""
+        if any(not 0 <= i < algebra.dim for i, _ in a_vec):
             raise FieldMismatch("coefficient vector does not match the carrier")
-        return cls(algebra, {exp: tuple(a_vec)})
+        nz = algebra.field.nonzero
+        return cls(algebra, {exp: tuple(sorted((i, c) for i, c in a_vec if nz(c)))})
 
     def _check(self, other: "LoopElement"):
         if self.algebra is not other.algebra:
@@ -90,43 +89,38 @@ class LoopElement:
     def add(self, other: "LoopElement") -> "LoopElement":
         self._check(other)
         f = self.algebra.field
-        out = {e: list(v) for e, v in self.support.items()}
+        one = f.one()
+        out = dict(self.support)
         for e, v in other.support.items():
-            if e in out:
-                out[e] = [f.add(a, b) for a, b in zip(out[e], v)]
-            else:
-                out[e] = list(v)
+            out[e] = combine_rows(f, ((one, out[e]), (one, v))) if e in out else v
         return LoopElement(self.algebra, out)
 
     def neg(self) -> "LoopElement":
-        f = self.algebra.field
-        return LoopElement(
-            self.algebra, {e: [f.neg(c) for c in v] for e, v in self.support.items()})
+        neg = self.algebra.field.neg
+        return LoopElement(self.algebra, {e: tuple((i, neg(c)) for i, c in v) for e, v in self.support.items()})
 
     def sub(self, other: "LoopElement") -> "LoopElement":
         return self.add(other.neg())
 
     def shift(self, k: int, coeff=None) -> "LoopElement":
         """Multiply by the scalar monomial coeff * z^k."""
-        mul = self.algebra.field.mul
+        f = self.algebra.field
+        if coeff is not None and not f.nonzero(coeff):
+            return LoopElement.zero(self.algebra)
+        mul = f.mul
         return LoopElement(self.algebra, {
-            e + k: v if coeff is None else [mul(coeff, x) for x in v]
+            e + k: v if coeff is None else tuple((i, mul(coeff, x)) for i, x in v)
             for e, v in self.support.items()})
 
     def mul(self, other: "LoopElement") -> "LoopElement":
         self._check(other)
         a = self.algebra
-        f = a.field
-        out: dict = {}
+        one = a.field.one()
+        terms: dict = {}  # exponent -> the products landing there
         for e1, v1 in self.support.items():
             for e2, v2 in other.support.items():
-                prod = a.mult(list(v1), list(v2))
-                e = e1 + e2
-                if e in out:
-                    out[e] = [f.add(x, y) for x, y in zip(out[e], prod)]
-                else:
-                    out[e] = prod
-        return LoopElement(a, out)
+                terms.setdefault(e1 + e2, []).append((one, a.mult(v1, v2)))
+        return LoopElement(a, {e: combine_rows(a.field, t) for e, t in terms.items()})
 
     def s_derivative(self, p: "LoopElement") -> "LoopElement":
         """Apply identity (x) p(z) d/dz, the Laurent polynomial p a loop element of k<1>."""
@@ -136,9 +130,8 @@ class LoopElement:
         out = LoopElement.zero(self.algebra)
         for e, v in self.support.items():
             n = f.from_int(e)
-            for pe, (pc,) in p.support.items():
-                out = out.add(LoopElement(
-                    self.algebra, {e - 1 + pe: [f.mul(f.mul(n, pc), c) for c in v]}))
+            for pe, ((_, pc),) in p.support.items():
+                out = out.add(LoopElement.term(self.algebra, [(i, f.mul(f.mul(n, pc), c)) for i, c in v], e - 1 + pe))
         return out
 
     def __eq__(self, other):
@@ -158,8 +151,7 @@ class LoopElement:
         names = self.algebra.names
         parts = []
         for e, v in self.terms():
-            avec = " + ".join(
-                f"{f.format(c)}*{names[i]}" for i, c in enumerate(v) if f.nonzero(c))
+            avec = " + ".join(f"{f.format(c)}*{names[i]}" for i, c in v)
             zp = "1" if e == 0 else ("z" if e == 1 else f"z^{e}")
             parts.append(f"({avec}) (x) {zp}")
         return " + ".join(parts)
@@ -173,7 +165,7 @@ def _scalar_support(p: LoopElement, what: str) -> dict:
     """Exponent -> coefficient of a Laurent polynomial: a loop element of k<1>."""
     if p.algebra.dim != 1:
         raise FieldMismatch(f"{what} lies over a dim-{p.algebra.dim} algebra, not k<1>")
-    return {e: c for e, (c,) in p.support.items()}
+    return {e: c for e, ((_, c),) in p.support.items()}
 
 
 def coefficient_derivation(p: LoopElement, m: int):
@@ -208,20 +200,18 @@ def _unit_monomial(u: LoopElement, m: int, style: str):
 def _homogeneous_pieces(grading_a: Grading, target: LoopElement, m: int, style: str) -> list:
     """Split every loop term along the left-factor grading.
 
-    Returns (a_vec, ia, exp, es) with a_vec homogeneous of degree ia and es
-    the total residue of a_vec (x) z^exp.
+    Returns (a_vec, ia, exp, es) with a_vec a homogeneous sparse row of
+    degree ia and es the total residue of a_vec (x) z^exp.
     """
     f = target.algebra.field
     parts = [(ia, cols) for ia, cols in enumerate(grading_a.basis_parts(f)) if cols]
     pieces = []
     for exp, vec in target.terms():
-        coords = sparse_rows(f, [vec])[0]
         for ia, cols in parts:
-            # the sum of c_i times the degree-ia part of e_i, over the nonzero c_i only
-            part = combine_rows(f, ((c, cols[i]) for i, c in coords if i in cols))
+            # the sum of c_i times the degree-ia part of e_i, over the entries c_i of vec
+            part = combine_rows(f, ((c, cols[i]) for i, c in vec if i in cols))
             if part:
-                pieces.append((list(_dense(f, len(vec), part)), ia, exp,
-                               eps(ia + graded_component(exp, m, style), m)))
+                pieces.append((part, ia, exp, eps(ia + graded_component(exp, m, style), m)))
     return pieces
 
 
@@ -238,7 +228,7 @@ class _Loop:
         self._upow = {}
 
     def pure(self, avec, t: int, b=None) -> LoopElement:
-        return self.act(LoopElement.term(self.a, avec, 0), t, b)
+        return self.act(LoopElement(self.a, {0: avec}), t, b)
 
     def act(self, x: LoopElement, t: int, b=None) -> LoopElement:
         if t not in self._upow:
@@ -246,13 +236,11 @@ class _Loop:
         return x.shift(t * self.ue + (b or 0), self._upow[t])
 
     def comb(self, terms) -> LoopElement:
-        f = self.field
-        out = {}
+        out = {}  # exponent -> the scaled coefficient rows landing there
         for c, x in terms:
             for e, v in x.support.items():
-                w = [f.mul(c, y) for y in v]
-                out[e] = [f.add(p, q) for p, q in zip(out[e], w)] if e in out else w
-        return LoopElement(self.a, out)
+                out.setdefault(e, []).append((c, v))
+        return LoopElement(self.a, {e: combine_rows(self.field, t) for e, t in out.items()})
 
 
 def _loop_map(a: Algebra, aut1, m: int, style: str, u: LoopElement, images):
@@ -282,7 +270,7 @@ def loop_phi(a: Algebra, aut1, m: int, style: str, u: LoopElement, d):
 
     d is a fixed-point derivation: a callable on degree-zero loop elements.
     """
-    return _loop_map(a, aut1, m, style, u, lambda c, pieces: _phi(c, d, pieces, m))
+    return _loop_map(a, aut1, m, style, u, lambda c, pieces: phi_formula(c, d, pieces, m))
 
 
 def loop_bm(a: Algebra, aut1, m: int, style: str, u: LoopElement, d):
@@ -293,7 +281,7 @@ def loop_bm(a: Algebra, aut1, m: int, style: str, u: LoopElement, d):
     the Laurent carrier the failure is visible exactly.
     """
     return _loop_map(a, aut1, m, style, u, lambda c, pieces: (
-        _residue_shift(c, d, avec, exp, es, 1) for avec, _, exp, es in pieces))
+        residue_shift(c, d, avec, exp, es, 1) for avec, _, exp, es in pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -369,5 +357,5 @@ def parse_laurent(text: str, line: Algebra) -> LoopElement:
             exp = 0
         if sign < 0:
             coeff = field.neg(coeff)
-        out = out.add(LoopElement.term(line, [coeff], exp))
+        out = out.add(LoopElement.term(line, [(0, coeff)], exp))
     return out

@@ -9,6 +9,8 @@ from dertensor.algebra import tensor_product
 from dertensor.catalog import group_algebra
 from dertensor.laurent import LoopElement
 
+from naive_la import sparse
+
 
 class LoopQuotient:
     """The reduction onto k[z]/(z^period - 1), spot-checked multiplicative."""
@@ -21,19 +23,19 @@ class LoopQuotient:
         for i, j in ((1, period - 1), (2, period + 3), (-1, 2)):
             for bi in range(min(a.dim, 2)):
                 for bj in range(min(a.dim, 2)):
-                    x = LoopElement.term(a, a.basis_vector(bi), i)
-                    y = LoopElement.term(a, a.basis_vector(bj), j)
+                    x = LoopElement.term(a, sparse(a.field, a.basis_vector(bi)), i)
+                    y = LoopElement.term(a, sparse(a.field, a.basis_vector(bj)), j)
                     assert self.apply(x.mul(y)) == self.ts.mult(self.apply(x), self.apply(y))
 
-    def apply(self, x: LoopElement) -> list:
-        """Coordinates of the image in the finite tensor algebra."""
+    def apply(self, x: LoopElement) -> tuple:
+        """The image in the finite tensor algebra, as a sparse row."""
         f = self.a.field
         t = self.period
         out = [f.zero()] * (self.a.dim * t)
         for e, v in x.support.items():
             j = e % t
-            for r, c in enumerate(v):
+            for r, c in v:
                 idx = r * t + j
                 out[idx] = f.add(out[idx], c)
-        return out
+        return sparse(f, out)
 

@@ -160,3 +160,42 @@ def matvec(m, vec):
             acc = f.add(acc, f.mul(a, b))
         out.append(acc)
     return out
+
+
+# -- the sparse row form of production vectors, for tests that build them dense
+
+
+def sparse(field, vec):
+    """The sparse row of a dense vector: its (index, value) pairs with a nonzero value."""
+    return tuple((i, x) for i, x in enumerate(vec) if field.nonzero(x))
+
+
+def dense(field, n, row):
+    """The dense vector of length n whose nonzero entries are the sparse row's."""
+    out = [field.zero()] * n
+    for i, x in row:
+        out[i] = x
+    return out
+
+
+def dense_mult(a, x, y):
+    """The product of dense vectors x and y through the dense table of the
+    algebra a: sum over i, j of x_i y_j times table[i][j], in a's field."""
+    f, n = a.field, a.dim
+    out = [f.zero()] * n
+    for i in range(n):
+        for j in range(n):
+            c = f.mul(x[i], y[j])
+            for k in range(n):
+                out[k] = f.add(out[k], f.mul(c, a.table[i][j][k]))
+    return out
+
+
+def dense_reduce(space, vec):
+    """vec minus vec[c] times the dense basis row of pivot c, pivot by pivot:
+    the residual of a dense vector against a production Subspace."""
+    f, vec = space.field, list(vec)
+    for row, c in zip(space.rows, space.pivots):
+        x = vec[c]
+        vec = [f.sub(v, f.mul(x, b)) for v, b in zip(vec, row)]
+    return vec

@@ -38,13 +38,13 @@ from dertensor.errors import (
     NotPerfect,
     NoUnitFound,
 )
-from dertensor import cli, decomposition, exactla
-from dertensor.exactla import Matrix, Subspace, apply_map, combine_rows, sparse_kron, sparse_rows, vec_is_zero
+from dertensor import cli, decomposition
+from dertensor.exactla import Matrix, Subspace, apply_map, combine_rows, sparse_kron
 from dertensor.gradings import check_automorphism, grading_from_automorphism
 from dertensor.invariants import EndoSpace, derivation_space, leibniz_witness, s_module_derivations
 from dertensor.scalars import make_field
 
-from naive_la import flatten, unflatten
+from naive_la import dense, flatten, sparse, unflatten
 
 
 @pytest.fixture(scope="module")
@@ -58,9 +58,9 @@ def test_setup_shares_the_grading_of_each_automorphism(flagship):
     assert flagship.grading_ts is grading_from_automorphism(flagship.aut)
 
 
-def sparse(m):
+def sparse_map(m):
     """A dense Matrix as a sparse flattened map, sorted and zero-free."""
-    return sparse_rows(m.field, [flatten(m)])[0]
+    return sparse(m.field, flatten(m))
 
 
 def random_derivation(ts, rng):
@@ -237,7 +237,7 @@ def test_split_pure_tensor_derivations():
     assert d == delta
     # gamma tensor d' with d'(1) = 0: the S-linear part dies
     dp = derivation_space(s).space._sparse[0]
-    delta2 = tensor_map(sparse(Matrix.identity(f, a.dim)), dp)
+    delta2 = tensor_map(sparse_map(Matrix.identity(f, a.dim)), dp)
     d2, rem2 = split_derivation(delta2, a, s, ts)
     assert d2 == ()
     assert rem2 == delta2
@@ -253,8 +253,8 @@ def test_split_random_derivations_reassemble():
             d, rem = split_derivation(delta, a, s, ts)
             assert combine_rows(ts.field, [(ts.field.one(), d), (ts.field.one(), rem)]) == delta
             for i in range(a.dim):
-                img = apply_map(ts.field, rem, ts.dim, tensor_vector(a, s, a.basis_vector(i), one))
-                assert vec_is_zero(ts.field, img)
+                img = apply_map(ts.field, rem, ts.dim, tensor_vector(a, s, sparse(a.field, a.basis_vector(i)), one))
+                assert img == ()
 
 
 def test_split_components_recover_expected_dims():
@@ -269,12 +269,29 @@ def test_split_components_recover_expected_dims():
 def test_split_rejects_non_derivation():
     a, s = sl2(), dual_numbers()
     ts = tensor_product(a, s)
-    bad = sparse(Matrix.identity(ts.field, ts.dim))
+    bad = sparse_map(Matrix.identity(ts.field, ts.dim))
     with pytest.raises(NotInDomain):
         split_derivation(bad, a, s, ts)
 
 
 # -- flagship: graded decomposition and the restriction isomorphism ---------
+
+
+def test_entry_points_refuse_a_derivation_out_of_order(flagship):
+    # a sparse row is canonical only sorted: reversed, a member is refused
+    st = flagship
+    d = st.der_fixed.space._sparse[0]
+    big = st.der_ts_grading.components[0]._sparse[0]
+    delta = derivation_space(st.ts).space._sparse[0]
+    assert min(map(len, (d, big, delta))) > 1
+    with pytest.raises(NotInDomain):
+        st.d_eval(tuple(reversed(d)))
+    with pytest.raises(NotInDomain):
+        extend_phi(tuple(reversed(d)), st)
+    with pytest.raises(NotInDomain):
+        restrict_pi(tuple(reversed(big)), st)
+    with pytest.raises(NotInDomain):
+        split_derivation(tuple(reversed(delta)), st.a, st.s, st.ts)
 
 
 def test_flagship_graded_decomposition(flagship):
@@ -306,29 +323,29 @@ def test_restrict_ad_h_is_diagonal(flagship):
     st = flagship
     ts = st.ts
     f = ts.field
-    h1 = tensor_vector(st.a, st.s, [f.zero(), f.one(), f.zero()], st.s.unit())
+    h1 = tensor_vector(st.a, st.s, sparse(f, [f.zero(), f.one(), f.zero()]), st.s.unit())
     adh = ts.mult_map(h1)
     r = restrict_pi(adh, st)
     # fixed basis in pivot order: e x z, e x z3, h x 1, h x z2, f x z, f x z3
-    expect = sparse(diagonal_matrix(f, [2, 2, 0, 0, -2, -2]))
+    expect = sparse_map(diagonal_matrix(f, [2, 2, 0, 0, -2, -2]))
     assert r == expect
 
 
 def test_restrict_pi_rejects_wrong_degree_and_non_derivations(flagship):
     st = flagship
     f = st.ts.field
-    e1 = tensor_vector(st.a, st.s, [f.one(), f.zero(), f.zero()], st.s.unit())
+    e1 = tensor_vector(st.a, st.s, sparse(f, [f.one(), f.zero(), f.zero()]), st.s.unit())
     ade = st.ts.mult_map(e1)  # degree 1, a derivation
     with pytest.raises(NotInDomain):
         restrict_pi(ade, st)
     with pytest.raises(NotInDomain):
-        restrict_pi(sparse(Matrix.identity(f, st.ts.dim)), st)
+        restrict_pi(sparse_map(Matrix.identity(f, st.ts.dim)), st)
 
 
 def test_phi_round_trips_on_ad_h(flagship):
     st = flagship
     f = st.ts.field
-    h1 = tensor_vector(st.a, st.s, [f.zero(), f.one(), f.zero()], st.s.unit())
+    h1 = tensor_vector(st.a, st.s, sparse(f, [f.zero(), f.one(), f.zero()]), st.s.unit())
     adh = st.ts.mult_map(h1)
     assert extend_phi(restrict_pi(adh, st), st) == adh
 
@@ -367,7 +384,7 @@ def test_phi_charp_needs_prime_field(flagship):
 
 def test_phi_rejects_non_derivation_input(flagship):
     st = flagship
-    bad = sparse(Matrix.identity(st.a.field, st.fixed_algebra.dim))
+    bad = sparse_map(Matrix.identity(st.a.field, st.fixed_algebra.dim))
     with pytest.raises(NotInDomain):
         extend_phi(bad, st)
     with pytest.raises(ValueError):
@@ -538,16 +555,9 @@ def test_a_restriction_leaving_the_fixed_algebra_names_the_basis_vector(monkeypa
     def mutant(self, *args, **kwargs):
         # fixed basis vector 3, as the restriction reads it, becomes one of degree 1
         init(self, *args, **kwargs)
-        space, moved = self.fixed_space, self.grading_ts.components[1].rows[0]
-
-        class Moved(Subspace):
-            __slots__ = ()
-
-            @property
-            def rows(self):
-                return space.rows[:3] + (moved,) + space.rows[4:]
-
-        self.fixed_space = Moved(space.field, space.ambient, space._sparse, space.pivots)
+        space, moved = self.fixed_space, self.grading_ts.components[1]._sparse[0]
+        self.fixed_space = Subspace(space.field, space.ambient, space._sparse[:3] + (moved,) + space._sparse[4:],
+                                    space.pivots)
 
     monkeypatch.setattr(decomposition.Setup, "__init__", mutant)
     err = _internal_failure(capsys, ["verify-thm2", "--setup", "sl2-twisted-flagship"])
@@ -568,7 +578,7 @@ def test_an_extension_of_nonzero_degree_names_the_first_entry(monkeypatch, capsy
         aut.maps = (combine_rows(f, [(f.one(), sig), (f.one(), ((4, f.one()),))]), siginv)
         return aut
 
-    big = unflatten(f, list(exactla._dense(f, n * n, extend_phi(st.der_fixed.space._sparse[0], st))), n, n)
+    big = unflatten(f, dense(f, n * n, extend_phi(st.der_fixed.space._sparse[0], st)), n, n)
     e04 = Matrix(f, [[f.one() if (r, c) == (0, 4) else f.zero() for c in range(n)] for r in range(n)], n)
     want = next((r, c) for r in range(n) for c in range(n)
                 if e04.mul(big).rows[r][c] != big.mul(e04).rows[r][c])
@@ -610,7 +620,7 @@ def test_a_restriction_that_is_no_derivation_names_the_first_entry(monkeypatch, 
         return combine_rows(f, [(f.one(), restrict(big_d, setup)), (f.one(), ((0, f.one()),))])
 
     st = flagship
-    first = st.der_fixed.space.first_outside(mutant(st.der_ts_grading.components[0]._sparse[0], st))
+    first = st.der_fixed.space.reduce(mutant(st.der_ts_grading.components[0]._sparse[0], st))[0][0]
     monkeypatch.setattr(decomposition, "_restrict", mutant)
     err = _internal_failure(capsys, ["verify-thm2", "--setup", "sl2-twisted-flagship"])
     want = divmod(first, st.fixed_algebra.dim)

@@ -7,11 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dertensor import exactla
+from dertensor.algebra import Algebra, tensor_vector
+from dertensor.catalog import sl2
 from dertensor.errors import DimensionMismatch, InternalCheckFailed, NotInDomain, SingularElement
 from dertensor.exactla import (
     Matrix,
     Subspace,
     apply_map,
+    combine_rows,
     compose_maps,
     first_difference,
     invert_map,
@@ -22,9 +25,11 @@ from dertensor.exactla import (
     sparse_kron,
     sparse_rows,
 )
+from dertensor.invariants import derivation_space
 from dertensor.scalars import make_field
 
-from naive_la import Zeta3, flatten, matvec, naive_kron, naive_nullspace, naive_rank, naive_rref, unflatten
+from naive_la import (Zeta3, dense, dense_mult, dense_reduce, flatten, matvec, naive_kron, naive_nullspace, naive_rank,
+                      naive_rref, sparse, unflatten)
 
 QQ = make_field("rational")
 Z4 = make_field("cyclotomic", m=4)
@@ -48,8 +53,8 @@ def rank(m):
     return len(rref(m)[1])
 
 
-def sparse(m):
-    return sparse_rows(m.field, [flatten(m)])[0]
+def sparse_map(m):
+    return sparse(m.field, flatten(m))
 
 
 def test_rref_hand_example():
@@ -124,8 +129,8 @@ def test_grassmann_identity_random():
             s = u.sum(v)
             i = u.intersect(v)
             assert u.dim + v.dim == s.dim + i.dim
-            for row in i.rows:
-                assert u.contains(list(row)) and v.contains(list(row))
+            for row in i._sparse:
+                assert u.contains(row) and v.contains(row)
 
 
 def test_subspace_equality_is_canonical():
@@ -137,30 +142,46 @@ def test_subspace_equality_is_canonical():
 
 def test_subspace_coords_and_membership():
     u = Subspace.from_vectors(QQ, 3, [[Fraction(1), Fraction(0), Fraction(1)], [Fraction(0), Fraction(1), Fraction(2)]])
-    v = [Fraction(2), Fraction(3), Fraction(8)]
+    v = sparse(QQ, [Fraction(2), Fraction(3), Fraction(8)])
     assert u.contains(v)
-    assert u.coords(v) == [Fraction(2), Fraction(3)]
-    assert u.linear_combination(u.coords(v)) == v
+    assert u.coords(v) == ((0, Fraction(2)), (1, Fraction(3)))
+    assert combine_rows(QQ, ((x, u._sparse[k]) for k, x in u.coords(v))) == v
     with pytest.raises(NotInDomain):
-        u.coords([Fraction(0), Fraction(0), Fraction(1)])
+        u.coords(sparse(QQ, [Fraction(0), Fraction(0), Fraction(1)]))
 
 
 def test_sparse_row_membership():
     # pivots 0 and 1; rows sorted by column with no zero value
     u = Subspace.from_vectors(QQ, 3, [[Fraction(1), Fraction(0), Fraction(1)], [Fraction(0), Fraction(1), Fraction(2)]])
-    assert u.contains_row(((0, Fraction(2)), (1, Fraction(3)), (2, Fraction(8))))
-    assert u.contains_row(())
-    assert not u.contains_row(((0, Fraction(2)), (1, Fraction(3)), (2, Fraction(7))))
-    assert not u.contains_row(((2, Fraction(1)),))  # nonzero off the pivots only
-    # the first column off the space, and coordinates, which are the pivot entries
-    assert u.first_outside(((0, Fraction(2)), (1, Fraction(3)), (2, Fraction(7)))) == 2
-    assert u.first_outside(((2, Fraction(1)),)) == 2
-    assert u.row_coords(((0, Fraction(2)), (1, Fraction(3)), (2, Fraction(8)))) == [Fraction(2), Fraction(3)]
-    assert u.row_coords(((1, Fraction(1)), (2, Fraction(2)))) == [Fraction(0), Fraction(1)]
-    with pytest.raises(NotInDomain):
-        u.row_coords(((2, Fraction(1)),))
+    assert u.contains(((0, Fraction(2)), (1, Fraction(3)), (2, Fraction(8))))
+    assert u.contains(())
+    assert not u.contains(((0, Fraction(2)), (1, Fraction(3)), (2, Fraction(7))))
+    assert not u.contains(((2, Fraction(1)),))  # nonzero off the pivots only
+    # the residual, whose first column is the first off the space, and
+    # coordinates, which are the pivot entries
+    assert u.reduce(((0, Fraction(2)), (1, Fraction(3)), (2, Fraction(7)))) == ((2, Fraction(-1)),)
+    assert u.reduce(((2, Fraction(1)),)) == ((2, Fraction(1)),)
+    assert u.coords(((0, Fraction(2)), (1, Fraction(3)), (2, Fraction(8)))) == ((0, Fraction(2)), (1, Fraction(3)))
+    assert u.coords(((1, Fraction(1)), (2, Fraction(2)))) == ((1, Fraction(1)),)
+    with pytest.raises(NotInDomain, match="^row leaves the subspace at column 2$"):
+        u.coords(((2, Fraction(1)),))
     # a member written with an explicit zero is not in canonical form, and is refused
-    assert not u.contains_row(((0, Fraction(1)), (1, Fraction(0)), (2, Fraction(1))))
+    assert not u.contains(((0, Fraction(1)), (1, Fraction(0)), (2, Fraction(1))))
+
+
+@pytest.mark.parametrize("fld", [QQ, F31, Z3], ids=["Q", "F31", "Q(zeta3)"])
+def test_a_member_out_of_order_or_with_an_explicit_zero_is_refused(fld):
+    # the inner derivations of sl2: each basis map has several entries
+    space = derivation_space(sl2(fld)).space
+    d = space._sparse[0]
+    gap = next(c for c in range(space.ambient) if c not in dict(d))
+    padded = tuple(sorted(d + ((gap, fld.zero()),)))
+    assert len(d) > 1 and space.contains(d)
+    for bad in (tuple(reversed(d)), padded):
+        assert not space.contains(bad)
+        assert space.reduce(bad) == bad
+        with pytest.raises(NotInDomain):
+            space.coords(bad)
 
 
 def test_first_difference_of_sparse_rows():
@@ -168,43 +189,6 @@ def test_first_difference_of_sparse_rows():
     assert first_difference(((0, 1), (2, 3)), ((0, 1), (1, 5), (2, 3))) == 1
     assert first_difference(((0, 1), (2, 3)), ((0, 1), (2, 4))) == 2
     assert first_difference((), ((4, 1),)) == 4
-
-
-@pytest.mark.parametrize("fld", [QQ, F31, Z3], ids=["Q", "F31", "Q(zeta3)"])
-def test_apply_and_compose_maps_match_dense_products(fld):
-    rng = random.Random(17)
-    zeta = Z3.root_of_unity(3)
-
-    def entry():  # zero half the time; a small integer, plus a multiple of zeta over Q(zeta3)
-        if rng.random() < 0.5:
-            return fld.zero()
-        x = fld.from_int(rng.randint(-5, 5))
-        return fld.add(x, fld.mul(fld.from_int(rng.randint(-3, 3)), zeta)) if fld is Z3 else x
-
-    for n, blocks in ((1, 3), (2, 2), (3, 1), (3, 2), (4, 3)):
-        for _ in range(5):
-            x, y = (Matrix(fld, [[entry() for _ in range(n)] for _ in range(n)], n) for _ in range(2))
-            sx, sy = sparse(x), sparse(y)
-            v = [entry() for _ in range(n * blocks)]
-            # (id tensor x) v is x applied to each block of n coordinates
-            assert apply_map(fld, sx, n, v) == [w for b in range(blocks) for w in matvec(x, v[b * n:(b + 1) * n])]
-            # x y applies y first
-            assert compose_maps(fld, sx, sy, n) == sparse(x.mul(y))
-
-
-def test_solve_unique_and_inverse():
-    m = sparse(qmat([[2, 1], [1, 1]]))
-    x = solve_unique(QQ, [((0, 2), (1, 1), (2, 3)), ((0, 1), (1, 1), (2, 2))], 2)
-    assert x == [((0, Fraction(1)),), ((0, Fraction(1)),)]
-    inv = invert_map(QQ, m, 2)
-    assert compose_maps(QQ, m, inv, 2) == sparse(Matrix.identity(QQ, 2))
-    assert compose_maps(QQ, inv, m, 2) == sparse(Matrix.identity(QQ, 2))
-    with pytest.raises(SingularElement, match="^inconsistent linear system$"):
-        solve_unique(QQ, [((0, 1), (1, 1), (2, 1)), ((0, 2), (1, 2))], 2)
-    with pytest.raises(SingularElement, match="^underdetermined linear system$"):
-        solve_unique(QQ, [((0, 1), (1, 1), (2, 1))], 2)
-    with pytest.raises(SingularElement):
-        invert_map(QQ, sparse(qmat([[1, 1], [2, 2]])), 2)
 
 
 FIELDS = pytest.mark.parametrize("fld,p", [(QQ, None), (F31, 31), (Z3, Zeta3)], ids=["Q", "F31", "Q(zeta3)"])
@@ -221,6 +205,81 @@ def small_entries(fld, data, nrows, ncols):
     return [[entry() for _ in range(ncols)] for _ in range(nrows)]
 
 
+def random_algebra(fld, data, n):
+    """An algebra of dimension n with small integer structure constants, mostly zero."""
+    consts = st.sampled_from([0, 0, 0, 1, -1, 2])
+    table = [[[fld.from_int(data.draw(consts)) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    return Algebra(fld, [f"b{i}" for i in range(n)], table)
+
+
+@FIELDS
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_apply_and_compose_maps_match_dense_products(fld, p, data):
+    rng = random.Random(17)
+    zeta = Z3.root_of_unity(3)
+
+    def entry():  # zero half the time; a small integer, plus a multiple of zeta over Q(zeta3)
+        if rng.random() < 0.5:
+            return fld.zero()
+        x = fld.from_int(rng.randint(-5, 5))
+        return fld.add(x, fld.mul(fld.from_int(rng.randint(-3, 3)), zeta)) if fld is Z3 else x
+
+    for n, blocks in ((1, 3), (2, 2), (3, 1), (3, 2), (4, 3)):
+        for _ in range(5):
+            x, y = (Matrix(fld, [[entry() for _ in range(n)] for _ in range(n)], n) for _ in range(2))
+            sx, sy = sparse_map(x), sparse_map(y)
+            v = [entry() for _ in range(n * blocks)]
+            # (id tensor x) v is x applied to each block of n coordinates
+            want = [w for b in range(blocks) for w in matvec(x, v[b * n:(b + 1) * n])]
+            assert apply_map(fld, sx, n, sparse(fld, v)) == sparse(fld, want)
+            # x y applies y first
+            assert compose_maps(fld, sx, sy, n) == sparse_map(x.mul(y))
+
+    # elements are sparse rows: products, left multiplications and tensors
+    # against the dense loops, on random algebras of dimension <= 4
+    n, k = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+    a, s = random_algebra(fld, data, n), random_algebra(fld, data, k)
+    x, y = small_entries(fld, data, 2, n)
+    z = small_entries(fld, data, 1, k)[0]
+    assert a.mult(sparse(fld, x), sparse(fld, y)) == sparse(fld, dense_mult(a, x, y))
+    basis = Matrix.identity(fld, n).rows
+    lx = Matrix(fld, [list(r) for r in zip(*(dense_mult(a, x, e) for e in basis))], n)  # column c: x b_c
+    assert a.mult_map(sparse(fld, x)) == sparse_map(lx)
+    assert apply_map(fld, sparse_map(lx), n, sparse(fld, y)) == sparse(fld, matvec(lx, y))
+    assert tensor_vector(a, s, sparse(fld, x), sparse(fld, z)) == sparse(fld, [fld.mul(u, v) for u in x for v in z])
+    # membership in the span of a few rows, of a combination of them or of x
+    rows = small_entries(fld, data, data.draw(st.integers(0, 3)), n)
+    sub = Subspace.from_vectors(fld, n, rows)
+    vec = x
+    if data.draw(st.booleans()):
+        coeffs = [fld.from_int(data.draw(st.integers(-2, 2))) for _ in rows]
+        vec = [sum_of(fld, [fld.mul(c, r[j]) for c, r in zip(coeffs, rows)]) for j in range(n)]
+    inside = naive_rank(rows + [vec], p) == naive_rank(rows, p)
+    assert sub.reduce(sparse(fld, vec)) == sparse(fld, dense_reduce(sub, vec))
+    assert sub.contains(sparse(fld, vec)) == inside
+    if inside:
+        assert sub.coords(sparse(fld, vec)) == sparse(fld, [vec[c] for c in sub.pivots])
+    else:
+        with pytest.raises(NotInDomain):
+            sub.coords(sparse(fld, vec))
+
+
+def test_solve_unique_and_inverse():
+    m = sparse_map(qmat([[2, 1], [1, 1]]))
+    x = solve_unique(QQ, [((0, 2), (1, 1), (2, 3)), ((0, 1), (1, 1), (2, 2))], 2)
+    assert x == [((0, Fraction(1)),), ((0, Fraction(1)),)]
+    inv = invert_map(QQ, m, 2)
+    assert compose_maps(QQ, m, inv, 2) == sparse_map(Matrix.identity(QQ, 2))
+    assert compose_maps(QQ, inv, m, 2) == sparse_map(Matrix.identity(QQ, 2))
+    with pytest.raises(SingularElement, match="^inconsistent linear system$"):
+        solve_unique(QQ, [((0, 1), (1, 1), (2, 1)), ((0, 2), (1, 2))], 2)
+    with pytest.raises(SingularElement, match="^underdetermined linear system$"):
+        solve_unique(QQ, [((0, 1), (1, 1), (2, 1))], 2)
+    with pytest.raises(SingularElement):
+        invert_map(QQ, sparse_map(qmat([[1, 1], [2, 2]])), 2)
+
+
 def sum_of(fld, xs):
     acc = fld.zero()
     for x in xs:
@@ -233,11 +292,11 @@ def sum_of(fld, xs):
 @given(data=st.data())
 def test_invert_map_inverts_exactly_the_maps_of_full_rank(fld, p, data):
     n = data.draw(st.integers(1, 4))
-    dense = small_entries(fld, data, n, n)
-    m = sparse(Matrix(fld, dense, n))
-    if naive_rank(dense, p) == n:
+    entries = small_entries(fld, data, n, n)
+    m = sparse_map(Matrix(fld, entries, n))
+    if naive_rank(entries, p) == n:
         inv = invert_map(fld, m, n)
-        eye = sparse(Matrix.identity(fld, n))
+        eye = sparse_map(Matrix.identity(fld, n))
         assert compose_maps(fld, m, inv, n) == eye == compose_maps(fld, inv, m, n)
     else:
         with pytest.raises(SingularElement):
@@ -286,7 +345,7 @@ def test_matrix_ops_shape_checks():
 def test_kron_convention():
     a = qmat([[1, 2], [3, 4]])
     b = qmat([[0, 1], [1, 0]])
-    x, y = sparse(a), sparse(b)
+    x, y = sparse_map(a), sparse_map(b)
     k = unflatten(QQ, exactla._dense(QQ, 16, sparse_kron(QQ, x, 2, y, 2)), 4, 4)
     # entry at row (i1,i2)=(0,1), col (j1,j2)=(1,0): a[0][1]*b[1][0] = 2
     assert k.rows[1][2] == Fraction(2)
@@ -321,7 +380,7 @@ def test_flatten_round_trip():
     assert unflatten(QQ, flatten(a), 2, 3) == a
     # the sparse flattening of a square map, from its columns, is the same convention
     b = qmat([[1, 0, 3], [0, 5, 6], [7, 0, 0]])
-    assert map_of_columns(QQ, [[row[j] for row in b.rows] for j in range(3)]) == sparse(b)
+    assert map_of_columns([sparse(QQ, [row[j] for row in b.rows]) for j in range(3)]) == sparse_map(b)
 
 
 def test_rref_cyclotomic_small():
@@ -354,7 +413,7 @@ def test_rref_row_space_invariant(int_rows):
     rows = [[Fraction(x) for x in r] for r in int_rows]
     sub = Subspace.from_vectors(QQ, 4, rows)
     for r in rows:
-        assert sub.contains(r)
+        assert sub.contains(sparse(QQ, r))
     back = Subspace.from_vectors(QQ, 4, [list(x) for x in sub.rows])
     assert back == sub
 
@@ -495,9 +554,9 @@ def test_a_later_round_outside_q_solves_every_row_in_the_field():
     with mock.patch.object(exactla, "_eliminate_generic", wraps=exactla._eliminate_generic) as gen:
         ker = kernel_of_rows(Z3, first, 4, "probe", more)
     assert rounds[0].dim == 2 and len(rounds) == 2
-    assert [len(call.args[1]) for call in gen.call_args_list] == [3, 1]  # round 2, then its kernel basis
-    dense = [exactla._dense(Z3, 4, r) for r in first + late]
-    assert [[Zeta3(*x) for x in row] for row in ker.rows] == naive_rref(naive_nullspace(dense, 4, Zeta3), Zeta3)[0]
+    assert [len(call.args[1]) for call in gen.call_args_list] == [3]  # round 2; its kernel basis is RREF as built
+    rows = [dense(Z3, 4, r) for r in first + late]
+    assert [[Zeta3(*x) for x in row] for row in ker.rows] == naive_rref(naive_nullspace(rows, 4, Zeta3), Zeta3)[0]
 
 
 @pytest.mark.parametrize("fld,one", [(QQ, "1"), (F31, "1"), (Z3, r"\[1\]")], ids=["Q", "F31", "Q(zeta3)"])

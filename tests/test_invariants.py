@@ -23,7 +23,7 @@ from dertensor.invariants import (
 from dertensor.scalars import make_field
 
 from dense_leibniz import dense_leibniz_witness
-from naive_la import Zeta3, column, flatten, matvec, naive_nullspace, naive_rref, unflatten
+from naive_la import Zeta3, column, dense, dense_mult, flatten, matvec, naive_nullspace, naive_rref, sparse, unflatten
 
 QQ = make_field("rational")
 
@@ -51,9 +51,9 @@ def leibniz_defect(alg):
         for i in range(alg.dim):
             for j in range(alg.dim):
                 bi, bj = alg.basis_vector(i), alg.basis_vector(j)
-                lhs = matvec(e, alg.mult(bi, bj))
-                rhs_l = alg.mult(matvec(e, bi), bj)
-                rhs_r = alg.mult(bi, matvec(e, bj))
+                lhs = matvec(e, dense_mult(alg, bi, bj))
+                rhs_l = dense_mult(alg, matvec(e, bi), bj)
+                rhs_r = dense_mult(alg, bi, matvec(e, bj))
                 out.extend(
                     alg.field.sub(a, alg.field.add(b, c)) for a, b, c in zip(lhs, rhs_l, rhs_r)
                 )
@@ -68,9 +68,9 @@ def centroid_defect(alg):
         for i in range(alg.dim):
             for j in range(alg.dim):
                 bi, bj = alg.basis_vector(i), alg.basis_vector(j)
-                gp = matvec(e, alg.mult(bi, bj))
-                left = alg.mult(matvec(e, bi), bj)
-                right = alg.mult(bi, matvec(e, bj))
+                gp = matvec(e, dense_mult(alg, bi, bj))
+                left = dense_mult(alg, matvec(e, bi), bj)
+                right = dense_mult(alg, bi, matvec(e, bj))
                 out.extend(alg.field.sub(a, b) for a, b in zip(gp, left))
                 out.extend(alg.field.sub(a, b) for a, b in zip(gp, right))
         return out
@@ -80,7 +80,7 @@ def centroid_defect(alg):
 
 def ad_matrix(alg, i):
     n, f = alg.dim, alg.field
-    return unflatten(f, list(exactla._dense(f, n * n, alg.mult_map(alg.basis_vector(i)))), n, n)
+    return unflatten(f, dense(f, n * n, alg.mult_map(sparse(f, alg.basis_vector(i)))), n, n)
 
 
 def test_sl2_derivations_dimension_and_basis():
@@ -98,7 +98,7 @@ def test_sl2_centroid_is_scalars():
     c = centroid(a)
     assert c.dim == 1
     assert oracle_condition_dim(a, centroid_defect(a)) == 1
-    assert c.space.contains(flatten(Matrix.identity(QQ, 3)))
+    assert c.space.contains(sparse(QQ, flatten(Matrix.identity(QQ, 3))))
 
 
 def test_sl2_differential_centroid():
@@ -255,12 +255,14 @@ def test_leibniz_witness_matches_dense_reference(data):
     else:
         der = derivation_space(a)
         coeffs = [f.from_int(data.draw(small)) for _ in range(der.dim)]
-        m = unflatten(f, der.space.linear_combination(coeffs), n, n)
+        m = unflatten(f, dense(f, n * n, exactla.combine_rows(f, zip(coeffs, der.space._sparse))), n, n)
         if kind == "perturbed":
             r, c = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
             m.rows[r][c] = f.add(m.rows[r][c], f.from_int(data.draw(st.sampled_from([1, -2, 5]))))
     want = dense_leibniz_witness(a, m)
-    assert leibniz_witness(a, exactla.sparse_rows(f, [flatten(m)])[0]) == want
+    got = leibniz_witness(a, sparse(f, flatten(m)))
+    # the witness names the same pair, with the same two images as sparse rows
+    assert got == (want and want[:2] + (sparse(f, want[2]), sparse(f, want[3])))
     if kind == "derivation":
         assert want is None
 

@@ -13,7 +13,7 @@ degree-zero part pointwise.
 import pytest
 
 from dertensor.catalog import group_algebra, sl2, sl2_sign_automorphism, sl2_twisted_flagship
-from dertensor.decomposition import _phi, bm_formula_extend, extend_phi
+from dertensor.decomposition import bm_formula_extend, extend_phi, phi_formula
 from dertensor.errors import (
     FieldMismatch,
     HypothesisNotMet,
@@ -35,6 +35,7 @@ from dertensor.laurent import (
 )
 from dertensor.scalars import make_field
 from loop_quotient import LoopQuotient
+from naive_la import sparse
 
 Q = make_field("rational")
 # k<1>: its loop elements are the Laurent polynomials
@@ -42,7 +43,7 @@ LINE = group_algebra(1, Q)
 
 
 def zmon(exp, coeff=None):
-    return LoopElement.term(LINE, [Q.one() if coeff is None else coeff], exp)
+    return LoopElement.term(LINE, [(0, Q.one() if coeff is None else coeff)], exp)
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +57,12 @@ def identity_twist(a, m):
 
 
 def unit_line(a, exp):
-    return LoopElement.term(a, [Q.one()], exp)
+    return LoopElement.term(a, [(0, Q.one())], exp)
+
+
+def basis_term(a, i, exp):
+    """Basis vector i of a times z^exp."""
+    return LoopElement.term(a, sparse(a.field, a.basis_vector(i)), exp)
 
 
 # -- sparse arithmetic ------------------------------------------------------
@@ -80,7 +86,7 @@ def test_cancellation_empties_the_support():
 def test_field_mismatch_rejected():
     other = make_field("prime", m=2, p=3)
     with pytest.raises(FieldMismatch):
-        zmon(1).add(LoopElement.term(group_algebra(1, other), [other.one()], 1))
+        zmon(1).add(LoopElement.term(group_algebra(1, other), [(0, other.one())], 1))
 
 
 def test_derivative_and_shift(scalar_line):
@@ -115,9 +121,9 @@ def test_graded_component_styles():
 
 def test_loop_product_uses_carrier_bracket():
     a = sl2(Q)
-    e = LoopElement.term(a, a.basis_vector(0), 1)
-    f_ = LoopElement.term(a, a.basis_vector(2), -1)
-    assert e.mul(f_) == LoopElement.term(a, a.basis_vector(1), 0)
+    e = basis_term(a, 0, 1)
+    f_ = basis_term(a, 2, -1)
+    assert e.mul(f_) == basis_term(a, 1, 0)
 
 
 def test_loop_normalization_drops_zero_vectors(scalar_line):
@@ -128,7 +134,7 @@ def test_loop_normalization_drops_zero_vectors(scalar_line):
 
 def test_loop_carrier_mismatch(scalar_line):
     with pytest.raises(FieldMismatch):
-        unit_line(scalar_line, 0).add(LoopElement.term(sl2(Q), sl2(Q).basis_vector(0), 0))
+        unit_line(scalar_line, 0).add(basis_term(sl2(Q), 0, 0))
 
 
 # -- the published formula on the Laurent carrier ---------------------------
@@ -171,10 +177,10 @@ def test_published_formula_failure_survives_prime_field():
     f5 = make_field("prime", m=4, p=5)
     a = group_algebra(1, f5)
     aut = check_automorphism(a, Matrix.identity(f5, 1), 4)
-    d = coefficient_derivation(LoopElement.term(a, [f5.one()], 1), 4)
-    u = LoopElement.term(a, [f5.one()], 1)
-    x2 = LoopElement.term(a, [f5.one()], 2)
-    x3 = LoopElement.term(a, [f5.one()], 3)
+    d = coefficient_derivation(LoopElement.term(a, [(0, f5.one())], 1), 4)
+    u = LoopElement.term(a, [(0, f5.one())], 1)
+    x2 = LoopElement.term(a, [(0, f5.one())], 2)
+    x3 = LoopElement.term(a, [(0, f5.one())], 3)
     bm = loop_bm(a, aut, 4, FORWARD, u, d)
     whole = bm(x2.mul(x3))
     split = bm(x2).mul(x3).add(x2.mul(bm(x3)))
@@ -192,7 +198,7 @@ def frozen_phi(bm_scene, exp):
 def stretched_phi(bm_scene, exp, navg):
     """The inverse map with the correction bracket sampled at u^(4 navg)."""
     a, aut, d = bm_scene
-    phi = _loop_map(a, aut, 4, FORWARD, zmon(1), lambda c, pieces: _phi(c, d, pieces, 4 * navg))
+    phi = _loop_map(a, aut, 4, FORWARD, zmon(1), lambda c, pieces: phi_formula(c, d, pieces, 4 * navg))
     return phi(unit_line(a, exp))
 
 
@@ -242,7 +248,7 @@ def test_inverse_map_ignores_averaging_stretch(bm_scene):
 def scaled_monomial_image(a, j, m, n):
     # m^{-1} j z^{nm+j}, the action of m^{-1} z^{nm+1} d/dz on z^j
     c = Q.mul(Q.from_int(j), Q.inv_int(m))
-    return LoopElement.term(a, [c], n * m + j)
+    return LoopElement.term(a, [(0, c)], n * m + j)
 
 
 def t_derivation(a, m, n):
@@ -320,7 +326,7 @@ def test_period_mismatch_rejected(scalar_line):
 def test_coefficient_and_unit_must_lie_over_k1(scalar_line):
     # a loop element over sl2 is no Laurent polynomial
     a = sl2(Q)
-    over_sl2 = LoopElement.term(a, a.basis_vector(1), 1)
+    over_sl2 = basis_term(a, 1, 1)
     with pytest.raises(FieldMismatch):
         coefficient_derivation(over_sl2, 4)
     aut = identity_twist(scalar_line, 4)
@@ -336,14 +342,14 @@ def test_quotient_reduces_exponents():
     a = group_algebra(1, Q)
     qmap = LoopQuotient(a, 4)
     got = qmap.apply(unit_line(a, 5))
-    assert got == [Q.zero(), Q.one(), Q.zero(), Q.zero()]
+    assert got == sparse(Q, [Q.zero(), Q.one(), Q.zero(), Q.zero()])
 
 
 def test_quotient_is_multiplicative_on_samples():
     a = sl2(Q)
     qmap = LoopQuotient(a, 4)
-    x = LoopElement.term(a, a.basis_vector(0), 3)
-    y = LoopElement.term(a, a.basis_vector(2), 6)
+    x = basis_term(a, 0, 3)
+    y = basis_term(a, 2, 6)
     assert qmap.apply(x.mul(y)) == qmap.ts.mult(qmap.apply(x), qmap.apply(y))
 
 
@@ -373,20 +379,15 @@ def ad_h_on_flagship():
     a = sl2(f)
     setup = sl2_twisted_flagship()
     aut = sl2_sign_automorphism(a)
-    h = a.basis_vector(1)
+    h = sparse(f, a.basis_vector(1))
 
     def ad_h(x):
-        return LoopElement(a, {e: a.mult(h, list(v)) for e, v in x.support.items()})
+        return LoopElement(a, {e: a.mult(h, v) for e, v in x.support.items()})
 
     # finite side: the same bracketing in fixed-point coordinates
-    kdim = setup.fixed_algebra.dim
     h1 = setup.tensor_elem(h, setup.s.unit())
-    cols = []
-    for i in range(kdim):
-        img = setup.ts.mult(h1, setup.fixed_lift([f.one() if j == i else f.zero()
-                                                  for j in range(kdim)]))
-        cols.append(setup.fixed_coords(img))
-    return a, aut, setup, map_of_columns(f, cols), ad_h
+    cols = [setup.fixed_space.coords(setup.ts.mult(h1, x)) for x in setup.fixed_space._sparse]
+    return a, aut, setup, map_of_columns(cols), ad_h
 
 
 def assert_carriers_agree(ad_h_on_flagship, finite, loop):
@@ -398,7 +399,7 @@ def assert_carriers_agree(ad_h_on_flagship, finite, loop):
     ext = loop(a, aut, 2, FORWARD, zmon(1), ad_h)
     for bidx in range(3):
         for exp in range(-3, 4):
-            tgt = LoopElement.term(a, a.basis_vector(bidx), exp)
+            tgt = basis_term(a, bidx, exp)
             loop_img = ext(tgt)
             assert qmap.apply(loop_img) == apply_map(Q, big, setup.ts.dim, qmap.apply(tgt))
 
@@ -423,8 +424,8 @@ def test_parse_laurent_round_trip():
 def test_parse_laurent_bracketed_cyclotomic_coefficients():
     fc = make_field("cyclotomic", m=4)
     p = parse_laurent("[0,1]*z^3 + [1,-1]", group_algebra(1, fc))
-    assert p.support[3] == (fc.parse("[0,1]"),)
-    assert p.support[0] == (fc.parse("[1,-1]"),)
+    assert p.support[3] == ((0, fc.parse("[0,1]")),)
+    assert p.support[0] == ((0, fc.parse("[1,-1]")),)
 
 
 def test_parse_laurent_rejects_garbage():

@@ -12,18 +12,20 @@ derivation checks its two summand spaces direct once per tensor algebra,
 not once per sample, verify-thm1 builds each tensor algebra A (x) S once
 and assembles its Leibniz system once, D and C of a tensor algebra
 assemble rows from a few generator pairs, in one round, each round of a
-kernel reaches exactla.rref_rows by its module name with every row so far
-(the benchmark counts systems by wrapping it there), and a command
+kernel reaches exactla.rref_rows by its module name with every row so far,
+once (the benchmark counts systems by wrapping it there), and a command
 builds its own subparser only, and the tensor maps of psi, of the embedded
 D(A) (x) S and C(A) (x) D(S) and of the module derivations are built
 sparse, with no dense matrix built, and a derivation stays one sparse row
 from the solver to the report of verify-thm2, bm-eval and verify-thm1,
 where the only matrices are the automorphisms as written; phi-eval on the
-Laurent carrier multiplies no matrices. Checks that a cheaper one implies
-stay removed: the tensor automorphism is not re-validated, no grading of a
-finite setup builds its projections (Grading.basis_parts), and only
-verify-lemma21 and psi-check test psi for multiplicativity. A --u unit
-builds its Setup once.
+Laurent carrier multiplies no matrices, and no element of verify-thm2,
+lemma-identities, phi-eval or bm-eval on the flagship, or of phi-eval on the
+Laurent carrier, passes between a dense vector and a sparse row. Checks
+that a cheaper one implies stay removed: the tensor automorphism is not
+re-validated, no grading of a finite setup builds its projections
+(Grading.basis_parts), and only verify-lemma21 and psi-check test psi for
+multiplicativity. A --u unit builds its Setup once.
 """
 
 import argparse
@@ -35,11 +37,11 @@ import pytest
 from dertensor import algebra, cli, decomposition, exactla, gradings, invariants, laurent
 from dertensor.catalog import catalog_setup, diagonal_matrix, group_algebra, sl2
 from dertensor.errors import NotInDomain
-from dertensor.exactla import Matrix, Subspace, vec_add, vec_scale
+from dertensor.exactla import Matrix, Subspace
 from dertensor.gradings import Grading, check_automorphism, grading_from_automorphism
 from dertensor.scalars import make_field
 
-from naive_la import flatten
+from naive_la import flatten, sparse
 from test_gradings import projections
 from test_invariants import short_pairs_algebra
 
@@ -74,26 +76,26 @@ def test_loop_phi_reads_the_grading_of_its_automorphism(monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(Grading, "__init__", counted)
-    h = a.basis_vector(1)
+    h = sparse(q, a.basis_vector(1))
 
     def ad_h(x):
-        return laurent.LoopElement(a, {e: a.mult(h, list(v)) for e, v in x.support.items()})
+        return laurent.LoopElement(a, {e: a.mult(h, v) for e, v in x.support.items()})
 
-    u = laurent.LoopElement.term(group_algebra(1, q), [q.one()], 1)
-    x = laurent.LoopElement.term(a, a.basis_vector(0), 1)
+    u = laurent.LoopElement.term(group_algebra(1, q), [(0, q.one())], 1)
+    x = laurent.LoopElement.term(a, sparse(q, a.basis_vector(0)), 1)
     assert laurent.loop_phi(a, aut, 3, laurent.FORWARD, u, ad_h)(x) == ad_h(x)
     assert builds == []
 
 
 def test_last_exa_ii_runs_phi_once_per_target(monkeypatch, capsys):
     passes = []
-    phi = laurent._phi
+    phi = laurent.phi_formula
 
     def counted(*args):
         passes.append(args)
         return phi(*args)
 
-    monkeypatch.setattr(laurent, "_phi", counted)
+    monkeypatch.setattr(laurent, "phi_formula", counted)
     assert cli.run(["phi-eval", "--setup", "last-exa-ii", "--m", "12", "--json"]) == 0
     capsys.readouterr()
     # five values of n, and targets z^j with |j| <= 2m
@@ -176,13 +178,14 @@ def test_leibniz_and_centroid_rows_come_from_a_quarter_of_the_pairs(monkeypatch)
 def _systems_solved(monkeypatch, split, a):
     """The row lists of D(a) (split: C(a)) that reach exactla.rref_rows,
     wrapped by module attribute as the benchmark's counters wrap it, and the
-    rows of each round the row source assembles."""
+    rows of each round the row source assembles. kernel_of_rows eliminates
+    with the columns mirrored (c to ncols - 1 - c); they are mirrored back."""
     calls, rounds = [], []
     rref_rows, pair_rows = exactla.rref_rows, invariants._pair_rows
 
     def counted(field, rows, ncols):
         rows = list(rows)
-        calls.append(rows)
+        calls.append([tuple((ncols - 1 - c, x) for c, x in reversed(row)) for row in rows])
         return rref_rows(field, rows, ncols)
 
     def assembled(a, split, pairs):
@@ -193,8 +196,8 @@ def _systems_solved(monkeypatch, split, a):
     monkeypatch.setattr(invariants, "_pair_rows", assembled)
     (invariants.centroid if split else invariants.derivation_space)(a)
     systems = [rows for rows in calls if rows[:len(rounds[0])] == rounds[0]]
-    # the other calls bring each round's kernel basis to RREF (Subspace.from_rows)
-    assert len(calls) == 2 * len(systems)
+    # each round's kernel basis is built in RREF, so no other call brings it there
+    assert len(calls) == len(systems)
     return systems, rounds
 
 
@@ -273,7 +276,7 @@ def test_gradings_are_never_shared_between_automorphisms():
         w = f.root_of_unity(period)
         acc = [f.zero()] * 9
         for i, p in enumerate(projections(g, f)):
-            acc = vec_add(f, acc, vec_scale(f, f.pow(w, i), flatten(p)))
+            acc = [f.add(x, f.mul(f.pow(w, i), y)) for x, y in zip(acc, flatten(p))]
         assert acc == flatten(mat)
         assert all(g is not h for h in seen)
         seen.append(g)
@@ -283,7 +286,7 @@ def test_gradings_are_never_shared_between_automorphisms():
 def test_identity_checker_computes_each_building_block_once(monkeypatch, capsys):
     inside, coords, brackets, tensors = [], [], [], []
     check = cli.check_surjectivity_identities
-    fixed_coords, bracket = decomposition.Setup.fixed_coords, decomposition._bracket
+    coords_of, bracket = Subspace.coords, decomposition._bracket
     tensor_elem = decomposition.Setup.tensor_elem
 
     def checked(*args, **kwargs):
@@ -294,9 +297,9 @@ def test_identity_checker_computes_each_building_block_once(monkeypatch, capsys)
             inside.pop()
 
     def counted_coords(self, x):
-        if inside:
-            coords.append(tuple(x))
-        return fixed_coords(self, x)
+        if inside:  # only d's evaluator takes coordinates there
+            coords.append(x)
+        return coords_of(self, x)
 
     def counted_tensor(self, a_vec, s_vec):
         if inside:
@@ -304,11 +307,11 @@ def test_identity_checker_computes_each_building_block_once(monkeypatch, capsys)
         return tensor_elem(self, a_vec, s_vec)
 
     def counted_bracket(c, ev, avec, t, big_m, b=None):
-        brackets.append((tuple(avec), t, big_m, b if b is None else tuple(b)))
+        brackets.append((avec, t, big_m, b))
         return bracket(c, ev, avec, t, big_m, b)
 
     monkeypatch.setattr(cli, "check_surjectivity_identities", checked)
-    monkeypatch.setattr(decomposition.Setup, "fixed_coords", counted_coords)
+    monkeypatch.setattr(Subspace, "coords", counted_coords)
     monkeypatch.setattr(decomposition, "_bracket", counted_bracket)
     monkeypatch.setattr(decomposition.Setup, "tensor_elem", counted_tensor)
     argv = ["lemma-identities", "--setup", "sl2-twisted-flagship", "--json"]
@@ -326,25 +329,24 @@ def test_d_eval_memo_never_caches_a_refusal_or_a_mutation(monkeypatch):
     st = catalog_setup("sl2-twisted-flagship")
     ev = st.d_eval(st.der_fixed.space._sparse[0])
     calls = []
-    fixed_coords = decomposition.Setup.fixed_coords
+    coords = Subspace.coords
 
     def counted(self, x):
-        calls.append(tuple(x))
-        return fixed_coords(self, x)
+        calls.append(x)
+        return coords(self, x)
 
-    monkeypatch.setattr(decomposition.Setup, "fixed_coords", counted)
-    x = list(st.fixed_space.rows[0])
+    monkeypatch.setattr(Subspace, "coords", counted)
+    x = st.fixed_space._sparse[0]
     want = ev(x)
-    got = ev(x)
-    got[:] = [st.a.field.one()] * len(got)
-    assert ev(x) == want
-    assert calls == [tuple(x)]
-    outside = next(v for v in Matrix.identity(st.a.field, st.ts.dim).rows
-                   if not st.fixed_space.contains(v))
+    # the memo hands out its own tuple, which no caller can change
+    assert type(want) is tuple and ev(x) is want
+    assert calls == [x]
+    one = st.a.field.one()
+    outside = next(v for v in (((i, one),) for i in range(st.ts.dim)) if not st.fixed_space.contains(v))
     for _ in range(2):
         with pytest.raises(NotInDomain):
             ev(outside)
-    assert calls == [tuple(x), tuple(outside), tuple(outside)]
+    assert calls == [x, outside, outside]
 
 
 def test_loop_pieces_visit_only_occupied_degrees(monkeypatch, capsys):
@@ -352,7 +354,8 @@ def test_loop_pieces_visit_only_occupied_degrees(monkeypatch, capsys):
     combine = laurent.combine_rows
 
     def counted(*args):
-        combines.append(args)
+        if sys._getframe(1).f_code.co_name == "_homogeneous_pieces":
+            combines.append(args)
         return combine(*args)
 
     monkeypatch.setattr(laurent, "combine_rows", counted)
@@ -429,13 +432,14 @@ def test_a_given_unit_builds_the_setup_once(monkeypatch, capsys):
     assert cli.run(argv) == 0
     capsys.readouterr()
     # z3 = z^3 has degree 1 under z -> -z; the default unit's Setup is never built
-    assert [(kw["q"], kw["u"]) for kw in built] == [(1, group_algebra(4).basis_vector(3))]
+    assert [(kw["q"], kw["u"]) for kw in built] == [(1, ((3, group_algebra(4).field.one()),))]
 
 
 def _dense_forms(monkeypatch, least=0):
-    """A counter of Matrix constructions, and of Subspace.rows reads on
-    spaces of ambient dimension at least `least`, keyed by (name, calling
-    function)."""
+    """A counter of Matrix constructions, of the conversions between dense
+    vectors and sparse rows (exactla.sparse_rows and exactla._dense), and of
+    Subspace.rows reads on spaces of ambient dimension at least `least`,
+    keyed by (name, calling function)."""
     calls = collections.Counter()
     init, rows = Matrix.__init__, Subspace.rows.fget
 
@@ -451,6 +455,17 @@ def _dense_forms(monkeypatch, least=0):
             note("rows")
         return rows(self)
 
+    for name in ("sparse_rows", "_dense"):
+        fn = getattr(exactla, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            note(_name)
+            return _fn(*args)
+
+        # wherever the name was imported to
+        for mod in (algebra, cli, decomposition, exactla, gradings, invariants, laurent):
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counted)
     monkeypatch.setattr(Matrix, "__init__", counted_init)
     monkeypatch.setattr(Subspace, "rows", property(counted_rows))
     return calls
@@ -489,6 +504,24 @@ def test_derivations_stay_sparse_from_solver_to_report(monkeypatch, capsys, argv
     assert cli.run(argv) == 0
     capsys.readouterr()
     assert calls == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-thm2", "--setup", "sl2-twisted-flagship", "--json"],
+    ["lemma-identities", "--setup", "sl2-twisted-flagship", "--json"],
+    ["phi-eval", "--setup", "sl2-twisted-flagship", "--json"],
+    ["bm-eval", "--setup", "sl2-twisted-flagship", "--json"],
+    ["phi-eval", "--setup", "last-exa-ii", "--m", "32", "--json"],
+], ids=["verify-thm2", "lemma-identities", "phi-eval", "bm-eval", "last-exa-ii-m32"])
+def test_elements_stay_sparse_rows(monkeypatch, capsys, argv):
+    # every element, unit power, tensor and carrier vector is a sparse row:
+    # no conversion to or from a dense vector, and no space of any ambient
+    # dimension read as dense rows; the only dense forms are the Matrix
+    # objects the automorphisms are written in
+    calls = _dense_forms(monkeypatch)
+    assert cli.run(argv) == 0
+    capsys.readouterr()
+    assert {key: n for key, n in calls.items() if key[0] != "Matrix"} == {}
 
 
 def test_phi_eval_on_the_laurent_carrier_multiplies_no_matrices(monkeypatch, capsys):
