@@ -2,14 +2,18 @@
 
 Entries are constructed afresh on every call; nothing is memoized. Names
 accept an optional argument list in parentheses, e.g. "group-algebra(3)" or
-"quotient-laurent(1,4)". Setup-producing entries live at the bottom; they
-import lazily to keep module import light.
+"quotient-laurent(1,4)". Setup-producing entries live at the bottom.
 """
 
 from __future__ import annotations
 
+import re
+
 from .algebra import Algebra
+from .decomposition import Setup
 from .errors import ParseError
+from .exactla import Matrix
+from .gradings import check_automorphism
 from .scalars import FieldDescriptor, make_field
 
 
@@ -85,7 +89,6 @@ def zero_product(n: int = 2, field: FieldDescriptor | None = None) -> Algebra:
 
 def diagonal_matrix(field, entries):
     """Diagonal matrix helper for automorphisms given by eigenvalue lists."""
-    from .exactla import Matrix
     n = len(entries)
     z = field.zero()
     vals = [field.from_int(e) if isinstance(e, int) else e for e in entries]
@@ -94,7 +97,6 @@ def diagonal_matrix(field, entries):
 
 def sl2_sign_automorphism(a: Algebra):
     """The period-2 involution negating the two root vectors of sl2."""
-    from .gradings import check_automorphism
     return check_automorphism(a, diagonal_matrix(a.field, [-1, 1, -1]), 2)
 
 
@@ -105,8 +107,6 @@ def sl2_twisted_flagship(field: FieldDescriptor | None = None, parts: bool = Fal
     restriction isomorphism have dimension 6. With parts, the pieces
     (a, s, aut1, aut2) of the Setup instead.
     """
-    from .decomposition import Setup
-    from .gradings import check_automorphism
     f = field or _q()
     a = sl2(f)
     s = group_algebra(4, f)
@@ -125,13 +125,10 @@ def quotient_laurent_setup(n_blocks: int, m: int, field: FieldDescriptor | None 
     for m <= 2 and the m-th cyclotomic field otherwise. With parts, the
     pieces (a, s, aut1, aut2) of the Setup instead.
     """
-    from .decomposition import Setup
-    from .gradings import check_automorphism
     if n_blocks < 1 or m < 1:
         raise ParseError(f"need positive block count and period, got ({n_blocks}, {m})")
     if field is None:
         field = _q() if m <= 2 else make_field("cyclotomic", m=m)
-    from .exactla import Matrix
     a = sl2(field)
     size = n_blocks * m
     s = group_algebra(size, field)
@@ -171,7 +168,6 @@ _SCENE_ENTRIES = {
 
 def parse_catalog_name(text: str):
     """Split 'name' or 'name(i,j,...)' into the base name and integer args."""
-    import re
     m = re.fullmatch(r"\s*([A-Za-z][A-Za-z0-9-]*)\s*(?:\(\s*(-?\d+(?:\s*,\s*-?\d+)*)\s*\))?\s*",
                      text)
     if not m:

@@ -17,7 +17,7 @@ import sys
 import traceback
 from functools import partial
 
-from .algebra import Algebra, tensor_product
+from .algebra import Algebra, field_from_definition, tensor_product
 from .catalog import (
     catalog_algebra,
     catalog_entries,
@@ -182,7 +182,6 @@ def _setup_from_file(path: str, field_flag, force: bool) -> tuple:
     if not isinstance(d, dict):
         raise ParseError(f"{path} must hold a JSON object")
     if "field" in d:
-        from .algebra import field_from_definition
         field = _parse_field_text(d["field"]) if isinstance(d["field"], str) \
             else field_from_definition(d["field"])
     else:

@@ -18,6 +18,13 @@ one representation. An int and the equal Fraction agree in ==, hash and str,
 so a stray integral Fraction handed in by a caller is still an equal input.
 Every division goes through Fraction: int / int would give a float.
 
+Over Q(zeta_m) the one polynomial operation is a product reduced modulo the
+monic Phi_m. Phi_m itself is the product over the divisors d of m of
+(1 - x^d)^mu(m/d), cut at degree phi(m). A nonzero a is inverted by the
+Galois norm: with a scaled to integer numerators, the product of their
+conjugates z -> z^k (gcd(k, m) = 1, k > 1) is rest, the numerators times rest
+is the integer N(a), and a^-1 is rest / N(a) times the scale.
+
 The descriptor owns all arithmetic on raw values; every caller works on raw
 values directly.
 
@@ -35,7 +42,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     CharDividesM,
@@ -86,47 +93,36 @@ def euler_phi(m: int) -> int:
     return phi
 
 
-def _poly_exact_div(num: list[int], den: list[int]) -> list[int]:
-    # Exact division of integer polynomials, den monic. Ascending coefficients.
-    num = list(num)
-    dn = len(den) - 1
-    out = [0] * (len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        out[i - dn] = c
-        if c:
-            for j in range(dn + 1):
-                num[i - dn + j] -= c * den[j]
-    assert all(c == 0 for c in num), "non-exact polynomial division"
-    return out
-
-
-def _divisors(m: int) -> list[int]:
-    return [d for d in range(1, m + 1) if m % d == 0]
-
-
 _CYCLO_CACHE: dict[int, tuple[int, ...]] = {}
 
 
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Integer coefficients of the m-th cyclotomic polynomial, ascending.
 
-    Computed by exact division of x^m - 1 by the product of the lower
-    cyclotomic polynomials; no factorization, no floats.
+    For m > 1, the product over the divisors d of m of (1 - x^d)^mu(m/d),
+    taken in power series cut at degree phi(m); no division, no floats.
     """
     if m in _CYCLO_CACHE:
         return _CYCLO_CACHE[m]
     if m == 1:
         poly = (-1, 1)
     else:
-        num = [0] * (m + 1)
-        num[0] = -1
-        num[m] = 1
-        res = num
-        for d in _divisors(m)[:-1]:
-            res = _poly_exact_div(res, list(cyclotomic_polynomial(d)))
-        poly = tuple(res)
-    assert len(poly) - 1 == euler_phi(m)
+        n = euler_phi(m)
+        c = [1] + [0] * n
+        # the squarefree e | m with mu(e); the factor for d = m / e
+        mus = [(1, 1)]
+        for q in _prime_factors(m):
+            mus += [(e * q, -mu) for e, mu in mus]
+        for e, mu in mus:
+            d = m // e
+            if mu == 1:  # times 1 - x^d
+                for i in range(n, d - 1, -1):
+                    c[i] -= c[i - d]
+            else:  # times 1 + x^d + x^2d + ..., the inverse of 1 - x^d
+                for i in range(d, n + 1):
+                    c[i] += c[i - d]
+        poly = tuple(c)
+    assert len(poly) - 1 == euler_phi(m) and poly[-1] == 1
     _CYCLO_CACHE[m] = poly
     return poly
 
@@ -316,24 +312,19 @@ class FieldDescriptor:
         return self._cyc_reduce(out)
 
     def _cyc_inv(self, a):
-        # extended Euclid in Q[x] against the cyclotomic modulus
-        r0 = list(self.modulus)
-        r1 = list(a)
-        while r1 and not r1[-1]:
-            r1.pop()
-        s0, s1 = [], [1]
-        while True:
-            if len(r1) == 1:
-                c = r1[0]
-                return self._cyc_reduce([Fraction(x, c) for x in s1])
-            q, rem = _poly_divmod_frac(r0, r1)
-            r0, r1 = r1, rem
-            s_new = _poly_sub(s0, _poly_mul(q, s1))
-            s0, s1 = s1, s_new
-            while r1 and not r1[-1]:
-                r1.pop()
-            if not r1:
-                raise DivisionByZero("element not invertible against the modulus")
+        # a^-1 = rest / N(a) by the Galois norm, as the module docstring says
+        m = self.m
+        den = lcm(*[x.denominator for x in a])
+        num = [x.numerator * (den // x.denominator) for x in a]
+        rest = self.one()
+        for k in range(2, m):
+            if gcd(k, m) == 1:
+                conj = [0] * m
+                for i, x in enumerate(num):
+                    conj[i * k % m] += x
+                rest = self._cyc_mul(rest, self._cyc_reduce(conj))
+        norm = self._cyc_mul(num, rest)[0]
+        return tuple([_canon(Fraction(den * x, norm)) for x in rest])
 
     # -- roots of unity ----------------------------------------------------
 
@@ -410,46 +401,6 @@ class FieldDescriptor:
         while len(coeffs) > 1 and not coeffs[-1]:
             coeffs.pop()
         return "[" + ",".join(str(c) for c in coeffs) + "]"
-
-
-# Polynomials over Q for the cyclotomic inverse: ascending lists of int or
-# Fraction coefficients, canonicalised only by _cyc_reduce at the end.
-
-
-def _poly_mul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else 0
-        y = b[i] if i < len(b) else 0
-        out.append(x - y)
-    return out
-
-
-def _poly_divmod_frac(num: list, den: list):
-    num = list(num)
-    q = [0] * max(1, len(num) - len(den) + 1)
-    inv_lead = Fraction(1, den[-1])
-    for i in range(len(num) - 1, len(den) - 2, -1):
-        c = num[i] * inv_lead
-        q[i - len(den) + 1] = c
-        if c:
-            for j in range(len(den)):
-                num[i - len(den) + 1 + j] -= c * den[j]
-    while num and not num[-1]:
-        num.pop()
-    return q, num
 
 
 _FIELD_CACHE: dict[tuple, FieldDescriptor] = {}

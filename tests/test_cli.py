@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 import dertensor.cli as cli
 from dertensor import catalog, decomposition
-from dertensor.catalog import catalog_algebra
+from dertensor.algebra import tensor_product
+from dertensor.catalog import catalog_algebra, group_algebra, sl2
 from dertensor.errors import InternalCheckFailed
 from dertensor.exactla import Matrix, Subspace
 from dertensor.invariants import EndoSpace, differential_centroid
@@ -423,6 +424,32 @@ def test_setup_file_roundtrip(tmp_path, capsys):
     code, out, _ = run_cap(capsys, ["verify-thm2", "--setup", str(p), "--json"])
     assert code == 0
     assert json.loads(out)["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_setup_file_diagram_automorphism(tmp_path, capsys, n):
+    # A = sl2 (x) k[Z2] = sl2 (+) sl2, and aut1 = id (x) (z -> -z) swaps the two
+    # summands: the diagram case of Theorem 2, against k[Z_n] with z -> -z
+    a = tensor_product(sl2(), group_algebra(2))
+    spec = {
+        "field": "rational",
+        "a": a.to_definition(),
+        "s": f"group-algebra({n})",
+        "aut1": {"diagonal": ["1", "-1"] * 3, "period": 2},
+        "aut2": {"diagonal": ["1", "-1"] * (n // 2), "period": 2},
+        "q": 1,
+    }
+    p = tmp_path / "diagram.json"
+    p.write_text(json.dumps(spec))
+    reports = {}
+    for command in ("verify-thm2", "verify-lemma35", "lemma-identities"):
+        code, out, _ = run_cap(capsys, [command, "--setup", str(p), "--json"])
+        assert code == 0, command
+        reports[command] = json.loads(out)
+        assert reports[command]["verdict"] == "pass", command
+    thm2 = reports["verify-thm2"]["dimensions"]
+    assert thm2["degree-zero-derivations"] == thm2["fixed-algebra-derivations"] == 3 * n
+    assert reports["verify-lemma35"]["dimensions"]["D(A tensor S)"] == 6 * n
 
 
 def test_setup_file_bad_automorphism_is_hypothesis_error(tmp_path, capsys):

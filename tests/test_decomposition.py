@@ -181,21 +181,33 @@ def truncated_polynomials(k, f):
     return Algebra(f, names, table)
 
 
+def sl2_plus_sl2(f):
+    """sl2 (x) k[Z2], that is sl2 (+) sl2, whose centroid k[Z2] has dimension 2."""
+    return tensor_product(sl2(f), group_algebra(2, f))
+
+
 # dim D(S) of k[x]/(x^k): d(x) may be any multiple of x in characteristic 0
 # (k - 1), and anything at all when the characteristic divides k, since then
 # d(x^k) = k x^(k-1) d(x) vanishes (k)
-@pytest.mark.parametrize("field,k,dim_ds", [
-    (make_field("rational"), 3, 2),
-    (make_field("rational"), 4, 3),
-    (make_field("prime", p=3), 3, 3),
-    (make_field("prime", p=5), 5, 5),
-], ids=["Q-k3", "Q-k4", "F3-k3", "F5-k5"])
-def test_block_decomposition_with_derivations_on_the_right(field, k, dim_ds):
-    rep = verify_block_decomposition(sl2(field), truncated_polynomials(k, field))
+@pytest.mark.parametrize("left,dim_ca,field,k,dim_ds", [
+    (sl2, 1, make_field("rational"), 3, 2),
+    (sl2, 1, make_field("rational"), 4, 3),
+    (sl2, 1, make_field("prime", p=3), 3, 3),
+    (sl2, 1, make_field("prime", p=5), 5, 5),
+    (sl2_plus_sl2, 2, make_field("rational"), 2, 1),
+    (sl2_plus_sl2, 2, make_field("rational"), 3, 2),
+    (sl2_plus_sl2, 2, make_field("prime", p=3), 3, 3),
+], ids=["Q-k3", "Q-k4", "F3-k3", "F5-k5", "sl2+sl2-Q-k2", "sl2+sl2-Q-k3", "sl2+sl2-F3-k3"])
+def test_block_decomposition_with_derivations_on_the_right(left, dim_ca, field, k, dim_ds):
+    a, s = left(field), truncated_polynomials(k, field)
+    rep = verify_block_decomposition(a, s)
     assert rep.verdict == "pass"
     dims = rep.dimensions
-    assert (dims["D(A)"], dims["C(A)"], dims["S"], dims["D(S)"]) == (3, 1, k, dim_ds)
+    assert (dims["D(A)"], dims["C(A)"], dims["S"], dims["D(S)"]) == (3 * dim_ca, dim_ca, k, dim_ds)
     assert dims["D(A tensor S)"] == dims["D(A)"] * dims["S"] + dims["C(A)"] * dims["D(S)"]
+    psi = verify_psi_lemma(a, s)
+    assert psi.verdict == "pass"
+    assert psi.dimensions["C(A tensor S)"] == dim_ca * k
 
 
 def test_block_decomposition_refuses_sl2_in_characteristic_two():

@@ -28,11 +28,13 @@ def test_cyclotomic_polynomial_small_literals():
 
 
 def test_cyclotomic_polynomial_against_sympy():
+    # Phi_105 is the first with a coefficient outside {-1, 0, 1}
     x = sympy.symbols("x")
-    for m in range(1, 31):
+    for m in range(1, 121):
         ours = cyclotomic_polynomial(m)
         theirs = sympy.Poly(sympy.cyclotomic_poly(m, x), x).all_coeffs()[::-1]
         assert list(ours) == [int(c) for c in theirs], f"m={m}"
+    assert min(cyclotomic_polynomial(105)) == -2
 
 
 def test_root_of_unity_kills_its_cyclotomic_polynomial():
@@ -217,6 +219,10 @@ def test_field_descriptor_identity():
 
 Z3 = make_field("cyclotomic", m=3)
 Z5 = make_field("cyclotomic", m=5)
+# for the norm inverse: phi(7) = 6, and the units mod 8 and mod 12 form no cyclic group
+Z7 = make_field("cyclotomic", m=7)
+Z8 = make_field("cyclotomic", m=8)
+Z12 = make_field("cyclotomic", m=12)
 F31 = make_field("prime", m=3, p=31)
 small_rationals = st.sampled_from([Fraction(0)] * 4 + [Fraction(1), Fraction(-2), Fraction(3, 4)])
 
@@ -325,7 +331,7 @@ rational_inputs = st.one_of(st.integers(-9, 9).map(Fraction),
 @st.composite
 def field_operands(draw):
     """(field, a, b, Fraction-only a, Fraction-only b); inputs canonical or not."""
-    f = draw(st.sampled_from([QQ, Z3, Z5]))
+    f = draw(st.sampled_from([QQ, Z3, Z5, Z7, Z8, Z12]))
     n = 1 if f is QQ else f.deg
     qa = [draw(rational_inputs) for _ in range(n)]
     qb = [draw(rational_inputs) for _ in range(n)]

@@ -34,7 +34,7 @@ import sys
 
 import pytest
 
-from dertensor import algebra, cli, decomposition, exactla, gradings, invariants, laurent
+from dertensor import algebra, catalog, cli, decomposition, exactla, gradings, invariants, laurent
 from dertensor.catalog import catalog_setup, diagonal_matrix, group_algebra, sl2
 from dertensor.errors import NotInDomain
 from dertensor.exactla import Matrix, Subspace
@@ -384,7 +384,7 @@ def _self_check_counts(monkeypatch, capsys, argv):
     """Calls of check_automorphism and psi_multiplicative, and builds of
     Grading.basis_parts, the projections onto the components, during one command."""
     counts = {"check_automorphism": 0, "psi_multiplicative": 0, "basis_parts": 0}
-    for mods, name in (((gradings, cli), "check_automorphism"),
+    for mods, name in (((gradings, catalog, cli), "check_automorphism"),
                        ((invariants, decomposition, cli), "psi_multiplicative")):
         def counted(*args, _fn=getattr(mods[0], name), _name=name):
             counts[_name] += 1
