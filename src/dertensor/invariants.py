@@ -30,15 +30,18 @@ from .scalars import CYCLOTOMIC, PRIME, RATIONAL
 
 
 class EndoSpace:
-    """A space of endomorphisms of an n-dimensional space, flattened row-major."""
+    """A space of endomorphisms of an algebra, flattened row-major."""
 
-    __slots__ = ("algebra", "n", "space", "tag")
+    __slots__ = ("algebra", "space", "tag")
 
-    def __init__(self, algebra: Algebra, n: int, space: Subspace, tag: str):
+    def __init__(self, algebra: Algebra, space: Subspace, tag: str):
         self.algebra = algebra
-        self.n = n
         self.space = space
         self.tag = tag
+
+    @property
+    def n(self) -> int:
+        return self.algebra.dim
 
     @property
     def dim(self) -> int:
@@ -190,7 +193,7 @@ def _leibniz_kernel(a: Algebra, split: bool, tag: str) -> EndoSpace:
             return _pair_rows(a, split, fresh) if fresh else []
 
         ker = kernel_of_rows(a.field, _pair_rows(a, split, sorted(used)), n * n, tag, more)
-        a._cache[tag] = EndoSpace(a, n, ker, tag)
+        a._cache[tag] = EndoSpace(a, ker, tag)
     return a._cache[tag]
 
 
@@ -217,43 +220,8 @@ def differential_centroid(a: Algebra) -> EndoSpace:
     if "differential_centroid" not in a._cache:
         rows = [row for d in derivation_space(a).space._sparse for row in _commute_rows(a.field, d, a.dim)]
         space = centroid(a).space.cut(rows, "differential-centroid")
-        a._cache["differential_centroid"] = EndoSpace(a, a.dim, space, "differential-centroid")
+        a._cache["differential_centroid"] = EndoSpace(a, space, "differential-centroid")
     return a._cache["differential_centroid"]
-
-
-def s_module_derivations(a: Algebra, s: Algebra, ts: Algebra | None = None) -> EndoSpace:
-    """Derivations of the tensor product that are maps of right-factor modules.
-
-    Cut inside D(A tensor S) by commutation with every operator id tensor
-    R_{b_j}, which is id tensor L_{b_j}: the right factor must be commutative.
-    """
-    require_scalar_hypotheses(s)
-    ts = ts if ts is not None else tensor_product(a, s)
-    key = "s_module_derivations"
-    if key not in ts._cache:
-        f, na = a.field, a.dim
-        eye = tuple((i * na + i, f.one()) for i in range(na))
-        rows = [row for lj in s.left_mult_operators()
-                for row in _commute_rows(f, sparse_kron(f, eye, na, lj, s.dim), ts.dim)]
-        space = derivation_space(ts).space.cut(rows, "module-derivations")
-        ts._cache[key] = EndoSpace(ts, ts.dim, space, "module-derivations")
-    return ts._cache[key]
-
-
-def vanishing_on_left_derivations(a: Algebra, s: Algebra, ts: Algebra | None = None) -> EndoSpace:
-    """Derivations of the tensor product killing a tensor 1, cut inside D(A tensor S)."""
-    ts = ts if ts is not None else tensor_product(a, s)
-    key = "vanishing_on_left"
-    if key not in ts._cache:
-        unit = s.unit()
-        if unit is None:
-            raise NotUnital("right factor has no unit, so 'a tensor 1' is undefined")
-        n = ts.dim
-        # d(a_i tensor 1) = 0, one row per output coordinate t
-        rows = [tuple((t * n + i * s.dim + jj, c) for jj, c in unit) for i in range(a.dim) for t in range(n)]
-        space = derivation_space(ts).space.cut(rows, "vanishing-on-left")
-        ts._cache[key] = EndoSpace(ts, n, space, "vanishing-on-left")
-    return ts._cache[key]
 
 
 # -- the canonical map onto the tensor centroid ----------------------------

@@ -325,7 +325,7 @@ def test_verify_thm2_exits_4_when_a_restriction_leaves_the_derivations(capsys, m
         der = full(setup)
         rows = [list(r) for r in der.space.rows[:-1]]
         sub = Subspace.from_vectors(der.algebra.field, der.n * der.n, rows)
-        return EndoSpace(der.algebra, der.n, sub, tag="proper")
+        return EndoSpace(der.algebra, sub, tag="proper")
 
     monkeypatch.setattr(decomposition.Setup, "der_fixed", property(proper))
     code, out, err = run_cap(capsys, ["verify-thm2", "--setup", "sl2-twisted-flagship"])
@@ -345,7 +345,7 @@ def test_verify_thm1_exits_4_naming_the_generator_that_is_no_derivation(capsys, 
         if alg.dim != 3:  # sl2, not S or A (x) S
             return der
         eye = Subspace.from_vectors(alg.field, 9, [flatten(Matrix.identity(alg.field, 3))])
-        return EndoSpace(alg, 3, der.space.sum(eye), der.tag)
+        return EndoSpace(alg, der.space.sum(eye), der.tag)
 
     monkeypatch.setattr(decomposition, "derivation_space", with_identity)
     code, out, err = run_cap(capsys, ["verify-thm1", "--algebra", "sl2", "--s", "group-algebra(2)"])

@@ -6,6 +6,7 @@ import pytest
 
 from dertensor.algebra import Algebra, tensor_product, tensor_vector
 from dertensor.catalog import (
+    catalog_algebra,
     diagonal_matrix,
     dual_numbers,
     group_algebra,
@@ -39,9 +40,9 @@ from dertensor.errors import (
     NoUnitFound,
 )
 from dertensor import cli, decomposition
-from dertensor.exactla import Matrix, Subspace, apply_map, combine_rows, sparse_kron
+from dertensor.exactla import Matrix, Subspace, apply_map, combine_rows, compose_maps, sparse_kron
 from dertensor.gradings import check_automorphism, grading_from_automorphism
-from dertensor.invariants import EndoSpace, derivation_space, leibniz_witness, s_module_derivations
+from dertensor.invariants import derivation_space, leibniz_witness
 from dertensor.scalars import make_field
 
 from naive_la import dense, flatten, sparse, unflatten
@@ -259,23 +260,41 @@ def test_split_random_derivations_reassemble():
     rng = random.Random(71)
     for a, s in [(sl2(), dual_numbers()), (sl2(), group_algebra(2))]:
         ts = tensor_product(a, s)
-        one = s.unit()
+        f, one = ts.field, s.unit()
+        eye = tuple((i * a.dim + i, f.one()) for i in range(a.dim))
+        lefts = [sparse_kron(f, eye, a.dim, lj, s.dim) for lj in s.left_mult_operators()]
         for _ in range(25):
             delta = random_derivation(ts, rng)
             d, rem = split_derivation(delta, a, s, ts)
-            assert combine_rows(ts.field, [(ts.field.one(), d), (ts.field.one(), rem)]) == delta
+            assert combine_rows(f, [(f.one(), d), (f.one(), rem)]) == delta
+            # d is S-linear: it commutes with every id (x) L_{b_j}
+            for lj in lefts:
+                assert compose_maps(f, d, lj, ts.dim) == compose_maps(f, lj, d, ts.dim)
             for i in range(a.dim):
-                img = apply_map(ts.field, rem, ts.dim, tensor_vector(a, s, sparse(a.field, a.basis_vector(i)), one))
+                img = apply_map(f, rem, ts.dim, tensor_vector(a, s, sparse(a.field, a.basis_vector(i)), one))
                 assert img == ()
 
 
-def test_split_components_recover_expected_dims():
-    # mixed sum on sl2 x dual numbers: S-linear part dim 6, vanishing part dim 1
-    a, s = sl2(), dual_numbers()
+ORACLE_FIELDS = {"Q": make_field("rational"), "F31": make_field("prime", p=31), "F3": make_field("prime", p=3),
+                 "Qz3": make_field("cyclotomic", m=3)}
+
+
+@pytest.mark.parametrize("fname", list(ORACLE_FIELDS))
+@pytest.mark.parametrize("right", ["dual-numbers", "group-algebra(3)", "group-algebra(4)"])
+def test_split_parts_lie_in_the_embedded_summands(fname, right):
+    # the S-linear part lies in D(A) (x) S and the rest in C(A) (x) D(S),
+    # computed apart from the split (embed_tensor_derivations)
+    f = ORACLE_FIELDS[fname]
+    a, s = sl2(f), catalog_algebra(right, f)
     ts = tensor_product(a, s)
-    from dertensor.invariants import s_module_derivations, vanishing_on_left_derivations
-    assert s_module_derivations(a, s, ts).dim == 6
-    assert vanishing_on_left_derivations(a, s, ts).dim == 1
+    img1, img2 = embed_tensor_derivations(a, s, ts)
+    # dim D(S): 1 for the dual numbers, 3 for k[Z3] over F3, where z^3 - 1 = (z - 1)^3
+    assert (img1.dim, img2.dim) == (3 * s.dim, {"dual-numbers": 1, "group-algebra(3)": 3 * (fname == "F3")}
+                                    .get(right, 0))
+    for delta in derivation_space(ts).space._sparse:
+        d, rem = split_derivation(delta, a, s, ts)
+        assert img1.space.contains(d)
+        assert img2.space.contains(rem)
 
 
 def test_split_rejects_non_derivation():
@@ -529,36 +548,21 @@ def test_verification_report_shape():
 # -- self-check witnesses: each mutant exits 4 through the CLI, naming an index
 
 
-def _split_samples(a, s, count=25):
-    """The tensor algebra and the splits of the derivations that verify-thm1
-    samples for the pair, in order (cli._split_sample_assertion)."""
-    ts = tensor_product(a, s)
-    f, der = ts.field, derivation_space(ts)
-    rng = random.Random(cli.SPLIT_SEED)
-    splits = []
-    for _ in range(count):
-        coeffs = [f.from_int(rng.randint(-3, 3)) for _ in range(der.dim)]
-        splits.append(split_derivation(combine_rows(f, zip(coeffs, der.space._sparse)), a, s, ts))
-    return ts, splits
-
-
 def _internal_failure(capsys, argv):
     assert cli.run(argv + ["--json"]) == 4
     return capsys.readouterr().err
 
 
-@pytest.mark.parametrize("space,part,message", [
-    ("s_module_derivations", 0, "S-linear part escaped its defining space"),
-    ("vanishing_on_left_derivations", 1, "remainder does not vanish on the left factor"),
-], ids=["s-linear", "remainder"])
-def test_a_split_part_outside_its_space_names_its_first_entry(monkeypatch, capsys, space, part, message):
-    ts, splits = _split_samples(sl2(), dual_numbers())
-    # the mutant space is zero: the first nonzero part leaves it at its first entry
-    first = next(parts[part] for parts in splits if parts[part])
-    monkeypatch.setattr(decomposition, space, lambda a, s, ts: EndoSpace(
-        ts, ts.dim, Subspace(ts.field, ts.dim * ts.dim, (), ()), "mutant"))
+def test_an_s_linear_part_that_is_no_derivation_names_its_first_entry(monkeypatch, capsys):
+    # the mutant S-linear part gains 1 at entry (0, 0); the true part is a
+    # derivation, so the residual off D(A (x) S) is that of E_00 (reduce is linear)
+    ts = tensor_product(sl2(), dual_numbers())
+    f, real, e00 = ts.field, decomposition.map_of_columns, ((0, ts.field.one()),)
+    first = derivation_space(ts).space.reduce(e00)[0][0]
+    monkeypatch.setattr(decomposition, "map_of_columns",
+                        lambda cols: combine_rows(f, [(f.one(), real(cols)), (f.one(), e00)]))
     err = _internal_failure(capsys, ["verify-thm1", "--algebra", "sl2", "--s", "dual-numbers"])
-    assert f"{message} at entry {divmod(first[0][0], ts.dim)}" in err
+    assert f"S-linear part is not a derivation at entry {divmod(first, ts.dim)}" in err
 
 
 def test_a_restriction_leaving_the_fixed_algebra_names_the_basis_vector(monkeypatch, capsys):
@@ -610,17 +614,6 @@ def test_an_extension_restricting_elsewhere_names_the_first_entry(monkeypatch, c
     monkeypatch.setattr(decomposition, "_restrict", mutant)
     err = _internal_failure(capsys, ["phi-eval", "--setup", "sl2-twisted-flagship"])
     assert "extension does not restrict to the input at entry (0, 0)" in err
-
-
-def test_overlapping_summand_spaces_name_the_first_entry(monkeypatch, capsys):
-    # a wrong space of derivations vanishing on A (x) 1: all of D(A (x) S),
-    # which holds the S-linear ones, so the overlap is all of those
-    a, s = sl2(), dual_numbers()
-    ts = tensor_product(a, s)
-    lead = s_module_derivations(a, s, ts).space._sparse[0][0][0]
-    monkeypatch.setattr(decomposition, "vanishing_on_left_derivations", lambda a, s, ts: derivation_space(ts))
-    err = _internal_failure(capsys, ["verify-thm1", "--algebra", "sl2", "--s", "dual-numbers"])
-    assert f"the two summand spaces overlap, first at entry {divmod(lead, ts.dim)}" in err
 
 
 def test_a_restriction_that_is_no_derivation_names_the_first_entry(monkeypatch, capsys, flagship):

@@ -231,7 +231,7 @@ def test_induced_grading_rejects_non_invariant_space():
     aut = check_automorphism(s, diag(f, [1, -1]), 2)
     o, z = f.one(), f.zero()
     span = Subspace.from_vectors(f, 4, [[o, o, z, z]])  # E00 + E01, not conj-invariant
-    endo = EndoSpace(s, 2, span, tag="adhoc")
+    endo = EndoSpace(s, span, tag="adhoc")
     with pytest.raises(NotInvariant):
         induced_endo_grading(aut, endo)
 

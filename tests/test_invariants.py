@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dertensor.algebra import Algebra, tensor_product
 from dertensor.catalog import dual_numbers, group_algebra, sl2, sl2_graded_variant, zero_product
+from dertensor.decomposition import split_derivation
 from dertensor.errors import InternalCheckFailed, NotPerfect, NotUnital
 from dertensor.exactla import Matrix, Subspace
 from dertensor import exactla, invariants
@@ -17,8 +18,6 @@ from dertensor.invariants import (
     leibniz_witness,
     psi_map,
     psi_multiplicative,
-    s_module_derivations,
-    vanishing_on_left_derivations,
 )
 from dertensor.scalars import make_field
 
@@ -145,21 +144,6 @@ def test_tensor_derivation_dimensions_frozen():
     assert derivation_space(ts3).dim == 9
 
 
-def test_module_and_vanishing_subspaces():
-    a, s = sl2(), dual_numbers()
-    ts = tensor_product(a, s)
-    full = derivation_space(ts)
-    mod = s_module_derivations(a, s, ts)
-    van = vanishing_on_left_derivations(a, s, ts)
-    assert mod.dim == 6
-    assert van.dim == 1
-    assert full.space.sum(mod.space) == full.space
-    assert full.space.sum(van.space) == full.space
-    # the two pieces meet trivially and fill the space
-    assert mod.space.intersect(van.space).dim == 0
-    assert mod.space.sum(van.space) == full.space
-
-
 def test_psi_bijective_on_perfect_pair():
     a, s = sl2(), group_algebra(2)
     rep = psi_map(a, s)
@@ -203,8 +187,9 @@ def test_psi_requires_unital_right_factor():
 
 
 def test_vanishing_needs_unital_right_factor():
+    # the remainder of a split vanishes on A (x) 1, which needs a unit
     with pytest.raises(NotUnital):
-        vanishing_on_left_derivations(sl2(), zero_product(2))
+        split_derivation((), sl2(), zero_product(2))
 
 
 def test_cached_spaces_are_reused_and_stable():

@@ -8,14 +8,13 @@ builds its carrier once, verify-thm2 runs phi and pi once per basis
 element and phi-eval never solves D(A (x) S), the identity checker
 evaluates d and each averaging bracket once per distinct argument and
 builds each tensor vector ahead of its samples, the split of a tensor
-derivation checks its two summand spaces direct once per tensor algebra,
-not once per sample, verify-thm1 builds each tensor algebra A (x) S once
-and assembles its Leibniz system once, D and C of a tensor algebra
+derivation solves no system, verify-thm1 builds each tensor algebra
+A (x) S once and assembles its Leibniz system once, D and C of a tensor algebra
 assemble rows from a few generator pairs, in one round, each round of a
 kernel reaches exactla.rref_rows by its module name with every row so far,
 once (the benchmark counts systems by wrapping it there), and a command
 builds its own subparser only, and the tensor maps of psi, of the embedded
-D(A) (x) S and C(A) (x) D(S) and of the module derivations are built
+D(A) (x) S and C(A) (x) D(S) and the commutation rows of D(A) are built
 sparse, with no dense matrix built, and a derivation stays one sparse row
 from the solver to the report of verify-thm2, bm-eval and verify-thm1,
 where the only matrices are the automorphisms as written; phi-eval on the
@@ -211,25 +210,31 @@ def test_each_round_reaches_the_counted_eliminator_with_every_row(monkeypatch, s
     assert systems == [rounds[0], rounds[0] + rounds[1]]
 
 
-def _overlap_checks(monkeypatch, capsys, budget):
+def _kernels_solved(monkeypatch, run):
+    """The (columns, tag) of each kernel_of_rows call that run makes."""
     calls = []
-    intersect = Subspace.intersect
+    kernel = exactla.kernel_of_rows
 
-    def counted(self, other):
-        calls.append(self.ambient)
-        return intersect(self, other)
+    def counted(field, rows, ncols, tag="kernel", more=None):
+        calls.append((ncols, tag))
+        return kernel(field, rows, ncols, tag, more)
 
-    monkeypatch.setattr(Subspace, "intersect", counted)
-    argv = ["verify-thm1", "--algebra", "sl2", "--s", "group-algebra(3)",
-            "--budget", str(budget), "--json"]
-    assert cli.run(argv) == 0
-    assert '"split-roundtrip-%d"' % budget in capsys.readouterr().out
+    for mod in (exactla, invariants):
+        monkeypatch.setattr(mod, "kernel_of_rows", counted)
+    run()
     monkeypatch.undo()
-    return len(calls)
+    return calls
 
 
-def test_split_overlap_check_does_not_grow_with_the_budget(monkeypatch, capsys):
-    assert _overlap_checks(monkeypatch, capsys, 5) == _overlap_checks(monkeypatch, capsys, 25)
+def test_a_split_solves_no_system(monkeypatch, capsys):
+    # verify-thm1 solves what the block check solves, at any sample budget
+    def thm1(budget):
+        argv = ["verify-thm1", "--algebra", "sl2", "--s", "group-algebra(3)", "--budget", str(budget), "--json"]
+        assert cli.run(argv) == 0
+        assert '"split-roundtrip-%d"' % budget in capsys.readouterr().out
+
+    block = _kernels_solved(monkeypatch, lambda: decomposition.verify_block_decomposition(sl2(), group_algebra(3)))
+    assert _kernels_solved(monkeypatch, lambda: thm1(5)) == _kernels_solved(monkeypatch, lambda: thm1(25)) == block
 
 
 @pytest.mark.parametrize("pair", [["--algebra", "sl2", "--s", "group-algebra(3)"], []],
@@ -254,8 +259,7 @@ def test_verify_thm1_builds_each_tensor_algebra_once(monkeypatch, capsys, pair):
     assert cli.run(["verify-thm1", "--budget", "3", "--json"] + pair) == 0
     capsys.readouterr()
     assert len(built) == (1 if pair else len(cli.DEFAULT_PAIRS))
-    # D(A (x) S) only: the S-module derivations and those vanishing on
-    # A (x) 1 are cut inside it
+    # D(A (x) S) only: the split checks its S-linear part against it
     assert [sum(x is ts for x in assembled) for ts in built] == [1] * len(built)
 
 
@@ -472,15 +476,14 @@ def _dense_forms(monkeypatch, least=0):
 
 
 def test_tensor_maps_take_no_dense_round_trip(monkeypatch):
-    # psi's images, the embedded D(A) (x) S and C(A) (x) D(S), the maps
-    # id (x) R_{b_j} and the commutation rows of D(A) are all built on
+    # psi's images, the embedded D(A) (x) S and C(A) (x) D(S) and the
+    # commutation rows of D(A) are all built on
     # sparse flattened basis rows (exactla.sparse_kron), never dense matrices
     calls = _dense_forms(monkeypatch)
     a, s = sl2(), group_algebra(3)
     ts = algebra.tensor_product(a, s)
     assert invariants.psi_map(a, s, ts).bijective
     assert [e.dim for e in decomposition.embed_tensor_derivations(a, s, ts)] == [9, 0]
-    assert invariants.s_module_derivations(a, s, ts).dim == 9
     assert invariants.differential_centroid(a).dim == 1
     assert calls == {}
     Matrix(a.field, [[a.field.one()]], 1)  # the counter sees a call
