@@ -1,8 +1,7 @@
 """Finite-dimensional algebras given by structure constants.
 
-An Algebra holds a basis and the full products table: table[i][j] is the
-dense coordinate vector of (basis i) * (basis j), and _nz[i][j] the same
-product as a sparse row (see exactla), the form every element takes here.
+An Algebra holds a basis and one products table: _nz[i][j] is (basis i) *
+(basis j) as a sparse row (see exactla), the form every element takes here.
 No axioms are assumed; properties like associativity are checked on demand
 and cached. Caches live on the instance and algebras are immutable by
 convention, so a cached flag can never drift from recomputation (tests clear
@@ -32,28 +31,47 @@ from .scalars import CYCLOTOMIC, PRIME, RATIONAL, FieldDescriptor, make_field
 
 
 class Algebra:
-    __slots__ = ("field", "dim", "names", "table", "_nz", "_cache")
+    __slots__ = ("field", "dim", "names", "_nz", "_cache")
 
     def __init__(self, field: FieldDescriptor, names: list[str], table):
+        """The algebra whose product b_i b_j is the dense coordinate list
+        table[i][j]: a one-pass adapter onto from_products for dense tables."""
+        n, nz = len(names), field.nonzero
+        if len(table) != n or any(len(r) != n or any(len(v) != n for v in r) for r in table):
+            raise DimensionMismatch("table must be dim x dim x dim")
+        self._set(field, names, [[tuple((k, c) for k, c in enumerate(v) if nz(c)) for v in r] for r in table])
+
+    @classmethod
+    def from_products(cls, field: FieldDescriptor, names: list[str], products) -> "Algebra":
+        """The algebra whose product b_i b_j is the sparse row products[i][j],
+        sorted and zero-free (see exactla)."""
+        self = cls.__new__(cls)
+        self._set(field, names, products)
+        return self
+
+    def _set(self, field, names, products):
         n = len(names)
         if len(set(names)) != n:
             raise ParseError("basis names must be distinct")
-        if len(table) != n or any(len(r) != n for r in table):
-            raise DimensionMismatch("table must be dim x dim")
-        for i in range(n):
-            for j in range(n):
-                if len(table[i][j]) != n:
-                    raise DimensionMismatch(f"product ({i},{j}) has wrong length")
-        self.field = field
-        self.dim = n
-        self.names = list(names)
-        self.table = [[list(table[i][j]) for j in range(n)] for i in range(n)]
-        nz = field.nonzero
-        self._nz = [
-            [tuple((k, c) for k, c in enumerate(self.table[i][j]) if nz(c)) for j in range(n)]
-            for i in range(n)
-        ]
+        if len(products) != n or any(len(r) != n for r in products):
+            raise DimensionMismatch("products must be dim x dim")
+        self.field, self.dim, self.names = field, n, list(names)
+        self._nz = [list(r) for r in products]
         self._cache = {}
+
+    @property
+    def table(self) -> tuple:
+        """The dense products table, table[i][j] the coordinate tuple of
+        b_i b_j: a read-only view, built on the first request and kept."""
+        if "table" not in self._cache:
+            z, n = self.field.zero(), self.dim
+
+            def dense(p):
+                at = dict(p)
+                return tuple(at.get(k, z) for k in range(n))
+
+            self._cache["table"] = tuple(tuple(map(dense, r)) for r in self._nz)
+        return self._cache["table"]
 
     def __repr__(self):
         return f"Algebra(dim {self.dim} over {self.field})"
@@ -84,7 +102,7 @@ class Algebra:
         return self._cache["left_mult_operators"]
 
     def basis_vector(self, i: int) -> list:
-        """Basis vector i as a dense coordinate list, the form of table entries."""
+        """Basis vector i as a dense coordinate list, as the table view writes them."""
         z = self.field.zero()
         v = [z] * self.dim
         v[i] = self.field.one()
@@ -128,11 +146,8 @@ class Algebra:
 
     def is_commutative(self) -> bool:
         if "commutative" not in self._cache:
-            self._cache["commutative"] = all(
-                self.table[i][j] == self.table[j][i]
-                for i in range(self.dim)
-                for j in range(i + 1, self.dim)
-            )
+            nz = self._nz
+            self._cache["commutative"] = all(nz[i][j] == nz[j][i] for i in range(self.dim) for j in range(i))
         return self._cache["commutative"]
 
     def is_associative(self) -> bool:
@@ -184,15 +199,13 @@ class Algebra:
                 raise ParseError("basis names must be strings")
             if len(raw_table) != n:
                 raise ParseError("table must have dim rows")
-            z = field.zero()
-            table = []
+            products = []
             for i in range(n):
                 if len(raw_table[i]) != n:
                     raise ParseError(f"table row {i} must have dim entries")
                 row = []
                 for j in range(n):
-                    vec = [z] * n
-                    seen = set()
+                    vec = {}
                     for entry in raw_table[i][j]:
                         if len(entry) != 2 or not isinstance(entry[1], str):
                             raise ParseError(
@@ -200,15 +213,14 @@ class Algebra:
                         k, lit = int(entry[0]), entry[1]
                         if not 0 <= k < n:
                             raise ParseError(f"index {k} out of range at ({i},{j})")
-                        if k in seen:
+                        if k in vec:
                             raise ParseError(f"duplicate index {k} at ({i},{j})")
-                        seen.add(k)
                         vec[k] = field.parse(lit)
-                    row.append(vec)
-                table.append(row)
+                    row.append(canonical_row(field, vec))
+                products.append(row)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed algebra definition: {exc}")
-        return cls(field, names, table)
+        return cls.from_products(field, names, products)
 
 
 def field_to_definition(f: FieldDescriptor) -> dict:
@@ -239,24 +251,11 @@ def tensor_product(a: Algebra, s: Algebra) -> Algebra:
     """Tensor product algebra; basis pair (i, j) sits at index i*dim(S)+j."""
     if a.field != s.field:
         raise FieldMismatch(f"{a.field} vs {s.field}")
-    f = a.field
-    na, ns = a.dim, s.dim
-    n = na * ns
-    z = f.zero()
     names = [f"{an}⊗{sn}" for an in a.names for sn in s.names]
-    table = [[None] * n for _ in range(n)]
-    for i1 in range(na):
-        for j1 in range(ns):
-            r = i1 * ns + j1
-            for i2 in range(na):
-                pa = a._nz[i1][i2]
-                for j2 in range(ns):
-                    vec = [z] * n
-                    for k1, c1 in pa:
-                        for k2, c2 in s._nz[j1][j2]:
-                            vec[k1 * ns + k2] = f.mul(c1, c2)
-                    table[r][i2 * ns + j2] = vec
-    return Algebra(f, names, table)
+    # row (i1, j1), column (i2, j2); a tensor of sparse products is sorted and zero-free
+    products = [[tensor_vector(a, s, pa, ps) for pa in a._nz[i1] for ps in s._nz[j1]]
+                for i1 in range(a.dim) for j1 in range(s.dim)]
+    return Algebra.from_products(a.field, names, products)
 
 
 def tensor_vector(a: Algebra, s: Algebra, x, y) -> tuple:
@@ -265,31 +264,23 @@ def tensor_vector(a: Algebra, s: Algebra, x, y) -> tuple:
     return tuple((i * ns + j, mul(xi, yj)) for i, xi in x for j, yj in y)
 
 
-def subalgebra_on(a: Algebra, span: Subspace, names: list[str] | None = None) -> Algebra:
+def subalgebra_on(a: Algebra, span: Subspace) -> Algebra:
     """Restrict the product to a subspace that must be closed under it.
 
-    The subalgebra's basis is the span's RREF basis. Raises NotClosed with a
-    witness pair otherwise.
+    The subalgebra's basis u0 ... u(k-1) is the span's RREF basis. Raises
+    NotClosed with a witness pair otherwise.
     """
     if span.ambient != a.dim:
         raise DimensionMismatch(f"subspace of dim-{span.ambient} space inside dim-{a.dim} algebra")
-    k, basis, z = span.dim, span._sparse, a.field.zero()
-    table = []
+    k, basis = span.dim, span._sparse
+    products = [[None] * k for _ in range(k)]
     for s_idx in range(k):
-        row = []
         for t_idx in range(k):
             try:
-                coords = span.coords(a.mult(basis[s_idx], basis[t_idx]))
+                products[s_idx][t_idx] = span.coords(a.mult(basis[s_idx], basis[t_idx]))
             except NotInDomain:
                 raise NotClosed(f"product of basis vectors {s_idx} and {t_idx} leaves the subspace")
-            dense = [z] * k  # the constructor takes a dense table
-            for c, x in coords:
-                dense[c] = x
-            row.append(dense)
-        table.append(row)
-    if names is None:
-        names = [f"u{t}" for t in range(k)]
-    return Algebra(a.field, names, table)
+    return Algebra.from_products(a.field, [f"u{t}" for t in range(k)], products)
 
 
 def _solve_vector(field, rows, n: int) -> tuple:

@@ -12,7 +12,7 @@ import re
 from .algebra import Algebra
 from .decomposition import Setup
 from .errors import ParseError
-from .exactla import Matrix
+from .exactla import Matrix, canonical_row
 from .gradings import check_automorphism
 from .scalars import FieldDescriptor, make_field
 
@@ -22,14 +22,12 @@ def _q() -> FieldDescriptor:
 
 
 def _basis_table(field, names, products):
-    """Table from a dict {(i, j): {k: int_coeff}}; missing pairs are zero."""
+    """The algebra of products {(i, j): {k: int_coeff}}; missing pairs are zero."""
     n = len(names)
-    z = field.zero()
-    table = [[[z] * n for _ in range(n)] for _ in range(n)]
+    rows = [[()] * n for _ in range(n)]
     for (i, j), vec in products.items():
-        for k, c in vec.items():
-            table[i][j][k] = field.from_int(c) if isinstance(c, int) else c
-    return Algebra(field, names, table)
+        rows[i][j] = canonical_row(field, {k: field.from_int(c) for k, c in vec.items()})
+    return Algebra.from_products(field, names, rows)
 
 
 def sl2(field: FieldDescriptor | None = None) -> Algebra:

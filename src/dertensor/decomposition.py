@@ -266,27 +266,24 @@ def split_derivation(delta, a: Algebra, s: Algebra, ts: Algebra | None = None):
 
     The S-linear part is d(a_i tensor b_j) = (id tensor L_{b_j}) delta(a_i
     tensor 1) and the rest is rem = delta - d (all sparse flattened: see
-    Setup.d_eval). That d is a derivation is the theorem's content, so it is
-    checked. The rest follows from the construction under the hypotheses
-    require_scalar_hypotheses checks:
+    Setup.d_eval). That d lies in D(A) tensor S and rem in C(A) tensor D(S)
+    is the theorem's content, which verify-thm1 checks on samples against
+    embed_tensor_derivations. The rest follows from the construction under
+    the hypotheses require_scalar_hypotheses checks:
     - d commutes with each id tensor L_y, because S is associative and commutative;
     - rem(a_i tensor 1) = 0, because d(a_i tensor 1) = (id tensor L_1) delta(a_i tensor 1);
-    - rem is a derivation, because D(A tensor S) is a subspace;
     - the sum is direct, because an S-linear map that kills A tensor 1 is zero.
     """
     ts = ts or tensor_product(a, s)
     require_scalar_hypotheses(s)
     f, n, one = a.field, ts.dim, s.unit()
-    der = derivation_space(ts).space
-    if not der.contains(delta):
+    if not derivation_space(ts).space.contains(delta):
         raise NotInDomain("input is not a derivation of the tensor algebra")
     cols = []
     for i in range(a.dim):
         img = apply_map(f, delta, n, tensor_vector(a, s, ((i, f.one()),), one))
         cols += [apply_map(f, lj, s.dim, img) for lj in s.left_mult_operators()]
     d = map_of_columns(cols)
-    if rest := der.reduce(d):
-        raise InternalCheckFailed(f"S-linear part is not a derivation at entry {divmod(rest[0][0], n)}")
     return d, combine_rows(f, ((f.one(), delta), (f.neg(f.one()), d)))
 
 

@@ -223,9 +223,9 @@ def tensor_automorphism(aut_a: Automorphism, aut_s: Automorphism, ts: Algebra) -
     return Automorphism(ts, (sparse_kron(f, x, na, y, ns), sparse_kron(f, xinv, na, yinv, ns)), aut_a.period)
 
 
-def fixed_point_algebra(algebra: Algebra, grading: Grading, names: list[str] | None = None):
+def fixed_point_algebra(algebra: Algebra, grading: Grading):
     """The degree-zero component with its inherited product, on its RREF basis."""
-    return subalgebra_on(algebra, grading.components[0], names)
+    return subalgebra_on(algebra, grading.components[0])
 
 
 class GradedUnitData(SimpleNamespace):

@@ -12,7 +12,7 @@ from dertensor.algebra import (
     tensor_product,
     tensor_vector,
 )
-from dertensor.catalog import dual_numbers, group_algebra, sl2, zero_product
+from dertensor.catalog import catalog_algebra, catalog_entries, dual_numbers, group_algebra, sl2, zero_product
 from dertensor.errors import NotClosed, NotUnital, ParseError, SingularElement
 from dertensor.exactla import Subspace, apply_map, compose_maps
 from dertensor.scalars import make_field
@@ -213,7 +213,7 @@ def test_is_associative_matches_the_dense_loop(data):
     small = st.sampled_from([1, -1, 2])
     if data.draw(st.booleans()):
         # k[Z_n], associative, or with one structure constant moved, which mostly is not
-        table = group_algebra(n, f).table
+        table = [[list(v) for v in r] for r in group_algebra(n, f).table]  # the view is read-only
         if data.draw(st.booleans()):
             i, j, k = (data.draw(st.integers(0, n - 1)) for _ in range(3))
             table[i][j][k] = f.add(table[i][j][k], f.from_int(data.draw(small)))
@@ -223,3 +223,54 @@ def test_is_associative_matches_the_dense_loop(data):
     a = Algebra(f, [f"b{i}" for i in range(n)], table)
     assert a.is_associative() == dense_is_associative(a)
 
+
+
+# -- one stored table: the sparse rows, with the dense table as a view ---------
+
+FIELDS = {"Q": QQ, "F31": make_field("prime", m=3, p=31), "Qz3": make_field("cyclotomic", m=3)}
+
+
+def catalog_algebras(f):
+    return [catalog_algebra(e["name"] + "(4)" * e["args"], f) for e in catalog_entries() if e["kind"] == "algebra"]
+
+
+def assert_round_trips(a):
+    # through the dense adapter, and through the JSON definition
+    assert Algebra(a.field, a.names, a.table)._nz == a._nz
+    back = Algebra.from_definition(json.loads(json.dumps(a.to_definition())))
+    assert (back._nz, back.names, back.field) == (a._nz, a.names, a.field)
+
+
+@pytest.mark.parametrize("fname", list(FIELDS))
+def test_catalog_algebras_round_trip_their_sparse_table(fname):
+    f = FIELDS[fname]
+    algebras = catalog_algebras(f)
+    assert [a.dim for a in algebras] == [3, 3, 2, 4, 4]
+    for a in algebras + [tensor_product(sl2(f), group_algebra(3, f))]:
+        assert_round_trips(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_random_dense_tables_round_trip_their_sparse_table(data):
+    f = FIELDS[data.draw(st.sampled_from(list(FIELDS)))]
+    n = data.draw(st.integers(1, 4))
+    consts = [f.from_int(c) for c in (0, 0, 0, 1, -1, 2)]
+    if f.kind == "cyclotomic":
+        consts.append(f.root_of_unity(3))
+    entry = st.sampled_from(consts)
+    table = [[[data.draw(entry) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    a = Algebra(f, [f"b{i}" for i in range(n)], table)
+    assert [[list(v) for v in r] for r in a.table] == table
+    assert all(a.mult(basis(a, i), basis(a, j)) == sparse(f, table[i][j]) for i in range(n) for j in range(n))
+    assert_round_trips(a)
+
+
+def test_the_table_view_is_read_only_and_built_once():
+    a = group_algebra(3)
+    view = a.table
+    assert a.table is view
+    with pytest.raises(TypeError):
+        view[0][0] = (F(0),) * 3
+    a._cache.clear()
+    assert a.table == view and a.table is not view

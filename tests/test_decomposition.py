@@ -1,5 +1,6 @@
 """Theorem-layer tests: splits, block and graded decompositions, pi and phi."""
 
+import json
 import random
 
 import pytest
@@ -553,16 +554,34 @@ def _internal_failure(capsys, argv):
     return capsys.readouterr().err
 
 
-def test_an_s_linear_part_that_is_no_derivation_names_its_first_entry(monkeypatch, capsys):
-    # the mutant S-linear part gains 1 at entry (0, 0); the true part is a
-    # derivation, so the residual off D(A (x) S) is that of E_00 (reduce is linear)
+def _split_failure(capsys):
+    assert cli.run(["verify-thm1", "--algebra", "sl2", "--s", "dual-numbers", "--json"]) == 1
+    (entry,) = [e for e in json.loads(capsys.readouterr().out)["assertions"] if not e["pass"]]
+    assert entry["name"] == "split-roundtrip-25"
+    return entry["witness"]
+
+
+def test_an_s_linear_part_that_is_no_derivation_fails_the_split_samples(monkeypatch, capsys):
+    # the mutant S-linear part gains 1 at entry (0, 0), which no derivation has
     ts = tensor_product(sl2(), dual_numbers())
     f, real, e00 = ts.field, decomposition.map_of_columns, ((0, ts.field.one()),)
-    first = derivation_space(ts).space.reduce(e00)[0][0]
+    assert not derivation_space(ts).space.contains(e00)
     monkeypatch.setattr(decomposition, "map_of_columns",
                         lambda cols: combine_rows(f, [(f.one(), real(cols)), (f.one(), e00)]))
-    err = _internal_failure(capsys, ["verify-thm1", "--algebra", "sl2", "--s", "dual-numbers"])
-    assert f"S-linear part is not a derivation at entry {divmod(first, ts.dim)}" in err
+    assert _split_failure(capsys) == "sample 0: the S-linear part leaves derA-tensor-S"
+
+
+def test_a_zero_s_linear_part_fails_the_split_samples(monkeypatch, capsys):
+    # every S-linear part is 0, so the rest is the whole sample, which leaves C(A) (x) D(S)
+    monkeypatch.setattr(decomposition, "map_of_columns", lambda cols: ())
+    assert _split_failure(capsys) == "sample 0: the rest leaves centA-tensor-derS"
+
+
+def test_a_split_with_its_parts_swapped_fails_the_split_samples(monkeypatch, capsys):
+    split = decomposition.split_derivation
+    monkeypatch.setattr(cli, "split_derivation", lambda *args: split(*args)[::-1])
+    # sample 0 has no part in C(A) (x) D(S): its swapped-in rest 0 passes, its S-linear part does not
+    assert _split_failure(capsys) == "sample 0: the rest leaves centA-tensor-derS"
 
 
 def test_a_restriction_leaving_the_fixed_algebra_names_the_basis_vector(monkeypatch, capsys):

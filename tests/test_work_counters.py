@@ -24,11 +24,14 @@ Laurent carrier, passes between a dense vector and a sparse row. Checks
 that a cheaper one implies stay removed: the tensor automorphism is not
 re-validated, no grading of a finite setup builds its projections
 (Grading.basis_parts), and only verify-lemma21 and psi-check test psi for
-multiplicativity. A --u unit builds its Setup once.
+multiplicativity. A --u unit builds its Setup once. No builder of an
+algebra (the catalog, tensor products, subalgebras, definitions read from
+JSON) goes through the dense table adapter Algebra(field, names, table).
 """
 
 import argparse
 import collections
+import json
 import sys
 
 import pytest
@@ -259,7 +262,7 @@ def test_verify_thm1_builds_each_tensor_algebra_once(monkeypatch, capsys, pair):
     assert cli.run(["verify-thm1", "--budget", "3", "--json"] + pair) == 0
     capsys.readouterr()
     assert len(built) == (1 if pair else len(cli.DEFAULT_PAIRS))
-    # D(A (x) S) only: the split checks its S-linear part against it
+    # D(A (x) S) only: the split samples read it, and the embedded summands, from the caches
     assert [sum(x is ts for x in assembled) for ts in built] == [1] * len(built)
 
 
@@ -541,3 +544,25 @@ def test_phi_eval_on_the_laurent_carrier_multiplies_no_matrices(monkeypatch, cap
     assert cli.run(["phi-eval", "--setup", "last-exa-ii", "--m", "32", "--json"]) == 0
     capsys.readouterr()
     assert calls == []
+
+
+def test_algebra_builders_never_call_the_dense_adapter(monkeypatch):
+    calls = []
+    init = algebra.Algebra.__init__
+
+    def counted(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(algebra.Algebra, "__init__", counted)
+    built = [catalog.catalog_algebra(e["name"] + "(3)" * e["args"])
+             for e in catalog.catalog_entries() if e["kind"] == "algebra"]
+    st = catalog_setup("sl2-twisted-flagship")  # its fixed algebra is a subalgebra_on
+    built += [st.a, st.s, st.ts, st.fixed_algebra,
+              algebra.subalgebra_on(st.s, st.grading_s.components[0]),
+              algebra.tensor_product(sl2(), group_algebra(3)),
+              algebra.Algebra.from_definition(json.loads(json.dumps(st.ts.to_definition())))]
+    assert [a.dim for a in built] == [3, 3, 2, 3, 3, 3, 4, 12, 6, 2, 9, 12]
+    assert calls == []
+    algebra.Algebra(st.a.field, ["b"], [[[st.a.field.one()]]])  # the counter sees a call
+    assert len(calls) == 1
