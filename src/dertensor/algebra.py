@@ -190,13 +190,13 @@ class Algebra:
     def from_definition(cls, d: dict) -> "Algebra":
         try:
             field = field_from_definition(d["field"])
-            n = int(d["dim"])
-            names = list(d["basis"])
+            n = json_int(d["dim"], "dim")
+            names = d["basis"]
             raw_table = d["table"]
+            if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+                raise ParseError(f"basis must be a list of name strings, got {names!r}")
             if len(names) != n:
                 raise ParseError(f"dim {n} but {len(names)} basis names")
-            if not all(isinstance(name, str) for name in names):
-                raise ParseError("basis names must be strings")
             if len(raw_table) != n:
                 raise ParseError("table must have dim rows")
             products = []
@@ -207,10 +207,9 @@ class Algebra:
                 for j in range(n):
                     vec = {}
                     for entry in raw_table[i][j]:
-                        if len(entry) != 2 or not isinstance(entry[1], str):
-                            raise ParseError(
-                                f"table entry at ({i},{j}) must be [index, literal]")
-                        k, lit = int(entry[0]), entry[1]
+                        if not isinstance(entry, list) or len(entry) != 2 or not isinstance(entry[1], str):
+                            raise ParseError(f"table entry at ({i},{j}) must be [index, literal]")
+                        k, lit = json_int(entry[0], f"table index at ({i},{j})"), entry[1]
                         if not 0 <= k < n:
                             raise ParseError(f"index {k} out of range at ({i},{j})")
                         if k in vec:
@@ -221,6 +220,13 @@ class Algebra:
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed algebra definition: {exc}")
         return cls.from_products(field, names, products)
+
+
+def json_int(value, name: str) -> int:
+    """value if it is a JSON integer (an int, not a bool), else ParseError naming the field."""
+    if type(value) is not int:
+        raise ParseError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def field_to_definition(f: FieldDescriptor) -> dict:
@@ -239,23 +245,28 @@ def field_from_definition(d: dict) -> FieldDescriptor:
         if kind == "rational":
             return make_field(RATIONAL)
         if kind == "cyclotomic":
-            return make_field(CYCLOTOMIC, m=int(d["m"]))
+            return make_field(CYCLOTOMIC, m=json_int(d["m"], "cyclotomic field 'm'"))
         if kind == "prime":
-            return make_field(PRIME, m=int(d.get("m", 1)), p=int(d["p"]))
+            return make_field(PRIME, m=json_int(d.get("m", 1), "prime field 'm'"),
+                              p=json_int(d["p"], "prime field 'p'"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed {kind} field definition: {exc}")
     raise ParseError(f"unknown field kind {kind!r}")
 
 
 def tensor_product(a: Algebra, s: Algebra) -> Algebra:
-    """Tensor product algebra; basis pair (i, j) sits at index i*dim(S)+j."""
+    """Tensor product algebra; basis pair (i, j) sits at index i*dim(S)+j.
+    One algebra per pair of objects: built once, kept in a._cache under ("tensor", s)."""
     if a.field != s.field:
         raise FieldMismatch(f"{a.field} vs {s.field}")
-    names = [f"{an}⊗{sn}" for an in a.names for sn in s.names]
-    # row (i1, j1), column (i2, j2); a tensor of sparse products is sorted and zero-free
-    products = [[tensor_vector(a, s, pa, ps) for pa in a._nz[i1] for ps in s._nz[j1]]
-                for i1 in range(a.dim) for j1 in range(s.dim)]
-    return Algebra.from_products(a.field, names, products)
+    key = ("tensor", s)
+    if key not in a._cache:
+        names = [f"{an}⊗{sn}" for an in a.names for sn in s.names]
+        # row (i1, j1), column (i2, j2); a tensor of sparse products is sorted and zero-free
+        products = [[tensor_vector(a, s, pa, ps) for pa in a._nz[i1] for ps in s._nz[j1]]
+                    for i1 in range(a.dim) for j1 in range(s.dim)]
+        a._cache[key] = Algebra.from_products(a.field, names, products)
+    return a._cache[key]
 
 
 def tensor_vector(a: Algebra, s: Algebra, x, y) -> tuple:

@@ -12,12 +12,11 @@ byte-identical reports.
 import argparse
 import json
 import os
-import random
 import sys
 import traceback
 from functools import partial
 
-from .algebra import Algebra, field_from_definition, tensor_product
+from .algebra import Algebra, field_from_definition, json_int
 from .catalog import (
     catalog_algebra,
     catalog_entries,
@@ -33,9 +32,7 @@ from .decomposition import (
     VerificationReport,
     bm_formula_extend,
     check_surjectivity_identities,
-    embed_tensor_derivations,
     extend_phi,
-    split_derivation,
     verify_block_decomposition,
     verify_graded_decomposition,
     verify_pi_isomorphism,
@@ -65,7 +62,6 @@ from .scalars import make_field
 
 SIZE_GUARD = 90
 FORCE_HINT = "rerun with --force to proceed"
-SPLIT_SEED = 20260822
 
 # the pairs swept by the no-argument block-decomposition commands
 DEFAULT_PAIRS = [
@@ -155,8 +151,8 @@ def _guard_product(dim_a: int, dim_s: int, force: bool, hint: str = FORCE_HINT):
 
 def _automorphism_from_spec(spec: dict, algebra: Algebra, label: str):
     try:
-        period = int(spec["period"])
-    except (KeyError, TypeError, ValueError):
+        period = json_int(spec["period"], f"{label} 'period'")
+    except (KeyError, TypeError):
         raise ParseError(f"{label} needs an integer 'period'")
     f = algebra.field
     n = algebra.dim
@@ -201,10 +197,7 @@ def _setup_from_file(path: str, field_flag, force: bool) -> tuple:
     _guard_product(a.dim, s.dim, force)
     aut1 = _automorphism_from_spec(d.get("aut1", {}), a, "aut1")
     aut2 = _automorphism_from_spec(d.get("aut2", {}), s, "aut2")
-    try:
-        q = int(d.get("q", 1))
-    except (TypeError, ValueError):
-        raise ParseError("setup file 'q' must be an integer")
+    q = json_int(d.get("q", 1), "setup file 'q'")
     return a, s, aut1, aut2, q, _parse_element(d["u"], s) if "u" in d else None
 
 
@@ -331,27 +324,6 @@ def cmd_fixed(args) -> int:
 # claim verifiers
 
 
-def _split_sample_assertion(rep, a, s, ts, prefix, samples):
-    """Split sample derivations of A tensor S: the S-linear part must lie in
-    D(A) tensor S and the rest in C(A) tensor D(S), as embedded apart from
-    the split (embed_tensor_derivations)."""
-    der = derivation_space(ts)
-    summands = embed_tensor_derivations(a, s, ts)
-    rng = random.Random(SPLIT_SEED)
-    f = a.field
-    witness = None
-    for idx in range(samples):
-        coeffs = [f.from_int(rng.randint(-3, 3)) for _ in range(der.dim)]
-        delta = combine_rows(f, zip(coeffs, der.space._sparse))
-        parts = zip(split_derivation(delta, a, s, ts), ("S-linear part", "rest"), summands)
-        witness = next((f"sample {idx}: the {name} leaves {e.tag}" for part, name, e in parts
-                        if not e.space.contains(part)), None)
-        if witness:
-            break
-    name = f"split-roundtrip-{samples}"
-    rep.check(f"{prefix}: {name}" if prefix else name, witness is None, witness)
-
-
 def _pair_or_sweep(args, f):
     """The pair named by --algebra and --s, or None for the catalog sweep."""
     if not (args.algebra or args.s):
@@ -363,21 +335,14 @@ def _pair_or_sweep(args, f):
 
 def cmd_verify_thm1(args) -> int:
     f = _field_of(args)
-    samples = args.budget if args.budget else 25
+    budget = {"samples": args.budget} if args.budget else {}
     pair = _pair_or_sweep(args, f)
     if pair:
-        ts = tensor_product(*pair)
-        rep = verify_block_decomposition(*pair, ts)
-        _split_sample_assertion(rep, *pair, ts, "", samples)
-        return _emit(rep, args)
+        return _emit(verify_block_decomposition(*pair, **budget), args)
     rep = VerificationReport("theorem-1")
     for aname, sname in DEFAULT_PAIRS:
-        a = catalog_algebra(aname, f)
-        s = catalog_algebra(sname, f)
-        prefix = f"{aname} x {sname}"
-        ts = tensor_product(a, s)
-        _merge(rep, verify_block_decomposition(a, s, ts), prefix)
-        _split_sample_assertion(rep, a, s, ts, prefix, samples)
+        sub = verify_block_decomposition(catalog_algebra(aname, f), catalog_algebra(sname, f), **budget)
+        _merge(rep, sub, f"{aname} x {sname}")
     return _emit(rep, args)
 
 

@@ -15,6 +15,7 @@ instead, so a returned report always speaks about the claim itself.
 from __future__ import annotations
 
 import json
+import random
 from functools import cached_property
 
 from .algebra import Algebra, tensor_product, tensor_vector
@@ -53,6 +54,7 @@ from .scalars import PRIME
 # the hypotheses Setup checks at construction, in report order; a report
 # whose claim does not rest on psi lists the first four
 _SETUP_HYPOTHESES = ("perfect-A", "scalar-S", "automorphism-periods", "graded-unit", "psi-iso")
+SPLIT_SEED = 20260822  # draws the theorem-1 split samples
 
 
 class VerificationReport:
@@ -140,12 +142,12 @@ class Setup:
         self.grading_a = grading_from_automorphism(aut1)
         self.grading_s = grading_from_automorphism(aut2)
         self.ts = tensor_product(a, s)
-        self.aut = tensor_automorphism(aut1, aut2, self.ts)
+        self.aut = tensor_automorphism(aut1, aut2)
         self.grading_ts = grading_from_automorphism(self.aut)
         # (iv) graded unit, normalized into degree one
         self.unit_data = find_graded_unit(s, self.grading_s, q=q, u=u)
         # (v) psi isomorphism
-        if not psi_map(a, s, self.ts).bijective:
+        if not psi_map(a, s).bijective:
             raise PsiNotIso("centroid tensor map is not bijective")
         self.fixed_space = self.grading_ts.components[0]
         self.fixed_algebra = fixed_point_algebra(self.ts, self.grading_ts)
@@ -261,20 +263,20 @@ class Setup:
 # block decomposition (ungraded layer)
 
 
-def split_derivation(delta, a: Algebra, s: Algebra, ts: Algebra | None = None):
+def split_derivation(delta, a: Algebra, s: Algebra):
     """Split a tensor-algebra derivation into its S-linear part and the rest.
 
     The S-linear part is d(a_i tensor b_j) = (id tensor L_{b_j}) delta(a_i
     tensor 1) and the rest is rem = delta - d (all sparse flattened: see
     Setup.d_eval). That d lies in D(A) tensor S and rem in C(A) tensor D(S)
-    is the theorem's content, which verify-thm1 checks on samples against
-    embed_tensor_derivations. The rest follows from the construction under
-    the hypotheses require_scalar_hypotheses checks:
+    is the theorem's content, which verify_block_decomposition checks on
+    samples against embed_tensor_derivations. The rest follows from the
+    construction under the hypotheses require_scalar_hypotheses checks:
     - d commutes with each id tensor L_y, because S is associative and commutative;
     - rem(a_i tensor 1) = 0, because d(a_i tensor 1) = (id tensor L_1) delta(a_i tensor 1);
     - the sum is direct, because an S-linear map that kills A tensor 1 is zero.
     """
-    ts = ts or tensor_product(a, s)
+    ts = tensor_product(a, s)
     require_scalar_hypotheses(s)
     f, n, one = a.field, ts.dim, s.unit()
     if not derivation_space(ts).space.contains(delta):
@@ -287,7 +289,7 @@ def split_derivation(delta, a: Algebra, s: Algebra, ts: Algebra | None = None):
     return d, combine_rows(f, ((f.one(), delta), (f.neg(f.one()), d)))
 
 
-def embed_tensor_derivations(a: Algebra, s: Algebra, ts: Algebra | None = None):
+def embed_tensor_derivations(a: Algebra, s: Algebra):
     """Spanning endomorphism images of D(A) tensor S and C(A) tensor D(S).
 
     Every generator is checked to lie in D(A tensor S), the certified kernel
@@ -295,7 +297,7 @@ def embed_tensor_derivations(a: Algebra, s: Algebra, ts: Algebra | None = None):
     here: that kernel is closed, and the theorem-1 report checks that the
     span is all of it.
     """
-    ts = ts or tensor_product(a, s)
+    ts = tensor_product(a, s)
     if not a.is_perfect():
         raise NotPerfect("left factor is not perfect")
     require_scalar_hypotheses(s)
@@ -316,37 +318,39 @@ def verify_psi_lemma(a: Algebra, s: Algebra) -> VerificationReport:
     rep = VerificationReport("lemma-2.1")
     require_scalar_hypotheses(s)
     rep.hyp("scalar-S")
-    ts = tensor_product(a, s)
-    psi = psi_map(a, s, ts)  # raises NotPerfect when A*A != A
+    psi = psi_map(a, s)  # raises NotPerfect when A*A != A
     rep.hyp("perfect-A")
     ca = centroid(a)
-    cts = centroid(ts)
     rep.dim("C(A)", ca.dim)
     rep.dim("S", s.dim)
-    rep.dim("C(A tensor S)", cts.dim)
+    rep.dim("C(A tensor S)", psi.target_dim)
     rep.check("injective", psi.injective)
     rep.check("image-in-centroid", psi.image_in_centroid)
     rep.check("surjective", psi.surjective)
     rep.check("multiplicative", psi_multiplicative(a, s))
-    rep.check("dimension-product", cts.dim == ca.dim * s.dim)
+    rep.check("dimension-product", psi.target_dim == ca.dim * s.dim)
     return rep
 
 
-def verify_block_decomposition(a: Algebra, s: Algebra, ts: Algebra | None = None) -> VerificationReport:
-    """D(A tensor S) = D(A) tensor S (+) C(A) tensor D(S), both sides computed."""
+def verify_block_decomposition(a: Algebra, s: Algebra, samples: int = 25) -> VerificationReport:
+    """D(A tensor S) = D(A) tensor S (+) C(A) tensor D(S), both sides computed.
+
+    Then split-roundtrip-<samples>: each of that many seeded random
+    derivations of A tensor S splits (split_derivation) into an S-linear part
+    in the embedded D(A) tensor S and a rest in C(A) tensor D(S); the witness
+    names the first sample and part that leaves its summand."""
     rep = VerificationReport("theorem-1")
     if not a.is_perfect():
         raise NotPerfect("left factor is not perfect")
     rep.hyp("perfect-A")
     require_scalar_hypotheses(s)
     rep.hyp("scalar-S")
-    ts = ts if ts is not None else tensor_product(a, s)
-    psi = psi_map(a, s, ts)
+    psi = psi_map(a, s)
     if not psi.bijective:
         raise PsiNotIso("centroid tensor map is not bijective")
     rep.hyp("psi-iso")
-    full = derivation_space(ts)
-    img1, img2 = embed_tensor_derivations(a, s, ts)
+    full = derivation_space(tensor_product(a, s))
+    img1, img2 = embed_tensor_derivations(a, s)
     da, ca, ds = derivation_space(a), centroid(a), derivation_space(s)
     rep.dim("D(A)", da.dim)
     rep.dim("C(A)", ca.dim)
@@ -359,6 +363,16 @@ def verify_block_decomposition(a: Algebra, s: Algebra, ts: Algebra | None = None
     inter = img1.space.intersect(img2.space)
     rep.check("direct-sum", inter.dim == 0)
     rep.check("spans-all-derivations", img1.space.sum(img2.space) == full.space)
+    f, rng, witness = a.field, random.Random(SPLIT_SEED), None
+    for idx in range(samples):
+        coeffs = [f.from_int(rng.randint(-3, 3)) for _ in range(full.dim)]
+        parts = zip(split_derivation(combine_rows(f, zip(coeffs, full.space._sparse)), a, s),
+                    ("S-linear part", "rest"), (img1, img2))
+        witness = next((f"sample {idx}: the {name} leaves {e.tag}" for part, name, e in parts
+                        if not e.space.contains(part)), None)
+        if witness:
+            break
+    rep.check(f"split-roundtrip-{samples}", witness is None, witness)
     return rep
 
 

@@ -11,14 +11,10 @@ class EngineError(Exception):
 
 
 class ParseError(EngineError):
-    """Bad literal or file content. Carries the offending text and position."""
+    """Bad literal or file content; the message quotes the offending text when given."""
 
-    def __init__(self, message, text=None, pos=None):
-        if text is not None:
-            message = f"{message} (in {text!r}" + (f" at {pos})" if pos is not None else ")")
-        super().__init__(message)
-        self.text = text
-        self.pos = pos
+    def __init__(self, message, text=None):
+        super().__init__(message if text is None else f"{message} (in {text!r})")
 
 
 class FieldMismatch(EngineError):

@@ -47,37 +47,8 @@ class Matrix:
         z, o = field.zero(), field.one()
         return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)], n)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.field == other.field
-            and self.ncols == other.ncols
-            and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.ncols, tuple(tuple(r) for r in self.rows)))
-
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field})"
-
-    def mul(self, other: "Matrix") -> "Matrix":
-        if self.field != other.field:
-            raise FieldMismatch(f"{self.field} vs {other.field}")
-        if self.ncols != other.nrows:
-            raise DimensionMismatch(f"{self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}")
-        f = self.field
-        z = f.zero()
-        add, mul = f.add, f.mul
-        bnz = sparse_rows(f, other.rows)
-        out = []
-        for arow in sparse_rows(f, self.rows):
-            orow = [z] * other.ncols
-            for k, a in arow:
-                for j, b in bnz[k]:
-                    orow[j] = add(orow[j], mul(a, b))
-            out.append(orow)
-        return Matrix(f, out, other.ncols)
 
 
 # -- sparse rows and the canonical reduced row echelon form ----------------

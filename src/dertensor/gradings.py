@@ -18,7 +18,7 @@ from __future__ import annotations
 from itertools import product as iter_product
 from types import SimpleNamespace
 
-from .algebra import Algebra, invert_element, subalgebra_on
+from .algebra import Algebra, invert_element, subalgebra_on, tensor_product
 from .errors import (
     DimensionMismatch,
     InternalCheckFailed,
@@ -210,14 +210,15 @@ def induced_endo_grading(aut: Automorphism, endo: EndoSpace) -> Grading:
     return _eigenspace_grading(endo.space, map_of_columns(coords), aut.period, endo.tag)
 
 
-def tensor_automorphism(aut_a: Automorphism, aut_s: Automorphism, ts: Algebra) -> Automorphism:
-    """Kronecker product automorphism on ts, the tensor algebra of the two
-    factors. Multiplicative and of the shared period because each factor is
-    (check_automorphism), so only the periods are compared."""
+def tensor_automorphism(aut_a: Automorphism, aut_s: Automorphism) -> Automorphism:
+    """Kronecker product automorphism on the tensor algebra of the two
+    factors (tensor_product). Multiplicative and of the shared period because
+    each factor is (check_automorphism), so only the periods are compared."""
     if aut_a.period != aut_s.period:
         raise WrongPeriod(
             f"declared periods differ: {aut_a.period} vs {aut_s.period}"
         )
+    ts = tensor_product(aut_a.algebra, aut_s.algebra)
     f, na, ns = ts.field, aut_a.algebra.dim, aut_s.algebra.dim
     (x, xinv), (y, yinv) = aut_a.maps, aut_s.maps
     return Automorphism(ts, (sparse_kron(f, x, na, y, ns), sparse_kron(f, xinv, na, yinv, ns)), aut_a.period)

@@ -252,7 +252,7 @@ def _psi_images(a: Algebra, s: Algebra) -> list:
     return [sparse_kron(a.field, g, a.dim, lj, s.dim) for g in centroid(a).space._sparse for lj in lefts]
 
 
-def psi_map(a: Algebra, s: Algebra, ts: Algebra | None = None) -> PsiReport:
+def psi_map(a: Algebra, s: Algebra) -> PsiReport:
     """The map (centroid element, right factor element) -> tensor centroid.
 
     Sends gamma tensor y to gamma tensor (left multiplication by y). Requires
@@ -263,7 +263,7 @@ def psi_map(a: Algebra, s: Algebra, ts: Algebra | None = None) -> PsiReport:
     if not a.is_perfect():
         raise NotPerfect("left factor must be perfect for the centroid map")
     require_scalar_hypotheses(s)
-    ts = ts if ts is not None else tensor_product(a, s)
+    ts = tensor_product(a, s)
     cent_ts = centroid(ts)
     cols = _psi_images(a, s)
     image = Subspace.from_rows(a.field, ts.dim * ts.dim, cols)

@@ -162,6 +162,13 @@ def matvec(m, vec):
     return out
 
 
+def matmul(x, y):
+    """The product x y of two Matrix objects as a list of rows, column by column."""
+    assert x.ncols == y.nrows
+    cols = [matvec(x, column(y, j)) for j in range(y.ncols)]
+    return [[col[r] for col in cols] for r in range(x.nrows)]
+
+
 # -- the sparse row form of production vectors, for tests that build them dense
 
 

@@ -697,21 +697,14 @@ GOOD_SETUP = {
 GOOD_ALGEBRA = catalog_algebra("dual-numbers").to_definition()
 
 
-def _not_int(text):
-    try:
-        int(text)
-    except ValueError:
-        return True
-    return False
-
-
 NON_STRINGS = st.one_of(
     st.none(), st.integers(), st.lists(st.integers(), max_size=2),
     st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
 NON_INTS = st.one_of(
-    st.none(), st.lists(st.integers(), max_size=2),
+    st.none(), st.booleans(), st.floats(allow_nan=False, allow_infinity=False),
+    st.lists(st.integers(), max_size=2),
     st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
-    st.text(max_size=4).filter(_not_int))
+    st.text(max_size=4))
 BAD_LITERALS = st.sampled_from(["x", "", "1/0", "--1", "1.5.2", "(1)"])
 # an automorphism matrix that is not 3 x 3 or not made of scalar literals
 BAD_DIAGONALS = st.one_of(
@@ -750,9 +743,10 @@ SETUP_DAMAGE = st.one_of(
 # out-of-range indices, non-integer indices, bad literals and bad entry shapes
 BAD_ENTRIES = st.one_of(
     st.tuples(st.integers().filter(lambda k: k not in (0, 1)), st.just("1")).map(list),
-    st.tuples(st.text(max_size=3).filter(_not_int), st.just("1")).map(list),
+    st.tuples(st.one_of(st.text(max_size=3), st.booleans(), st.floats(allow_nan=False)), st.just("1")).map(list),
     st.tuples(st.just(0), st.one_of(BAD_LITERALS, NON_STRINGS)).map(list),
     st.lists(st.integers(), max_size=3).filter(lambda e: len(e) != 2),
+    st.text(max_size=3),
 )
 ALGEBRA_DAMAGE = st.one_of(
     _slot(("field",), st.one_of(NON_STRINGS, st.just("rational"), st.sampled_from(
@@ -760,7 +754,7 @@ ALGEBRA_DAMAGE = st.one_of(
          {"kind": "prime", "p": 4}, {"kind": "cyclotomic", "m": 0}]))),
     _slot(("dim",), st.one_of(NON_INTS, st.integers().filter(lambda n: n != 2))),
     _slot(("basis",), st.one_of(
-        st.none(), st.integers(), st.just(["a", "a"]), st.just([1, 2]),
+        st.none(), st.integers(), st.just(["a", "a"]), st.just([1, 2]), st.text(max_size=3),
         st.lists(st.text(max_size=2), max_size=4).filter(lambda xs: len(xs) != 2))),
     _slot(("table",), st.one_of(
         st.none(), st.integers(), st.lists(st.just([]), max_size=4).filter(
@@ -800,6 +794,8 @@ def _run_on_file(argv, flag, doc):
 @given(SETUP_DAMAGE)
 @example((("q",), "x"))
 @example((("u",), 5))
+@example((("q",), 1.7))
+@example((("aut1", "period"), 2.9))
 def test_malformed_setup_file_exits_2_or_3(damage):
     assert _run_on_file(["verify-thm2"], "--setup", _damaged(GOOD_SETUP, *damage)) in (2, 3)
 
@@ -809,8 +805,34 @@ def test_malformed_setup_file_exits_2_or_3(damage):
 @example((("field",), "rational"))
 @example((("dim",), "x"))
 @example((("table", 1, 1), [["x", "1"]]))
+@example((("dim",), 2.0))
+@example((("basis",), "1x"))
+@example((("table", 0, 0), ["01"]))
 def test_malformed_algebra_file_exits_2_or_3(damage):
     assert _run_on_file(["derive"], "--algebra", _damaged(GOOD_ALGEBRA, *damage)) in (2, 3)
+
+
+# a JSON value is read as it is written: a float or a bool is no integer,
+# a string is no list of basis names and no [index, literal] entry
+@pytest.mark.parametrize("flag,path,value,field", [
+    ("--setup", ("aut1", "period"), 2.9, "aut1 'period'"),
+    ("--setup", ("aut2", "period"), True, "aut2 'period'"),
+    ("--setup", ("q",), 1.7, "setup file 'q'"),
+    ("--setup", ("q",), True, "setup file 'q'"),
+    ("--algebra", ("dim",), 2.0, "dim"),
+    ("--algebra", ("dim",), True, "dim"),
+    ("--algebra", ("basis",), "1x", "basis"),
+    ("--algebra", ("table", 0, 0), ["01"], "table entry at (0,0)"),
+    ("--algebra", ("table", 1, 1), [[True, "1"]], "table index at (1,1)"),
+    ("--algebra", ("table", 1, 1), [[1.0, "1"]], "table index at (1,1)"),
+    ("--algebra", ("field",), {"kind": "prime", "p": 5.0}, "prime field 'p'"),
+    ("--algebra", ("field",), {"kind": "prime", "p": 5, "m": True}, "prime field 'm'"),
+    ("--algebra", ("field",), {"kind": "cyclotomic", "m": 3.0}, "cyclotomic field 'm'"),
+])
+def test_json_values_are_never_coerced(capsys, flag, path, value, field):
+    doc, argv = (GOOD_SETUP, ["verify-thm2"]) if flag == "--setup" else (GOOD_ALGEBRA, ["derive"])
+    assert _run_on_file(argv, flag, _damaged(doc, path, value)) == 2
+    assert f"{field} must be" in capsys.readouterr().err
 
 
 def test_a_loop_argument_outside_degree_zero_names_its_exponent(monkeypatch, capsys):

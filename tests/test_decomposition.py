@@ -46,7 +46,7 @@ from dertensor.gradings import check_automorphism, grading_from_automorphism
 from dertensor.invariants import derivation_space, leibniz_witness
 from dertensor.scalars import make_field
 
-from naive_la import dense, flatten, sparse, unflatten
+from naive_la import dense, flatten, matmul, sparse, unflatten
 
 
 @pytest.fixture(scope="module")
@@ -246,13 +246,13 @@ def test_split_pure_tensor_derivations():
     # d0 tensor L_1: remainder must vanish
     d0 = derivation_space(a).space._sparse[0]
     delta = tensor_map(d0, s.mult_map(s.unit()))
-    d, rem = split_derivation(delta, a, s, ts)
+    d, rem = split_derivation(delta, a, s)
     assert rem == ()
     assert d == delta
     # gamma tensor d' with d'(1) = 0: the S-linear part dies
     dp = derivation_space(s).space._sparse[0]
     delta2 = tensor_map(sparse_map(Matrix.identity(f, a.dim)), dp)
-    d2, rem2 = split_derivation(delta2, a, s, ts)
+    d2, rem2 = split_derivation(delta2, a, s)
     assert d2 == ()
     assert rem2 == delta2
 
@@ -266,7 +266,7 @@ def test_split_random_derivations_reassemble():
         lefts = [sparse_kron(f, eye, a.dim, lj, s.dim) for lj in s.left_mult_operators()]
         for _ in range(25):
             delta = random_derivation(ts, rng)
-            d, rem = split_derivation(delta, a, s, ts)
+            d, rem = split_derivation(delta, a, s)
             assert combine_rows(f, [(f.one(), d), (f.one(), rem)]) == delta
             # d is S-linear: it commutes with every id (x) L_{b_j}
             for lj in lefts:
@@ -288,12 +288,12 @@ def test_split_parts_lie_in_the_embedded_summands(fname, right):
     f = ORACLE_FIELDS[fname]
     a, s = sl2(f), catalog_algebra(right, f)
     ts = tensor_product(a, s)
-    img1, img2 = embed_tensor_derivations(a, s, ts)
+    img1, img2 = embed_tensor_derivations(a, s)
     # dim D(S): 1 for the dual numbers, 3 for k[Z3] over F3, where z^3 - 1 = (z - 1)^3
     assert (img1.dim, img2.dim) == (3 * s.dim, {"dual-numbers": 1, "group-algebra(3)": 3 * (fname == "F3")}
                                     .get(right, 0))
     for delta in derivation_space(ts).space._sparse:
-        d, rem = split_derivation(delta, a, s, ts)
+        d, rem = split_derivation(delta, a, s)
         assert img1.space.contains(d)
         assert img2.space.contains(rem)
 
@@ -303,7 +303,17 @@ def test_split_rejects_non_derivation():
     ts = tensor_product(a, s)
     bad = sparse_map(Matrix.identity(ts.field, ts.dim))
     with pytest.raises(NotInDomain):
-        split_derivation(bad, a, s, ts)
+        split_derivation(bad, a, s)
+
+
+@pytest.mark.parametrize("left,right", [("sl2", "dual-numbers"), ("sl2-graded-variant", "group-algebra(3)")])
+def test_the_library_report_of_theorem_1_is_the_cli_report(capsys, left, right):
+    # the split samples are part of verify_block_decomposition, so the CLI adds nothing
+    rep = verify_block_decomposition(catalog_algebra(left), catalog_algebra(right), 25)
+    assert rep.assertions[-1]["name"] == "split-roundtrip-25"
+    argv = ["verify-thm1", "--algebra", left, "--s", right, "--budget", "25", "--json"]
+    assert cli.run(argv) == 0
+    assert capsys.readouterr().out == rep.to_json() + "\n"
 
 
 # -- flagship: graded decomposition and the restriction isomorphism ---------
@@ -323,7 +333,7 @@ def test_entry_points_refuse_a_derivation_out_of_order(flagship):
     with pytest.raises(NotInDomain):
         restrict_pi(tuple(reversed(big)), st)
     with pytest.raises(NotInDomain):
-        split_derivation(tuple(reversed(delta)), st.a, st.s, st.ts)
+        split_derivation(tuple(reversed(delta)), st.a, st.s)
 
 
 def test_flagship_graded_decomposition(flagship):
@@ -579,7 +589,7 @@ def test_a_zero_s_linear_part_fails_the_split_samples(monkeypatch, capsys):
 
 def test_a_split_with_its_parts_swapped_fails_the_split_samples(monkeypatch, capsys):
     split = decomposition.split_derivation
-    monkeypatch.setattr(cli, "split_derivation", lambda *args: split(*args)[::-1])
+    monkeypatch.setattr(decomposition, "split_derivation", lambda *args: split(*args)[::-1])
     # sample 0 has no part in C(A) (x) D(S): its swapped-in rest 0 passes, its S-linear part does not
     assert _split_failure(capsys) == "sample 0: the rest leaves centA-tensor-derS"
 
@@ -604,10 +614,10 @@ def test_an_extension_of_nonzero_degree_names_the_first_entry(monkeypatch, capsy
     f, n = st.a.field, st.ts.dim
     tensor_automorphism = decomposition.tensor_automorphism
 
-    def mutant(aut_a, aut_s, ts):
+    def mutant(aut_a, aut_s):
         # sigma + E_04 in the degree check only: phi(d) commutes with sigma, so the
         # two sides differ where E_04 phi(d) and phi(d) E_04 do
-        aut = tensor_automorphism(aut_a, aut_s, ts)
+        aut = tensor_automorphism(aut_a, aut_s)
         grading_from_automorphism(aut)  # kept on aut, from the true sigma
         sig, siginv = aut.maps
         aut.maps = (combine_rows(f, [(f.one(), sig), (f.one(), ((4, f.one()),))]), siginv)
@@ -615,8 +625,8 @@ def test_an_extension_of_nonzero_degree_names_the_first_entry(monkeypatch, capsy
 
     big = unflatten(f, dense(f, n * n, extend_phi(st.der_fixed.space._sparse[0], st)), n, n)
     e04 = Matrix(f, [[f.one() if (r, c) == (0, 4) else f.zero() for c in range(n)] for r in range(n)], n)
-    want = next((r, c) for r in range(n) for c in range(n)
-                if e04.mul(big).rows[r][c] != big.mul(e04).rows[r][c])
+    left, right = matmul(e04, big), matmul(big, e04)
+    want = next((r, c) for r in range(n) for c in range(n) if left[r][c] != right[r][c])
     monkeypatch.setattr(decomposition, "tensor_automorphism", mutant)
     err = _internal_failure(capsys, ["phi-eval", "--setup", "sl2-twisted-flagship"])
     assert f"extension is not of degree zero at entry {want}" in err

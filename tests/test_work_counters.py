@@ -9,18 +9,19 @@ element and phi-eval never solves D(A (x) S), the identity checker
 evaluates d and each averaging bracket once per distinct argument and
 builds each tensor vector ahead of its samples, the split of a tensor
 derivation solves no system, verify-thm1 builds each tensor algebra
-A (x) S once and assembles its Leibniz system once, D and C of a tensor algebra
-assemble rows from a few generator pairs, in one round, each round of a
+A (x) S once, embeds its summands once and assembles its Leibniz system
+once, D and C of a tensor algebra assemble rows from a few generator
+pairs, in one round, each round of a
 kernel reaches exactla.rref_rows by its module name with every row so far,
 once (the benchmark counts systems by wrapping it there), and a command
 builds its own subparser only, and the tensor maps of psi, of the embedded
 D(A) (x) S and C(A) (x) D(S) and the commutation rows of D(A) are built
 sparse, with no dense matrix built, and a derivation stays one sparse row
 from the solver to the report of verify-thm2, bm-eval and verify-thm1,
-where the only matrices are the automorphisms as written; phi-eval on the
-Laurent carrier multiplies no matrices, and no element of verify-thm2,
-lemma-identities, phi-eval or bm-eval on the flagship, or of phi-eval on the
-Laurent carrier, passes between a dense vector and a sparse row. Checks
+where the only matrices are the automorphisms as written, and no element
+of verify-thm2, lemma-identities, phi-eval or bm-eval on the flagship, or
+of phi-eval on the Laurent carrier, passes between a dense vector and a
+sparse row. Checks
 that a cheaper one implies stay removed: the tensor automorphism is not
 re-validated, no grading of a finite setup builds its projections
 (Grading.basis_parts), and only verify-lemma21 and psi-check test psi for
@@ -236,15 +237,16 @@ def test_a_split_solves_no_system(monkeypatch, capsys):
         assert cli.run(argv) == 0
         assert '"split-roundtrip-%d"' % budget in capsys.readouterr().out
 
-    block = _kernels_solved(monkeypatch, lambda: decomposition.verify_block_decomposition(sl2(), group_algebra(3)))
+    block = _kernels_solved(monkeypatch, lambda: decomposition.verify_block_decomposition(sl2(), group_algebra(3), 0))
     assert _kernels_solved(monkeypatch, lambda: thm1(5)) == _kernels_solved(monkeypatch, lambda: thm1(25)) == block
 
 
 @pytest.mark.parametrize("pair", [["--algebra", "sl2", "--s", "group-algebra(3)"], []],
                          ids=["pair", "sweep"])
 def test_verify_thm1_builds_each_tensor_algebra_once(monkeypatch, capsys, pair):
-    built, assembled = [], []
+    built, assembled, embedded = [], [], []
     tensor_product, pair_rows = algebra.tensor_product, invariants._pair_rows
+    embed = decomposition.embed_tensor_derivations
 
     def counted_product(a, s):
         ts = tensor_product(a, s)
@@ -256,14 +258,22 @@ def test_verify_thm1_builds_each_tensor_algebra_once(monkeypatch, capsys, pair):
             assembled.append(a)
         return pair_rows(a, split, pairs)
 
-    for mod in (algebra, cli, decomposition, invariants):
+    def counted_embed(a, s):
+        embedded.append((a, s))
+        return embed(a, s)
+
+    for mod in (algebra, decomposition, gradings, invariants):
         monkeypatch.setattr(mod, "tensor_product", counted_product)
     monkeypatch.setattr(invariants, "_pair_rows", counted_rows)
+    monkeypatch.setattr(decomposition, "embed_tensor_derivations", counted_embed)
     assert cli.run(["verify-thm1", "--budget", "3", "--json"] + pair) == 0
     capsys.readouterr()
-    assert len(built) == (1 if pair else len(cli.DEFAULT_PAIRS))
+    # every caller asks tensor_product, which hands each pair its one algebra
+    distinct = list({id(ts): ts for ts in built}.values())
+    pairs = 1 if pair else len(cli.DEFAULT_PAIRS)
+    assert len(built) > len(distinct) == len(embedded) == pairs
     # D(A (x) S) only: the split samples read it, and the embedded summands, from the caches
-    assert [sum(x is ts for x in assembled) for ts in built] == [1] * len(built)
+    assert [sum(x is ts for x in assembled) for ts in distinct] == [1] * pairs
 
 
 def test_gradings_are_never_shared_between_automorphisms():
@@ -484,9 +494,8 @@ def test_tensor_maps_take_no_dense_round_trip(monkeypatch):
     # sparse flattened basis rows (exactla.sparse_kron), never dense matrices
     calls = _dense_forms(monkeypatch)
     a, s = sl2(), group_algebra(3)
-    ts = algebra.tensor_product(a, s)
-    assert invariants.psi_map(a, s, ts).bijective
-    assert [e.dim for e in decomposition.embed_tensor_derivations(a, s, ts)] == [9, 0]
+    assert invariants.psi_map(a, s).bijective
+    assert [e.dim for e in decomposition.embed_tensor_derivations(a, s)] == [9, 0]
     assert invariants.differential_centroid(a).dim == 1
     assert calls == {}
     Matrix(a.field, [[a.field.one()]], 1)  # the counter sees a call
@@ -528,22 +537,6 @@ def test_elements_stay_sparse_rows(monkeypatch, capsys, argv):
     assert cli.run(argv) == 0
     capsys.readouterr()
     assert {key: n for key, n in calls.items() if key[0] != "Matrix"} == {}
-
-
-def test_phi_eval_on_the_laurent_carrier_multiplies_no_matrices(monkeypatch, capsys):
-    # the automorphism's powers (check_automorphism) and the grading's
-    # projections (Grading.basis_parts) are sparse maps
-    calls = []
-    mul = Matrix.mul
-
-    def counted(self, other):
-        calls.append(self)
-        return mul(self, other)
-
-    monkeypatch.setattr(Matrix, "mul", counted)
-    assert cli.run(["phi-eval", "--setup", "last-exa-ii", "--m", "32", "--json"]) == 0
-    capsys.readouterr()
-    assert calls == []
 
 
 def test_algebra_builders_never_call_the_dense_adapter(monkeypatch):
