@@ -10,9 +10,8 @@ from __future__ import annotations
 import re
 
 from .algebra import Algebra
-from .decomposition import Setup
 from .errors import ParseError
-from .exactla import Matrix, canonical_row
+from .exactla import Matrix, canonical_row, diagonal_map
 from .gradings import check_automorphism
 from .scalars import FieldDescriptor, make_field
 
@@ -86,7 +85,7 @@ def zero_product(n: int = 2, field: FieldDescriptor | None = None) -> Algebra:
 
 
 def diagonal_matrix(field, entries):
-    """Diagonal matrix helper for automorphisms given by eigenvalue lists."""
+    """Dense diagonal Matrix of entries, kept for perfbench/ only (src uses exactla.diagonal_map)."""
     n = len(entries)
     z = field.zero()
     vals = [field.from_int(e) if isinstance(e, int) else e for e in entries]
@@ -95,33 +94,30 @@ def diagonal_matrix(field, entries):
 
 def sl2_sign_automorphism(a: Algebra):
     """The period-2 involution negating the two root vectors of sl2."""
-    return check_automorphism(a, diagonal_matrix(a.field, [-1, 1, -1]), 2)
+    return check_automorphism(a, diagonal_map(a.field, [-1, 1, -1]), 2)
 
 
-def sl2_twisted_flagship(field: FieldDescriptor | None = None, parts: bool = False):
-    """sl2 with its sign involution against k[z]/(z^4 - 1) with z -> -z.
+def sl2_twisted_flagship(field: FieldDescriptor | None = None):
+    """The Setup pieces (a, s, aut1, aut2) of sl2 with its sign involution
+    against k[z]/(z^4 - 1) with z -> -z.
 
     The running 6-dimensional fixed-point example: both sides of the
-    restriction isomorphism have dimension 6. With parts, the pieces
-    (a, s, aut1, aut2) of the Setup instead.
+    restriction isomorphism have dimension 6.
     """
     f = field or _q()
     a = sl2(f)
     s = group_algebra(4, f)
-    aut2 = check_automorphism(s, diagonal_matrix(f, [1, -1, 1, -1]), 2)
-    pieces = a, s, sl2_sign_automorphism(a), aut2
-    return pieces if parts else Setup(*pieces)
+    return a, s, sl2_sign_automorphism(a), check_automorphism(s, diagonal_map(f, [1, -1, 1, -1]), 2)
 
 
-def quotient_laurent_setup(n_blocks: int, m: int, field: FieldDescriptor | None = None,
-                           parts: bool = False):
-    """sl2 untwisted against k[z]/(z^{Nm} - 1) with z -> omega z.
+def quotient_laurent_setup(n_blocks: int, m: int, field: FieldDescriptor | None = None):
+    """The Setup pieces (a, s, aut1, aut2) of sl2 untwisted against
+    k[z]/(z^{Nm} - 1) with z -> omega z.
 
     A finite quotient of the loop-algebra picture: the grading of S cycles
     through the residues, the degree-one unit is z itself. The field must
     contain a primitive m-th root of unity; the default picks the rationals
-    for m <= 2 and the m-th cyclotomic field otherwise. With parts, the
-    pieces (a, s, aut1, aut2) of the Setup instead.
+    for m <= 2 and the m-th cyclotomic field otherwise.
     """
     if n_blocks < 1 or m < 1:
         raise ParseError(f"need positive block count and period, got ({n_blocks}, {m})")
@@ -131,9 +127,8 @@ def quotient_laurent_setup(n_blocks: int, m: int, field: FieldDescriptor | None 
     size = n_blocks * m
     s = group_algebra(size, field)
     om = field.root_of_unity(m)
-    aut1 = check_automorphism(a, Matrix.identity(field, 3), m)
-    aut2 = check_automorphism(s, diagonal_matrix(field, [field.pow(om, k) for k in range(size)]), m)
-    return (a, s, aut1, aut2) if parts else Setup(a, s, aut1, aut2)
+    return (a, s, check_automorphism(a, diagonal_map(field, [1, 1, 1]), m),
+            check_automorphism(s, diagonal_map(field, [field.pow(om, k) for k in range(size)]), m))
 
 
 # ---------------------------------------------------------------------------
@@ -190,15 +185,15 @@ def catalog_algebra(text: str, field: FieldDescriptor | None = None) -> Algebra:
     return fn(*args, field) if args else fn(field)
 
 
-def catalog_setup(text: str, field: FieldDescriptor | None = None, parts: bool = False, dims: bool = False):
-    """The named Setup, or its pieces (a, s, aut1, aut2) with parts, or with
-    dims the (dim A, dim S) that its entry declares, building nothing."""
+def catalog_setup(text: str, field: FieldDescriptor | None = None, dims: bool = False):
+    """The pieces (a, s, aut1, aut2) of the named setup, or with dims the
+    (dim A, dim S) that its entry declares, building nothing."""
     base, args = parse_catalog_name(text)
     if base not in _SETUP_ENTRIES:
         raise ParseError(f"unknown setup {base!r}; see catalog list")
     arity, fn, dim, _ = _SETUP_ENTRIES[base]
     _check_arity(base, args, arity)
-    return dim(*args) if dims else fn(*args, field, parts=parts)
+    return dim(*args) if dims else fn(*args, field)
 
 
 def _base_name(text: str):

@@ -45,7 +45,7 @@ from .errors import (
     NotPerfect,
     ParseError,
 )
-from .exactla import Matrix, combine_rows
+from .exactla import canonical_row, combine_rows
 from .gradings import check_automorphism, grading_from_automorphism, grading_is_multiplicative
 from .invariants import (centroid, derivation_space, differential_centroid, leibniz_witness, psi_map,
                          psi_multiplicative)
@@ -150,28 +150,28 @@ def _guard_product(dim_a: int, dim_s: int, force: bool, hint: str = FORCE_HINT):
 
 
 def _automorphism_from_spec(spec: dict, algebra: Algebra, label: str):
+    """sigma, read straight into a sparse map from a 'diagonal' list or a
+    'matrix' list of row lists of scalar literals."""
     try:
         period = json_int(spec["period"], f"{label} 'period'")
     except (KeyError, TypeError):
         raise ParseError(f"{label} needs an integer 'period'")
-    f = algebra.field
-    n = algebra.dim
-    try:
-        if "diagonal" in spec:
-            entries = [f.parse(str(x)) for x in spec["diagonal"]]
-            if len(entries) != n:
-                raise ParseError(f"{label} diagonal must have {n} entries")
-            z = f.zero()
-            rows = [[entries[i] if i == j else z for j in range(n)] for i in range(n)]
-        elif "matrix" in spec:
-            rows = [[f.parse(str(x)) for x in row] for row in spec["matrix"]]
-            if len(rows) != n or any(len(row) != n for row in rows):
-                raise ParseError(f"{label} matrix must be {n} x {n}")
-        else:
-            raise ParseError(f"{label} needs a 'matrix' or a 'diagonal'")
-    except TypeError:
-        raise ParseError(f"{label} entries must be lists of scalar literals")
-    return check_automorphism(algebra, Matrix(f, rows, n), period)
+    f, n = algebra.field, algebra.dim
+    if "diagonal" in spec:
+        if not isinstance(entries := spec["diagonal"], list):
+            raise ParseError(f"{label} diagonal must be a list of scalar literals, got {entries!r}")
+        if len(entries) != n:
+            raise ParseError(f"{label} diagonal must have {n} entries")
+        cells = {i * n + i: x for i, x in enumerate(entries)}
+    elif "matrix" in spec:
+        if not isinstance(rows := spec["matrix"], list) or not all(isinstance(row, list) for row in rows):
+            raise ParseError(f"{label} matrix must be a list of row lists of scalar literals, got {rows!r}")
+        if len(rows) != n or any(len(row) != n for row in rows):
+            raise ParseError(f"{label} matrix must be {n} x {n}")
+        cells = {r * n + c: x for r, row in enumerate(rows) for c, x in enumerate(row)}
+    else:
+        raise ParseError(f"{label} needs a 'matrix' or a 'diagonal'")
+    return check_automorphism(algebra, canonical_row(f, {k: f.parse(str(x)) for k, x in cells.items()}), period)
 
 
 def _setup_from_file(path: str, field_flag, force: bool) -> tuple:
@@ -216,7 +216,7 @@ def _resolve_setup(text: str, args) -> Setup:
         a, s, aut1, aut2, q, u = _setup_from_file(text, field, force)
     else:
         _guard_catalog_setup(text, force)
-        a, s, aut1, aut2 = catalog_setup(text, field, parts=True)
+        a, s, aut1, aut2 = catalog_setup(text, field)
         q, u = 1, None
     if args.u:
         u = _parse_element(args.u, s)
@@ -397,7 +397,7 @@ def _scalar_scene(m: int):
     """The k<1> carrier with a trivial twist of declared period m, over Q."""
     f = make_field("rational")
     a = group_algebra(1, f)
-    aut = check_automorphism(a, Matrix.identity(f, 1), m)
+    aut = check_automorphism(a, ((0, f.one()),), m)
     return f, a, aut
 
 
@@ -639,7 +639,7 @@ def cmd_catalog(args) -> int:
         info.update(a.properties())
     elif kind == "setup":
         _guard_catalog_setup(args.name, False, "catalog show builds no setup above it")
-        st = catalog_setup(args.name, f)
+        st = Setup(*catalog_setup(args.name, f))
         info = {
             "name": args.name,
             "kind": kind,

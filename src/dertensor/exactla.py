@@ -11,8 +11,9 @@ A vector of field^n is one sparse row: a tuple of (index, raw value) pairs,
 sorted by index, with every value nonzero. A linear map of field^n is one
 sparse row too, flattened row-major: entry (r, c) sits at column r n + c.
 Subspace.reduce is the one membership test. A Matrix, lists of lists of raw
-field values (see scalars), is only the dense form in which an automorphism
-is written; it is treated as immutable after construction.
+field values (see scalars), is no input of the engine: automorphisms are
+sparse maps too. It is kept for perfbench/ only, and treated as immutable
+after construction.
 """
 
 from __future__ import annotations
@@ -127,6 +128,13 @@ def canonical_row(field, acc) -> tuple:
     """A column -> value dict as a sparse row: sorted by column, zero-free."""
     nz = field.nonzero
     return tuple(sorted((c, x) for c, x in acc.items() if nz(x)))
+
+
+def diagonal_map(field, entries) -> tuple:
+    """The sparse flattened map scaling coordinate i by entries[i], an int or a raw value."""
+    n = len(entries)
+    return canonical_row(field, {i * n + i: field.from_int(x) if isinstance(x, int) else x
+                                 for i, x in enumerate(entries)})
 
 
 def first_difference(x, y):

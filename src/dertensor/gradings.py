@@ -30,8 +30,8 @@ from .errors import (
     SingularElement,
     WrongPeriod,
 )
-from .exactla import (Matrix, Subspace, apply_map, combine_rows, compose_maps, invert_map, map_of_columns,
-                      map_rows, sparse_kron)
+from .exactla import (Subspace, apply_map, canonical_row, combine_rows, compose_maps, diagonal_map, invert_map,
+                      map_of_columns, map_rows, sparse_kron)
 from .invariants import EndoSpace
 
 COMBO_BUDGET = 64  # small integer combinations tried by find_graded_unit
@@ -61,15 +61,16 @@ class Automorphism:
         return f"Automorphism(period {self.period} of dim-{self.algebra.dim} algebra)"
 
 
-def check_automorphism(algebra: Algebra, matrix: Matrix, period: int) -> Automorphism:
-    """Validate invertibility (by computing sigma^-1), multiplicativity and
-    the declared period; wrap on success. The one reader of a dense Matrix."""
+def check_automorphism(algebra: Algebra, sig: tuple, period: int) -> Automorphism:
+    """Validate sigma, a sparse flattened map (see exactla): invertibility (by
+    computing sigma^-1), multiplicativity and the declared period; wrap on success."""
     f, n = algebra.field, algebra.dim
-    if matrix.nrows != n or matrix.ncols != n:
-        raise DimensionMismatch(f"{matrix.nrows}x{matrix.ncols} matrix on dim-{n} algebra")
+    if (bad := next((rc for rc, _ in sig if not 0 <= rc < n * n), None)) is not None:
+        raise DimensionMismatch(f"map index {bad} outside the {n}x{n} maps of a dim-{n} algebra")
+    if sig != canonical_row(f, dict(sig)):
+        raise NotAutomorphism("sigma is no sparse row: a tuple, indices increasing, values nonzero")
     if period < 1:
         raise WrongPeriod(f"period must be positive, got {period}")
-    sig = tuple((r * n + c, x) for r, row in enumerate(matrix.rows) for c, x in enumerate(row) if f.nonzero(x))
     try:
         siginv = invert_map(f, sig, n)
     except SingularElement:
@@ -79,7 +80,7 @@ def check_automorphism(algebra: Algebra, matrix: Matrix, period: int) -> Automor
         for j in range(n):
             if apply_map(f, sig, n, algebra._nz[i][j]) != algebra.mult(cols[i], cols[j]):
                 raise NotAutomorphism(f"not multiplicative on basis pair ({i},{j})")
-    power = eye = tuple((i * n + i, f.one()) for i in range(n))
+    power = eye = diagonal_map(f, [1] * n)
     for _ in range(period):
         power = compose_maps(f, power, sig, n)
     if power != eye:

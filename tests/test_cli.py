@@ -18,10 +18,9 @@ from dertensor import catalog, decomposition
 from dertensor.algebra import tensor_product
 from dertensor.catalog import catalog_algebra, group_algebra, sl2
 from dertensor.errors import InternalCheckFailed
-from dertensor.exactla import Matrix, Subspace
+from dertensor.exactla import Subspace, diagonal_map
 from dertensor.invariants import EndoSpace, differential_centroid
 
-from naive_la import flatten
 
 
 def run_cap(capsys, argv):
@@ -344,7 +343,7 @@ def test_verify_thm1_exits_4_naming_the_generator_that_is_no_derivation(capsys, 
         der = real(alg)
         if alg.dim != 3:  # sl2, not S or A (x) S
             return der
-        eye = Subspace.from_vectors(alg.field, 9, [flatten(Matrix.identity(alg.field, 3))])
+        eye = Subspace.from_rows(alg.field, 9, [diagonal_map(alg.field, [1] * 3)])
         return EndoSpace(alg, der.space.sum(eye), der.tag)
 
     monkeypatch.setattr(decomposition, "derivation_space", with_identity)
@@ -404,10 +403,30 @@ def test_every_setup_entry_declares_the_dimensions_it_builds():
     for base, (arity, *_) in catalog._SETUP_ENTRIES.items():
         for args in small[arity]:
             name = f"{base}({','.join(map(str, args))})" if args else base
-            st = catalog.catalog_setup(name)
+            st = decomposition.Setup(*catalog.catalog_setup(name))
             dim_a, dim_s = catalog.catalog_setup(name, dims=True)
             assert (dim_a, dim_s) == (st.a.dim, st.s.dim)
             assert dim_a * dim_s == st.ts.dim
+
+
+@pytest.mark.parametrize("name,field", [
+    ("sl2-twisted-flagship", "rational"),
+    ("quotient-laurent(1,3)", "cyclotomic(3)"),
+    ("quotient-laurent(1,4)", "prime(5,4)"),
+])
+def test_a_setup_file_parses_the_catalog_automorphisms(name, field):
+    # the catalog writes sigma as a sparse map; the same sigma, written in a
+    # setup file as a diagonal and as a matrix of formatted literals, parses
+    # to the same sigma and sigma^-1
+    f = cli._parse_field_text(field)
+    for label, aut in zip(("aut1", "aut2"), catalog.catalog_setup(name, f)[2:]):
+        n, at, z = aut.algebra.dim, dict(aut.maps[0]), f.zero()
+        assert all(rc // n == rc % n for rc in at)
+        written = {"diagonal": [f.format(at.get(i * n + i, z)) for i in range(n)],
+                   "matrix": [[f.format(at.get(r * n + c, z)) for c in range(n)] for r in range(n)]}
+        for form, value in written.items():
+            parsed = cli._automorphism_from_spec({"period": aut.period, form: value}, aut.algebra, label)
+            assert parsed.maps == aut.maps and parsed.period == aut.period
 
 
 def test_setup_file_roundtrip(tmp_path, capsys):
@@ -706,13 +725,14 @@ NON_INTS = st.one_of(
     st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
     st.text(max_size=4))
 BAD_LITERALS = st.sampled_from(["x", "", "1/0", "--1", "1.5.2", "(1)"])
-# an automorphism matrix that is not 3 x 3 or not made of scalar literals
+# an automorphism matrix that is not 3 x 3 or not made of scalar literals;
+# a string is no list, even one of the right length
 BAD_DIAGONALS = st.one_of(
-    st.none(), st.integers(),
+    st.none(), st.integers(), st.text(max_size=4),
     st.lists(st.integers(), max_size=5).filter(lambda xs: len(xs) != 3),
     st.lists(BAD_LITERALS, min_size=3, max_size=3))
 BAD_MATRICES = st.one_of(
-    st.none(), st.integers(),
+    st.none(), st.integers(), st.text(max_size=4), st.lists(st.text(max_size=3), max_size=3),
     st.lists(st.lists(st.integers(), max_size=3), max_size=3).filter(
         lambda rows: len(rows) != 2 or any(len(r) != 2 for r in rows)),
     st.lists(st.lists(BAD_LITERALS, min_size=2, max_size=2), min_size=2, max_size=2))
@@ -796,6 +816,8 @@ def _run_on_file(argv, flag, doc):
 @example((("u",), 5))
 @example((("q",), 1.7))
 @example((("aut1", "period"), 2.9))
+@example((("aut1", "diagonal"), "111"))
+@example((("aut2", "matrix"), ["10", "01"]))
 def test_malformed_setup_file_exits_2_or_3(damage):
     assert _run_on_file(["verify-thm2"], "--setup", _damaged(GOOD_SETUP, *damage)) in (2, 3)
 
@@ -813,8 +835,12 @@ def test_malformed_algebra_file_exits_2_or_3(damage):
 
 
 # a JSON value is read as it is written: a float or a bool is no integer,
-# a string is no list of basis names and no [index, literal] entry
+# a string is no list of basis names, no [index, literal] entry and no
+# automorphism diagonal or matrix
 @pytest.mark.parametrize("flag,path,value,field", [
+    ("--setup", ("aut1", "diagonal"), "111", "aut1 diagonal"),
+    ("--setup", ("aut2", "matrix"), "[[1, 0], [0, -1]]", "aut2 matrix"),
+    ("--setup", ("aut2", "matrix"), ["10", "01"], "aut2 matrix"),
     ("--setup", ("aut1", "period"), 2.9, "aut1 'period'"),
     ("--setup", ("aut2", "period"), True, "aut2 'period'"),
     ("--setup", ("q",), 1.7, "setup file 'q'"),
@@ -833,6 +859,14 @@ def test_json_values_are_never_coerced(capsys, flag, path, value, field):
     doc, argv = (GOOD_SETUP, ["verify-thm2"]) if flag == "--setup" else (GOOD_ALGEBRA, ["derive"])
     assert _run_on_file(argv, flag, _damaged(doc, path, value)) == 2
     assert f"{field} must be" in capsys.readouterr().err
+
+
+def test_a_matrix_of_digit_strings_is_refused(capsys):
+    # read one character per entry, these rows were the identity of sl2
+    doc = {"a": "sl2", "s": "group-algebra(4)", "aut1": {"period": 2, "matrix": ["100", "010", "001"]},
+           "aut2": {"period": 2, "diagonal": [1, -1, 1, -1]}}
+    assert _run_on_file(["verify-thm2"], "--setup", doc) == 2
+    assert "aut1 matrix must be a list of row lists" in capsys.readouterr().err
 
 
 def test_a_loop_argument_outside_degree_zero_names_its_exponent(monkeypatch, capsys):

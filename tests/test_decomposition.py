@@ -8,7 +8,6 @@ import pytest
 from dertensor.algebra import Algebra, tensor_product, tensor_vector
 from dertensor.catalog import (
     catalog_algebra,
-    diagonal_matrix,
     dual_numbers,
     group_algebra,
     quotient_laurent_setup,
@@ -41,28 +40,24 @@ from dertensor.errors import (
     NoUnitFound,
 )
 from dertensor import cli, decomposition
-from dertensor.exactla import Matrix, Subspace, apply_map, combine_rows, compose_maps, sparse_kron
+from dertensor.exactla import (Matrix, Subspace, apply_map, combine_rows, compose_maps, diagonal_map,
+                               sparse_kron)
 from dertensor.gradings import check_automorphism, grading_from_automorphism
 from dertensor.invariants import derivation_space, leibniz_witness
 from dertensor.scalars import make_field
 
-from naive_la import dense, flatten, matmul, sparse, unflatten
+from naive_la import dense, matmul, sparse, unflatten
 
 
 @pytest.fixture(scope="module")
 def flagship():
-    return sl2_twisted_flagship()
+    return Setup(*sl2_twisted_flagship())
 
 
 def test_setup_shares_the_grading_of_each_automorphism(flagship):
     assert flagship.grading_a is grading_from_automorphism(flagship.aut1)
     assert flagship.grading_s is grading_from_automorphism(flagship.aut2)
     assert flagship.grading_ts is grading_from_automorphism(flagship.aut)
-
-
-def sparse_map(m):
-    """A dense Matrix as a sparse flattened map, sorted and zero-free."""
-    return sparse(m.field, flatten(m))
 
 
 def random_derivation(ts, rng):
@@ -76,9 +71,9 @@ def random_derivation(ts, rng):
 
 def test_setup_rejects_imperfect_left_factor():
     z = zero_product(2)
-    aut = check_automorphism(z, Matrix.identity(z.field, 2), 2)
+    aut = check_automorphism(z, diagonal_map(z.field, [1] * 2), 2)
     s = group_algebra(4)
-    aut2 = check_automorphism(s, diagonal_matrix(s.field, [1, -1, 1, -1]), 2)
+    aut2 = check_automorphism(s, diagonal_map(s.field, [1, -1, 1, -1]), 2)
     with pytest.raises(NotPerfect):
         Setup(z, s, aut, aut2)
 
@@ -100,7 +95,7 @@ def test_setup_rejects_noncommutative_right_factor():
     a = sl2()
     aut1 = sl2_sign_automorphism(a)
     b = upper_triangular_2x2(a.field)
-    aut2 = check_automorphism(b, Matrix.identity(a.field, 3), 2)
+    aut2 = check_automorphism(b, diagonal_map(a.field, [1] * 3), 2)
     with pytest.raises(NotCommutative):
         Setup(a, b, aut1, aut2)
     # and a right factor with no unit at all fails the same hypothesis family
@@ -113,12 +108,12 @@ def test_setup_rejects_period_mismatch_and_field_mismatch():
     a = sl2()
     aut1 = sl2_sign_automorphism(a)
     s = group_algebra(4)
-    aut2 = check_automorphism(s, Matrix.identity(s.field, 4), 4)
+    aut2 = check_automorphism(s, diagonal_map(s.field, [1] * 4), 4)
     with pytest.raises(HypothesisNotMet):
         Setup(a, s, aut1, aut2)
     f5 = make_field("prime", m=4, p=5)
     s5 = group_algebra(4, f5)
-    aut2p = check_automorphism(s5, Matrix.identity(f5, 4), 2)
+    aut2p = check_automorphism(s5, diagonal_map(f5, [1] * 4), 2)
     with pytest.raises(FieldMismatch):
         Setup(a, s5, aut1, aut2p)
 
@@ -128,7 +123,7 @@ def test_identity_s_twist_has_no_graded_unit():
     a = sl2()
     aut1 = sl2_sign_automorphism(a)
     s = group_algebra(4)
-    aut2 = check_automorphism(s, Matrix.identity(s.field, 4), 2)
+    aut2 = check_automorphism(s, diagonal_map(s.field, [1] * 4), 2)
     with pytest.raises(NoUnitFound):
         Setup(a, s, aut1, aut2)
 
@@ -251,7 +246,7 @@ def test_split_pure_tensor_derivations():
     assert d == delta
     # gamma tensor d' with d'(1) = 0: the S-linear part dies
     dp = derivation_space(s).space._sparse[0]
-    delta2 = tensor_map(sparse_map(Matrix.identity(f, a.dim)), dp)
+    delta2 = tensor_map(diagonal_map(f, [1] * a.dim), dp)
     d2, rem2 = split_derivation(delta2, a, s)
     assert d2 == ()
     assert rem2 == delta2
@@ -301,7 +296,7 @@ def test_split_parts_lie_in_the_embedded_summands(fname, right):
 def test_split_rejects_non_derivation():
     a, s = sl2(), dual_numbers()
     ts = tensor_product(a, s)
-    bad = sparse_map(Matrix.identity(ts.field, ts.dim))
+    bad = diagonal_map(ts.field, [1] * ts.dim)
     with pytest.raises(NotInDomain):
         split_derivation(bad, a, s)
 
@@ -369,7 +364,7 @@ def test_restrict_ad_h_is_diagonal(flagship):
     adh = ts.mult_map(h1)
     r = restrict_pi(adh, st)
     # fixed basis in pivot order: e x z, e x z3, h x 1, h x z2, f x z, f x z3
-    expect = sparse_map(diagonal_matrix(f, [2, 2, 0, 0, -2, -2]))
+    expect = diagonal_map(f, [2, 2, 0, 0, -2, -2])
     assert r == expect
 
 
@@ -381,7 +376,7 @@ def test_restrict_pi_rejects_wrong_degree_and_non_derivations(flagship):
     with pytest.raises(NotInDomain):
         restrict_pi(ade, st)
     with pytest.raises(NotInDomain):
-        restrict_pi(sparse_map(Matrix.identity(f, st.ts.dim)), st)
+        restrict_pi(diagonal_map(f, [1] * st.ts.dim), st)
 
 
 def test_phi_round_trips_on_ad_h(flagship):
@@ -426,7 +421,7 @@ def test_phi_charp_needs_prime_field(flagship):
 
 def test_phi_rejects_non_derivation_input(flagship):
     st = flagship
-    bad = sparse_map(Matrix.identity(st.a.field, st.fixed_algebra.dim))
+    bad = diagonal_map(st.a.field, [1] * st.fixed_algebra.dim)
     with pytest.raises(NotInDomain):
         extend_phi(bad, st)
     with pytest.raises(ValueError):
@@ -484,15 +479,15 @@ def test_wrap_case_fails_when_the_sample_misses_a_possible_wrap(flagship, budget
 @pytest.mark.parametrize("field", [None, make_field("prime", m=4, p=5)], ids=["Qz3", "F5"])
 def test_wrap_case_passes_when_no_product_can_wrap(field):
     # the identity twist puts every left degree at 0
-    st = quotient_laurent_setup(1, 3) if field is None else quotient_laurent_setup(1, 4, field)
+    st = Setup(*(quotient_laurent_setup(1, 3) if field is None else quotient_laurent_setup(1, 4, field)))
     assert {ia for _, ia in st.grading_a.graded_basis()} == {0}
     assert wrap_verdict(st) == (True, "pass")
 
 
 def test_wrap_case_passes_with_period_one():
     a, s = sl2(), dual_numbers()
-    st = Setup(a, s, check_automorphism(a, Matrix.identity(a.field, 3), 1),
-               check_automorphism(s, Matrix.identity(s.field, 2), 1))
+    st = Setup(a, s, check_automorphism(a, diagonal_map(a.field, [1] * 3), 1),
+               check_automorphism(s, diagonal_map(s.field, [1] * 2), 1))
     assert wrap_verdict(st) == (True, "pass")
 
 
@@ -501,8 +496,8 @@ def test_wrap_case_passes_with_period_one():
 
 def test_trivial_periods_reduce_to_block_theorem():
     a, s = sl2(), dual_numbers()
-    aut1 = check_automorphism(a, Matrix.identity(a.field, 3), 1)
-    aut2 = check_automorphism(s, Matrix.identity(s.field, 2), 1)
+    aut1 = check_automorphism(a, diagonal_map(a.field, [1] * 3), 1)
+    aut2 = check_automorphism(s, diagonal_map(s.field, [1] * 2), 1)
     st = Setup(a, s, aut1, aut2)
     assert st.fixed_algebra.dim == 6
     rep = verify_pi_isomorphism(st)
@@ -516,7 +511,7 @@ def test_trivial_periods_reduce_to_block_theorem():
 
 def test_quotient_laurent_charp_agrees_with_char0():
     f5 = make_field("prime", m=4, p=5)
-    st = quotient_laurent_setup(1, 4, f5)
+    st = Setup(*quotient_laurent_setup(1, 4, f5))
     for d in st.der_fixed.space._sparse:
         ref = extend_phi(d, st, branch="char0", n=1)
         assert extend_phi(d, st, branch="charp") == ref
@@ -527,7 +522,7 @@ def test_quotient_laurent_charp_agrees_with_char0():
 
 
 def test_quotient_laurent_pi_isomorphism_cyclotomic():
-    st = quotient_laurent_setup(1, 4)
+    st = Setup(*quotient_laurent_setup(1, 4))
     rep = verify_pi_isomorphism(st)
     assert rep.verdict == "pass"
     assert rep.dimensions["degree-zero-derivations"] == 3
@@ -535,7 +530,7 @@ def test_quotient_laurent_pi_isomorphism_cyclotomic():
 
 
 def test_quotient_laurent_graded_dims_two_blocks():
-    st = quotient_laurent_setup(2, 2)
+    st = Setup(*quotient_laurent_setup(2, 2))
     rep = verify_graded_decomposition(st)
     assert rep.verdict == "pass"
     # D(A) sits in degree 0, S spreads over both residues: 3*2 per degree

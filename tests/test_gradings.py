@@ -14,7 +14,7 @@ from dertensor.errors import (
     NotUnitResidue,
     WrongPeriod,
 )
-from dertensor.exactla import Matrix, Subspace, kernel_of_rows, sparse_rows
+from dertensor.exactla import Matrix, Subspace, diagonal_map, kernel_of_rows, sparse_rows
 from dertensor.gradings import (
     check_automorphism,
     eps,
@@ -31,17 +31,6 @@ from dertensor.scalars import FieldDescriptor, make_field
 from naive_la import dense, matmul, sparse
 
 
-def diag(field, entries):
-    n = len(entries)
-    z = field.zero()
-    vals = [e if not isinstance(e, int) else field.from_int(e) for e in entries]
-    return Matrix(field, [[vals[i] if i == j else z for j in range(n)] for i in range(n)], n)
-
-
-def zeros(field, n):
-    return diag(field, [0] * n)
-
-
 def projections(g, field):
     """The projection onto each component of g as a Matrix: column i is the
     part of basis vector i in that component (Grading.basis_parts)."""
@@ -52,12 +41,12 @@ def projections(g, field):
 
 def sign_aut_sl2():
     a = sl2()
-    return a, check_automorphism(a, diag(a.field, [-1, 1, -1]), 2)
+    return a, check_automorphism(a, diagonal_map(a.field, [-1, 1, -1]), 2)
 
 
 def sign_aut_s4():
     s = group_algebra(4)
-    return s, check_automorphism(s, diag(s.field, [1, -1, 1, -1]), 2)
+    return s, check_automorphism(s, diagonal_map(s.field, [1, -1, 1, -1]), 2)
 
 
 def test_eps_representatives():
@@ -108,16 +97,16 @@ def test_projections_resolve_identity():
     f = a.field
     projs = projections(grading_from_automorphism(aut), f)
     total = [[f.add(x0, x1) for x0, x1 in zip(r0, r1)] for r0, r1 in zip(projs[0].rows, projs[1].rows)]
-    assert total == Matrix.identity(f, 3).rows
+    assert total == [dense(f, 3, ((i, f.one()),)) for i in range(3)]
     for p in projs:
         assert matmul(p, p) == p.rows
-    assert matmul(projs[0], projs[1]) == zeros(f, 3).rows
+    assert matmul(projs[0], projs[1]) == [[f.zero()] * 3] * 3
 
 
 def test_declared_period_is_not_minimized():
     f5 = make_field("prime", m=4, p=5)
     a = sl2(f5)
-    aut = check_automorphism(a, Matrix.identity(f5, 3), 4)
+    aut = check_automorphism(a, diagonal_map(f5, [1] * 3), 4)
     g = grading_from_automorphism(aut)
     assert g.component_dims == (3, 0, 0, 0)
 
@@ -125,24 +114,22 @@ def test_declared_period_is_not_minimized():
 def test_identity_grading_asks_for_no_root():
     # Q has no primitive cube root, yet the identity of period 3 grades sl2
     q = make_field("rational")
-    eye = Matrix.identity(q, 3)
-    aut = check_automorphism(sl2(q), eye, 3)
+    aut = check_automorphism(sl2(q), diagonal_map(q, [1] * 3), 3)
     g = grading_from_automorphism(aut)
     assert g.component_dims == (3, 0, 0)
-    assert g.components[0] == Subspace.from_vectors(q, 3, eye.rows)
+    assert g.components[0] == Subspace.from_rows(q, 3, [((i, q.one()),) for i in range(3)])
     assert grading_from_automorphism(aut) is g
 
 
 @pytest.mark.parametrize("field", [make_field("cyclotomic", m=3), make_field("prime", m=3, p=7)],
                          ids=["cyclotomic(3)", "prime(7,3)"])
 def test_identity_grading_matches_the_eigenspace_route(field):
-    eye = Matrix.identity(field, 3)
-    g = grading_from_automorphism(check_automorphism(sl2(field), eye, 3))
+    g = grading_from_automorphism(check_automorphism(sl2(field), diagonal_map(field, [1] * 3), 3))
     omega = field.root_of_unity(3)
     for i, comp in enumerate(g.components):
         # component i is the kernel of (1 - omega^i) id
-        w = field.pow(omega, i)
-        rows = [[field.sub(x, field.mul(w, x)) for x in r] for r in eye.rows]
+        d = field.sub(field.one(), field.pow(omega, i))
+        rows = [[d if c == r else field.zero() for c in range(3)] for r in range(3)]
         assert comp == kernel_of_rows(field, sparse_rows(field, rows), 3)
 
 
@@ -150,7 +137,7 @@ def monomial_grading_z4():
     f = make_field("cyclotomic", m=4)
     s = group_algebra(4, f)
     zeta = f.omega()
-    aut = check_automorphism(s, diag(f, [f.one(), zeta, f.mul(zeta, zeta), f.pow(zeta, 3)]), 4)
+    aut = check_automorphism(s, diagonal_map(f, [f.one(), zeta, f.mul(zeta, zeta), f.pow(zeta, 3)]), 4)
     return s, grading_from_automorphism(aut)
 
 
@@ -199,7 +186,7 @@ def test_graded_unit_explicit_element():
 
 def test_graded_unit_absent_in_nilpotent_component():
     d = dual_numbers()
-    aut = check_automorphism(d, diag(d.field, [1, -1]), 2)
+    aut = check_automorphism(d, diagonal_map(d.field, [1, -1]), 2)
     g = grading_from_automorphism(aut)
     assert g.component_dims == (1, 1)
     with pytest.raises(NoUnitFound):
@@ -208,7 +195,7 @@ def test_graded_unit_absent_in_nilpotent_component():
 
 def test_trivial_period_one():
     s = group_algebra(2)
-    aut = check_automorphism(s, Matrix.identity(s.field, 2), 1)
+    aut = check_automorphism(s, diagonal_map(s.field, [1] * 2), 1)
     g = grading_from_automorphism(aut)
     assert g.component_dims == (2,)
     data = find_graded_unit(s, g, q=1)
@@ -228,7 +215,7 @@ def test_induced_derivation_grading_on_sl2():
 def test_induced_grading_rejects_non_invariant_space():
     s = group_algebra(2)
     f = s.field
-    aut = check_automorphism(s, diag(f, [1, -1]), 2)
+    aut = check_automorphism(s, diagonal_map(f, [1, -1]), 2)
     o, z = f.one(), f.zero()
     span = Subspace.from_vectors(f, 4, [[o, o, z, z]])  # E00 + E01, not conj-invariant
     endo = EndoSpace(s, span, tag="adhoc")
@@ -255,7 +242,7 @@ def test_tensor_automorphism_and_fixed_algebra():
 def test_tensor_automorphism_period_mismatch():
     a, aut_a = sign_aut_sl2()
     s = group_algebra(4)
-    aut_s = check_automorphism(s, Matrix.identity(s.field, 4), 4)
+    aut_s = check_automorphism(s, diagonal_map(s.field, [1] * 4), 4)
     with pytest.raises(WrongPeriod):
         tensor_automorphism(aut_a, aut_s)
 
@@ -265,28 +252,36 @@ def test_tensor_automorphism_period_mismatch():
 def test_automorphism_rejections(f):
     a = sl2(f)
     with pytest.raises(NotAutomorphism, match="^matrix is singular$"):
-        check_automorphism(a, zeros(f, 3), 2)
+        check_automorphism(a, (), 2)
     # rank 2: the inverse must be computed, not assumed
     with pytest.raises(NotAutomorphism, match="^matrix is singular$"):
-        check_automorphism(a, diag(f, [1, 0, 1]), 2)
+        check_automorphism(a, diagonal_map(f, [1, 0, 1]), 2)
     # swap e and h: invertible but not multiplicative
-    o, z = f.one(), f.zero()
-    swap = Matrix(f, [[z, o, z], [o, z, z], [z, z, o]], 3)
+    o = f.one()
+    swap = ((1, o), (3, o), (8, o))
     with pytest.raises(NotAutomorphism, match=r"^not multiplicative on basis pair \(0,1\)$"):
         check_automorphism(a, swap, 2)
     # 1 -> 2 on k[Z2] fails first on 1 * 1, the pair (0, 0)
     with pytest.raises(NotAutomorphism, match=r"^not multiplicative on basis pair \(0,0\)$"):
-        check_automorphism(group_algebra(2, f), diag(f, [2, 1]), 2)
+        check_automorphism(group_algebra(2, f), diagonal_map(f, [2, 1]), 2)
     with pytest.raises(WrongPeriod, match="^matrix to the power 3 is not the identity$"):
-        check_automorphism(a, diag(f, [-1, 1, -1]), 3)
-    with pytest.raises(DimensionMismatch):
-        check_automorphism(a, Matrix.identity(f, 2), 2)
+        check_automorphism(a, diagonal_map(f, [-1, 1, -1]), 3)
+    # a 3 x 3 map has indices below 9
+    with pytest.raises(DimensionMismatch, match="^map index 9 outside the 3x3 maps of a dim-3 algebra$"):
+        check_automorphism(a, diagonal_map(f, [1] * 3) + ((9, o),), 2)
+    with pytest.raises(DimensionMismatch, match="^map index -1 outside"):
+        check_automorphism(a, ((-1, o),) + diagonal_map(f, [1] * 3), 2)
     with pytest.raises(WrongPeriod, match="^period must be positive, got 0$"):
-        check_automorphism(a, Matrix.identity(f, 3), 0)
+        check_automorphism(a, diagonal_map(f, [1] * 3), 0)
+    # sigma is refused unless sorted, zero-free and without a repeated index
+    eye = diagonal_map(f, [1] * 3)
+    for sig in (eye[::-1], eye[:1] + ((1, f.zero()),) + eye[1:], eye[:1] + eye, list(eye)):
+        with pytest.raises(NotAutomorphism, match="^sigma is no sparse row"):
+            check_automorphism(a, sig, 3)
     if f.kind != "rational":
         # e -> omega e, f -> omega^-1 f has period 3, not the declared 2
         om = f.root_of_unity(3)
-        third = diag(f, [om, f.one(), f.inv(om)])
+        third = diagonal_map(f, [om, f.one(), f.inv(om)])
         assert check_automorphism(a, third, 3).period == 3
         with pytest.raises(WrongPeriod, match="^matrix to the power 2 is not the identity$"):
             check_automorphism(a, third, 2)
@@ -296,7 +291,7 @@ def test_repeated_powers_of_omega_are_caught(monkeypatch):
     # with omega = 1, z -> -z on k[Z2] has components span(1) and span(1):
     # they fill the dimension but overlap, so only the distinctness check fails
     s = group_algebra(2)
-    aut = check_automorphism(s, diag(s.field, [1, -1]), 2)
+    aut = check_automorphism(s, diagonal_map(s.field, [1, -1]), 2)
     monkeypatch.setattr(FieldDescriptor, "root_of_unity", lambda self, order: self.one())
     with pytest.raises(InternalCheckFailed, match=r"'algebra'.*omega\^0 = omega\^1"):
         grading_from_automorphism(aut)
@@ -323,6 +318,6 @@ def test_identity_grades_derivations_without_a_root():
     q = make_field("rational")
     a = sl2(q)
     der = derivation_space(a)
-    g = induced_endo_grading(check_automorphism(a, Matrix.identity(q, 3), 3), der)
+    g = induced_endo_grading(check_automorphism(a, diagonal_map(q, [1] * 3), 3), der)
     assert g.component_dims == (3, 0, 0)
     assert g.components[0] == der.space

@@ -13,14 +13,14 @@ degree-zero part pointwise.
 import pytest
 
 from dertensor.catalog import group_algebra, sl2, sl2_sign_automorphism, sl2_twisted_flagship
-from dertensor.decomposition import bm_formula_extend, extend_phi, phi_formula
+from dertensor.decomposition import Setup, bm_formula_extend, extend_phi, phi_formula
 from dertensor.errors import (
     FieldMismatch,
     HypothesisNotMet,
     NotInDomain,
     ParseError,
 )
-from dertensor.exactla import Matrix, apply_map, map_of_columns
+from dertensor.exactla import apply_map, diagonal_map, map_of_columns
 from dertensor.gradings import check_automorphism
 from dertensor.laurent import (
     FORWARD,
@@ -53,7 +53,7 @@ def scalar_line():
 
 
 def identity_twist(a, m):
-    return check_automorphism(a, Matrix.identity(a.field, a.dim), m)
+    return check_automorphism(a, diagonal_map(a.field, [1] * a.dim), m)
 
 
 def unit_line(a, exp):
@@ -176,7 +176,7 @@ def test_published_formula_failure_survives_prime_field():
     # same scene over F_5; the defect 4 z^5 stays nonzero
     f5 = make_field("prime", m=4, p=5)
     a = group_algebra(1, f5)
-    aut = check_automorphism(a, Matrix.identity(f5, 1), 4)
+    aut = check_automorphism(a, diagonal_map(f5, [1]), 4)
     d = coefficient_derivation(LoopElement.term(a, [(0, f5.one())], 1), 4)
     u = LoopElement.term(a, [(0, f5.one())], 1)
     x2 = LoopElement.term(a, [(0, f5.one())], 2)
@@ -354,7 +354,7 @@ def test_quotient_is_multiplicative_on_samples():
 
 
 def test_quotient_carrier_matches_flagship_setup():
-    setup = sl2_twisted_flagship()
+    setup = Setup(*sl2_twisted_flagship())
     qmap = LoopQuotient(sl2(Q), 4)
     line = LoopQuotient(group_algebra(1, Q), 4)
     assert qmap.ts.table == setup.ts.table
@@ -377,7 +377,7 @@ def ad_h_on_flagship():
     """
     f = Q
     a = sl2(f)
-    setup = sl2_twisted_flagship()
+    setup = Setup(*sl2_twisted_flagship())
     aut = sl2_sign_automorphism(a)
     h = sparse(f, a.basis_vector(1))
 

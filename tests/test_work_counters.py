@@ -38,13 +38,13 @@ import sys
 import pytest
 
 from dertensor import algebra, catalog, cli, decomposition, exactla, gradings, invariants, laurent
-from dertensor.catalog import catalog_setup, diagonal_matrix, group_algebra, sl2
+from dertensor.catalog import catalog_setup, group_algebra, sl2
 from dertensor.errors import NotInDomain
-from dertensor.exactla import Matrix, Subspace
+from dertensor.exactla import Matrix, Subspace, diagonal_map
 from dertensor.gradings import Grading, check_automorphism, grading_from_automorphism
 from dertensor.scalars import make_field
 
-from naive_la import flatten, sparse
+from naive_la import dense, flatten, sparse
 from test_gradings import projections
 from test_invariants import short_pairs_algebra
 
@@ -69,7 +69,7 @@ def test_loop_phi_reads_the_grading_of_its_automorphism(monkeypatch):
     # the identity of period 3 on sl2 over Q, which has no primitive cube root
     q = make_field("rational")
     a = sl2(q)
-    aut = check_automorphism(a, Matrix.identity(q, 3), 3)
+    aut = check_automorphism(a, diagonal_map(q, [1] * 3), 3)
     grading_from_automorphism(aut)
     builds = []
     init = Grading.__init__
@@ -280,12 +280,12 @@ def test_gradings_are_never_shared_between_automorphisms():
     f = make_field("cyclotomic", m=4)
     a = sl2(f)
     om = f.root_of_unity(4)
-    eye = Matrix.identity(f, 3)
-    sign = diagonal_matrix(f, [-1, 1, -1])
-    quarter = diagonal_matrix(f, [om, f.one(), f.inv(om)])
+    eye = diagonal_map(f, [1] * 3)
+    sign = diagonal_map(f, [-1, 1, -1])
+    quarter = diagonal_map(f, [om, f.one(), f.inv(om)])
     seen = []
-    for mat, period in ((eye, 2), (eye, 4), (sign, 2), (sign, 4), (quarter, 4), (sign, 2)):
-        aut = check_automorphism(a, mat, period)
+    for sig, period in ((eye, 2), (eye, 4), (sign, 2), (sign, 4), (quarter, 4), (sign, 2)):
+        aut = check_automorphism(a, sig, period)
         g = grading_from_automorphism(aut)
         assert grading_from_automorphism(aut) is g
         assert g.m == period
@@ -294,7 +294,7 @@ def test_gradings_are_never_shared_between_automorphisms():
         acc = [f.zero()] * 9
         for i, p in enumerate(projections(g, f)):
             acc = [f.add(x, f.mul(f.pow(w, i), y)) for x, y in zip(acc, flatten(p))]
-        assert acc == flatten(mat)
+        assert acc == dense(f, 9, sig)
         assert all(g is not h for h in seen)
         seen.append(g)
         del aut  # a later automorphism may reuse this one's id()
@@ -343,7 +343,7 @@ def test_identity_checker_computes_each_building_block_once(monkeypatch, capsys)
 
 
 def test_d_eval_memo_never_caches_a_refusal_or_a_mutation(monkeypatch):
-    st = catalog_setup("sl2-twisted-flagship")
+    st = decomposition.Setup(*catalog_setup("sl2-twisted-flagship"))
     ev = st.d_eval(st.der_fixed.space._sparse[0])
     calls = []
     coords = Subspace.coords
@@ -504,14 +504,12 @@ def test_tensor_maps_take_no_dense_round_trip(monkeypatch):
 
 @pytest.mark.parametrize("argv,want", [
     # a derivation stays one sparse flattened row from the solver to the
-    # report. The only Matrix objects are the two catalog automorphisms
-    # (diagonal_matrix), each read once by check_automorphism: sigma, its
-    # inverse, the gradings and every solve are sparse. No space of ambient
-    # dimension 16 or more, such as D(A (x) S), is read as dense rows
-    (["verify-thm2", "--setup", "sl2-twisted-flagship", "--json"],
-     {("Matrix", "diagonal_matrix"): 2}),
-    (["bm-eval", "--setup", "sl2-twisted-flagship", "--json"],
-     {("Matrix", "diagonal_matrix"): 2}),
+    # report. There is no Matrix: the catalog writes its automorphisms as
+    # sparse maps, and sigma, its inverse, the gradings and every solve are
+    # sparse. No space of ambient dimension 16 or more, such as
+    # D(A (x) S), is read as dense rows
+    (["verify-thm2", "--setup", "sl2-twisted-flagship", "--json"], {}),
+    (["bm-eval", "--setup", "sl2-twisted-flagship", "--json"], {}),
     (["verify-thm1", "--algebra", "sl2", "--s", "group-algebra(3)", "--json"], {}),
 ], ids=["verify-thm2", "bm-eval", "verify-thm1"])
 def test_derivations_stay_sparse_from_solver_to_report(monkeypatch, capsys, argv, want):
@@ -530,13 +528,12 @@ def test_derivations_stay_sparse_from_solver_to_report(monkeypatch, capsys, argv
 ], ids=["verify-thm2", "lemma-identities", "phi-eval", "bm-eval", "last-exa-ii-m32"])
 def test_elements_stay_sparse_rows(monkeypatch, capsys, argv):
     # every element, unit power, tensor and carrier vector is a sparse row:
-    # no conversion to or from a dense vector, and no space of any ambient
-    # dimension read as dense rows; the only dense forms are the Matrix
-    # objects the automorphisms are written in
+    # no conversion to or from a dense vector, no space of any ambient
+    # dimension read as dense rows, and no Matrix, not even for sigma
     calls = _dense_forms(monkeypatch)
     assert cli.run(argv) == 0
     capsys.readouterr()
-    assert {key: n for key, n in calls.items() if key[0] != "Matrix"} == {}
+    assert calls == {}
 
 
 def test_algebra_builders_never_call_the_dense_adapter(monkeypatch):
@@ -550,7 +547,7 @@ def test_algebra_builders_never_call_the_dense_adapter(monkeypatch):
     monkeypatch.setattr(algebra.Algebra, "__init__", counted)
     built = [catalog.catalog_algebra(e["name"] + "(3)" * e["args"])
              for e in catalog.catalog_entries() if e["kind"] == "algebra"]
-    st = catalog_setup("sl2-twisted-flagship")  # its fixed algebra is a subalgebra_on
+    st = decomposition.Setup(*catalog_setup("sl2-twisted-flagship"))  # its fixed algebra is a subalgebra_on
     built += [st.a, st.s, st.ts, st.fixed_algebra,
               algebra.subalgebra_on(st.s, st.grading_s.components[0]),
               algebra.tensor_product(sl2(), group_algebra(3)),
