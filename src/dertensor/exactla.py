@@ -429,37 +429,22 @@ def _by_column(rows) -> dict:
     return at
 
 
-def kernel_of_rows(field, rows, ncols, tag="kernel", more=None) -> Subspace:
+def kernel_of_rows(field, rows, ncols, tag="kernel") -> Subspace:
     """Right kernel {x : M x = 0} of the system whose sparse rows are given,
-    certified (see _certify).
-
-    With more, M grows by the rows more(ker) returns until there are none;
-    each round solves all of M's rows so far afresh (rref_rows), so it alone
-    decides whether they are solved over Q. more replaces _certify's
-    residual pass: it checks ker on the whole system M is drawn from and
-    returns the rows there that ker leaves nonzero."""
-    rows, one, last = list(rows), field.one(), ncols - 1
-
-    def mirror(row):  # column c to last - c, still sorted
-        return tuple([(last - c, x) for c, x in reversed(row)])
-
-    flipped = list(map(mirror, rows))
-    while True:
-        # eliminated mirrored, each RREF row has its pivot right of its other
-        # entries, so the free-column basis below comes out in RREF itself
-        red, mirrored, sources = rref_rows(field, flipped, ncols)
-        at, pivots = _by_column(red), [last - c for c in mirrored]
-        # free column j: 1 at j, minus each RREF row's entry at j (mirrored,
-        # last - j) placed at that row's pivot; rows in reverse, pivots ascend
-        free = sorted(set(range(ncols)).difference(pivots))
-        ker = Subspace(field, ncols, [
-            ((j, one),) + tuple((pivots[k], field.neg(x)) for k, x in reversed(at.get(last - j, ()))) for j in free],
-            free)
-        if not (new := more and more(ker)):
-            break
-        rows += new
-        flipped += map(mirror, new)
-    _certify(field, () if more else rows, ker, ncols - len(pivots), [rows[i] for i in sources], tag)
+    certified on those rows (see _certify). Each distinct row is eliminated
+    once, with its columns mirrored (column c to ncols - 1 - c)."""
+    rows, one, last = list(dict.fromkeys(rows)), field.one(), ncols - 1
+    # eliminated mirrored, each RREF row has its pivot right of its other
+    # entries, so the free-column basis below comes out in RREF itself
+    red, mirrored, sources = rref_rows(field, [tuple([(last - c, x) for c, x in reversed(r)]) for r in rows], ncols)
+    at, pivots = _by_column(red), [last - c for c in mirrored]
+    # free column j: 1 at j, minus each RREF row's entry at j (mirrored,
+    # last - j) placed at that row's pivot; rows in reverse, pivots ascend
+    free = sorted(set(range(ncols)).difference(pivots))
+    ker = Subspace(field, ncols, [
+        ((j, one),) + tuple((pivots[k], field.neg(x)) for k, x in reversed(at.get(last - j, ()))) for j in free],
+        free)
+    _certify(field, rows, ker, ncols - len(pivots), [rows[i] for i in sources], tag)
     return ker
 
 
@@ -469,16 +454,17 @@ _PRIMES = (2147483647, 2147483629, 2147483587)  # the three largest primes below
 def _certify(field, rows, ker, nullity, pivot_rows, tag):
     """InternalCheckFailed, naming tag and a witness, unless ker = {x : M x = 0}.
 
-    Residual: each RREF basis vector of ker annihilates each of rows (M's,
-    or none where kernel_of_rows' more checks it). For rational rows,
-    completeness: pivot_rows, the input rows behind the r pivots of M's RREF,
-    have rank r mod one of three primes, so rank M >= r and
+    Residual: each RREF basis vector of ker annihilates each of rows, M's
+    distinct rows (a witness names its index among them). For rational
+    rows, completeness: pivot_rows, the input rows behind the r pivots of
+    M's RREF, have rank r mod one of three primes, so rank M >= r and
     dim {x : M x = 0} <= nullity = ncols - r. Last, dim ker = nullity."""
-    p = field.p if field.kind == PRIME else 0
-    # raw values over Q and F_p are ints and Fractions, whose own arithmetic is exact and cheaper
+    p, rational = field.p if field.kind == PRIME else 0, field.kind == RATIONAL
+    # raw values over Q and F_p are ints and Fractions, whose own arithmetic is exact and cheaper;
+    # over Q each basis vector is scaled to integers, its leading 1 becoming the scale
     add, mul, nz = ((field.add, field.mul, field.nonzero) if field.kind == CYCLOTOMIC
                     else (operator.add, operator.mul, (lambda v: v % p) if p else bool))
-    get = _by_column(ker._sparse).get
+    get = _by_column(map(_integer_row, ker._sparse) if rational else ker._sparse).get
     for i, row in enumerate(rows):
         acc = {}
         for c, x in row:
@@ -486,8 +472,9 @@ def _certify(field, rows, ker, nullity, pivot_rows, tag):
                 acc[k] = add(acc[k], mul(x, b)) if k in acc else mul(x, b)
         if acc and any(map(nz, acc.values())):
             k = min(k for k, v in acc.items() if nz(v))
+            v = Fraction(acc[k], _integer_row(ker._sparse[k])[0][1]) if rational else acc[k] % p if p else acc[k]
             raise InternalCheckFailed(f"kernel {tag!r}: basis vector {k} leaves residual "
-                                      f"{field.format(acc[k] % p if p else acc[k])} on input row {i}")
+                                      f"{field.format(v)} on input row {i}")
     ints = [_integer_row(r) for r in _rational_rows(field, pivot_rows) or ()]
     ranks = (len(_eliminate_prime([tuple((j, x % q) for j, x in r if x % q) for r in ints], q)[1])
              for q in _PRIMES)

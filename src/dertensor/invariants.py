@@ -172,27 +172,18 @@ def _generators(a: Algebra) -> set:
 def _leibniz_kernel(a: Algebra, split: bool, tag: str) -> EndoSpace:
     """The certified kernel K of the Leibniz system (split: the centroid's),
     cached under tag, solved first on the pairs (x, g) and (g, x) for g in
-    _generators(a), which usually suffice. K lies in their kernel K_sub by the
-    rank certificate (exactla.kernel_of_rows), and K_sub in K once every basis
-    vector passes _law_residual on every pair. Else the failing pairs' rows
-    join and all rows so far are solved again, over Q or the field as they
-    decide (exactla.rref_rows); a failing pair already in raises."""
+    _generators(a), whose kernel K_gen holds K by its rank certificate
+    (exactla.kernel_of_rows). K_gen lies in K once its basis, certified on
+    the generator pairs' rows, passes _law_residual on every other pair;
+    else K is solved on every pair."""
     if tag not in a._cache:
         n, gens = a.dim, _generators(a)
         every = [(i, j) for i in range(n) for j in range(n)]
-        used = {pair for pair in every if pair[0] in gens or pair[1] in gens}
-
-        def more(ker):
-            fresh = []
-            for i, j, k, t, v in _law_residual(a, ker._sparse, split, every):
-                if (i, j) in used:
-                    raise InternalCheckFailed(f"kernel {tag!r}: basis vector {k} leaves residual "
-                                              f"{a.field.format(v)} at coordinate {t} on pair ({i}, {j})")
-                fresh.append((i, j))
-            used.update(fresh)
-            return _pair_rows(a, split, fresh) if fresh else []
-
-        ker = kernel_of_rows(a.field, _pair_rows(a, split, sorted(used)), n * n, tag, more)
+        on_gens = [pair for pair in every if pair[0] in gens or pair[1] in gens]
+        rest = [pair for pair in every if pair[0] not in gens and pair[1] not in gens]
+        ker = kernel_of_rows(a.field, _pair_rows(a, split, on_gens), n * n, tag)
+        if next(_law_residual(a, ker._sparse, split, rest), None):
+            ker = kernel_of_rows(a.field, _pair_rows(a, split, every), n * n, tag)
         a._cache[tag] = EndoSpace(a, ker, tag)
     return a._cache[tag]
 

@@ -540,23 +540,17 @@ def test_sources_name_the_first_input_row_behind_each_pivot(fld):
     assert sources == [1, 3]
 
 
-def test_a_later_round_outside_q_solves_every_row_in_the_field():
-    # round 1 is rational, so it is solved over Q; the row that more adds
-    # leaves Q, and round 2 solves all three rows in Q(zeta_3)
-    first = sparse_rows(Z3, lift(Z3, [[1, 1, 0, 0], [0, 1, 1, 0]]))
-    late = [((2, Z3.one()), (3, Z3.root_of_unity(3)))]
-    rounds = []
-
-    def more(ker):
-        rounds.append(ker)
-        return late if len(rounds) == 1 else []
-
-    with mock.patch.object(exactla, "_eliminate_generic", wraps=exactla._eliminate_generic) as gen:
-        ker = kernel_of_rows(Z3, first, 4, "probe", more)
-    assert rounds[0].dim == 2 and len(rounds) == 2
-    assert [len(call.args[1]) for call in gen.call_args_list] == [3]  # round 2; its kernel basis is RREF as built
-    rows = [dense(Z3, 4, r) for r in first + late]
-    assert [[Zeta3(*x) for x in row] for row in ker.rows] == naive_rref(naive_nullspace(rows, 4, Zeta3), Zeta3)[0]
+def test_one_row_outside_q_puts_every_row_in_the_field():
+    # two rows are rational and one leaves Q, so all three are eliminated in
+    # Q(zeta_3), and no part of the system is solved over Q
+    rows = sparse_rows(Z3, lift(Z3, [[1, 1, 0, 0], [0, 1, 1, 0]])) + [((2, Z3.one()), (3, Z3.root_of_unity(3)))]
+    with mock.patch.object(exactla, "_eliminate_generic", wraps=exactla._eliminate_generic) as gen, \
+            mock.patch.object(exactla, "_eliminate_rational", wraps=exactla._eliminate_rational) as rat:
+        ker = kernel_of_rows(Z3, rows, 4, "probe")
+    assert [len(call.args[1]) for call in gen.call_args_list] == [3]  # its kernel basis is RREF as built
+    assert not rat.called
+    dense_rows = [dense(Z3, 4, r) for r in rows]
+    assert [[Zeta3(*x) for x in row] for row in ker.rows] == naive_rref(naive_nullspace(dense_rows, 4, Zeta3), Zeta3)[0]
 
 
 @pytest.mark.parametrize("fld,one", [(QQ, "1"), (F31, "1"), (Z3, r"\[1\]")], ids=["Q", "F31", "Q(zeta3)"])
@@ -573,6 +567,21 @@ def test_certificate_catches_an_eliminator_that_drops_a_row(monkeypatch, fld, on
     with pytest.raises(InternalCheckFailed,
                        match=rf"kernel 'probe': basis vector 0 leaves residual {one} on input row 1"):
         kernel_of_rows(fld, rows, 3, "probe")
+
+
+def test_a_residual_witness_over_q_is_unscaled(monkeypatch):
+    # the residual pass scales each basis vector to integers; its witness divides the scale out
+    real = exactla._eliminate
+
+    def drop_second(rows, normal, cancel):
+        rows = list(rows)
+        return real(rows[:1] + rows[2:], normal, cancel)
+
+    monkeypatch.setattr(exactla, "_eliminate", drop_second)
+    rows = sparse_rows(QQ, lift(QQ, [[1, 2, 0], [0, 1, 0]]))
+    # without row 1, b_0 = e_0 - e_1 / 2 passes for a kernel vector and leaves -1/2 on row 1
+    with pytest.raises(InternalCheckFailed, match=r"kernel 'probe': basis vector 0 leaves residual -1/2 on input row 1"):
+        kernel_of_rows(QQ, rows, 3, "probe")
 
 
 @pytest.mark.parametrize("fld", [QQ, Z3], ids=["Q", "Q(zeta3)"])

@@ -315,18 +315,18 @@ def short_pairs_algebra(f=QQ):
     return Algebra(f, ["b0", "b1", "b2"], table)
 
 
-def rounds_of(monkeypatch):
+def assembled_of(monkeypatch):
     """The (pairs, rows) of each call of the row source, in order."""
-    rounds = []
+    assembled = []
     pair_rows = invariants._pair_rows
 
     def counted(a, split, pairs):
         rows = pair_rows(a, split, pairs)
-        rounds.append((list(pairs), rows))
+        assembled.append((list(pairs), rows))
         return rows
 
     monkeypatch.setattr(invariants, "_pair_rows", counted)
-    return rounds
+    return assembled
 
 
 def outside_q(rows):
@@ -335,14 +335,18 @@ def outside_q(rows):
 
 @pytest.mark.parametrize("split,p", [(False, None), (True, None), (False, Zeta3), (True, Zeta3)],
                          ids=["derivations", "centroid", "derivations-Q(zeta3)", "centroid-Q(zeta3)"])
-def test_generator_pairs_that_fall_short_take_a_second_round(monkeypatch, split, p):
-    rounds = rounds_of(monkeypatch)
-    assert matches_oracle(short_pairs_algebra(ORACLE_FIELDS[p]), split, p)
-    assert [pairs for pairs, _ in rounds[1:]] == [[(0, 0)]]
+def test_generator_pairs_that_fall_short_fall_back_to_every_pair(monkeypatch, split, p):
+    assembled = assembled_of(monkeypatch)
+    a = short_pairs_algebra(ORACLE_FIELDS[p])
+    assert matches_oracle(a, split, p)
+    # b1 alone generates (b1 b1 = -b0, b0 b0 = b2); the law fails on (b0, b0)
+    every = [(i, j) for i in range(3) for j in range(3)]
+    assert invariants._generators(a) == {1}
+    assert [pairs for pairs, _ in assembled] == [[pair for pair in every if 1 in pair], every]
     if p is Zeta3:
-        # zeta enters the generator pair (b1, b0) through m(b1) b0, so each
-        # round holds rows outside Q and is solved in the field
-        assert [outside_q(rows) for _, rows in rounds] == [True, True]
+        # zeta enters the generator pair (b1, b0) through m(b1) b0, so both
+        # systems hold rows outside Q and are solved in the field
+        assert [outside_q(rows) for _, rows in assembled] == [True, True]
 
 
 # each mutant below passes a wrong kernel that matches_oracle then tells apart
@@ -374,16 +378,19 @@ def test_a_residual_that_skips_one_basis_vector_is_caught(monkeypatch, split, k)
 
 @pytest.mark.parametrize("split", [False, True], ids=["derivations", "centroid"])
 def test_a_pair_that_fails_with_its_rows_in_names_its_witness(monkeypatch, split):
-    real = invariants._pair_rows
+    real, calls = exactla._eliminate_rational, []
 
-    def lossy(a, split, pairs):  # every row led by coordinate 0 goes missing
-        return [row for row in real(a, split, pairs) if row and row[0][0] != 0]
+    def lossy(rows):  # the generator pairs' echelon form loses its last pivot row
+        red, pivots, sources = real(rows)
+        calls.append(len(red))
+        return (red[:-1], pivots[:-1], sources[:-1]) if len(calls) == 1 else (red, pivots, sources)
 
-    monkeypatch.setattr(invariants, "_pair_rows", lossy)
+    monkeypatch.setattr(exactla, "_eliminate_rational", lossy)
     tag = "centroid" if split else "derivations"
-    with pytest.raises(InternalCheckFailed, match=rf"kernel '{tag}': basis vector \d+ leaves residual "
-                                                  rf"-?\d+ at coordinate \d+ on pair \(\d+, \d+\)"):
+    with pytest.raises(InternalCheckFailed,
+                       match=rf"kernel '{tag}': basis vector \d+ leaves residual -?\d+(/\d+)? on input row \d+"):
         (centroid if split else derivation_space)(tensor_product(sl2(), group_algebra(3)))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("split", [False, True], ids=["derivations", "centroid"])

@@ -11,8 +11,8 @@ builds each tensor vector ahead of its samples, the split of a tensor
 derivation solves no system, verify-thm1 builds each tensor algebra
 A (x) S once, embeds its summands once and assembles its Leibniz system
 once, D and C of a tensor algebra assemble rows from a few generator
-pairs, in one round, each round of a
-kernel reaches exactla.rref_rows by its module name with every row so far,
+pairs, or once from every pair where those fall short, each system of a
+kernel reaches exactla.rref_rows by its module name with its distinct rows,
 once (the benchmark counts systems by wrapping it there), and a command
 builds its own subparser only, and the tensor maps of psi, of the embedded
 D(A) (x) S and C(A) (x) D(S) and the commutation rows of D(A) are built
@@ -173,7 +173,7 @@ def test_leibniz_and_centroid_rows_come_from_a_quarter_of_the_pairs(monkeypatch)
     monkeypatch.setattr(invariants, "_pair_rows", counted)
     invariants.derivation_space(ts)
     invariants.centroid(ts)
-    # one round each, on the pairs (x, g) and (g, x) for a few generators g of the 24
+    # one system each, on the pairs (x, g) and (g, x) for a few generators g of the 24
     assert [split for split, _ in calls] == [False, True]
     assert all(count <= 24 * 24 // 4 for _, count in calls)
 
@@ -181,9 +181,9 @@ def test_leibniz_and_centroid_rows_come_from_a_quarter_of_the_pairs(monkeypatch)
 def _systems_solved(monkeypatch, split, a):
     """The row lists of D(a) (split: C(a)) that reach exactla.rref_rows,
     wrapped by module attribute as the benchmark's counters wrap it, and the
-    rows of each round the row source assembles. kernel_of_rows eliminates
+    rows of each system the row source assembles. kernel_of_rows eliminates
     with the columns mirrored (c to ncols - 1 - c); they are mirrored back."""
-    calls, rounds = [], []
+    calls, assembled = [], []
     rref_rows, pair_rows = exactla.rref_rows, invariants._pair_rows
 
     def counted(field, rows, ncols):
@@ -191,27 +191,32 @@ def _systems_solved(monkeypatch, split, a):
         calls.append([tuple((ncols - 1 - c, x) for c, x in reversed(row)) for row in rows])
         return rref_rows(field, rows, ncols)
 
-    def assembled(a, split, pairs):
-        rounds.append(pair_rows(a, split, pairs))
-        return rounds[-1]
+    def assembling(a, split, pairs):
+        assembled.append(pair_rows(a, split, pairs))
+        return assembled[-1]
 
     monkeypatch.setattr(exactla, "rref_rows", counted)
-    monkeypatch.setattr(invariants, "_pair_rows", assembled)
+    monkeypatch.setattr(invariants, "_pair_rows", assembling)
     (invariants.centroid if split else invariants.derivation_space)(a)
-    systems = [rows for rows in calls if rows[:len(rounds[0])] == rounds[0]]
-    # each round's kernel basis is built in RREF, so no other call brings it there
-    assert len(calls) == len(systems)
-    return systems, rounds
+    monkeypatch.undo()
+    return calls, assembled
 
 
 @pytest.mark.parametrize("split", [False, True], ids=["derivations", "centroid"])
-def test_each_round_reaches_the_counted_eliminator_with_every_row(monkeypatch, split):
-    systems, rounds = _systems_solved(monkeypatch, split, algebra.tensor_product(sl2(), group_algebra(3)))
-    assert systems == rounds and len(rounds) == 1
-    monkeypatch.undo()
-    systems, rounds = _systems_solved(monkeypatch, split, short_pairs_algebra())
-    assert len(rounds) == 2
-    assert systems == [rounds[0], rounds[0] + rounds[1]]
+def test_each_system_reaches_the_counted_eliminator_with_its_distinct_rows(monkeypatch, split):
+    # each kernel basis is built in RREF, so no other call brings it there
+    for a, systems in ((algebra.tensor_product(sl2(), group_algebra(3)), 1), (short_pairs_algebra(), 2)):
+        calls, assembled = _systems_solved(monkeypatch, split, a)
+        assert len(assembled) == systems
+        assert calls == [list(dict.fromkeys(rows)) for rows in assembled]
+
+
+def test_only_the_distinct_rows_are_mirrored(monkeypatch):
+    f = make_field("prime", m=3, p=31)
+    calls, assembled = _systems_solved(monkeypatch, True, algebra.tensor_product(sl2(f), group_algebra(8, f)))
+    # the centroid system on the generator pairs: 3,936 rows, 2,945 distinct
+    assert [len(rows) for rows in assembled] == [3936]
+    assert [len(rows) for rows in calls] == [2945]
 
 
 def _kernels_solved(monkeypatch, run):
@@ -219,15 +224,36 @@ def _kernels_solved(monkeypatch, run):
     calls = []
     kernel = exactla.kernel_of_rows
 
-    def counted(field, rows, ncols, tag="kernel", more=None):
+    def counted(field, rows, ncols, tag="kernel"):
         calls.append((ncols, tag))
-        return kernel(field, rows, ncols, tag, more)
+        return kernel(field, rows, ncols, tag)
 
     for mod in (exactla, invariants):
         monkeypatch.setattr(mod, "kernel_of_rows", counted)
     run()
     monkeypatch.undo()
     return calls
+
+
+def _flagship_fixed_algebra(f):
+    # the period 2 needs -1 as a root of unity of the descriptor: F_31 and
+    # Q(zeta_3) are taken with m = 6, which names the same fields
+    if f.kind != "rational":
+        f = make_field(f.kind, 6, f.p)
+    return decomposition.Setup(*catalog.sl2_twisted_flagship(f)).fixed_algebra
+
+
+@pytest.mark.parametrize("fname", ["Q", "F31", "Q(zeta3)"])
+@pytest.mark.parametrize("build,solves", [(lambda f: algebra.tensor_product(sl2(f), group_algebra(3, f)), 1),
+                                          (_flagship_fixed_algebra, 1), (short_pairs_algebra, 2)],
+                         ids=["sl2 (x) k[Z3]", "flagship fixed", "short pairs"])
+def test_d_and_c_solve_the_generator_pairs_or_fall_back_once(monkeypatch, fname, build, solves):
+    f = {"Q": make_field("rational"), "F31": make_field("prime", m=3, p=31),
+         "Q(zeta3)": make_field("cyclotomic", m=3)}[fname]
+    a = build(f)
+    n2 = a.dim * a.dim
+    assert _kernels_solved(monkeypatch, lambda: invariants.derivation_space(a)) == [(n2, "derivations")] * solves
+    assert _kernels_solved(monkeypatch, lambda: invariants.centroid(a)) == [(n2, "centroid")] * solves
 
 
 def test_a_split_solves_no_system(monkeypatch, capsys):
