@@ -194,19 +194,17 @@ class Setup:
 
     # -- unit powers and the right S-action ---------------------------------
 
-    def unit_power(self, t: int, unit: str = "u_prime") -> tuple:
-        """A unit raised to any integer power, as a sparse row, cached per unit.
-
-        The unit is the degree-one unit u_prime, or the original degree-q
-        unit u (for the published formula).
-        """
-        cache = self._upow.setdefault(unit, {0: self.s.unit()})
-        if t not in cache:
-            if t > 0:
-                cache[t] = self.s.mult(self.unit_power(t - 1, unit), getattr(self.unit_data, unit))
-            else:
-                cache[t] = self.s.mult(self.unit_power(t + 1, unit),
-                                       getattr(self.unit_data, unit + "_inv"))
+    def unit_power(self, u, u_inv, t: int) -> tuple:
+        """The unit u of S (sparse row, with inverse u_inv) to any integer
+        power t, as a sparse row: each power between the nearest cached one
+        and t is one product more, cached per unit."""
+        cache = self._upow.setdefault(u, {0: self.s.unit()})
+        step, x = (1, u) if t > 0 else (-1, u_inv)
+        k = t
+        while k not in cache:
+            k -= step
+        for r in range(k + step, t + step, step):
+            cache[r] = self.s.mult(cache[r - step], x)
         return cache[t]
 
     def act(self, x, y) -> tuple:
@@ -450,11 +448,12 @@ def restrict_pi(big_d, setup: Setup) -> tuple:
 
 
 class _Coords:
-    """The finite carrier: sparse rows; U is a cached unit, to the power stride."""
+    """The finite carrier: sparse rows; U is the unit u of S, with inverse
+    u_inv, its powers cached on the setup (Setup.unit_power)."""
 
-    def __init__(self, setup: Setup, unit: str = "u_prime", stride: int = 1):
+    def __init__(self, setup: Setup, u, u_inv):
         self.setup, self.field, self.m = setup, setup.a.field, setup.m
-        self.power = lambda t: setup.unit_power(stride * t, unit)
+        self.power = lambda t: setup.unit_power(u, u_inv, t)
 
     def pure(self, avec, t: int, b=None) -> tuple:
         up = self.power(t)
@@ -522,16 +521,16 @@ def extend_phi(d, setup: Setup, branch: str = "char0", n: int = 1) -> tuple:
         raise ValueError(f"unknown branch {branch!r}")
     ev = setup.d_eval(d)
     f, nts, k = setup.a.field, setup.ts.dim, setup.fixed_algebra.dim
-    p = f.char
+    p, u, u_inv = f.char, setup.unit_data.u_prime, setup.unit_data.u_prime_inv
     if branch == "charp":
         if f.kind != PRIME or p == 0:
             raise HypothesisNotMet("char-p branch needs a prime field", "prime-char")
-        c = _Coords(setup, stride=p)
+        c = _Coords(setup, setup.unit_power(u, u_inv, p), setup.unit_power(u, u_inv, -p))
         cols = [residue_shift(c, ev, avec, b, es, p) for avec, _, b, es in _pair_pieces(setup)]
     else:
         if n == 0 or (p and (n % p == 0)):
             raise HypothesisNotMet(f"n = {n} is not invertible here", "invertible-n")
-        cols = phi_formula(_Coords(setup), ev, _pair_pieces(setup), setup.m * n)
+        cols = phi_formula(_Coords(setup, u, u_inv), ev, _pair_pieces(setup), setup.m * n)
     big = compose_maps(f, map_of_columns(cols), setup.pair_basis_inverse, nts)
     wit = leibniz_witness(setup.ts, big)
     if wit is not None:
@@ -553,7 +552,7 @@ def bm_formula_extend(d, setup: Setup) -> tuple:
     reproduce its failure. Maps are sparse flattened (see Setup.d_eval).
     """
     ev = setup.d_eval(d)
-    c = _Coords(setup, "u")
+    c = _Coords(setup, setup.unit_data.u, setup.unit_data.u_inv)
     q = setup.unit_data.q
     cols = [residue_shift(c, ev, avec, b, es, q) for avec, _, b, es in _pair_pieces(setup)]
     f = setup.a.field
@@ -579,7 +578,7 @@ def check_surjectivity_identities(d, setup: Setup,
     for name in _SETUP_HYPOTHESES[:4]:
         rep.hyp(name)
     ev = setup.d_eval(d)
-    c = _Coords(setup)
+    c = _Coords(setup, setup.unit_data.u_prime, setup.unit_data.u_prime_inv)
     f = setup.a.field
     m = setup.m
     ts = setup.ts

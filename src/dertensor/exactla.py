@@ -150,16 +150,14 @@ def _dense(field, ncols, row) -> tuple:
     return tuple(out)
 
 
-def _eliminate(rows, normal, cancel):
-    """Canonical RREF of sparse rows: (rows, pivot columns, sources).
-
-    A leftmost-pivot forward pass brings each new row to a leading column no
-    pivot row owns, then a back-substitution from the right clears every
-    other pivot column. cancel(d, prow, x) removes the entry x that the dict
-    row d has at the leading column of prow, using prow. Rows come out in
-    normal form; sources[i] indexes the input row that became pivot row i.
+def _forward(rows, normal, cancel):
+    """The leftmost-pivot forward pass: (piv, src), piv mapping each leading
+    column to its pivot row in normal form, src to the index of the input
+    row behind it. Each new row is brought to a leading column no pivot row
+    owns; cancel(d, prow, x) removes the entry x that the dict row d has at
+    the leading column of prow, using prow.
     """
-    seen, piv, src = set(), {}, {}  # piv: leading column -> pivot row
+    seen, piv, src = set(), {}, {}
     for i, row in enumerate(rows):
         if not row or row in seen:
             continue
@@ -180,6 +178,15 @@ def _eliminate(rows, normal, cancel):
             row = normal(tuple(sorted(d.items())))
         piv[lead] = row
         src[lead] = i
+    return piv, src
+
+
+def _eliminate(rows, normal, cancel):
+    """Canonical RREF of sparse rows: (rows, pivot columns, sources). The
+    forward pass (_forward), then a back-substitution from the right clears
+    every other pivot column. sources[i] indexes the input row that became
+    pivot row i."""
+    piv, src = _forward(rows, normal, cancel)
     pivots = sorted(piv)
     red = {}
     for c in reversed(pivots):
@@ -245,8 +252,8 @@ def _eliminate_rational(rows):
     return out, pivots, sources
 
 
-def _eliminate_prime(rows, p):
-    """Elimination with monic rows over F_p."""
+def _prime_ops(p):
+    """(normal, cancel) for elimination with monic rows over F_p."""
 
     def normal(row):
         a = row[0][1]
@@ -263,7 +270,7 @@ def _eliminate_prime(rows, p):
             else:
                 del d[j]
 
-    return _eliminate(rows, normal, cancel)
+    return normal, cancel
 
 
 def _eliminate_generic(field, rows):
@@ -310,7 +317,7 @@ def rref_rows(field, rows, ncols):
     if field.kind == RATIONAL:
         return _eliminate_rational(rows)
     if field.kind == PRIME:
-        return _eliminate_prime(rows, field.p)
+        return _eliminate(rows, *_prime_ops(field.p))
     rows = list(rows)
     if (rat := _rational_rows(field, rows)) is None:
         return _eliminate_generic(field, rows)
@@ -476,7 +483,7 @@ def _certify(field, rows, ker, nullity, pivot_rows, tag):
             raise InternalCheckFailed(f"kernel {tag!r}: basis vector {k} leaves residual "
                                       f"{field.format(v)} on input row {i}")
     ints = [_integer_row(r) for r in _rational_rows(field, pivot_rows) or ()]
-    ranks = (len(_eliminate_prime([tuple((j, x % q) for j, x in r if x % q) for r in ints], q)[1])
+    ranks = (len(_forward([tuple((j, x % q) for j, x in r if x % q) for r in ints], *_prime_ops(q))[0])
              for q in _PRIMES)
     if ints and all(r < len(ints) for r in ranks):  # stops at the first prime of full rank
         raise InternalCheckFailed(f"kernel {tag!r}: the {len(ints)} input rows behind the pivots "

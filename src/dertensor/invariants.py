@@ -82,38 +82,30 @@ def _law_terms(a: Algebra, maps, split: bool, pairs):
         yield i, j, sides[: 1 + split]
 
 
-def _pair_rows(a: Algebra, split: bool, pairs):
-    """Sparse rows of the Leibniz system (split: the centroid's) on the given
-    basis pairs, one per pair, law and output coordinate (see _law_terms)."""
-    n, f = a.dim, a.field
-    p = f.p if f.kind == PRIME else 0
-    rows = []
-    for _, _, sides in _law_terms(a, [((rc, f.one()),) for rc in range(n * n)], split, pairs):
-        for acc in sides:
-            by_t = {}
-            for key, v in acc.items():
-                by_t.setdefault(key % n, {})[key // n] = v % p if p else v
-            rows.extend(canonical_row(f, by_t[t]) for t in sorted(by_t))
-    return rows
-
-
-def _law_residual(a: Algebra, maps, split: bool, pairs):
-    """Yield (i, j, k, t, v) for each basis pair where a map breaks its law
-    (_law_terms): v != 0 at coordinate t of map k's residual. Over Q each map
-    is scaled to integers first."""
+def _pair_rows(a: Algebra, maps, split: bool, pairs):
+    """Yield (i, j, row) per basis pair, law and output coordinate t where a
+    map breaks the law, row being the sparse row whose entry k is coordinate
+    t of maps[k]'s residual there (see _law_terms). On the n^2 elementary
+    maps these are the nonzero rows of the Leibniz system (split: the
+    centroid's). Over Q each map is scaled to integers first and each entry
+    divided back."""
     n, f = a.dim, a.field
     p = f.p if f.kind == PRIME else 0
     nonzero = f.nonzero if f.kind == CYCLOTOMIC else (lambda v: v % p) if p else bool
     scales = [lcm(*(x.denominator for _, x in m)) if f.kind == RATIONAL else 1 for m in maps]
-    maps = [[(rc, x if s == 1 else x.numerator * (s // x.denominator)) for rc, x in m]
+    maps = [m if s == 1 else [(rc, x.numerator * (s // x.denominator)) for rc, x in m]
             for m, s in zip(maps, scales)]
     for i, j, sides in _law_terms(a, maps, split, pairs):
         for acc in sides:
             if any(map(nonzero, acc.values())):
-                key = min(key for key, v in acc.items() if nonzero(v))
-                v = acc[key] % p if p else acc[key]
-                yield i, j, key // n, key % n, v if scales[key // n] == 1 else Fraction(v, scales[key // n])
-                break
+                by_t = {}
+                for key, v in acc.items():
+                    if nonzero(v):
+                        s = scales[key // n]
+                        by_t.setdefault(key % n, []).append(
+                            (key // n, v % p if p else v if s == 1 else f.from_fraction(Fraction(v, s))))
+                for t in sorted(by_t):
+                    yield i, j, tuple(sorted(by_t[t]))
 
 
 def leibniz_witness(a: Algebra, m):
@@ -121,7 +113,7 @@ def leibniz_witness(a: Algebra, m):
     breaks the derivation law, as (i, j, m(b_i b_j), m(b_i) b_j + b_i m(b_j))
     with sparse rows, or None."""
     f, n, one = a.field, a.dim, a.field.one()
-    for i, j, *_ in _law_residual(a, [m], False, ((i, j) for i in range(n) for j in range(n))):
+    for i, j, _ in _pair_rows(a, [m], False, ((i, j) for i in range(n) for j in range(n))):
         bi, bj = ((i, one),), ((j, one),)
         mi, mj = apply_map(f, m, n, bi), apply_map(f, m, n, bj)
         want = combine_rows(f, ((one, a.mult(mi, bj)), (one, a.mult(bi, mj))))
@@ -173,17 +165,18 @@ def _leibniz_kernel(a: Algebra, split: bool, tag: str) -> EndoSpace:
     """The certified kernel K of the Leibniz system (split: the centroid's),
     cached under tag, solved first on the pairs (x, g) and (g, x) for g in
     _generators(a), whose kernel K_gen holds K by its rank certificate
-    (exactla.kernel_of_rows). K_gen lies in K once its basis, certified on
-    the generator pairs' rows, passes _law_residual on every other pair;
-    else K is solved on every pair."""
+    (exactla.kernel_of_rows). K is K_gen cut by the other pairs' rows on
+    K_gen's basis, each read on its pivot columns; with no nonzero such
+    row, K = K_gen."""
     if tag not in a._cache:
-        n, gens = a.dim, _generators(a)
+        n, one, gens = a.dim, a.field.one(), _generators(a)
         every = [(i, j) for i in range(n) for j in range(n)]
         on_gens = [pair for pair in every if pair[0] in gens or pair[1] in gens]
         rest = [pair for pair in every if pair[0] not in gens and pair[1] not in gens]
-        ker = kernel_of_rows(a.field, _pair_rows(a, split, on_gens), n * n, tag)
-        if next(_law_residual(a, ker._sparse, split, rest), None):
-            ker = kernel_of_rows(a.field, _pair_rows(a, split, every), n * n, tag)
+        units = [((rc, one),) for rc in range(n * n)]
+        ker = kernel_of_rows(a.field, [row for _, _, row in _pair_rows(a, units, split, on_gens)], n * n, tag)
+        if cut := [tuple((ker.pivots[k], x) for k, x in row) for _, _, row in _pair_rows(a, ker._sparse, split, rest)]:
+            ker = ker.cut(cut, tag)
         a._cache[tag] = EndoSpace(a, ker, tag)
     return a._cache[tag]
 

@@ -302,16 +302,14 @@ def _split_top_level(text: str):
             depth -= 1
             if depth < 0:
                 raise ParseError("unbalanced parentheses")
-        if ch in "+-" and depth == 0 and prev not in ("^", "*", "/", "(", ""):
+        if ch in "+-" and depth == 0 and prev not in ("^", "*", "/", "("):
+            # a sign after a term starts the next one; successive signs multiply
             if "".join(cur).strip():
                 chunks.append((sign, "".join(cur).strip()))
-            cur = []
-            sign = 1 if ch == "+" else -1
+                cur, sign = [], 1
+            sign = sign if ch == "+" else -sign
         else:
-            if ch in "+-" and depth == 0 and prev == "":
-                sign = 1 if ch == "+" else -1
-            else:
-                cur.append(ch)
+            cur.append(ch)
         if not ch.isspace():
             prev = ch
     if depth:

@@ -251,6 +251,18 @@ def test_phi_eval_finite_charp_agreement(capsys):
     assert got["restricts-to-input"]
 
 
+@pytest.mark.parametrize("setup,field", [("sl2-twisted-flagship", "prime(997,2)"),
+                                         ("quotient-laurent(1,4)", "prime(997,4)")])
+def test_phi_eval_charp_branch_at_a_large_prime(capsys, setup, field):
+    # the char-p branch reaches unit powers of exponent about p, far past
+    # the interpreter's recursion limit
+    code, out, _ = run_cap(capsys, ["phi-eval", "--setup", setup, "--field", field, "--json"])
+    assert code == 0
+    d = json.loads(out)
+    assert d["verdict"] == "pass"
+    assert {a["name"]: a["pass"] for a in d["assertions"]}["char0-charp-branches-agree"]
+
+
 def test_bm_eval_default_is_counterexample(capsys):
     code, out, _ = run_cap(capsys, ["bm-eval", "--json"])
     assert code == 0

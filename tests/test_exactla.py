@@ -603,14 +603,29 @@ def test_certificate_catches_an_eliminator_that_invents_a_pivot(monkeypatch, fld
 
 def _primes_tried(monkeypatch):
     tried = []
-    real = exactla._eliminate_prime
+    real = exactla._prime_ops
 
-    def spy(rows, p):
+    def spy(p):
         tried.append(p)
-        return real(rows, p)
+        return real(p)
 
-    monkeypatch.setattr(exactla, "_eliminate_prime", spy)
+    monkeypatch.setattr(exactla, "_prime_ops", spy)
     return tried
+
+
+def test_the_rank_certificate_runs_the_forward_pass_alone(monkeypatch):
+    # the rank check reads only the pivot count, so nothing back-substitutes mod a prime
+    calls, real = [], exactla._eliminate
+
+    def counted(rows, normal, cancel):
+        calls.append(normal)
+        return real(rows, normal, cancel)
+
+    monkeypatch.setattr(exactla, "_eliminate", counted)
+    tried = _primes_tried(monkeypatch)
+    assert kernel_of_rows(QQ, [((0, 1), (1, 1)), ((1, 1), (2, 2))], 3).dim == 1
+    assert len(calls) == 1 and calls[0] is exactla._primitive
+    assert tried == [exactla._PRIMES[0]]
 
 
 def test_certificate_survives_a_rank_drop_mod_the_first_prime(monkeypatch):

@@ -320,9 +320,9 @@ def assembled_of(monkeypatch):
     assembled = []
     pair_rows = invariants._pair_rows
 
-    def counted(a, split, pairs):
-        rows = pair_rows(a, split, pairs)
-        assembled.append((list(pairs), rows))
+    def counted(a, maps, split, pairs):
+        rows = list(pair_rows(a, maps, split, pairs))
+        assembled.append((list(pairs), [row for _, _, row in rows]))
         return rows
 
     monkeypatch.setattr(invariants, "_pair_rows", counted)
@@ -335,45 +335,93 @@ def outside_q(rows):
 
 @pytest.mark.parametrize("split,p", [(False, None), (True, None), (False, Zeta3), (True, Zeta3)],
                          ids=["derivations", "centroid", "derivations-Q(zeta3)", "centroid-Q(zeta3)"])
-def test_generator_pairs_that_fall_short_fall_back_to_every_pair(monkeypatch, split, p):
+def test_generator_pairs_that_fall_short_are_cut_by_the_other_pairs(monkeypatch, split, p):
     assembled = assembled_of(monkeypatch)
     a = short_pairs_algebra(ORACLE_FIELDS[p])
     assert matches_oracle(a, split, p)
     # b1 alone generates (b1 b1 = -b0, b0 b0 = b2); the law fails on (b0, b0)
     every = [(i, j) for i in range(3) for j in range(3)]
     assert invariants._generators(a) == {1}
-    assert [pairs for pairs, _ in assembled] == [[pair for pair in every if 1 in pair], every]
+    assert [pairs for pairs, _ in assembled] == [[pair for pair in every if 1 in pair],
+                                                 [pair for pair in every if 1 not in pair]]
+    assert assembled[1][1]
     if p is Zeta3:
-        # zeta enters the generator pair (b1, b0) through m(b1) b0, so both
-        # systems hold rows outside Q and are solved in the field
+        # zeta enters the generator pair (b1, b0) through m(b1) b0, and the
+        # pair (b0, b0) through b0 b0, so both hold rows outside Q
         assert [outside_q(rows) for _, rows in assembled] == [True, True]
+
+
+# (P, P^-1): integer basis changes b'_i = sum_r P[r][i] b_r, unimodular so
+# that they stay invertible over F_31 too; in each, the generator pairs fall short
+BASIS_CHANGES = [([[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
+                 ([[1, 0, 0], [0, 1, 1], [0, 0, 1]], [[1, 0, 0], [0, 1, -1], [0, 0, 1]]),
+                 ([[1, 0, 0], [0, 1, 0], [2, -1, 1]], [[1, 0, 0], [0, 1, 0], [-2, 1, 1]])]
+
+
+def changed_basis(a, change):
+    """a in the basis b'_i = sum_r P[r][i] b_r, for change = (P, P^-1)."""
+    f, n = a.field, a.dim
+    fwd, back = change
+    cols = [sparse(f, [f.from_int(fwd[r][i]) for r in range(n)]) for i in range(n)]  # b'_i in the old basis
+    inv = sparse(f, [f.from_int(x) for row in back for x in row])
+    products = [[exactla.apply_map(f, inv, n, a.mult(x, y)) for y in cols] for x in cols]
+    return Algebra.from_products(f, [f"c{i}" for i in range(n)], products)
+
+
+@pytest.mark.parametrize("change", range(len(BASIS_CHANGES)))
+@pytest.mark.parametrize("p", [None, 31, Zeta3], ids=["Q", "F31", "Q(zeta3)"])
+def test_short_pairs_in_another_basis_match_the_oracle(monkeypatch, p, change):
+    fwd, back = BASIS_CHANGES[change]
+    assert [[sum(x * y for x, y in zip(row, col)) for col in zip(*back)] for row in fwd] == [
+        [int(i == j) for j in range(3)] for i in range(3)]
+    cuts, cut = [], exactla.Subspace.cut
+
+    def counted(self, rows, tag):
+        cuts.append(tag)
+        return cut(self, rows, tag)
+
+    monkeypatch.setattr(exactla.Subspace, "cut", counted)
+    a = changed_basis(short_pairs_algebra(ORACLE_FIELDS[p]), BASIS_CHANGES[change])
+    assert matches_oracle(a, False, p)
+    assert matches_oracle(a, True, p)
+    assert cuts == ["derivations", "centroid"]
 
 
 # each mutant below passes a wrong kernel that matches_oracle then tells apart
 
 
 @pytest.mark.parametrize("split", [False, True], ids=["derivations", "centroid"])
-def test_a_residual_that_skips_one_pair_is_caught(monkeypatch, split):
-    real = invariants._law_residual
+def test_a_kernel_that_skips_the_cut_is_caught(monkeypatch, split):
+    monkeypatch.setattr(exactla.Subspace, "cut", lambda self, rows, tag: self)
+    assert not matches_oracle(short_pairs_algebra(), split)
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["derivations", "centroid"])
+def test_a_cut_that_drops_one_pairs_rows_is_caught(monkeypatch, split):
+    real = invariants._pair_rows
 
     def mutant(a, maps, split, pairs):
-        return (w for w in real(a, maps, split, pairs) if w[:2] != (0, 0))
+        return ((i, j, row) for i, j, row in real(a, maps, split, pairs) if (i, j) != (0, 0))
 
-    monkeypatch.setattr(invariants, "_law_residual", mutant)
+    monkeypatch.setattr(invariants, "_pair_rows", mutant)
     assert not matches_oracle(short_pairs_algebra(), split)
 
 
 @pytest.mark.parametrize("split,k", [(False, 0), (True, 1)], ids=["derivations", "centroid"])
-def test_a_residual_that_skips_one_basis_vector_is_caught(monkeypatch, split, k):
-    real = invariants._law_residual
+def test_a_cut_that_drops_one_basis_vectors_residual_is_caught(monkeypatch, split, k):
+    real, calls = invariants._pair_rows, []
 
     def mutant(a, maps, split, pairs):
-        maps = list(maps)
-        maps[k] = ()  # basis vector k is never checked
-        return real(a, maps, split, pairs)
+        calls.append(pairs)
+        rows = real(a, maps, split, pairs)
+        if len(calls) == 1:  # the generator pairs' system stays whole
+            return rows
+        # K_gen's basis vector k leaves no entry in the other pairs' rows
+        return ((i, j, tuple((kk, x) for kk, x in row if kk != k)) for i, j, row in rows)
 
-    monkeypatch.setattr(invariants, "_law_residual", mutant)
+    monkeypatch.setattr(invariants, "_pair_rows", mutant)
     assert not matches_oracle(short_pairs_algebra(), split)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("split", [False, True], ids=["derivations", "centroid"])

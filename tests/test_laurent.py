@@ -421,6 +421,11 @@ def test_parse_laurent_round_trip():
     assert p == want
 
 
+def test_parse_laurent_successive_signs_multiply():
+    assert parse_laurent("z - -1", LINE) == zmon(1).add(zmon(0))
+    assert parse_laurent("- - z", LINE) == zmon(1)
+
+
 def test_parse_laurent_bracketed_cyclotomic_coefficients():
     fc = make_field("cyclotomic", m=4)
     p = parse_laurent("[0,1]*z^3 + [1,-1]", group_algebra(1, fc))

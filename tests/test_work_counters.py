@@ -11,9 +11,9 @@ builds each tensor vector ahead of its samples, the split of a tensor
 derivation solves no system, verify-thm1 builds each tensor algebra
 A (x) S once, embeds its summands once and assembles its Leibniz system
 once, D and C of a tensor algebra assemble rows from a few generator
-pairs, or once from every pair where those fall short, each system of a
-kernel reaches exactla.rref_rows by its module name with its distinct rows,
-once (the benchmark counts systems by wrapping it there), and a command
+pairs, cut by the other pairs' rows only where those fall short, each system
+of a kernel reaches exactla.rref_rows by its module name with its distinct
+rows, once (the benchmark counts systems by wrapping it there), and a command
 builds its own subparser only, and the tensor maps of psi, of the embedded
 D(A) (x) S and C(A) (x) D(S) and the commutation rows of D(A) are built
 sparse, with no dense matrix built, and a derivation stays one sparse row
@@ -134,6 +134,13 @@ def test_verify_thm2_runs_phi_and_pi_once_per_basis_element(monkeypatch, capsys)
     assert sorted(calls) == ["extend_phi"] * 6 + ["restrict_pi"] * 6
 
 
+def _is_system(a, maps, split):
+    """Whether the row source is called for a Leibniz system (split rows are
+    the centroid's): on the n^2 elementary maps, not on a kernel basis (the
+    other pairs' rows of a cut) or one map (a witness)."""
+    return not split and len(maps) == a.dim * a.dim
+
+
 @pytest.mark.parametrize("setup", [["sl2-twisted-flagship"],
                                    ["quotient-laurent(1,4)", "--field", "prime(5,4)"]],
                          ids=["flagship", "prime-field"])
@@ -146,10 +153,10 @@ def test_phi_eval_never_solves_the_tensor_derivations(monkeypatch, capsys, setup
         built.append(ts)
         return ts
 
-    def counted_rows(a, split, pairs):
-        if not split:  # a Leibniz system; split rows are the centroid's
+    def counted_rows(a, maps, split, pairs):
+        if _is_system(a, maps, split):
             assembled.append(a)
-        return pair_rows(a, split, pairs)
+        return pair_rows(a, maps, split, pairs)
 
     monkeypatch.setattr(decomposition, "tensor_product", counted_product)
     monkeypatch.setattr(invariants, "_pair_rows", counted_rows)
@@ -166,22 +173,24 @@ def test_leibniz_and_centroid_rows_come_from_a_quarter_of_the_pairs(monkeypatch)
     calls = []
     pair_rows = invariants._pair_rows
 
-    def counted(a, split, pairs):
-        calls.append((split, len(pairs)))
-        return pair_rows(a, split, pairs)
+    def counted(a, maps, split, pairs):
+        calls.append((split, len(maps), len(pairs)))
+        return pair_rows(a, maps, split, pairs)
 
     monkeypatch.setattr(invariants, "_pair_rows", counted)
     invariants.derivation_space(ts)
     invariants.centroid(ts)
-    # one system each, on the pairs (x, g) and (g, x) for a few generators g of the 24
-    assert [split for split, _ in calls] == [False, True]
-    assert all(count <= 24 * 24 // 4 for _, count in calls)
+    # one system each, on the pairs (x, g) and (g, x) for a few generators g
+    # of the 24; the other pairs' rows are taken on the kernel's basis only
+    assert [(split, maps) for split, maps, _ in calls] == [(False, 24 * 24), (False, 24), (True, 24 * 24), (True, 8)]
+    assert all(count <= 24 * 24 // 4 for _, _, count in calls[::2])
 
 
 def _systems_solved(monkeypatch, split, a):
     """The row lists of D(a) (split: C(a)) that reach exactla.rref_rows,
     wrapped by module attribute as the benchmark's counters wrap it, and the
-    rows of each system the row source assembles. kernel_of_rows eliminates
+    rows of each call of the row source: the generator pairs' system, then
+    the other pairs' rows on its kernel's basis. kernel_of_rows eliminates
     with the columns mirrored (c to ncols - 1 - c); they are mirrored back."""
     calls, assembled = [], []
     rref_rows, pair_rows = exactla.rref_rows, invariants._pair_rows
@@ -191,9 +200,10 @@ def _systems_solved(monkeypatch, split, a):
         calls.append([tuple((ncols - 1 - c, x) for c, x in reversed(row)) for row in rows])
         return rref_rows(field, rows, ncols)
 
-    def assembling(a, split, pairs):
-        assembled.append(pair_rows(a, split, pairs))
-        return assembled[-1]
+    def assembling(a, maps, split, pairs):
+        rows = list(pair_rows(a, maps, split, pairs))
+        assembled.append([row for _, _, row in rows])
+        return rows
 
     monkeypatch.setattr(exactla, "rref_rows", counted)
     monkeypatch.setattr(invariants, "_pair_rows", assembling)
@@ -204,29 +214,32 @@ def _systems_solved(monkeypatch, split, a):
 
 @pytest.mark.parametrize("split", [False, True], ids=["derivations", "centroid"])
 def test_each_system_reaches_the_counted_eliminator_with_its_distinct_rows(monkeypatch, split):
-    # each kernel basis is built in RREF, so no other call brings it there
-    for a, systems in ((algebra.tensor_product(sl2(), group_algebra(3)), 1), (short_pairs_algebra(), 2)):
-        calls, assembled = _systems_solved(monkeypatch, split, a)
-        assert len(assembled) == systems
-        assert calls == [list(dict.fromkeys(rows)) for rows in assembled]
+    # each kernel basis is built in RREF, so no other call brings it there;
+    # a cut solves the other pairs' nonzero rows, read on the basis coordinates
+    for a, cut in ((algebra.tensor_product(sl2(), group_algebra(3)), False), (short_pairs_algebra(), True)):
+        calls, (system, rest) = _systems_solved(monkeypatch, split, a)
+        assert bool(rest) == cut
+        assert calls == [list(dict.fromkeys(rows)) for rows in (system, rest)][:1 + cut]
 
 
 def test_only_the_distinct_rows_are_mirrored(monkeypatch):
     f = make_field("prime", m=3, p=31)
     calls, assembled = _systems_solved(monkeypatch, True, algebra.tensor_product(sl2(f), group_algebra(8, f)))
-    # the centroid system on the generator pairs: 3,936 rows, 2,945 distinct
-    assert [len(rows) for rows in assembled] == [3936]
-    assert [len(rows) for rows in calls] == [2945]
+    # the centroid system on the generator pairs: 3,904 nonzero rows, 2,944
+    # distinct; the other pairs leave no nonzero row on its kernel's basis
+    assert [len(rows) for rows in assembled] == [3904, 0]
+    assert [len(rows) for rows in calls] == [2944]
 
 
 def _kernels_solved(monkeypatch, run):
-    """The (columns, tag) of each kernel_of_rows call that run makes."""
+    """The (columns, tag, dimension) of each kernel_of_rows call that run makes."""
     calls = []
     kernel = exactla.kernel_of_rows
 
     def counted(field, rows, ncols, tag="kernel"):
-        calls.append((ncols, tag))
-        return kernel(field, rows, ncols, tag)
+        ker = kernel(field, rows, ncols, tag)
+        calls.append((ncols, tag, ker.dim))
+        return ker
 
     for mod in (exactla, invariants):
         monkeypatch.setattr(mod, "kernel_of_rows", counted)
@@ -244,16 +257,18 @@ def _flagship_fixed_algebra(f):
 
 
 @pytest.mark.parametrize("fname", ["Q", "F31", "Q(zeta3)"])
-@pytest.mark.parametrize("build,solves", [(lambda f: algebra.tensor_product(sl2(f), group_algebra(3, f)), 1),
-                                          (_flagship_fixed_algebra, 1), (short_pairs_algebra, 2)],
+@pytest.mark.parametrize("build,cuts", [(lambda f: algebra.tensor_product(sl2(f), group_algebra(3, f)), 0),
+                                        (_flagship_fixed_algebra, 0), (short_pairs_algebra, 1)],
                          ids=["sl2 (x) k[Z3]", "flagship fixed", "short pairs"])
-def test_d_and_c_solve_the_generator_pairs_or_fall_back_once(monkeypatch, fname, build, solves):
+def test_d_and_c_solve_the_generator_pairs_and_cut_where_they_fall_short(monkeypatch, fname, build, cuts):
     f = {"Q": make_field("rational"), "F31": make_field("prime", m=3, p=31),
          "Q(zeta3)": make_field("cyclotomic", m=3)}[fname]
     a = build(f)
     n2 = a.dim * a.dim
-    assert _kernels_solved(monkeypatch, lambda: invariants.derivation_space(a)) == [(n2, "derivations")] * solves
-    assert _kernels_solved(monkeypatch, lambda: invariants.centroid(a)) == [(n2, "centroid")] * solves
+    for space, tag in ((invariants.derivation_space, "derivations"), (invariants.centroid, "centroid")):
+        calls = _kernels_solved(monkeypatch, lambda: space(a))
+        # one system on n^2 columns; a cut solves on the dim K_gen coordinates of its kernel K_gen
+        assert [call[:2] for call in calls] == [(n2, tag)] + [(calls[0][2], tag)] * cuts
 
 
 def test_a_split_solves_no_system(monkeypatch, capsys):
@@ -279,10 +294,10 @@ def test_verify_thm1_builds_each_tensor_algebra_once(monkeypatch, capsys, pair):
         built.append(ts)
         return ts
 
-    def counted_rows(a, split, pairs):
-        if not split:  # a Leibniz system; split rows are the centroid's
+    def counted_rows(a, maps, split, pairs):
+        if _is_system(a, maps, split):
             assembled.append(a)
-        return pair_rows(a, split, pairs)
+        return pair_rows(a, maps, split, pairs)
 
     def counted_embed(a, s):
         embedded.append((a, s))
