@@ -358,9 +358,10 @@ def verify_block_decomposition(a: Algebra, s: Algebra, samples: int = 25) -> Ver
     expected = da.dim * s.dim + ca.dim * ds.dim
     rep.dim("expected-total", expected)
     rep.check("dimension-identity", full.dim == expected)
-    inter = img1.space.intersect(img2.space)
-    rep.check("direct-sum", inter.dim == 0)
-    rep.check("spans-all-derivations", img1.space.sum(img2.space) == full.space)
+    # dim(U + V) = dim U + dim V exactly when U and V meet in zero
+    both = img1.space.sum(img2.space)
+    rep.check("direct-sum", both.dim == img1.dim + img2.dim)
+    rep.check("spans-all-derivations", both == full.space)
     f, rng, witness = a.field, random.Random(SPLIT_SEED), None
     for idx in range(samples):
         coeffs = [f.from_int(rng.randint(-3, 3)) for _ in range(full.dim)]
@@ -403,8 +404,9 @@ def verify_graded_decomposition(setup: Setup) -> VerificationReport:
         sp1 = Subspace.from_rows(f, n2, part1)
         sp2 = Subspace.from_rows(f, n2, part2)
         rep.dim(f"degree-{j}", gd.components[j].dim)
-        rep.check(f"degree-{j}-matches", sp1.sum(sp2) == gd.components[j])
-        rep.check(f"degree-{j}-direct", sp1.intersect(sp2).dim == 0)
+        both = sp1.sum(sp2)  # direct exactly when the dimensions add up
+        rep.check(f"degree-{j}-matches", both == gd.components[j])
+        rep.check(f"degree-{j}-direct", both.dim == sp1.dim + sp2.dim)
         total += gd.components[j].dim
     rep.dim("D(A tensor S)", setup.der_ts.dim)
     rep.check("degrees-fill-space", total == setup.der_ts.dim)

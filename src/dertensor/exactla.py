@@ -228,12 +228,12 @@ def _cancel_int(d, prow, x):
             del d[j]
 
 
-def _integer_row(row):
-    # rational pairs times the lcm of their denominators; int rows pass as they are
+def _scaled(row):
+    # rational pairs times the lcm of their denominators, and that lcm; int rows pass as they are
     if all(x.__class__ is int for _, x in row):
-        return row
+        return row, 1
     den = lcm(*(x.denominator for _, x in row))
-    return tuple((j, x.numerator * (den // x.denominator)) for j, x in row)
+    return tuple((j, x.numerator * (den // x.denominator)) for j, x in row), den
 
 
 def _quotient(x, a):
@@ -242,9 +242,30 @@ def _quotient(x, a):
     return Fraction(x, a) if r else q
 
 
+class RawOps:
+    """The raw arithmetic of a residual pass (_certify, invariants._pair_rows).
+
+    Over Q and F_p raw values are ints and Fractions, whose own operators are
+    exact and cheaper than the field's: results over F_p stay unreduced, and
+    over Q each row is scaled to integers first, so no Fraction arises.
+    scale(row) gives (row, its scale); read(v, s) is the raw value in the
+    field of a result v on a row of scale s.
+    """
+
+    __slots__ = ("add", "sub", "mul", "zero", "nonzero", "scale", "read")
+
+    def __init__(self, field):
+        p, cyc = field.p if field.kind == PRIME else 0, field.kind == CYCLOTOMIC
+        self.add, self.sub, self.mul, self.zero, self.nonzero = (
+            (field.add, field.sub, field.mul, field.zero(), any) if cyc else
+            (operator.add, operator.sub, operator.mul, 0, (lambda v: v % p) if p else bool))
+        self.scale = _scaled if field.kind == RATIONAL else lambda row: (row, 1)
+        self.read = (lambda v, s: v % p) if p else _quotient if field.kind == RATIONAL else lambda v, s: v
+
+
 def _eliminate_rational(rows):
     """Fraction-free elimination over Z; the RREF over Q."""
-    red, pivots, sources = _eliminate(map(_integer_row, rows), _primitive, _cancel_int)
+    red, pivots, sources = _eliminate((_scaled(row)[0] for row in rows), _primitive, _cancel_int)
     out = []
     for row in red:
         a = row[0][1]
@@ -408,21 +429,12 @@ class Subspace:
         self._compat(other)
         return Subspace.from_rows(self.field, self.ambient, self._sparse + other._sparse)
 
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """The x in self that other's reduction (see reduce) leaves empty."""
-        self._compat(other)
-        f, at, piv = self.field, _by_column(other._sparse), set(other.pivots)
-        rows = [[(c, f.one())] + [(other.pivots[k], f.neg(b)) for k, b in at.get(c, ())]
-                for c in range(self.ambient) if c not in piv]
-        return self.cut(rows, "intersection")
-
     def cut(self, rows, tag: str) -> "Subspace":
-        """{x in self : r x = 0 for each sparse row r}, solved on this space's
-        coordinates (a row on the pivot columns alone reads them directly).
+        """The x = sum of y_k times basis row k with r y = 0 for each sparse
+        row r, each row on this space's coordinates (entry k against basis
+        row k): a certified kernel (kernel_of_rows) on dim columns, lifted.
         The lift of an RREF basis through this RREF basis is in RREF too."""
-        f, at = self.field, _by_column(self._sparse)
-        coords = [combine_rows(f, ((x, at[c]) for c, x in row if c in at)) for row in rows]
-        small = kernel_of_rows(f, coords, self.dim, tag)
+        f, small = self.field, kernel_of_rows(self.field, rows, self.dim, tag)
         lifted = [combine_rows(f, ((x, self._sparse[k]) for k, x in v)) for v in small._sparse]
         return Subspace(f, self.ambient, lifted, [self.pivots[k] for k in small.pivots])
 
@@ -466,12 +478,10 @@ def _certify(field, rows, ker, nullity, pivot_rows, tag):
     rows, completeness: pivot_rows, the input rows behind the r pivots of
     M's RREF, have rank r mod one of three primes, so rank M >= r and
     dim {x : M x = 0} <= nullity = ncols - r. Last, dim ker = nullity."""
-    p, rational = field.p if field.kind == PRIME else 0, field.kind == RATIONAL
-    # raw values over Q and F_p are ints and Fractions, whose own arithmetic is exact and cheaper;
-    # over Q each basis vector is scaled to integers, its leading 1 becoming the scale
-    add, mul, nz = ((field.add, field.mul, field.nonzero) if field.kind == CYCLOTOMIC
-                    else (operator.add, operator.mul, (lambda v: v % p) if p else bool))
-    get = _by_column(map(_integer_row, ker._sparse) if rational else ker._sparse).get
+    raw = RawOps(field)
+    add, mul, nz = raw.add, raw.mul, raw.nonzero
+    scaled = [raw.scale(v) for v in ker._sparse]
+    get = _by_column(v for v, _ in scaled).get
     for i, row in enumerate(rows):
         acc = {}
         for c, x in row:
@@ -479,10 +489,9 @@ def _certify(field, rows, ker, nullity, pivot_rows, tag):
                 acc[k] = add(acc[k], mul(x, b)) if k in acc else mul(x, b)
         if acc and any(map(nz, acc.values())):
             k = min(k for k, v in acc.items() if nz(v))
-            v = Fraction(acc[k], _integer_row(ker._sparse[k])[0][1]) if rational else acc[k] % p if p else acc[k]
             raise InternalCheckFailed(f"kernel {tag!r}: basis vector {k} leaves residual "
-                                      f"{field.format(v)} on input row {i}")
-    ints = [_integer_row(r) for r in _rational_rows(field, pivot_rows) or ()]
+                                      f"{field.format(raw.read(acc[k], scaled[k][1]))} on input row {i}")
+    ints = [_scaled(r)[0] for r in _rational_rows(field, pivot_rows) or ()]
     ranks = (len(_forward([tuple((j, x % q) for j, x in r if x % q) for r in ints], *_prime_ops(q))[0])
              for q in _PRIMES)
     if ints and all(r < len(ints) for r in ranks):  # stops at the first prime of full rank

@@ -157,11 +157,11 @@ def _eigenspace_grading(space: Subspace, op, m: int, tag: str) -> Grading:
         if seen.setdefault(w, i) != i:
             raise InternalCheckFailed(f"grading {tag!r}: omega^{seen[w]} = omega^{i} = {f.format(w)} "
                                       f"for a root of order {m}")
-    piv, rows, one, comps = space.pivots, map_rows(op, k), f.one(), []
+    rows, one, comps = map_rows(op, k), f.one(), []
     for i, w in enumerate(powers):
-        # row r of op - w id; a row on the coordinates is the same row on the pivot columns
-        shifted = (combine_rows(f, ((one, rows.get(r, ())), (f.neg(w), ((r, one),)))) for r in range(k))
-        comps.append(space.cut([tuple((piv[c], x) for c, x in row) for row in shifted], f"{tag}-degree-{i}"))
+        # row r of op - w id, on the space's coordinates
+        shifted = [combine_rows(f, ((one, rows.get(r, ())), (f.neg(w), ((r, one),)))) for r in range(k)]
+        comps.append(space.cut(shifted, f"{tag}-degree-{i}"))
     if sum(c.dim for c in comps) != k:
         raise InternalCheckFailed(f"grading {tag!r}: components of dims {[c.dim for c in comps]} "
                                   f"do not fill the dim-{k} space")

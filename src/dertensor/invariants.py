@@ -2,17 +2,15 @@
 
 Every space here is cut out by explicitly assembled linear conditions on
 endomorphism coordinates (row-major matrix flattening, column convention for
-images) and computed with one kernel call. No algebraic shortcuts: when a
-theorem predicts a dimension, the solver must rediscover it from the raw
-system. Results are cached on the algebra instance; algebras are immutable,
-so the caches are safe.
+images) and computed as certified kernels: D and C with one kernel call, or
+two when the other pairs' rows cut it, and the differential centroid with
+one cut inside C. No algebraic shortcuts: when a theorem predicts a
+dimension, the solver must rediscover it from the raw system. Results are
+cached on the algebra instance; algebras are immutable, so the caches are safe.
 """
 
 from __future__ import annotations
 
-import operator
-from fractions import Fraction
-from math import lcm
 from types import SimpleNamespace
 
 from .algebra import Algebra, tensor_product
@@ -24,9 +22,7 @@ from .errors import (
     NotPerfect,
     NotUnital,
 )
-from .exactla import (Subspace, apply_map, canonical_row, compose_maps, combine_rows, kernel_of_rows, map_rows,
-                      sparse_kron)
-from .scalars import CYCLOTOMIC, PRIME, RATIONAL
+from .exactla import RawOps, Subspace, apply_map, compose_maps, combine_rows, kernel_of_rows, sparse_kron
 
 
 class EndoSpace:
@@ -54,19 +50,21 @@ class EndoSpace:
 # -- row assembly ----------------------------------------------------------
 
 
-def _law_terms(a: Algebra, maps, split: bool, pairs):
-    """Yield (i, j, sides) per basis pair, sides[s][k n + t] being coordinate t
-    of map k's residual m(b_i b_j) - m(b_i) b_j - b_i m(b_j) of the derivation
-    law, or with split of the centroid's m(b_i b_j) - m(b_i) b_j (s = 0) and
-    m(b_i b_j) - b_i m(b_j) (s = 1). maps are sparse flattened endomorphisms;
-    arithmetic is raw over Q and F_p (not reduced mod p). The laws' rows are
-    the residuals of the elementary maps (_pair_rows)."""
-    n, f, nz = a.dim, a.field, a._nz
-    add, sub, mul, zero = ((f.add, f.sub, f.mul, f.zero()) if f.kind == CYCLOTOMIC else
-                           (operator.add, operator.sub, operator.mul, 0))
+def _pair_rows(a: Algebra, maps, split: bool, pairs):
+    """Yield (i, j, row) per basis pair, law and output coordinate t where a
+    map breaks the law, row being the sparse row whose entry k is coordinate
+    t of maps[k]'s residual m(b_i b_j) - m(b_i) b_j - b_i m(b_j) of the
+    derivation law, or with split of the centroid's m(b_i b_j) - m(b_i) b_j
+    and m(b_i b_j) - b_i m(b_j). maps are sparse flattened endomorphisms. On
+    the n^2 elementary maps these are the nonzero rows of the Leibniz system
+    (split: the centroid's). The arithmetic is raw (exactla.RawOps), each
+    map scaled once and each entry read back with its map's scale."""
+    n, nz, raw = a.dim, a._nz, RawOps(a.field)
+    add, sub, mul, zero, nonzero, read = raw.add, raw.sub, raw.mul, raw.zero, raw.nonzero, raw.read
+    scaled = [raw.scale(m) for m in maps]
     by_right = [[nz[r][j] for r in range(n)] for j in range(n)]  # by_right[j][r]: b_r b_j
     col = [[] for _ in range(n)]  # col[c]: (k n, r, x) for each map k with entry x at (r, c)
-    for k, m in enumerate(maps):
+    for k, (m, _) in enumerate(scaled):
         for rc, x in m:
             col[rc % n].append((k * n, rc // n, x))
     for i, j in pairs:
@@ -79,31 +77,12 @@ def _law_terms(a: Algebra, maps, split: bool, pairs):
             for kn, r, x in col[c]:
                 for t, y in prods[r]:
                     acc[kn + t] = sub(acc.get(kn + t, zero), mul(x, y))
-        yield i, j, sides[: 1 + split]
-
-
-def _pair_rows(a: Algebra, maps, split: bool, pairs):
-    """Yield (i, j, row) per basis pair, law and output coordinate t where a
-    map breaks the law, row being the sparse row whose entry k is coordinate
-    t of maps[k]'s residual there (see _law_terms). On the n^2 elementary
-    maps these are the nonzero rows of the Leibniz system (split: the
-    centroid's). Over Q each map is scaled to integers first and each entry
-    divided back."""
-    n, f = a.dim, a.field
-    p = f.p if f.kind == PRIME else 0
-    nonzero = f.nonzero if f.kind == CYCLOTOMIC else (lambda v: v % p) if p else bool
-    scales = [lcm(*(x.denominator for _, x in m)) if f.kind == RATIONAL else 1 for m in maps]
-    maps = [m if s == 1 else [(rc, x.numerator * (s // x.denominator)) for rc, x in m]
-            for m, s in zip(maps, scales)]
-    for i, j, sides in _law_terms(a, maps, split, pairs):
-        for acc in sides:
+        for acc in sides[: 1 + split]:
             if any(map(nonzero, acc.values())):
                 by_t = {}
                 for key, v in acc.items():
                     if nonzero(v):
-                        s = scales[key // n]
-                        by_t.setdefault(key % n, []).append(
-                            (key // n, v % p if p else v if s == 1 else f.from_fraction(Fraction(v, s))))
+                        by_t.setdefault(key % n, []).append((key // n, read(v, scaled[key // n][1])))
                 for t in sorted(by_t):
                     yield i, j, tuple(sorted(by_t[t]))
 
@@ -119,22 +98,6 @@ def leibniz_witness(a: Algebra, m):
         want = combine_rows(f, ((one, a.mult(mi, bj)), (one, a.mult(bi, mj))))
         return (i, j, apply_map(f, m, n, a._nz[i][j]), want)
     return None
-
-
-def _commute_rows(f, m, n: int):
-    """Sparse rows expressing X M = M X for an unknown endomorphism X; m is M, sparse flattened."""
-    by_row = map_rows(m, n)
-    by_col = map_rows([((rc % n) * n + rc // n, w) for rc, w in m], n)  # the rows of M transposed
-    rows = []
-    for t in range(n):
-        for c in range(n):
-            acc = {t * n + k: v for k, v in by_col.get(c, ())}
-            for k, w in by_row.get(t, ()):
-                col = k * n + c
-                acc[col] = f.sub(acc[col], w) if col in acc else f.neg(w)
-            if acc:
-                rows.append(canonical_row(f, acc))
-    return rows
 
 
 # -- the spaces ------------------------------------------------------------
@@ -166,8 +129,8 @@ def _leibniz_kernel(a: Algebra, split: bool, tag: str) -> EndoSpace:
     cached under tag, solved first on the pairs (x, g) and (g, x) for g in
     _generators(a), whose kernel K_gen holds K by its rank certificate
     (exactla.kernel_of_rows). K is K_gen cut by the other pairs' rows on
-    K_gen's basis, each read on its pivot columns; with no nonzero such
-    row, K = K_gen."""
+    K_gen's basis, which are rows on its coordinates (Subspace.cut); with
+    no nonzero such row, K = K_gen."""
     if tag not in a._cache:
         n, one, gens = a.dim, a.field.one(), _generators(a)
         every = [(i, j) for i in range(n) for j in range(n)]
@@ -175,7 +138,7 @@ def _leibniz_kernel(a: Algebra, split: bool, tag: str) -> EndoSpace:
         rest = [pair for pair in every if pair[0] not in gens and pair[1] not in gens]
         units = [((rc, one),) for rc in range(n * n)]
         ker = kernel_of_rows(a.field, [row for _, _, row in _pair_rows(a, units, split, on_gens)], n * n, tag)
-        if cut := [tuple((ker.pivots[k], x) for k, x in row) for _, _, row in _pair_rows(a, ker._sparse, split, rest)]:
+        if cut := [row for _, _, row in _pair_rows(a, ker._sparse, split, rest)]:
             ker = ker.cut(cut, tag)
         a._cache[tag] = EndoSpace(a, ker, tag)
     return a._cache[tag]
@@ -200,10 +163,17 @@ def centroid(a: Algebra) -> EndoSpace:
 
 
 def differential_centroid(a: Algebra) -> EndoSpace:
-    """Centroid elements commuting with every derivation, cut inside C(A)."""
+    """Centroid elements commuting with every derivation: C(A) cut by the
+    entries of g d - d g, for basis maps g of C(A) and d of D(A), each entry
+    a row on C(A)'s coordinates (entry k from basis map k)."""
     if "differential_centroid" not in a._cache:
-        rows = [row for d in derivation_space(a).space._sparse for row in _commute_rows(a.field, d, a.dim)]
-        space = centroid(a).space.cut(rows, "differential-centroid")
+        f, n, cent, rows = a.field, a.dim, centroid(a).space, {}
+        for i, d in enumerate(derivation_space(a).space._sparse):
+            for k, g in enumerate(cent._sparse):
+                gd, dg = compose_maps(f, g, d, n), compose_maps(f, d, g, n)
+                for rc, x in combine_rows(f, ((f.one(), gd), (f.neg(f.one()), dg))):
+                    rows.setdefault((i, rc), []).append((k, x))
+        space = cent.cut(map(tuple, rows.values()), "differential-centroid")
         a._cache["differential_centroid"] = EndoSpace(a, space, "differential-centroid")
     return a._cache["differential_centroid"]
 

@@ -57,21 +57,6 @@ CYCLOTOMIC = "cyclotomic"
 PRIME = "prime"
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def _prime_factors(n: int) -> list[int]:
     out = []
     f = 2
@@ -358,10 +343,7 @@ class FieldDescriptor:
     def _find_prime_root(self) -> int:
         """The least element of order m (m divides p - 1): scanned if dense, else from one."""
         m, p = self.m, self.p
-        qs = _prime_factors(m)
-        totient = m
-        for q in qs:
-            totient -= totient // q
+        qs, totient = _prime_factors(m), euler_phi(m)
 
         def of_order_m(x):
             return pow(x, m, p) == 1 and all(pow(x, m // q, p) != 1 for q in qs)
@@ -415,7 +397,7 @@ def make_field(kind: str, m: int = 1, p: int | None = None) -> FieldDescriptor:
     if m < 1:
         raise ParseError(f"root order must be positive, got {m}")
     if kind == PRIME:
-        if p is None or not _is_prime(p):
+        if p is None or not (p >= 2 and _prime_factors(p) == [p]):
             raise NotPrime(f"{p} is not prime")
         if m % p == 0:
             raise CharDividesM(f"characteristic {p} divides root order {m}")

@@ -115,6 +115,21 @@ def naive_nullspace(rows, ncols, p=None):
     return out
 
 
+def naive_of(rows, p=None):
+    """Rows of production raw values as the oracle's numbers."""
+    num, _ = _ops(p)
+    return [[num(x) for x in row] for row in rows]
+
+
+def naive_combination(coeffs, rows, ncols, p=None):
+    """The sum of coeffs[i] times rows[i], vectors of length ncols."""
+    num, _ = _ops(p)
+    out = [num(0)] * ncols
+    for c, row in zip(coeffs, rows):
+        out = [num(a + c * b) for a, b in zip(out, row)]
+    return out
+
+
 def naive_kron(x, y, p=None):
     """Kronecker product of square matrices: entry x[i1][j1] y[i2][j2] at
     row i1 len(y) + i2 and column j1 len(y) + j2."""

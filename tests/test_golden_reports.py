@@ -102,6 +102,10 @@ COMMANDS = (
         ["verify-thm1", "--budget", "25", "--json", "--algebra", "sl2", "--s", "group-algebra(8)"],
         ["verify-lemma21", "--json", "--algebra", "sl2", "--s", "group-algebra(8)", "--field",
          "prime(31,3)"],
+        # the direct sums of Lemma 3.5 and Theorem 1, and a residual pass over Q(zeta_3)
+        ["verify-lemma35", "--setup", "quotient-laurent(2,3)", "--json"],
+        ["verify-thm1", "--algebra", "sl2", "--s", "group-algebra(3)", "--field", "cyclotomic(3)",
+         "--json"],
     ]
 )
 

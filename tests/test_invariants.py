@@ -22,7 +22,8 @@ from dertensor.invariants import (
 from dertensor.scalars import make_field
 
 from dense_leibniz import dense_leibniz_witness
-from naive_la import Zeta3, column, dense, dense_mult, flatten, matvec, naive_nullspace, naive_rref, sparse, unflatten
+from naive_la import (Zeta3, column, dense, dense_mult, flatten, matvec, naive_combination, naive_nullspace, naive_of,
+                      naive_rref, sparse, unflatten)
 
 QQ = make_field("rational")
 
@@ -102,6 +103,54 @@ def test_sl2_centroid_is_scalars():
 
 def test_sl2_differential_centroid():
     assert differential_centroid(sl2()).dim == 1
+
+
+def naive_commutant(a, p=None):
+    """RREF basis of the g in C(a) with g d = d g for every d in D(a): the
+    naive kernel of the entries of g_k d - d g_k over the basis maps g_k of
+    C(a), lifted. Each d's rows join the echelon form of the ones before."""
+    n = a.dim
+    cents = naive_of(centroid(a).space.rows, p)
+    zero = naive_of([[a.field.zero()]], p)[0][0]
+
+    def entry(x, y, r, c):  # (x y)[r][c], both maps flattened row-major
+        return sum((x[r * n + t] * y[t * n + c] for t in range(n)), zero)
+
+    system = []
+    for d in naive_of(derivation_space(a).space.rows, p):
+        system = naive_rref(system + [[entry(g, d, r, c) - entry(d, g, r, c) for g in cents]
+                                      for r in range(n) for c in range(n)], p)[0]
+    ker = naive_nullspace(system, len(cents), p)
+    return naive_rref([naive_combination(y, cents, n * n, p) for y in ker], p)[0]
+
+
+F5 = make_field("prime", m=4, p=5)
+DC_FIELDS = {None: QQ, 5: F5, Zeta3: make_field("cyclotomic", m=3)}
+
+
+@pytest.mark.parametrize("p", [None, 5, Zeta3], ids=["Q", "F5", "Q(zeta3)"])
+def test_differential_centroid_of_sl2_tensor_dual_numbers_is_the_naive_commutant(p):
+    f = DC_FIELDS[p]
+    a = tensor_product(sl2(f), dual_numbers(f))
+    got = differential_centroid(a).space
+    assert (derivation_space(a).dim, centroid(a).dim, got.dim) == (7, 2, 1)
+    assert naive_of(got.rows, p) == naive_commutant(a, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_differential_centroid_is_the_naive_commutant_on_random_algebras(data):
+    p = data.draw(st.sampled_from([None, 5, Zeta3]))
+    f, n = DC_FIELDS[p], data.draw(st.integers(1, 4))
+    consts = st.sampled_from([0, 0, 0, 1, -1, 2] + ([f.root_of_unity(3)] if p is Zeta3 else []))
+    # the basis vectors b_i with i < cut span an ideal, and so do the others:
+    # A is the direct sum of two, and their projections lie in C(A)
+    cut = data.draw(st.integers(0, n))
+    table = [[[f.from_int(c) if isinstance(c, int) else c
+               for c in ((data.draw(consts) if (i < cut) == (j < cut) == (k < cut) else 0) for k in range(n))]
+              for j in range(n)] for i in range(n)]
+    a = Algebra(f, [f"b{i}" for i in range(n)], table)
+    assert naive_of(differential_centroid(a).space.rows, p) == naive_commutant(a, p)
 
 
 def test_variant_matches_sl2_dimensions():

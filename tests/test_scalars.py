@@ -5,7 +5,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dertensor import scalars
+from dertensor import exactla, scalars
 from dertensor.errors import (
     CharDividesM,
     DivisionByZero,
@@ -96,6 +96,16 @@ def test_rational_roots_of_unity():
     assert QQ.root_of_unity(2) == Fraction(-1)
     with pytest.raises(NoPrimitiveRoot):
         QQ.root_of_unity(3)
+
+
+def test_make_field_accepts_exactly_the_primes():
+    # a prime is the one n >= 2 whose prime factors are [n]
+    for n in list(range(-2, 5000)) + list(exactla._PRIMES):
+        if sympy.isprime(n):
+            assert make_field("prime", m=1, p=n).p == n
+        else:
+            with pytest.raises(NotPrime):
+                make_field("prime", m=1, p=n)
 
 
 def test_make_field_validation():

@@ -15,13 +15,15 @@ pairs, cut by the other pairs' rows only where those fall short, each system
 of a kernel reaches exactla.rref_rows by its module name with its distinct
 rows, once (the benchmark counts systems by wrapping it there), and a command
 builds its own subparser only, and the tensor maps of psi, of the embedded
-D(A) (x) S and C(A) (x) D(S) and the commutation rows of D(A) are built
-sparse, with no dense matrix built, and a derivation stays one sparse row
-from the solver to the report of verify-thm2, bm-eval and verify-thm1,
+D(A) (x) S and C(A) (x) D(S) and the commutators g d - d g that cut the
+differential centroid are built sparse, with no dense matrix built, and a
+derivation stays one sparse row from the solver to the report of
+verify-thm2, bm-eval and verify-thm1,
 where the only matrices are the automorphisms as written, and no element
 of verify-thm2, lemma-identities, phi-eval or bm-eval on the flagship, or
 of phi-eval on the Laurent carrier, passes between a dense vector and a
-sparse row. Checks
+sparse row. The direct sums of verify-thm1 and verify-lemma35 solve no
+intersection. Checks
 that a cheaper one implies stay removed: the tensor automorphism is not
 re-validated, no grading of a finite setup builds its projections
 (Grading.basis_parts), and only verify-lemma21 and psi-check test psi for
@@ -282,6 +284,22 @@ def test_a_split_solves_no_system(monkeypatch, capsys):
     assert _kernels_solved(monkeypatch, lambda: thm1(5)) == _kernels_solved(monkeypatch, lambda: thm1(25)) == block
 
 
+@pytest.mark.parametrize("argv", [["verify-thm1", "--algebra", "sl2", "--s", "group-algebra(3)", "--json"],
+                                  ["verify-lemma35", "--setup", "sl2-twisted-flagship", "--json"]],
+                         ids=["verify-thm1", "verify-lemma35"])
+def test_direct_sums_solve_no_intersection(monkeypatch, capsys, argv):
+    # direct-sum and degree-j-direct read dim(U + V) = dim U + dim V off the
+    # sum that spans-all-derivations and degree-j-matches build anyway
+    def run():
+        assert cli.run(argv) == 0
+        checks = json.loads(capsys.readouterr().out)["assertions"]
+        assert [c["pass"] for c in checks if c["name"].endswith("direct-sum") or c["name"].endswith("-direct")]
+        assert all(c["pass"] for c in checks)
+
+    tags = [tag for _, tag, _ in _kernels_solved(monkeypatch, run)]
+    assert tags and "intersection" not in tags
+
+
 @pytest.mark.parametrize("pair", [["--algebra", "sl2", "--s", "group-algebra(3)"], []],
                          ids=["pair", "sweep"])
 def test_verify_thm1_builds_each_tensor_algebra_once(monkeypatch, capsys, pair):
@@ -531,8 +549,8 @@ def _dense_forms(monkeypatch, least=0):
 
 def test_tensor_maps_take_no_dense_round_trip(monkeypatch):
     # psi's images, the embedded D(A) (x) S and C(A) (x) D(S) and the
-    # commutation rows of D(A) are all built on
-    # sparse flattened basis rows (exactla.sparse_kron), never dense matrices
+    # commutators that cut the differential centroid are all built on sparse
+    # flattened basis rows (exactla.sparse_kron, compose_maps), never dense matrices
     calls = _dense_forms(monkeypatch)
     a, s = sl2(), group_algebra(3)
     assert invariants.psi_map(a, s).bijective
