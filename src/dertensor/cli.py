@@ -120,11 +120,19 @@ def _load_json(path: str) -> dict:
         raise ParseError(f"{path} is not valid JSON: {exc}")
 
 
+def _same_field(field, what: str, declared, source: str):
+    """Refuse an input whose own field is not the one declared for it (None declares none)."""
+    if declared is not None and field != declared:
+        raise ParseError(f"{what} declares {field}, but {source} declares {declared}")
+
+
 def _resolve_algebra(text: str, field) -> Algebra:
     if text is None:
         raise ParseError("an algebra name or file is required")
     if _looks_like_path(text):
-        return Algebra.from_definition(_load_json(text))
+        alg = Algebra.from_definition(_load_json(text))
+        _same_field(alg.field, text, field, "--field")
+        return alg
     return catalog_algebra(text, field)
 
 
@@ -179,11 +187,13 @@ def _setup_from_file(path: str, field_flag, force: bool) -> tuple:
     d = _load_json(path)
     if not isinstance(d, dict):
         raise ParseError(f"{path} must hold a JSON object")
+    declared, source = field_flag, "--field"
     if "field" in d:
-        field = _parse_field_text(d["field"]) if isinstance(d["field"], str) \
+        declared = _parse_field_text(d["field"]) if isinstance(d["field"], str) \
             else field_from_definition(d["field"])
-    else:
-        field = field_flag or make_field("rational")
+        _same_field(declared, f"{path} key 'field'", field_flag, source)
+        source = f"{path} key 'field'"
+    field = declared or make_field("rational")
 
     def part(key):
         if key not in d:
@@ -191,7 +201,9 @@ def _setup_from_file(path: str, field_flag, force: bool) -> tuple:
         v = d[key]
         if isinstance(v, str):
             return catalog_algebra(v, field)
-        return Algebra.from_definition(v)
+        alg = Algebra.from_definition(v)
+        _same_field(alg.field, f"{path} key {key!r}", declared, source)
+        return alg
 
     a, s = part("a"), part("s")
     _guard_product(a.dim, s.dim, force)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import random
 from functools import cached_property
+from itertools import product as iter_product
 
 from .algebra import Algebra, tensor_product, tensor_vector
 from .errors import (
@@ -28,8 +29,7 @@ from .errors import (
     NotPerfect,
     PsiNotIso,
 )
-from .exactla import (Subspace, apply_map, combine_rows, compose_maps, first_difference, invert_map,
-                      map_of_columns, sparse_kron)
+from .exactla import Subspace, apply_map, combine_rows, compose_maps, first_difference, map_of_columns, sparse_kron
 from .gradings import (
     Automorphism,
     Grading,
@@ -128,11 +128,7 @@ class Setup:
         if aut1.period != aut2.period:
             raise HypothesisNotMet(
                 f"declared periods differ: {aut1.period} vs {aut2.period}", "automorphism-periods")
-        self.a = a
-        self.s = s
-        self.aut1 = aut1
-        self.aut2 = aut2
-        self.m = aut1.period
+        self.a, self.s, self.aut1, self.aut2, self.m = a, s, aut1, aut2, aut1.period
         # (i) perfect, (ii) commutative associative unital
         if not a.is_perfect():
             raise NotPerfect("left factor is not perfect")
@@ -157,18 +153,6 @@ class Setup:
     # -- derived invariant spaces (cached on their algebras) and gradings ----
 
     @property
-    def der_a(self):
-        return derivation_space(self.a)
-
-    @property
-    def cent_a(self):
-        return centroid(self.a)
-
-    @property
-    def der_s(self):
-        return derivation_space(self.s)
-
-    @property
     def der_ts(self):
         return derivation_space(self.ts)
 
@@ -178,15 +162,15 @@ class Setup:
 
     @cached_property
     def der_a_grading(self) -> Grading:
-        return induced_endo_grading(self.aut1, self.der_a)
+        return induced_endo_grading(self.aut1, derivation_space(self.a))
 
     @cached_property
     def cent_a_grading(self) -> Grading:
-        return induced_endo_grading(self.aut1, self.cent_a)
+        return induced_endo_grading(self.aut1, centroid(self.a))
 
     @cached_property
     def der_s_grading(self) -> Grading:
-        return induced_endo_grading(self.aut2, self.der_s)
+        return induced_endo_grading(self.aut2, derivation_space(self.s))
 
     @cached_property
     def der_ts_grading(self) -> Grading:
@@ -243,18 +227,6 @@ class Setup:
             return images[x]
 
         return ev
-
-    @cached_property
-    def graded_pair_basis(self) -> list:
-        """Pairs (a_vec, deg_a, b_vec, deg_b, tensor_vec) spanning A tensor S."""
-        return [(avec, ia, bvec, ib, self.tensor_elem(avec, bvec))
-                for avec, ia in self.grading_a.graded_basis()
-                for bvec, ib in self.grading_s.graded_basis()]
-
-    @cached_property
-    def pair_basis_inverse(self) -> tuple:
-        """Inverse of the matrix whose columns are the graded pair vectors, sparse flattened."""
-        return invert_map(self.a.field, map_of_columns([p[4] for p in self.graded_pair_basis]), self.ts.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -384,15 +356,8 @@ def verify_graded_decomposition(setup: Setup) -> VerificationReport:
     rep = VerificationReport("lemma-3.5")
     for name in _SETUP_HYPOTHESES:
         rep.hyp(name)
-    f = setup.a.field
-    m = setup.m
-    s = setup.s
-    gd = setup.der_ts_grading
-    ga_d = setup.der_a_grading
-    ga_c = setup.cent_a_grading
-    gs_d = setup.der_s_grading
-    n2 = setup.ts.dim * setup.ts.dim
-    na = setup.a.dim
+    f, m, s, na, n2 = setup.a.field, setup.m, setup.s, setup.a.dim, setup.ts.dim * setup.ts.dim
+    gd, ga_d, ga_c, gs_d = setup.der_ts_grading, setup.der_a_grading, setup.cent_a_grading, setup.der_s_grading
     total = 0
     for j in range(m):
         part1 = []
@@ -446,7 +411,9 @@ def restrict_pi(big_d, setup: Setup) -> tuple:
 # A carrier holds A tensor S with a unit U of S and the grading period m.
 # It supplies pure(a, t, b) = a tensor U^t b, the scalar-slot action
 # act(x, t, b) = x U^t b, and one linear combination comb([(c, x), ...]).
-# A missing b means 1.
+# A missing b means 1. Both cut what they map into homogeneous pieces
+# (a, ia, b, es) with Grading.split: the Laurent one each term a (x) z^b,
+# the finite one each basis vector e_i tensor e_j (_standard_map).
 
 
 class _Coords:
@@ -469,11 +436,13 @@ class _Coords:
         return combine_rows(self.field, terms)
 
 
-def residue_shift(c, ev, avec, b, es: int, q: int):
-    """U^r d(a tensor U^-r b), r = es q^-1 mod m, for the carrier's unit U of degree q."""
+def residue_shifts(c, ev, pieces, q: int) -> list:
+    """U^r d(a tensor U^-r b), r = es q^-1 mod m, on each homogeneous piece
+    (a, ia, b, es), for the carrier's unit U of degree q."""
     m = c.m
-    r = eps(es * pow(q, -1, m), m) if m > 1 else 0
-    return c.act(ev(c.pure(avec, -r, b)), r)
+    q1 = pow(q, -1, m)  # 0 when m = 1
+    rs = [eps(es * q1, m) for *_, es in pieces]
+    return [c.act(ev(c.pure(avec, -r, b)), r) for (avec, _, b, _), r in zip(pieces, rs)]
 
 
 def _bracket(c, ev, avec, t: int, big_m: int, b=None):
@@ -493,8 +462,7 @@ def phi_formula(c, ev, pieces, mn: int) -> list:
     f = c.field
     mn_inv = f.inv_int(mn)
     out = []
-    for avec, ia, b, es in pieces:
-        img = residue_shift(c, ev, avec, b, es, 1)
+    for (avec, ia, b, es), img in zip(pieces, residue_shifts(c, ev, pieces, 1)):
         if es:
             corr = c.act(_bracket(c, ev, avec, ia, mn), 0, b)
             img = c.comb([(f.one(), img), (f.mul(f.from_int(es), mn_inv), corr)])
@@ -502,17 +470,26 @@ def phi_formula(c, ev, pieces, mn: int) -> list:
     return out
 
 
-def _pair_pieces(setup: Setup) -> list:
-    m = setup.m
-    return [(avec, eps(ia, m), bvec, eps(ia + ib, m))
-            for avec, ia, bvec, ib, _ in setup.graded_pair_basis]
+def _standard_map(setup: Setup, images) -> tuple:
+    """The map on A tensor S whose column (i, j) sums the images of the pieces
+    of e_i tensor e_j; images runs once, on all the pieces in column order."""
+    f, m, one = setup.a.field, setup.m, setup.a.field.one()
+    pieces, ends = [], []
+    for pa, ps in iter_product(*[[g.split(f, ((i, one),)) for i in range(g.ambient)]
+                                 for g in (setup.grading_a, setup.grading_s)]):
+        pieces += [(avec, ia, b, eps(ia + ib, m)) for avec, ia in pa for b, ib in ps]
+        ends.append(len(pieces))
+    imgs = images(pieces)
+    # a column of one piece is its image; scaling it by one would cost a product per entry
+    return map_of_columns([imgs[i] if j - i == 1 else combine_rows(f, ((one, x) for x in imgs[i:j]))
+                           for i, j in zip([0] + ends, ends)])
 
 
 def extend_phi(d, setup: Setup, branch: str = "char0", n: int = 1) -> tuple:
     """The explicit inverse of the restriction map, fully verified.
 
-    Defined on the graded pair basis a_i tensor b and transported to the
-    standard basis, on sparse flattened maps (see Setup.d_eval). The char0
+    Built on the standard basis from the images of homogeneous pieces
+    (_standard_map), on sparse flattened maps (see Setup.d_eval). The char0
     branch implements the corrected extension formula (with its general
     integer parameter n); the charp branch, over prime fields, is the residue
     shift by the degree-p unit u^p, since u^(pr) = (u^p)^r. The result is
@@ -528,12 +505,12 @@ def extend_phi(d, setup: Setup, branch: str = "char0", n: int = 1) -> tuple:
         if f.kind != PRIME or p == 0:
             raise HypothesisNotMet("char-p branch needs a prime field", "prime-char")
         c = _Coords(setup, setup.unit_power(u, u_inv, p), setup.unit_power(u, u_inv, -p))
-        cols = [residue_shift(c, ev, avec, b, es, p) for avec, _, b, es in _pair_pieces(setup)]
+        big = _standard_map(setup, lambda pieces: residue_shifts(c, ev, pieces, p))
     else:
         if n == 0 or (p and (n % p == 0)):
             raise HypothesisNotMet(f"n = {n} is not invertible here", "invertible-n")
-        cols = phi_formula(_Coords(setup, u, u_inv), ev, _pair_pieces(setup), setup.m * n)
-    big = compose_maps(f, map_of_columns(cols), setup.pair_basis_inverse, nts)
+        c = _Coords(setup, u, u_inv)
+        big = _standard_map(setup, lambda pieces: phi_formula(c, ev, pieces, setup.m * n))
     wit = leibniz_witness(setup.ts, big)
     if wit is not None:
         raise InternalCheckFailed(f"extension violates the derivation law on pair {wit[:2]}")
@@ -556,9 +533,7 @@ def bm_formula_extend(d, setup: Setup) -> tuple:
     ev = setup.d_eval(d)
     c = _Coords(setup, setup.unit_data.u, setup.unit_data.u_inv)
     q = setup.unit_data.q
-    cols = [residue_shift(c, ev, avec, b, es, q) for avec, _, b, es in _pair_pieces(setup)]
-    f = setup.a.field
-    return compose_maps(f, map_of_columns(cols), setup.pair_basis_inverse, setup.ts.dim)
+    return _standard_map(setup, lambda pieces: residue_shifts(c, ev, pieces, q))
 
 
 # ---------------------------------------------------------------------------
@@ -581,9 +556,7 @@ def check_surjectivity_identities(d, setup: Setup,
         rep.hyp(name)
     ev = setup.d_eval(d)
     c = _Coords(setup, setup.unit_data.u_prime, setup.unit_data.u_prime_inv)
-    f = setup.a.field
-    m = setup.m
-    ts = setup.ts
+    f, m, ts = setup.a.field, setup.m, setup.ts
 
     def lifts(res):
         e = eps(res, m)
@@ -604,8 +577,7 @@ def check_surjectivity_identities(d, setup: Setup,
     abasis = setup.grading_a.graded_basis()
     ns = range(-2, 3)
 
-    fails = {}
-    counts = {}
+    fails, counts = {}, {}
 
     def run(name, tuples, check):
         bad = None
@@ -658,7 +630,8 @@ def check_surjectivity_identities(d, setup: Setup,
     rep.check("wrap-case-exercised", wrap_seen > 0 or 2 * top < m)
 
     # exchange identities; a (x) b, a (x) 1 and a (x) u^-i are built once, ahead of the tuples
-    pairs = setup.graded_pair_basis
+    pairs = [(a1, ia, b1, ib, setup.tensor_elem(a1, b1))
+             for a1, ia in abasis for b1, ib in setup.grading_s.graded_basis()]
     tuplesI = [
         (a1, ia, b1, ib1, t1, a2, ja, b2, ib2, t2, sft, tft)
         for a1, ia, b1, ib1, t1 in pairs
@@ -713,11 +686,8 @@ def verify_pi_isomorphism(setup: Setup) -> VerificationReport:
     rep = VerificationReport("theorem-2")
     for name in _SETUP_HYPOTHESES:
         rep.hyp(name)
-    f = setup.a.field
-    m = setup.m
-    zero_comp = setup.der_ts_grading.components[0]
+    f, m, zero_comp, k0 = setup.a.field, setup.m, setup.der_ts_grading.components[0], setup.der_fixed.dim
     n0 = zero_comp.dim
-    k0 = setup.der_fixed.dim
     rep.dim("degree-zero-derivations", n0)
     rep.dim("fixed-algebra-derivations", k0)
 

@@ -10,7 +10,9 @@ Residue arithmetic goes through eps(), which picks the representative in
 One routine, _eigenspace_grading, cuts both: the algebra by sigma, an
 endomorphism space by conjugation. Its three checks (see there) imply
 sigma = sum_i omega^i P_i. A tensor automorphism of two validated factors
-is not re-validated.
+is not re-validated. Grading.split, the one place a vector is cut into
+homogeneous parts, reads them off the projections P_i of the basis vectors
+(Grading.basis_parts, built once per grading).
 """
 
 from __future__ import annotations
@@ -111,12 +113,19 @@ class Grading:
         return [(row, i) for i, comp in enumerate(self.components) for row in comp._sparse]
 
     def degree_of(self, vec) -> int | None:
-        """Residue of a nonzero homogeneous sparse row, else None."""
-        if vec:
-            for i, comp in enumerate(self.components):
-                if comp.dim and comp.contains(vec):
-                    return i
-        return None
+        """Residue of a sparse row with exactly one homogeneous part, else None."""
+        parts = self.split(self.components[0].field, vec)
+        return parts[0][1] if len(parts) == 1 else None
+
+    def split(self, field, vec) -> list:
+        """The nonzero homogeneous parts of a sparse row, as (part, residue)
+        pairs in degree order: the one place a vector is cut by degree. Each
+        part is the sum of c_i times the degree part of e_i (basis_parts)."""
+        out = []
+        for d, cols in enumerate(self.basis_parts(field)):
+            if cols and (part := combine_rows(field, ((c, cols[i]) for i, c in vec if i in cols))):
+                out.append((part, d))
+        return out
 
     def basis_parts(self, field) -> list[dict]:
         """Per residue d, i -> the degree-d part of basis vector e_i as a sparse

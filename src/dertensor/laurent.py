@@ -22,7 +22,7 @@ grading once from (aut, u, d), and return a function of the target.
 """
 
 from .algebra import Algebra
-from .decomposition import phi_formula, residue_shift
+from .decomposition import phi_formula, residue_shifts
 from .errors import (
     FieldMismatch,
     HypothesisNotMet,
@@ -198,21 +198,14 @@ def _unit_monomial(u: LoopElement, m: int, style: str):
 
 
 def _homogeneous_pieces(grading_a: Grading, target: LoopElement, m: int, style: str) -> list:
-    """Split every loop term along the left-factor grading.
+    """Split every loop term along the left-factor grading (Grading.split).
 
     Returns (a_vec, ia, exp, es) with a_vec a homogeneous sparse row of
     degree ia and es the total residue of a_vec (x) z^exp.
     """
     f = target.algebra.field
-    parts = [(ia, cols) for ia, cols in enumerate(grading_a.basis_parts(f)) if cols]
-    pieces = []
-    for exp, vec in target.terms():
-        for ia, cols in parts:
-            # the sum of c_i times the degree-ia part of e_i, over the entries c_i of vec
-            part = combine_rows(f, ((c, cols[i]) for i, c in vec if i in cols))
-            if part:
-                pieces.append((part, ia, exp, eps(ia + graded_component(exp, m, style), m)))
-    return pieces
+    return [(part, ia, exp, eps(ia + graded_component(exp, m, style), m))
+            for exp, vec in target.terms() for part, ia in grading_a.split(f, vec)]
 
 
 class _Loop:
@@ -280,8 +273,7 @@ def loop_bm(a: Algebra, aut1, m: int, style: str, u: LoopElement, d):
     shift by the degree-one unit; no derivation property is claimed, and on
     the Laurent carrier the failure is visible exactly.
     """
-    return _loop_map(a, aut1, m, style, u, lambda c, pieces: (
-        residue_shift(c, d, avec, exp, es, 1) for avec, _, exp, es in pieces))
+    return _loop_map(a, aut1, m, style, u, lambda c, pieces: residue_shifts(c, d, pieces, 1))
 
 
 # ---------------------------------------------------------------------------

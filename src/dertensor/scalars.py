@@ -314,16 +314,17 @@ class FieldDescriptor:
     # -- roots of unity ----------------------------------------------------
 
     def root_of_unity(self, order: int):
-        """A primitive root of unity of the given order, as a raw value."""
-        if order == 1:
-            return self.one()
-        if self.kind == RATIONAL:
-            if order == 2:
-                return -1
-            raise NoPrimitiveRoot(f"rationals contain no primitive root of order {order}")
-        if self.m % order != 0:
-            raise NoPrimitiveRoot(f"field has roots of order dividing {self.m}, not {order}")
-        return self.pow(self.omega(), self.m // order)
+        """A primitive root of unity of the given order, as a raw value:
+        omega^(m/d) for d dividing m; for odd m outside characteristic 2,
+        -omega has order 2m, so (-omega)^(2m/d) for d dividing 2m."""
+        m = self.m
+        if m % order == 0:
+            return self.pow(self.omega(), m // order)
+        top = 2 * m if m % 2 and self.char != 2 else m
+        if top % order == 0:
+            return self.pow(self.neg(self.omega()), top // order)
+        orders = ", ".join(str(d) for d in range(1, top + 1) if top % d == 0)
+        raise NoPrimitiveRoot(f"{self} has roots of unity of orders {orders}, not {order}")
 
     def omega(self):
         """The distinguished primitive m-th root of unity."""

@@ -516,6 +516,19 @@ def test_setup_file_missing_part(tmp_path, capsys):
     assert "'s'" in err
 
 
+@pytest.mark.parametrize("field", ["cyclotomic(3)", "cyclotomic(5)", "prime(7)"])
+def test_flagship_runs_over_fields_declared_without_an_order_two_root(capsys, field):
+    # sigma has period 2, and -1 has order 2 in each of these fields, as in Q
+    argv = ["verify-thm2", "--setup", "sl2-twisted-flagship", "--json"]
+    code, out, _ = run_cap(capsys, argv + ["--field", field])
+    assert code == 0
+    rep, over_q = json.loads(out), json.loads(run_cap(capsys, argv)[1])
+    assert rep["verdict"] == "pass"
+    assert rep["dimensions"] == over_q["dimensions"] == {
+        "degree-zero-derivations": 6, "fixed-algebra-derivations": 6,
+        "restriction-rank": 6, "graded-formula-total": 6}
+
+
 @pytest.mark.parametrize("argv", [
     ["derive", "--algebra", "sl2", "--json"],
     ["centroid", "--algebra", "group-algebra(3)", "--json"],
@@ -726,6 +739,36 @@ GOOD_SETUP = {
     "q": 1,
 }
 GOOD_ALGEBRA = catalog_algebra("dual-numbers").to_definition()
+
+
+@pytest.mark.parametrize("spec,argv,named", [
+    (sl2().to_definition(), ["derive", "--algebra", "@", "--field", "prime(5)"],
+     ["Field(rational)", "--field", "Field(prime, p=5, m=1)"]),
+    (GOOD_SETUP, ["verify-thm2", "--setup", "@", "--field", "prime(5)"],
+     ["key 'field'", "Field(rational)", "Field(prime, p=5, m=1)"]),
+    # both factors inline over Q: the file would otherwise run over Q and pass
+    (dict(GOOD_SETUP, field="prime(5,2)", a=sl2().to_definition(), s=group_algebra(2).to_definition()),
+     ["verify-thm2", "--setup", "@"], ["key 'a'", "Field(rational)", "Field(prime, p=5, m=2)"]),
+], ids=["algebra-file-vs-flag", "setup-field-vs-flag", "inline-factor-vs-setup-field"])
+def test_a_field_declared_twice_must_agree(tmp_path, capsys, spec, argv, named):
+    p = tmp_path / "input.json"
+    p.write_text(json.dumps(spec))
+    code, out, err = run_cap(capsys, [str(p) if x == "@" else x for x in argv])
+    assert (code, out) == (2, "")
+    assert all(text in err for text in [str(p)] + named), err
+
+
+def test_inputs_over_the_declared_field_run_as_without_it(tmp_path, capsys):
+    f = cli._parse_field_text("prime(5,2)")
+    alg, setup = tmp_path / "sl2.json", tmp_path / "setup.json"
+    alg.write_text(json.dumps(sl2(f).to_definition()))
+    setup.write_text(json.dumps(dict(GOOD_SETUP, field="prime(5,2)", a=sl2(f).to_definition(),
+                                     s=group_algebra(2, f).to_definition())))
+    for argv in (["derive", "--algebra", str(alg), "--json"],
+                 ["verify-thm2", "--setup", str(setup), "--json"]):
+        want = run_cap(capsys, argv)
+        assert want[0] == 0
+        assert run_cap(capsys, argv + ["--field", "prime(5,2)"]) == want
 
 
 NON_STRINGS = st.one_of(

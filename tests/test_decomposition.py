@@ -42,11 +42,11 @@ from dertensor.errors import (
 from dertensor import cli, decomposition
 from dertensor.exactla import (Matrix, Subspace, apply_map, combine_rows, compose_maps, diagonal_map,
                                sparse_kron)
-from dertensor.gradings import check_automorphism, grading_from_automorphism
+from dertensor.gradings import check_automorphism, eps, grading_from_automorphism
 from dertensor.invariants import derivation_space, leibniz_witness
 from dertensor.scalars import make_field
 
-from naive_la import dense, matmul, naive_rank, sparse, unflatten
+from naive_la import Zeta3, dense, matmul, naive_of, naive_rank, naive_rref, sparse, unflatten
 
 
 @pytest.fixture(scope="module")
@@ -520,6 +520,71 @@ def test_quotient_laurent_charp_agrees_with_char0():
             assert extend_phi(d, st, branch="char0", n=n) == ref
     with pytest.raises(HypothesisNotMet):
         extend_phi(st.der_fixed.space._sparse[0], st, branch="char0", n=5)
+
+
+def sl2_swap_setup(f):
+    """sl2 (+) sl2 on the bases of its two copies, sigma1 swapping them, against
+    k[Z4] with z -> -z. sigma1 is no diagonal in its basis: each basis vector
+    x1 of the first copy is (x1 + x2)/2 + (x1 - x2)/2, with two homogeneous parts."""
+    b, one = sl2(f), f.one()
+    n = b.dim
+    names = [f"{x}{c + 1}" for c in range(2) for x in b.names]
+    products = [[tuple((k + c1 * n, x) for k, x in b._nz[i1][i2]) if c1 == c2 else ()
+                 for c2 in range(2) for i2 in range(n)] for c1 in range(2) for i1 in range(n)]
+    a = Algebra.from_products(f, names, products)
+    # entry (row, column) = (the other copy's x, x) at row * 2n + column
+    swap = tuple(sorted((((1 - c) * n + i) * 2 * n + c * n + i, one) for c in range(2) for i in range(n)))
+    s = group_algebra(4, f)
+    z_neg = check_automorphism(s, diagonal_map(f, [1, -1, 1, -1]), 2)
+    return Setup(a, s, check_automorphism(a, swap, 2), z_neg)
+
+
+def graded_pair_map(st, images, p):
+    """A map given by its images on the graded pairs a (x) b (degrees ia, ib),
+    transported to the standard basis by the inverse of the pair matrix P: the
+    construction extend_phi and bm_formula_extend used before Grading.split,
+    rebuilt with the naive oracle. Row-reducing the rows [P^T | M^T] leaves
+    (M P^-1)^T, whose row c is column c of the map. Returns the columns."""
+    f, m, n = st.a.field, st.m, st.ts.dim
+    pairs = [(avec, ia, bvec, ib) for avec, ia in st.grading_a.graded_basis()
+             for bvec, ib in st.grading_s.graded_basis()]
+    imgs = images([(avec, ia, bvec, eps(ia + ib, m)) for avec, ia, bvec, ib in pairs])
+    rows = [dense(f, n, st.tensor_elem(avec, bvec)) + dense(f, n, img)
+            for (avec, _, bvec, _), img in zip(pairs, imgs)]
+    red, pivots = naive_rref(rows, p)
+    assert pivots == list(range(n))  # the pairs form a basis
+    return [row[n:] for row in red]
+
+
+def columns_of(f, flat, n, p):
+    cols = [[f.zero()] * n for _ in range(n)]
+    for rc, x in flat:
+        cols[rc % n][rc // n] = x
+    return naive_of(cols, p)
+
+
+@pytest.mark.parametrize("fname,p", [("rational", None), ("prime(5,4)", 5), ("cyclotomic(3)", Zeta3)],
+                         ids=["Q", "F5", "Qz3"])
+def test_phi_and_bm_on_the_standard_basis_match_the_graded_pair_construction(fname, p):
+    # the non-diagonal sigma1 reaches the columns that sum several pieces
+    f = cli._parse_field_text(fname)
+    st = sl2_swap_setup(f)
+    one, n, ud, p_char = f.one(), st.ts.dim, st.unit_data, f.char
+    assert max(len(st.grading_a.split(f, ((i, one),))) for i in range(st.a.dim)) == 2
+    u1 = decomposition._Coords(st, ud.u_prime, ud.u_prime_inv)  # the degree-one unit u'
+    uq = decomposition._Coords(st, ud.u, ud.u_inv)  # the degree-q unit u
+    for d in st.der_fixed.space._sparse:
+        ev = st.d_eval(d)
+        cases = [(extend_phi(d, st, n=k), lambda ps, k=k: decomposition.phi_formula(u1, ev, ps, st.m * k))
+                 for k in (1, 2)]
+        cases.append((bm_formula_extend(d, st), lambda ps: decomposition.residue_shifts(uq, ev, ps, ud.q)))
+        if p_char:
+            up = decomposition._Coords(st, st.unit_power(ud.u_prime, ud.u_prime_inv, p_char),
+                                       st.unit_power(ud.u_prime, ud.u_prime_inv, -p_char))
+            cases.append((extend_phi(d, st, branch="charp"),
+                          lambda ps: decomposition.residue_shifts(up, ev, ps, p_char)))
+        for big, images in cases:
+            assert columns_of(f, big, n, p) == graded_pair_map(st, images, p)
 
 
 def test_quotient_laurent_pi_isomorphism_cyclotomic():

@@ -106,6 +106,13 @@ COMMANDS = (
         ["verify-lemma35", "--setup", "quotient-laurent(2,3)", "--json"],
         ["verify-thm1", "--algebra", "sl2", "--s", "group-algebra(3)", "--field", "cyclotomic(3)",
          "--json"],
+        # phi and BM over Q(zeta_3) with three left degrees, and the char-p branch
+        ["phi-eval", "--setup", "quotient-laurent(2,3)", "--json"],
+        ["bm-eval", "--setup", "quotient-laurent(2,3)", "--json"],
+        ["phi-eval", "--setup", "sl2-twisted-flagship", "--field", "prime(5,4)", "--json"],
+        # an order-2 root of unity in a field declared with odd m: -omega
+        ["verify-thm2", "--setup", "sl2-twisted-flagship", "--field", "cyclotomic(3)", "--json"],
+        ["verify-lemma35", "--setup", "sl2-twisted-flagship", "--field", "cyclotomic(3)", "--json"],
     ]
 )
 

@@ -94,8 +94,29 @@ def test_omega_squared_is_minus_one_in_z4():
 def test_rational_roots_of_unity():
     assert QQ.root_of_unity(1) == Fraction(1)
     assert QQ.root_of_unity(2) == Fraction(-1)
-    with pytest.raises(NoPrimitiveRoot):
+    with pytest.raises(NoPrimitiveRoot, match="orders 1, 2, not 3"):
         QQ.root_of_unity(3)
+
+
+@pytest.mark.parametrize("f,orders", [
+    (QQ, {1, 2}),
+    (make_field("cyclotomic", m=3), {1, 2, 3, 6}),
+    (Z4, {1, 2, 4}),
+    (make_field("prime", m=1, p=7), {1, 2}),
+    (make_field("prime", m=3, p=7), {1, 2, 3, 6}),
+    (make_field("prime", m=1, p=2), {1}),
+], ids=["Q", "Q(zeta3)", "Q(zeta4)", "F7", "F7-m3", "F2"])
+def test_every_available_root_of_unity_has_its_exact_order(f, orders):
+    # the divisors of m, and of 2m when m is odd outside characteristic 2,
+    # where -1 is a root of order 2 whether or not the field was declared with it
+    for d in range(1, 13):
+        if d not in orders:
+            with pytest.raises(NoPrimitiveRoot):
+                f.root_of_unity(d)
+            continue
+        w, one = f.root_of_unity(d), f.one()
+        assert f.pow(w, d) == one
+        assert all(f.pow(w, k) != one for k in range(1, d)), d
 
 
 def test_make_field_accepts_exactly_the_primes():

@@ -25,11 +25,13 @@ of phi-eval on the Laurent carrier, passes between a dense vector and a
 sparse row. The direct sums of verify-thm1 and verify-lemma35 solve no
 intersection. Checks
 that a cheaper one implies stay removed: the tensor automorphism is not
-re-validated, no grading of a finite setup builds its projections
-(Grading.basis_parts), and only verify-lemma21 and psi-check test psi for
-multiplicativity. A --u unit builds its Setup once. No builder of an
-algebra (the catalog, tensor products, subalgebras, definitions read from
-JSON) goes through the dense table adapter Algebra(field, names, table).
+re-validated, only the two factor gradings of a finite setup build their
+projections (Grading.basis_parts), the tensor grading none, and only
+verify-lemma21 and psi-check test psi for multiplicativity. phi and BM on a
+finite setup invert no map larger than a factor. A --u unit builds its
+Setup once. No builder of an algebra (the catalog, tensor products,
+subalgebras, definitions read from JSON) goes through the dense table
+adapter Algebra(field, names, table).
 """
 
 import argparse
@@ -134,6 +136,26 @@ def test_verify_thm2_runs_phi_and_pi_once_per_basis_element(monkeypatch, capsys)
     capsys.readouterr()
     # dim D(fixed) = 6 extensions, and 6 degree-zero basis derivations restricted
     assert sorted(calls) == ["extend_phi"] * 6 + ["restrict_pi"] * 6
+
+
+@pytest.mark.parametrize("setup", ["sl2-twisted-flagship", "quotient-laurent(2,3)"])
+@pytest.mark.parametrize("command", ["verify-thm2", "phi-eval", "bm-eval"])
+def test_no_inverted_map_is_larger_than_a_factor(monkeypatch, capsys, command, setup):
+    # phi and BM are built on the standard basis from each factor's homogeneous
+    # parts, so nothing inverts a basis of A (x) S: the inverses are sigma1,
+    # sigma2 and the projections of the two factor gradings
+    sizes, invert = [], exactla.invert_map
+
+    def counted(field, m, n):
+        sizes.append(n)
+        return invert(field, m, n)
+
+    for mod in (exactla, gradings, decomposition):
+        if hasattr(mod, "invert_map"):
+            monkeypatch.setattr(mod, "invert_map", counted)
+    assert cli.run([command, "--setup", setup, "--json"]) == 0
+    capsys.readouterr()
+    assert sizes and max(sizes) <= max(catalog_setup(setup, dims=True))
 
 
 def _is_system(a, maps, split):
@@ -426,20 +448,22 @@ def test_d_eval_memo_never_caches_a_refusal_or_a_mutation(monkeypatch):
 
 
 def test_loop_pieces_visit_only_occupied_degrees(monkeypatch, capsys):
+    # the loop carrier cuts its targets with Grading.split, which combines
+    # one row per occupied degree of each term
     combines = []
-    combine = laurent.combine_rows
+    combine = gradings.combine_rows
 
     def counted(*args):
-        if sys._getframe(1).f_code.co_name == "_homogeneous_pieces":
+        if sys._getframe(1).f_code.co_name == "split":
             combines.append(args)
         return combine(*args)
 
-    monkeypatch.setattr(laurent, "combine_rows", counted)
+    monkeypatch.setattr(gradings, "combine_rows", counted)
     assert cli.run(["phi-eval", "--setup", "last-exa-ii", "--m", "32", "--json"]) == 0
     capsys.readouterr()
     # 5 values of n times 4m + 1 monomial targets, each a single term of
     # degree zero on k<1>: 645 phi calls, not 32 degree parts each
-    assert len(combines) <= 5 * (4 * 32 + 1) == 645
+    assert 0 < len(combines) <= 5 * (4 * 32 + 1) == 645
 
 
 def test_a_command_builds_only_its_own_subparser(monkeypatch, capsys):
@@ -481,10 +505,11 @@ def _self_check_counts(monkeypatch, capsys, argv):
 
 
 @pytest.mark.parametrize("argv,want", [
-    # the two factor automorphisms only: sigma1 (x) sigma2 is not re-validated,
-    # and no finite grading rebuilds sigma from its projections
+    # the two factor automorphisms only: sigma1 (x) sigma2 is not re-validated;
+    # phi cuts the basis vectors of each factor with Grading.split, so each
+    # factor grading builds its projections once, and the tensor grading none
     (["verify-thm2", "--setup", "sl2-twisted-flagship", "--json"],
-     {"check_automorphism": 2, "psi_multiplicative": 0, "basis_parts": 0}),
+     {"check_automorphism": 2, "psi_multiplicative": 0, "basis_parts": 2}),
     # no report of the sweep reads psi's multiplicativity
     (["verify-thm1", "--budget", "25", "--json"],
      {"check_automorphism": 0, "psi_multiplicative": 0, "basis_parts": 0}),
