@@ -409,11 +409,12 @@ def restrict_pi(big_d, setup: Setup) -> tuple:
 # the extension formulas, written once for both carriers
 #
 # A carrier holds A tensor S with a unit U of S and the grading period m.
-# It supplies pure(a, t, b) = a tensor U^t b, the scalar-slot action
-# act(x, t, b) = x U^t b, and one linear combination comb([(c, x), ...]).
-# A missing b means 1. Both cut what they map into homogeneous pieces
-# (a, ia, b, es) with Grading.split: the Laurent one each term a (x) z^b,
-# the finite one each basis vector e_i tensor e_j (_standard_map).
+# It supplies pure(a, t, b) = a tensor U^t b and the scalar-slot action
+# act(x, t, b) = x U^t b on sparse rows, which the formulas combine with
+# combine_rows. A missing b means 1. Both cut what they map into
+# homogeneous pieces (a, ia, b, es) with Grading.split: the Laurent one
+# each term a (x) z^b, the finite one each basis vector e_i tensor e_j
+# (_standard_map).
 
 
 class _Coords:
@@ -432,9 +433,6 @@ class _Coords:
         y = self.setup.act(x, self.power(t))
         return y if b is None else self.setup.act(y, b)
 
-    def comb(self, terms) -> tuple:
-        return combine_rows(self.field, terms)
-
 
 def residue_shifts(c, ev, pieces, q: int) -> list:
     """U^r d(a tensor U^-r b), r = es q^-1 mod m, on each homogeneous piece
@@ -448,8 +446,8 @@ def residue_shifts(c, ev, pieces, q: int) -> list:
 def _bracket(c, ev, avec, t: int, big_m: int, b=None):
     """The averaging bracket u^t (u^-M d(a tensor u^(M-t) b) - d(a tensor u^-t b))."""
     f = c.field
-    return c.act(c.comb([(f.one(), c.act(ev(c.pure(avec, big_m - t, b)), -big_m)),
-                         (f.neg(f.one()), ev(c.pure(avec, -t, b)))]), t)
+    return c.act(combine_rows(f, [(f.one(), c.act(ev(c.pure(avec, big_m - t, b)), -big_m)),
+                                  (f.neg(f.one()), ev(c.pure(avec, -t, b)))]), t)
 
 
 def phi_formula(c, ev, pieces, mn: int) -> list:
@@ -465,7 +463,7 @@ def phi_formula(c, ev, pieces, mn: int) -> list:
     for (avec, ia, b, es), img in zip(pieces, residue_shifts(c, ev, pieces, 1)):
         if es:
             corr = c.act(_bracket(c, ev, avec, ia, mn), 0, b)
-            img = c.comb([(f.one(), img), (f.mul(f.from_int(es), mn_inv), corr)])
+            img = combine_rows(f, [(f.one(), img), (f.mul(f.from_int(es), mn_inv), corr)])
         out.append(img)
     return out
 
@@ -485,7 +483,7 @@ def _standard_map(setup: Setup, images) -> tuple:
                            for i, j in zip([0] + ends, ends)])
 
 
-def extend_phi(d, setup: Setup, branch: str = "char0", n: int = 1) -> tuple:
+def extend_phi(d, setup: Setup, branch: str = "char0", n: int = 1, verified=None) -> tuple:
     """The explicit inverse of the restriction map, fully verified.
 
     Built on the standard basis from the images of homogeneous pieces
@@ -494,7 +492,8 @@ def extend_phi(d, setup: Setup, branch: str = "char0", n: int = 1) -> tuple:
     integer parameter n); the charp branch, over prime fields, is the residue
     shift by the degree-p unit u^p, since u^(pr) = (u^p)^r. The result is
     checked to be a derivation, to commute with sigma (degree zero), and to
-    restrict back to the input.
+    restrict back to the input, unless it equals verified, an image of the
+    same d that passed these checks already.
     """
     if branch not in ("char0", "charp"):
         raise ValueError(f"unknown branch {branch!r}")
@@ -511,6 +510,8 @@ def extend_phi(d, setup: Setup, branch: str = "char0", n: int = 1) -> tuple:
             raise HypothesisNotMet(f"n = {n} is not invertible here", "invertible-n")
         c = _Coords(setup, u, u_inv)
         big = _standard_map(setup, lambda pieces: phi_formula(c, ev, pieces, setup.m * n))
+    if big == verified:
+        return big
     wit = leibniz_witness(setup.ts, big)
     if wit is not None:
         raise InternalCheckFailed(f"extension violates the derivation law on pair {wit[:2]}")

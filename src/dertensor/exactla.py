@@ -8,7 +8,9 @@ disagree. A Subspace is stored as the RREF of any spanning set, so subspace
 equality is literal basis equality.
 
 A vector of field^n is one sparse row: a tuple of (index, raw value) pairs,
-sorted by index, with every value nonzero. A linear map of field^n is one
+sorted by index, with every value nonzero. The row arithmetic
+(combine_rows, canonical_row) takes any sortable keys: a loop element (see
+laurent) is a row keyed by (exponent, index) pairs. A linear map of field^n is one
 sparse row too, flattened row-major: entry (r, c) sits at column r n + c.
 Subspace.reduce is the one membership test. A Matrix, lists of lists of raw
 field values (see scalars), is no input of the engine: automorphisms are
@@ -115,7 +117,8 @@ def compose_maps(field, x, y, n: int) -> tuple:
 
 
 def combine_rows(field, terms) -> tuple:
-    """The sparse row sum of c * row over the pairs (c, row) of sparse rows."""
+    """The sparse row sum of c * row over the pairs (c, row) of sparse rows,
+    whose keys may be any sortable ones."""
     add, mul = field.add, field.mul
     acc = {}
     for c, row in terms:

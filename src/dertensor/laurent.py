@@ -4,22 +4,27 @@ The finite verifiers work inside k[z]/(z^T - 1), where every extension
 formula can be compared as a matrix. The examples that separate the two
 extension formulas need k[z^{+-1}] itself: no power of z collapses, so a
 failed Leibniz identity cannot hide behind a quotient relation. This
-module represents loop elements a (x) z^n as finite sparse maps and
-evaluates both extension formulas term by term (the formulas are written
-once, in decomposition, against a carrier that this module supplies for
-loop elements). A Laurent polynomial, such as the graded unit, is a loop
-element of the one-dimensional algebra k<1>.
+module represents a loop element, a finite sum of terms a (x) z^n, as one
+sparse row of exactla keyed by (exponent, basis index) pairs, so it shares
+the one row arithmetic, combine_rows, and evaluates both extension formulas
+term by term (the formulas are written once, in decomposition, against a
+carrier that this module supplies on those rows). A Laurent polynomial,
+such as the graded unit, is a loop element of the one-dimensional algebra
+k<1>.
 
 Nothing here ever materialises a basis of an infinite-dimensional operator
 space. A fixed-point derivation, a derivation of the degree-zero loop
 subalgebra, is a callable from loop elements to loop elements, the same
-contract the finite carrier uses. coefficient_derivation builds the one of
-scalar type, identity (x) p(z) d/dz, and checks that it fixes degree zero;
-any other derivation, such as bracketing with an element of the left
-factor, is passed as a plain function. Its extensions are callables too:
+contract the finite carrier uses, wrapped once per extension to act on
+rows. coefficient_derivation builds the one of scalar type, identity (x)
+p(z) d/dz, and checks that it fixes degree zero; any other derivation,
+such as bracketing with an element of the left factor, is passed as a
+plain function. Its extensions are callables too:
 loop_phi and loop_bm check the hypotheses, build the carrier and fetch the
 grading once from (aut, u, d), and return a function of the target.
 """
+
+from itertools import groupby
 
 from .algebra import Algebra
 from .decomposition import phi_formula, residue_shifts
@@ -52,21 +57,18 @@ def graded_component(n: int, m: int, style: str) -> int:
 class LoopElement:
     """Finite sum of terms a (x) z^n over a fixed finite-dimensional algebra.
 
-    Stored as a map from exponents to coefficients, each a sparse row (see
-    exactla) in the canonical basis of the left factor; empty rows are
-    dropped, so representation is canonical and equality is support
-    equality. The constructor takes canonical rows; term accepts zeros.
+    One sparse row (see exactla) keyed by (exponent, basis index) pairs, so
+    sums, scalings and products are row arithmetic (combine_rows) and the
+    representation is canonical: equality is row equality. terms() groups
+    the row by exponent into coefficient rows of the left factor. The
+    constructor takes a canonical row; term accepts zeros.
     """
 
-    __slots__ = ("algebra", "support")
+    __slots__ = ("algebra", "row")
 
-    def __init__(self, algebra: Algebra, support: dict):
+    def __init__(self, algebra: Algebra, row: tuple):
         self.algebra = algebra
-        self.support = {e: v for e, v in support.items() if v}
-
-    @classmethod
-    def zero(cls, algebra: Algebra) -> "LoopElement":
-        return cls(algebra, {})
+        self.row = row
 
     @classmethod
     def term(cls, algebra: Algebra, a_vec, exp: int) -> "LoopElement":
@@ -74,78 +76,59 @@ class LoopElement:
         if any(not 0 <= i < algebra.dim for i, _ in a_vec):
             raise FieldMismatch("coefficient vector does not match the carrier")
         nz = algebra.field.nonzero
-        return cls(algebra, {exp: tuple(sorted((i, c) for i, c in a_vec if nz(c)))})
+        return cls(algebra, tuple(sorted(((exp, i), c) for i, c in a_vec if nz(c))))
 
     def _check(self, other: "LoopElement"):
         if self.algebra is not other.algebra:
             raise FieldMismatch("loop elements over different carriers")
 
-    def terms(self):
-        return sorted(self.support.items())
+    def terms(self) -> list:
+        """(exponent, coefficient row) pairs, by increasing exponent."""
+        return [(e, tuple((i, c) for (_, i), c in group))
+                for e, group in groupby(self.row, key=lambda entry: entry[0][0])]
 
     def is_zero(self) -> bool:
-        return not self.support
+        return not self.row
 
     def add(self, other: "LoopElement") -> "LoopElement":
         self._check(other)
         f = self.algebra.field
-        one = f.one()
-        out = dict(self.support)
-        for e, v in other.support.items():
-            out[e] = combine_rows(f, ((one, out[e]), (one, v))) if e in out else v
-        return LoopElement(self.algebra, out)
-
-    def neg(self) -> "LoopElement":
-        neg = self.algebra.field.neg
-        return LoopElement(self.algebra, {e: tuple((i, neg(c)) for i, c in v) for e, v in self.support.items()})
+        return LoopElement(self.algebra, combine_rows(f, ((f.one(), self.row), (f.one(), other.row))))
 
     def sub(self, other: "LoopElement") -> "LoopElement":
-        return self.add(other.neg())
-
-    def shift(self, k: int, coeff=None) -> "LoopElement":
-        """Multiply by the scalar monomial coeff * z^k."""
+        self._check(other)
         f = self.algebra.field
-        if coeff is not None and not f.nonzero(coeff):
-            return LoopElement.zero(self.algebra)
-        mul = f.mul
-        return LoopElement(self.algebra, {
-            e + k: v if coeff is None else tuple((i, mul(coeff, x)) for i, x in v)
-            for e, v in self.support.items()})
+        return LoopElement(self.algebra, combine_rows(f, ((f.one(), self.row), (f.neg(f.one()), other.row))))
 
     def mul(self, other: "LoopElement") -> "LoopElement":
         self._check(other)
         a = self.algebra
         one = a.field.one()
-        terms: dict = {}  # exponent -> the products landing there
-        for e1, v1 in self.support.items():
-            for e2, v2 in other.support.items():
-                terms.setdefault(e1 + e2, []).append((one, a.mult(v1, v2)))
-        return LoopElement(a, {e: combine_rows(a.field, t) for e, t in terms.items()})
+        return LoopElement(a, combine_rows(a.field, (
+            (one, [((e1 + e2, i), c) for i, c in a.mult(v1, v2)])
+            for e1, v1 in self.terms() for e2, v2 in other.terms())))
 
     def s_derivative(self, p: "LoopElement") -> "LoopElement":
         """Apply identity (x) p(z) d/dz, the Laurent polynomial p a loop element of k<1>."""
-        if self.algebra.field != p.algebra.field:
-            raise FieldMismatch("derivation coefficient over a different field")
         f = self.algebra.field
-        out = LoopElement.zero(self.algebra)
-        for e, v in self.support.items():
-            n = f.from_int(e)
-            for pe, ((_, pc),) in p.support.items():
-                out = out.add(LoopElement.term(self.algebra, [(i, f.mul(f.mul(n, pc), c)) for i, c in v], e - 1 + pe))
-        return out
+        if f != p.algebra.field:
+            raise FieldMismatch("derivation coefficient over a different field")
+        d = [((e - 1, i), f.mul(f.from_int(e), c)) for (e, i), c in self.row]  # d/dz, zeros allowed
+        return LoopElement(self.algebra, combine_rows(f, (
+            (pc, [((e + pe, i), c) for (e, i), c in d]) for (pe, _), pc in p.row)))
 
     def __eq__(self, other):
         return (
             isinstance(other, LoopElement)
             and self.algebra is other.algebra
-            and self.support == other.support
+            and self.row == other.row
         )
 
     def __hash__(self):
-        return hash(tuple(self.terms()))
+        return hash(self.row)
 
     def __repr__(self):
-        if not self.support:
+        if not self.row:
             return "0"
         f = self.algebra.field
         names = self.algebra.names
@@ -165,7 +148,7 @@ def _scalar_support(p: LoopElement, what: str) -> dict:
     """Exponent -> coefficient of a Laurent polynomial: a loop element of k<1>."""
     if p.algebra.dim != 1:
         raise FieldMismatch(f"{what} lies over a dim-{p.algebra.dim} algebra, not k<1>")
-    return {e: c for e, ((_, c),) in p.support.items()}
+    return {e: c for (e, _), c in p.row}
 
 
 def coefficient_derivation(p: LoopElement, m: int):
@@ -209,35 +192,31 @@ def _homogeneous_pieces(grading_a: Grading, target: LoopElement, m: int, style: 
 
 
 class _Loop:
-    """The Laurent carrier of the shared formulas: loop elements.
+    """The Laurent carrier of the shared formulas: the rows of loop elements.
 
-    The unit is U = uc z^ue, and a scalar-slot factor b is the power z^b.
-    Each coefficient uc^t is computed once, as Setup.unit_power caches U^t.
+    The unit is U = uc z^ue, and a scalar-slot factor b is the power z^b, so
+    acting re-keys a row by exponent and scales it. Each coefficient uc^t is
+    computed once, as Setup.unit_power caches U^t.
     """
 
-    def __init__(self, a: Algebra, m: int, upair):
-        self.a, self.m, self.field = a, m, a.field
+    def __init__(self, m: int, field, upair):
+        self.m, self.field = m, field
         self.ue, self.uc = upair
         self._upow = {}
 
-    def pure(self, avec, t: int, b=None) -> LoopElement:
-        return self.act(LoopElement(self.a, {0: avec}), t, b)
+    def pure(self, avec, t: int, b=None) -> tuple:
+        return self.act([((0, i), c) for i, c in avec], t, b)
 
-    def act(self, x: LoopElement, t: int, b=None) -> LoopElement:
+    def act(self, x, t: int, b=None) -> tuple:
         if t not in self._upow:
             self._upow[t] = self.field.pow(self.uc, t)
-        return x.shift(t * self.ue + (b or 0), self._upow[t])
-
-    def comb(self, terms) -> LoopElement:
-        out = {}  # exponent -> the scaled coefficient rows landing there
-        for c, x in terms:
-            for e, v in x.support.items():
-                out.setdefault(e, []).append((c, v))
-        return LoopElement(self.a, {e: combine_rows(self.field, t) for e, t in out.items()})
+        k, c, mul = t * self.ue + (b or 0), self._upow[t], self.field.mul
+        return tuple(((e + k, i), mul(c, v)) for (e, i), v in x)
 
 
-def _loop_map(a: Algebra, aut1, m: int, style: str, u: LoopElement, images):
-    """Check the hypotheses once; the map on targets, images(c, pieces) on carrier c."""
+def _loop_map(a: Algebra, aut1, m: int, style: str, u: LoopElement, d, images):
+    """Check the hypotheses once; the map on targets, images(c, ev, pieces) on
+    carrier c, with ev the fixed-point derivation d on rows."""
     if aut1.algebra is not a:
         raise HypothesisNotMet("left-factor automorphism acts on a different algebra",
                                "automorphism-carrier")
@@ -246,14 +225,18 @@ def _loop_map(a: Algebra, aut1, m: int, style: str, u: LoopElement, images):
             f"declared periods differ: {aut1.period} vs {m}", "automorphism-periods")
     if a.field != u.algebra.field:
         raise FieldMismatch("unit monomial over a different field")
-    c = _Loop(a, m, _unit_monomial(u, m, style))
-    grading, one = grading_from_automorphism(aut1), a.field.one()
+    f = a.field
+    c = _Loop(m, f, _unit_monomial(u, m, style))
+    grading, one = grading_from_automorphism(aut1), f.one()
+
+    def ev(row):
+        return d(LoopElement(a, row)).row
 
     def apply(target: LoopElement) -> LoopElement:
         if target.algebra is not a:
             raise FieldMismatch("target lives over a different carrier")
         pieces = _homogeneous_pieces(grading, target, m, style)
-        return c.comb((one, x) for x in images(c, pieces))
+        return LoopElement(a, combine_rows(f, ((one, x) for x in images(c, ev, pieces))))
 
     return apply
 
@@ -263,7 +246,7 @@ def loop_phi(a: Algebra, aut1, m: int, style: str, u: LoopElement, d):
 
     d is a fixed-point derivation: a callable on degree-zero loop elements.
     """
-    return _loop_map(a, aut1, m, style, u, lambda c, pieces: phi_formula(c, d, pieces, m))
+    return _loop_map(a, aut1, m, style, u, d, lambda c, ev, pieces: phi_formula(c, ev, pieces, m))
 
 
 def loop_bm(a: Algebra, aut1, m: int, style: str, u: LoopElement, d):
@@ -273,7 +256,7 @@ def loop_bm(a: Algebra, aut1, m: int, style: str, u: LoopElement, d):
     shift by the degree-one unit; no derivation property is claimed, and on
     the Laurent carrier the failure is visible exactly.
     """
-    return _loop_map(a, aut1, m, style, u, lambda c, pieces: residue_shifts(c, d, pieces, 1))
+    return _loop_map(a, aut1, m, style, u, d, lambda c, ev, pieces: residue_shifts(c, ev, pieces, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +297,7 @@ def _split_top_level(text: str):
 def parse_laurent(text: str, line: Algebra) -> LoopElement:
     """Parse a sum of c*z^n terms (bare scalars and powers allowed) over k<1>, the line."""
     field = line.field
-    out = LoopElement.zero(line)
+    monomials = []  # (coefficient, the row of z^exp)
     if not text.strip():
         raise ParseError("empty laurent literal")
     for sign, chunk in _split_top_level(text):
@@ -347,5 +330,5 @@ def parse_laurent(text: str, line: Algebra) -> LoopElement:
             exp = 0
         if sign < 0:
             coeff = field.neg(coeff)
-        out = out.add(LoopElement.term(line, [(0, coeff)], exp))
-    return out
+        monomials.append((coeff, (((exp, 0), field.one()),)))
+    return LoopElement(line, combine_rows(field, monomials))

@@ -32,7 +32,7 @@ class LoopQuotient:
         f = self.a.field
         t = self.period
         out = [f.zero()] * (self.a.dim * t)
-        for e, v in x.support.items():
+        for e, v in x.terms():
             j = e % t
             for r, c in v:
                 idx = r * t + j

@@ -739,6 +739,7 @@ GOOD_SETUP = {
     "q": 1,
 }
 GOOD_ALGEBRA = catalog_algebra("dual-numbers").to_definition()
+NO_FIELD_SETUP = {k: v for k, v in GOOD_SETUP.items() if k != "field"}
 
 
 @pytest.mark.parametrize("spec,argv,named", [
@@ -749,7 +750,11 @@ GOOD_ALGEBRA = catalog_algebra("dual-numbers").to_definition()
     # both factors inline over Q: the file would otherwise run over Q and pass
     (dict(GOOD_SETUP, field="prime(5,2)", a=sl2().to_definition(), s=group_algebra(2).to_definition()),
      ["verify-thm2", "--setup", "@"], ["key 'a'", "Field(rational)", "Field(prime, p=5, m=2)"]),
-], ids=["algebra-file-vs-flag", "setup-field-vs-flag", "inline-factor-vs-setup-field"])
+    # with no field declared, two inline factors over different fields
+    (dict(NO_FIELD_SETUP, a=sl2(cli._parse_field_text("prime(5,2)")).to_definition(),
+          s=group_algebra(2).to_definition()),
+     ["verify-thm2", "--setup", "@"], ["key 'a'", "key 's'", "Field(rational)", "Field(prime, p=5, m=2)"]),
+], ids=["algebra-file-vs-flag", "setup-field-vs-flag", "inline-factor-vs-setup-field", "inline-factors-disagree"])
 def test_a_field_declared_twice_must_agree(tmp_path, capsys, spec, argv, named):
     p = tmp_path / "input.json"
     p.write_text(json.dumps(spec))
@@ -769,6 +774,18 @@ def test_inputs_over_the_declared_field_run_as_without_it(tmp_path, capsys):
         want = run_cap(capsys, argv)
         assert want[0] == 0
         assert run_cap(capsys, argv + ["--field", "prime(5,2)"]) == want
+
+
+def test_an_inline_factor_declares_the_field_of_a_catalog_factor(tmp_path, capsys):
+    # the catalog factor and the automorphism literals are read over F_5, where 4 = -1
+    f = cli._parse_field_text("prime(5,2)")
+    doc = dict(NO_FIELD_SETUP, a=sl2(f).to_definition(), aut2={"diagonal": ["1", "4"], "period": 2})
+    bare, declared = tmp_path / "bare.json", tmp_path / "declared.json"
+    bare.write_text(json.dumps(doc))
+    declared.write_text(json.dumps(dict(doc, field="prime(5,2)")))
+    want = run_cap(capsys, ["verify-thm2", "--setup", str(declared), "--json"])
+    assert want[0] == 0
+    assert run_cap(capsys, ["verify-thm2", "--setup", str(bare), "--json"]) == want
 
 
 NON_STRINGS = st.one_of(

@@ -11,6 +11,8 @@ degree-zero part pointwise.
 """
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dertensor.catalog import group_algebra, sl2, sl2_sign_automorphism, sl2_twisted_flagship
 from dertensor.decomposition import Setup, bm_formula_extend, extend_phi, phi_formula
@@ -26,6 +28,7 @@ from dertensor.laurent import (
     FORWARD,
     INVERSE,
     LoopElement,
+    _Loop,
     _loop_map,
     coefficient_derivation,
     graded_component,
@@ -35,7 +38,7 @@ from dertensor.laurent import (
 )
 from dertensor.scalars import make_field
 from loop_quotient import LoopQuotient
-from naive_la import sparse
+from naive_la import dense_mult, sparse
 
 Q = make_field("rational")
 # k<1>: its loop elements are the Laurent polynomials
@@ -56,8 +59,8 @@ def identity_twist(a, m):
     return check_automorphism(a, diagonal_map(a.field, [1] * a.dim), m)
 
 
-def unit_line(a, exp):
-    return LoopElement.term(a, [(0, Q.one())], exp)
+def unit_line(a, exp, coeff=None):
+    return LoopElement.term(a, [(0, Q.one() if coeff is None else coeff)], exp)
 
 
 def basis_term(a, i, exp):
@@ -80,7 +83,7 @@ def test_inverse_monomial_is_ordinary_element(scalar_line):
 
 def test_cancellation_empties_the_support():
     x = zmon(1).sub(zmon(1))
-    assert x.support == {}
+    assert x.row == ()
 
 
 def test_field_mismatch_rejected():
@@ -92,8 +95,8 @@ def test_field_mismatch_rejected():
 def test_derivative_and_shift(scalar_line):
     # d/dz on z^-2 and the constant term
     x = unit_line(scalar_line, -2).add(unit_line(scalar_line, 0))
-    assert x.s_derivative(zmon(0)) == unit_line(scalar_line, -3).shift(0, Q.from_int(-2))
-    assert x.shift(2) == unit_line(scalar_line, 0).add(unit_line(scalar_line, 2))
+    assert x.s_derivative(zmon(0)) == zmon(-3, Q.from_int(-2))
+    assert x.mul(zmon(2)) == unit_line(scalar_line, 0).add(unit_line(scalar_line, 2))
 
 
 def test_coefficient_derivation_action(scalar_line):
@@ -101,8 +104,7 @@ def test_coefficient_derivation_action(scalar_line):
     d = coefficient_derivation(zmon(3).add(zmon(1)), 2)
     two = Q.from_int(2)
     got = d(unit_line(scalar_line, 2))
-    assert got == unit_line(scalar_line, 4).shift(0, two).add(
-        unit_line(scalar_line, 2).shift(0, two))
+    assert got == unit_line(scalar_line, 4, two).add(unit_line(scalar_line, 2, two))
     assert d(unit_line(scalar_line, 0)).is_zero()
 
 
@@ -114,6 +116,87 @@ def test_graded_component_styles():
     assert graded_component(-3, 4, INVERSE) == graded_component(1, 4, INVERSE) == 3
     with pytest.raises(ParseError):
         graded_component(1, 4, "sideways")
+
+
+# -- the row arithmetic against a dict-of-exponents reference ---------------
+#
+# The reference keeps a loop element as exponent -> dense coefficient list
+# and multiplies through the dense table (naive_la.dense_mult).
+
+F5 = make_field("prime", m=4, p=5)
+ALGEBRAS = [sl2(Q), sl2(F5), LINE, group_algebra(1, F5)]
+ENTRIES = st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 2), st.integers(-3, 3)), max_size=5)
+
+
+def ref_of(a, entries):
+    """The sum of c b_i z^e over the (e, i, c) entries, i taken mod dim a."""
+    f, out = a.field, {}
+    for e, i, c in entries:
+        v = out.setdefault(e, [f.zero()] * a.dim)
+        v[i % a.dim] = f.add(v[i % a.dim], f.from_int(c))
+    return out
+
+
+def ref_terms(f, ref):
+    """What terms() must give: (exponent, sparse row) for each nonzero coefficient."""
+    return [(e, sparse(f, v)) for e, v in sorted(ref.items()) if sparse(f, v)]
+
+
+def loop_of(a, ref):
+    return LoopElement(a, tuple(((e, i), c) for e, v in ref_terms(a.field, ref) for i, c in v))
+
+
+def ref_plus(f, x, y, c):
+    """x + c y."""
+    out = {e: list(v) for e, v in x.items()}
+    for e, v in y.items():
+        w = out.get(e, [f.zero()] * len(v))
+        out[e] = [f.add(p, f.mul(c, q)) for p, q in zip(w, v)]
+    return out
+
+
+def ref_mul(a, x, y):
+    out = {}
+    for e1, v1 in x.items():
+        for e2, v2 in y.items():
+            out = ref_plus(a.field, out, {e1 + e2: dense_mult(a, v1, v2)}, a.field.one())
+    return out
+
+
+def ref_s_derivative(f, x, p):
+    """p(z) d/dz on x, for p an exponent -> coefficient-list map of k<1>."""
+    out = {}
+    for e, v in x.items():
+        for pe, (pc,) in p.items():
+            out = ref_plus(f, out, {e - 1 + pe: v}, f.mul(f.from_int(e), pc))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(ALGEBRAS), ENTRIES, ENTRIES, st.booleans(), ENTRIES,
+       st.integers(-2, 2), st.integers(-2, 2), st.integers(-3, 3), st.integers(1, 4))
+@example(ALGEBRAS[1], [(-2, 0, 1), (1, 2, 3)], [], True, [(1, 0, 1)], 1, 1, 0, 2)
+@example(ALGEBRAS[0], [(-1, 1, 2), (-1, 0, 1), (2, 2, -3)], [(-1, 1, 1)], True, [(0, 0, 1), (-2, 0, 3)],
+         -1, -1, 2, 3)
+def test_row_arithmetic_matches_the_exponent_reference(a, xs, ys, cancel, ps, t, ue, b, uc):
+    f = a.field
+    one = f.one()
+    # with cancel, y holds -x among its terms, so x + y cancels x's terms
+    ys = ys + [(e, i, -c) for e, i, c in xs] if cancel else ys
+    rx, ry = ref_of(a, xs), ref_of(a, ys)
+    x, y = loop_of(a, rx), loop_of(a, ry)
+    assert x.terms() == ref_terms(f, rx)
+    assert x.add(y).terms() == ref_terms(f, ref_plus(f, rx, ry, one))
+    assert x.sub(y).terms() == ref_terms(f, ref_plus(f, rx, ry, f.neg(one)))
+    assert x.sub(x).is_zero() and x.sub(x).terms() == []
+    assert x.mul(y).terms() == ref_terms(f, ref_mul(a, rx, ry))
+    line = group_algebra(1, f)
+    rp = ref_of(line, ps)
+    assert x.s_derivative(loop_of(line, rp)).terms() == ref_terms(f, ref_s_derivative(f, rx, rp))
+    # scaling: the Laurent carrier multiplies by U^t z^b, U = uc z^ue
+    c, k = f.pow(f.from_int(uc), t), t * ue + b
+    scaled = {e + k: [f.mul(c, q) for q in v] for e, v in rx.items()}
+    assert LoopElement(a, _Loop(4, f, (ue, f.from_int(uc))).act(x.row, t, b)).terms() == ref_terms(f, scaled)
 
 
 # -- loop elements ----------------------------------------------------------
@@ -155,7 +238,7 @@ def frozen_bm(bm_scene, exp):
 
 def test_published_formula_value_on_z5(bm_scene):
     a = bm_scene[0]
-    assert frozen_bm(bm_scene, 5) == unit_line(a, 5).shift(0, Q.from_int(4))
+    assert frozen_bm(bm_scene, 5) == unit_line(a, 5, Q.from_int(4))
 
 
 def test_published_formula_kills_z3_and_z2(bm_scene):
@@ -169,7 +252,7 @@ def test_published_formula_breaks_product_rule(bm_scene):
     whole = frozen_bm(bm_scene, 5)
     split = frozen_bm(bm_scene, 2).mul(x3).add(x2.mul(frozen_bm(bm_scene, 3)))
     assert split.is_zero()
-    assert whole.sub(split) == unit_line(a, 5).shift(0, Q.from_int(4))
+    assert whole.sub(split) == unit_line(a, 5, Q.from_int(4))
 
 
 def test_published_formula_failure_survives_prime_field():
@@ -198,25 +281,25 @@ def frozen_phi(bm_scene, exp):
 def stretched_phi(bm_scene, exp, navg):
     """The inverse map with the correction bracket sampled at u^(4 navg)."""
     a, aut, d = bm_scene
-    phi = _loop_map(a, aut, 4, FORWARD, zmon(1), lambda c, pieces: phi_formula(c, d, pieces, 4 * navg))
+    phi = _loop_map(a, aut, 4, FORWARD, zmon(1), d, lambda c, ev, pieces: phi_formula(c, ev, pieces, 4 * navg))
     return phi(unit_line(a, exp))
 
 
 def test_inverse_map_value_on_z2(bm_scene):
     a = bm_scene[0]
-    assert frozen_phi(bm_scene, 2) == unit_line(a, 2).shift(0, Q.from_int(2))
+    assert frozen_phi(bm_scene, 2) == unit_line(a, 2, Q.from_int(2))
 
 
 def test_inverse_map_value_on_z5(bm_scene):
     a = bm_scene[0]
-    assert frozen_phi(bm_scene, 5) == unit_line(a, 5).shift(0, Q.from_int(5))
+    assert frozen_phi(bm_scene, 5) == unit_line(a, 5, Q.from_int(5))
 
 
 def test_inverse_map_value_on_z3(bm_scene):
     # forced by the product rule from the two frozen values: the image of
     # z^2 z^3 must equal z^2 * 3 z^3 + 2 z^2 * z^3
     a = bm_scene[0]
-    assert frozen_phi(bm_scene, 3) == unit_line(a, 3).shift(0, Q.from_int(3))
+    assert frozen_phi(bm_scene, 3) == unit_line(a, 3, Q.from_int(3))
 
 
 def test_inverse_map_satisfies_product_rule(bm_scene):
@@ -230,7 +313,7 @@ def test_inverse_map_satisfies_product_rule(bm_scene):
 def test_inverse_map_restricts_to_input_on_degree_zero(bm_scene):
     a = bm_scene[0]
     for exp in (-4, 0, 4, 8):
-        want = unit_line(a, exp).shift(0, Q.from_int(exp))
+        want = unit_line(a, exp, Q.from_int(exp))
         assert frozen_phi(bm_scene, exp) == want
 
 
@@ -254,11 +337,11 @@ def scaled_monomial_image(a, j, m, n):
 def t_derivation(a, m, n):
     """d = t^{n+1} d/dt on the degree-zero part, t = z^m."""
     def d(x):
-        out = LoopElement.zero(a)
+        out = LoopElement(a, ())
         for exp, vec in x.terms():
             assert exp % m == 0
             k = exp // m
-            out = out.add(LoopElement.term(a, list(vec), m * (n + k)).shift(0, Q.from_int(k)))
+            out = out.add(LoopElement.term(a, [(i, Q.mul(Q.from_int(k), c)) for i, c in vec], m * (n + k)))
         return out
     return d
 
@@ -382,7 +465,7 @@ def ad_h_on_flagship():
     h = sparse(f, a.basis_vector(1))
 
     def ad_h(x):
-        return LoopElement(a, {e: a.mult(h, v) for e, v in x.support.items()})
+        return LoopElement(a, tuple(((e, i), c) for e, v in x.terms() for i, c in a.mult(h, v)))
 
     # finite side: the same bracketing in fixed-point coordinates
     h1 = setup.tensor_elem(h, setup.s.unit())
@@ -429,8 +512,8 @@ def test_parse_laurent_successive_signs_multiply():
 def test_parse_laurent_bracketed_cyclotomic_coefficients():
     fc = make_field("cyclotomic", m=4)
     p = parse_laurent("[0,1]*z^3 + [1,-1]", group_algebra(1, fc))
-    assert p.support[3] == ((0, fc.parse("[0,1]")),)
-    assert p.support[0] == ((0, fc.parse("[1,-1]")),)
+    assert dict(p.terms())[3] == ((0, fc.parse("[0,1]")),)
+    assert dict(p.terms())[0] == ((0, fc.parse("[1,-1]")),)
 
 
 def test_parse_laurent_rejects_garbage():

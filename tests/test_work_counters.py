@@ -4,7 +4,9 @@ These tests count calls; they time nothing. Each pins one saving: a
 grading is built once per automorphism and the Laurent carrier reads
 that one, the inverse-map formula runs once per Laurent target and
 splits each target only along occupied degrees, a Laurent extension
-builds its carrier once, verify-thm2 runs phi and pi once per basis
+builds its carrier once and computes on rows, building loop elements only
+for its targets, its results and the calls of d, phi-eval on a finite
+setup checks only the extensions that differ from a checked one, verify-thm2 runs phi and pi once per basis
 element and phi-eval never solves D(A (x) S), the identity checker
 evaluates d and each averaging bracket once per distinct argument and
 builds each tensor vector ahead of its samples, the split of a tensor
@@ -86,7 +88,7 @@ def test_loop_phi_reads_the_grading_of_its_automorphism(monkeypatch):
     h = sparse(q, a.basis_vector(1))
 
     def ad_h(x):
-        return laurent.LoopElement(a, {e: a.mult(h, v) for e, v in x.support.items()})
+        return laurent.LoopElement(a, tuple(((e, i), c) for e, v in x.terms() for i, c in a.mult(h, v)))
 
     u = laurent.LoopElement.term(group_algebra(1, q), [(0, q.one())], 1)
     x = laurent.LoopElement.term(a, sparse(q, a.basis_vector(0)), 1)
@@ -122,6 +124,46 @@ def test_last_exa_ii_builds_one_carrier_per_extension(monkeypatch, capsys):
     capsys.readouterr()
     # one per value of n, not one per each of its 4m + 1 targets
     assert len(carriers) == 5
+
+
+def test_the_loop_carrier_computes_on_rows(monkeypatch, capsys):
+    # a loop element is built only for the unit, each target, its wanted
+    # value and its image, and on each side of a call of d
+    built, d_calls = [], []
+    init, t_derivation = laurent.LoopElement.__init__, cli._t_derivation
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    def counted_derivation(*args):
+        d = t_derivation(*args)
+        return lambda x: d_calls.append(x) or d(x)
+
+    monkeypatch.setattr(laurent.LoopElement, "__init__", counted)
+    monkeypatch.setattr(cli, "_t_derivation", counted_derivation)
+    assert cli.run(["phi-eval", "--setup", "last-exa-ii(4,1)", "--json"]) == 0
+    capsys.readouterr()
+    # 17 monomials z^j, |j| <= 8; d runs once on the 5 of degree zero and
+    # three times (once more for each side of the bracket) on the other 12
+    assert len(d_calls) == 5 + 3 * 12
+    assert len(built) == 1 + 3 * 17 + 2 * len(d_calls) == 134
+
+
+def test_phi_eval_checks_each_distinct_extension_once(monkeypatch, capsys):
+    calls = []
+    witness = decomposition.leibniz_witness
+
+    def counted(*args):
+        calls.append(args)
+        return witness(*args)
+
+    monkeypatch.setattr(decomposition, "leibniz_witness", counted)
+    assert cli.run(["phi-eval", "--setup", "sl2-twisted-flagship", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    # the stretched images at n = 2, 3 equal the verified n = 1 image, so
+    # only the 6 basis maps of D(fixed) are checked, not 3 times 6
+    assert len(calls) == report["dimensions"]["fixed-algebra-derivations"] == 6
 
 
 def test_verify_thm2_runs_phi_and_pi_once_per_basis_element(monkeypatch, capsys):
