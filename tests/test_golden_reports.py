@@ -113,6 +113,14 @@ COMMANDS = (
         # an order-2 root of unity in a field declared with odd m: -omega
         ["verify-thm2", "--setup", "sl2-twisted-flagship", "--field", "cyclotomic(3)", "--json"],
         ["verify-lemma35", "--setup", "sl2-twisted-flagship", "--field", "cyclotomic(3)", "--json"],
+        # every claim report the library builds, including the no-pair sweeps
+        ["psi-check", "--algebra", "sl2", "--s", "group-algebra(3)", "--json"],
+        ["verify-thm1", "--budget", "25", "--json"],
+        ["verify-lemma21", "--json"],
+        ["verify-lemma21"],
+        ["phi-eval", "--setup", "exaBM-laurent", "--json"],
+        ["bm-eval", "--setup", "exaBM-laurent", "--json"],
+        ["phi-eval", "--setup", "last-exa-ii(1,0)", "--json"],
     ]
 )
 
