@@ -151,11 +151,11 @@ _SETUP_ENTRIES = {
                          "untwisted sl2 over k[z]/(z^{Nm} - 1) with z -> omega z, takes (N, m)"),
 }
 
-# evaluation scenes on the genuine Laurent carrier; built by the CLI layer
+# scenes on the genuine Laurent carrier, verified in laurent: (parameters, about)
 _SCENE_ENTRIES = {
-    "exaBM-laurent": (0, "published extension formula on k<1> (x) k[z^(+-1)], period 4"),
-    "last-exa-i": (0, "inverse-map values on k<1> (x) k[z^(+-1)], period 4, unit z"),
-    "last-exa-ii": (2, "twisted normal form, inverse style, unit z^-1; takes (m, n)"),
+    "exaBM-laurent": ((), "published extension formula on k<1> (x) k[z^(+-1)], period 4"),
+    "last-exa-i": ((), "inverse-map values on k<1> (x) k[z^(+-1)], period 4, unit z"),
+    "last-exa-ii": (("m", "n"), "twisted normal form, inverse style, unit z^-1; takes (m, n)"),
 }
 
 
@@ -196,15 +196,23 @@ def catalog_setup(text: str, field: FieldDescriptor | None = None, dims: bool = 
     return dim(*args) if dims else fn(*args, field)
 
 
+def catalog_scene(text: str):
+    """The base name and integer arguments of the named scene, or None when the
+    text names no scene. A scene that takes arguments may be named bare, for its sweep."""
+    if _base_name(text) not in _SCENE_ENTRIES:
+        return None
+    base, args = parse_catalog_name(text)
+    params, _ = _SCENE_ENTRIES[base]
+    if args and len(args) != len(params):
+        raise ParseError(f"{base} takes ({', '.join(params)})" if params else f"{base} takes no arguments")
+    return base, args
+
+
 def _base_name(text: str):
     try:
         return parse_catalog_name(text)[0]
     except ParseError:
         return None
-
-
-def is_scene_name(text: str) -> bool:
-    return _base_name(text) in _SCENE_ENTRIES
 
 
 def is_catalog_name(text: str) -> bool:
@@ -220,6 +228,6 @@ def catalog_entries() -> list:
         out.append({"name": name, "kind": "algebra", "args": arity, "about": desc})
     for name, (arity, _, _, desc) in _SETUP_ENTRIES.items():
         out.append({"name": name, "kind": "setup", "args": arity, "about": desc})
-    for name, (arity, desc) in _SCENE_ENTRIES.items():
-        out.append({"name": name, "kind": "scene", "args": arity, "about": desc})
+    for name, (params, desc) in _SCENE_ENTRIES.items():
+        out.append({"name": name, "kind": "scene", "args": len(params), "about": desc})
     return out

@@ -1,4 +1,4 @@
-"""Command-line surface: solvers, claim verifiers and the example catalog.
+"""Command-line surface: argument parsing, input resolution and dispatch.
 
 Every command prints either a human-readable report or, with --json, a
 machine report with the fixed shape {claim, hypotheses, dimensions,
@@ -6,7 +6,7 @@ assertions, verdict}. Exit codes: 0 for a passing verdict (or a completed
 solver run), 1 for a failing verdict, 2 for unusable input, 3 for a
 violated hypothesis, 4 for an internal invariant failure or any other
 unexpected exception. All output is deterministic: identical inputs give
-byte-identical reports.
+byte-identical reports. Every claim report is built by the library.
 """
 
 import argparse
@@ -20,60 +20,48 @@ from .algebra import Algebra, field_from_definition, json_int
 from .catalog import (
     catalog_algebra,
     catalog_entries,
+    catalog_scene,
     catalog_setup,
-    group_algebra,
     is_catalog_name,
-    is_scene_name,
     parse_catalog_name,
 )
 from .decomposition import (
-    _SETUP_HYPOTHESES,
+    SPLIT_SAMPLES,
     Setup,
     VerificationReport,
-    bm_formula_extend,
     check_surjectivity_identities,
-    extend_phi,
     verify_block_decomposition,
+    verify_block_decomposition_sweep,
+    verify_bm_formula,
     verify_graded_decomposition,
+    verify_phi_extension,
     verify_pi_isomorphism,
     verify_psi_lemma,
+    verify_psi_lemma_sweep,
+    verify_psi_map,
 )
 from .errors import (
     EngineError,
     HypothesisNotMet,
     InternalCheckFailed,
-    NotPerfect,
     ParseError,
 )
 from .exactla import canonical_row, combine_rows
 from .gradings import check_automorphism, grading_from_automorphism, grading_is_multiplicative
-from .invariants import (centroid, derivation_space, differential_centroid, leibniz_witness, psi_map,
-                         psi_multiplicative)
+from .invariants import centroid, derivation_space, differential_centroid
 from .laurent import (
     FORWARD,
     INVERSE,
-    LoopElement,
-    coefficient_derivation,
-    loop_bm,
-    loop_phi,
-    parse_laurent,
+    SCENE_PERIODS,
+    SCENE_SHIFTS,
+    verify_bm_counterexample,
+    verify_inverse_map_reproduction,
+    verify_inverse_map_values,
+    verify_twisted_normal_form,
 )
 from .scalars import make_field
 
 SIZE_GUARD = 90
-FORCE_HINT = "rerun with --force to proceed"
-
-# the pairs swept by the no-argument block-decomposition commands
-DEFAULT_PAIRS = [
-    ("sl2", "dual-numbers"),
-    ("sl2", "group-algebra(2)"),
-    ("sl2", "group-algebra(3)"),
-    ("sl2", "group-algebra(4)"),
-    ("sl2-graded-variant", "dual-numbers"),
-    ("sl2-graded-variant", "group-algebra(2)"),
-    ("sl2-graded-variant", "group-algebra(3)"),
-    ("sl2-graded-variant", "group-algebra(4)"),
-]
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +139,7 @@ def _parse_element(text: str, algebra: Algebra) -> tuple:
     return tuple((i, x) for i, x in enumerate(map(f.parse, parts)) if f.nonzero(x))
 
 
-def _guard_product(dim_a: int, dim_s: int, force: bool, hint: str = FORCE_HINT):
+def _guard_product(dim_a: int, dim_s: int, force: bool, hint: str = "rerun with --force to proceed"):
     if dim_a * dim_s > SIZE_GUARD and not force:
         raise ParseError(
             f"tensor dimension {dim_a * dim_s} exceeds the size guard of {SIZE_GUARD}; {hint}")
@@ -211,21 +199,16 @@ def _setup_from_file(path: str, field_flag, force: bool) -> tuple:
     return a, s, aut1, aut2, q, _parse_element(d["u"], s) if "u" in d else None
 
 
-def _guard_catalog_setup(text: str, force: bool, hint: str = FORCE_HINT):
-    """Refuse a catalog setup whose declared tensor dimension exceeds the guard."""
-    _guard_product(*catalog_setup(text, dims=True), force, hint)
-
-
 def _resolve_setup(text: str, args) -> Setup:
     """The Setup a name or file gives, built once; --u replaces its graded unit."""
     if text is None:
         raise ParseError("a setup name or file is required")
-    force = args.force
     field = _field_of(args)
     if _looks_like_path(text):
-        a, s, aut1, aut2, q, u = _setup_from_file(text, field, force)
+        a, s, aut1, aut2, q, u = _setup_from_file(text, field, args.force)
     else:
-        _guard_catalog_setup(text, force)
+        # the dimensions the entry declares, refused before anything is built
+        _guard_product(*catalog_setup(text, dims=True), args.force)
         a, s, aut1, aut2 = catalog_setup(text, field)
         q, u = 1, None
     if args.u:
@@ -256,15 +239,6 @@ def _matrix_lines(f, flat, n: int) -> list:
     return ["  [" + "  ".join(f.format(at.get(r * n + c, z)) for c in range(n)) + "]" for r in range(n)]
 
 
-def _merge(rep: VerificationReport, sub: VerificationReport, prefix: str):
-    for name, ok in sub.hypotheses:
-        rep.hyp(f"{prefix}: {name}", ok)
-    for name, value in sub.dimensions.items():
-        rep.dim(f"{prefix}: {name}", value)
-    for entry in sub.assertions:
-        rep.check(f"{prefix}: {entry['name']}", entry["pass"], entry.get("witness"))
-
-
 # ---------------------------------------------------------------------------
 # solvers
 
@@ -291,16 +265,7 @@ def _pair(args, f):
 
 
 def cmd_psi_check(args) -> int:
-    a, s = _pair(args, _field_of(args))
-    rep = VerificationReport("psi-map")
-    psi = psi_map(a, s)
-    rep.dim("domain", psi.domain_dim)
-    rep.dim("target", psi.target_dim)
-    rep.check("injective", psi.injective)
-    rep.check("image-in-centroid", psi.image_in_centroid)
-    rep.check("surjective", psi.surjective)
-    rep.check("multiplicative", psi_multiplicative(a, s))
-    return _emit(rep, args)
+    return _emit(verify_psi_map(*_pair(args, _field_of(args))), args)
 
 
 def cmd_grade(args) -> int:
@@ -345,45 +310,24 @@ def _pair_or_sweep(args, f):
 
 def cmd_verify_thm1(args) -> int:
     f = _field_of(args)
-    budget = {"samples": args.budget} if args.budget else {}
+    samples = args.budget or SPLIT_SAMPLES
     pair = _pair_or_sweep(args, f)
-    if pair:
-        return _emit(verify_block_decomposition(*pair, **budget), args)
-    rep = VerificationReport("theorem-1")
-    for aname, sname in DEFAULT_PAIRS:
-        sub = verify_block_decomposition(catalog_algebra(aname, f), catalog_algebra(sname, f), **budget)
-        _merge(rep, sub, f"{aname} x {sname}")
-    return _emit(rep, args)
+    return _emit(verify_block_decomposition(*pair, samples) if pair
+                 else verify_block_decomposition_sweep(f, samples), args)
 
 
 def cmd_verify_lemma21(args) -> int:
     f = _field_of(args)
     pair = _pair_or_sweep(args, f)
-    if pair:
-        return _emit(verify_psi_lemma(*pair), args)
-    rep = VerificationReport("lemma-2.1")
-    for aname, sname in DEFAULT_PAIRS:
-        a = catalog_algebra(aname, f)
-        s = catalog_algebra(sname, f)
-        _merge(rep, verify_psi_lemma(a, s), f"{aname} x {sname}")
-    try:
-        verify_psi_lemma(catalog_algebra("zero-product(2)", f),
-                         catalog_algebra("dual-numbers", f))
-        rep.check("rejects-imperfect-left-factor", False,
-                  "zero-product carrier was accepted")
-    except NotPerfect:
-        rep.check("rejects-imperfect-left-factor", True)
-    return _emit(rep, args)
+    return _emit(verify_psi_lemma(*pair) if pair else verify_psi_lemma_sweep(f), args)
 
 
 def cmd_verify_lemma35(args) -> int:
-    st = _resolve_setup(args.setup, args)
-    return _emit(verify_graded_decomposition(st), args)
+    return _emit(verify_graded_decomposition(_resolve_setup(args.setup, args)), args)
 
 
 def cmd_verify_thm2(args) -> int:
-    st = _resolve_setup(args.setup, args)
-    return _emit(verify_pi_isomorphism(st), args)
+    return _emit(verify_pi_isomorphism(_resolve_setup(args.setup, args)), args)
 
 
 def cmd_lemma_identities(args) -> int:
@@ -395,163 +339,21 @@ def cmd_lemma_identities(args) -> int:
                                hypothesis="nonzero-derivation-space")
     # a generic integer combination exercises every formula at once
     dm = combine_rows(f, ((f.from_int(i + 1), b) for i, b in enumerate(basis)))
-    rep = check_surjectivity_identities(dm, st, sample_budget=args.budget)
-    return _emit(rep, args)
+    return _emit(check_surjectivity_identities(dm, st, sample_budget=args.budget), args)
 
 
 # ---------------------------------------------------------------------------
-# the Laurent evaluation scenes
+# the Laurent evaluation scenes and the extension formulas
 
 
-def _scalar_scene(m: int):
-    """The k<1> carrier with a trivial twist of declared period m, over Q."""
-    f = make_field("rational")
-    a = group_algebra(1, f)
-    aut = check_automorphism(a, ((0, f.one()),), m)
-    return f, a, aut
-
-
-def _line(a, exp: int, coeff=None) -> LoopElement:
-    f = a.field
-    return LoopElement.term(a, [(0, f.one() if coeff is None else coeff)], exp)
-
-
-def _fmt_loop(x: LoopElement) -> str:
-    if x.is_zero():
-        return "0"
-    f = x.algebra.field
-    parts = []
-    for e, v in x.terms():
-        c = f.format(v[0][1])
-        zp = "1" if e == 0 else ("z" if e == 1 else f"z^{e}")
-        body = f"1 (x) {zp}" if zp != "1" else "1 (x) 1"
-        parts.append(body if c == "1" else f"{c}*({body})")
-    return " + ".join(parts)
-
-
-def _counterexample_report() -> VerificationReport:
-    """The paper's example: period 4, forward style, u = z; its pinned values hold only there."""
-    rep = VerificationReport("published-formula-counterexample")
-    f, a, aut = _scalar_scene(4)
-    z = _line(a, 1)
-    d = coefficient_derivation(z, 4)
-    rep.hyp("scalar-S")
-    rep.hyp("graded-unit")
-
-    bm = loop_bm(a, aut, 4, FORWARD, z, d)
-    expected = {5: _line(a, 5, f.from_int(4)), 3: LoopElement(a, ()), 2: LoopElement(a, ())}
-    for exp in (5, 3, 2):
-        got = bm(_line(a, exp))
-        rep.check(f"value-z{exp}", got == expected[exp],
-                  f"D(1 (x) z^{exp}) = {_fmt_loop(got)}")
-    x2, x3 = _line(a, 2), _line(a, 3)
-    whole = bm(x2.mul(x3))
-    split = bm(x2).mul(x3).add(x2.mul(bm(x3)))
-    defect = whole.sub(split)
-    rep.check("leibniz-fails-on-z2-z3", not defect.is_zero(),
-              f"D(z^2 * z^3) - (D(z^2) z^3 + z^2 D(z^3)) = {_fmt_loop(defect)}, not 0")
-    rep.check("defect-value", defect == _line(a, 5, f.from_int(4)),
-              "defect equals 4*(1 (x) z^5)")
-    return rep
-
-
-def _phi_scene_one(style: str | None, u_text: str | None) -> VerificationReport:
-    rep = VerificationReport("inverse-map-values")
-    f, a, aut = _scalar_scene(4)
-    style = style or FORWARD
-    u = parse_laurent(u_text, a) if u_text else _line(a, 1)
-    d = coefficient_derivation(_line(a, 1), 4)
-    rep.hyp("scalar-S")
-    rep.hyp("graded-unit")
-
-    phi = loop_phi(a, aut, 4, style, u, d)
-    for exp, scale in ((2, 2), (5, 5)):
-        got = phi(_line(a, exp))
-        rep.check(f"value-z{exp}", got == _line(a, exp, f.from_int(scale)),
-                  f"phi(d)(1 (x) z^{exp}) = {_fmt_loop(got)}")
-    got3 = phi(_line(a, 3))
-    rep.dim("value-z3-coefficient", 3)
-    rep.check("value-z3-by-product-rule",
-              phi(_line(a, 5)) == _line(a, 2).mul(got3).add(phi(_line(a, 2)).mul(_line(a, 3))),
-              f"phi(d)(1 (x) z^3) = {_fmt_loop(got3)}")
-    x2, x3 = _line(a, 2), _line(a, 3)
-    rep.check("product-rule", phi(x2.mul(x3)) == x2.mul(phi(x3)).add(phi(x2).mul(x3)))
-    return rep
-
-
-def _t_derivation(a, m: int, n: int):
-    """t^(n+1) d/dt with t = z^m, on the degree-zero part of the scalar line."""
-    f = a.field
-
-    def d(x: LoopElement) -> LoopElement:
-        out = {}
-        for (exp, i), c in x.row:
-            if exp % m:
-                raise InternalCheckFailed(f"derivation argument escaped the degree-zero part: "
-                                          f"exponent {exp} is not a multiple of m = {m}")
-            out[m * (n + exp // m), i] = f.mul(f.from_int(exp // m), c)
-        return LoopElement(a, canonical_row(f, out))
-
-    return d
-
-
-def _phi_scene_two(ms, ns, style: str | None, u_text: str | None) -> VerificationReport:
-    rep = VerificationReport("twisted-normal-form")
-    style = style or INVERSE
-    rep.hyp("scalar-S")
-    rep.hyp("graded-unit")
-    for m in ms:
-        f, a, aut = _scalar_scene(m)
-        u = parse_laurent(u_text, a) if u_text else _line(a, -1)
-        for n in ns:
-            phi = loop_phi(a, aut, m, style, u, _t_derivation(a, m, n))
-            ok = True
-            witness = None
-            for j in range(-2 * m, 2 * m + 1):
-                got = phi(_line(a, j))
-                want = _line(a, n * m + j, f.mul(f.from_int(j), f.inv_int(m)))
-                if got != want:
-                    ok = False
-                    witness = f"monomial z^{j}: got {_fmt_loop(got)}, want {_fmt_loop(want)}"
-                    break
-            rep.check(f"normal-form-m{m}-n{n}", ok,
-                      witness or f"matches (1/{m}) z^{n * m + 1} d/dz on |j| <= {2 * m}")
-    return rep
-
-
-def _phi_branch_report(st: Setup) -> VerificationReport:
-    rep = VerificationReport("inverse-map-extension")
-    for name in _SETUP_HYPOTHESES:
-        rep.hyp(name)
-    f = st.a.field
-    basis = st.der_fixed.space._sparse
-    rep.dim("fixed-algebra-derivations", len(basis))
-    rep.dim("tensor-dim", st.ts.dim)
-    char = f.char
-    base_imgs = [extend_phi(dm, st, branch="char0", n=1) for dm in basis]
-    agree = True
-    # an image equal to the verified n = 1 one passes the same checks
-    for n in (2, 3):
-        if char and (n % char == 0):
-            continue
-        for dm, img in zip(basis, base_imgs):
-            if extend_phi(dm, st, branch="char0", n=n, verified=img) != img:
-                agree = False
-    rep.check("stretch-independent-n123", agree)
-    if char:
-        same = all(extend_phi(dm, st, branch="charp", verified=img) == img
-                   for dm, img in zip(basis, base_imgs))
-        rep.check("char0-charp-branches-agree", same)
-    # extend_phi certified pi(phi(d)) = d for every basis element
-    rep.check("restricts-to-input", True)
-    return rep
-
-
-def _scene_flags(args):
-    """The Laurent scenes are fixed over Q and tiny: refuse the flags they would ignore."""
-    if args.field or args.force:
+def _scene(args):
+    """The scene --setup names as (base, args), base None for no --setup; None for a
+    finite setup. Scenes are fixed over Q and tiny: the flags they ignore are refused."""
+    scene = catalog_scene(args.setup) if args.setup is not None else (None, ())
+    if scene and (args.field or args.force):
         flag = "--field" if args.field else "--force"
         raise ParseError(f"{flag} applies only to a finite --setup, not to the Laurent scenes")
+    return scene
 
 
 def _no_period(args, what: str):
@@ -561,65 +363,40 @@ def _no_period(args, what: str):
 
 
 def cmd_phi_eval(args) -> int:
-    ms = (args.m,) if args.m is not None else (2, 3, 4)
-    if args.setup is None or is_scene_name(args.setup):
-        _scene_flags(args)
-    if args.setup is None:
-        rep = VerificationReport("inverse-map-reproduction")
-        _merge(rep, _phi_scene_one(args.style, args.u), "values")
-        _merge(rep, _phi_scene_two(ms, range(-2, 3), args.style, args.u), "normal-form")
-        return _emit(rep, args)
-    if is_scene_name(args.setup):
-        base, nargs = parse_catalog_name(args.setup)
-        if base in ("last-exa-i", "exaBM-laurent"):
-            if nargs:
-                raise ParseError(f"{base} takes no arguments")
-            _no_period(args, base)
-            return _emit(_phi_scene_one(args.style, args.u), args)
-        if not nargs:
-            return _emit(_phi_scene_two(ms, range(-2, 3), args.style, args.u), args)
-        if len(nargs) != 2:
-            raise ParseError("last-exa-ii takes (m, n)")
+    scene = _scene(args)
+    if scene is None:
+        _no_period(args, "a finite setup")
+        if args.style is not None:
+            raise ParseError("--style applies only to the Laurent scenes, not to a finite setup")
+        return _emit(verify_phi_extension(_resolve_setup(args.setup, args)), args)
+    base, nargs = scene
+    ms = SCENE_PERIODS if args.m is None else (args.m,)
+    if base is None:
+        rep = verify_inverse_map_reproduction(ms, args.style, args.u)
+    elif base != "last-exa-ii":
+        _no_period(args, base)
+        rep = verify_inverse_map_values(args.style, args.u)
+    elif nargs:
         _no_period(args, "last-exa-ii(m, n)")
-        if nargs[0] < 1:
-            raise ParseError(f"a scene period must be at least 1, got {nargs[0]}")
-        return _emit(_phi_scene_two((nargs[0],), (nargs[1],), args.style, args.u), args)
-    _no_period(args, "a finite setup")
-    if args.style is not None:
-        raise ParseError("--style applies only to the Laurent scenes, not to a finite setup")
-    return _emit(_phi_branch_report(_resolve_setup(args.setup, args)), args)
-
-
-def cmd_bm_eval(args) -> int:
-    if args.setup is None or (is_scene_name(args.setup)
-                              and parse_catalog_name(args.setup)[0] != "last-exa-ii"):
-        if args.u:
-            raise ParseError("--u needs a finite --setup; the published formula scene fixes u = z")
-        _scene_flags(args)
-        return _emit(_counterexample_report(), args)
-    if is_scene_name(args.setup):
-        raise ParseError("the published formula scene is the period-4 scalar one")
-    st = _resolve_setup(args.setup, args)
-    rep = VerificationReport("published-formula-on-finite-carrier")
-    for name in _SETUP_HYPOTHESES[:4]:
-        rep.hyp(name)
-    basis = st.der_fixed.space._sparse
-    rep.dim("fixed-algebra-derivations", len(basis))
-    derivation_flags = []
-    matches_phi = []
-    for dm in basis:
-        big = bm_formula_extend(dm, st)
-        derivation_flags.append(leibniz_witness(st.ts, big) is None)
-        matches_phi.append(big == extend_phi(dm, st))
-    rep.check("computed-on-all-basis-derivations", True,
-              f"derivation property per basis element: {derivation_flags}")
-    rep.check("comparison-with-inverse-map", True,
-              f"agrees with the inverse map per basis element: {matches_phi}")
+        rep = verify_twisted_normal_form((nargs[0],), (nargs[1],), args.style, args.u)
+    else:
+        rep = verify_twisted_normal_form(ms, SCENE_SHIFTS, args.style, args.u)
     return _emit(rep, args)
 
 
+def cmd_bm_eval(args) -> int:
+    scene = _scene(args)
+    if scene is None:
+        return _emit(verify_bm_formula(_resolve_setup(args.setup, args)), args)
+    if scene[0] == "last-exa-ii":
+        raise ParseError("the published formula scene is the period-4 scalar one")
+    if args.u:
+        raise ParseError("--u needs a finite --setup; the published formula scene fixes u = z")
+    return _emit(verify_bm_counterexample(), args)
+
+
 def cmd_counterexample_bm(args) -> int:
-    return _emit(_counterexample_report(), args)
+    return _emit(verify_bm_counterexample(), args)
 
 
 # ---------------------------------------------------------------------------
@@ -648,18 +425,12 @@ def cmd_catalog(args) -> int:
         info = {"name": args.name, "kind": kind, "dim": a.dim, "basis": list(a.names)}
         info.update(a.properties())
     elif kind == "setup":
-        _guard_catalog_setup(args.name, False, "catalog show builds no setup above it")
+        _guard_product(*catalog_setup(args.name, dims=True), False, "catalog show builds no setup above it")
         st = Setup(*catalog_setup(args.name, f))
-        info = {
-            "name": args.name,
-            "kind": kind,
-            "dim A": st.a.dim,
-            "dim S": st.s.dim,
-            "period": st.m,
-            "fixed dim": st.fixed_algebra.dim,
-            "unit residue": st.unit_data.q,
-        }
+        info = {"name": args.name, "kind": kind, "dim A": st.a.dim, "dim S": st.s.dim, "period": st.m,
+                "fixed dim": st.fixed_algebra.dim, "unit residue": st.unit_data.q}
     else:
+        catalog_scene(args.name)
         about = next(e["about"] for e in entries if e["name"] == base)
         info = {"name": args.name, "kind": kind, "about": about}
     if args.json:

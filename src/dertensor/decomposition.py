@@ -20,6 +20,7 @@ from functools import cached_property
 from itertools import product as iter_product
 
 from .algebra import Algebra, tensor_product, tensor_vector
+from .catalog import catalog_algebra
 from .errors import (
     DimensionMismatch,
     FieldMismatch,
@@ -51,10 +52,14 @@ from .invariants import (
 )
 from .scalars import PRIME
 
-# the hypotheses Setup checks at construction, in report order; a report
-# whose claim does not rest on psi lists the first four
+# the hypotheses Setup checks at construction, in report order
 _SETUP_HYPOTHESES = ("perfect-A", "scalar-S", "automorphism-periods", "graded-unit", "psi-iso")
 SPLIT_SEED = 20260822  # draws the theorem-1 split samples
+SPLIT_SAMPLES = 25  # the theorem-1 split samples drawn when no budget is given
+
+# the catalog pairs swept by the theorem-1 and lemma-2.1 reports of no pair
+DEFAULT_PAIRS = [(a, s) for a in ("sl2", "sl2-graded-variant")
+                 for s in ("dual-numbers", "group-algebra(2)", "group-algebra(3)", "group-algebra(4)")]
 
 
 class VerificationReport:
@@ -77,6 +82,15 @@ class VerificationReport:
         if witness is not None:
             entry["witness"] = witness
         self.assertions.append(entry)
+
+    def merge(self, sub: "VerificationReport", prefix: str):
+        """Append every entry of sub, its name prefixed."""
+        for name, ok in sub.hypotheses:
+            self.hyp(f"{prefix}: {name}", ok)
+        for name, value in sub.dimensions.items():
+            self.dim(f"{prefix}: {name}", value)
+        for entry in sub.assertions:
+            self.check(f"{prefix}: {entry['name']}", entry["pass"], entry.get("witness"))
 
     @property
     def verdict(self) -> str:
@@ -107,6 +121,15 @@ class VerificationReport:
                 lines.append(f"    witness: {e['witness']}")
         lines.append(f"verdict: {self.verdict.upper()}")
         return "\n".join(lines)
+
+
+def _setup_report(claim: str, rests_on_psi: bool) -> VerificationReport:
+    """A report listing the hypotheses Setup checked: all of them, or the
+    first four for a claim that does not rest on psi."""
+    rep = VerificationReport(claim)
+    for name in _SETUP_HYPOTHESES if rests_on_psi else _SETUP_HYPOTHESES[:4]:
+        rep.hyp(name)
+    return rep
 
 
 class Setup:
@@ -283,6 +306,24 @@ def embed_tensor_derivations(a: Algebra, s: Algebra):
     return tuple(images)
 
 
+def _psi_checks(rep: VerificationReport, a: Algebra, s: Algebra, psi):
+    """The four properties of the centroid tensor map psi of the pair."""
+    rep.check("injective", psi.injective)
+    rep.check("image-in-centroid", psi.image_in_centroid)
+    rep.check("surjective", psi.surjective)
+    rep.check("multiplicative", psi_multiplicative(a, s))
+
+
+def verify_psi_map(a: Algebra, s: Algebra) -> VerificationReport:
+    """The centroid tensor map's domain and target, and its four properties."""
+    rep = VerificationReport("psi-map")
+    psi = psi_map(a, s)
+    rep.dim("domain", psi.domain_dim)
+    rep.dim("target", psi.target_dim)
+    _psi_checks(rep, a, s, psi)
+    return rep
+
+
 def verify_psi_lemma(a: Algebra, s: Algebra) -> VerificationReport:
     """The centroid tensor map is an isomorphism of associative algebras."""
     rep = VerificationReport("lemma-2.1")
@@ -294,15 +335,31 @@ def verify_psi_lemma(a: Algebra, s: Algebra) -> VerificationReport:
     rep.dim("C(A)", ca.dim)
     rep.dim("S", s.dim)
     rep.dim("C(A tensor S)", psi.target_dim)
-    rep.check("injective", psi.injective)
-    rep.check("image-in-centroid", psi.image_in_centroid)
-    rep.check("surjective", psi.surjective)
-    rep.check("multiplicative", psi_multiplicative(a, s))
+    _psi_checks(rep, a, s, psi)
     rep.check("dimension-product", psi.target_dim == ca.dim * s.dim)
     return rep
 
 
-def verify_block_decomposition(a: Algebra, s: Algebra, samples: int = 25) -> VerificationReport:
+def _sweep(claim: str, verify, field) -> VerificationReport:
+    """verify(a, s) on each of DEFAULT_PAIRS over field (None for Q), merged under the pair's names."""
+    rep = VerificationReport(claim)
+    for aname, sname in DEFAULT_PAIRS:
+        rep.merge(verify(catalog_algebra(aname, field), catalog_algebra(sname, field)), f"{aname} x {sname}")
+    return rep
+
+
+def verify_psi_lemma_sweep(field) -> VerificationReport:
+    """Lemma 2.1 on each of DEFAULT_PAIRS, and its refusal of a left factor that is not perfect."""
+    rep = _sweep("lemma-2.1", verify_psi_lemma, field)
+    try:
+        verify_psi_lemma(catalog_algebra("zero-product(2)", field), catalog_algebra("dual-numbers", field))
+        rep.check("rejects-imperfect-left-factor", False, "zero-product carrier was accepted")
+    except NotPerfect:
+        rep.check("rejects-imperfect-left-factor", True)
+    return rep
+
+
+def verify_block_decomposition(a: Algebra, s: Algebra, samples: int = SPLIT_SAMPLES) -> VerificationReport:
     """D(A tensor S) = D(A) tensor S (+) C(A) tensor D(S), both sides computed.
 
     Then split-roundtrip-<samples>: each of that many seeded random
@@ -347,15 +404,18 @@ def verify_block_decomposition(a: Algebra, s: Algebra, samples: int = 25) -> Ver
     return rep
 
 
+def verify_block_decomposition_sweep(field, samples: int) -> VerificationReport:
+    """Theorem 1, with samples split samples, on each of DEFAULT_PAIRS."""
+    return _sweep("theorem-1", lambda a, s: verify_block_decomposition(a, s, samples), field)
+
+
 # ---------------------------------------------------------------------------
 # graded layer
 
 
 def verify_graded_decomposition(setup: Setup) -> VerificationReport:
     """Each degree of D(A tensor S) is the matching convolution of factors."""
-    rep = VerificationReport("lemma-3.5")
-    for name in _SETUP_HYPOTHESES:
-        rep.hyp(name)
+    rep = _setup_report("lemma-3.5", True)
     f, m, s, na, n2 = setup.a.field, setup.m, setup.s, setup.a.dim, setup.ts.dim * setup.ts.dim
     gd, ga_d, ga_c, gs_d = setup.der_ts_grading, setup.der_a_grading, setup.cent_a_grading, setup.der_s_grading
     total = 0
@@ -523,6 +583,26 @@ def extend_phi(d, setup: Setup, branch: str = "char0", n: int = 1, verified=None
     return big
 
 
+def verify_phi_extension(setup: Setup) -> VerificationReport:
+    """phi(d) for each basis derivation d of the fixed algebra does not depend
+    on the invertible n in 1, 2, 3, or over F_p on the branch; extend_phi
+    certifies that it restricts to d."""
+    rep = _setup_report("inverse-map-extension", True)
+    basis, char = setup.der_fixed.space._sparse, setup.a.field.char
+    rep.dim("fixed-algebra-derivations", len(basis))
+    rep.dim("tensor-dim", setup.ts.dim)
+    imgs = [(dm, extend_phi(dm, setup, branch="char0", n=1)) for dm in basis]
+    # an image equal to the verified n = 1 one passes the same checks
+    rep.check("stretch-independent-n123", all(extend_phi(dm, setup, branch="char0", n=n, verified=img) == img
+                                              for n in (2, 3) if not (char and n % char == 0) for dm, img in imgs))
+    if char:
+        rep.check("char0-charp-branches-agree",
+                  all(extend_phi(dm, setup, branch="charp", verified=img) == img for dm, img in imgs))
+    # extend_phi certified pi(phi(d)) = d for every basis element
+    rep.check("restricts-to-input", True)
+    return rep
+
+
 def bm_formula_extend(d, setup: Setup) -> tuple:
     """The earlier published extension formula, returned unverified.
 
@@ -535,6 +615,23 @@ def bm_formula_extend(d, setup: Setup) -> tuple:
     c = _Coords(setup, setup.unit_data.u, setup.unit_data.u_inv)
     q = setup.unit_data.q
     return _standard_map(setup, lambda pieces: residue_shifts(c, ev, pieces, q))
+
+
+def verify_bm_formula(setup: Setup) -> VerificationReport:
+    """The published formula on a finite setup, for each basis derivation of
+    the fixed algebra: whether its image is a derivation, and whether it
+    equals phi's. Neither is claimed, so both are reported, not asserted."""
+    rep = _setup_report("published-formula-on-finite-carrier", False)
+    basis = setup.der_fixed.space._sparse
+    rep.dim("fixed-algebra-derivations", len(basis))
+    bigs = [(dm, bm_formula_extend(dm, setup)) for dm in basis]
+    derivation_flags = [leibniz_witness(setup.ts, big) is None for _, big in bigs]
+    matches_phi = [big == extend_phi(dm, setup) for dm, big in bigs]
+    rep.check("computed-on-all-basis-derivations", True,
+              f"derivation property per basis element: {derivation_flags}")
+    rep.check("comparison-with-inverse-map", True,
+              f"agrees with the inverse map per basis element: {matches_phi}")
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -552,9 +649,7 @@ def check_surjectivity_identities(d, setup: Setup,
     the number of tuples per identity family. The families share d (sparse,
     see Setup.d_eval), memoised per argument, and each bracket at M = m.
     """
-    rep = VerificationReport("surjectivity-identities")
-    for name in _SETUP_HYPOTHESES[:4]:
-        rep.hyp(name)
+    rep = _setup_report("surjectivity-identities", False)
     ev = setup.d_eval(d)
     c = _Coords(setup, setup.unit_data.u_prime, setup.unit_data.u_prime_inv)
     f, m, ts = setup.a.field, setup.m, setup.ts
@@ -684,9 +779,7 @@ def verify_pi_isomorphism(setup: Setup) -> VerificationReport:
     ext_k = phi(d_k) is a degree-zero derivation with pi(ext_k) = d_k. phi
     after pi is D = sum_k c_k ext_k, where pi(D) = sum_k c_k d_k (phi is linear).
     """
-    rep = VerificationReport("theorem-2")
-    for name in _SETUP_HYPOTHESES:
-        rep.hyp(name)
+    rep = _setup_report("theorem-2", True)
     f, m, zero_comp, k0 = setup.a.field, setup.m, setup.der_ts_grading.components[0], setup.der_fixed.dim
     n0 = zero_comp.dim
     rep.dim("degree-zero-derivations", n0)

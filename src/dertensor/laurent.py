@@ -1,7 +1,7 @@
 """Sparse exact model of the loop algebra A (x) k[z^{+-1}].
 
 The finite verifiers work inside k[z]/(z^T - 1), where every extension
-formula can be compared as a matrix. The examples that separate the two
+formula can be compared as a sparse map. The examples that separate the two
 extension formulas need k[z^{+-1}] itself: no power of z collapses, so a
 failed Leibniz identity cannot hide behind a quotient relation. This
 module represents a loop element, a finite sum of terms a (x) z^n, as one
@@ -22,23 +22,31 @@ such as bracketing with an element of the left factor, is passed as a
 plain function. Its extensions are callables too:
 loop_phi and loop_bm check the hypotheses, build the carrier and fetch the
 grading once from (aut, u, d), and return a function of the target.
+
+The catalog's scenes are verified here, each by a verify_* function that
+returns its command's report.
 """
 
 from itertools import groupby
 
 from .algebra import Algebra
-from .decomposition import phi_formula, residue_shifts
+from .catalog import group_algebra
+from .decomposition import VerificationReport, phi_formula, residue_shifts
 from .errors import (
     FieldMismatch,
     HypothesisNotMet,
+    InternalCheckFailed,
     NotInDomain,
     ParseError,
 )
-from .exactla import combine_rows
-from .gradings import Grading, eps, grading_from_automorphism
+from .exactla import canonical_row, combine_rows
+from .gradings import Grading, check_automorphism, eps, grading_from_automorphism
+from .scalars import make_field
 
 FORWARD = "forward"
 INVERSE = "inverse"
+SCENE_PERIODS = (2, 3, 4)  # the periods m the twisted normal-form sweep runs
+SCENE_SHIFTS = range(-2, 3)  # and its values of n
 
 
 def graded_component(n: int, m: int, style: str) -> int:
@@ -128,15 +136,18 @@ class LoopElement:
         return hash(self.row)
 
     def __repr__(self):
+        """The sum of its terms: c*(b (x) z^n) for a multiple of a basis vector b
+        (b (x) z^n when c = 1), and (c1*b1 + ...) (x) z^n otherwise."""
         if not self.row:
             return "0"
-        f = self.algebra.field
-        names = self.algebra.names
-        parts = []
+        f, names, parts = self.algebra.field, self.algebra.names, []
         for e, v in self.terms():
-            avec = " + ".join(f"{f.format(c)}*{names[i]}" for i, c in v)
             zp = "1" if e == 0 else ("z" if e == 1 else f"z^{e}")
-            parts.append(f"({avec}) (x) {zp}")
+            if len(v) > 1:
+                parts.append("(" + " + ".join(f"{f.format(c)}*{names[i]}" for i, c in v) + f") (x) {zp}")
+            else:
+                c, body = f.format(v[0][1]), f"{names[v[0][0]]} (x) {zp}"
+                parts.append(body if c == "1" else f"{c}*({body})")
         return " + ".join(parts)
 
 
@@ -332,3 +343,115 @@ def parse_laurent(text: str, line: Algebra) -> LoopElement:
             coeff = field.neg(coeff)
         monomials.append((coeff, (((exp, 0), field.one()),)))
     return LoopElement(line, combine_rows(field, monomials))
+
+
+# ---------------------------------------------------------------------------
+# the evaluation scenes, on k<1> over Q
+
+
+def _scalar_scene(m: int):
+    """k<1> over Q, with the trivial twist of declared period m."""
+    a = group_algebra(1, make_field("rational"))
+    return a, check_automorphism(a, ((0, a.field.one()),), m)
+
+
+def _monomial(a: Algebra, c, exp: int) -> LoopElement:
+    """c (x) z^exp on k<1>; a zero c gives zero."""
+    return LoopElement.term(a, [(0, c)], exp)
+
+
+def _period_four(claim: str, extension, style: str, u: str | None, label: str, values):
+    """The paper's period-4 scene: d = z d/dz on k<1> extended (loop_phi or
+    loop_bm) with the unit literal u, or z, checked at scale z^exp for each
+    (exp, scale) of values. Returns the report, D(z^3) and the product rule's
+    defect D(z^2 z^3) - (D(z^2) z^3 + z^2 D(z^3))."""
+    rep = VerificationReport(claim)
+    rep.hyp("scalar-S")
+    rep.hyp("graded-unit")
+    a, aut = _scalar_scene(4)
+    f = a.field
+    z = _monomial(a, f.one(), 1)
+    ext = extension(a, aut, 4, style, parse_laurent(u, a) if u else z, coefficient_derivation(z, 4))
+    for exp, scale in values:
+        got = ext(_monomial(a, f.one(), exp))
+        rep.check(f"value-z{exp}", got == _monomial(a, f.from_int(scale), exp),
+                  f"{label}(1 (x) z^{exp}) = {got}")
+    x2, x3 = _monomial(a, f.one(), 2), _monomial(a, f.one(), 3)
+    img3 = ext(x3)
+    return rep, img3, ext(x2.mul(x3)).sub(ext(x2).mul(x3).add(x2.mul(img3)))
+
+
+def verify_bm_counterexample() -> VerificationReport:
+    """The published formula on the paper's example (period 4, forward style,
+    u = z) sends z^5 to 4 z^5 and z^2, z^3 to 0: no derivation."""
+    rep, _, defect = _period_four("published-formula-counterexample", loop_bm, FORWARD, None, "D",
+                                  ((5, 4), (3, 0), (2, 0)))
+    rep.check("leibniz-fails-on-z2-z3", not defect.is_zero(),
+              f"D(z^2 * z^3) - (D(z^2) z^3 + z^2 D(z^3)) = {defect}, not 0")
+    rep.check("defect-value", defect == _monomial(defect.algebra, defect.algebra.field.from_int(4), 5),
+              "defect equals 4*(1 (x) z^5)")
+    return rep
+
+
+def verify_inverse_map_values(style: str | None, u: str | None) -> VerificationReport:
+    """phi(d) on the paper's period-4 scene (style forward and unit z unless
+    given) sends z^2, z^5 to 2 z^2, 5 z^5 and keeps the product rule."""
+    rep, img3, defect = _period_four("inverse-map-values", loop_phi, style or FORWARD, u, "phi(d)",
+                                     ((2, 2), (5, 5)))
+    rep.dim("value-z3-coefficient", 3)
+    # z^5 = z^2 z^3, so the product rule fixes the image of z^3 from those of z^2 and z^5
+    rep.check("value-z3-by-product-rule", defect.is_zero(), f"phi(d)(1 (x) z^3) = {img3}")
+    rep.check("product-rule", defect.is_zero())
+    return rep
+
+
+def _t_derivation(a, m: int, n: int):
+    """t^(n+1) d/dt with t = z^m, on the degree-zero part of the scalar line."""
+    f = a.field
+
+    def d(x: LoopElement) -> LoopElement:
+        out = {}
+        for (exp, i), c in x.row:
+            if exp % m:
+                raise InternalCheckFailed(f"derivation argument escaped the degree-zero part: "
+                                          f"exponent {exp} is not a multiple of m = {m}")
+            out[m * (n + exp // m), i] = f.mul(f.from_int(exp // m), c)
+        return LoopElement(a, canonical_row(f, out))
+
+    return d
+
+
+def verify_twisted_normal_form(ms, ns, style: str | None, u: str | None) -> VerificationReport:
+    """phi(d) for d = t^(n+1) d/dt, t = z^m, on k<1>, for each m of ms and n of
+    ns (style inverse and unit z^-1 unless given), is (1/m) z^(nm+1) d/dz on
+    every z^j with |j| <= 2m."""
+    if bad := [m for m in ms if m < 1]:
+        raise ParseError(f"a scene period must be at least 1, got {bad[0]}")
+    rep = VerificationReport("twisted-normal-form")
+    rep.hyp("scalar-S")
+    rep.hyp("graded-unit")
+    for m in ms:
+        a, aut = _scalar_scene(m)
+        f = a.field
+        unit = parse_laurent(u, a) if u else _monomial(a, f.one(), -1)
+        for n in ns:
+            phi = loop_phi(a, aut, m, style or INVERSE, unit, _t_derivation(a, m, n))
+            witness = None
+            for j in range(-2 * m, 2 * m + 1):
+                got = phi(_monomial(a, f.one(), j))
+                want = _monomial(a, f.mul(f.from_int(j), f.inv_int(m)), n * m + j)
+                if got != want:
+                    witness = f"monomial z^{j}: got {got}, want {want}"
+                    break
+            rep.check(f"normal-form-m{m}-n{n}", witness is None,
+                      witness or f"matches (1/{m}) z^{n * m + 1} d/dz on |j| <= {2 * m}")
+    return rep
+
+
+def verify_inverse_map_reproduction(ms, style: str | None, u: str | None) -> VerificationReport:
+    """Both phi scenes in one report: the period-4 values, and the twisted
+    normal form for each period of ms and each n of SCENE_SHIFTS."""
+    rep = VerificationReport("inverse-map-reproduction")
+    rep.merge(verify_inverse_map_values(style, u), "values")
+    rep.merge(verify_twisted_normal_form(ms, SCENE_SHIFTS, style, u), "normal-form")
+    return rep

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dertensor.cli as cli
-from dertensor import catalog, decomposition
+from dertensor import catalog, decomposition, laurent
 from dertensor.algebra import tensor_product
 from dertensor.catalog import catalog_algebra, group_algebra, sl2
 from dertensor.errors import InternalCheckFailed
@@ -181,6 +181,15 @@ def test_phi_eval_scene_bad_arity(capsys):
     code, _, err = run_cap(capsys, ["phi-eval", "--setup", "last-exa-ii(3)"])
     assert code == 2
     assert "takes (m, n)" in err
+
+
+@pytest.mark.parametrize("argv", [["phi-eval", "--setup"], ["bm-eval", "--setup"], ["catalog", "show"]])
+@pytest.mark.parametrize("scene", ["exaBM-laurent(3)", "last-exa-i(1,2)"])
+def test_a_scene_that_takes_no_arguments_refuses_them_everywhere(capsys, argv, scene):
+    code, out, err = run_cap(capsys, argv + [scene])
+    assert code == 2
+    assert out == ""
+    assert f"error: {scene.split('(')[0]} takes no arguments" in err
 
 
 @pytest.mark.parametrize("argv, code, needle", [
@@ -944,7 +953,7 @@ def test_a_matrix_of_digit_strings_is_refused(capsys):
 def test_a_loop_argument_outside_degree_zero_names_its_exponent(monkeypatch, capsys):
     # a mutant phi that hands t^(n+1) d/dt its target: z^-6 is in degree
     # zero for m = 3, and z^-5, the next target, is not
-    monkeypatch.setattr(cli, "loop_phi", lambda a, aut, m, style, u, d: d)
+    monkeypatch.setattr(laurent, "loop_phi", lambda a, aut, m, style, u, d: d)
     code, out, err = run_cap(capsys, ["phi-eval", "--setup", "last-exa-ii(3, 1)", "--json"])
     assert code == 4
     assert out == ""

@@ -121,6 +121,9 @@ COMMANDS = (
         ["phi-eval", "--setup", "exaBM-laurent", "--json"],
         ["bm-eval", "--setup", "exaBM-laurent", "--json"],
         ["phi-eval", "--setup", "last-exa-ii(1,0)", "--json"],
+        # a scene that takes no arguments refuses them in every command
+        ["bm-eval", "--setup", "exaBM-laurent(3)"],
+        ["bm-eval", "--setup", "last-exa-i(1,2)"],
     ]
 )
 

@@ -130,7 +130,7 @@ def test_the_loop_carrier_computes_on_rows(monkeypatch, capsys):
     # a loop element is built only for the unit, each target, its wanted
     # value and its image, and on each side of a call of d
     built, d_calls = [], []
-    init, t_derivation = laurent.LoopElement.__init__, cli._t_derivation
+    init, t_derivation = laurent.LoopElement.__init__, laurent._t_derivation
 
     def counted(self, *args):
         built.append(self)
@@ -141,7 +141,7 @@ def test_the_loop_carrier_computes_on_rows(monkeypatch, capsys):
         return lambda x: d_calls.append(x) or d(x)
 
     monkeypatch.setattr(laurent.LoopElement, "__init__", counted)
-    monkeypatch.setattr(cli, "_t_derivation", counted_derivation)
+    monkeypatch.setattr(laurent, "_t_derivation", counted_derivation)
     assert cli.run(["phi-eval", "--setup", "last-exa-ii(4,1)", "--json"]) == 0
     capsys.readouterr()
     # 17 monomials z^j, |j| <= 8; d runs once on the 5 of degree zero and
@@ -393,7 +393,7 @@ def test_verify_thm1_builds_each_tensor_algebra_once(monkeypatch, capsys, pair):
     capsys.readouterr()
     # every caller asks tensor_product, which hands each pair its one algebra
     distinct = list({id(ts): ts for ts in built}.values())
-    pairs = 1 if pair else len(cli.DEFAULT_PAIRS)
+    pairs = 1 if pair else len(decomposition.DEFAULT_PAIRS)
     assert len(built) > len(distinct) == len(embedded) == pairs
     # D(A (x) S) only: the split samples read it, and the embedded summands, from the caches
     assert [sum(x is ts for x in assembled) for ts in distinct] == [1] * pairs
@@ -527,7 +527,7 @@ def _self_check_counts(monkeypatch, capsys, argv):
     Grading.basis_parts, the projections onto the components, during one command."""
     counts = {"check_automorphism": 0, "psi_multiplicative": 0, "basis_parts": 0}
     for mods, name in (((gradings, catalog, cli), "check_automorphism"),
-                       ((invariants, decomposition, cli), "psi_multiplicative")):
+                       ((invariants, decomposition), "psi_multiplicative")):
         def counted(*args, _fn=getattr(mods[0], name), _name=name):
             counts[_name] += 1
             return _fn(*args)
