@@ -124,6 +124,11 @@ COMMANDS = (
         # a scene that takes no arguments refuses them in every command
         ["bm-eval", "--setup", "exaBM-laurent(3)"],
         ["bm-eval", "--setup", "last-exa-i(1,2)"],
+        # the grading, fixed-algebra and catalog reports
+        ["grade", "--setup", "sl2-twisted-flagship", "--json"],
+        ["grade", "--setup", "quotient-laurent(2,3)"],
+        ["fixed", "--setup", "sl2-twisted-flagship", "--json"],
+        ["catalog", "show", "sl2-twisted-flagship", "--json"],
     ]
 )
 
