@@ -10,14 +10,15 @@ Residue arithmetic goes through eps(), which picks the representative in
 One routine, _eigenspace_grading, cuts both: the algebra by sigma, an
 endomorphism space by conjugation. Its three checks (see there) imply
 sigma = sum_i omega^i P_i. A tensor automorphism of two validated factors
-is not re-validated. Grading.split, the one place a vector is cut into
-homogeneous parts, reads them off the projections P_i of the basis vectors
-(Grading.basis_parts, built once per grading).
+is not re-validated; its grading is multiplicative because sigma is.
+Grading.split, the one place a vector is cut into homogeneous parts, reads
+them off the projections P_i of the basis vectors (Grading.basis_parts,
+built once per grading).
 """
 
 from __future__ import annotations
 
-from itertools import product as iter_product
+from itertools import chain, islice, product as iter_product
 from types import SimpleNamespace
 
 from .algebra import Algebra, invert_element, subalgebra_on, tensor_product
@@ -187,19 +188,6 @@ def grading_from_automorphism(aut: Automorphism) -> Grading:
     return aut._cache["grading"]
 
 
-def grading_is_multiplicative(a: Algebra, g: Grading) -> bool:
-    """Products of components land in the component of the residue sum."""
-    rows = [c._sparse for c in g.components]
-    for i, ci in enumerate(rows):
-        for j, cj in enumerate(rows):
-            target = g.component(i + j)
-            for u in ci:
-                for v in cj:
-                    if not target.contains(a.mult(u, v)):
-                        return False
-    return True
-
-
 def induced_endo_grading(aut: Automorphism, endo: EndoSpace) -> Grading:
     """Grading of an invariant endomorphism space by conjugation eigenvalue.
 
@@ -255,11 +243,11 @@ def find_graded_unit(
 ) -> GradedUnitData:
     """Find (or validate) an invertible element (a sparse row) of the degree-q component.
 
-    Tries the component's basis vectors first, then a deterministic
-    enumeration of small integer combinations (coefficients -2..2, at most
-    COMBO_BUDGET candidates). NoUnitFound if the search fails; NotUnitResidue
-    when q is not invertible mod m, since then no degree-one normalization
-    exists.
+    Tries the component's basis vectors first, and only if none is
+    invertible a deterministic enumeration of small integer combinations
+    (coefficients -2..2, at most COMBO_BUDGET of them, built one at a time).
+    NoUnitFound if the search fails; NotUnitResidue when q is not invertible
+    mod m, since then no degree-one normalization exists.
     """
     m = grading.m
     q = eps(q, m)
@@ -276,16 +264,10 @@ def find_graded_unit(
         except SingularElement:
             raise NoUnitFound("given element is not invertible")
         return _finish_unit(s, q, q1, u, u_inv)
-    candidates = list(comp._sparse)
-    tried = 0
-    for coeffs in iter_product(range(-2, 3), repeat=comp.dim):
-        if tried >= COMBO_BUDGET:
-            break
-        if sum(1 for c in coeffs if c) < 2:
-            continue  # zero and single-vector combos are the basis candidates
-        candidates.append(combine_rows(s.field, zip(map(s.field.from_int, coeffs), comp._sparse)))
-        tried += 1
-    for cand in candidates:
+    # zero and single-vector combinations are the basis candidates
+    combos = (combine_rows(s.field, zip(map(s.field.from_int, coeffs), comp._sparse))
+              for coeffs in iter_product(range(-2, 3), repeat=comp.dim) if sum(1 for c in coeffs if c) >= 2)
+    for cand in chain(comp._sparse, islice(combos, COMBO_BUDGET)):
         if not cand:
             continue
         try:

@@ -22,7 +22,7 @@ from .errors import (
     NotPerfect,
     NotUnital,
 )
-from .exactla import RawOps, Subspace, apply_map, compose_maps, combine_rows, kernel_of_rows, sparse_kron
+from .exactla import RawOps, Subspace, compose_maps, combine_rows, kernel_of_rows, sparse_kron
 
 
 class EndoSpace:
@@ -89,15 +89,9 @@ def _pair_rows(a: Algebra, maps, split: bool, pairs):
 
 def leibniz_witness(a: Algebra, m):
     """The first basis pair (i, j) in row-major order where the sparse map m
-    breaks the derivation law, as (i, j, m(b_i b_j), m(b_i) b_j + b_i m(b_j))
-    with sparse rows, or None."""
-    f, n, one = a.field, a.dim, a.field.one()
-    for i, j, _ in _pair_rows(a, [m], False, ((i, j) for i in range(n) for j in range(n))):
-        bi, bj = ((i, one),), ((j, one),)
-        mi, mj = apply_map(f, m, n, bi), apply_map(f, m, n, bj)
-        want = combine_rows(f, ((one, a.mult(mi, bj)), (one, a.mult(bi, mj))))
-        return (i, j, apply_map(f, m, n, a._nz[i][j]), want)
-    return None
+    breaks the derivation law, or None."""
+    pairs = ((i, j) for i in range(a.dim) for j in range(a.dim))
+    return next(((i, j) for i, j, _ in _pair_rows(a, [m], False, pairs)), None)
 
 
 # -- the spaces ------------------------------------------------------------

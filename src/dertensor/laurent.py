@@ -360,9 +360,14 @@ def _monomial(a: Algebra, c, exp: int) -> LoopElement:
     return LoopElement.term(a, [(0, c)], exp)
 
 
+def _scene_unit(a: Algebra, style: str, u: str | None) -> LoopElement:
+    """The unit literal u on k<1>, or the style's degree-one unit: z forward, z^-1 inverse."""
+    return parse_laurent(u, a) if u else _monomial(a, a.field.one(), 1 if style == FORWARD else -1)
+
+
 def _period_four(claim: str, extension, style: str, u: str | None, label: str, values):
     """The paper's period-4 scene: d = z d/dz on k<1> extended (loop_phi or
-    loop_bm) with the unit literal u, or z, checked at scale z^exp for each
+    loop_bm) with the unit _scene_unit gives, checked at scale z^exp for each
     (exp, scale) of values. Returns the report, D(z^3) and the product rule's
     defect D(z^2 z^3) - (D(z^2) z^3 + z^2 D(z^3))."""
     rep = VerificationReport(claim)
@@ -371,7 +376,7 @@ def _period_four(claim: str, extension, style: str, u: str | None, label: str, v
     a, aut = _scalar_scene(4)
     f = a.field
     z = _monomial(a, f.one(), 1)
-    ext = extension(a, aut, 4, style, parse_laurent(u, a) if u else z, coefficient_derivation(z, 4))
+    ext = extension(a, aut, 4, style, _scene_unit(a, style, u), coefficient_derivation(z, 4))
     for exp, scale in values:
         got = ext(_monomial(a, f.one(), exp))
         rep.check(f"value-z{exp}", got == _monomial(a, f.from_int(scale), exp),
@@ -394,8 +399,8 @@ def verify_bm_counterexample() -> VerificationReport:
 
 
 def verify_inverse_map_values(style: str | None, u: str | None) -> VerificationReport:
-    """phi(d) on the paper's period-4 scene (style forward and unit z unless
-    given) sends z^2, z^5 to 2 z^2, 5 z^5 and keeps the product rule."""
+    """phi(d) on the paper's period-4 scene (style forward unless given)
+    sends z^2, z^5 to 2 z^2, 5 z^5 and keeps the product rule."""
     rep, img3, defect = _period_four("inverse-map-values", loop_phi, style or FORWARD, u, "phi(d)",
                                      ((2, 2), (5, 5)))
     rep.dim("value-z3-coefficient", 3)
@@ -423,19 +428,19 @@ def _t_derivation(a, m: int, n: int):
 
 def verify_twisted_normal_form(ms, ns, style: str | None, u: str | None) -> VerificationReport:
     """phi(d) for d = t^(n+1) d/dt, t = z^m, on k<1>, for each m of ms and n of
-    ns (style inverse and unit z^-1 unless given), is (1/m) z^(nm+1) d/dz on
-    every z^j with |j| <= 2m."""
+    ns (style inverse unless given), is (1/m) z^(nm+1) d/dz on every z^j
+    with |j| <= 2m."""
     if bad := [m for m in ms if m < 1]:
         raise ParseError(f"a scene period must be at least 1, got {bad[0]}")
     rep = VerificationReport("twisted-normal-form")
     rep.hyp("scalar-S")
     rep.hyp("graded-unit")
+    style = style or INVERSE
     for m in ms:
         a, aut = _scalar_scene(m)
-        f = a.field
-        unit = parse_laurent(u, a) if u else _monomial(a, f.one(), -1)
+        f, unit = a.field, _scene_unit(a, style, u)
         for n in ns:
-            phi = loop_phi(a, aut, m, style or INVERSE, unit, _t_derivation(a, m, n))
+            phi = loop_phi(a, aut, m, style, unit, _t_derivation(a, m, n))
             witness = None
             for j in range(-2 * m, 2 * m + 1):
                 got = phi(_monomial(a, f.one(), j))

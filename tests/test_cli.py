@@ -326,6 +326,20 @@ def test_exit_3_on_hypothesis_failure(capsys):
     assert "[perfect]" in err
 
 
+def test_exit_3_on_a_right_factor_that_is_not_associative(tmp_path, capsys):
+    # basis 1, x, y with x^2 = y, y^2 = x, xy = 0: commutative and unital,
+    # but (x x) y = x while x (x y) = 0
+    table = [[[[0, "1"]], [[1, "1"]], [[2, "1"]]],
+             [[[1, "1"]], [[2, "1"]], []],
+             [[[2, "1"]], [], [[1, "1"]]]]
+    p = tmp_path / "cubic.json"
+    p.write_text(json.dumps({"field": sl2().to_definition()["field"], "dim": 3, "basis": ["1", "x", "y"],
+                             "table": table}))
+    code, out, err = run_cap(capsys, ["verify-lemma21", "--algebra", "sl2", "--s", str(p), "--json"])
+    assert (code, out) == (3, "")
+    assert err.strip().endswith("[associative]")
+
+
 def test_exit_4_on_internal_failure(capsys, monkeypatch):
     def boom(setup):
         raise InternalCheckFailed("forced for the exit-code contract")

@@ -46,6 +46,7 @@ from dertensor.gradings import check_automorphism, eps, grading_from_automorphis
 from dertensor.invariants import derivation_space, leibniz_witness
 from dertensor.scalars import make_field
 
+from dense_leibniz import dense_leibniz_witness
 from naive_la import Zeta3, dense, matmul, naive_of, naive_rank, naive_rref, sparse, unflatten
 
 
@@ -492,6 +493,19 @@ def test_wrap_case_passes_with_period_one():
     assert wrap_verdict(st) == (True, "pass")
 
 
+def test_a_failing_identity_names_its_sample(monkeypatch, flagship):
+    st, bracket = flagship, decomposition._bracket
+    # the mutant bracket is a (x) u^t b at t >= M, so the wrap case of the
+    # residue-shift identity fails first on sample 5, the pair (e, f) of
+    # degrees (1, 1), the first with a nonzero product
+    monkeypatch.setattr(decomposition, "_bracket", lambda c, ev, avec, t, big_m, b=None:
+                        bracket(c, ev, avec, t, big_m, b) if t < big_m else c.pure(avec, t, b))
+    d = st.der_fixed.space._sparse[0]
+    failed = {e["name"]: e["witness"] for e in check_surjectivity_identities(d, st).assertions if not e["pass"]}
+    assert failed["formula-4"] == "sample 5, integer parameters [1, 1]"
+    assert all(w.startswith("sample ") for w in failed.values())
+
+
 # -- degenerate and char-p setups -------------------------------------------
 
 
@@ -691,6 +705,22 @@ def test_an_extension_of_nonzero_degree_names_the_first_entry(monkeypatch, capsy
     monkeypatch.setattr(decomposition, "tensor_automorphism", mutant)
     err = _internal_failure(capsys, ["phi-eval", "--setup", "sl2-twisted-flagship"])
     assert f"extension is not of degree zero at entry {want}" in err
+
+
+def test_an_extension_that_is_no_derivation_names_the_first_pair(monkeypatch, capsys, flagship):
+    st = flagship
+    f, n = st.a.field, st.ts.dim
+    eye, standard_map = diagonal_map(f, [1] * n), decomposition._standard_map
+
+    def mutant(setup, images):
+        # the extension gains the identity, no derivation where a product is nonzero
+        return combine_rows(f, [(f.one(), standard_map(setup, images)), (f.one(), eye)])
+
+    big = combine_rows(f, [(f.one(), extend_phi(st.der_fixed.space._sparse[0], st)), (f.one(), eye)])
+    want = dense_leibniz_witness(st.ts, unflatten(f, dense(f, n * n, big), n, n))[:2]
+    monkeypatch.setattr(decomposition, "_standard_map", mutant)
+    err = _internal_failure(capsys, ["phi-eval", "--setup", "sl2-twisted-flagship"])
+    assert f"extension violates the derivation law on pair {want}" in err
 
 
 def test_an_extension_restricting_elsewhere_names_the_first_entry(monkeypatch, capsys):

@@ -129,6 +129,10 @@ COMMANDS = (
         ["grade", "--setup", "quotient-laurent(2,3)"],
         ["fixed", "--setup", "sl2-twisted-flagship", "--json"],
         ["catalog", "show", "sl2-twisted-flagship", "--json"],
+        # a scene's default unit is the degree-one unit of its style
+        ["phi-eval", "--style", "inverse", "--json"],
+        ["phi-eval", "--setup", "last-exa-i", "--style", "inverse", "--json"],
+        ["phi-eval", "--setup", "last-exa-ii", "--m", "3", "--style", "forward", "--json"],
     ]
 )
 
@@ -156,6 +160,10 @@ def load_golden():
 
 def test_golden_file_covers_every_command():
     assert [e["argv"] for e in load_golden()] == COMMANDS
+
+
+def test_every_cli_command_starts_a_golden_command_line():
+    assert {name for name, *_ in cli.COMMANDS} <= {argv[0] for argv in COMMANDS}
 
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=shlex.join)

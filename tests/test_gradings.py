@@ -2,8 +2,8 @@
 
 import pytest
 
-from dertensor import exactla
-from dertensor.algebra import tensor_product
+from dertensor import exactla, gradings
+from dertensor.algebra import Algebra, tensor_product
 from dertensor.catalog import dual_numbers, group_algebra, sl2
 from dertensor.errors import (
     DimensionMismatch,
@@ -21,7 +21,6 @@ from dertensor.gradings import (
     find_graded_unit,
     fixed_point_algebra,
     grading_from_automorphism,
-    grading_is_multiplicative,
     induced_endo_grading,
     tensor_automorphism,
 )
@@ -29,6 +28,14 @@ from dertensor.invariants import EndoSpace, derivation_space
 from dertensor.scalars import FieldDescriptor, make_field
 
 from naive_la import dense, matmul, sparse
+
+
+def grading_is_multiplicative(a, g):
+    """Products of components land in the component of the residue sum: the
+    reference the engine needs no copy of, as sigma's own check implies it."""
+    rows = [c._sparse for c in g.components]
+    return all(g.component(i + j).contains(a.mult(u, v))
+               for i, ci in enumerate(rows) for j, cj in enumerate(rows) for u in ci for v in cj)
 
 
 def projections(g, field):
@@ -200,6 +207,29 @@ def test_trivial_period_one():
     assert g.component_dims == (2,)
     data = find_graded_unit(s, g, q=1)
     assert data.u_prime == s.unit()
+
+
+def test_graded_unit_tries_combinations_only_after_the_basis(monkeypatch):
+    built = []
+    real = gradings.combine_rows
+    monkeypatch.setattr(gradings, "combine_rows", lambda *args: built.append(args) or real(*args))
+    f = make_field("rational")
+    o, z = f.one(), f.zero()
+
+    def unit_of(alg):  # sigma = id, so the one component is the whole algebra
+        return find_graded_unit(alg, grading_from_automorphism(check_automorphism(alg, diagonal_map(f, [1, 1]), 1)))
+
+    # k[Z2]: the basis vector 1 is a unit, so no combination is built
+    s = group_algebra(2)
+    assert unit_of(s).u == s.unit()
+    assert built == []
+    # k x k on its idempotents e1, e2: neither is invertible, but the first
+    # combination, -2 (e1 + e2), is
+    kk = Algebra(f, ["e1", "e2"], [[[o, z], [z, z]], [[z, z], [z, o]]])
+    data = unit_of(kk)
+    assert data.u == sparse(f, [f.from_int(-2)] * 2)
+    assert kk.mult(data.u, data.u_inv) == kk.unit() == sparse(f, [o, o])
+    assert len(built) == 1
 
 
 def test_induced_derivation_grading_on_sl2():

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dertensor import laurent
 from dertensor.catalog import group_algebra, sl2, sl2_sign_automorphism, sl2_twisted_flagship
 from dertensor.decomposition import Setup, bm_formula_extend, extend_phi, phi_formula
 from dertensor.errors import (
@@ -371,6 +372,21 @@ def test_twisted_normal_form_inner_route(scalar_line):
     for j in (-2, 1, 4, 7):
         got = phi(unit_line(a, j))
         assert got == scaled_monomial_image(a, j, m, n)
+
+
+def test_a_wrong_normal_form_names_its_monomial(monkeypatch):
+    # the mutant derivation is twice t^(n+1) d/dt, so phi(d) doubles every
+    # image, first on z^-4 = t^-2 at m = 2, n = 1: -4 z^-2, not -2 z^-2
+    t_derivation = laurent._t_derivation
+
+    def doubled(a, m, n):
+        d = t_derivation(a, m, n)
+        return lambda x: d(x).add(d(x))
+
+    monkeypatch.setattr(laurent, "_t_derivation", doubled)
+    (entry,) = laurent.verify_twisted_normal_form((2,), (1,), None, None).assertions
+    assert entry == {"name": "normal-form-m2-n1", "pass": False,
+                     "witness": "monomial z^-4: got -4*(1 (x) z^-2), want -2*(1 (x) z^-2)"}
 
 
 # -- domain and hypothesis errors -------------------------------------------
