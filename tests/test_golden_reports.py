@@ -1,7 +1,9 @@
 """Every pinned command still prints the same report with the same exit code.
 
 The golden file holds, per command line, the exit code and the sha256 of its
-stdout, recorded in process. A refactor that must leave every report
+stdout, recorded in process with the repository root as the working
+directory, so a setup file named by a relative path gives the same entry from
+any directory. A refactor that must leave every report
 byte-identical is checked by this test; a change that alters a report on
 purpose re-records only that command:
 
@@ -16,14 +18,15 @@ import json
 import os
 import shlex
 import sys
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import chdir, redirect_stderr, redirect_stdout
 from unittest import mock
 
 import pytest
 
 import dertensor.cli as cli
 
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_reports.json")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GOLDEN = os.path.join(ROOT, "tests", "golden_reports.json")
 
 # the catalog sweep pairs, as the benchmark runs them one at a time
 PAIRS = [(a, s) for a in ("sl2", "sl2-graded-variant")
@@ -31,6 +34,10 @@ PAIRS = [(a, s) for a in ("sl2", "sl2-graded-variant")
 
 SOLVERS = (("derive", "sl2"), ("centroid", "group-algebra(3)"), ("dcentroid", "dual-numbers"))
 FIELDS = ([], ["--field", "prime(5)"], ["--field", "cyclotomic(3)"])
+
+# the commands that build a Setup, as the sl3 diagram goldens run them
+SETUP_COMMANDS = ("verify-thm2", "verify-lemma35", "phi-eval", "bm-eval", "lemma-identities", "grade",
+                  "fixed")
 
 COMMANDS = (
     [["verify-thm1", "--budget", "25", "--json", "--algebra", a, "--s", s] for a, s in PAIRS]
@@ -134,6 +141,12 @@ COMMANDS = (
         ["phi-eval", "--setup", "last-exa-i", "--style", "inverse", "--json"],
         ["phi-eval", "--setup", "last-exa-ii", "--m", "3", "--style", "forward", "--json"],
     ]
+    # a setup where D(S) is not zero: k[z]/(z^6 - 1) over F_3 is not semisimple
+    + [[cmd, "--setup", "quotient-laurent(3,2)", "--field", "prime(3,2)", "--json"]
+       for cmd in ("verify-thm2", "verify-lemma35", "phi-eval", "bm-eval", "lemma-identities")]
+    # sigma not diagonal in the given basis: the sl3 diagram automorphism against z -> -z
+    + [[cmd, "--setup", f"tests/setups/sl3-diagram-{n}.json", "--json"] for n in (1, 2)
+       for cmd in SETUP_COMMANDS]
 )
 
 
@@ -141,7 +154,7 @@ def run_report(argv):
     """(exit code, stdout) of one in-process CLI run; stderr is dropped."""
     out = io.StringIO()
     # help text wraps at the terminal width; pin it
-    with redirect_stdout(out), redirect_stderr(io.StringIO()), \
+    with redirect_stdout(out), redirect_stderr(io.StringIO()), chdir(ROOT), \
             mock.patch.dict(os.environ, {"COLUMNS": "80"}):
         code = cli.run(list(argv))
     return code, out.getvalue()
@@ -170,6 +183,17 @@ def test_every_cli_command_starts_a_golden_command_line():
 def test_report_matches_golden(argv):
     want = next(e for e in load_golden() if e["argv"] == argv)
     assert record_of(argv) == want
+
+
+@pytest.mark.parametrize("n", (1, 2))
+@pytest.mark.parametrize("cmd", SETUP_COMMANDS)
+def test_sl3_diagram_reports_equal_their_eigenbasis_twins(cmd, n):
+    """The sl3 setup whose sigma swaps e1, e2 (and h1, h2 and f1, f2) reports
+    what the same setup written on sigma's eigenbasis e1 +- e2, h1 +- h2,
+    f1 +- f2, e12, f12 reports, where sigma is diagonal."""
+    given, twin = (run_report([cmd, "--setup", f"tests/setups/{name}-{n}.json", "--json"])
+                   for name in ("sl3-diagram", "sl3-diagram-eigen"))
+    assert given == twin
 
 
 def record(only=()):
