@@ -46,8 +46,8 @@ from .errors import (
     InternalCheckFailed,
     ParseError,
 )
-from .exactla import canonical_row, combine_rows
-from .gradings import check_automorphism, grading_from_automorphism
+from .exactla import apply_map, canonical_row, combine_rows
+from .gradings import check_automorphism, diagonal_form, grading_from_automorphism
 from .invariants import centroid, derivation_space, differential_centroid
 from .laurent import (
     FORWARD,
@@ -212,8 +212,10 @@ def _resolve_setup(text: str, args) -> Setup:
         a, s, aut1, aut2 = catalog_setup(text, field)
         q, u = 1, None
     if args.u:
+        # read on the given basis, and its degree on sigma's diagonal form, where Setup carries it
         u = _parse_element(args.u, s)
-        q = grading_from_automorphism(aut2).degree_of(u)
+        diag, carry = diagonal_form(aut2)
+        q = grading_from_automorphism(diag).degree_of(apply_map(s.field, carry, s.dim, u) if carry else u)
         if q is None:
             raise ParseError("--u must be a nonzero homogeneous element of S")
     return Setup(a, s, aut1, aut2, q=q, u=u)
@@ -278,8 +280,9 @@ def cmd_grade(args) -> int:
     for i, dim in enumerate(st.grading_ts.component_dims):
         rep.dim(f"tensor-degree-{i}", dim)
     rep.check("components-fill-space", sum(st.grading_ts.component_dims) == st.ts.dim)
-    # check_automorphism proved both factors' sigma multiplicative, so their Kronecker
-    # product is, and its certified eigenspaces multiply by residue sum
+    # check_automorphism proved both factors' sigma multiplicative, so sigma1 tensor sigma2
+    # is, and the tensor grading's coordinate components, of degree deg i + deg j at basis
+    # pair (i, j), multiply by residue sum
     rep.check("multiplicative", True)
     return _emit(rep, args)
 

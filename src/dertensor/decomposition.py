@@ -17,9 +17,8 @@ from __future__ import annotations
 import json
 import random
 from functools import cached_property
-from itertools import product as iter_product
 
-from .algebra import Algebra, tensor_product, tensor_vector
+from .algebra import Algebra, subalgebra_on, tensor_product, tensor_vector
 from .catalog import catalog_algebra
 from .errors import (
     DimensionMismatch,
@@ -30,16 +29,16 @@ from .errors import (
     NotPerfect,
     PsiNotIso,
 )
-from .exactla import Subspace, apply_map, combine_rows, compose_maps, first_difference, map_of_columns, sparse_kron
+from .exactla import Subspace, apply_map, combine_rows, first_difference, map_of_columns, sparse_kron
 from .gradings import (
     Automorphism,
     Grading,
+    coordinate_grading,
+    diagonal_form,
     eps,
     find_graded_unit,
-    fixed_point_algebra,
     grading_from_automorphism,
     induced_endo_grading,
-    tensor_automorphism,
 )
 from .invariants import (
     EndoSpace,
@@ -136,9 +135,11 @@ class Setup:
 
     Holds two algebras over one field, automorphisms of a shared declared
     period, and a graded unit; every hypothesis of the restriction-map
-    theorem is re-checked at construction. Derived data (tensor algebra,
-    gradings, fixed-point algebra, derivation spaces, unit powers) is
-    built once and cached. Instances are never mutated by verifiers.
+    theorem is re-checked at construction. A factor whose sigma is not
+    diagonal is rewritten once on sigma's eigenbasis (diagonal_form), with a
+    given unit u of S carried across. Derived data (tensor algebra, gradings,
+    fixed-point algebra, derivation spaces, unit powers) is built once and
+    cached. Instances are never mutated by verifiers.
     """
 
     def __init__(self, a: Algebra, s: Algebra, aut1: Automorphism, aut2: Automorphism,
@@ -150,25 +151,31 @@ class Setup:
         if aut1.period != aut2.period:
             raise HypothesisNotMet(
                 f"declared periods differ: {aut1.period} vs {aut2.period}", "automorphism-periods")
-        self.a, self.s, self.aut1, self.aut2, self.m = a, s, aut1, aut2, aut1.period
         # (i) perfect, (ii) commutative associative unital
         if not a.is_perfect():
             raise NotPerfect("left factor is not perfect")
         require_scalar_hypotheses(s)
         # (iii) held by the Automorphism type; a grading other than the
-        # identity's needs a root of unity
+        # identity's needs a root of unity, and a sigma that is not diagonal
+        # is diagonalized with it
+        (aut1, _), (aut2, carry) = diagonal_form(aut1), diagonal_form(aut2)
+        if u is not None and carry:
+            u = apply_map(s.field, carry, s.dim, u)
+        a, s = aut1.algebra, aut2.algebra
+        self.a, self.s, self.aut1, self.aut2, self.m = a, s, aut1, aut2, aut1.period
         self.grading_a = grading_from_automorphism(aut1)
         self.grading_s = grading_from_automorphism(aut2)
         self.ts = tensor_product(a, s)
-        self.aut = tensor_automorphism(aut1, aut2)
-        self.grading_ts = grading_from_automorphism(self.aut)
+        # sigma = sigma1 tensor sigma2 is omega^(deg i + deg j) at basis pair (i, j)
+        self.grading_ts = coordinate_grading(a.field, self.m, tuple(
+            eps(x + y, self.m) for x in self.grading_a.degrees for y in self.grading_s.degrees))
         # (iv) graded unit, normalized into degree one
         self.unit_data = find_graded_unit(s, self.grading_s, q=q, u=u)
         # (v) psi isomorphism
         if not psi_map(a, s).bijective:
             raise PsiNotIso("centroid tensor map is not bijective")
         self.fixed_space = self.grading_ts.components[0]
-        self.fixed_algebra = fixed_point_algebra(self.ts, self.grading_ts)
+        self.fixed_algebra = subalgebra_on(self.ts, self.fixed_space)
         self._upow = {}
         self._lmat = {}
 
@@ -184,19 +191,19 @@ class Setup:
 
     @cached_property
     def der_a_grading(self) -> Grading:
-        return induced_endo_grading(self.aut1, derivation_space(self.a))
+        return induced_endo_grading(self.grading_a, derivation_space(self.a))
 
     @cached_property
     def cent_a_grading(self) -> Grading:
-        return induced_endo_grading(self.aut1, centroid(self.a))
+        return induced_endo_grading(self.grading_a, centroid(self.a))
 
     @cached_property
     def der_s_grading(self) -> Grading:
-        return induced_endo_grading(self.aut2, derivation_space(self.s))
+        return induced_endo_grading(self.grading_s, derivation_space(self.s))
 
     @cached_property
     def der_ts_grading(self) -> Grading:
-        return induced_endo_grading(self.aut, self.der_ts)
+        return induced_endo_grading(self.grading_ts, self.der_ts)
 
     # -- unit powers and the right S-action ---------------------------------
 
@@ -222,15 +229,16 @@ class Setup:
     def tensor_elem(self, a_vec, s_vec) -> tuple:
         return tensor_vector(self.a, self.s, a_vec, s_vec)
 
-    def d_eval(self, d):
+    def d_eval(self, d, stage: str):
         """Evaluator for a derivation given in fixed-algebra coordinates.
 
         d must be a derivation of the fixed algebra, as a sparse flattened map
-        (sorted, zero-free: Subspace._sparse). The returned closure takes an
-        ambient tensor element, a sparse row that must lie in the fixed
-        subalgebra, and returns its ambient image as a sparse row. It is
-        memoised per distinct argument; an argument outside the fixed
-        subalgebra raises NotInDomain on every call.
+        (sorted, zero-free: Subspace._sparse), or NotInDomain. The returned
+        closure takes an ambient tensor element, a sparse row in the fixed
+        subalgebra, and returns its ambient image as a sparse row, memoised
+        per distinct argument. The engine's formulas (stage names the one)
+        build its arguments, so one outside the fixed subalgebra is an engine
+        fault: InternalCheckFailed, on every call.
         """
         f, fixed, k = self.a.field, self.fixed_space, self.fixed_algebra.dim
         if d and d[-1][0] >= k * k:
@@ -243,8 +251,8 @@ class Setup:
             if x not in images:
                 try:
                     c = fixed.coords(x)
-                except NotInDomain:
-                    raise NotInDomain("evaluation argument is not in the fixed subalgebra")
+                except NotInDomain as exc:
+                    raise InternalCheckFailed(f"{stage}: evaluation argument is not in the fixed subalgebra: {exc}")
                 images[x] = combine_rows(f, ((v, fixed._sparse[t]) for t, v in apply_map(f, d, k, c)))
             return images[x]
 
@@ -470,10 +478,10 @@ def restrict_pi(big_d, setup: Setup) -> tuple:
 # A carrier holds A tensor S with a unit U of S and the grading period m.
 # It supplies pure(a, t, b) = a tensor U^t b and the scalar-slot action
 # act(x, t, b) = x U^t b on sparse rows, which the formulas combine with
-# combine_rows. A missing b means 1. Both cut what they map into
-# homogeneous pieces (a, ia, b, es) with Grading.split: the Laurent one
-# each term a (x) z^b, the finite one each basis vector e_i tensor e_j
-# (_standard_map).
+# combine_rows. A missing b means 1. Both map homogeneous pieces
+# (a, ia, b, es): the Laurent one cuts each term a (x) z^b with
+# Grading.split, and on the finite one each basis vector e_i tensor e_j is
+# a piece, as sigma is diagonal (_standard_map).
 
 
 class _Coords:
@@ -517,6 +525,8 @@ def phi_formula(c, ev, pieces, mn: int) -> list:
     times b.
     """
     f = c.field
+    if not f.nonzero(f.from_int(mn)):  # extend_phi refuses such an n, hypothesis (iii) such an m
+        raise InternalCheckFailed(f"phi formula: mn = {mn} is zero in the field")
     mn_inv = f.inv_int(mn)
     out = []
     for (avec, ia, b, es), img in zip(pieces, residue_shifts(c, ev, pieces, 1)):
@@ -528,18 +538,13 @@ def phi_formula(c, ev, pieces, mn: int) -> list:
 
 
 def _standard_map(setup: Setup, images) -> tuple:
-    """The map on A tensor S whose column (i, j) sums the images of the pieces
-    of e_i tensor e_j; images runs once, on all the pieces in column order."""
-    f, m, one = setup.a.field, setup.m, setup.a.field.one()
-    pieces, ends = [], []
-    for pa, ps in iter_product(*[[g.split(f, ((i, one),)) for i in range(g.ambient)]
-                                 for g in (setup.grading_a, setup.grading_s)]):
-        pieces += [(avec, ia, b, eps(ia + ib, m)) for avec, ia in pa for b, ib in ps]
-        ends.append(len(pieces))
-    imgs = images(pieces)
-    # a column of one piece is its image; scaling it by one would cost a product per entry
-    return map_of_columns([imgs[i] if j - i == 1 else combine_rows(f, ((one, x) for x in imgs[i:j]))
-                           for i, j in zip([0] + ends, ends)])
+    """The map on A tensor S whose column (i, j) is the image of e_i tensor
+    e_j, one piece of degree deg i + deg j as sigma is diagonal; images runs
+    once, on all the pieces in column order."""
+    one, m = setup.a.field.one(), setup.m
+    da, ds = setup.grading_a.degrees, setup.grading_s.degrees
+    return map_of_columns(images([(((i, one),), da[i], ((j, one),), eps(da[i] + ds[j], m))
+                                  for i in range(setup.a.dim) for j in range(setup.s.dim)]))
 
 
 def extend_phi(d, setup: Setup, branch: str = "char0", n: int = 1, verified=None) -> tuple:
@@ -556,7 +561,7 @@ def extend_phi(d, setup: Setup, branch: str = "char0", n: int = 1, verified=None
     """
     if branch not in ("char0", "charp"):
         raise ValueError(f"unknown branch {branch!r}")
-    ev = setup.d_eval(d)
+    ev = setup.d_eval(d, f"extension ({branch} branch)")
     f, nts, k = setup.a.field, setup.ts.dim, setup.fixed_algebra.dim
     p, u, u_inv = f.char, setup.unit_data.u_prime, setup.unit_data.u_prime_inv
     if branch == "charp":
@@ -573,8 +578,9 @@ def extend_phi(d, setup: Setup, branch: str = "char0", n: int = 1, verified=None
         return big
     if (pair := leibniz_witness(setup.ts, big)) is not None:
         raise InternalCheckFailed(f"extension violates the derivation law on pair {pair}")
-    sig = setup.aut.maps[0]
-    if (c := first_difference(compose_maps(f, sig, big, nts), compose_maps(f, big, sig, nts))) is not None:
+    # it commutes with the diagonal sigma exactly when each entry (r, c) has deg r = deg c
+    deg = setup.grading_ts.degrees
+    if (c := next((rc for rc, _ in big if deg[rc // nts] != deg[rc % nts]), None)) is not None:
         raise InternalCheckFailed(f"extension is not of degree zero at entry {divmod(c, nts)}")
     if (c := first_difference(_restrict(big, setup), d)) is not None:
         raise InternalCheckFailed(f"extension does not restrict to the input at entry {divmod(c, k)}")
@@ -609,7 +615,7 @@ def bm_formula_extend(d, setup: Setup) -> tuple:
     s = q r mod m. No derivation property is claimed; this exists to
     reproduce its failure. Maps are sparse flattened (see Setup.d_eval).
     """
-    ev = setup.d_eval(d)
+    ev = setup.d_eval(d, "published formula")
     c = _Coords(setup, setup.unit_data.u, setup.unit_data.u_inv)
     q = setup.unit_data.q
     return _standard_map(setup, lambda pieces: residue_shifts(c, ev, pieces, q))
@@ -648,7 +654,7 @@ def check_surjectivity_identities(d, setup: Setup,
     see Setup.d_eval), memoised per argument, and each bracket at M = m.
     """
     rep = _setup_report("surjectivity-identities", False)
-    ev = setup.d_eval(d)
+    ev = setup.d_eval(d, "surjectivity identities")
     c = _Coords(setup, setup.unit_data.u_prime, setup.unit_data.u_prime_inv)
     f, m, ts = setup.a.field, setup.m, setup.ts
 

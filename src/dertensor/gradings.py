@@ -1,19 +1,16 @@
 """Automorphisms of declared finite period and the gradings they induce.
 
-A period-m automorphism with a primitive m-th root of unity in the field
-splits the algebra into eigenspace components indexed by residues mod m.
-The declared period is never minimized: sigma = id with m = 4 is a perfectly
-valid period-4 automorphism whose grading is concentrated in degree zero.
-
-Residue arithmetic goes through eps(), which picks the representative in
-[0, m). Endomorphism spaces inherit a grading through conjugation.
-One routine, _eigenspace_grading, cuts both: the algebra by sigma, an
-endomorphism space by conjugation. Its three checks (see there) imply
-sigma = sum_i omega^i P_i. A tensor automorphism of two validated factors
-is not re-validated; its grading is multiplicative because sigma is.
-Grading.split, the one place a vector is cut into homogeneous parts, reads
-them off the projections P_i of the basis vectors (Grading.basis_parts,
-built once per grading).
+The engine grades by a diagonal sigma only: with omega a primitive m-th root
+of unity, basis vector i has the residue k mod m with sigma_ii = omega^k, so
+each component is a coordinate subspace and Grading.split, the one place a
+vector is cut into homogeneous parts, groups its entries by degree.
+Conjugation scales entry (r, c) of a map by omega^(deg r - deg c), so each
+RREF basis vector of an invariant endomorphism space has one such degree
+(induced_endo_grading). A sigma that is not diagonal is diagonalizable, as
+its minimal polynomial divides x^m - 1, whose roots are distinct:
+diagonal_form rewrites its algebra once on the eigenbasis _eigenspace_grading
+cuts. The declared period is never minimized (sigma = id with m = 4 grades
+everything in degree zero), and residues are taken by eps(), in [0, m).
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ from __future__ import annotations
 from itertools import chain, islice, product as iter_product
 from types import SimpleNamespace
 
-from .algebra import Algebra, invert_element, subalgebra_on, tensor_product
+from .algebra import Algebra, invert_element
 from .errors import (
     DimensionMismatch,
     InternalCheckFailed,
@@ -34,7 +31,7 @@ from .errors import (
     WrongPeriod,
 )
 from .exactla import (Subspace, apply_map, canonical_row, combine_rows, compose_maps, diagonal_map, invert_map,
-                      map_of_columns, map_rows, sparse_kron)
+                      kernel_of_rows, map_of_columns, map_rows)
 from .invariants import EndoSpace
 
 COMBO_BUDGET = 64  # small integer combinations tried by find_graded_unit
@@ -48,15 +45,15 @@ def eps(i: int, m: int) -> int:
 class Automorphism:
     """A validated automorphism of declared period; immutable by convention.
 
-    maps holds sigma and sigma^-1 as sparse flattened maps (see exactla).
-    Its grading, derived from it alone, is memoised in _cache.
+    sig holds sigma as a sparse flattened map (see exactla). Its grading and
+    diagonal form, derived from it alone, are memoised in _cache.
     """
 
-    __slots__ = ("algebra", "maps", "period", "_cache")
+    __slots__ = ("algebra", "sig", "period", "_cache")
 
-    def __init__(self, algebra: Algebra, maps: tuple, period: int):
+    def __init__(self, algebra: Algebra, sig: tuple, period: int):
         self.algebra = algebra
-        self.maps = maps
+        self.sig = sig
         self.period = period
         self._cache = {}
 
@@ -75,7 +72,7 @@ def check_automorphism(algebra: Algebra, sig: tuple, period: int) -> Automorphis
     if period < 1:
         raise WrongPeriod(f"period must be positive, got {period}")
     try:
-        siginv = invert_map(f, sig, n)
+        invert_map(f, sig, n)
     except SingularElement:
         raise NotAutomorphism("matrix is singular")
     cols = [apply_map(f, sig, n, ((i, f.one()),)) for i in range(n)]
@@ -88,19 +85,23 @@ def check_automorphism(algebra: Algebra, sig: tuple, period: int) -> Automorphis
         power = compose_maps(f, power, sig, n)
     if power != eye:
         raise WrongPeriod(f"matrix to the power {period} is not the identity")
-    return Automorphism(algebra, (sig, siginv), period)
+    return Automorphism(algebra, sig, period)
 
 
 class Grading:
-    """A direct-sum decomposition indexed by residues mod m."""
+    """A space graded by residues mod m: coordinate i has the residue
+    degrees[i], and each RREF basis vector of the space, of one degree on its
+    support, lies in the component of its pivot's degree."""
 
-    __slots__ = ("m", "ambient", "components", "_parts")
+    __slots__ = ("m", "degrees", "components")
 
-    def __init__(self, m: int, ambient: int, components: list[Subspace]):
-        self.m = m
-        self.ambient = ambient
-        self.components = list(components)
-        self._parts = None
+    def __init__(self, m: int, degrees: tuple, space: Subspace):
+        self.m, self.degrees = m, degrees
+        groups = [([], []) for _ in range(m)]
+        for row, p in zip(space._sparse, space.pivots):
+            groups[degrees[p]][0].append(row)
+            groups[degrees[p]][1].append(p)
+        self.components = [Subspace(space.field, space.ambient, rows, pivots) for rows, pivots in groups]
 
     @property
     def component_dims(self) -> tuple[int, ...]:
@@ -115,116 +116,116 @@ class Grading:
 
     def degree_of(self, vec) -> int | None:
         """Residue of a sparse row with exactly one homogeneous part, else None."""
-        parts = self.split(self.components[0].field, vec)
+        parts = self.split(vec)
         return parts[0][1] if len(parts) == 1 else None
 
-    def split(self, field, vec) -> list:
+    def split(self, vec) -> list:
         """The nonzero homogeneous parts of a sparse row, as (part, residue)
-        pairs in degree order: the one place a vector is cut by degree. Each
-        part is the sum of c_i times the degree part of e_i (basis_parts)."""
-        out = []
-        for d, cols in enumerate(self.basis_parts(field)):
-            if cols and (part := combine_rows(field, ((c, cols[i]) for i, c in vec if i in cols))):
-                out.append((part, d))
-        return out
-
-    def basis_parts(self, field) -> list[dict]:
-        """Per residue d, i -> the degree-d part of basis vector e_i as a sparse
-        row, where nonzero (cached). Row i of the inverse of the stacked
-        component bases holds e_i's coefficients on the basis vectors."""
-        if self._parts is None:
-            n, basis = self.ambient, [row for c in self.components for row in c._sparse]
-            stacked = tuple((t * n + c, x) for t, row in enumerate(basis) for c, x in row)
-            coeffs = map_rows(invert_map(field, stacked, n), n)
-            self._parts, start = [], 0
-            for comp in self.components:
-                block = range(start, start + comp.dim)
-                parts = {i: combine_rows(field, ((x, basis[t]) for t, x in row if t in block))
-                         for i, row in coeffs.items()}
-                self._parts.append({i: p for i, p in parts.items() if p})
-                start += comp.dim
-        return self._parts
+        pairs in degree order: its entries grouped by their coordinates' degrees."""
+        parts = {}
+        for i, x in vec:
+            parts.setdefault(self.degrees[i], []).append((i, x))
+        return [(tuple(parts[d]), d) for d in sorted(parts)]
 
     def __repr__(self):
         return f"Grading(mod {self.m}, dims {self.component_dims})"
 
 
-def _eigenspace_grading(space: Subspace, op, m: int, tag: str) -> Grading:
-    """Component i = {x in space : op x = omega^i x}, op the sparse flattened
-    map of the space's coordinates (see exactla), cut with Subspace.cut.
+def coordinate_grading(f, m: int, degrees: tuple) -> Grading:
+    """The grading by a diagonal sigma: coordinate i in the component of residue degrees[i]."""
+    n = len(degrees)
+    return Grading(m, degrees, Subspace(f, n, [((i, f.one()),) for i in range(n)], range(n)))
 
-    Checks: each cut is a certified kernel, so op is omega^i on component i;
-    omega^0 ... omega^(m-1) are distinct, so the components are independent;
-    they fill the space. The identity puts everything in degree zero, and
-    asks the field for no root of unity.
-    """
-    f, k = space.field, space.dim
-    if op == tuple((i * k + i, f.one()) for i in range(k)):
-        return Grading(m, space.ambient, [space] + [Subspace(f, space.ambient, (), ())] * (m - 1))
-    omega = f.root_of_unity(m)
-    powers, seen = [f.pow(omega, i) for i in range(m)], {}
-    for i, w in enumerate(powers):
+
+def _residues(f, m: int) -> dict:
+    """omega^i -> i for i < m, omega a primitive m-th root of unity;
+    InternalCheckFailed if two powers coincide."""
+    omega, seen = f.root_of_unity(m), {}
+    for i in range(m):
+        w = f.pow(omega, i)
         if seen.setdefault(w, i) != i:
-            raise InternalCheckFailed(f"grading {tag!r}: omega^{seen[w]} = omega^{i} = {f.format(w)} "
+            raise InternalCheckFailed(f"grading 'algebra': omega^{seen[w]} = omega^{i} = {f.format(w)} "
                                       f"for a root of order {m}")
-    rows, one, comps = map_rows(op, k), f.one(), []
-    for i, w in enumerate(powers):
-        # row r of op - w id, on the space's coordinates
-        shifted = [combine_rows(f, ((one, rows.get(r, ())), (f.neg(w), ((r, one),)))) for r in range(k)]
-        comps.append(space.cut(shifted, f"{tag}-degree-{i}"))
-    if sum(c.dim for c in comps) != k:
-        raise InternalCheckFailed(f"grading {tag!r}: components of dims {[c.dim for c in comps]} "
-                                  f"do not fill the dim-{k} space")
-    return Grading(m, space.ambient, comps)
+    return seen
 
 
 def grading_from_automorphism(aut: Automorphism) -> Grading:
-    """Eigenspace grading of the algebra: component i is the kernel of
-    (sigma - omega^i id). Built once and kept on the automorphism."""
+    """The grading of the algebra by a diagonal sigma: basis vector i has the
+    degree k with sigma_ii = omega^k, and the identity asks for no root.
+    Built once and kept on the automorphism."""
     if "grading" not in aut._cache:
-        f, n = aut.algebra.field, aut.algebra.dim
-        whole = Subspace(f, n, [((i, f.one()),) for i in range(n)], range(n))
-        aut._cache["grading"] = _eigenspace_grading(whole, aut.maps[0], aut.period, "algebra")
+        f, n, m, sig = aut.algebra.field, aut.algebra.dim, aut.period, aut.sig
+        if any(rc // n != rc % n for rc, _ in sig):
+            raise NotInDomain("sigma is not diagonal: grade the automorphism diagonal_form gives")
+        # sigma^m = id, so each sigma_ii is one of the m distinct powers of omega
+        residue = {f.one(): 0} if all(x == f.one() for _, x in sig) else _residues(f, m)
+        aut._cache["grading"] = coordinate_grading(f, m, tuple(residue[x] for _, x in sig))
     return aut._cache["grading"]
 
 
-def induced_endo_grading(aut: Automorphism, endo: EndoSpace) -> Grading:
-    """Grading of an invariant endomorphism space by conjugation eigenvalue.
+def induced_endo_grading(grading: Grading, endo: EndoSpace) -> Grading:
+    """Grading of an invariant endomorphism space of an algebra graded by a
+    diagonal sigma, by conjugation eigenvalue.
 
-    Component i holds the maps T with sigma T sigma^{-1} = omega^i T, i.e.
-    the maps shifting degrees by i. NotInvariant if conjugation leaves the
-    space.
+    Component i holds the maps T with sigma T sigma^{-1} = omega^i T, whose
+    entries (r, c) have degree deg r - deg c = i. The RREF basis vector with
+    pivot p of an invariant space is its own part of p's degree, so a basis
+    vector with two degrees shows that conjugation leaves the space:
+    NotInvariant names its entries.
     """
-    if endo.n != aut.algebra.dim:
-        raise DimensionMismatch("endomorphism space does not match the automorphism carrier")
-    f, n, (sig, siginv) = aut.algebra.field, endo.n, aut.maps
-    coords = []
-    for t in endo.space._sparse:
-        try:
-            coords.append(endo.space.coords(compose_maps(f, compose_maps(f, sig, t, n), siginv, n)))
-        except NotInDomain:
-            raise NotInvariant("conjugation does not preserve the endomorphism space")
-    # conjugation on the coordinates, column convention
-    return _eigenspace_grading(endo.space, map_of_columns(coords), aut.period, endo.tag)
+    n, m, deg = endo.n, grading.m, grading.degrees
+    if len(deg) != n:
+        raise DimensionMismatch("endomorphism space does not match the graded algebra")
+    degrees = tuple(eps(deg[r] - deg[c], m) for r in range(n) for c in range(n))
+    for t, row in enumerate(endo.space._sparse):
+        p = row[0][0]
+        if (j := next((j for j, _ in row if degrees[j] != degrees[p]), None)) is not None:
+            raise NotInvariant(f"conjugation does not preserve the endomorphism space {endo.tag!r}: basis "
+                               f"vector {t} has entries {divmod(p, n)} of degree {degrees[p]} and "
+                               f"{divmod(j, n)} of degree {degrees[j]}")
+    return Grading(m, degrees, endo.space)
 
 
-def tensor_automorphism(aut_a: Automorphism, aut_s: Automorphism) -> Automorphism:
-    """Kronecker product automorphism on the tensor algebra of the two
-    factors (tensor_product). Multiplicative and of the shared period because
-    each factor is (check_automorphism), so only the periods are compared."""
-    if aut_a.period != aut_s.period:
-        raise WrongPeriod(
-            f"declared periods differ: {aut_a.period} vs {aut_s.period}"
-        )
-    ts = tensor_product(aut_a.algebra, aut_s.algebra)
-    f, na, ns = ts.field, aut_a.algebra.dim, aut_s.algebra.dim
-    (x, xinv), (y, yinv) = aut_a.maps, aut_s.maps
-    return Automorphism(ts, (sparse_kron(f, x, na, y, ns), sparse_kron(f, xinv, na, yinv, ns)), aut_a.period)
+def _eigenspace_grading(aut: Automorphism) -> list[tuple]:
+    """(omega^i, component i = the kernel of sigma - omega^i) for each residue i.
+
+    Checks: each component is a certified kernel (kernel_of_rows), so sigma
+    is omega^i on component i; omega^0 ... omega^(m-1) are distinct
+    (_residues), so the components are independent; they fill the space.
+    """
+    f, n, sig = aut.algebra.field, aut.algebra.dim, aut.sig
+    rows, one, comps = map_rows(sig, n), f.one(), []
+    for w, i in _residues(f, aut.period).items():
+        # row r of sigma - w id
+        shifted = [combine_rows(f, ((one, rows.get(r, ())), (f.neg(w), ((r, one),)))) for r in range(n)]
+        comps.append((w, kernel_of_rows(f, shifted, n, f"algebra-degree-{i}")))
+    if sum(c.dim for _, c in comps) != n:
+        raise InternalCheckFailed(f"grading 'algebra': components of dims {[c.dim for _, c in comps]} "
+                                  f"do not fill the dim-{n} space")
+    return comps
 
 
-def fixed_point_algebra(algebra: Algebra, grading: Grading):
-    """The degree-zero component with its inherited product, on its RREF basis."""
-    return subalgebra_on(algebra, grading.components[0])
+def diagonal_form(aut: Automorphism) -> tuple:
+    """(aut, None) when sigma is diagonal; else (sigma on its eigenbasis, a
+    diagonal automorphism of the algebra rewritten on that basis, the sparse
+    map carrying a row of the given basis there). The eigenbasis is each
+    component's RREF basis from _eigenspace_grading, in degree order, each
+    vector named by its expansion in the given basis. Built once, kept on aut.
+    """
+    if "diagonal" not in aut._cache:
+        a, f, n, m = aut.algebra, aut.algebra.field, aut.algebra.dim, aut.period
+        if all(rc // n == rc % n for rc, _ in aut.sig):
+            aut._cache["diagonal"] = (aut, None)
+        else:
+            comps = _eigenspace_grading(aut)
+            basis = [row for _, c in comps for row in c._sparse]
+            carry = invert_map(f, map_of_columns(basis), n)
+            terms = [[a.names[i] if x == f.one() else f"{f.format(x)}*{a.names[i]}" for i, x in row] for row in basis]
+            b = Algebra.from_products(f, [t[0] if len(t) == 1 else "(" + " + ".join(t) + ")" for t in terms],
+                                      [[apply_map(f, carry, n, a.mult(x, y)) for y in basis] for x in basis])
+            sig = diagonal_map(f, [w for w, c in comps for _ in c._sparse])
+            aut._cache["diagonal"] = (Automorphism(b, sig, m), carry)
+    return aut._cache["diagonal"]
 
 
 class GradedUnitData(SimpleNamespace):

@@ -452,16 +452,16 @@ def test_every_setup_entry_declares_the_dimensions_it_builds():
 def test_a_setup_file_parses_the_catalog_automorphisms(name, field):
     # the catalog writes sigma as a sparse map; the same sigma, written in a
     # setup file as a diagonal and as a matrix of formatted literals, parses
-    # to the same sigma and sigma^-1
+    # to the same sigma
     f = cli._parse_field_text(field)
     for label, aut in zip(("aut1", "aut2"), catalog.catalog_setup(name, f)[2:]):
-        n, at, z = aut.algebra.dim, dict(aut.maps[0]), f.zero()
+        n, at, z = aut.algebra.dim, dict(aut.sig), f.zero()
         assert all(rc // n == rc % n for rc in at)
         written = {"diagonal": [f.format(at.get(i * n + i, z)) for i in range(n)],
                    "matrix": [[f.format(at.get(r * n + c, z)) for c in range(n)] for r in range(n)]}
         for form, value in written.items():
             parsed = cli._automorphism_from_spec({"period": aut.period, form: value}, aut.algebra, label)
-            assert parsed.maps == aut.maps and parsed.period == aut.period
+            assert parsed.sig == aut.sig and parsed.period == aut.period
 
 
 def test_setup_file_roundtrip(tmp_path, capsys):
@@ -584,6 +584,40 @@ def test_u_flag_overrides_unit(capsys):
         capsys, ["verify-thm2", "--setup", "sl2-twisted-flagship", "--u", "z3", "--json"])
     assert code == 0
     assert json.loads(out)["verdict"] == "pass"
+
+
+def _swap_pair_files(tmp_path):
+    """sl2 against k x k, whose sigma swaps the idempotents e1, e2, and its
+    eigenbasis twin: k x k on 1 = e1 + e2 and z = e1 - e2 is k[Z2] with z -> -z."""
+    kk = {"field": {"kind": "rational"}, "dim": 2, "basis": ["e1", "e2"],
+          "table": [[[[0, "1"]], []], [[], [[1, "1"]]]]}
+    sign = {"diagonal": ["-1", "1", "-1"], "period": 2}
+    files = []
+    for name, s, aut2 in (("given", kk, {"matrix": [["0", "1"], ["1", "0"]], "period": 2}),
+                          ("twin", "group-algebra(2)", {"diagonal": ["1", "-1"], "period": 2})):
+        (tmp_path / name).write_text(json.dumps({"a": "sl2", "s": s, "aut1": sign, "aut2": aut2}))
+        files.append(str(tmp_path / name))
+    return files
+
+
+@pytest.mark.parametrize("command", ["verify-thm2", "grade", "bm-eval"])
+def test_a_unit_on_a_basis_sigma_does_not_diagonalize_is_carried_across(tmp_path, capsys, command):
+    given, twin = _swap_pair_files(tmp_path)
+    want = run_cap(capsys, [command, "--setup", twin, "--u", "z", "--json"])
+    assert want[0] == 0
+    assert run_cap(capsys, [command, "--setup", given, "--u", "1,-1", "--json"]) == want
+    # e1 has a part in each degree
+    code, _, err = run_cap(capsys, [command, "--setup", given, "--u", "e1", "--json"])
+    assert code == 2 and "homogeneous" in err
+
+
+def test_fixed_names_the_eigenbasis_of_a_sigma_that_is_not_diagonal(tmp_path, capsys):
+    given, twin = _swap_pair_files(tmp_path)
+    code, out, _ = run_cap(capsys, ["fixed", "--setup", given])
+    assert code == 0
+    assert out.splitlines()[:4] == ["basis 0: 1*e⊗(e1 + -1*e2)", "basis 1: 1*h⊗(e1 + e2)",
+                                    "basis 2: 1*f⊗(e1 + -1*e2)", "claim: fixed-algebra"]
+    assert out.replace("(e1 + -1*e2)", "z").replace("(e1 + e2)", "1") == run_cap(capsys, ["fixed", "--setup", twin])[1]
 
 
 def test_u_flag_rejects_mixed_degrees(capsys):

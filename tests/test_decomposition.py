@@ -27,7 +27,9 @@ from dertensor.decomposition import (
     restrict_pi,
     split_derivation,
     verify_block_decomposition,
+    verify_bm_formula,
     verify_graded_decomposition,
+    verify_phi_extension,
     verify_pi_isomorphism,
     verify_psi_lemma,
 )
@@ -58,7 +60,8 @@ def flagship():
 def test_setup_shares_the_grading_of_each_automorphism(flagship):
     assert flagship.grading_a is grading_from_automorphism(flagship.aut1)
     assert flagship.grading_s is grading_from_automorphism(flagship.aut2)
-    assert flagship.grading_ts is grading_from_automorphism(flagship.aut)
+    # e, h, f have degrees 1, 0, 1 and 1, z, z^2, z^3 degrees 0, 1, 0, 1
+    assert flagship.grading_ts.degrees == (1, 0, 1, 0, 0, 1, 0, 1, 1, 0, 1, 0)
 
 
 def random_derivation(ts, rng):
@@ -324,7 +327,7 @@ def test_entry_points_refuse_a_derivation_out_of_order(flagship):
     delta = derivation_space(st.ts).space._sparse[0]
     assert min(map(len, (d, big, delta))) > 1
     with pytest.raises(NotInDomain):
-        st.d_eval(tuple(reversed(d)))
+        st.d_eval(tuple(reversed(d)), "phi")
     with pytest.raises(NotInDomain):
         extend_phi(tuple(reversed(d)), st)
     with pytest.raises(NotInDomain):
@@ -538,8 +541,8 @@ def test_quotient_laurent_charp_agrees_with_char0():
 
 def sl2_swap_setup(f):
     """sl2 (+) sl2 on the bases of its two copies, sigma1 swapping them, against
-    k[Z4] with z -> -z. sigma1 is no diagonal in its basis: each basis vector
-    x1 of the first copy is (x1 + x2)/2 + (x1 - x2)/2, with two homogeneous parts."""
+    k[Z4] with z -> -z. sigma1 is not diagonal in its basis, so Setup rewrites
+    A on its eigenbasis x1 + x2, x1 - x2."""
     b, one = sl2(f), f.one()
     n = b.dim
     names = [f"{x}{c + 1}" for c in range(2) for x in b.names]
@@ -580,15 +583,17 @@ def columns_of(f, flat, n, p):
 @pytest.mark.parametrize("fname,p", [("rational", None), ("prime(5,4)", 5), ("cyclotomic(3)", Zeta3)],
                          ids=["Q", "F5", "Qz3"])
 def test_phi_and_bm_on_the_standard_basis_match_the_graded_pair_construction(fname, p):
-    # the non-diagonal sigma1 reaches the columns that sum several pieces
+    # Setup rewrites the non-diagonal sigma1 on its eigenbasis: one piece per column
     f = cli._parse_field_text(fname)
     st = sl2_swap_setup(f)
     one, n, ud, p_char = f.one(), st.ts.dim, st.unit_data, f.char
-    assert max(len(st.grading_a.split(f, ((i, one),))) for i in range(st.a.dim)) == 2
+    assert st.a.names == ["(e1 + e2)", "(h1 + h2)", "(f1 + f2)", f"(e1 + {f.format(f.neg(one))}*e2)",
+                          f"(h1 + {f.format(f.neg(one))}*h2)", f"(f1 + {f.format(f.neg(one))}*f2)"]
+    assert max(len(st.grading_a.split(((i, one),))) for i in range(st.a.dim)) == 1
     u1 = decomposition._Coords(st, ud.u_prime, ud.u_prime_inv)  # the degree-one unit u'
     uq = decomposition._Coords(st, ud.u, ud.u_inv)  # the degree-q unit u
     for d in st.der_fixed.space._sparse:
-        ev = st.d_eval(d)
+        ev = st.d_eval(d, "phi")
         cases = [(extend_phi(d, st, n=k), lambda ps, k=k: decomposition.phi_formula(u1, ev, ps, st.m * k))
                  for k in (1, 2)]
         cases.append((bm_formula_extend(d, st), lambda ps: decomposition.residue_shifts(uq, ev, ps, ud.q)))
@@ -599,6 +604,26 @@ def test_phi_and_bm_on_the_standard_basis_match_the_graded_pair_construction(fna
                           lambda ps: decomposition.residue_shifts(up, ev, ps, p_char)))
         for big, images in cases:
             assert columns_of(f, big, n, p) == graded_pair_map(st, images, p)
+
+
+@pytest.mark.parametrize("fname", ["rational", "prime(5,4)", "cyclotomic(3)"], ids=["Q", "F5", "Qz3"])
+def test_sl2_swap_setup_keeps_its_verdicts_and_dimensions(fname):
+    # as when its sigma1 was graded by eigenspace cuts on the given basis
+    f = cli._parse_field_text(fname)
+    st = sl2_swap_setup(f)
+    d = combine_rows(f, ((f.from_int(i + 1), b) for i, b in enumerate(st.der_fixed.space._sparse)))
+    reports = [verify_pi_isomorphism(st), verify_graded_decomposition(st), verify_phi_extension(st),
+               verify_bm_formula(st), check_surjectivity_identities(d, st)]
+    assert [rep.verdict for rep in reports] == ["pass"] * 5
+    assert [rep.dimensions for rep in reports] == [
+        {"degree-zero-derivations": 12, "fixed-algebra-derivations": 12, "restriction-rank": 12,
+         "graded-formula-total": 12},
+        {"degree-0": 12, "degree-1": 12, "D(A tensor S)": 24},
+        {"fixed-algebra-derivations": 12, "tensor-dim": 24},
+        {"fixed-algebra-derivations": 12},
+        {"samples-formula-1": 90, "samples-formula-2": 90, "samples-formula-3": 90, "samples-formula-4": 36,
+         "samples-exchange-I": 2304, "samples-exchange-II": 324, "samples-exchange-III": 864},
+    ]
 
 
 def test_quotient_laurent_pi_isomorphism_cyclotomic():
@@ -687,22 +712,18 @@ def test_a_restriction_leaving_the_fixed_algebra_names_the_basis_vector(monkeypa
 def test_an_extension_of_nonzero_degree_names_the_first_entry(monkeypatch, capsys, flagship):
     st = flagship
     f, n = st.a.field, st.ts.dim
-    tensor_automorphism = decomposition.tensor_automorphism
+    standard_map, shift = decomposition._standard_map, st.der_ts_grading.components[1]._sparse[0]
 
-    def mutant(aut_a, aut_s):
-        # sigma + E_04 in the degree check only: phi(d) commutes with sigma, so the
-        # two sides differ where E_04 phi(d) and phi(d) E_04 do
-        aut = tensor_automorphism(aut_a, aut_s)
-        grading_from_automorphism(aut)  # kept on aut, from the true sigma
-        sig, siginv = aut.maps
-        aut.maps = (combine_rows(f, [(f.one(), sig), (f.one(), ((4, f.one()),))]), siginv)
-        return aut
+    def mutant(setup, images):
+        # the extension gains a derivation of degree 1: still a derivation, not of degree zero
+        return combine_rows(f, [(f.one(), standard_map(setup, images)), (f.one(), shift)])
 
-    big = unflatten(f, dense(f, n * n, extend_phi(st.der_fixed.space._sparse[0], st)), n, n)
-    e04 = Matrix(f, [[f.one() if (r, c) == (0, 4) else f.zero() for c in range(n)] for r in range(n)], n)
-    left, right = matmul(e04, big), matmul(big, e04)
+    big = combine_rows(f, [(f.one(), extend_phi(st.der_fixed.space._sparse[0], st)), (f.one(), shift)])
+    big = unflatten(f, dense(f, n * n, big), n, n)
+    sig = unflatten(f, dense(f, n * n, sparse_kron(f, st.aut1.sig, st.a.dim, st.aut2.sig, st.s.dim)), n, n)
+    left, right = matmul(sig, big), matmul(big, sig)
     want = next((r, c) for r in range(n) for c in range(n) if left[r][c] != right[r][c])
-    monkeypatch.setattr(decomposition, "tensor_automorphism", mutant)
+    monkeypatch.setattr(decomposition, "_standard_map", mutant)
     err = _internal_failure(capsys, ["phi-eval", "--setup", "sl2-twisted-flagship"])
     assert f"extension is not of degree zero at entry {want}" in err
 
@@ -750,3 +771,43 @@ def test_a_restriction_that_is_no_derivation_names_the_first_entry(monkeypatch, 
     err = _internal_failure(capsys, ["verify-thm2", "--setup", "sl2-twisted-flagship"])
     want = divmod(first, st.fixed_algebra.dim)
     assert f"restriction is not a derivation of the fixed algebra at entry {want}" in err
+
+
+# -- phi_formula mutants: an engine fault exits 4 and names its stage
+
+PRIME_3_2 = ["--setup", "quotient-laurent(3,2)", "--field", "prime(3,2)"]
+
+
+def test_a_doubled_phi_correction_fails_where_d_of_s_is_not_zero(monkeypatch, capsys):
+    # doubling the bracket doubles the (es/mn) correction of phi_formula; on the
+    # flagship the extension still passes every check, so it needs a setup with D(S) != 0
+    bracket = decomposition._bracket
+
+    def mutant(c, ev, avec, t, big_m, b=None):
+        f = c.field
+        return combine_rows(f, [(f.from_int(2), bracket(c, ev, avec, t, big_m, b))])
+
+    monkeypatch.setattr(decomposition, "_bracket", mutant)
+    assert cli.run(["verify-thm2", "--setup", "sl2-twisted-flagship", "--json"]) == 0
+    capsys.readouterr()
+    err = _internal_failure(capsys, ["verify-thm2", *PRIME_3_2])
+    assert "extension violates the derivation law on pair (1, 7)" in err
+
+
+@pytest.mark.parametrize("setup,stage", [
+    (["--setup", "sl2-twisted-flagship"],
+     "extension (char0 branch): evaluation argument is not in the fixed subalgebra"),
+    (PRIME_3_2, "phi formula: mn = 3 is zero in the field"),
+], ids=["flagship", "prime(3,2)"])
+@pytest.mark.parametrize("command", ["verify-thm2", "phi-eval"])
+def test_phi_built_with_mn_plus_one_is_an_engine_fault(monkeypatch, capsys, setup, stage, command):
+    # the engine built the failing value, so the input is not blamed (exit 2)
+    phi = decomposition.phi_formula
+    monkeypatch.setattr(decomposition, "phi_formula", lambda c, ev, pieces, mn: phi(c, ev, pieces, mn + 1))
+    assert stage in _internal_failure(capsys, [command, *setup])
+
+
+def test_a_derivation_outside_the_fixed_algebra_is_still_unusable_input(flagship):
+    d = flagship.der_fixed.space._sparse[0]
+    with pytest.raises(NotInDomain, match="not a derivation of the fixed-point algebra"):
+        flagship.d_eval(d + ((len(flagship.fixed_space._sparse) ** 2 - 1, flagship.a.field.one()),), "phi")

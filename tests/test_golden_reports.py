@@ -18,7 +18,7 @@ import json
 import os
 import shlex
 import sys
-from contextlib import chdir, redirect_stderr, redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
 import pytest
@@ -152,11 +152,15 @@ COMMANDS = (
 
 def run_report(argv):
     """(exit code, stdout) of one in-process CLI run; stderr is dropped."""
-    out = io.StringIO()
-    # help text wraps at the terminal width; pin it
-    with redirect_stdout(out), redirect_stderr(io.StringIO()), chdir(ROOT), \
-            mock.patch.dict(os.environ, {"COLUMNS": "80"}):
-        code = cli.run(list(argv))
+    out, here = io.StringIO(), os.getcwd()
+    os.chdir(ROOT)
+    try:
+        # help text wraps at the terminal width; pin it
+        with redirect_stdout(out), redirect_stderr(io.StringIO()), \
+                mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+            code = cli.run(list(argv))
+    finally:
+        os.chdir(here)
     return code, out.getvalue()
 
 

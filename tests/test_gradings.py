@@ -1,28 +1,30 @@
-"""Automorphism validation, eigenspace gradings, graded units."""
+"""Automorphism validation, gradings read off supports, the eigenbasis of a
+sigma that is not diagonal, graded units."""
 
 import pytest
 
 from dertensor import exactla, gradings
-from dertensor.algebra import Algebra, tensor_product
+from dertensor.algebra import Algebra, subalgebra_on, tensor_product
 from dertensor.catalog import dual_numbers, group_algebra, sl2
 from dertensor.errors import (
     DimensionMismatch,
     InternalCheckFailed,
     NoUnitFound,
     NotAutomorphism,
+    NotInDomain,
     NotInvariant,
     NotUnitResidue,
     WrongPeriod,
 )
-from dertensor.exactla import Matrix, Subspace, diagonal_map, kernel_of_rows, sparse_rows
+from dertensor.decomposition import Setup
+from dertensor.exactla import Matrix, Subspace, apply_map, diagonal_map, kernel_of_rows, sparse_kron, sparse_rows
 from dertensor.gradings import (
     check_automorphism,
+    diagonal_form,
     eps,
     find_graded_unit,
-    fixed_point_algebra,
     grading_from_automorphism,
     induced_endo_grading,
-    tensor_automorphism,
 )
 from dertensor.invariants import EndoSpace, derivation_space
 from dertensor.scalars import FieldDescriptor, make_field
@@ -40,10 +42,11 @@ def grading_is_multiplicative(a, g):
 
 def projections(g, field):
     """The projection onto each component of g as a Matrix: column i is the
-    part of basis vector i in that component (Grading.basis_parts)."""
-    n = g.ambient
-    cols = [[dense(field, n, parts.get(i, ())) for i in range(n)] for parts in g.basis_parts(field)]
-    return [Matrix(field, [[c[r] for c in cs] for r in range(n)], n) for cs in cols]
+    part of basis vector i in that component (Grading.split)."""
+    n = len(g.degrees)
+    parts = [dict((d, part) for part, d in g.split(((i, field.one()),))) for i in range(n)]
+    return [Matrix(field, [[dense(field, n, parts[i].get(d, ()))[r] for i in range(n)] for r in range(n)], n)
+            for d in range(g.m)]
 
 
 def sign_aut_sl2():
@@ -235,7 +238,7 @@ def test_graded_unit_tries_combinations_only_after_the_basis(monkeypatch):
 def test_induced_derivation_grading_on_sl2():
     a, aut = sign_aut_sl2()
     der = derivation_space(a)
-    g = induced_endo_grading(aut, der)
+    g = induced_endo_grading(grading_from_automorphism(aut), der)
     assert g.component_dims == (1, 2)
     # degree-0 part is spanned by ad h
     adh = a.mult_map(sparse(a.field, [a.field.zero(), a.field.one(), a.field.zero()]))
@@ -250,31 +253,24 @@ def test_induced_grading_rejects_non_invariant_space():
     span = Subspace.from_vectors(f, 4, [[o, o, z, z]])  # E00 + E01, not conj-invariant
     endo = EndoSpace(s, span, tag="adhoc")
     with pytest.raises(NotInvariant):
-        induced_endo_grading(aut, endo)
+        induced_endo_grading(grading_from_automorphism(aut), endo)
 
 
-def test_tensor_automorphism_and_fixed_algebra():
+def test_tensor_grading_is_the_grading_by_the_kronecker_product_and_fixed_algebra():
     a, aut_a = sign_aut_sl2()
     s, aut_s = sign_aut_s4()
-    ts = tensor_product(a, s)
-    aut = tensor_automorphism(aut_a, aut_s)
-    assert aut.algebra is ts
-    g = grading_from_automorphism(aut)
+    st = Setup(a, s, aut_a, aut_s)
+    ts, g = st.ts, st.grading_ts
+    assert ts is tensor_product(a, s)
+    kron = check_automorphism(ts, sparse_kron(ts.field, aut_a.sig, a.dim, aut_s.sig, s.dim), 2)
+    assert g.degrees == grading_from_automorphism(kron).degrees
     assert g.component_dims == (6, 6)
-    fixed = fixed_point_algebra(ts, g)
-    assert fixed.dim == 6
+    fixed = subalgebra_on(ts, g.components[0])
+    assert fixed.dim == st.fixed_algebra.dim == 6
     # the fixed algebra's basis is the RREF basis of the degree-zero component
     for row in g.components[0].rows:
         assert g.degree_of(sparse(ts.field, row)) == 0
     assert grading_is_multiplicative(ts, g)
-
-
-def test_tensor_automorphism_period_mismatch():
-    a, aut_a = sign_aut_sl2()
-    s = group_algebra(4)
-    aut_s = check_automorphism(s, diagonal_map(s.field, [1] * 4), 4)
-    with pytest.raises(WrongPeriod):
-        tensor_automorphism(aut_a, aut_s)
 
 
 @pytest.mark.parametrize("f", [make_field("rational"), make_field("prime", m=3, p=31),
@@ -327,20 +323,74 @@ def test_repeated_powers_of_omega_are_caught(monkeypatch):
         grading_from_automorphism(aut)
 
 
-@pytest.mark.parametrize("build", [grading_from_automorphism,
-                                   lambda aut: induced_endo_grading(aut, derivation_space(aut.algebra))],
-                         ids=["algebra", "derivations"])
-def test_a_kernel_missing_a_vector_is_caught(monkeypatch, build):
-    _, aut = sign_aut_sl2()
-    kernel = exactla.kernel_of_rows
+def chevalley_aut_sl2(f=None):
+    """e -> -f, h -> -h, f -> -e: a period-2 automorphism of sl2 that is not diagonal."""
+    a = sl2(f)
+    o = a.field.one()
+    return a, check_automorphism(a, ((2, a.field.neg(o)), (4, a.field.neg(o)), (6, a.field.neg(o))), 2)
+
+
+def test_a_kernel_missing_a_vector_is_caught(monkeypatch):
+    # the eigenbasis of a sigma that is not diagonal is the one kernel a grading cuts
+    _, aut = chevalley_aut_sl2()
+    kernel = gradings.kernel_of_rows
 
     def mutant(field, rows, ncols, tag="kernel"):
         ker = kernel(field, rows, ncols, tag)
         return exactla.Subspace(field, ncols, ker._sparse[1:], ker.pivots[1:])
 
-    monkeypatch.setattr(exactla, "kernel_of_rows", mutant)
+    monkeypatch.setattr(gradings, "kernel_of_rows", mutant)
     with pytest.raises(InternalCheckFailed, match="do not fill"):
-        build(aut)
+        diagonal_form(aut)
+
+
+def test_degrees_are_read_off_the_diagonal_without_a_kernel(monkeypatch):
+    monkeypatch.setattr(gradings, "kernel_of_rows", None)
+    for _, aut in (sign_aut_sl2(), sign_aut_s4()):
+        assert diagonal_form(aut) == (aut, None)
+        g = grading_from_automorphism(aut)
+        assert all(c.pivots == tuple(i for i, d in enumerate(g.degrees) if d == k)
+                   and c._sparse == tuple(((i, aut.algebra.field.one()),) for i in c.pivots)
+                   for k, c in enumerate(g.components))
+    assert grading_from_automorphism(sign_aut_sl2()[1]).degrees == (1, 0, 1)
+
+
+def test_a_sigma_that_is_not_diagonal_is_refused_a_grading():
+    _, aut = chevalley_aut_sl2()
+    with pytest.raises(NotInDomain, match="not diagonal"):
+        grading_from_automorphism(aut)
+
+
+@pytest.mark.parametrize("f", [make_field("rational"), make_field("prime", m=2, p=5),
+                               make_field("cyclotomic", m=3)], ids=["Q", "F5", "Q(zeta3)"])
+def test_diagonal_form_rewrites_the_algebra_on_the_eigenbasis(f):
+    a, aut = chevalley_aut_sl2(f)
+    diag, carry = diagonal_form(aut)
+    assert diagonal_form(aut)[0] is diag and diag.period == 2
+    b = diag.algebra
+    # e - f spans degree 0; e + f and h degree 1, each component in RREF
+    assert b.names == [f"(e + {f.format(f.neg(f.one()))}*f)", "(e + f)", "h"]
+    g = grading_from_automorphism(diag)
+    assert g.degrees == (0, 1, 1)
+    assert grading_is_multiplicative(b, g)
+    # carried across, each product of the given basis is the product of the carried rows
+    one = f.one()
+    for i in range(3):
+        for j in range(3):
+            x, y = (apply_map(f, carry, 3, ((k, one),)) for k in (i, j))
+            assert b.mult(x, y) == apply_map(f, carry, 3, a.mult(((i, one),), ((j, one),)))
+    assert derivation_space(b).dim == derivation_space(a).dim == 3
+
+
+def test_a_non_homogeneous_basis_vector_names_its_entries():
+    # on sl2 with e, h, f of degrees 1, 0, 1: E_01 has degree 1 and E_11 degree 0
+    a, aut = sign_aut_sl2()
+    f = a.field
+    o = f.one()
+    endo = EndoSpace(a, Subspace.from_rows(f, 9, [((0, o),), ((1, o), (4, o))]), tag="hand-built")
+    with pytest.raises(NotInvariant, match=r"'hand-built': basis vector 1 has entries \(0, 1\) of degree 1 "
+                                           r"and \(1, 1\) of degree 0"):
+        induced_endo_grading(grading_from_automorphism(aut), endo)
 
 
 def test_identity_grades_derivations_without_a_root():
@@ -348,6 +398,6 @@ def test_identity_grades_derivations_without_a_root():
     q = make_field("rational")
     a = sl2(q)
     der = derivation_space(a)
-    g = induced_endo_grading(check_automorphism(a, diagonal_map(q, [1] * 3), 3), der)
+    g = induced_endo_grading(grading_from_automorphism(check_automorphism(a, diagonal_map(q, [1] * 3), 3)), der)
     assert g.component_dims == (3, 0, 0)
     assert g.components[0] == der.space

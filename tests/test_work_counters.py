@@ -2,7 +2,8 @@
 
 These tests count calls; they time nothing. Each pins one saving: a
 grading is built once per automorphism and the Laurent carrier reads
-that one, the inverse-map formula runs once per Laurent target and
+that one, grading D(A (x) S) composes no map and makes no cyclotomic
+product, the inverse-map formula runs once per Laurent target and
 splits each target only along occupied degrees, a Laurent extension
 builds its carrier once and computes on rows, building loop elements only
 for its targets, its results and the calls of d, phi-eval on a finite
@@ -27,8 +28,7 @@ of phi-eval on the Laurent carrier, passes between a dense vector and a
 sparse row. The direct sums of verify-thm1 and verify-lemma35 solve no
 intersection. Checks
 that a cheaper one implies stay removed: the tensor automorphism is not
-re-validated, only the two factor gradings of a finite setup build their
-projections (Grading.basis_parts), the tensor grading none, and only
+re-validated, no catalog setup cuts an eigenspace (_eigenspace_grading), and only
 verify-lemma21 and psi-check test psi for multiplicativity. phi and BM on a
 finite setup invert no map larger than a factor. A --u unit builds its
 Setup once. No builder of an algebra (the catalog, tensor products,
@@ -39,16 +39,17 @@ adapter Algebra(field, names, table).
 import argparse
 import collections
 import json
+import os
 import sys
 
 import pytest
 
 from dertensor import algebra, catalog, cli, decomposition, exactla, gradings, invariants, laurent
 from dertensor.catalog import catalog_setup, group_algebra, sl2
-from dertensor.errors import NotInDomain
+from dertensor.errors import InternalCheckFailed
 from dertensor.exactla import Matrix, Subspace, diagonal_map
 from dertensor.gradings import Grading, check_automorphism, grading_from_automorphism
-from dertensor.scalars import make_field
+from dertensor.scalars import FieldDescriptor, make_field
 
 from naive_la import dense, flatten, sparse
 from test_gradings import projections
@@ -57,18 +58,42 @@ from test_invariants import short_pairs_algebra
 
 def test_last_exa_ii_builds_each_grading_once(monkeypatch, capsys):
     builds = []
-    basis_parts = Grading.basis_parts
+    init = Grading.__init__
 
-    def counted(self, field):
-        if self._parts is None:
-            builds.append(self)
-        return basis_parts(self, field)
+    def counted(self, *args):
+        builds.append(self)
+        init(self, *args)
 
-    monkeypatch.setattr(Grading, "basis_parts", counted)
+    monkeypatch.setattr(Grading, "__init__", counted)
     assert cli.run(["phi-eval", "--setup", "last-exa-ii", "--m", "24", "--json"]) == 0
     capsys.readouterr()
     # one period, so one automorphism and one grading
     assert len(builds) == 1
+
+
+@pytest.mark.parametrize("name", ["sl2-twisted-flagship", "quotient-laurent(2,3)"])
+def test_grading_derivations_composes_no_map_and_makes_no_cyclotomic_product(monkeypatch, name):
+    # quotient-laurent(2,3) lives over Q(zeta_3): the degrees are read off sigma's diagonal
+    counts = collections.Counter()
+
+    def counted(key, fn):
+        def wrapped(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(gradings, "_eigenspace_grading", counted("eigenspace", gradings._eigenspace_grading))
+    st = decomposition.Setup(*catalog_setup(name))
+    # the spaces are solved before the count
+    assert min(sp.dim for sp in (st.der_ts, invariants.derivation_space(st.a), invariants.centroid(st.a))) > 0
+    invariants.derivation_space(st.s)
+    for key, owner, attr in (("compose", gradings, "compose_maps"), ("compose", exactla, "compose_maps"),
+                             ("cyclotomic", FieldDescriptor, "_cyc_mul")):
+        monkeypatch.setattr(owner, attr, counted(key, getattr(owner, attr)))
+    for g in (st.der_ts_grading, st.der_a_grading, st.cent_a_grading, st.der_s_grading):
+        assert g.components
+    assert sum(st.der_ts_grading.component_dims) == st.der_ts.dim
+    assert counts == {}
 
 
 def test_loop_phi_reads_the_grading_of_its_automorphism(monkeypatch):
@@ -385,7 +410,7 @@ def test_verify_thm1_builds_each_tensor_algebra_once(monkeypatch, capsys, pair):
         embedded.append((a, s))
         return embed(a, s)
 
-    for mod in (algebra, decomposition, gradings, invariants):
+    for mod in (algebra, decomposition, invariants):
         monkeypatch.setattr(mod, "tensor_product", counted_product)
     monkeypatch.setattr(invariants, "_pair_rows", counted_rows)
     monkeypatch.setattr(decomposition, "embed_tensor_derivations", counted_embed)
@@ -467,7 +492,7 @@ def test_identity_checker_computes_each_building_block_once(monkeypatch, capsys)
 
 def test_d_eval_memo_never_caches_a_refusal_or_a_mutation(monkeypatch):
     st = decomposition.Setup(*catalog_setup("sl2-twisted-flagship"))
-    ev = st.d_eval(st.der_fixed.space._sparse[0])
+    ev = st.d_eval(st.der_fixed.space._sparse[0], "phi")
     calls = []
     coords = Subspace.coords
 
@@ -484,28 +509,27 @@ def test_d_eval_memo_never_caches_a_refusal_or_a_mutation(monkeypatch):
     one = st.a.field.one()
     outside = next(v for v in (((i, one),) for i in range(st.ts.dim)) if not st.fixed_space.contains(v))
     for _ in range(2):
-        with pytest.raises(NotInDomain):
+        with pytest.raises(InternalCheckFailed, match="^phi: evaluation argument is not in the fixed subalgebra"):
             ev(outside)
     assert calls == [x, outside, outside]
 
 
 def test_loop_pieces_visit_only_occupied_degrees(monkeypatch, capsys):
-    # the loop carrier cuts its targets with Grading.split, which combines
-    # one row per occupied degree of each term
-    combines = []
-    combine = gradings.combine_rows
+    # the loop carrier cuts its targets with Grading.split, which returns
+    # one part per occupied degree of each term
+    parts = []
+    split = Grading.split
 
-    def counted(*args):
-        if sys._getframe(1).f_code.co_name == "split":
-            combines.append(args)
-        return combine(*args)
+    def counted(self, vec):
+        parts.extend(out := split(self, vec))
+        return out
 
-    monkeypatch.setattr(gradings, "combine_rows", counted)
+    monkeypatch.setattr(Grading, "split", counted)
     assert cli.run(["phi-eval", "--setup", "last-exa-ii", "--m", "32", "--json"]) == 0
     capsys.readouterr()
     # 5 values of n times 4m + 1 monomial targets, each a single term of
     # degree zero on k<1>: 645 phi calls, not 32 degree parts each
-    assert 0 < len(combines) <= 5 * (4 * 32 + 1) == 645
+    assert 0 < len(parts) <= 5 * (4 * 32 + 1) == 645
 
 
 def test_a_command_builds_only_its_own_subparser(monkeypatch, capsys):
@@ -522,25 +546,22 @@ def test_a_command_builds_only_its_own_subparser(monkeypatch, capsys):
     assert built == ["counterexample-bm"]
 
 
+SL3 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "setups", "sl3-diagram-1.json")
+
+
 def _self_check_counts(monkeypatch, capsys, argv):
-    """Calls of check_automorphism and psi_multiplicative, and builds of
-    Grading.basis_parts, the projections onto the components, during one command."""
-    counts = {"check_automorphism": 0, "psi_multiplicative": 0, "basis_parts": 0}
+    """Calls of check_automorphism, psi_multiplicative and _eigenspace_grading,
+    the eigenspace cut of a sigma that is not diagonal, during one command."""
+    counts = {"check_automorphism": 0, "psi_multiplicative": 0, "_eigenspace_grading": 0}
     for mods, name in (((gradings, catalog, cli), "check_automorphism"),
-                       ((invariants, decomposition), "psi_multiplicative")):
+                       ((invariants, decomposition), "psi_multiplicative"),
+                       ((gradings,), "_eigenspace_grading")):
         def counted(*args, _fn=getattr(mods[0], name), _name=name):
             counts[_name] += 1
             return _fn(*args)
 
         for mod in mods:
             monkeypatch.setattr(mod, name, counted)
-    basis_parts = Grading.basis_parts
-
-    def counted_parts(self, field):
-        counts["basis_parts"] += self._parts is None
-        return basis_parts(self, field)
-
-    monkeypatch.setattr(Grading, "basis_parts", counted_parts)
     assert cli.run(argv) == 0
     capsys.readouterr()
     return counts
@@ -548,16 +569,20 @@ def _self_check_counts(monkeypatch, capsys, argv):
 
 @pytest.mark.parametrize("argv,want", [
     # the two factor automorphisms only: sigma1 (x) sigma2 is not re-validated;
-    # phi cuts the basis vectors of each factor with Grading.split, so each
-    # factor grading builds its projections once, and the tensor grading none
+    # each catalog sigma is diagonal, so no grading cuts an eigenspace
     (["verify-thm2", "--setup", "sl2-twisted-flagship", "--json"],
-     {"check_automorphism": 2, "psi_multiplicative": 0, "basis_parts": 2}),
+     {"check_automorphism": 2, "psi_multiplicative": 0, "_eigenspace_grading": 0}),
+    (["verify-thm2", "--setup", "quotient-laurent(2,3)", "--u", "z2", "--json"],
+     {"check_automorphism": 2, "psi_multiplicative": 0, "_eigenspace_grading": 0}),
+    # the sl3 diagram automorphism is not diagonal: its eigenbasis is cut once
+    (["verify-thm2", "--setup", SL3, "--u", "z", "--json"],
+     {"check_automorphism": 2, "psi_multiplicative": 0, "_eigenspace_grading": 1}),
     # no report of the sweep reads psi's multiplicativity
     (["verify-thm1", "--budget", "25", "--json"],
-     {"check_automorphism": 0, "psi_multiplicative": 0, "basis_parts": 0}),
+     {"check_automorphism": 0, "psi_multiplicative": 0, "_eigenspace_grading": 0}),
     (["verify-lemma21", "--algebra", "sl2", "--s", "group-algebra(3)", "--json"],
-     {"check_automorphism": 0, "psi_multiplicative": 1, "basis_parts": 0}),
-], ids=["verify-thm2", "verify-thm1", "verify-lemma21"])
+     {"check_automorphism": 0, "psi_multiplicative": 1, "_eigenspace_grading": 0}),
+], ids=["verify-thm2", "verify-thm2-u", "verify-thm2-sl3", "verify-thm1", "verify-lemma21"])
 def test_implied_self_checks_are_not_run(monkeypatch, capsys, argv, want):
     assert _self_check_counts(monkeypatch, capsys, argv) == want
 
