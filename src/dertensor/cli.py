@@ -212,10 +212,11 @@ def _resolve_setup(text: str, args) -> Setup:
         a, s, aut1, aut2 = catalog_setup(text, field)
         q, u = 1, None
     if args.u:
-        # read on the given basis, and its degree on sigma's diagonal form, where Setup carries it
+        # read on the given basis and carried once onto sigma's diagonal form, where its degree is read
         u = _parse_element(args.u, s)
-        diag, carry = diagonal_form(aut2)
-        q = grading_from_automorphism(diag).degree_of(apply_map(s.field, carry, s.dim, u) if carry else u)
+        aut2, carry = diagonal_form(aut2)
+        s, u = aut2.algebra, apply_map(s.field, carry, s.dim, u) if carry else u
+        q = grading_from_automorphism(aut2).degree_of(u)
         if q is None:
             raise ParseError("--u must be a nonzero homogeneous element of S")
     return Setup(a, s, aut1, aut2, q=q, u=u)
