@@ -147,6 +147,12 @@ COMMANDS = (
     # sigma not diagonal in the given basis: the sl3 diagram automorphism against z -> -z
     + [[cmd, "--setup", f"tests/setups/sl3-diagram-{n}.json", "--json"] for n in (1, 2)
        for cmd in SETUP_COMMANDS]
+    # the properties an algebra reports; over F_2, sl2 is commutative and not perfect
+    + [["catalog", "show", name, "--json"] for name in ("sl2", "zero-product(2)", "dual-numbers")]
+    + [["catalog", "show", "sl2", "--field", "prime(2)", "--json"]]
+    # a pair that fails a hypothesis is refused with exit 3 and no report
+    + [["psi-check", "--algebra", "zero-product(2)", "--s", "dual-numbers", "--json"],
+       ["verify-thm1", "--algebra", "sl2", "--s", "zero-product(2)", "--json"]]
 )
 
 
