@@ -2,10 +2,11 @@
 
 An Algebra holds a basis and one products table: _nz[i][j] is (basis i) *
 (basis j) as a sparse row (see exactla), the form every element takes here.
-No axioms are assumed; properties like associativity are checked on demand
-and cached. Caches live on the instance and algebras are immutable by
-convention, so a cached flag can never drift from recomputation (tests clear
-caches and recompute to enforce this).
+No axioms are assumed: each hypothesis of the theorems (perfect, unital,
+commutative, associative) is decided on demand by one cached method that
+returns a witness of its failure, or None. Caches live on the instance and
+algebras are immutable by convention, so a cached witness can never drift
+from recomputation (tests clear caches and recompute to enforce this).
 
 Operators use the column convention: the image of basis vector j is column
 j. They are sparse flattened maps (see exactla), so composition is
@@ -63,15 +64,19 @@ class Algebra:
     def table(self) -> tuple:
         """The dense products table, table[i][j] the coordinate tuple of
         b_i b_j: a read-only view, built on the first request and kept."""
-        if "table" not in self._cache:
-            z, n = self.field.zero(), self.dim
+        z, n = self.field.zero(), self.dim
 
-            def dense(p):
-                at = dict(p)
-                return tuple(at.get(k, z) for k in range(n))
+        def dense(p):
+            at = dict(p)
+            return tuple(at.get(k, z) for k in range(n))
 
-            self._cache["table"] = tuple(tuple(map(dense, r)) for r in self._nz)
-        return self._cache["table"]
+        return self._cached("table", lambda: tuple(tuple(map(dense, r)) for r in self._nz))
+
+    def _cached(self, key: str, compute):
+        """self._cache[key], computed by compute() on the first request."""
+        if key not in self._cache:
+            self._cache[key] = compute()
+        return self._cache[key]
 
     def __repr__(self):
         return f"Algebra(dim {self.dim} over {self.field})"
@@ -96,10 +101,8 @@ class Algebra:
 
     def left_mult_operators(self) -> list:
         """Left multiplications by every basis vector as sparse flattened maps (cached)."""
-        if "left_mult_operators" not in self._cache:
-            one = self.field.one()
-            self._cache["left_mult_operators"] = [self.mult_map(((i, one),)) for i in range(self.dim)]
-        return self._cache["left_mult_operators"]
+        one = self.field.one()
+        return self._cached("left_mult_operators", lambda: [self.mult_map(((i, one),)) for i in range(self.dim)])
 
     def basis_vector(self, i: int) -> list:
         """Basis vector i as a dense coordinate list, as the table view writes them."""
@@ -108,22 +111,20 @@ class Algebra:
         v[i] = self.field.one()
         return v
 
-    # -- properties --------------------------------------------------------
+    # -- the hypotheses: each decided once, a witness of its failure or None --
 
-    def product_span(self) -> Subspace:
-        if "product_span" not in self._cache:
-            products = [p for row in self._nz for p in row]
-            self._cache["product_span"] = Subspace.from_rows(self.field, self.dim, products)
-        return self._cache["product_span"]
+    def imperfect_index(self):
+        """The first basis index i with b_i not in A*A, or None when A is
+        perfect: the first index that is no pivot of the product span's RREF."""
+        def find():
+            pivots = set(Subspace.from_rows(self.field, self.dim, [p for row in self._nz for p in row]).pivots)
+            return next((i for i in range(self.dim) if i not in pivots), None)
 
-    def is_perfect(self) -> bool:
-        return self.product_span().dim == self.dim
+        return self._cached("imperfect", find)
 
     def unit(self):
         """The two-sided unit as a sparse row, or None."""
-        if "unit" not in self._cache:
-            self._cache["unit"] = self._find_unit()
-        return self._cache["unit"]
+        return self._cached("unit", self._find_unit)
 
     def _find_unit(self):
         # solve L_u = id and R_u = id in u: entry (k, j) of L_u = sum_i u_i L_{b_i},
@@ -141,32 +142,30 @@ class Algebra:
         except SingularElement:
             return None
 
-    def is_unital(self) -> bool:
-        return self.unit() is not None
+    def noncommuting_pair(self):
+        """The first pair (i, j), j < i, in row-major order with b_i b_j != b_j b_i, or None."""
+        nz = self._nz
+        return self._cached("noncommuting", lambda: next(
+            ((i, j) for i in range(self.dim) for j in range(i) if nz[i][j] != nz[j][i]), None))
 
-    def is_commutative(self) -> bool:
-        if "commutative" not in self._cache:
-            nz = self._nz
-            self._cache["commutative"] = all(nz[i][j] == nz[j][i] for i in range(self.dim) for j in range(i))
-        return self._cache["commutative"]
-
-    def is_associative(self) -> bool:
-        """(b_i b_j) b_k = b_i (b_j b_k) on every basis triple, on the sparse table."""
-        if "associative" not in self._cache:
+    def nonassociative_triple(self):
+        """The first basis triple (i, j, k) in row-major order with
+        (b_i b_j) b_k != b_i (b_j b_k), on the sparse table, or None."""
+        def find():
             f, n, nz = self.field, self.dim, self._nz
             by_right = [[nz[r][k] for r in range(n)] for k in range(n)]  # by_right[k][r]: b_r b_k
-            self._cache["associative"] = all(
-                combine_rows(f, ((c, by_right[k][r]) for r, c in nz[i][j]))
-                == combine_rows(f, ((c, nz[i][r]) for r, c in nz[j][k]))
-                for i in range(n) for j in range(n) for k in range(n))
-        return self._cache["associative"]
+            return next(((i, j, k) for i in range(n) for j in range(n) for k in range(n)
+                         if combine_rows(f, ((c, by_right[k][r]) for r, c in nz[i][j]))
+                         != combine_rows(f, ((c, nz[i][r]) for r, c in nz[j][k]))), None)
+
+        return self._cached("nonassociative", find)
 
     def properties(self) -> dict:
         return {
-            "perfect": self.is_perfect(),
-            "unital": self.is_unital(),
-            "commutative": self.is_commutative(),
-            "associative": self.is_associative(),
+            "perfect": self.imperfect_index() is None,
+            "unital": self.unit() is not None,
+            "commutative": self.noncommuting_pair() is None,
+            "associative": self.nonassociative_triple() is None,
         }
 
     # -- serialization -----------------------------------------------------
@@ -303,7 +302,7 @@ def invert_element(a: Algebra, x) -> tuple:
     """Inverse of the sparse row x in a unital algebra, via the left multiplication system."""
     unit = a.unit()
     if unit is None:
-        raise NotUnital()
+        raise NotUnital("algebra has no two-sided unit")
     f, n, lx, u = a.field, a.dim, map_rows(a.mult_map(x), a.dim), dict(unit)
     inv = _solve_vector(f, [tuple(lx.get(k, ())) + (((n, u[k]),) if k in u else ()) for k in range(n)], n)
     if a.mult(inv, x) != unit:

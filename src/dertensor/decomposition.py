@@ -27,7 +27,6 @@ from .errors import (
     InternalCheckFailed,
     NotInDomain,
     NotPerfect,
-    PsiNotIso,
 )
 from .exactla import Subspace, apply_map, combine_rows, first_difference, map_of_columns, sparse_kron
 from .gradings import (
@@ -39,6 +38,7 @@ from .gradings import (
     find_graded_unit,
     grading_from_automorphism,
     induced_endo_grading,
+    require_acts_on,
 )
 from .invariants import (
     EndoSpace,
@@ -47,7 +47,8 @@ from .invariants import (
     leibniz_witness,
     psi_map,
     psi_multiplicative,
-    require_scalar_hypotheses,
+    require_hypotheses,
+    require_psi_iso,
 )
 from .scalars import PRIME
 
@@ -75,7 +76,10 @@ class VerificationReport:
         self.hypotheses.append(name)
 
     def dim(self, name: str, value: int):
-        self.dimensions[name] = int(value)
+        """Record a dimension, an int (an integral rational raw value is one): else a fault."""
+        if type(value) is not int:
+            raise InternalCheckFailed(f"dimension {name!r} is not an integer: {value!r}")
+        self.dimensions[name] = value
 
     def check(self, name: str, ok: bool, witness=None):
         entry = {"name": name, "pass": bool(ok)}
@@ -146,15 +150,11 @@ class Setup:
                  q: int = 1, u: tuple | None = None):
         if a.field != s.field:
             raise FieldMismatch("factor algebras live over different fields")
-        if aut1.algebra is not a or aut2.algebra is not s:
-            raise DimensionMismatch("automorphisms do not act on the given algebras")
-        if aut1.period != aut2.period:
-            raise HypothesisNotMet(
-                f"declared periods differ: {aut1.period} vs {aut2.period}", "automorphism-periods")
+        # aut2 first, so both carriers are checked before the periods are compared
+        require_acts_on(aut2, s, aut2.period)
+        require_acts_on(aut1, a, aut2.period)
         # (i) perfect, (ii) commutative associative unital
-        if not a.is_perfect():
-            raise NotPerfect("left factor is not perfect")
-        require_scalar_hypotheses(s)
+        require_hypotheses(a, s)
         # (iii) held by the Automorphism type; a grading other than the
         # identity's needs a root of unity, and a sigma that is not diagonal
         # is diagonalized with it
@@ -172,8 +172,7 @@ class Setup:
         # (iv) graded unit, normalized into degree one
         self.unit_data = find_graded_unit(s, self.grading_s, q=q, u=u)
         # (v) psi isomorphism
-        if not psi_map(a, s).bijective:
-            raise PsiNotIso("centroid tensor map is not bijective")
+        require_psi_iso(a, s)
         self.fixed_space = self.grading_ts.components[0]
         self.fixed_algebra = subalgebra_on(self.ts, self.fixed_space)
         self._upow = {}
@@ -271,13 +270,13 @@ def split_derivation(delta, a: Algebra, s: Algebra):
     Setup.d_eval). That d lies in D(A) tensor S and rem in C(A) tensor D(S)
     is the theorem's content, which verify_block_decomposition checks on
     samples against embed_tensor_derivations. The rest follows from the
-    construction under the hypotheses require_scalar_hypotheses checks:
+    construction under the hypotheses require_hypotheses checks:
     - d commutes with each id tensor L_y, because S is associative and commutative;
     - rem(a_i tensor 1) = 0, because d(a_i tensor 1) = (id tensor L_1) delta(a_i tensor 1);
     - the sum is direct, because an S-linear map that kills A tensor 1 is zero.
     """
     ts = tensor_product(a, s)
-    require_scalar_hypotheses(s)
+    require_hypotheses(a, s)
     f, n, one = a.field, ts.dim, s.unit()
     if not derivation_space(ts).space.contains(delta):
         raise NotInDomain("input is not a derivation of the tensor algebra")
@@ -298,9 +297,7 @@ def embed_tensor_derivations(a: Algebra, s: Algebra):
     span is all of it.
     """
     ts = tensor_product(a, s)
-    if not a.is_perfect():
-        raise NotPerfect("left factor is not perfect")
-    require_scalar_hypotheses(s)
+    require_hypotheses(a, s)
     images = []
     for tag, xs, ys in (("derA-tensor-S", derivation_space(a), s.left_mult_operators()),
                         ("centA-tensor-derS", centroid(a), derivation_space(s).space._sparse)):
@@ -334,9 +331,8 @@ def verify_psi_map(a: Algebra, s: Algebra) -> VerificationReport:
 def verify_psi_lemma(a: Algebra, s: Algebra) -> VerificationReport:
     """The centroid tensor map is an isomorphism of associative algebras."""
     rep = VerificationReport("lemma-2.1")
-    require_scalar_hypotheses(s)
+    psi = psi_map(a, s)  # refuses a pair that fails a hypothesis, perfect-A first
     rep.hyp("scalar-S")
-    psi = psi_map(a, s)  # raises NotPerfect when A*A != A
     rep.hyp("perfect-A")
     ca = centroid(a)
     rep.dim("C(A)", ca.dim)
@@ -374,15 +370,9 @@ def verify_block_decomposition(a: Algebra, s: Algebra, samples: int = SPLIT_SAMP
     in the embedded D(A) tensor S and a rest in C(A) tensor D(S); the witness
     names the first sample and part that leaves its summand."""
     rep = VerificationReport("theorem-1")
-    if not a.is_perfect():
-        raise NotPerfect("left factor is not perfect")
-    rep.hyp("perfect-A")
-    require_scalar_hypotheses(s)
-    rep.hyp("scalar-S")
-    psi = psi_map(a, s)
-    if not psi.bijective:
-        raise PsiNotIso("centroid tensor map is not bijective")
-    rep.hyp("psi-iso")
+    require_psi_iso(a, s)
+    for name in ("perfect-A", "scalar-S", "psi-iso"):
+        rep.hyp(name)
     full = derivation_space(tensor_product(a, s))
     img1, img2 = embed_tensor_derivations(a, s)
     da, ca, ds = derivation_space(a), centroid(a), derivation_space(s)

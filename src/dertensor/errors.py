@@ -64,54 +64,49 @@ class InternalCheckFailed(EngineError):
 class HypothesisNotMet(EngineError):
     """A stated hypothesis of a verification claim does not hold.
 
-    `hypothesis` names the failed item so reports and exit codes can cite it.
+    `hypothesis` names the failed item so reports and exit codes can cite it:
+    each subclass fixes its own, and a bare HypothesisNotMet is given one.
     """
+
+    hypothesis = None
 
     def __init__(self, message, hypothesis=None):
         super().__init__(message)
-        self.hypothesis = hypothesis
+        if hypothesis is not None:
+            self.hypothesis = hypothesis
 
 
 class NotPerfect(HypothesisNotMet):
-    def __init__(self, message="algebra is not perfect"):
-        super().__init__(message, hypothesis="perfect")
+    hypothesis = "perfect"
 
 
 class NotUnital(HypothesisNotMet):
-    def __init__(self, message="algebra has no two-sided unit"):
-        super().__init__(message, hypothesis="unital")
+    hypothesis = "unital"
 
 
 class NotCommutative(HypothesisNotMet):
-    def __init__(self, message="algebra is not commutative"):
-        super().__init__(message, hypothesis="commutative")
+    hypothesis = "commutative"
 
 
 class NotAssociative(HypothesisNotMet):
-    def __init__(self, message="algebra is not associative"):
-        super().__init__(message, hypothesis="associative")
+    hypothesis = "associative"
 
 
 class NotAutomorphism(HypothesisNotMet):
-    def __init__(self, message="map is not an algebra automorphism"):
-        super().__init__(message, hypothesis="automorphism")
+    hypothesis = "automorphism"
 
 
 class WrongPeriod(HypothesisNotMet):
-    def __init__(self, message="map does not have the declared period"):
-        super().__init__(message, hypothesis="period")
+    hypothesis = "period"
 
 
 class NoUnitFound(HypothesisNotMet):
-    def __init__(self, message="no invertible element found in the required graded component"):
-        super().__init__(message, hypothesis="graded-unit")
+    hypothesis = "graded-unit"
 
 
 class NotUnitResidue(HypothesisNotMet):
-    def __init__(self, message="declared graded-unit residue is not invertible mod m"):
-        super().__init__(message, hypothesis="graded-unit")
+    hypothesis = "graded-unit"
 
 
 class PsiNotIso(HypothesisNotMet):
-    def __init__(self, message="canonical map onto the tensor centroid is not bijective"):
-        super().__init__(message, hypothesis="psi-iso")
+    hypothesis = "psi-iso"

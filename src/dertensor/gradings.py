@@ -21,6 +21,7 @@ from types import SimpleNamespace
 from .algebra import Algebra, invert_element
 from .errors import (
     DimensionMismatch,
+    HypothesisNotMet,
     InternalCheckFailed,
     NoUnitFound,
     NotAutomorphism,
@@ -86,6 +87,14 @@ def check_automorphism(algebra: Algebra, sig: tuple, period: int) -> Automorphis
     if power != eye:
         raise WrongPeriod(f"matrix to the power {period} is not the identity")
     return Automorphism(algebra, sig, period)
+
+
+def require_acts_on(aut: Automorphism, algebra: Algebra, period: int):
+    """aut must act on algebra (DimensionMismatch) with the declared period."""
+    if aut.algebra is not algebra:
+        raise DimensionMismatch(f"the automorphism acts on another algebra than the given dim-{algebra.dim} one")
+    if aut.period != period:
+        raise HypothesisNotMet(f"declared periods differ: {aut.period} vs {period}", "automorphism-periods")
 
 
 class Grading:

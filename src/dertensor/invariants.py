@@ -21,6 +21,7 @@ from .errors import (
     NotInDomain,
     NotPerfect,
     NotUnital,
+    PsiNotIso,
 )
 from .exactla import RawOps, Subspace, compose_maps, combine_rows, kernel_of_rows, sparse_kron
 
@@ -179,19 +180,21 @@ class PsiReport(SimpleNamespace):
     """Fields domain_dim, target_dim, injective, image_in_centroid and
     surjective, given by keyword."""
 
-    @property
-    def bijective(self) -> bool:
-        return self.injective and self.surjective and self.image_in_centroid
 
-
-def require_scalar_hypotheses(s: Algebra):
-    """The right factor must be unital, commutative and associative."""
-    if not s.is_unital():
-        raise NotUnital("right factor must be unital")
-    if not s.is_commutative():
-        raise NotCommutative("right factor must be commutative")
-    if not s.is_associative():
-        raise NotAssociative("right factor must be associative")
+def require_hypotheses(a: Algebra, s: Algebra):
+    """Theorem 1's hypotheses on the pair: A perfect, and S unital,
+    commutative and associative. Each failure names its witness."""
+    if (i := a.imperfect_index()) is not None:
+        raise NotPerfect(f"left factor is not perfect: {a.names[i]} (basis vector {i}) is not in A*A")
+    if s.unit() is None:
+        raise NotUnital("right factor is not unital: no u has u x = x u = x for every x")
+    if pair := s.noncommuting_pair():
+        x, y = (s.names[t] for t in pair)
+        raise NotCommutative(f"right factor is not commutative: {x}*{y} != {y}*{x} (basis pair {pair})")
+    if triple := s.nonassociative_triple():
+        x, y, z = (s.names[t] for t in triple)
+        raise NotAssociative(f"right factor is not associative: ({x}*{y})*{z} != {x}*({y}*{z}) "
+                             f"(basis triple {triple})")
 
 
 def _psi_images(a: Algebra, s: Algebra) -> list:
@@ -204,25 +207,30 @@ def psi_map(a: Algebra, s: Algebra) -> PsiReport:
     """The map (centroid element, right factor element) -> tensor centroid.
 
     Sends gamma tensor y to gamma tensor (left multiplication by y). Requires
-    the left factor perfect and the right factor a commutative associative
-    unital algebra; under those hypotheses it should be a bijection onto the
-    centroid of the tensor product, and the report records whether it is.
+    the hypotheses of require_hypotheses; under those it should be a
+    bijection onto the centroid of the tensor product, and the report
+    records whether it is.
     """
-    if not a.is_perfect():
-        raise NotPerfect("left factor must be perfect for the centroid map")
-    require_scalar_hypotheses(s)
+    require_hypotheses(a, s)
     ts = tensor_product(a, s)
     cent_ts = centroid(ts)
     cols = _psi_images(a, s)
     image = Subspace.from_rows(a.field, ts.dim * ts.dim, cols)
     in_cent = all(map(cent_ts.space.contains, cols))
-    return PsiReport(
-        domain_dim=len(cols),
-        target_dim=cent_ts.dim,
-        injective=image.dim == len(cols),
-        image_in_centroid=in_cent,
-        surjective=in_cent and image.dim == cent_ts.dim,
-    )
+    return PsiReport(domain_dim=len(cols), target_dim=cent_ts.dim, injective=image.dim == len(cols),
+                     image_in_centroid=in_cent, surjective=in_cent and image.dim == cent_ts.dim)
+
+
+def require_psi_iso(a: Algebra, s: Algebra) -> PsiReport:
+    """psi_map's report when psi is bijective; else PsiNotIso naming the
+    first property that fails, with both dimensions."""
+    psi = psi_map(a, s)
+    for held, name in ((psi.injective, "injective"), (psi.image_in_centroid, "image-in-centroid"),
+                       (psi.surjective, "surjective")):
+        if not held:
+            raise PsiNotIso(f"centroid tensor map is not bijective: {name} fails "
+                            f"(domain dim {psi.domain_dim}, C(A tensor S) dim {psi.target_dim})")
+    return psi
 
 
 def psi_multiplicative(a: Algebra, s: Algebra) -> bool:

@@ -40,7 +40,7 @@ from .errors import (
     ParseError,
 )
 from .exactla import canonical_row, combine_rows
-from .gradings import Grading, check_automorphism, eps, grading_from_automorphism
+from .gradings import Grading, check_automorphism, eps, grading_from_automorphism, require_acts_on
 from .scalars import make_field
 
 FORWARD = "forward"
@@ -227,12 +227,7 @@ class _Loop:
 def _loop_map(a: Algebra, aut1, m: int, style: str, u: LoopElement, d, images):
     """Check the hypotheses once; the map on targets, images(c, ev, pieces) on
     carrier c, with ev the fixed-point derivation d on rows."""
-    if aut1.algebra is not a:
-        raise HypothesisNotMet("left-factor automorphism acts on a different algebra",
-                               "automorphism-carrier")
-    if aut1.period != m:
-        raise HypothesisNotMet(
-            f"declared periods differ: {aut1.period} vs {m}", "automorphism-periods")
+    require_acts_on(aut1, a, m)
     if a.field != u.algebra.field:
         raise FieldMismatch("unit monomial over a different field")
     f = a.field

@@ -43,11 +43,12 @@ def test_sl2_bracket_table():
 def test_sl2_properties():
     a = sl2()
     # oracle: the products e*f, h*e, h*f already span h, e, f by hand
-    assert a.is_perfect()
-    assert not a.is_commutative()
-    assert not a.is_associative()
+    assert a.imperfect_index() is None
+    # h e = 2e but e h = -2e; (e e) f = 0 but e (e f) = e h = -2e
+    assert a.noncommuting_pair() == (1, 0)
+    assert a.nonassociative_triple() == (0, 0, 2)
     assert a.unit() is None
-    assert not a.is_unital()
+    assert a.properties() == {"perfect": True, "unital": False, "commutative": False, "associative": False}
 
 
 def test_property_cache_agrees_with_recomputation():
@@ -59,16 +60,16 @@ def test_property_cache_agrees_with_recomputation():
 
 def test_dual_numbers_properties():
     s = dual_numbers()
-    assert s.is_commutative() and s.is_associative() and s.is_unital()
+    assert s.noncommuting_pair() is None and s.nonassociative_triple() is None
     assert s.unit() == sparse(QQ, [F(1), F(0)])
-    assert s.is_perfect()  # unital algebras always are
+    assert s.imperfect_index() is None  # unital algebras always are perfect
 
 
 def test_zero_product_not_perfect():
     z = zero_product(2)
-    assert not z.is_perfect()
-    assert z.product_span().dim == 0
-    assert not z.is_unital()
+    # every product is zero, so b0 is the first basis vector outside A*A = 0
+    assert z.imperfect_index() == 0
+    assert z.unit() is None
 
 
 def test_group_algebra_unit_and_inverse():
@@ -130,7 +131,7 @@ def test_tensor_vector_order():
 
 def test_tensor_preserves_flags():
     t = tensor_product(group_algebra(2), group_algebra(3))
-    assert t.is_commutative() and t.is_associative() and t.is_unital()
+    assert t.properties() == {"perfect": True, "unital": True, "commutative": True, "associative": True}
     assert t.unit() == tensor_vector(group_algebra(2), group_algebra(3),
                                      group_algebra(2).unit(), group_algebra(3).unit())
 
@@ -189,25 +190,26 @@ def test_definition_validation_errors():
 
 
 def test_associativity_flag_on_associative_and_not():
-    assert group_algebra(5).is_associative()
-    assert not sl2().is_associative()
-    assert zero_product(3).is_associative()
-    assert zero_product(3).is_commutative()
+    assert group_algebra(5).nonassociative_triple() is None
+    assert sl2().nonassociative_triple() is not None
+    assert zero_product(3).nonassociative_triple() is None
+    assert zero_product(3).noncommuting_pair() is None
 
 
 # -- associativity on the sparse table against the dense loop -----------------
 
 
-def dense_is_associative(a):
-    """The loop Algebra.is_associative used to run: n^3 products of dense basis vectors."""
+def dense_associator(a):
+    """The first row-major triple where the associator is not zero, or None, by
+    the loop the associativity check used to run: n^3 products of dense basis vectors."""
     n, e = a.dim, a.basis_vector
-    return all(dense_mult(a, a.table[i][j], e(k)) == dense_mult(a, e(i), a.table[j][k])
-               for i in range(n) for j in range(n) for k in range(n))
+    return next(((i, j, k) for i in range(n) for j in range(n) for k in range(n)
+                 if dense_mult(a, a.table[i][j], e(k)) != dense_mult(a, e(i), a.table[j][k])), None)
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_is_associative_matches_the_dense_loop(data):
+def test_the_associator_walk_matches_the_dense_loop(data):
     f = data.draw(st.sampled_from([QQ, make_field("prime", m=3, p=31)]))
     n = data.draw(st.integers(1, 4))
     small = st.sampled_from([1, -1, 2])
@@ -221,7 +223,7 @@ def test_is_associative_matches_the_dense_loop(data):
         consts = st.sampled_from([0, 0, 0, 1, -1, 2])
         table = [[[f.from_int(data.draw(consts)) for _ in range(n)] for _ in range(n)] for _ in range(n)]
     a = Algebra(f, [f"b{i}" for i in range(n)], table)
-    assert a.is_associative() == dense_is_associative(a)
+    assert a.nonassociative_triple() == dense_associator(a)
 
 
 

@@ -2,6 +2,8 @@
 
 import json
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -34,8 +36,10 @@ from dertensor.decomposition import (
     verify_psi_lemma,
 )
 from dertensor.errors import (
+    DimensionMismatch,
     FieldMismatch,
     HypothesisNotMet,
+    InternalCheckFailed,
     NotCommutative,
     NotInDomain,
     NotPerfect,
@@ -113,13 +117,24 @@ def test_setup_rejects_period_mismatch_and_field_mismatch():
     aut1 = sl2_sign_automorphism(a)
     s = group_algebra(4)
     aut2 = check_automorphism(s, diagonal_map(s.field, [1] * 4), 4)
-    with pytest.raises(HypothesisNotMet):
+    with pytest.raises(HypothesisNotMet, match="^declared periods differ: 2 vs 4$") as exc:
         Setup(a, s, aut1, aut2)
+    assert exc.value.hypothesis == "automorphism-periods"
     f5 = make_field("prime", m=4, p=5)
     s5 = group_algebra(4, f5)
     aut2p = check_automorphism(s5, diagonal_map(f5, [1] * 4), 2)
     with pytest.raises(FieldMismatch):
         Setup(a, s5, aut1, aut2p)
+
+
+def test_setup_refuses_an_automorphism_of_another_algebra():
+    # a second sl2 equal to the first in every entry is still another algebra
+    a, s = sl2(), group_algebra(2)
+    aut2 = check_automorphism(s, diagonal_map(s.field, [1, -1]), 2)
+    with pytest.raises(DimensionMismatch, match="acts on another algebra than the given dim-3 one"):
+        Setup(a, s, sl2_sign_automorphism(sl2()), aut2)
+    with pytest.raises(DimensionMismatch, match="acts on another algebra than the given dim-2 one"):
+        Setup(a, s, sl2_sign_automorphism(a), check_automorphism(group_algebra(2), aut2.sig, 2))
 
 
 def test_identity_s_twist_has_no_graded_unit():
@@ -641,6 +656,16 @@ def test_quotient_laurent_graded_dims_two_blocks():
     # D(A) sits in degree 0, S spreads over both residues: 3*2 per degree
     assert rep.dimensions["degree-0"] == 6
     assert rep.dimensions["degree-1"] == 6
+
+
+@pytest.mark.parametrize("value", [Fraction(7, 2), make_field("cyclotomic", m=3).root_of_unity(3)],
+                         ids=["rational", "cyclotomic"])
+def test_a_dimension_that_is_no_integer_is_an_internal_fault(value):
+    # int(Fraction(7, 2)) would read 3, and int() of a Q(zeta_3) coefficient tuple raises TypeError
+    rep = VerificationReport("demo")
+    with pytest.raises(InternalCheckFailed, match=f"^dimension 'n' is not an integer: {re.escape(repr(value))}$"):
+        rep.dim("n", value)
+    assert rep.dimensions == {}
 
 
 def test_verification_report_shape():

@@ -200,7 +200,6 @@ def test_psi_bijective_on_perfect_pair():
     assert rep.target_dim == 2
     assert rep.injective and rep.image_in_centroid and rep.surjective
     assert psi_multiplicative(a, s)
-    assert rep.bijective
 
 
 @pytest.mark.parametrize("field", [QQ, make_field("cyclotomic", m=3)], ids=["Q", "Q(zeta3)"])
@@ -221,7 +220,7 @@ def test_psi_multiplicativity_catches_a_dropped_term(monkeypatch, field, j):
 
 def test_psi_bijective_flagship_sized_pair():
     rep = psi_map(sl2(), group_algebra(4))
-    assert rep.bijective
+    assert rep.injective and rep.image_in_centroid and rep.surjective
     assert rep.domain_dim == rep.target_dim == 4
 
 

@@ -10,14 +10,17 @@ while the inverse-map formula satisfies the product rule and fixes the
 degree-zero part pointwise.
 """
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dertensor import laurent
+from dertensor import cli, laurent
 from dertensor.catalog import group_algebra, sl2, sl2_sign_automorphism, sl2_twisted_flagship
 from dertensor.decomposition import Setup, bm_formula_extend, extend_phi, phi_formula
 from dertensor.errors import (
+    DimensionMismatch,
     FieldMismatch,
     HypothesisNotMet,
     NotInDomain,
@@ -418,8 +421,32 @@ def test_unit_class_must_be_one_for_the_style(scalar_line):
 def test_period_mismatch_rejected(scalar_line):
     aut = identity_twist(scalar_line, 2)
     d = coefficient_derivation(zmon(1), 4)
-    with pytest.raises(HypothesisNotMet):
+    with pytest.raises(HypothesisNotMet, match="^declared periods differ: 2 vs 4$") as exc:
         loop_phi(scalar_line, aut, 4, FORWARD, zmon(1), d)(unit_line(scalar_line, 1))
+    assert exc.value.hypothesis == "automorphism-periods"
+
+
+def test_an_automorphism_of_another_k1_is_refused(scalar_line):
+    # a second k<1>, equal to the first in every entry, is still another algebra
+    aut = identity_twist(group_algebra(1, Q), 4)
+    d = coefficient_derivation(zmon(1), 4)
+    with pytest.raises(DimensionMismatch, match="acts on another algebra than the given dim-1 one"):
+        loop_phi(scalar_line, aut, 4, FORWARD, zmon(1), d)
+
+
+def test_a_fractional_z3_coefficient_is_an_internal_fault(monkeypatch, capsys):
+    # a mutant whose phi(d)(z^3) is (7/2) z^3: the report must not round the coefficient to 3
+    period_four = laurent._period_four
+
+    def mutant(*args):
+        rep, img3, defect = period_four(*args)
+        return rep, LoopElement.term(img3.algebra, [(0, Fraction(7, 2))], 3), defect
+
+    monkeypatch.setattr(laurent, "_period_four", mutant)
+    assert cli.run(["phi-eval", "--setup", "last-exa-i", "--json"]) == 4
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "internal check failed: dimension 'value-z3-coefficient' is not an integer: Fraction(7, 2)\n"
 
 
 def test_coefficient_and_unit_must_lie_over_k1(scalar_line):

@@ -17,7 +17,8 @@ once, D and C of a tensor algebra assemble rows from a few generator
 pairs, cut by the other pairs' rows only where those fall short, each system
 of a kernel reaches exactla.rref_rows by its module name with its distinct
 rows, once (the benchmark counts systems by wrapping it there), and a command
-builds its own subparser only, and the tensor maps of psi, of the embedded
+builds its own subparser only, verify-thm1 decides perfect-A and the
+associativity of S once per algebra, and the tensor maps of psi, of the embedded
 D(A) (x) S and C(A) (x) D(S) and the commutators g d - d g that cut the
 differential centroid are built sparse, with no dense matrix built, and a
 derivation stays one sparse row from the solver to the report of
@@ -424,6 +425,35 @@ def test_verify_thm1_builds_each_tensor_algebra_once(monkeypatch, capsys, pair):
     assert [sum(x is ts for x in assembled) for ts in distinct] == [1] * pairs
 
 
+def test_verify_thm1_decides_each_hypothesis_once_per_algebra(monkeypatch, capsys):
+    # the sweep asks perfect-A and scalar-S of each pair at several sites; the
+    # product-span elimination and the associator walk run once per algebra
+    decided, spans = [], []
+    cached, subspace = algebra.Algebra._cached, algebra.Subspace
+
+    def counted(self, key, compute):
+        if key not in self._cache:
+            decided.append((self, key))
+        return cached(self, key, compute)
+
+    class CountedSubspace(subspace):
+        @classmethod
+        def from_rows(cls, *args):
+            spans.append(args)
+            return subspace.from_rows(*args)
+
+    monkeypatch.setattr(algebra.Algebra, "_cached", counted)
+    monkeypatch.setattr(algebra, "Subspace", CountedSubspace)
+    assert cli.run(["verify-thm1", "--json"]) == 0
+    capsys.readouterr()
+    for key in ("imperfect", "nonassociative"):
+        algebras = [a for a, k in decided if k == key]
+        assert len(algebras) >= len(decomposition.DEFAULT_PAIRS)
+        assert len({id(a) for a in algebras}) == len(algebras), key
+    # every product span the algebra module eliminates is one of those decisions
+    assert len(spans) == sum(k == "imperfect" for _, k in decided)
+
+
 def test_gradings_are_never_shared_between_automorphisms():
     f = make_field("cyclotomic", m=4)
     a = sl2(f)
@@ -645,7 +675,8 @@ def test_tensor_maps_take_no_dense_round_trip(monkeypatch):
     # flattened basis rows (exactla.sparse_kron, compose_maps), never dense matrices
     calls = _dense_forms(monkeypatch)
     a, s = sl2(), group_algebra(3)
-    assert invariants.psi_map(a, s).bijective
+    psi = invariants.psi_map(a, s)
+    assert psi.injective and psi.image_in_centroid and psi.surjective
     assert [e.dim for e in decomposition.embed_tensor_derivations(a, s)] == [9, 0]
     assert invariants.differential_centroid(a).dim == 1
     assert calls == {}
