@@ -153,6 +153,9 @@ COMMANDS = (
     # a pair that fails a hypothesis is refused with exit 3 and no report
     + [["psi-check", "--algebra", "zero-product(2)", "--s", "dual-numbers", "--json"],
        ["verify-thm1", "--algebra", "sl2", "--s", "zero-product(2)", "--json"]]
+    # C(A) of dimension 2 and D(S) != 0: sl2 + sl2 over F_3, whose sigma swaps the
+    # summands, against k[z]/(z^6 - 1)
+    + [[cmd, "--setup", "tests/setups/sl2-pair-swap-f3.json", "--json"] for cmd in SETUP_COMMANDS]
 )
 
 
