@@ -49,10 +49,6 @@ class SingularElement(EngineError):
     pass
 
 
-class NotInvariant(EngineError):
-    pass
-
-
 class NotInDomain(EngineError):
     pass
 

@@ -26,7 +26,6 @@ from .errors import (
     NoUnitFound,
     NotAutomorphism,
     NotInDomain,
-    NotInvariant,
     NotUnitResidue,
     SingularElement,
     WrongPeriod,
@@ -179,8 +178,8 @@ def induced_endo_grading(grading: Grading, endo: EndoSpace) -> Grading:
     Component i holds the maps T with sigma T sigma^{-1} = omega^i T, whose
     entries (r, c) have degree deg r - deg c = i. The RREF basis vector with
     pivot p of an invariant space is its own part of p's degree, so a basis
-    vector with two degrees shows that conjugation leaves the space:
-    NotInvariant names its entries.
+    vector with two degrees shows that conjugation leaves a space the engine
+    built, an engine fault: InternalCheckFailed names its tag and the entries.
     """
     n, m, deg = endo.n, grading.m, grading.degrees
     if len(deg) != n:
@@ -189,9 +188,9 @@ def induced_endo_grading(grading: Grading, endo: EndoSpace) -> Grading:
     for t, row in enumerate(endo.space._sparse):
         p = row[0][0]
         if (j := next((j for j, _ in row if degrees[j] != degrees[p]), None)) is not None:
-            raise NotInvariant(f"conjugation does not preserve the endomorphism space {endo.tag!r}: basis "
-                               f"vector {t} has entries {divmod(p, n)} of degree {degrees[p]} and "
-                               f"{divmod(j, n)} of degree {degrees[j]}")
+            raise InternalCheckFailed(f"conjugation does not preserve the endomorphism space {endo.tag!r}: "
+                                      f"basis vector {t} has entries {divmod(p, n)} of degree {degrees[p]} "
+                                      f"and {divmod(j, n)} of degree {degrees[j]}")
     return Grading(m, degrees, endo.space)
 
 

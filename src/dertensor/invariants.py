@@ -177,8 +177,8 @@ def differential_centroid(a: Algebra) -> EndoSpace:
 
 
 class PsiReport(SimpleNamespace):
-    """Fields domain_dim, target_dim, injective, image_in_centroid and
-    surjective, given by keyword."""
+    """Fields domain_dim, target_dim, injective, image_in_centroid, surjective
+    and images (psi's sparse image columns, _psi_images), given by keyword."""
 
 
 def require_hypotheses(a: Algebra, s: Algebra):
@@ -218,7 +218,7 @@ def psi_map(a: Algebra, s: Algebra) -> PsiReport:
     image = Subspace.from_rows(a.field, ts.dim * ts.dim, cols)
     in_cent = all(map(cent_ts.space.contains, cols))
     return PsiReport(domain_dim=len(cols), target_dim=cent_ts.dim, injective=image.dim == len(cols),
-                     image_in_centroid=in_cent, surjective=in_cent and image.dim == cent_ts.dim)
+                     image_in_centroid=in_cent, surjective=in_cent and image.dim == cent_ts.dim, images=cols)
 
 
 def require_psi_iso(a: Algebra, s: Algebra) -> PsiReport:
@@ -233,18 +233,17 @@ def require_psi_iso(a: Algebra, s: Algebra) -> PsiReport:
     return psi
 
 
-def psi_multiplicative(a: Algebra, s: Algebra) -> bool:
+def psi_multiplicative(a: Algebra, s: Algebra, cols) -> bool:
     """Whether psi((g1 x s1)(g2 x s2)) = psi(g1 x s1) psi(g2 x s2) on basis pairs.
 
-    Both sides come from psi's sparse image columns: the composite of two of
-    them, against their combination along the centroid coordinates of g1 g2
-    and the structure constants of s1 s2. The centroid is closed under
+    Both sides come from cols, psi's image columns (PsiReport.images): the
+    composite of two, against their combination along the centroid coordinates
+    of g1 g2 and the structure constants of s1 s2. The centroid is closed under
     composition and its kernel is certified complete (centroid()), so g1 g2
     must lie in it (Subspace.coords).
     """
     f, ns, na = a.field, s.dim, a.dim
     cent_a = centroid(a).space
-    cols = _psi_images(a, s)
     for a1, g1 in enumerate(cent_a._sparse):
         for a2, g2 in enumerate(cent_a._sparse):
             try:

@@ -1,9 +1,11 @@
 """Theorem-layer tests: splits, block and graded decompositions, pi and phi."""
 
 import json
+import os
 import random
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -48,12 +50,14 @@ from dertensor.errors import (
 from dertensor import cli, decomposition
 from dertensor.exactla import (Matrix, Subspace, apply_map, combine_rows, compose_maps, diagonal_map,
                                sparse_kron)
-from dertensor.gradings import check_automorphism, eps, grading_from_automorphism
-from dertensor.invariants import derivation_space, leibniz_witness
+from dertensor.gradings import check_automorphism, eps, grading_from_automorphism, induced_endo_grading
+from dertensor.invariants import EndoSpace, derivation_space, leibniz_witness
 from dertensor.scalars import make_field
 
 from dense_leibniz import dense_leibniz_witness
 from naive_la import Zeta3, dense, matmul, naive_of, naive_rank, naive_rref, sparse, unflatten
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture(scope="module")
@@ -358,6 +362,40 @@ def test_flagship_graded_decomposition(flagship):
     assert rep.dimensions["degree-0"] == 6
     assert rep.dimensions["degree-1"] == 6
     assert rep.dimensions["D(A tensor S)"] == 12
+
+
+def convolution_spans(st):
+    """Per degree j, the spans of D(A)_k tensor S_(j-k) and C(A)_k tensor
+    D(S)_(j-k) over k, built from the factor gradings: the construction
+    verify_graded_decomposition used before it graded the embedded spans."""
+    f, m, s, na, n2 = st.a.field, st.m, st.s, st.a.dim, st.ts.dim * st.ts.dim
+    for j in range(m):
+        part1, part2 = [], []
+        for k in range(m):
+            lefts = [s.mult_map(y) for y in st.grading_s.component(j - k)._sparse]
+            for part, xs, ys in ((part1, st.der_a_grading, lefts),
+                                 (part2, st.cent_a_grading, st.der_s_grading.component(j - k)._sparse)):
+                part += [sparse_kron(f, x, na, y, s.dim) for x in xs.components[k]._sparse for y in ys]
+        yield Subspace.from_rows(f, n2, part1), Subspace.from_rows(f, n2, part2)
+
+
+GRADED_SETUPS = [("sl2-twisted-flagship", None), ("sl2-twisted-flagship", "cyclotomic(3)"),
+                 ("quotient-laurent(2,3)", None), ("quotient-laurent(3,2)", "prime(3,2)")] + [
+    (f"tests/setups/{name}.json", None)
+    for name in ("sl3-diagram-1", "sl3-diagram-2", "sl3-diagram-eigen-1", "sl3-diagram-eigen-2",
+                 "sl2-pair-swap-f3")]
+
+
+@pytest.mark.parametrize("name,field", GRADED_SETUPS, ids=[" ".join(filter(None, c)) for c in GRADED_SETUPS])
+def test_graded_embedded_spans_are_the_convolutions_of_the_factor_gradings(monkeypatch, name, field):
+    monkeypatch.chdir(ROOT)
+    st = cli._resolve_setup(name, SimpleNamespace(field=field, force=False, u=None))
+    graded = [induced_endo_grading(st.grading_ts, e) for e in embed_tensor_derivations(st.a, st.s)]
+    for j, want in enumerate(convolution_spans(st)):
+        for g, sp in zip(graded, want):
+            assert g.components[j] == sp
+            # each row of component j has degree j on all of its support
+            assert all({g.degrees[i] for i, _ in row} == {j} for row in g.components[j]._sparse)
 
 
 def test_flagship_pi_isomorphism(flagship):
@@ -836,3 +874,38 @@ def test_a_derivation_outside_the_fixed_algebra_is_still_unusable_input(flagship
     d = flagship.der_fixed.space._sparse[0]
     with pytest.raises(NotInDomain, match="not a derivation of the fixed-point algebra"):
         flagship.d_eval(d + ((len(flagship.fixed_space._sparse) ** 2 - 1, flagship.a.field.one()),), "phi")
+
+
+def _gains_entry(endo, index):
+    """endo with one more entry, 1 at the flattened index, in its first RREF row."""
+    f, sp = endo.space.field, endo.space
+    row = combine_rows(f, [(f.one(), sp._sparse[0]), (f.one(), ((index, f.one()),))])
+    return EndoSpace(endo.algebra, Subspace(f, sp.ambient, (row,) + sp._sparse[1:], sp.pivots), endo.tag)
+
+
+@pytest.mark.parametrize("cmd", ["verify-lemma35", "verify-thm2"])
+def test_a_derivation_space_that_conjugation_moves_is_an_internal_fault(monkeypatch, capsys, cmd):
+    # D(A (x) S) gains entry (0, 9) in its first row, of degree 1 where the pivot (0, 0) has degree 0
+    der_ts = decomposition.Setup.der_ts.fget
+    monkeypatch.setattr(decomposition.Setup, "der_ts", property(lambda st: _gains_entry(der_ts(st), 9)))
+    err = _internal_failure(capsys, [cmd, "--setup", "sl2-twisted-flagship"])
+    assert ("conjugation does not preserve the endomorphism space 'derivations': basis vector 0 has entries "
+            "(0, 0) of degree 0 and (0, 9) of degree 1") in err
+
+
+def test_an_embedded_span_that_conjugation_moves_names_its_tag(monkeypatch, capsys, flagship):
+    # D(A) (x) S gains, in its first row, the first entry whose degree is not its pivot's
+    degrees = induced_endo_grading(flagship.grading_ts, flagship.der_ts).degrees
+    p = embed_tensor_derivations(flagship.a, flagship.s)[0].space.pivots[0]
+    off = next(i for i in range(p, len(degrees)) if degrees[i] != degrees[p])
+    embed = decomposition.embed_tensor_derivations
+
+    def mutant(a, s):
+        der_a_s, cent_a_der_s = embed(a, s)
+        return _gains_entry(der_a_s, off), cent_a_der_s
+
+    monkeypatch.setattr(decomposition, "embed_tensor_derivations", mutant)
+    err = _internal_failure(capsys, ["verify-lemma35", "--setup", "sl2-twisted-flagship"])
+    n = flagship.ts.dim
+    assert (f"conjugation does not preserve the endomorphism space 'derA-tensor-S': basis vector 0 has entries "
+            f"{divmod(p, n)} of degree {degrees[p]} and {divmod(off, n)} of degree {degrees[off]}") in err

@@ -12,7 +12,6 @@ from dertensor.errors import (
     NoUnitFound,
     NotAutomorphism,
     NotInDomain,
-    NotInvariant,
     NotUnitResidue,
     WrongPeriod,
 )
@@ -252,7 +251,7 @@ def test_induced_grading_rejects_non_invariant_space():
     o, z = f.one(), f.zero()
     span = Subspace.from_vectors(f, 4, [[o, o, z, z]])  # E00 + E01, not conj-invariant
     endo = EndoSpace(s, span, tag="adhoc")
-    with pytest.raises(NotInvariant):
+    with pytest.raises(InternalCheckFailed):
         induced_endo_grading(grading_from_automorphism(aut), endo)
 
 
@@ -388,8 +387,8 @@ def test_a_non_homogeneous_basis_vector_names_its_entries():
     f = a.field
     o = f.one()
     endo = EndoSpace(a, Subspace.from_rows(f, 9, [((0, o),), ((1, o), (4, o))]), tag="hand-built")
-    with pytest.raises(NotInvariant, match=r"'hand-built': basis vector 1 has entries \(0, 1\) of degree 1 "
-                                           r"and \(1, 1\) of degree 0"):
+    with pytest.raises(InternalCheckFailed, match=r"'hand-built': basis vector 1 has entries \(0, 1\) of degree 1 "
+                                                  r"and \(1, 1\) of degree 0"):
         induced_endo_grading(grading_from_automorphism(aut), endo)
 
 

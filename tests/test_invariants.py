@@ -199,14 +199,14 @@ def test_psi_bijective_on_perfect_pair():
     assert rep.domain_dim == 2
     assert rep.target_dim == 2
     assert rep.injective and rep.image_in_centroid and rep.surjective
-    assert psi_multiplicative(a, s)
+    assert psi_multiplicative(a, s, rep.images)
 
 
 @pytest.mark.parametrize("field", [QQ, make_field("cyclotomic", m=3)], ids=["Q", "Q(zeta3)"])
 @pytest.mark.parametrize("j", range(3))
 def test_psi_multiplicativity_catches_a_dropped_term(monkeypatch, field, j):
     a, s = sl2(field), group_algebra(3, field)
-    assert psi_multiplicative(a, s)
+    assert psi_multiplicative(a, s, psi_map(a, s).images)
     images = invariants._psi_images
 
     def mutant(a, s):
@@ -215,7 +215,7 @@ def test_psi_multiplicativity_catches_a_dropped_term(monkeypatch, field, j):
         return cols
 
     monkeypatch.setattr(invariants, "_psi_images", mutant)
-    assert not psi_multiplicative(a, s)
+    assert not psi_multiplicative(a, s, psi_map(a, s).images)
 
 
 def test_psi_bijective_flagship_sized_pair():

@@ -30,7 +30,8 @@ sparse row. The direct sums of verify-thm1 and verify-lemma35 solve no
 intersection. Checks
 that a cheaper one implies stay removed: the tensor automorphism is not
 re-validated, no catalog setup cuts an eigenspace (_eigenspace_grading), and only
-verify-lemma21 and psi-check test psi for multiplicativity. phi and BM on a
+verify-lemma21 and psi-check test psi for multiplicativity. Each of them
+builds psi's images once, and verify-lemma35 embeds its two spans once. phi and BM on a
 finite setup invert no map larger than a factor. A --u unit builds its
 Setup once. No builder of an algebra (the catalog, tensor products,
 subalgebras, definitions read from JSON) goes through the dense table
@@ -579,13 +580,11 @@ def test_a_command_builds_only_its_own_subparser(monkeypatch, capsys):
 SL3 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "setups", "sl3-diagram-1.json")
 
 
-def _self_check_counts(monkeypatch, capsys, argv):
-    """Calls of check_automorphism, psi_multiplicative and _eigenspace_grading,
-    the eigenspace cut of a sigma that is not diagonal, during one command."""
-    counts = {"check_automorphism": 0, "psi_multiplicative": 0, "_eigenspace_grading": 0}
-    for mods, name in (((gradings, catalog, cli), "check_automorphism"),
-                       ((invariants, decomposition), "psi_multiplicative"),
-                       ((gradings,), "_eigenspace_grading")):
+def _call_counts(monkeypatch, capsys, argv, sites):
+    """Calls of each function during one command, by name; sites pairs the
+    modules that bind a function (the defining one first) with its name."""
+    counts = {name: 0 for _, name in sites}
+    for mods, name in sites:
         def counted(*args, _fn=getattr(mods[0], name), _name=name):
             counts[_name] += 1
             return _fn(*args)
@@ -595,6 +594,14 @@ def _self_check_counts(monkeypatch, capsys, argv):
     assert cli.run(argv) == 0
     capsys.readouterr()
     return counts
+
+
+def _self_check_counts(monkeypatch, capsys, argv):
+    """Calls of check_automorphism, psi_multiplicative and _eigenspace_grading,
+    the eigenspace cut of a sigma that is not diagonal, during one command."""
+    return _call_counts(monkeypatch, capsys, argv, (((gradings, catalog, cli), "check_automorphism"),
+                                                    ((invariants, decomposition), "psi_multiplicative"),
+                                                    ((gradings,), "_eigenspace_grading")))
 
 
 @pytest.mark.parametrize("argv,want", [
@@ -615,6 +622,22 @@ def _self_check_counts(monkeypatch, capsys, argv):
 ], ids=["verify-thm2", "verify-thm2-u", "verify-thm2-sl3", "verify-thm1", "verify-lemma21"])
 def test_implied_self_checks_are_not_run(monkeypatch, capsys, argv, want):
     assert _self_check_counts(monkeypatch, capsys, argv) == want
+
+
+@pytest.mark.parametrize("argv,want", [
+    # psi's 3 images on sl2 (x) k[Z3], built once and read by all four of its checks
+    (["psi-check", "--algebra", "sl2", "--s", "group-algebra(3)", "--json"],
+     {"sparse_kron": 3, "_psi_images": 1, "embed_tensor_derivations": 0}),
+    (["verify-lemma21", "--algebra", "sl2", "--s", "group-algebra(3)", "--json"],
+     {"sparse_kron": 3, "_psi_images": 1, "embed_tensor_derivations": 0}),
+    # the 12 embedded generators D(sl2) (x) L_(z^j) that Lemma 3.5 grades, and Setup's 4 psi images
+    (["verify-lemma35", "--setup", "sl2-twisted-flagship", "--json"],
+     {"sparse_kron": 16, "_psi_images": 1, "embed_tensor_derivations": 1}),
+], ids=["psi-check", "verify-lemma21", "verify-lemma35"])
+def test_each_tensor_side_span_is_built_once(monkeypatch, capsys, argv, want):
+    assert _call_counts(monkeypatch, capsys, argv, (((exactla, invariants, decomposition), "sparse_kron"),
+                                                    ((invariants,), "_psi_images"),
+                                                    ((decomposition,), "embed_tensor_derivations"))) == want
 
 
 def test_a_given_unit_builds_the_setup_once(monkeypatch, capsys):
