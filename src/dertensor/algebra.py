@@ -21,8 +21,6 @@ from __future__ import annotations
 from .errors import (
     DimensionMismatch,
     FieldMismatch,
-    NotClosed,
-    NotInDomain,
     NotUnital,
     ParseError,
     SingularElement,
@@ -272,25 +270,6 @@ def tensor_vector(a: Algebra, s: Algebra, x, y) -> tuple:
     """The sparse row of x tensor y in the tensor basis order."""
     mul, ns = a.field.mul, s.dim
     return tuple((i * ns + j, mul(xi, yj)) for i, xi in x for j, yj in y)
-
-
-def subalgebra_on(a: Algebra, span: Subspace) -> Algebra:
-    """Restrict the product to a subspace that must be closed under it.
-
-    The subalgebra's basis u0 ... u(k-1) is the span's RREF basis. Raises
-    NotClosed with a witness pair otherwise.
-    """
-    if span.ambient != a.dim:
-        raise DimensionMismatch(f"subspace of dim-{span.ambient} space inside dim-{a.dim} algebra")
-    k, basis = span.dim, span._sparse
-    products = [[None] * k for _ in range(k)]
-    for s_idx in range(k):
-        for t_idx in range(k):
-            try:
-                products[s_idx][t_idx] = span.coords(a.mult(basis[s_idx], basis[t_idx]))
-            except NotInDomain:
-                raise NotClosed(f"product of basis vectors {s_idx} and {t_idx} leaves the subspace")
-    return Algebra.from_products(a.field, [f"u{t}" for t in range(k)], products)
 
 
 def _solve_vector(field, rows, n: int) -> tuple:

@@ -18,10 +18,9 @@ import json
 import random
 from functools import cached_property
 
-from .algebra import Algebra, subalgebra_on, tensor_product, tensor_vector
+from .algebra import Algebra, tensor_product, tensor_vector
 from .catalog import catalog_algebra
 from .errors import (
-    DimensionMismatch,
     FieldMismatch,
     HypothesisNotMet,
     InternalCheckFailed,
@@ -142,8 +141,9 @@ class Setup:
     theorem is re-checked at construction. A factor whose sigma is not
     diagonal is rewritten once on sigma's eigenbasis (diagonal_form), with a
     given unit u of S carried across. Derived data (tensor algebra, gradings,
-    fixed-point algebra, derivation spaces, unit powers) is built once and
-    cached. Instances are never mutated by verifiers.
+    fixed-point algebra on the degree-zero basis pairs, derivation spaces,
+    unit powers) is built once and cached. Instances are never mutated by
+    verifiers.
     """
 
     def __init__(self, a: Algebra, s: Algebra, aut1: Automorphism, aut2: Automorphism,
@@ -173,8 +173,13 @@ class Setup:
         self.unit_data = find_graded_unit(s, self.grading_s, q=q, u=u)
         # (v) psi isomorphism
         require_psi_iso(a, s)
+        # basis u0 ... u(k-1): the degree-zero basis pairs, closed as sigma is multiplicative
         self.fixed_space = self.grading_ts.components[0]
-        self.fixed_algebra = subalgebra_on(self.ts, self.fixed_space)
+        pairs, nz = self.fixed_space.pivots, self.ts._nz
+        self._fixed_at = {p: t for t, p in enumerate(pairs)}
+        self.fixed_algebra = Algebra.from_products(a.field, [f"u{t}" for t in range(len(pairs))], [[
+            self.fixed_coords(nz[i][j], f"product of basis vectors {s_idx} and {t_idx} leaves the fixed subalgebra")
+            for t_idx, j in enumerate(pairs)] for s_idx, i in enumerate(pairs)])
         self._upow = {}
         self._lmat = {}
 
@@ -228,6 +233,17 @@ class Setup:
     def tensor_elem(self, a_vec, s_vec) -> tuple:
         return tensor_vector(self.a, self.s, a_vec, s_vec)
 
+    def fixed_coords(self, x, stage: str) -> tuple:
+        """The sparse row x of A tensor S on the fixed algebra's basis, whose
+        vector t is the basis pair fixed_space.pivots[t]. The engine builds
+        every x it passes, so an entry at a pair of nonzero degree is an
+        engine fault: InternalCheckFailed, its message led by stage."""
+        at = self._fixed_at
+        if (c := next((c for c, _ in x if c not in at), None)) is not None:
+            raise InternalCheckFailed(f"{stage}: entry at basis pair {divmod(c, self.s.dim)} "
+                                      f"of degree {self.grading_ts.degrees[c]}")
+        return tuple((at[c], v) for c, v in x)
+
     def d_eval(self, d, stage: str):
         """Evaluator for a derivation given in fixed-algebra coordinates.
 
@@ -239,20 +255,15 @@ class Setup:
         build its arguments, so one outside the fixed subalgebra is an engine
         fault: InternalCheckFailed, on every call.
         """
-        f, fixed, k = self.a.field, self.fixed_space, self.fixed_algebra.dim
-        if d and d[-1][0] >= k * k:
-            raise DimensionMismatch(f"expected a map on the dim-{k} fixed algebra")
+        f, pairs, k = self.a.field, self.fixed_space.pivots, self.fixed_algebra.dim
         if not self.der_fixed.space.contains(d):
             raise NotInDomain("not a derivation of the fixed-point algebra")
         images = {}
 
         def ev(x) -> tuple:
             if x not in images:
-                try:
-                    c = fixed.coords(x)
-                except NotInDomain as exc:
-                    raise InternalCheckFailed(f"{stage}: evaluation argument is not in the fixed subalgebra: {exc}")
-                images[x] = combine_rows(f, ((v, fixed._sparse[t]) for t, v in apply_map(f, d, k, c)))
+                c = self.fixed_coords(x, f"{stage}: evaluation argument is not in the fixed subalgebra")
+                images[x] = tuple((pairs[t], v) for t, v in apply_map(f, d, k, c))
             return images[x]
 
         return ev
@@ -434,13 +445,12 @@ def verify_graded_decomposition(setup: Setup) -> VerificationReport:
 
 def _restrict(big_d, setup: Setup) -> tuple:
     """big_d on the fixed-point algebra, in its coordinates; the image must stay inside it."""
-    f, n, fixed, cols = setup.a.field, setup.ts.dim, setup.fixed_space, []
-    for t, x in enumerate(fixed._sparse):
-        try:
-            cols.append(fixed.coords(apply_map(f, big_d, n, x)))
-        except NotInDomain:
-            raise InternalCheckFailed(f"degree-zero derivation moved the fixed subalgebra at basis vector {t}")
-    return map_of_columns(cols)
+    n, cols = setup.ts.dim, {}
+    for rc, x in big_d:
+        cols.setdefault(rc % n, []).append((rc // n, x))
+    return map_of_columns([setup.fixed_coords(tuple(cols.get(p, ())), "degree-zero derivation moved the fixed "
+                                              f"subalgebra at basis vector {t}")
+                           for t, p in enumerate(setup.fixed_space.pivots)])
 
 
 def restrict_pi(big_d, setup: Setup) -> tuple:

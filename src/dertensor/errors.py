@@ -41,10 +41,6 @@ class NoPrimitiveRoot(EngineError):
     pass
 
 
-class NotClosed(EngineError):
-    pass
-
-
 class SingularElement(EngineError):
     pass
 

@@ -25,7 +25,6 @@ from .errors import (
     InternalCheckFailed,
     NoUnitFound,
     NotAutomorphism,
-    NotInDomain,
     NotUnitResidue,
     SingularElement,
     WrongPeriod,
@@ -164,7 +163,7 @@ def grading_from_automorphism(aut: Automorphism) -> Grading:
     if "grading" not in aut._cache:
         f, n, m, sig = aut.algebra.field, aut.algebra.dim, aut.period, aut.sig
         if any(rc // n != rc % n for rc, _ in sig):
-            raise NotInDomain("sigma is not diagonal: grade the automorphism diagonal_form gives")
+            raise InternalCheckFailed("sigma is not diagonal: grade the automorphism diagonal_form gives")
         # sigma^m = id, so each sigma_ii is one of the m distinct powers of omega
         residue = {f.one(): 0} if all(x == f.one() for _, x in sig) else _residues(f, m)
         aut._cache["grading"] = coordinate_grading(f, m, tuple(residue[x] for _, x in sig))

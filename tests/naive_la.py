@@ -3,10 +3,16 @@
 Textbook two-pass Gaussian elimination with explicit row swaps, structured
 nothing like the production eliminator. Over Q by default, with Fractions;
 over F_p when p is given, with ints reduced mod p; over Q(w), w a primitive
-cube root of unity, when p is Zeta3. Small inputs only.
+cube root of unity, when p is Zeta3. Small inputs only. subalgebra_on
+restricts a product to any closed span through Subspace.coords: the
+reference for the fixed algebra, which the engine reads off the degree-zero
+basis pairs.
 """
 
 from fractions import Fraction
+
+from dertensor.algebra import Algebra
+from dertensor.errors import DimensionMismatch, NotInDomain
 
 
 class Zeta3:
@@ -221,3 +227,26 @@ def dense_reduce(space, vec):
         x = vec[c]
         vec = [f.sub(v, f.mul(x, b)) for v, b in zip(vec, row)]
     return vec
+
+
+class NotClosed(Exception):
+    pass
+
+
+def subalgebra_on(a, span):
+    """Restrict the product to a subspace that must be closed under it.
+
+    The subalgebra's basis u0 ... u(k-1) is the span's RREF basis. Raises
+    NotClosed with a witness pair otherwise.
+    """
+    if span.ambient != a.dim:
+        raise DimensionMismatch(f"subspace of dim-{span.ambient} space inside dim-{a.dim} algebra")
+    k, basis = span.dim, span._sparse
+    products = [[None] * k for _ in range(k)]
+    for s_idx in range(k):
+        for t_idx in range(k):
+            try:
+                products[s_idx][t_idx] = span.coords(a.mult(basis[s_idx], basis[t_idx]))
+            except NotInDomain:
+                raise NotClosed(f"product of basis vectors {s_idx} and {t_idx} leaves the subspace")
+    return Algebra.from_products(a.field, [f"u{t}" for t in range(k)], products)

@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 from dertensor.algebra import (
     Algebra,
     invert_element,
-    subalgebra_on,
     tensor_product,
     tensor_vector,
 )
 from dertensor.catalog import catalog_algebra, catalog_entries, dual_numbers, group_algebra, sl2, zero_product
-from dertensor.errors import NotClosed, NotUnital, ParseError, SingularElement
-from dertensor.exactla import Subspace, apply_map, compose_maps
+from dertensor.errors import NotUnital, ParseError, SingularElement
+from dertensor.exactla import apply_map, compose_maps
 from dertensor.scalars import make_field
 
 from naive_la import dense_mult, sparse
@@ -134,24 +133,6 @@ def test_tensor_preserves_flags():
     assert t.properties() == {"perfect": True, "unital": True, "commutative": True, "associative": True}
     assert t.unit() == tensor_vector(group_algebra(2), group_algebra(3),
                                      group_algebra(2).unit(), group_algebra(3).unit())
-
-
-def test_subalgebra_on_closed_span():
-    s = group_algebra(4)
-    span = Subspace.from_vectors(QQ, 4, [s.basis_vector(0), s.basis_vector(2)])
-    sub = subalgebra_on(s, span)
-    assert sub.dim == 2
-    # z^2 * z^2 = 1 inside the subalgebra
-    assert sub.mult(basis(sub, 1), basis(sub, 1)) == basis(sub, 0)
-    # on the span's RREF basis
-    assert list(span.rows[1]) == s.basis_vector(2)
-
-
-def test_subalgebra_on_rejects_open_span():
-    s = group_algebra(4)
-    span = Subspace.from_vectors(QQ, 4, [s.basis_vector(1)])
-    with pytest.raises(NotClosed):
-        subalgebra_on(s, span)
 
 
 def test_definition_round_trip_bit_exact():

@@ -761,15 +761,31 @@ def test_a_restriction_leaving_the_fixed_algebra_names_the_basis_vector(monkeypa
     init = decomposition.Setup.__init__
 
     def mutant(self, *args, **kwargs):
-        # fixed basis vector 3, as the restriction reads it, becomes one of degree 1
+        # fixed basis vector 3, as the restriction reads it (a degree-zero basis
+        # pair), becomes a basis pair of degree 1
         init(self, *args, **kwargs)
-        space, moved = self.fixed_space, self.grading_ts.components[1]._sparse[0]
-        self.fixed_space = Subspace(space.field, space.ambient, space._sparse[:3] + (moved,) + space._sparse[4:],
-                                    space.pivots)
+        space, moved = self.fixed_space, self.grading_ts.components[1]
+        self.fixed_space = Subspace(space.field, space.ambient,
+                                    space._sparse[:3] + moved._sparse[:1] + space._sparse[4:],
+                                    space.pivots[:3] + moved.pivots[:1] + space.pivots[4:])
 
     monkeypatch.setattr(decomposition.Setup, "__init__", mutant)
     err = _internal_failure(capsys, ["verify-thm2", "--setup", "sl2-twisted-flagship"])
     assert "degree-zero derivation moved the fixed subalgebra at basis vector 3" in err
+
+
+@pytest.mark.parametrize("command", ["verify-thm2", "fixed", "lemma-identities"])
+def test_a_product_leaving_the_fixed_algebra_is_an_engine_fault(monkeypatch, capsys, command):
+    grading = decomposition.coordinate_grading
+
+    def mutant(f, m, degrees):
+        # basis pair 0, e (x) 1 of degree 1, is graded zero; its product with h (x) z2, fixed
+        # basis vector 4, is a multiple of e (x) z2, of degree 1
+        return grading(f, m, (0,) + degrees[1:])
+
+    monkeypatch.setattr(decomposition, "coordinate_grading", mutant)
+    err = _internal_failure(capsys, [command, "--setup", "sl2-twisted-flagship"])
+    assert "product of basis vectors 0 and 4 leaves the fixed subalgebra: entry at basis pair (0, 2) of degree 1" in err
 
 
 def test_an_extension_of_nonzero_degree_names_the_first_entry(monkeypatch, capsys, flagship):
@@ -874,6 +890,13 @@ def test_a_derivation_outside_the_fixed_algebra_is_still_unusable_input(flagship
     d = flagship.der_fixed.space._sparse[0]
     with pytest.raises(NotInDomain, match="not a derivation of the fixed-point algebra"):
         flagship.d_eval(d + ((len(flagship.fixed_space._sparse) ** 2 - 1, flagship.a.field.one()),), "phi")
+
+
+def test_a_map_past_the_fixed_algebra_is_refused_by_the_one_membership_test(flagship):
+    # an entry at index k^2, outside every map on the dim-k fixed algebra
+    d, k = flagship.der_fixed.space._sparse[0], flagship.fixed_algebra.dim
+    with pytest.raises(NotInDomain, match="not a derivation of the fixed-point algebra"):
+        flagship.d_eval(d + ((k * k, flagship.a.field.one()),), "phi")
 
 
 def _gains_entry(endo, index):

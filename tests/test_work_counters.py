@@ -35,7 +35,9 @@ builds psi's images once, and verify-lemma35 embeds its two spans once. phi and 
 finite setup invert no map larger than a factor. A --u unit builds its
 Setup once. No builder of an algebra (the catalog, tensor products,
 subalgebras, definitions read from JSON) goes through the dense table
-adapter Algebra(field, names, table).
+adapter Algebra(field, names, table). The fixed algebra, d's evaluator and
+the restriction read rows off the degree-zero basis pairs: the Setup
+commands on the flagship reduce no row into the fixed space.
 """
 
 import argparse
@@ -53,7 +55,7 @@ from dertensor.exactla import Matrix, Subspace, diagonal_map
 from dertensor.gradings import Grading, check_automorphism, grading_from_automorphism
 from dertensor.scalars import FieldDescriptor, make_field
 
-from naive_la import dense, flatten, sparse
+from naive_la import dense, flatten, sparse, subalgebra_on
 from test_gradings import projections
 from test_invariants import short_pairs_algebra
 
@@ -482,7 +484,7 @@ def test_gradings_are_never_shared_between_automorphisms():
 def test_identity_checker_computes_each_building_block_once(monkeypatch, capsys):
     inside, coords, brackets, tensors = [], [], [], []
     check = cli.check_surjectivity_identities
-    coords_of, bracket = Subspace.coords, decomposition._bracket
+    coords_of, bracket = decomposition.Setup.fixed_coords, decomposition._bracket
     tensor_elem = decomposition.Setup.tensor_elem
 
     def checked(*args, **kwargs):
@@ -492,10 +494,10 @@ def test_identity_checker_computes_each_building_block_once(monkeypatch, capsys)
         finally:
             inside.pop()
 
-    def counted_coords(self, x):
+    def counted_coords(self, x, stage):
         if inside:  # only d's evaluator takes coordinates there
             coords.append(x)
-        return coords_of(self, x)
+        return coords_of(self, x, stage)
 
     def counted_tensor(self, a_vec, s_vec):
         if inside:
@@ -507,7 +509,7 @@ def test_identity_checker_computes_each_building_block_once(monkeypatch, capsys)
         return bracket(c, ev, avec, t, big_m, b)
 
     monkeypatch.setattr(cli, "check_surjectivity_identities", checked)
-    monkeypatch.setattr(Subspace, "coords", counted_coords)
+    monkeypatch.setattr(decomposition.Setup, "fixed_coords", counted_coords)
     monkeypatch.setattr(decomposition, "_bracket", counted_bracket)
     monkeypatch.setattr(decomposition.Setup, "tensor_elem", counted_tensor)
     argv = ["lemma-identities", "--setup", "sl2-twisted-flagship", "--json"]
@@ -525,13 +527,13 @@ def test_d_eval_memo_never_caches_a_refusal_or_a_mutation(monkeypatch):
     st = decomposition.Setup(*catalog_setup("sl2-twisted-flagship"))
     ev = st.d_eval(st.der_fixed.space._sparse[0], "phi")
     calls = []
-    coords = Subspace.coords
+    coords = decomposition.Setup.fixed_coords
 
-    def counted(self, x):
+    def counted(self, x, stage):
         calls.append(x)
-        return coords(self, x)
+        return coords(self, x, stage)
 
-    monkeypatch.setattr(Subspace, "coords", counted)
+    monkeypatch.setattr(decomposition.Setup, "fixed_coords", counted)
     x = st.fixed_space._sparse[0]
     want = ev(x)
     # the memo hands out its own tuple, which no caller can change
@@ -543,6 +545,31 @@ def test_d_eval_memo_never_caches_a_refusal_or_a_mutation(monkeypatch):
         with pytest.raises(InternalCheckFailed, match="^phi: evaluation argument is not in the fixed subalgebra"):
             ev(outside)
     assert calls == [x, outside, outside]
+
+
+@pytest.mark.parametrize("command,total", [("verify-thm2", 28), ("phi-eval", None), ("bm-eval", None),
+                                           ("lemma-identities", None), ("verify-lemma35", None)])
+def test_the_fixed_algebra_is_read_off_its_basis_pairs_with_no_reduction(monkeypatch, capsys, command, total):
+    # the fixed algebra, d's evaluator and the restriction re-key rows onto the
+    # degree-zero basis pairs (Setup.fixed_coords); none reduces into fixed_space
+    spaces, setups = [], []
+    reduce, init = Subspace.reduce, decomposition.Setup.__init__
+
+    def counted(self, row):
+        spaces.append(self)
+        return reduce(self, row)
+
+    def kept(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        setups.append(self)
+
+    monkeypatch.setattr(Subspace, "reduce", counted)
+    monkeypatch.setattr(decomposition.Setup, "__init__", kept)
+    assert cli.run([command, "--setup", "sl2-twisted-flagship", "--json"]) == 0
+    capsys.readouterr()
+    (st,) = setups
+    assert not any(sp is st.fixed_space for sp in spaces)
+    assert total is None or len(spaces) == total
 
 
 def test_loop_pieces_visit_only_occupied_degrees(monkeypatch, capsys):
@@ -752,9 +779,9 @@ def test_algebra_builders_never_call_the_dense_adapter(monkeypatch):
     monkeypatch.setattr(algebra.Algebra, "__init__", counted)
     built = [catalog.catalog_algebra(e["name"] + "(3)" * e["args"])
              for e in catalog.catalog_entries() if e["kind"] == "algebra"]
-    st = decomposition.Setup(*catalog_setup("sl2-twisted-flagship"))  # its fixed algebra is a subalgebra_on
+    st = decomposition.Setup(*catalog_setup("sl2-twisted-flagship"))  # its fixed algebra is built from products
     built += [st.a, st.s, st.ts, st.fixed_algebra,
-              algebra.subalgebra_on(st.s, st.grading_s.components[0]),
+              subalgebra_on(st.s, st.grading_s.components[0]),
               algebra.tensor_product(sl2(), group_algebra(3)),
               algebra.Algebra.from_definition(json.loads(json.dumps(st.ts.to_definition())))]
     assert [a.dim for a in built] == [3, 3, 2, 3, 3, 3, 4, 12, 6, 2, 9, 12]
